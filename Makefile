@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test lint lint-cold docstrings docs bench bench-quick
+.PHONY: check test lint lint-cold bench bench-quick
 
 check: test lint
 
@@ -23,34 +23,23 @@ lint:
 lint-cold:
 	$(PYTHON) -m tools.analysis --no-cache
 
-# Deprecated: kept as thin wrappers over `tools.analysis` for one
-# release.  `make check` runs the full analyzer via `lint` instead.
-docstrings:
-	$(PYTHON) tools/check_docstrings.py
+# Not part of `check` (runs several minutes).  `python -m bench` is the
+# benchmark of record: the four paper workloads (campaign, tvla-aes,
+# savat, train) end to end with per-layer tracing (bench/README.md).
+# The pytest benchmarks time the supervised-campaign survival/resume
+# (BENCH_resume.json), the run-record overhead (BENCH_observability.json)
+# and incremental lint (BENCH_lint.json) under benchmarks/results/.
+BENCH_TESTS = test_robustness_resume.py test_perf_observability.py \
+	test_perf_lint.py
 
-docs:
-	$(PYTHON) tools/check_docs.py
-
-# Not part of `check` (runs a few minutes): the sequential-vs-batched
-# campaign benchmark (BENCH_sim.json), the model-building fast-path
-# benchmark (BENCH_train.json), the columnar trace-engine benchmark
-# (BENCH_trace.json), the supervised-campaign survival/resume
-# benchmark (BENCH_resume.json), the run-record overhead benchmark
-# (BENCH_observability.json), the incremental-lint benchmark
-# (BENCH_lint.json), and the signal-engine benchmark
-# (BENCH_signal.json) under benchmarks/results/.
 bench:
-	cd benchmarks && $(PYTHON) -m pytest test_perf_campaign.py \
-		test_perf_training.py test_perf_trace.py \
-		test_perf_signal.py test_robustness_resume.py \
-		test_perf_observability.py test_perf_lint.py -x -q
+	$(PYTHON) -m bench
+	cd benchmarks && $(PYTHON) -m pytest $(BENCH_TESTS) -x -q
 
-# Tiny-size smoke runs of the training, trace, signal, resume, and
-# observability benchmarks (seconds, not minutes); they write
-# BENCH_*.quick.json so the committed full-size artifacts are never
-# clobbered.
+# Smoke-size runs of the same (about a minute); the pytest benchmarks
+# write BENCH_*.quick.json so the committed full-size artifacts are
+# never clobbered.
 bench-quick:
+	$(PYTHON) -m bench --quick
 	cd benchmarks && REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest \
-		test_perf_training.py test_perf_trace.py \
-		test_perf_signal.py test_robustness_resume.py \
-		test_perf_observability.py test_perf_lint.py -x -q
+		$(BENCH_TESTS) -x -q

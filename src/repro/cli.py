@@ -6,18 +6,13 @@ Usage (also available as ``python -m repro``)::
     python -m repro simulate --model model.json program.s [--csv out.csv]
     python -m repro accuracy --model model.json [--groups 2] [--workers 8]
     python -m repro savat --model model.json [--pairs LDM/NOP,ADD/NOP]
-    python -m repro bench --programs 256 --workers 8 [--out BENCH_sim.json]
+    python -m repro report run/manifest.json
 
 ``train`` builds a model against the synthetic bench and saves it;
 ``simulate`` runs a RV32IM assembly file through EMSim and reports the
 per-cycle amplitudes; ``accuracy`` scores the model on held-out coverage
 groups; ``savat`` computes simulated SAVAT values for instruction pairs;
-``bench`` times either a sequential vs batched/parallel measurement
-campaign (``--mode sim``, writes ``BENCH_sim.json``), the scalar vs
-fast model-building path (``--mode train``, writes ``BENCH_train.json``),
-or the columnar activity-trace engine against the legacy recording path
-and pickle (``--mode trace``, writes ``BENCH_trace.json``);
-``report`` renders a run manifest (written under ``--trace-dir``) into a
+``balance`` applies the branch-timing-balancing pass; ``report`` renders a run manifest (written under ``--trace-dir``) into a
 Markdown run report.
 Global flags: ``--profile`` prints a per-phase wall-time table (including
 trace-cache hit/miss counters) after any command; ``--no-trace-cache``
@@ -34,18 +29,16 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import List, Optional
 
-from .core import (EMSim, Trainer, coverage_groups, load_model,
-                   measurement_campaign, save_model)
+from .core import EMSim, Trainer, coverage_groups, load_model, save_model
 from .hardware import BOARDS, HardwareDevice
 from .isa import assemble
 from .leakage import SimulatorSignalSource, savat_matrix
-from .observability import (current_manifest_path, finish_run,
-                            render_report, start_run, validate_manifest)
+from .observability import (finish_run, render_report, start_run,
+                            validate_manifest)
 from .parallel import resolve_workers
-from .profiling import enable_profiling, get_profiler, write_bench_json
+from .profiling import enable_profiling, get_profiler
 from .robustness import ConfigurationError, FaultPlan, ReproError
 from .signal import simulation_accuracy
 from .uarch import DEFAULT_CONFIG
@@ -66,7 +59,7 @@ def _checkpoint_path(directory: Optional[str],
 
 
 def _add_supervision_flags(command: argparse.ArgumentParser) -> None:
-    """The shared campaign-supervision flags (train/savat/bench)."""
+    """The shared campaign-supervision flags (train/savat)."""
     command.add_argument("--item-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-item wall-clock deadline; a worker "
@@ -132,12 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "grid when a probe cannot be captured")
     train.add_argument("--workers", default="1",
                        help="worker processes for probe captures "
-                            "(int or 'auto'; 1 = exact sequential path)")
-    train.add_argument("--legacy-fit", action="store_true",
-                       help="use the pre-optimization scalar model-"
-                            "building path instead of the Gram/sweep "
-                            "fast path (results are identical; this "
-                            "exists for cross-checking)")
+                            "(int or 'auto'; the model is the same at "
+                            "any count)")
     _add_supervision_flags(train)
 
     simulate = commands.add_parser(
@@ -176,56 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     balance.add_argument("--out", required=True,
                          help="write balanced assembly here")
 
-    bench = commands.add_parser(
-        "bench", help="time sequential vs batched measurement campaigns "
-                      "(--mode sim), scalar vs fast model building "
-                      "(--mode train), the columnar trace engine vs "
-                      "the legacy recording path (--mode trace), or the "
-                      "streaming signal-analytics engine vs its direct "
-                      "oracles (--mode signal) and write a BENCH_*.json "
-                      "report")
-    bench.add_argument("--mode", default="sim",
-                       choices=("sim", "train", "trace", "signal"),
-                       help="sim: measurement-campaign fan-out bench; "
-                            "train: Trainer.fit fast-path bench; "
-                            "trace: columnar trace engine + codec bench; "
-                            "signal: FFT synthesis, banded deconvolution "
-                            "and streaming TVLA bench")
-    bench.add_argument("--probes", type=int, default=6,
-                       help="activity probes per class for --mode train")
-    bench.add_argument("--kernel", default="crc32",
-                       help="workload kernel for --mode trace")
-    bench.add_argument("--reps", type=int, default=9,
-                       help="best-of repetitions per timed section for "
-                            "--mode trace and --mode signal")
-    bench.add_argument("--cycles", type=int, default=4096,
-                       help="synthesis trace length in cycles for "
-                            "--mode signal")
-    bench.add_argument("--tvla-traces", type=int, default=1024,
-                       help="traces per TVLA group for --mode signal")
-    bench.add_argument("--programs", type=int, default=256,
-                       help="number of random campaign programs")
-    bench.add_argument("--program-length", type=int, default=32,
-                       help="instructions per campaign program")
-    bench.add_argument("--repetitions", type=int, default=50,
-                       help="scope repetitions per reference capture")
-    bench.add_argument("--workers", default="8",
-                       help="worker processes for the batched run "
-                            "(int or 'auto'); the baseline always "
-                            "runs with 1")
-    bench.add_argument("--board", default="de0-cv", choices=sorted(BOARDS))
-    bench.add_argument("--seed", type=int, default=0,
-                       help="campaign seed (programs and captures)")
-    bench.add_argument("--fault-rate", type=float, default=0.0,
-                       help="inject bench faults at this per-capture "
-                            "rate (0 disables)")
-    bench.add_argument("--out", default=None,
-                       help="write the machine-readable report here "
-                            "(default: BENCH_sim.json, BENCH_train.json, "
-                            "BENCH_trace.json or BENCH_signal.json, "
-                            "by --mode)")
-    _add_supervision_flags(bench)
-
     report = commands.add_parser(
         "report", help="render a run manifest written by --trace-dir "
                        "into a Markdown run report")
@@ -259,7 +198,6 @@ def _cmd_train(args) -> int:
                       repetitions=args.repetitions,
                       strict=args.strict,
                       workers=resolve_workers(args.workers),
-                      fast=not args.legacy_fit,
                       item_timeout=args.item_timeout,
                       max_item_retries=args.max_item_retries,
                       checkpoint=checkpoint,
@@ -365,251 +303,6 @@ def _cmd_savat(args) -> int:
     return 0
 
 
-def _bench_train(args) -> int:
-    """``bench --mode train``: scalar vs fast ``Trainer.fit`` timing.
-
-    Runs the pre-optimization scalar reference (``fast=False``), a
-    cold-cache fast fit, and a warm-cache fast fit, checks that all
-    three produce the same model, and writes ``BENCH_train.json``.
-    """
-    from .core import configure_trace_cache, get_trace_cache
-    from .core.persistence import model_to_dict
-
-    out = args.out or "BENCH_train.json"
-    device_kwargs = {"board": BOARDS[args.board]}
-    if args.fault_rate > 0:
-        device_kwargs["fault_plan"] = FaultPlan.preset(args.fault_rate,
-                                                       seed=args.seed)
-    print(f"bench: Trainer.fit at {args.probes} probes/class on "
-          f"{BOARDS[args.board].name}")
-
-    profiler = enable_profiling()
-
-    def fit(fast: bool, clear_cache: bool):
-        if clear_cache:
-            configure_trace_cache(clear=True)
-        device = HardwareDevice(**device_kwargs)
-        trainer = Trainer(device=device,
-                          activity_probes_per_class=args.probes,
-                          seed=args.seed, fast=fast)
-        start = time.perf_counter()
-        model = trainer.train()
-        return model_to_dict(model), time.perf_counter() - start
-
-    legacy, legacy_seconds = fit(fast=False, clear_cache=True)
-    print(f"  legacy scalar fit:   {legacy_seconds:7.2f} s")
-    cold, cold_seconds = fit(fast=True, clear_cache=True)
-    print(f"  fast fit (cold):     {cold_seconds:7.2f} s")
-    warm, warm_seconds = fit(fast=True, clear_cache=False)
-    print(f"  fast fit (warm):     {warm_seconds:7.2f} s")
-
-    identical = legacy == cold == warm
-    warm_speedup = legacy_seconds / warm_seconds \
-        if warm_seconds > 0 else float("inf")
-    cold_speedup = legacy_seconds / cold_seconds \
-        if cold_seconds > 0 else float("inf")
-    stats = get_trace_cache().stats
-    print(f"  speedup: cold {cold_speedup:5.2f}x, warm "
-          f"{warm_speedup:5.2f}x   models identical: {identical}")
-    print(f"  trace cache: {stats.hits} hits / {stats.misses} misses")
-
-    write_bench_json(out, metadata={
-        "benchmark": "trainer_fit",
-        "probes_per_class": args.probes,
-        "board": args.board,
-        "seed": args.seed,
-        "fault_rate": args.fault_rate,
-        "legacy_seconds": legacy_seconds,
-        "fast_cold_seconds": cold_seconds,
-        "fast_warm_seconds": warm_seconds,
-        "speedup_cold": cold_speedup,
-        "speedup_warm": warm_speedup,
-        "models_identical": identical,
-        "trace_cache_hits": stats.hits,
-        "trace_cache_misses": stats.misses,
-        "manifest": current_manifest_path(),
-    }, profiler=profiler)
-    print(f"report written to {out}")
-    if not identical:
-        print("error: fast-path model differs from the scalar "
-              "reference", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_trace(args) -> int:
-    """``bench --mode trace``: columnar trace engine vs the legacy path.
-
-    Times cold simulation (object-graph vs columnar recording on both
-    cores), serialized trace size (legacy pickle vs the
-    ``repro-trace/1`` codec), and cache-hit deserialization latency.
-    Bit-identity between the two recording paths is asserted inside the
-    measurement (see :mod:`repro.core.tracebench`); writes
-    ``BENCH_trace.json``.
-    """
-    from .core.tracebench import run_trace_bench
-    from .workloads import ALL_KERNELS
-
-    out = args.out or "BENCH_trace.json"
-    if args.kernel not in ALL_KERNELS:
-        known = ", ".join(sorted(ALL_KERNELS))
-        raise ConfigurationError(
-            f"unknown --kernel {args.kernel!r} (known: {known})")
-    print(f"bench: trace engine on {args.kernel!r}, best of "
-          f"{args.reps} reps per section")
-
-    profiler = enable_profiling()
-    doc = run_trace_bench(kernel=args.kernel, reps=args.reps)
-
-    print(f"  cold simulate (in-order): legacy "
-          f"{doc['legacy_simulate_seconds'] * 1e3:7.1f} ms, columnar "
-          f"{doc['columnar_simulate_seconds'] * 1e3:7.1f} ms "
-          f"({doc['simulate_speedup']:.2f}x)")
-    print(f"  cold simulate (OoO):      legacy "
-          f"{doc['legacy_simulate_seconds_ooo'] * 1e3:7.1f} ms, columnar "
-          f"{doc['columnar_simulate_seconds_ooo'] * 1e3:7.1f} ms "
-          f"({doc['simulate_speedup_ooo']:.2f}x)")
-    print(f"  serialized trace: pickle {doc['legacy_pickle_bytes']} B, "
-          f"codec {doc['encoded_bytes']} B "
-          f"({doc['size_ratio']:.1f}x smaller)")
-    print(f"  cache-hit deserialize: unpickle "
-          f"{doc['unpickle_seconds'] * 1e3:6.2f} ms, decode "
-          f"{doc['decode_seconds'] * 1e3:6.2f} ms "
-          f"({doc['decode_speedup']:.2f}x)")
-    print(f"  derived views rebuild: {doc['derive_speedup']:.2f}x   "
-          f"bit-identical: {doc['bit_identical']}")
-
-    doc["manifest"] = current_manifest_path()
-    write_bench_json(out, metadata=doc, profiler=profiler)
-    print(f"report written to {out}")
-    return 0
-
-
-def _bench_signal(args) -> int:
-    """``bench --mode signal``: the streaming signal-analytics engine.
-
-    Times planned FFT/overlap-add synthesis against the direct
-    ``np.convolve`` oracle, cold banded-Cholesky batch deconvolution
-    against the legacy sparse-LU rebuild, and the peak memory of a
-    streaming Welford TVLA against the batch materialize-then-test
-    path.  Oracle agreement (<= 1e-9) is asserted inside the
-    measurement (see :mod:`repro.core.signalbench`); writes
-    ``BENCH_signal.json``.
-    """
-    from .core.signalbench import run_signal_bench
-
-    out = args.out or "BENCH_signal.json"
-    print(f"bench: signal engine at {args.cycles} synthesis cycles, "
-          f"{args.tvla_traces} TVLA traces/group, best of {args.reps} "
-          f"reps per section")
-
-    profiler = enable_profiling()
-    doc = run_signal_bench(cycles=args.cycles,
-                           tvla_traces=args.tvla_traces, reps=args.reps)
-
-    print(f"  synthesis ({doc['synthesis_cycles']} cycles): direct "
-          f"{doc['direct_synth_seconds'] * 1e3:7.2f} ms, engine "
-          f"{doc['engine_synth_seconds'] * 1e3:7.2f} ms "
-          f"({doc['synthesis_speedup']:.2f}x)")
-    print(f"  cold batch deconvolution ({doc['deconv_traces']} x "
-          f"{doc['deconv_cycles']} cycles): LU "
-          f"{doc['lu_deconv_seconds'] * 1e3:7.2f} ms, banded "
-          f"{doc['banded_deconv_seconds'] * 1e3:7.2f} ms "
-          f"({doc['batch_deconv_speedup']:.2f}x)")
-    print(f"  TVLA peak memory ({doc['tvla_traces_per_group']} "
-          f"traces/group): batch {doc['batch_tvla_peak_bytes']} B, "
-          f"streaming {doc['streaming_tvla_peak_bytes']} B "
-          f"({doc['tvla_rss_ratio']:.1f}x smaller)")
-    print(f"  oracle agreement: synthesis "
-          f"{doc['synthesis_max_error']:.2e}, deconvolution "
-          f"{doc['deconv_max_error']:.2e}, t-values "
-          f"{doc['tvla_max_error']:.2e}")
-
-    doc["manifest"] = current_manifest_path()
-    write_bench_json(out, metadata=doc, profiler=profiler)
-    print(f"report written to {out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import numpy as np
-
-    from .workloads.generators import RandomProgramBuilder
-
-    if args.mode == "train":
-        return _bench_train(args)
-    if args.mode == "trace":
-        return _bench_trace(args)
-    if args.mode == "signal":
-        return _bench_signal(args)
-    workers = resolve_workers(args.workers)
-    args.out = args.out or "BENCH_sim.json"
-    fault_plan = None
-    if args.fault_rate > 0:
-        fault_plan = FaultPlan.preset(args.fault_rate, seed=args.seed)
-    device = HardwareDevice(board=BOARDS[args.board],
-                            fault_plan=fault_plan)
-    builder = RandomProgramBuilder(seed=args.seed)
-    programs = [builder.program(args.program_length, name=f"bench_{i:04d}")
-                for i in range(args.programs)]
-    print(f"bench: {len(programs)} programs x {args.program_length} "
-          f"instructions x {args.repetitions} repetitions on {device.name}")
-
-    profiler = enable_profiling()
-    start = time.perf_counter()
-    sequential = measurement_campaign(device, programs,
-                                      repetitions=args.repetitions,
-                                      workers=1, seed=args.seed)
-    sequential_seconds = time.perf_counter() - start
-    print(f"  sequential (--workers 1): {sequential_seconds:7.2f} s")
-
-    start = time.perf_counter()
-    batched = measurement_campaign(
-        device, programs, repetitions=args.repetitions,
-        workers=workers, seed=args.seed,
-        item_timeout=args.item_timeout,
-        max_item_retries=args.max_item_retries,
-        checkpoint=_checkpoint_path(args.checkpoint_dir,
-                                    f"bench_{args.board}"),
-        resume=args.resume)
-    batched_seconds = time.perf_counter() - start
-    print(f"  batched  (--workers {workers}): "
-          f"{batched_seconds:7.2f} s")
-
-    max_diff = 0.0
-    for left, right in zip(sequential, batched):
-        max_diff = max(max_diff,
-                       float(np.abs(left.signal - right.signal).max()),
-                       float(np.abs(left.amplitudes
-                                    - right.amplitudes).max()))
-    speedup = sequential_seconds / batched_seconds \
-        if batched_seconds > 0 else float("inf")
-    print(f"  speedup: {speedup:5.2f}x   max abs diff: {max_diff:.3e}")
-
-    write_bench_json(args.out, metadata={
-        "benchmark": "measurement_campaign",
-        "programs": len(programs),
-        "program_length": args.program_length,
-        "repetitions": args.repetitions,
-        "board": args.board,
-        "seed": args.seed,
-        "fault_rate": args.fault_rate,
-        "workers_sequential": 1,
-        "workers_batched": workers,
-        "sequential_seconds": sequential_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup": speedup,
-        "max_abs_diff": max_diff,
-        "manifest": current_manifest_path(),
-    }, profiler=profiler)
-    print(f"report written to {args.out}")
-    if max_diff > 1e-9:
-        print(f"error: batched/sequential divergence {max_diff:.3e} "
-              f"exceeds the 1e-9 contract", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_report(args) -> int:
     try:
         with open(args.manifest, encoding="utf-8") as handle:
@@ -647,8 +340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"train": _cmd_train, "simulate": _cmd_simulate,
                 "accuracy": _cmd_accuracy, "savat": _cmd_savat,
-                "balance": _cmd_balance, "bench": _cmd_bench,
-                "report": _cmd_report}
+                "balance": _cmd_balance, "report": _cmd_report}
     if args.profile:
         enable_profiling()
     if args.no_trace_cache or args.trace_cache_dir is not None:

@@ -10,16 +10,13 @@ Two campaign shapes dominate this codebase:
 
 :class:`BatchSimulator` and :func:`measurement_campaign` run both as a
 single ordered fan-out over :func:`~repro.parallel.parallel_map`: items
-are chunked over a process pool when ``workers > 1`` (falling back to an
-in-process loop on single-CPU machines), every item is reseeded from
-``(campaign seed, item index)`` so results never depend on worker count
-or scheduling, and the per-item hot loops go through the batched engine
-(the emitter's lag-factored fast evaluator, the cached kernel response,
-and the cached multi-RHS deconvolver).
-
-Numerical contract: batched campaign results agree with the sequential
-path (``workers=1``) to well inside 1e-9 max abs difference; the
-re-simulation fan-out is bit-identical.
+go to a process pool when ``workers > 1`` (falling back to an in-process
+loop on single-CPU machines), every item is reseeded from ``(campaign
+seed, item index)``, and every worker count runs the same engine (the
+emitter's lag-factored evaluator, the vectorized repetition capture, and
+the plan-cached banded deconvolver).  Results are therefore
+bit-identical at any worker count, and so are checkpoint keys: a journal
+written at one worker count resumes at another.
 
 Both fan-outs sit on top of the content-addressed trace cache
 (:mod:`repro.core.trace_cache`): ``EMSim.run_trace`` and the device's
@@ -48,8 +45,7 @@ from ..robustness.checkpoint import CheckpointJournal
 from ..robustness.errors import CampaignError
 from ..robustness.health import CaptureQuality
 from ..signal.kernels import DEFAULT_KERNEL, Kernel
-from ..signal.reconstruction import (batch_estimate_cycle_amplitudes,
-                                     batch_reconstruct,
+from ..signal.reconstruction import (batch_reconstruct,
                                      estimate_cycle_amplitudes)
 from .simulator import EMSim, SimulatedSignal
 from .trace_cache import trace_key
@@ -65,7 +61,7 @@ _WORKER_STATE: dict = {}
 
 
 # ---------------------------------------------------------------------------
-# batched re-simulation
+# re-simulation fan-out
 # ---------------------------------------------------------------------------
 def _simulate_init(simulator: EMSim, max_cycles: Optional[int]) -> None:
     """Install the simulator in a pool worker (or the in-process loop)."""
@@ -139,7 +135,7 @@ class BatchSimulator:
 
 
 # ---------------------------------------------------------------------------
-# batched measurement campaigns
+# measurement campaigns
 # ---------------------------------------------------------------------------
 @dataclass
 class CampaignProbe:
@@ -162,12 +158,12 @@ class CampaignProbe:
 
 def _campaign_init(device, seed: int, repetitions: int,
                    max_cycles: Optional[int], kernel: Kernel,
-                   samples_per_cycle: int, batched: bool) -> None:
+                   samples_per_cycle: int) -> None:
     """Install per-process campaign state."""
     _WORKER_STATE.update(
         device=device, seed=seed, repetitions=repetitions,
         max_cycles=max_cycles, kernel=kernel,
-        samples_per_cycle=samples_per_cycle, batched=batched)
+        samples_per_cycle=samples_per_cycle)
 
 
 def _campaign_item(item) -> CampaignProbe:
@@ -186,20 +182,14 @@ def _campaign_item(item) -> CampaignProbe:
     injector = getattr(device, "fault_injector", None)
     if injector is not None:
         injector.reseed(spawn_seed(seed, index, stream=1))
-    batched = _WORKER_STATE["batched"]
     start = monotonic()
     measurement = device.capture_reference(
         program, repetitions=_WORKER_STATE["repetitions"],
-        max_cycles=_WORKER_STATE["max_cycles"], batched=batched)
+        max_cycles=_WORKER_STATE["max_cycles"])
     captured = monotonic()
-    kernel = _WORKER_STATE["kernel"]
-    samples_per_cycle = _WORKER_STATE["samples_per_cycle"]
-    if batched:
-        amplitudes = batch_estimate_cycle_amplitudes(
-            [measurement.signal], kernel, samples_per_cycle)[0]
-    else:
-        amplitudes = estimate_cycle_amplitudes(
-            measurement.signal, kernel, samples_per_cycle)
+    amplitudes = estimate_cycle_amplitudes(
+        measurement.signal, _WORKER_STATE["kernel"],
+        _WORKER_STATE["samples_per_cycle"])
     done = monotonic()
     return CampaignProbe(index=index, program_name=measurement.program_name,
                          signal=measurement.signal, amplitudes=amplitudes,
@@ -211,19 +201,19 @@ def _campaign_item(item) -> CampaignProbe:
 def campaign_probe_key(device: HardwareDevice, program: Program,
                        index: int, seed: int, repetitions: int,
                        kernel: Kernel, samples_per_cycle: int,
-                       max_cycles: Optional[int], batched: bool) -> str:
+                       max_cycles: Optional[int]) -> str:
     """Checkpoint key for one campaign probe.
 
     Built on :func:`~repro.core.trace_cache.trace_key` — the same
     content hash the trace cache uses for the program/config pair —
     salted with everything else that determines the probe's result:
     campaign seed, probe index, repetition count, kernel, sample rate,
-    engine choice, and the device's emitter digest.  A resumed campaign
-    therefore only reuses a journaled probe when rerunning it would be
-    bit-identical anyway.
+    and the device's emitter digest.  Worker count is not an input: a
+    resumed campaign reuses a journaled probe at any worker count,
+    because rerunning it would be bit-identical anyway.
     """
     salt = (f"campaign:{seed}:{index}:{repetitions}:{kernel!r}:"
-            f"{samples_per_cycle}:{batched}:{device.name}:"
+            f"{samples_per_cycle}:{device.name}:"
             f"{device._emitter_digest}")
     return trace_key(program, device.core_config,
                      core_kind=device.core_kind, max_cycles=max_cycles,
@@ -255,7 +245,6 @@ def supervised_campaign(device: HardwareDevice,
     """
     programs = list(programs)
     effective = resolve_workers(workers)
-    batched = effective > 1
     if samples_per_cycle is None:
         samples_per_cycle = device.samples_per_cycle
 
@@ -263,7 +252,7 @@ def supervised_campaign(device: HardwareDevice,
         _, program = item
         return campaign_probe_key(device, program, index, seed,
                                   repetitions, kernel, samples_per_cycle,
-                                  max_cycles, batched)
+                                  max_cycles)
 
     meta = {"campaign": "measurement", "device": device.name,
             "seed": int(seed), "repetitions": int(repetitions),
@@ -276,7 +265,7 @@ def supervised_campaign(device: HardwareDevice,
                 workers=workers,
                 initializer=_campaign_init,
                 initargs=(device, seed, repetitions, max_cycles, kernel,
-                          samples_per_cycle, batched),
+                          samples_per_cycle),
                 timeout=item_timeout,
                 max_item_retries=max_item_retries,
                 seed=seed,
@@ -313,22 +302,14 @@ def measurement_campaign(device: HardwareDevice,
                          resume: bool = False) -> List[CampaignProbe]:
     """Capture and deconvolve every program on a device bench.
 
-    The campaign primitive behind ``repro bench``: each probe runs the
+    The Fig. 8-style campaign primitive: each probe runs the
     scope+modulo reference capture and a per-cycle amplitude
     deconvolution, with per-probe deterministic reseeding (see
-    :func:`_campaign_item`).
-
-    ``workers=1`` is the sequential baseline: the legacy per-repetition
-    capture loop and the uncached deconvolver, one probe at a time.
-    ``workers > 1`` switches to the batched engine — the emitter's fast
-    evaluator, the vectorized repetition fold, and the cached multi-RHS
-    deconvolver — and fans the probes out over (up to) that many worker
-    processes; on machines with fewer CPUs the pool shrinks to the CPU
-    count (a single-CPU machine runs the batched engine in-process,
-    which is where most of the speedup lives anyway).  Because both
-    engines reseed identically per probe, results differ only by the
-    batched engine's floating-point reordering: max abs difference is
-    well inside 1e-9.
+    :func:`_campaign_item`).  ``workers > 1`` fans the probes out over
+    (up to) that many worker processes; on machines with fewer CPUs the
+    pool shrinks to the CPU count.  The engine is the same at every
+    worker count, so the probes are bit-identical whatever ``workers``
+    is.
 
     Supervision (see :func:`supervised_campaign` for the mechanics):
     ``item_timeout`` bounds each probe's wall clock, failed probes

@@ -6,16 +6,14 @@ agglomerative clustering with a cross-correlation distance, finding that the
 RV32IM ISA collapses into 7 clusters (Table I) and training only on one
 representative per cluster (reducing ~300M measurements to ~16k).
 
-Two linkage engines share one greedy policy: ``method="naive"`` is the
-reference O(n^3) loop that re-averages member pair distances from the
-original matrix at every step, ``method="lw"`` (the default) maintains
-the merged distances incrementally with the Lance-Williams recurrence
-for average linkage,
+Average linkage maintains the merged distances incrementally with the
+Lance-Williams recurrence,
 
     d(k, a+b) = (n_a * d(k, a) + n_b * d(k, b)) / (n_a + n_b),
 
-scanning pairs in the same lexicographic order with the same strict-<
-acceptance, so cluster assignments (Table I) are unchanged.
+scanning pairs in lexicographic order with strict-< acceptance, so exact
+ties resolve to the lowest-index pair, the same merges as re-averaging
+every member pair distance at each step.
 """
 
 from __future__ import annotations
@@ -115,36 +113,6 @@ class ClusterResult:
         return "\n".join(lines)
 
 
-def _linkage_naive(distance: np.ndarray, target: int,
-                   distance_threshold: Optional[float]
-                   ) -> Tuple[List[List[int]], List[float]]:
-    """Reference average-linkage loop: re-average members every step."""
-    count = distance.shape[0]
-    clusters: Dict[int, List[int]] = {i: [i] for i in range(count)}
-    merge_heights: List[float] = []
-
-    def average_linkage(a: int, b: int) -> float:
-        members_a, members_b = clusters[a], clusters[b]
-        return float(np.mean([[distance[i, j] for j in members_b]
-                              for i in members_a]))
-
-    while len(clusters) > target:
-        keys = sorted(clusters)
-        best: Tuple[float, int, int] = (np.inf, -1, -1)
-        for index_a, a in enumerate(keys):
-            for b in keys[index_a + 1:]:
-                height = average_linkage(a, b)
-                if height < best[0]:
-                    best = (height, a, b)
-        height, a, b = best
-        if distance_threshold is not None and height > distance_threshold:
-            break
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
-        merge_heights.append(height)
-    return list(clusters.values()), merge_heights
-
-
 def _linkage_lw(distance: np.ndarray, target: int,
                 distance_threshold: Optional[float]
                 ) -> Tuple[List[List[int]], List[float]]:
@@ -154,8 +122,8 @@ def _linkage_lw(distance: np.ndarray, target: int,
     row/column ``a`` in O(n) with the size-weighted average of rows ``a``
     and ``b``, and the cheapest active pair is found with a flat argmin
     over the masked upper triangle.  The row-major argmin visits pairs
-    in the same lexicographic (a, b) order as the reference scan, so
-    exact ties resolve to the same merge.
+    in lexicographic (a, b) order, so exact ties resolve to the
+    lowest-index pair.
     """
     count = distance.shape[0]
     work = distance.astype(float, copy=True)
@@ -188,26 +156,21 @@ def _linkage_lw(distance: np.ndarray, target: int,
 
 def agglomerative_cluster(signatures: Dict[str, np.ndarray],
                           num_clusters: Optional[int] = 7,
-                          distance_threshold: Optional[float] = None,
-                          method: str = "lw") -> ClusterResult:
+                          distance_threshold: Optional[float] = None
+                          ) -> ClusterResult:
     """Average-linkage hierarchical agglomerative clustering.
 
     ``signatures`` maps item name -> signature waveform.  Merging stops
     when ``num_clusters`` remain, or — if ``distance_threshold`` is given —
     when the cheapest merge exceeds the threshold (whichever first).
-    ``method`` picks the linkage engine: ``"lw"`` (default) is the
-    vectorized Lance-Williams path, ``"naive"`` the reference loop; both
-    follow the identical greedy merge policy.
     """
-    if method not in ("lw", "naive"):
-        raise ValueError(f"unknown clustering method: {method!r}")
     names, distance = signature_distance_matrix(signatures)
     count = len(names)
     if count == 0:
         return ClusterResult(labels={})
     target = num_clusters if num_clusters is not None else 1
-    linkage = _linkage_lw if method == "lw" else _linkage_naive
-    groups, merge_heights = linkage(distance, target, distance_threshold)
+    groups, merge_heights = _linkage_lw(distance, target,
+                                        distance_threshold)
 
     labels: Dict[str, int] = {}
     for cluster_id, members in enumerate(sorted(groups, key=min)):

@@ -6,17 +6,11 @@ regression based on F-tests — "we managed to reduce the size of T by more
 than 65%".  This module provides the ridge-regularized least-squares fit
 and the forward step-wise selector.
 
-The selector has two engines sharing one search policy:
-
-* ``method="naive"`` — the reference implementation: every candidate
-  column at every step is scored with a full dense solve over the data
-  (O(steps x columns) passes over the design matrix);
-* ``method="gram"`` (the default) — the fast path: the augmented Gram
-  matrix ``[1|X]^T [1|X]`` and moment vector ``[1|X]^T y`` are built
-  once (:class:`GramCache`) and every candidate's residual sum of
-  squares comes from a rank-1 Schur-complement update of the current
-  subset's inverse — the same selections, with final coefficients
-  refitted through the exact reference solver.
+The selector builds the augmented Gram matrix ``[1|X]^T [1|X]`` and
+moment vector ``[1|X]^T y`` once (:class:`GramCache`); every candidate's
+residual sum of squares then comes from a rank-1 Schur-complement update
+of the current subset's inverse instead of a dense solve over the data,
+and the final coefficients are refitted through :func:`fit_linear`.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..robustness.errors import ConfigurationError, ConvergenceError
+from ..robustness.errors import ConvergenceError
 
 
 @dataclass
@@ -152,37 +146,6 @@ def _dedupe_preserving(columns) -> List[int]:
     return unique
 
 
-def _stepwise_naive(design: np.ndarray, target: np.ndarray,
-                    f_threshold: float, max_features: Optional[int],
-                    ridge: float, selected: List[int],
-                    candidates: List[int]) -> List[int]:
-    """Reference search loop: full dense solve per candidate per step."""
-    n_samples = design.shape[0]
-    rss_current = _rss(design, target, selected, ridge)
-    while candidates:
-        if max_features is not None and len(selected) >= max_features:
-            break
-        best_column, best_rss = None, rss_current
-        for column in candidates:
-            rss_new = _rss(design, target, selected + [column], ridge)
-            if rss_new < best_rss:
-                best_column, best_rss = column, rss_new
-        if best_column is None:
-            break
-        dof = n_samples - len(selected) - 2
-        if dof <= 0:
-            break
-        denom = best_rss / dof
-        f_stat = (rss_current - best_rss) / denom if denom > 0 else \
-            float("inf")
-        if f_stat < f_threshold:
-            break
-        selected.append(best_column)
-        candidates.remove(best_column)
-        rss_current = best_rss
-    return selected
-
-
 def _stepwise_gram(cache: GramCache, f_threshold: float,
                    max_features: Optional[int], ridge: float,
                    selected: List[int],
@@ -197,10 +160,10 @@ def _stepwise_gram(cache: GramCache, f_threshold: float,
 
     The sweep scores are used for *shortlisting* only.  Every candidate
     whose sweep drop is within a safety margin of the best is rescored
-    with the exact reference :func:`_rss` and the winner chosen by the
-    naive engine's strict-``<`` scan in candidate order, so exact ties
-    (duplicate design columns are common in transition matrices) break
-    toward the same column the naive engine keeps.  The decision
+    with the exact :func:`_rss` and the winner chosen by a strict-``<``
+    scan in candidate order, so exact ties (duplicate design columns
+    are common in transition matrices) break toward the earliest
+    column, as a dense scan over every candidate would.  The decision
     quantities — the accepted candidate's residual sum of squares and
     the partial-F statistic — come from those exact rescores, which
     also sidesteps the sweep's weakness: the ``y^T y - b . beta``
@@ -245,8 +208,8 @@ def _stepwise_gram(cache: GramCache, f_threshold: float,
                 break
             # margin covers the sweep's roundoff so the true argmin
             # (and every exact tie) lands in the shortlist;
-            # flatnonzero keeps candidate order for the naive
-            # engine's first-tie-wins scan
+            # flatnonzero keeps candidate order for the
+            # first-tie-wins scan
             margin = 1e-2 * abs(top) + 1e-10 * cache.target_ss
             shortlist = np.flatnonzero(drop >= top - margin)
         best = None
@@ -278,8 +241,8 @@ def stepwise_select(design: np.ndarray, target: np.ndarray,
                     f_threshold: float = 4.0,
                     max_features: Optional[int] = None,
                     ridge: float = 1e-8,
-                    forced_features: Optional[List[int]] = None,
-                    method: str = "gram") -> LinearModel:
+                    forced_features: Optional[List[int]] = None
+                    ) -> LinearModel:
     """Forward step-wise regression with a partial-F entry criterion.
 
     Starting from the intercept-only model, repeatedly adds the candidate
@@ -292,17 +255,9 @@ def stepwise_select(design: np.ndarray, target: np.ndarray,
     considered — exactly the pruning of non-contributing transition bits
     the paper describes.  Duplicate ``forced_features`` are dropped
     (first occurrence wins) so repeated indices cannot double-enter the
-    design and skew the F-test degrees of freedom.
-
-    ``method`` selects the search engine: ``"gram"`` (default) scores
-    candidates through the precomputed Gram matrix, ``"naive"`` is the
-    reference full-solve-per-candidate loop.  Both follow the identical
-    greedy policy; the final model is always refitted with
-    :func:`fit_linear` on the selected columns, so coefficients agree
-    with the reference path whenever the selections do.
+    design and skew the F-test degrees of freedom.  The final model is
+    refitted with :func:`fit_linear` on the selected columns.
     """
-    if method not in ("gram", "naive"):
-        raise ConfigurationError(f"unknown step-wise method: {method!r}")
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
     n_samples, n_columns = design.shape
@@ -312,14 +267,8 @@ def stepwise_select(design: np.ndarray, target: np.ndarray,
         if variances[col] > 0]
     candidates = [col for col in range(n_columns)
                   if variances[col] > 0 and col not in selected]
-    if method == "gram":
-        selected = _stepwise_gram(GramCache(design, target), f_threshold,
-                                  max_features, ridge, selected,
-                                  candidates)
-    else:
-        selected = _stepwise_naive(design, target, f_threshold,
-                                   max_features, ridge, selected,
-                                   candidates)
+    selected = _stepwise_gram(GramCache(design, target), f_threshold,
+                              max_features, ridge, selected, candidates)
 
     if selected:
         intercept, coef = fit_linear(design[:, selected], target, ridge)

@@ -131,7 +131,7 @@ class EMSim:
     def simulate_many(self, programs: Sequence[Program],
                       max_cycles: Optional[int] = None,
                       workers: int = 1) -> List["SimulatedSignal"]:
-        """Simulate many programs through the batched fan-out engine.
+        """Simulate many programs through the re-simulation fan-out.
 
         Convenience wrapper around
         :class:`~repro.core.batch.BatchSimulator`: traces and per-cycle

@@ -15,14 +15,15 @@ point, encoded machine code, and initialized data words — plus a caller
 salt for derived values (e.g. ideal-capture measurements, which also
 depend on the emitter).  The program *name* is deliberately excluded:
 two identically-encoded programs share an entry.  Invalidation is
-therefore automatic — touch any input and the key changes.
+therefore automatic — touch any input and the key changes.  Every key
+also hashes :data:`TRACE_KEY_VERSION`, which changes whenever the stored
+artifacts change shape, so entries written by older code simply miss.
 
 Storage is a bounded in-memory LRU with an optional on-disk layer (one
 file per digest, written atomically).  Activity traces are written as
 compact ``repro-trace/1`` codec bytes; every other artifact kind is
-pickled.  Reads discriminate by the codec magic, so legacy pickle
-entries — including pre-columnar traces — keep loading, and a corrupt
-or truncated file of either flavour is just a miss.  Every lookup feeds
+pickled.  Reads discriminate by the codec magic, and a corrupt or
+truncated file of either flavour is just a miss.  Every lookup feeds
 hit/miss counters into :mod:`repro.profiling` so ``--profile`` shows
 cache effectiveness per category.
 """
@@ -47,6 +48,15 @@ from ..uarch.config import CoreConfig
 from ..uarch.trace import ActivityTrace
 from ..uarch.tracecodec import (TraceCodecError, decode_trace, encode_trace,
                                 is_encoded_trace)
+
+
+TRACE_KEY_VERSION = "repro-trace-key/2"
+"""Version tag hashed into every :func:`trace_key`.
+
+Version 2 dropped the loader for pre-columnar trace pickles; bumping the
+tag keeps a disk cache written before that change from serving entries
+this code can no longer rebuild.
+"""
 
 
 @lru_cache(maxsize=128)
@@ -80,7 +90,7 @@ def trace_key(program: Program, config: CoreConfig,
     over and over (programs must not be mutated after first use,
     the same contract :mod:`repro.core.microbench` states).
     """
-    hasher = hashlib.sha256()
+    hasher = hashlib.sha256(TRACE_KEY_VERSION.encode())
     hasher.update(_config_bytes(config))
     hasher.update(core_kind.encode())
     hasher.update(repr(max_cycles).encode())
@@ -226,8 +236,7 @@ class TraceCache:
 
         The first bytes discriminate the format: the ``repro-trace/1``
         magic means raw codec bytes (the fast path for traces), anything
-        else is a pickle — which still covers legacy entries written
-        before the codec existed.
+        else is a pickle.
         """
         try:
             with open(self._path(key), "rb") as handle:

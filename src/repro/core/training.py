@@ -75,8 +75,7 @@ def _pool_measure(item):
 
     The worker's device RNG (and fault injector, if any) is reseeded
     from ``(trainer seed, probe index)``, so every probe's capture is
-    deterministic and independent of worker count and scheduling.  The
-    capture goes through the batched repetition engine.
+    deterministic and independent of worker count and scheduling.
     """
     index, program = item
     device = _POOL_STATE["device"]
@@ -86,7 +85,7 @@ def _pool_measure(item):
         injector.reseed(spawn_seed(_POOL_STATE["seed"], index, stream=1))
     return _POOL_STATE["supervisor"].measure(
         program, method=_POOL_STATE["method"],
-        repetitions=_POOL_STATE["repetitions"], batched=True)
+        repetitions=_POOL_STATE["repetitions"])
 
 
 @dataclass
@@ -137,8 +136,8 @@ class TrainingReport:
 
 def fit_kernel(signal: np.ndarray, samples_per_cycle: int,
                t0_grid: Optional[Sequence[float]] = None,
-               theta_grid: Optional[Sequence[float]] = None,
-               cached: bool = False) -> DampedSineKernel:
+               theta_grid: Optional[Sequence[float]] = None
+               ) -> DampedSineKernel:
     """Grid-search the damped-sine parameters that best explain a signal.
 
     For each candidate (t0, theta), deconvolve per-cycle amplitudes and
@@ -146,9 +145,7 @@ def fit_kernel(signal: np.ndarray, samples_per_cycle: int,
     scorer wins (the paper's Fig. 1 parameter estimation).
     Every grid point runs through the plan-cached banded deconvolver
     (see :mod:`repro.signal.reconstruction`), so repeated calibrations
-    at the same probe length skip all 143 factorizations; ``cached`` is
-    retained for API compatibility but both settings land on the same
-    engine now that plans are always memoized.
+    at the same probe length skip all 143 factorizations.
     """
     t0_grid = t0_grid if t0_grid is not None else \
         np.linspace(0.15, 0.45, 13)
@@ -159,8 +156,7 @@ def fit_kernel(signal: np.ndarray, samples_per_cycle: int,
         for theta in theta_grid:
             kernel = DampedSineKernel(t0=float(t0), theta=float(theta))
             amplitudes = estimate_cycle_amplitudes(signal, kernel,
-                                                   samples_per_cycle,
-                                                   method="banded")
+                                                   samples_per_cycle)
             resynth = reconstruct(amplitudes, kernel, samples_per_cycle)
             score = simulation_accuracy(resynth, signal,
                                         samples_per_cycle)
@@ -187,10 +183,10 @@ class Trainer:
     seed: int = 42
     fit_kernel_parameters: bool = True
     verbose: bool = False
-    # probe-capture fan-out: 1 (the default) is the exact legacy
-    # sequential path; N > 1 runs probe batches through the batched
-    # capture engine on up to N worker processes with deterministic
-    # per-probe reseeding (see :meth:`_measure_many`)
+    # probe-capture fan-out: probe batches run on up to N worker
+    # processes (in-process at 1) with deterministic per-probe
+    # reseeding, so the model is the same at any worker count (see
+    # :meth:`_measure_many`)
     workers: int = 1
     # resilience knobs: health gate + retry around every capture, and
     # robust (Huber-IRLS) fitting so dirty probes cannot poison Eq. 8.
@@ -203,23 +199,13 @@ class Trainer:
     robust: object = "auto"
     # campaign supervision: per-probe wall-clock deadline, bounded
     # retries with seeded backoff, and an optional checkpoint journal
-    # that makes an interrupted training run resumable.  Setting a
-    # timeout or a checkpoint switches batch captures to the supervised
-    # per-probe-reseeded engine even at ``workers=1`` (hang/crash
-    # detection needs a worker process; resume needs position-stable
-    # seeding) — ideal-grid captures are bit-identical either way.
+    # that makes an interrupted training run resumable.  A timeout
+    # runs batch captures in a worker process even at ``workers=1``
+    # (hang/crash detection needs one).
     item_timeout: Optional[float] = None
     max_item_retries: int = 2
     checkpoint: Optional[str] = None
     resume: bool = False
-    # model-building fast path: Gram-based step-wise selection, the
-    # memoized LU deconvolver, and vectorized joint-fit row assembly.
-    # ``fast=False`` is the pre-optimization scalar reference (full
-    # dense solve per step-wise candidate, fresh sparse factorization
-    # per deconvolution, per-cycle Python row loop) kept for equivalence
-    # tests and benchmarking; both paths select identical feature sets
-    # and agree on coefficients to well inside 1e-9.
-    fast: bool = True
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.seed)
@@ -251,7 +237,8 @@ class Trainer:
     # measurement helpers
     # ------------------------------------------------------------------
     def _measure(self, program: Program) -> Measurement:
-        """One gated capture through the supervisor (sequential path)."""
+        """One gated capture through the supervisor, off the device's
+        own RNG stream (single probes outside a batch)."""
         with get_profiler().phase("train.capture"):
             measurement, outcome = self.supervisor.measure(
                 program, method=self.capture_method,
@@ -264,26 +251,15 @@ class Trainer:
                       ) -> List[Measurement]:
         """Capture a batch of probe programs, preserving input order.
 
-        ``workers=1`` (the default) is the exact legacy loop: one
-        sequential capture per probe off the device's shared RNG
-        stream.  With more workers, the probes fan out over a process
-        pool: each probe reseeds its (per-process copy of the) device
-        from ``(trainer seed, probe index)`` and captures through the
-        batched repetition engine, so results are deterministic and
-        independent of worker count.  Ideal-grid captures never touch
-        the device RNG and therefore match the sequential path
-        bit-for-bit; scope+modulo captures follow the per-probe seeding
-        scheme instead of the shared stream (a different but equally
-        valid noise realization).  Worker-side acquisition accounting
-        (retries, rejects, degradations) is folded back into this
-        trainer's report.
+        The probes go through :func:`~repro.parallel.supervised_map`
+        (in-process at ``workers=1`` without a timeout, a process pool
+        otherwise): each probe reseeds the capturing device (a
+        worker's copy, or this trainer's own in-process) from
+        ``(trainer seed, probe index)``, so every capture, and hence
+        the model, is deterministic and independent of worker count.  Worker-side acquisition accounting (retries, rejects,
+        degradations) is folded back into this trainer's report.
         """
         programs = list(programs)
-        supervise = (self._journal is not None or
-                     self.item_timeout is not None)
-        if not supervise and (resolve_workers(self.workers) <= 1
-                              or len(programs) <= 1):
-            return [self._measure(program) for program in programs]
         batch = self._batch_counter
         self._batch_counter += 1
 
@@ -339,7 +315,7 @@ class Trainer:
         with get_profiler().phase("train.deconvolve"):
             amplitudes = estimate_cycle_amplitudes(
                 measurement.signal, self.config.kernel,
-                self.config.samples_per_cycle, method="banded")
+                self.config.samples_per_cycle)
         self._amplitude_stats.add(amplitudes)
         return amplitudes
 
@@ -432,8 +408,7 @@ class Trainer:
                                 rs2_value=0x33CC33CC)
         measurement = self._measure(probe)
         kernel = fit_kernel(measurement.signal,
-                            self.config.samples_per_cycle,
-                            cached=self.fast)
+                            self.config.samples_per_cycle)
         self.config = replace(self.config, kernel=kernel)
         self._log(f"kernel fit: t0={kernel.t0:.3f} theta={kernel.theta:.2f}")
 
@@ -573,17 +548,16 @@ class Trainer:
                 design, target,
                 f_threshold=self.config.stepwise_f_threshold,
                 max_features=self.config.stepwise_max_features,
-                forced_features=list(range(num_counts)),
-                method="gram" if self.fast else "naive")
+                forced_features=list(range(num_counts)))
             selected[stage] = model.features
             self._log(f"alpha[{stage}]: {len(target)} obs, "
                       f"{model.features.size} bits kept, "
                       f"R2={model.r_squared:.3f}")
 
         # pass 2: joint refit over isolated + repeated-instruction probes
-        # (operands are drawn up front, in the exact legacy order — the
-        # captures never consume the trainer RNG — so the probe batch
-        # can fan out over workers)
+        # (operands are drawn up front, in a fixed order — the captures
+        # never consume the trainer RNG — so the probe batch can fan out
+        # over workers)
         repeat_programs = []
         for cls in ("alu", "shift", "muldiv", "load", "store"):
             name = REPRESENTATIVES[cls]
@@ -620,24 +594,12 @@ class Trainer:
                          for index, stage in enumerate(stage_order)}
         total_columns = position + len(stage_order)
 
-        if self.fast:
-            blocks = [self._joint_rows_fast(
-                measurement, nop_level, amplitudes, selected, stage_order,
-                column_spans, stall_columns, total_columns)
-                for measurement in measurements]
-            design = np.vstack([block for block, _ in blocks])
-            target = np.concatenate([targets for _, targets in blocks])
-        else:
-            design_rows, target_rows = [], []
-            for measurement in measurements:
-                rows, values = self._joint_rows_scalar(
-                    measurement, nop_level, amplitudes, selected,
-                    stage_order, column_spans, stall_columns,
-                    total_columns)
-                design_rows.extend(rows)
-                target_rows.extend(values)
-            design = np.vstack(design_rows)
-            target = np.asarray(target_rows)
+        blocks = [self._joint_rows(
+            measurement, nop_level, amplitudes, selected, stage_order,
+            column_spans, stall_columns, total_columns)
+            for measurement in measurements]
+        design = np.vstack([block for block, _ in blocks])
+        target = np.concatenate([targets for _, targets in blocks])
         # ridge LS without global intercept (delta_s plays that role);
         # under fault injection, Huber IRLS so corrupted cycles cannot
         # drag every stage's (delta_s, c_s)
@@ -653,49 +615,14 @@ class Trainer:
             self._log(f"alpha[{stage}] joint: delta={solution[start]:.3f}")
         return RegressionActivity(models=models)
 
-    def _joint_rows_scalar(self, measurement, nop_level, amplitudes,
-                           selected, stage_order, column_spans,
-                           stall_columns, total_columns):
-        """Legacy per-cycle Python loop building one probe's joint rows."""
-        trace = measurement.trace
-        measured = self._amplitudes(measurement)
-        designs = {stage: stage_design_matrix(trace, stage)
-                   for stage in stage_order}
-        design_rows, target_rows = [], []
-        for cycle in range(trace.num_cycles):
-            row = np.zeros(total_columns)
-            informative = False
-            for stage in stage_order:
-                occ = trace.occupancy[stage][cycle]
-                label = occ.em_class()
-                if label == "stall":
-                    row[stall_columns[stage]] = 1.0
-                    continue
-                if label == "nop":
-                    continue
-                base = amplitudes.get((label, stage))
-                if base is None or abs(base) < _AMPLITUDE_EPS:
-                    continue
-                start, width = column_spans[stage]
-                row[start] = base
-                features = designs[stage][cycle][selected[stage]]
-                row[start + 1:start + width] = base * features
-                informative = True
-            if not informative:
-                continue
-            design_rows.append(row)
-            target_rows.append(float(measured[cycle]) - nop_level)
-        return design_rows, target_rows
-
-    def _joint_rows_fast(self, measurement, nop_level, amplitudes,
-                         selected, stage_order, column_spans,
-                         stall_columns, total_columns):
-        """Vectorized joint-row assembly for one probe's measurement.
+    def _joint_rows(self, measurement, nop_level, amplitudes, selected,
+                    stage_order, column_spans, stall_columns,
+                    total_columns):
+        """Joint-fit rows for one probe's measurement.
 
         Builds the whole (cycles, columns) block per stage with mask
-        writes and one broadcast product instead of a per-cycle Python
-        loop; the per-element products match the scalar path exactly, so
-        the kept rows are bit-identical to :meth:`_joint_rows_scalar`.
+        writes and one broadcast product; cycles where no stage carries
+        an informative instruction are dropped.
         """
         trace = measurement.trace
         measured = self._amplitudes(measurement)

@@ -178,8 +178,7 @@ class HardwareDevice:
 
     def capture_reference(self, program: Program,
                           repetitions: int = 100,
-                          max_cycles: Optional[int] = None,
-                          batched: bool = False) -> Measurement:
+                          max_cycles: Optional[int] = None) -> Measurement:
         """Full acquisition chain: scope sampling + modulo averaging.
 
         The paper's §II-B procedure — ``repetitions`` noisy asynchronous
@@ -195,23 +194,16 @@ class HardwareDevice:
         and the returned measurement carries a
         :class:`~repro.robustness.health.CaptureQuality` for gating.
 
-        ``batched=True`` vectorizes the repetition collection loop (one
-        waveform evaluation for all repetitions, through the emitter's
-        lag-factored fast evaluator); it replays the exact same RNG
-        stream, and the resulting reference agrees with the sequential
-        loop's to well inside the batch engine's 1e-9 contract (the fast
-        evaluator reorders floating-point operations, so agreement is
-        ~1e-13 rather than bitwise).
+        The repetitions are collected in one vectorized pass: every
+        trigger and noise draw comes off the device RNG in repetition
+        order, then ``y(t)`` is evaluated once for all of them, so the
+        result is a pure function of the program and the RNG state.
 
         Only the deterministic pipeline trace is cache-served here; the
         scope path (noise, faults, screening) always runs live.
         """
         trace = self.run_trace(program, max_cycles=max_cycles)
-        # batched mode runs everything (pilot sweep included) through the
-        # emitter's lag-factored fast evaluator; sequential mode keeps the
-        # exact legacy evaluator throughout
-        waveform = self.emitter.continuous_fast(trace) if batched \
-            else self.emitter.continuous(trace)
+        waveform = self.emitter.continuous(trace)
         duration = trace.num_cycles * self.instance.clock_scale
         scope_config = self.scope_config
         if self.auto_range:
@@ -229,7 +221,7 @@ class HardwareDevice:
         scope = Oscilloscope(scope_config, self.rng,
                              injector=self.fault_injector)
         times_list, samples_list = scope.capture_repetition_list(
-            waveform, duration, repetitions, batched=batched)
+            waveform, duration, repetitions)
         stats = scope.last_repetition_stats
         if not samples_list:
             raise AcquisitionError(
@@ -284,18 +276,11 @@ class HardwareDevice:
 
     def measure(self, program: Program, method: str = "ideal",
                 repetitions: int = 100,
-                max_cycles: Optional[int] = None,
-                batched: bool = False) -> Measurement:
-        """Capture via the chosen method (``ideal`` or ``reference``).
-
-        ``batched`` selects the vectorized repetition loop on the
-        reference path (bit-identical output, much faster); the ideal
-        grid is already a single vectorized synthesis.
-        """
+                max_cycles: Optional[int] = None) -> Measurement:
+        """Capture via the chosen method (``ideal`` or ``reference``)."""
         if method == "ideal":
             return self.capture_ideal(program, max_cycles=max_cycles)
         if method == "reference":
             return self.capture_reference(program, repetitions=repetitions,
-                                          max_cycles=max_cycles,
-                                          batched=batched)
+                                          max_cycles=max_cycles)
         raise ConfigurationError(f"unknown capture method: {method!r}")

@@ -106,52 +106,15 @@ class HardwareEmitter:
         (``clock_scale``); events land at ``n * clock_scale`` and kernels
         stretch accordingly, exactly what a scope with an absolute time
         base sees.
+
+        Every unit radiates through a damped sine, so each kernel is
+        rewritten across its integer lags with the angle addition
+        formula: ``k(frac + lag)`` becomes a per-sample ``(sin, exp)``
+        pair times per-lag constants, and the lag sums fold into
+        per-cycle tables up front.  One unit then costs two
+        transcendental passes per sample instead of two per lag.
         """
-        amplitudes = self.unit_amplitudes(trace)
-        couplings = self.gain * self._couplings
         units = self.units
-        num_cycles = trace.num_cycles
-        scale = self.clock_scale
-
-        def evaluate(times: np.ndarray) -> np.ndarray:
-            times = np.asarray(times, dtype=float) / scale
-            result = np.zeros_like(times)
-            base_cycle = np.floor(times).astype(int)
-            for column, unit in enumerate(units):
-                support = int(np.ceil(unit.kernel.support_cycles))
-                for lag in range(support + 1):
-                    cycle = base_cycle - lag
-                    valid = (cycle >= 0) & (cycle < num_cycles)
-                    if not valid.any():
-                        continue
-                    tau = times[valid] - cycle[valid]
-                    result[valid] += couplings[column] * \
-                        amplitudes[cycle[valid], column] * \
-                        unit.kernel.evaluate(tau)
-            return result
-
-        return evaluate
-
-    def continuous_fast(self, trace: ActivityTrace):
-        """Batch-optimized ``y(t)``: same math as :meth:`continuous`.
-
-        Rewrites each damped sine across its integer lags with the angle
-        addition formula — ``k(frac + lag)`` becomes a per-sample
-        ``(sin, cos, exp)`` triple times per-lag constants — so one unit
-        costs three transcendental passes instead of two per lag, and the
-        per-(unit, lag) amplitude gathers collapse into a single fancy
-        index into a zero-padded amplitude matrix.  The result is
-        mathematically identical to :meth:`continuous` but not
-        bit-identical (different operation order; observed agreement is
-        ~1e-13, far inside the batch engine's 1e-9 contract).  Falls back
-        to :meth:`continuous` if any unit carries a non-damped-sine
-        kernel.
-        """
-        from ..signal.kernels import DampedSineKernel
-        units = self.units
-        if not all(isinstance(unit.kernel, DampedSineKernel)
-                   for unit in units):
-            return self.continuous(trace)
         amplitudes = self.unit_amplitudes(trace)
         weighted = amplitudes * (self.gain * self._couplings)[None, :]
         num_cycles = trace.num_cycles
@@ -240,6 +203,10 @@ class HardwareEmitter:
             return result
 
         return evaluate
+
+    # former name of the lag-factored evaluator, kept as an alias because
+    # the benchmark's layer tracer (bench/tracing.py) wraps both names
+    continuous_fast = continuous
 
 
 def stage_couplings(units: Sequence[EmUnit],

@@ -10,7 +10,7 @@ This module folds traces into Welford accumulators as they arrive, so a
 fixed-vs-random assessment runs in O(samples) memory regardless of
 trace count, with t-values matching the batch
 :func:`~repro.leakage.tvla.welch_t_statistic` to well inside 1e-9
-(asserted by the property tests and in ``repro bench --mode signal``).
+(asserted by the property tests).
 
 Truncation semantics mirror :func:`~repro.leakage.tvla.tvla`: every
 trace is evaluated over the minimum length seen across *both* groups —

@@ -750,7 +750,6 @@ def parallel_map(function: Callable[[_ItemT], _ResultT],
                  workers: object = 1,
                  initializer: Optional[Callable] = None,
                  initargs: tuple = (),
-                 chunk_size: Optional[int] = None,
                  timeout: Optional[float] = None,
                  max_item_retries: int = 0) -> List[_ResultT]:
     """Map ``function`` over ``items``, optionally across processes.
@@ -763,10 +762,7 @@ def parallel_map(function: Callable[[_ItemT], _ResultT],
     usable ``multiprocessing``) and no ``timeout``, this runs
     in-process: the ``initializer`` is invoked once and the loop is a
     plain ``for`` — bit-identical to not using this module at all.
-    ``chunk_size`` is accepted for backward compatibility and ignored:
-    supervision requires per-item submission.
     """
-    del chunk_size  # supervised submission is per item by design
     pool = SupervisedPool(
         workers=workers, initializer=initializer, initargs=initargs,
         policy=SupervisionPolicy(timeout=timeout,

@@ -1,11 +1,11 @@
 """Lightweight wall-time profiling hooks for the simulation engine.
 
 Campaign-scale workloads (model-building sweeps, TVLA/SAVAT leakage
-assessments, batched re-simulation) need their perf trajectory tracked
+assessments, re-simulation fan-outs) need their perf trajectory tracked
 across PRs.  This module provides a near-zero-overhead :class:`Profiler`
 that accumulates per-phase wall time and call counters, can be merged
 across worker processes, and serializes to the machine-readable
-``BENCH_sim.json`` schema that ``python -m repro bench`` emits.
+``repro-bench/1`` schema the benchmarks under ``benchmarks/`` write.
 
 Design constraints:
 
@@ -47,7 +47,7 @@ def monotonic() -> float:
     return time.perf_counter()
 
 BENCH_SCHEMA = "repro-bench/1"
-"""Schema tag stamped into every ``BENCH_sim.json`` this package writes."""
+"""Schema tag stamped into every ``BENCH_*.json`` report."""
 
 SUPERVISION_COUNTERS = (
     "supervise.retries",
@@ -228,7 +228,7 @@ def disable_profiling() -> Profiler:
 
 def write_bench_json(path: str, metadata: Optional[dict] = None,
                      profiler: Optional[Profiler] = None) -> dict:
-    """Write the machine-readable benchmark report (``BENCH_sim.json``).
+    """Write the machine-readable benchmark report (a ``BENCH_*.json`` file).
 
     ``metadata`` carries the experiment-specific numbers (program count,
     worker counts, wall times, speedup, max abs diff); the profiler's

@@ -112,9 +112,9 @@ class CorruptionRecipe:
 
     Produced by :meth:`FaultInjector.draw_corruption`; ``None`` fields
     mean the corresponding fault did not fire.  Splitting draw from
-    apply lets the batched acquisition path consume the injector's RNG
-    stream in exact sequential order while deferring the (hoisted)
-    signal evaluation.
+    apply lets the vectorized repetition capture consume the injector's
+    RNG stream in exact per-repetition order while deferring the
+    (hoisted) signal evaluation.
     """
 
     drift_span: Optional[float] = None
@@ -181,8 +181,8 @@ class FaultInjector:
         """Draw this capture's corruption decisions without applying them.
 
         Every fault decision is *value-independent* — the RNG draws
-        depend only on the capture length — so the batched acquisition
-        path can consume the fault stream in exact sequential order
+        depend only on the capture length — so the vectorized repetition
+        capture can consume the fault stream in exact sequential order
         *before* the (hoisted) waveform evaluation, then apply the
         recorded recipe afterwards.  One ``draw_corruption`` +
         :meth:`apply_corruption` pair is bit-identical to one

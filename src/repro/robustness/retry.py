@@ -136,16 +136,12 @@ class CaptureSupervisor:
             self.log(message)
 
     def measure(self, program, method: str = "ideal",
-                repetitions: int = 100, max_cycles: Optional[int] = None,
-                batched: bool = False):
+                repetitions: int = 100, max_cycles: Optional[int] = None):
         """Acquire one gated measurement; returns ``(measurement, outcome)``.
 
         Raises the last :class:`AcquisitionError` /
         :class:`CaptureQualityError` only when degradation is disabled
         (or impossible, i.e. the ideal path itself failed).
-        ``batched`` selects the vectorized repetition engine on the
-        scope+modulo path (see
-        :meth:`~repro.hardware.device.HardwareDevice.capture_reference`).
         """
         outcome = ProbeOutcome(program=getattr(program, "name", str(program)),
                                final_method=method,
@@ -161,12 +157,9 @@ class CaptureSupervisor:
                 outcome.retries += 1
                 outcome.attempts += 1
             try:
-                # only thread the batched flag through when set, so
-                # minimal bench stubs without the parameter keep working
-                extra = {"batched": True} if batched else {}
                 measurement = self.device.measure(
                     program, method=method, repetitions=reps,
-                    max_cycles=max_cycles, **extra)
+                    max_cycles=max_cycles)
             except CaptureQualityError as error:   # raised by strict benches
                 last_error = error
                 outcome.quality_rejects += 1

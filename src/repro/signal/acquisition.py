@@ -112,9 +112,8 @@ class Oscilloscope:
     def capture_repetitions(self,
                             continuous: Callable[[np.ndarray], np.ndarray],
                             duration_cycles: float,
-                            repetitions: int,
-                            batched: bool = False) -> Tuple[np.ndarray,
-                                                            np.ndarray]:
+                            repetitions: int) -> Tuple[np.ndarray,
+                                                       np.ndarray]:
         """Capture ``repetitions`` back-to-back traces of the same
         sequence, concatenated on a common absolute time axis.
 
@@ -126,7 +125,7 @@ class Oscilloscope:
         of the requested traces are gone.
         """
         times_list, samples_list = self.capture_repetition_list(
-            continuous, duration_cycles, repetitions, batched=batched)
+            continuous, duration_cycles, repetitions)
         lost = self.last_repetition_stats.lost
         if not samples_list or lost > repetitions * self.MAX_LOST_FRACTION:
             raise AcquisitionError(
@@ -138,9 +137,7 @@ class Oscilloscope:
                                 continuous: Callable[[np.ndarray],
                                                      np.ndarray],
                                 duration_cycles: float,
-                                repetitions: int,
-                                batched: bool = False
-                                ) -> Tuple[list, list]:
+                                repetitions: int) -> Tuple[list, list]:
         """Capture repetitions as *separate* traces (for screening).
 
         Returns ``(times_list, samples_list)`` of the delivered traces,
@@ -148,47 +145,11 @@ class Oscilloscope:
         repetitions are recorded in ``last_repetition_stats`` instead of
         raising, so the caller decides how many losses are tolerable.
 
-        ``batched=True`` selects the vectorized collection loop
-        (:meth:`_capture_repetitions_batched`), which produces
-        bit-identical traces for a fraction of the wall time.
-        """
-        if batched:
-            return self._capture_repetitions_batched(
-                continuous, duration_cycles, repetitions)
-        times_list: list = []
-        samples_list: list = []
-        lost = 0
-        for repetition in range(repetitions):
-            try:
-                times, samples = self.capture(
-                    continuous, duration_cycles,
-                    start_cycle=0.0)
-            except AcquisitionError:
-                lost += 1
-                continue
-            # the sequence restarts every duration_cycles; fold later
-            times_list.append(times + repetition * duration_cycles)
-            samples_list.append(samples)
-        self.last_repetition_stats = RepetitionStats(requested=repetitions,
-                                                     lost=lost)
-        return times_list, samples_list
-
-    def _capture_repetitions_batched(self,
-                                     continuous: Callable[[np.ndarray],
-                                                          np.ndarray],
-                                     duration_cycles: float,
-                                     repetitions: int) -> Tuple[list, list]:
-        """Vectorized repetition loop: one waveform evaluation for all
-        repetitions.
-
-        The sequential loop pays the continuous-waveform evaluation's
-        per-call overhead once *per repetition*; this path replays the
-        exact same RNG stream (trigger gating and corruption draws per
-        repetition, in order), concatenates every delivered repetition's
-        sampling grid, evaluates ``y(t)`` **once**, then splits, adds the
-        pre-drawn noise, applies the pre-drawn corruption recipes, and
-        quantizes.  Because the waveform evaluation is elementwise, the
-        returned traces are bit-identical to the sequential loop's.
+        The RNG stream is consumed per repetition, in order (trigger
+        gating, jitter, noise, corruption draws); then every delivered
+        repetition's sampling grid is concatenated and ``y(t)`` is
+        evaluated **once**, split, given its noise and corruption, and
+        quantized.
         """
         config = self.config
         count = int(duration_cycles * config.effective_rate)

@@ -12,25 +12,20 @@ signals.
 Both directions run on plan-cached engines (see docs/architecture.md,
 "Signal fast path").  Synthesis decomposes Eq. 6 into ``samples_per_cycle``
 polyphase sub-kernels and either scatters them time-domain (short kernel
-support) or multiplies cached per-phase spectra (long support); the seed's
-``np.convolve`` evaluation survives as the ``method="direct"`` oracle.
+support) or multiplies cached per-phase spectra (long support).
 Deconvolution exploits that the normal-equations Gram ``K^T K + ridge*I``
 is a symmetric banded (near-Toeplitz) matrix: the band is built directly
 from the kernel autocorrelation — no sparse operator is materialized — and
-its Cholesky factor is cached per geometry.  The seed's sparse-LU engine
-survives as the ``method="lu"`` legacy oracle and ``method="direct"`` keeps
-the original uncached ``spsolve`` path.
+its Cholesky factor is cached per geometry.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu, spsolve
 
 from ..observability.metrics import get_metrics
 from ..profiling import get_profiler
@@ -82,7 +77,6 @@ class PlanCache:
 
 _SYNTH_PLANS = PlanCache(maxsize=64)
 _DECONV_PLANS = PlanCache(maxsize=128)
-_LU_PLANS = PlanCache(maxsize=64)
 
 #: polyphase sub-kernel count at or above which the planner prefers the
 #: spectral path over the time-domain scatter (short EMSim kernels — a few
@@ -94,14 +88,12 @@ def clear_plan_caches() -> None:
     """Reset every signal-engine plan cache (test isolation hook)."""
     _SYNTH_PLANS.clear()
     _DECONV_PLANS.clear()
-    _LU_PLANS.clear()
 
 
 def plan_cache_sizes() -> Dict[str, int]:
     """Current entry counts of the signal plan caches (introspection)."""
     return {"synthesis": len(_SYNTH_PLANS),
-            "deconvolution": len(_DECONV_PLANS),
-            "lu": len(_LU_PLANS)}
+            "deconvolution": len(_DECONV_PLANS)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,67 +229,33 @@ def _spectral_synthesize(amplitudes: np.ndarray,
     return phases[:, :cycles].T.ravel()
 
 
-def _direct_reconstruct(amplitudes: np.ndarray, kernel: Kernel,
-                        samples_per_cycle: int) -> np.ndarray:
-    """The seed's Eq. 6 evaluation — the sanctioned direct-convolution
-    oracle (repro-lint P602 exempts exactly this call site)."""
-    impulse_train = np.zeros(len(amplitudes) * samples_per_cycle)
-    impulse_train[::samples_per_cycle] = amplitudes
-    response = kernel.sampled(samples_per_cycle)
-    signal = np.convolve(impulse_train, response)
-    return signal[:len(impulse_train)]
-
-
-_SYNTH_METHODS = ("auto", "fft", "direct")
-
-
 def _synthesize(amplitudes: np.ndarray, kernel: Kernel,
-                samples_per_cycle: int, method: str) -> np.ndarray:
-    """Dispatch one amplitude vector through the selected synthesis path."""
-    if method == "direct":
-        return _direct_reconstruct(amplitudes, kernel, samples_per_cycle)
+                samples_per_cycle: int) -> np.ndarray:
+    """Run one amplitude vector through its geometry's planned engine.
+
+    Kernels whose support spans at least
+    :data:`_SPECTRAL_SUPPORT_THRESHOLD` cycles take the spectral path;
+    shorter ones take the time-domain scatter.
+    """
+    support = max(1, -(-len(kernel.sampled(samples_per_cycle))
+                       // samples_per_cycle))
     plan = _synthesis_plan(kernel, samples_per_cycle, len(amplitudes),
-                           spectral=(method == "fft" or
-                                     _polyphase_rows(kernel,
-                                                     samples_per_cycle)
-                                     >= _SPECTRAL_SUPPORT_THRESHOLD))
+                           spectral=support >= _SPECTRAL_SUPPORT_THRESHOLD)
     return plan.synthesize(amplitudes)
 
 
-def _polyphase_rows(kernel: Kernel, samples_per_cycle: int) -> int:
-    """Number of polyphase sub-kernel rows (cycle support) for a kernel."""
-    return max(1, -(-len(kernel.sampled(samples_per_cycle))
-                    // samples_per_cycle))
-
-
-def _check_synth_method(method: Optional[str]) -> str:
-    """Validate and default a synthesis method selector."""
-    if method is None:
-        return "auto"
-    if method not in _SYNTH_METHODS:
-        raise ConfigurationError(
-            f"unknown synthesis method {method!r}; "
-            f"expected one of {_SYNTH_METHODS}")
-    return method
-
-
 def reconstruct(amplitudes: np.ndarray, kernel: Kernel,
-                samples_per_cycle: int,
-                method: Optional[str] = None) -> np.ndarray:
+                samples_per_cycle: int) -> np.ndarray:
     """Synthesize the waveform for per-cycle amplitudes (Eq. 6).
 
     Returns ``len(amplitudes) * samples_per_cycle`` samples on the uniform
-    grid; kernel energy beyond the last cycle is truncated.
-
-    ``method`` selects the engine: ``"auto"`` (default) plans a polyphase
-    overlap-add scatter for short-support kernels and a cached-spectra FFT
-    path for long ones; ``"fft"`` forces the spectral path; ``"direct"``
-    is the seed's ``np.convolve`` oracle.  All paths agree to well inside
-    1e-9 (asserted in tests and in ``repro bench --mode signal``).
+    grid; kernel energy beyond the last cycle is truncated.  The plan
+    cache picks the engine from the kernel's support: a polyphase
+    overlap-add scatter for short kernels, a cached-spectra FFT path for
+    long ones.  Both agree with a direct convolution to well inside 1e-9.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
-    return _synthesize(amplitudes, kernel, samples_per_cycle,
-                       _check_synth_method(method))
+    return _synthesize(amplitudes, kernel, samples_per_cycle)
 
 
 def reconstruct_at(amplitudes: np.ndarray, kernel: Kernel,
@@ -321,23 +279,21 @@ def reconstruct_at(amplitudes: np.ndarray, kernel: Kernel,
 
 
 def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
-                      samples_per_cycle: int,
-                      method: Optional[str] = None) -> List[np.ndarray]:
+                      samples_per_cycle: int) -> List[np.ndarray]:
     """Synthesize waveforms for many per-cycle amplitude vectors (Eq. 6).
 
     Each trace runs through exactly the same planned engine as
     :func:`reconstruct` (the plan is cached, so the batch resolves it
     once per geometry) — per-trace outputs are bit-identical to the
-    sequential path, whichever ``method`` is selected.
+    sequential path.
     """
     profiler = get_profiler()
-    method = _check_synth_method(method)
     signals = []
     with profiler.phase("signal.batch_reconstruct"):
         for amplitudes in amplitude_sets:
             amplitudes = np.asarray(amplitudes, dtype=float)
             signals.append(_synthesize(amplitudes, kernel,
-                                       samples_per_cycle, method))
+                                       samples_per_cycle))
     profiler.count("batch_reconstructions", len(amplitude_sets))
     return signals
 
@@ -345,27 +301,6 @@ def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
 # ---------------------------------------------------------------------------
 # deconvolution (inverse direction; the campaign hot path)
 # ---------------------------------------------------------------------------
-def _kernel_operator(num_cycles: int, kernel: Kernel,
-                     samples_per_cycle: int) -> sparse.csr_matrix:
-    """Sparse linear operator mapping per-cycle amplitudes to samples.
-
-    Only the legacy LU / direct oracle paths materialize this; the banded
-    engine works from the kernel autocorrelation alone.
-    """
-    response = kernel.sampled(samples_per_cycle)
-    num_samples = num_cycles * samples_per_cycle
-    rows, cols, vals = [], [], []
-    for cycle in range(num_cycles):
-        start = cycle * samples_per_cycle
-        stop = min(start + len(response), num_samples)
-        count = stop - start
-        rows.extend(range(start, stop))
-        cols.extend([cycle] * count)
-        vals.extend(response[:count])
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(num_samples, num_cycles))
-
-
 class DeconvPlan:
     """Prepared banded normal-equations solver for one geometry.
 
@@ -441,53 +376,6 @@ def _deconv_plan(kernel: Kernel, samples_per_cycle: int,
     return plan
 
 
-def _cached_deconvolver(num_cycles: int, kernel: Kernel,
-                        samples_per_cycle: int,
-                        ridge: float) -> Tuple[sparse.csr_matrix, object]:
-    """Cached ``(operator, LU(gram))`` pair — the legacy oracle engine.
-
-    The seed memoized this through an unbounded ``lru_cache(512)`` that
-    pinned every LU factor ever built; the bounded :class:`PlanCache`
-    keeps the same key soundness (kernels are frozen dataclasses) while
-    reporting ``signal.deconv.cache.*`` occupancy to observability and
-    evicting cold geometries.
-    """
-    registry = get_metrics()
-    key = ("lu", num_cycles, kernel, samples_per_cycle, ridge)
-    pair = _LU_PLANS.lookup(key)
-    if pair is not None:
-        registry.increment("signal.deconv.cache.hits")
-        return pair  # type: ignore[return-value]
-    registry.increment("signal.deconv.cache.misses")
-    operator = _kernel_operator(num_cycles, kernel, samples_per_cycle)
-    gram = (operator.T @ operator +
-            ridge * sparse.identity(num_cycles, format="csr"))
-    pair = (operator, splu(gram.tocsc()))
-    if _LU_PLANS.store(key, pair):
-        registry.increment("signal.deconv.cache.evictions")
-    return pair
-
-
-_DECONV_METHODS = ("banded", "lu", "direct")
-
-
-def _check_deconv_method(method: Optional[str], cached: bool) -> str:
-    """Validate and default a deconvolution method selector.
-
-    ``method=None`` selects the banded engine — the ``cached`` legacy
-    flag now only changes which *oracle* an explicit ``method="lu"``
-    request would have picked, so flag-free callers all land on the one
-    (deterministic) default path.
-    """
-    if method is None:
-        return "lu" if cached else "banded"
-    if method not in _DECONV_METHODS:
-        raise ConfigurationError(
-            f"unknown deconvolution method {method!r}; "
-            f"expected one of {_DECONV_METHODS}")
-    return method
-
-
 def _check_signal_alignment(length: int, samples_per_cycle: int) -> int:
     """Cycle count for an aligned signal; ConfigurationError otherwise."""
     if length % samples_per_cycle:
@@ -498,59 +386,34 @@ def _check_signal_alignment(length: int, samples_per_cycle: int) -> int:
 
 def estimate_cycle_amplitudes(signal: np.ndarray, kernel: Kernel,
                               samples_per_cycle: int,
-                              ridge: float = 1e-9,
-                              cached: bool = False,
-                              method: Optional[str] = None) -> np.ndarray:
+                              ridge: float = 1e-9) -> np.ndarray:
     """Least-squares estimate of per-cycle amplitudes from a waveform.
 
     Solves ``min_x ||K x - y||^2 + ridge ||x||^2`` where ``K`` is the
-    kernel convolution operator.  The tiny ridge keeps the system
-    well-posed for kernels with weak tails.
-
-    ``method`` selects the engine: ``"banded"`` (default) solves the
-    symmetric banded normal equations via a cached Cholesky band factor;
-    ``"lu"`` is the legacy memoized sparse-LU oracle (what ``cached=True``
-    selected before the banded engine existed — the flag now picks the LU
-    oracle only when no explicit method is given, for back-compat);
-    ``"direct"`` rebuilds and ``spsolve``s the sparse system from scratch,
-    bit-exact with the seed.  All engines agree to well inside 1e-9.
+    kernel convolution operator, through the symmetric banded normal
+    equations and a Cholesky band factor cached per geometry.  The tiny
+    ridge keeps the system well-posed for kernels with weak tails.
     """
     signal = np.asarray(signal, dtype=float)
     num_cycles = _check_signal_alignment(len(signal), samples_per_cycle)
-    method = _check_deconv_method(method, cached)
-    if method == "banded":
-        plan = _deconv_plan(kernel, samples_per_cycle, num_cycles,
-                            float(ridge))
-        return np.ascontiguousarray(
-            plan.solve(signal.reshape(1, -1))[0])
-    if method == "lu":
-        operator, solver = _cached_deconvolver(
-            num_cycles, kernel, samples_per_cycle, float(ridge))
-        return np.asarray(solver.solve(operator.T @ signal)).ravel()
-    operator = _kernel_operator(num_cycles, kernel, samples_per_cycle)
-    gram = (operator.T @ operator +
-            ridge * sparse.identity(num_cycles, format="csr"))
-    rhs = operator.T @ signal
-    return np.asarray(spsolve(gram.tocsc(), rhs)).ravel()
+    plan = _deconv_plan(kernel, samples_per_cycle, num_cycles, float(ridge))
+    return np.ascontiguousarray(plan.solve(signal.reshape(1, -1))[0])
 
 
 def batch_estimate_cycle_amplitudes(signals: Sequence[np.ndarray],
                                     kernel: Kernel,
                                     samples_per_cycle: int,
-                                    ridge: float = 1e-9,
-                                    method: Optional[str] = None
+                                    ridge: float = 1e-9
                                     ) -> List[np.ndarray]:
     """Deconvolve per-cycle amplitudes for a whole batch of waveforms.
 
     Groups the signals by length and solves each geometry's stacked
-    right-hand sides through the same engine as
-    :func:`estimate_cycle_amplitudes` (banded Cholesky by default, plan
-    cached across calls; ``method="lu"`` runs the legacy multi-RHS
-    sparse-LU oracle).  Results match the sequential path to the
-    solver's roundoff (well inside 1e-9) and come back in input order.
+    right-hand sides through the same cached banded plan as
+    :func:`estimate_cycle_amplitudes`.  Results match the one-at-a-time
+    path to the solver's roundoff (well inside 1e-9) and come back in
+    input order.
     """
     profiler = get_profiler()
-    method = _check_deconv_method(method, cached=False)
     signals = [np.asarray(signal, dtype=float) for signal in signals]
     groups: Dict[int, List[int]] = {}
     for index, signal in enumerate(signals):
@@ -559,25 +422,9 @@ def batch_estimate_cycle_amplitudes(signals: Sequence[np.ndarray],
     results: List[np.ndarray] = [None] * len(signals)  # type: ignore
     with profiler.phase("signal.batch_estimate"):
         for length, indices in groups.items():
-            num_cycles = length // samples_per_cycle
-            if method == "banded":
-                plan = _deconv_plan(kernel, samples_per_cycle,
-                                    num_cycles, float(ridge))
-                stacked = np.stack([signals[i] for i in indices])
-                solution = plan.solve(stacked)
-            elif method == "lu":
-                operator, solver = _cached_deconvolver(
-                    num_cycles, kernel, samples_per_cycle, float(ridge))
-                columns = np.column_stack([signals[i] for i in indices])
-                solution = solver.solve(operator.T @ columns)
-                solution = np.atleast_2d(solution.T).reshape(
-                    len(indices), num_cycles)
-            else:
-                solution = np.stack([
-                    estimate_cycle_amplitudes(
-                        signals[i], kernel, samples_per_cycle,
-                        ridge=ridge, method="direct")
-                    for i in indices])
+            plan = _deconv_plan(kernel, samples_per_cycle,
+                                length // samples_per_cycle, float(ridge))
+            solution = plan.solve(np.stack([signals[i] for i in indices]))
             for row, index in enumerate(indices):
                 results[index] = np.ascontiguousarray(solution[row])
     profiler.count("batch_deconvolutions", len(signals))

@@ -8,8 +8,8 @@ from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
                      StallEvent)
 from .isa_exec import (GoldenSimulator, alu_result, branch_taken,
                        control_flow_target, muldiv_result)
-from .latches import (HardwareLatches, LegacyHardwareLatches, STAGES,
-                      STAGE_REGISTERS, STAGE_SLICES, TOTAL_BITS,
+from .latches import (HardwareLatches, STAGES, STAGE_REGISTERS,
+                      STAGE_SLICES, TOTAL_BITS,
                       TOTAL_REGISTERS, bubble_pattern, control_word,
                       stage_bit_count, stage_register_offsets)
 from .memory import MainMemory
@@ -19,7 +19,7 @@ from .pipeline import Pipeline, run_program
 from .regfile import RegisterFile
 from .trace import (ActivityTrace, DYN_FINAL, DYN_HIT, DYN_MISS, DYN_NONE,
                     EM_CLASSES, KIND_BUBBLE, KIND_INSTR, KIND_STALL,
-                    LegacyActivityTrace, OCC_BUBBLE, OCC_INSTR, OCC_STALL,
+                    OCC_BUBBLE, OCC_INSTR, OCC_STALL,
                     RetiredInstruction, StageOccupancy, concat_traces)
 from .tracecodec import (TraceCodecError, decode_trace, encode_trace,
                          is_encoded_trace)
@@ -47,8 +47,6 @@ __all__ = [
     "KIND_BUBBLE",
     "KIND_INSTR",
     "KIND_STALL",
-    "LegacyActivityTrace",
-    "LegacyHardwareLatches",
     "MainMemory",
     "OCC_BUBBLE",
     "OCC_INSTR",

@@ -14,9 +14,7 @@ The production :class:`HardwareLatches` stores the whole pipeline's latch
 state in one flat ``uint64`` vector, with every per-register index, width
 mask, and bubble pattern precomputed at import time — a latch write is a
 table lookup plus one array store, and the columnar activity trace snapshots
-the entire pipeline with a single row copy.  The seed's dict-backed
-implementation survives as :class:`LegacyHardwareLatches`, the reference
-oracle for the legacy recording path.
+the entire pipeline with a single row copy.
 """
 
 from __future__ import annotations
@@ -301,76 +299,3 @@ class HardwareLatches:
         """Current value of one named latch."""
         return int(self._flat[REGISTER_INDEX[stage][name][0]])
 
-
-class LegacyHardwareLatches:
-    """The seed's dict-backed latch store, kept as the reference oracle.
-
-    Byte-for-byte the pre-columnar implementation — including the
-    ``dict(STAGE_REGISTERS[stage])`` rebuild on every :meth:`write` —
-    so the legacy recording path measured by ``repro bench --mode
-    trace`` reproduces the seed's cost profile, and property tests can
-    assert the flat-vector store holds identical values.
-    """
-
-    def __init__(self) -> None:
-        self._values: Dict[str, Dict[str, int]] = {
-            stage: {name: 0 for name, _ in STAGE_REGISTERS[stage]}
-            for stage in STAGES
-        }
-
-    def write(self, stage: str, **updates: int) -> None:
-        """Set latch values for ``stage``; values are masked to width."""
-        registers = self._values[stage]
-        for name, value in updates.items():
-            # repro: allow[P601] deliberately preserved seed behaviour —
-            # this per-write dict rebuild is what the fast path replaces.
-            width = dict(STAGE_REGISTERS[stage])[name]
-            registers[name] = value & ((1 << width) - 1)
-
-    # Specialized-writer API shared with HardwareLatches: the adapters
-    # below just route to the seed's generic write so the legacy arm
-    # keeps the seed's per-register cost profile.
-
-    def write_fetch(self, pc: int, instr_word: int,
-                    pred_state: int) -> None:
-        self.write("F", pc=pc, fetch_instr=instr_word,
-                   pred_state=pred_state)
-
-    def write_decode(self, instr_word: int, rs1_val: int, rs2_val: int,
-                     imm: int, ctrl: int) -> None:
-        self.write("D", dec_instr=instr_word, rs1_val=rs1_val,
-                   rs2_val=rs2_val, dec_imm=imm, dec_ctrl=ctrl)
-
-    def write_execute(self, alu_a: int, alu_b: int, ctrl: int) -> None:
-        self.write("E", alu_a=alu_a, alu_b=alu_b, ex_ctrl=ctrl)
-
-    def write_execute_out(self, alu_a: int, alu_b: int, alu_out: int,
-                          ctrl: int) -> None:
-        self.write("E", alu_a=alu_a, alu_b=alu_b, alu_out=alu_out,
-                   ex_ctrl=ctrl)
-
-    def write_alu_out(self, value: int) -> None:
-        self.write("E", alu_out=value)
-
-    def write_mem_rdata(self, value: int) -> None:
-        self.write("M", mem_rdata=value)
-
-    def write_mem_ctrl(self, ctrl: int) -> None:
-        self.write("M", mem_ctrl=ctrl)
-
-    def write_writeback(self, data: int, rd: int, ctrl: int) -> None:
-        self.write("W", wb_data=data, wb_rd=rd, wb_ctrl=ctrl)
-
-    def write_bubble(self, stage: str) -> None:
-        """Drive a stage's latches to the pipeline-bubble (NOP) pattern."""
-        pattern = bubble_pattern(stage)
-        self._values[stage].update(pattern)
-
-    def values(self, stage: str) -> Tuple[int, ...]:
-        """Current latch values of ``stage`` in schema order."""
-        registers = self._values[stage]
-        return tuple(registers[name] for name, _ in STAGE_REGISTERS[stage])
-
-    def value(self, stage: str, name: str) -> int:
-        """Current value of one named latch."""
-        return self._values[stage][name]

@@ -39,13 +39,11 @@ from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
                      StallEvent)
 from .isa_exec import (alu_result, branch_taken, control_flow_target,
                        load_width, store_width)
-from .latches import (HardwareLatches, LegacyHardwareLatches, STAGES,
-                      control_word)
+from .latches import HardwareLatches, STAGES, control_word
 from .memory import MainMemory
 from .regfile import RegisterFile
 from .trace import (DYN_FINAL, DYN_HIT, DYN_MISS, KIND_BUBBLE, KIND_INSTR,
-                    KIND_STALL, ActivityTrace, LegacyActivityTrace,
-                    RetiredInstruction)
+                    KIND_STALL, ActivityTrace, RetiredInstruction)
 
 MASK32 = 0xFFFFFFFF
 
@@ -85,8 +83,7 @@ class OutOfOrderCore:
     ROB_SIZE = 16
 
     def __init__(self, program: Program,
-                 config: CoreConfig = DEFAULT_CONFIG,
-                 legacy_trace: bool = False):
+                 config: CoreConfig = DEFAULT_CONFIG):
         self.program = program
         self.config = config
         self.regfile = RegisterFile()
@@ -96,14 +93,8 @@ class OutOfOrderCore:
                                         config.predictor_history_bits,
                                         config.predictor_table_bits)
         self.btb = BranchTargetBuffer(config.btb_entries)
-        # legacy_trace selects the seed's object-graph recorder and
-        # dict-backed latches — the reference oracle / bench baseline
-        if legacy_trace:
-            self.latches = LegacyHardwareLatches()
-            self.trace = LegacyActivityTrace()
-        else:
-            self.latches = HardwareLatches()
-            self.trace = ActivityTrace()
+        self.latches = HardwareLatches()
+        self.trace = ActivityTrace()
 
         self.pc = program.entry
         self.cycle = 0
@@ -470,15 +461,9 @@ class OutOfOrderCore:
 
 def run_program_ooo(program: Program,
                     config: CoreConfig = DEFAULT_CONFIG,
-                    max_cycles: Optional[int] = None,
-                    legacy_trace: bool = False
+                    max_cycles: Optional[int] = None
                     ) -> Tuple[ActivityTrace, OutOfOrderCore]:
-    """Run ``program`` on a fresh OoO core; returns (trace, core).
-
-    ``legacy_trace=True`` records through the seed's object-graph trace
-    and dict-backed latches (the reference oracle / bench baseline).
-    """
-    core = OutOfOrderCore(program, config=config,
-                          legacy_trace=legacy_trace)
+    """Run ``program`` on a fresh OoO core; returns (trace, core)."""
+    core = OutOfOrderCore(program, config=config)
     trace = core.run(max_cycles=max_cycles)
     return trace, core

@@ -27,12 +27,11 @@ from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
                      StallEvent)
 from .isa_exec import (alu_result, branch_taken, control_flow_target,
                        load_width, store_width)
-from .latches import (HardwareLatches, LegacyHardwareLatches, STAGES,
-                      control_word)
+from .latches import HardwareLatches, STAGES, control_word
 from .memory import MainMemory
 from .regfile import RegisterFile
 from .trace import (DYN_FINAL, DYN_HIT, DYN_MISS, KIND_INSTR, KIND_STALL,
-                    ActivityTrace, LegacyActivityTrace, RetiredInstruction)
+                    ActivityTrace, RetiredInstruction)
 
 MASK32 = 0xFFFFFFFF
 
@@ -72,8 +71,7 @@ class Pipeline:
     def __init__(self, program: Program,
                  config: CoreConfig = DEFAULT_CONFIG,
                  alu_bug: Optional[object] = None,
-                 oracle: Optional[object] = None,
-                 legacy_trace: bool = False):
+                 oracle: Optional[object] = None):
         self.program = program
         self.config = config
         self.regfile = RegisterFile()
@@ -83,14 +81,8 @@ class Pipeline:
                                         config.predictor_history_bits,
                                         config.predictor_table_bits)
         self.btb = BranchTargetBuffer(config.btb_entries)
-        # legacy_trace selects the seed's object-graph recorder and
-        # dict-backed latches — the reference oracle / bench baseline
-        if legacy_trace:
-            self.latches = LegacyHardwareLatches()
-            self.trace = LegacyActivityTrace()
-        else:
-            self.latches = HardwareLatches()
-            self.trace = ActivityTrace()
+        self.latches = HardwareLatches()
+        self.trace = ActivityTrace()
         self.alu_bug = alu_bug   # optional callable(instr, a, b) -> result
         self.oracle = oracle     # optional OracleOutcomes (perfect fetch)
 
@@ -519,15 +511,9 @@ class Pipeline:
 def run_program(program: Program, config: CoreConfig = DEFAULT_CONFIG,
                 max_cycles: Optional[int] = None,
                 alu_bug: Optional[object] = None,
-                oracle: Optional[object] = None,
-                legacy_trace: bool = False) -> Tuple[ActivityTrace,
-                                                     Pipeline]:
-    """Convenience: run ``program`` on a fresh core, return (trace, core).
-
-    ``legacy_trace=True`` records through the seed's object-graph trace
-    and dict-backed latches (the reference oracle / bench baseline).
-    """
-    core = Pipeline(program, config=config, alu_bug=alu_bug, oracle=oracle,
-                    legacy_trace=legacy_trace)
+                oracle: Optional[object] = None
+                ) -> Tuple[ActivityTrace, Pipeline]:
+    """Convenience: run ``program`` on a fresh core, return (trace, core)."""
+    core = Pipeline(program, config=config, alu_bug=alu_bug, oracle=oracle)
     trace = core.run(max_cycles=max_cycles)
     return trace, core

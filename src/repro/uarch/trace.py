@@ -15,11 +15,9 @@ snapshots the latches with a single row copy — no per-cycle objects.
 Every derived view of the seed API (``occupancy``, ``stage_kinds``,
 ``active_mask``, ``em_class`` sequences, ``cycles_of``,
 ``instruction_labels``, ``transition_matrix``) is preserved, computed
-lazily and vectorized.  The seed's object-graph recorder survives as
-:class:`LegacyActivityTrace` — the reference oracle the property tests
-and the ``repro bench --mode trace`` baseline run against.
+lazily and vectorized.
 
-Recording protocol (implemented by both trace classes)::
+Recording protocol (what the cores call)::
 
     trace.begin_cycle()
     trace.record(stage, KIND_INSTR, instr, seq, DYN_HIT)   # active stages
@@ -31,7 +29,7 @@ Stages never recorded in a cycle default to the pipeline bubble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,8 +48,6 @@ KIND_BUBBLE = 1
 KIND_STALL = 2
 
 _KIND_NAMES: Tuple[str, ...] = (OCC_INSTR, OCC_BUBBLE, OCC_STALL)
-_KIND_CODES: Dict[str, int] = {name: code
-                               for code, name in enumerate(_KIND_NAMES)}
 
 DYN_NONE = 0
 DYN_HIT = 1
@@ -59,8 +55,6 @@ DYN_MISS = 2
 DYN_FINAL = 3
 
 _DYN_NAMES: Tuple[Optional[str], ...] = (None, "hit", "miss", "final")
-_DYN_CODES: Dict[Optional[str], int] = {name: code for code, name
-                                        in enumerate(_DYN_NAMES)}
 
 EM_CLASSES = ("nop", "stall", "alu", "shift", "muldiv", "muldiv_final",
               "load", "load_cache", "load_mem", "store", "branch", "jump",
@@ -261,23 +255,6 @@ class ActivityTrace:
         self._vals = vals
         self._capacity = capacity
 
-    def commit_cycle(self, occupancy: Dict[str, StageOccupancy],
-                     latch_values: Dict[str, Tuple[int, ...]]) -> None:
-        """Append one cycle from the seed's dict-based recording API.
-
-        Compatibility shim kept for hand-built traces and legacy pickle
-        migration; the cores use the begin/record/end protocol.
-        """
-        self.begin_cycle()
-        row = self._n
-        for stage in STAGES:
-            occ = occupancy[stage]
-            self.record(stage, _KIND_CODES[occ.kind], occ.instr,
-                        -1 if occ.seq is None else occ.seq,
-                        _DYN_CODES[occ.dyn])
-            self._vals[row, STAGE_SLICES[stage]] = latch_values[stage]
-        self._n += 1
-
     # -- pickling ---------------------------------------------------------
     def __reduce__(self):
         """Pickle as ``repro-trace/1`` codec bytes.
@@ -289,24 +266,6 @@ class ActivityTrace:
         """
         from .tracecodec import decode_trace, encode_trace
         return (decode_trace, (encode_trace(self),))
-
-    def __setstate__(self, state):
-        """Rebuild from a legacy (pre-columnar) pickle's dict state."""
-        values = state["_values"]
-        occupancy = state["occupancy"]
-        cycles = len(values[STAGES[0]])
-        self.__init__(capacity=cycles)
-        for cycle in range(cycles):
-            # legacy-pickle migration path, not the per-cycle recording
-            # hot loop — per-cycle dict construction is fine here.
-            self.commit_cycle(
-                {stage: occupancy[stage][cycle] for stage in STAGES},
-                {stage: values[stage][cycle] for stage in STAGES})
-        self.stalls = list(state.get("stalls", ()))
-        self.cache_events = list(state.get("cache_events", ()))
-        self.branch_events = list(state.get("branch_events", ()))
-        self.flushes = list(state.get("flushes", ()))
-        self.retired = list(state.get("retired", ()))
 
     @classmethod
     def _from_columns(cls, cycles: int, values: np.ndarray,
@@ -532,190 +491,12 @@ class ActivityTrace:
         return stage_bit_count(stage)
 
 
-@dataclass
-class LegacyActivityTrace:
-    """The seed's object-graph trace, kept as the reference oracle.
-
-    Recording appends one :class:`StageOccupancy` and one latch tuple
-    per stage per cycle, and every derived view is the seed's Python
-    scan — byte-for-byte the pre-columnar implementation, plus an
-    adapter for the begin/record/end protocol so both cores can run
-    with either recorder.  Property tests assert the columnar trace's
-    views are bit-identical to this one; ``repro bench --mode trace``
-    uses it (with ``LegacyHardwareLatches``) as the measured baseline.
-    """
-
-    occupancy: Dict[str, List[StageOccupancy]] = field(
-        default_factory=lambda: {stage: [] for stage in STAGES})
-    _values: Dict[str, List[Tuple[int, ...]]] = field(
-        default_factory=lambda: {stage: [] for stage in STAGES})
-    stalls: List[StallEvent] = field(default_factory=list)
-    cache_events: List[CacheEvent] = field(default_factory=list)
-    branch_events: List[BranchEvent] = field(default_factory=list)
-    flushes: List[FlushEvent] = field(default_factory=list)
-    retired: List[RetiredInstruction] = field(default_factory=list)
-
-    # -- recording (seed API) -------------------------------------------
-    def commit_cycle(self, occupancy: Dict[str, StageOccupancy],
-                     latch_values: Dict[str, Tuple[int, ...]]) -> None:
-        """Append one cycle's occupancy and latch snapshot."""
-        for stage in STAGES:
-            self.occupancy[stage].append(occupancy[stage])
-            self._values[stage].append(latch_values[stage])
-
-    # -- recording protocol adapter -------------------------------------
-    def begin_cycle(self) -> None:
-        """Open a cycle: every stage starts as a bubble."""
-        # repro: allow[P601] the legacy oracle deliberately preserves the
-        # seed's per-cycle object construction — that cost is the point.
-        self._pending = {stage: _BUBBLE_OCC for stage in STAGES}
-
-    def record(self, stage: str, kind: int,
-               instr: Optional[Instruction] = None, seq: int = -1,
-               dyn: int = DYN_NONE) -> None:
-        """Record ``stage``'s occupancy for the open cycle."""
-        # repro: allow[P601] seed-cost reference path, see begin_cycle.
-        self._pending[stage] = StageOccupancy(
-            _KIND_NAMES[kind], instr, None if seq < 0 else seq,
-            _DYN_NAMES[dyn])
-
-    def stage_kind_at(self, stage: str) -> int:
-        """The ``KIND_*`` code currently recorded for ``stage``."""
-        return _KIND_CODES[self._pending[stage].kind]
-
-    def end_cycle(self, latches) -> None:
-        """Commit the open cycle from the pending occupancy map."""
-        # repro: allow[P601] seed-cost reference path, see begin_cycle.
-        self.commit_cycle(self._pending,
-                          {stage: latches.values(stage)
-                           for stage in STAGES})
-
-    # -- pickling ---------------------------------------------------------
-    def __getstate__(self):
-        """Drop derived caches and the open-cycle scratch when pickling."""
-        state = dict(self.__dict__)
-        state.pop("_transition_cache", None)
-        state.pop("_pending", None)
-        return state
-
-    # -- shape ------------------------------------------------------------
-    @property
-    def num_cycles(self) -> int:
-        """Total simulated cycles."""
-        return len(self._values[STAGES[0]])
-
-    # -- derived matrices ---------------------------------------------------
-    def values_matrix(self, stage: str) -> np.ndarray:
-        """(cycles, registers) uint64 matrix of latch values for ``stage``."""
-        return np.asarray(self._values[stage], dtype=np.uint64).reshape(
-            self.num_cycles, len(STAGE_REGISTERS[stage]))
-
-    def transition_matrix(self, stage: str) -> np.ndarray:
-        """(cycles, bits) 0/1 matrix of latch bit-flips for ``stage``.
-
-        Row ``n`` holds the flips between cycle ``n-1`` and cycle ``n``
-        (cycle 0 is compared with the all-zero reset state).  Cached after
-        the first computation.
-        """
-        cache = getattr(self, "_transition_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_transition_cache", cache)
-        if stage in cache and cache[stage].shape[0] == self.num_cycles:
-            return cache[stage]
-        values = self.values_matrix(stage)
-        previous = np.vstack([np.zeros((1, values.shape[1]),
-                                       dtype=np.uint64), values[:-1]])
-        xor = values ^ previous
-        columns = []
-        for column, (_, width) in enumerate(STAGE_REGISTERS[stage]):
-            shifts = np.arange(width, dtype=np.uint64)
-            # repro: allow[N203] each element is masked to a single bit
-            # (0 or 1) before the cast, so uint8 is lossless here.
-            columns.append(((xor[:, column:column + 1] >> shifts) &
-                            np.uint64(1)).astype(np.uint8))
-        cache[stage] = np.hstack(columns)
-        return cache[stage]
-
-    def flip_counts(self, stage: str) -> np.ndarray:
-        """(cycles,) total latch bit-flips per cycle for ``stage``."""
-        return self.transition_matrix(stage).sum(axis=1)
-
-    def total_flip_counts(self) -> np.ndarray:
-        """(cycles,) bit-flips per cycle summed over all stages."""
-        return sum(self.flip_counts(stage) for stage in STAGES)
-
-    # -- occupancy views ---------------------------------------------------
-    def stage_kinds(self, stage: str) -> List[str]:
-        """Occupancy kind per cycle for ``stage``."""
-        return [occ.kind for occ in self.occupancy[stage]]
-
-    def active_mask(self, stage: str) -> np.ndarray:
-        """(cycles,) boolean: stage doing real instruction work."""
-        return np.asarray([occ.active for occ in self.occupancy[stage]])
-
-    def stall_mask(self, stage: str) -> np.ndarray:
-        """(cycles,) boolean: stage frozen by a stall."""
-        return np.asarray([occ.kind == OCC_STALL
-                           for occ in self.occupancy[stage]])
-
-    def em_classes(self, stage: str) -> List[str]:
-        """Per-cycle EM-class labels for ``stage`` (reference scan)."""
-        return [occ.em_class() for occ in self.occupancy[stage]]
-
-    def instruction_labels(self, stage: str) -> List[str]:
-        """Readable per-cycle labels for ``stage`` (for reports/tests)."""
-        return [occ.label() for occ in self.occupancy[stage]]
-
-    def cycles_of(self, seq: int, stage: str) -> List[int]:
-        """Cycles during which dynamic instruction ``seq`` occupied
-        ``stage`` (including stalled cycles)."""
-        return [cycle for cycle, occ in enumerate(self.occupancy[stage])
-                if occ.seq == seq]
-
-    # -- convenience statistics ---------------------------------------------
-    @property
-    def instructions_retired(self) -> int:
-        """Count of retired instructions."""
-        return len(self.retired)
-
-    @property
-    def mispredictions(self) -> int:
-        """Count of mispredicted branch events."""
-        return sum(event.mispredicted for event in self.branch_events)
-
-    @property
-    def cache_misses(self) -> int:
-        """Count of data-cache misses."""
-        return sum(not event.hit for event in self.cache_events)
-
-    def stage_bits(self, stage: str) -> int:
-        """Number of tracked latch bits for ``stage``."""
-        return stage_bit_count(stage)
-
-
 def concat_traces(traces: Sequence[ActivityTrace]) -> ActivityTrace:
     """Concatenate traces cycle-wise (for stitched training corpora).
 
-    Columnar inputs merge by array copy into one exactly-sized trace;
-    if any input is a :class:`LegacyActivityTrace`, the seed's
-    list-extend semantics are preserved and a legacy trace is returned.
+    The inputs merge by array copy into one exactly-sized trace.
     """
     traces = list(traces)
-    if not all(isinstance(trace, ActivityTrace) for trace in traces):
-        legacy = LegacyActivityTrace()
-        for trace in traces:
-            for stage in STAGES:
-                legacy.occupancy[stage].extend(trace.occupancy[stage])
-                legacy._values[stage].extend(
-                    tuple(int(value) for value in row)
-                    for row in trace.values_matrix(stage))
-            legacy.stalls.extend(trace.stalls)
-            legacy.cache_events.extend(trace.cache_events)
-            legacy.branch_events.extend(trace.branch_events)
-            legacy.flushes.extend(trace.flushes)
-            legacy.retired.extend(trace.retired)
-        return legacy
     total = sum(trace.num_cycles for trace in traces)
     merged = ActivityTrace(capacity=total)
     merged._n = total

@@ -26,9 +26,9 @@ through :meth:`~repro.isa.instructions.Instruction.decode` exactly);
 event records flatten to JSON rows.  :func:`decode_trace` validates the
 magic, the format name, the register schema, and every section length,
 raising :class:`TraceCodecError` for truncated or corrupt input —
-callers such as the trace cache treat that as a miss.  Legacy pickle
-entries are recognized upstream by their first bytes (a pickle stream
-never starts with the magic) and keep loading through pickle.
+callers such as the trace cache treat that as a miss.  The cache tells
+codec entries from the pickles it writes for other artifact kinds by
+their first bytes (a pickle stream never starts with the magic).
 """
 
 from __future__ import annotations

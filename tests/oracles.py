@@ -1,0 +1,297 @@
+"""Seed reference implementations the equivalence tests compare against.
+
+Each production engine replaced a straightforward seed implementation;
+the seed versions live here, outside the package, so the tests can keep
+asserting that the engine computes the same thing:
+
+* :class:`LegacyActivityTrace` / :class:`LegacyHardwareLatches` — the
+  seed's object-graph trace recorder and dict-backed latch store, run on
+  either core through :func:`run_legacy`;
+* :func:`direct_reconstruct` — Eq. 6 as one ``np.convolve``;
+* :func:`lu_estimate_cycle_amplitudes` — the sparse normal-equations
+  deconvolution solved by ``spsolve``;
+* :func:`naive_stepwise_select` — step-wise selection with a full dense
+  solve per candidate per step;
+* :func:`naive_cluster` — average linkage that re-averages member pair
+  distances at every step.
+"""
+
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
+
+from repro.core.clustering import ClusterResult, signature_distance_matrix
+from repro.core.regression import LinearModel, fit_linear
+from repro.uarch.latches import STAGE_REGISTERS, STAGES, bubble_pattern
+from repro.uarch.ooo import OutOfOrderCore
+from repro.uarch.pipeline import Pipeline
+from repro.uarch.trace import (_BUBBLE_OCC, _DYN_NAMES, _KIND_NAMES,
+                               StageOccupancy)
+
+
+# ---------------------------------------------------------------------------
+# trace recording
+# ---------------------------------------------------------------------------
+class LegacyHardwareLatches:
+    """The seed's dict-backed latch store (one dict per stage)."""
+
+    def __init__(self) -> None:
+        self._values: Dict[str, Dict[str, int]] = {
+            stage: {name: 0 for name, _ in STAGE_REGISTERS[stage]}
+            for stage in STAGES}
+
+    def write(self, stage: str, **updates: int) -> None:
+        registers = self._values[stage]
+        widths = dict(STAGE_REGISTERS[stage])
+        for name, value in updates.items():
+            registers[name] = value & ((1 << widths[name]) - 1)
+
+    def write_fetch(self, pc, instr_word, pred_state):
+        self.write("F", pc=pc, fetch_instr=instr_word,
+                   pred_state=pred_state)
+
+    def write_decode(self, instr_word, rs1_val, rs2_val, imm, ctrl):
+        self.write("D", dec_instr=instr_word, rs1_val=rs1_val,
+                   rs2_val=rs2_val, dec_imm=imm, dec_ctrl=ctrl)
+
+    def write_execute(self, alu_a, alu_b, ctrl):
+        self.write("E", alu_a=alu_a, alu_b=alu_b, ex_ctrl=ctrl)
+
+    def write_execute_out(self, alu_a, alu_b, alu_out, ctrl):
+        self.write("E", alu_a=alu_a, alu_b=alu_b, alu_out=alu_out,
+                   ex_ctrl=ctrl)
+
+    def write_alu_out(self, value):
+        self.write("E", alu_out=value)
+
+    def write_mem_rdata(self, value):
+        self.write("M", mem_rdata=value)
+
+    def write_mem_ctrl(self, ctrl):
+        self.write("M", mem_ctrl=ctrl)
+
+    def write_writeback(self, data, rd, ctrl):
+        self.write("W", wb_data=data, wb_rd=rd, wb_ctrl=ctrl)
+
+    def write_bubble(self, stage: str) -> None:
+        self._values[stage].update(bubble_pattern(stage))
+
+    def values(self, stage: str) -> Tuple[int, ...]:
+        registers = self._values[stage]
+        return tuple(registers[name] for name, _ in STAGE_REGISTERS[stage])
+
+
+@dataclass
+class LegacyActivityTrace:
+    """The seed's trace: one occupancy object and latch tuple per stage
+    per cycle, with every derived view a Python scan."""
+
+    occupancy: Dict[str, List[StageOccupancy]] = field(
+        default_factory=lambda: {stage: [] for stage in STAGES})
+    _values: Dict[str, List[Tuple[int, ...]]] = field(
+        default_factory=lambda: {stage: [] for stage in STAGES})
+    stalls: list = field(default_factory=list)
+    cache_events: list = field(default_factory=list)
+    branch_events: list = field(default_factory=list)
+    flushes: list = field(default_factory=list)
+    retired: list = field(default_factory=list)
+
+    # -- the cores' recording protocol ----------------------------------
+    def begin_cycle(self) -> None:
+        self._pending = {stage: _BUBBLE_OCC for stage in STAGES}
+
+    def record(self, stage, kind, instr=None, seq=-1, dyn=0) -> None:
+        self._pending[stage] = StageOccupancy(
+            _KIND_NAMES[kind], instr, None if seq < 0 else seq,
+            _DYN_NAMES[dyn])
+
+    def stage_kind_at(self, stage: str) -> int:
+        return _KIND_NAMES.index(self._pending[stage].kind)
+
+    def end_cycle(self, latches) -> None:
+        for stage in STAGES:
+            self.occupancy[stage].append(self._pending[stage])
+            self._values[stage].append(latches.values(stage))
+
+    # -- derived views ---------------------------------------------------
+    @property
+    def num_cycles(self) -> int:
+        return len(self._values[STAGES[0]])
+
+    def values_matrix(self, stage: str) -> np.ndarray:
+        return np.asarray(self._values[stage], dtype=np.uint64).reshape(
+            self.num_cycles, len(STAGE_REGISTERS[stage]))
+
+    def transition_matrix(self, stage: str) -> np.ndarray:
+        values = self.values_matrix(stage)
+        previous = np.vstack([np.zeros((1, values.shape[1]),
+                                       dtype=np.uint64), values[:-1]])
+        xor = values ^ previous
+        columns = []
+        for column, (_, width) in enumerate(STAGE_REGISTERS[stage]):
+            shifts = np.arange(width, dtype=np.uint64)
+            columns.append(((xor[:, column:column + 1] >> shifts) &
+                            np.uint64(1)).astype(np.uint8))
+        return np.hstack(columns)
+
+    def total_flip_counts(self) -> np.ndarray:
+        return sum(self.transition_matrix(stage).sum(axis=1)
+                   for stage in STAGES)
+
+    def stage_kinds(self, stage: str) -> List[str]:
+        return [occ.kind for occ in self.occupancy[stage]]
+
+    def em_classes(self, stage: str) -> List[str]:
+        return [occ.em_class() for occ in self.occupancy[stage]]
+
+
+def run_legacy(program, ooo: bool = False, **options):
+    """Run ``program`` on a fresh core recording through the seed's
+    trace and latches; returns ``(trace, core)``."""
+    core = OutOfOrderCore(program, **options) if ooo \
+        else Pipeline(program, **options)
+    core.latches = LegacyHardwareLatches()
+    core.trace = LegacyActivityTrace()
+    return core.run(), core
+
+
+def assert_traces_identical(legacy, columnar) -> None:
+    """Assert two traces agree on every matrix, view and event list."""
+    assert legacy.num_cycles == columnar.num_cycles
+    for stage in STAGES:
+        assert np.array_equal(legacy.values_matrix(stage),
+                              np.asarray(columnar.values_matrix(stage)))
+        assert np.array_equal(legacy.transition_matrix(stage),
+                              columnar.transition_matrix(stage))
+        assert legacy.stage_kinds(stage) == columnar.stage_kinds(stage)
+        assert legacy.em_classes(stage) == columnar.em_classes(stage)
+        assert list(legacy.occupancy[stage]) == \
+            list(columnar.occupancy[stage])
+    assert np.array_equal(legacy.total_flip_counts(),
+                          columnar.total_flip_counts())
+    assert legacy.stalls == columnar.stalls
+    assert legacy.cache_events == columnar.cache_events
+    assert legacy.branch_events == columnar.branch_events
+    assert legacy.flushes == columnar.flushes
+    assert [(entry.seq, entry.pc, entry.instr, entry.cycle)
+            for entry in legacy.retired] == \
+        [(entry.seq, entry.pc, entry.instr, entry.cycle)
+         for entry in columnar.retired]
+
+
+# ---------------------------------------------------------------------------
+# synthesis and deconvolution
+# ---------------------------------------------------------------------------
+def direct_reconstruct(amplitudes, kernel, samples_per_cycle):
+    """Eq. 6 as a direct convolution of the impulse train."""
+    impulse_train = np.zeros(len(amplitudes) * samples_per_cycle)
+    impulse_train[::samples_per_cycle] = amplitudes
+    signal = np.convolve(impulse_train, kernel.sampled(samples_per_cycle))
+    return signal[:len(impulse_train)]
+
+
+def lu_estimate_cycle_amplitudes(signal, kernel, samples_per_cycle,
+                                 ridge=1e-9):
+    """Ridge deconvolution through the sparse kernel operator."""
+    signal = np.asarray(signal, dtype=float)
+    num_cycles = len(signal) // samples_per_cycle
+    response = kernel.sampled(samples_per_cycle)
+    rows, cols, vals = [], [], []
+    for cycle in range(num_cycles):
+        start = cycle * samples_per_cycle
+        stop = min(start + len(response), len(signal))
+        rows.extend(range(start, stop))
+        cols.extend([cycle] * (stop - start))
+        vals.extend(response[:stop - start])
+    operator = sparse.csr_matrix((vals, (rows, cols)),
+                                 shape=(len(signal), num_cycles))
+    gram = operator.T @ operator + ridge * sparse.identity(num_cycles)
+    return np.asarray(spsolve(gram.tocsc(), operator.T @ signal)).ravel()
+
+
+# ---------------------------------------------------------------------------
+# model building
+# ---------------------------------------------------------------------------
+def _rss(design, target, columns, ridge):
+    if columns:
+        intercept, coef = fit_linear(design[:, columns], target, ridge)
+        predictions = intercept + design[:, columns] @ coef
+    else:
+        predictions = np.full_like(target, target.mean())
+    residuals = target - predictions
+    return float(residuals @ residuals)
+
+
+def naive_stepwise_select(design, target, f_threshold=4.0,
+                          max_features=None, ridge=1e-8,
+                          forced_features=None) -> LinearModel:
+    """Forward step-wise selection, every candidate refitted densely."""
+    design = np.asarray(design, dtype=float)
+    target = np.asarray(target, dtype=float)
+    n_samples, n_columns = design.shape
+    variances = design.var(axis=0)
+    selected = [col for col in dict.fromkeys(forced_features or [])
+                if variances[col] > 0]
+    candidates = [col for col in range(n_columns)
+                  if variances[col] > 0 and col not in selected]
+    rss_current = _rss(design, target, selected, ridge)
+    while candidates:
+        if max_features is not None and len(selected) >= max_features:
+            break
+        best_column, best_rss = None, rss_current
+        for column in candidates:
+            rss_new = _rss(design, target, selected + [column], ridge)
+            if rss_new < best_rss:
+                best_column, best_rss = column, rss_new
+        dof = n_samples - len(selected) - 2
+        if best_column is None or dof <= 0:
+            break
+        denom = best_rss / dof
+        f_stat = (rss_current - best_rss) / denom if denom > 0 else \
+            float("inf")
+        if f_stat < f_threshold:
+            break
+        selected.append(best_column)
+        candidates.remove(best_column)
+        rss_current = best_rss
+    if selected:
+        intercept, coef = fit_linear(design[:, selected], target, ridge)
+    else:
+        intercept, coef = float(target.mean()), np.zeros(0)
+    return LinearModel(intercept=intercept,
+                       coefficients=np.asarray(coef, dtype=float),
+                       features=np.asarray(selected, dtype=int))
+
+
+def naive_cluster(signatures, num_clusters: Optional[int] = 7,
+                  distance_threshold: Optional[float] = None
+                  ) -> ClusterResult:
+    """Average-linkage clustering re-averaging member distances per step."""
+    names, distance = signature_distance_matrix(signatures)
+    target = num_clusters if num_clusters is not None else 1
+    clusters: Dict[int, List[int]] = {i: [i] for i in range(len(names))}
+    merge_heights: List[float] = []
+    while len(clusters) > target:
+        keys = sorted(clusters)
+        best = (np.inf, -1, -1)
+        for index_a, a in enumerate(keys):
+            for b in keys[index_a + 1:]:
+                height = float(np.mean([[distance[i, j]
+                                         for j in clusters[b]]
+                                        for i in clusters[a]]))
+                if height < best[0]:
+                    best = (height, a, b)
+        height, a, b = best
+        if distance_threshold is not None and height > distance_threshold:
+            break
+        clusters[a] = clusters[a] + clusters.pop(b)
+        merge_heights.append(height)
+    labels = {}
+    for cluster_id, members in enumerate(sorted(clusters.values(),
+                                                key=min)):
+        for index in members:
+            labels[names[index]] = cluster_id
+    return ClusterResult(labels=labels, merge_heights=merge_heights)

@@ -888,14 +888,13 @@ class TestHotLoopAllocation:
         assert result.findings == []
 
     def test_hot_paths_clean_on_this_repo(self):
-        # the real per-cycle recording path must stay allocation-free;
-        # the preserved Legacy* reference paths are suppressed at the
-        # site, never silently exempt.
+        # the real per-cycle recording path must stay allocation-free,
+        # with no site-level exemptions either
         analyzer = Analyzer([HotLoopAllocationRule()],
                             load_config(REPO_ROOT), REPO_ROOT)
         result = analyzer.run(["src/repro/uarch"])
         assert result.findings == []
-        assert len(result.suppressed) == 4
+        assert result.suppressed == []
 
 
 class TestModuleLevelHotFunctions:
@@ -969,14 +968,15 @@ class TestConvolveOutsideOracle:
         assert rule_ids(result) == ["P602", "P602"]
 
     def test_negative_sanctioned_oracle_function(self):
-        # the default config blesses reconstruction._direct_reconstruct
+        config = replace(EVERYWHERE, convolve_oracle_functions=[
+            "reconstruction._direct_reconstruct"])
         result = check_source(textwrap.dedent(
             """
             import numpy as np
 
             def _direct_reconstruct(amplitudes, kernel):
                 return np.convolve(amplitudes, kernel)
-            """), [ConvolveOutsideOracleRule()], EVERYWHERE,
+            """), [ConvolveOutsideOracleRule()], config,
             path="src/repro/signal/reconstruction.py")
         assert result.findings == []
 

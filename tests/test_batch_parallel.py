@@ -5,9 +5,9 @@ the worker fan-out in training and leakage sweeps) promises:
 
 * re-simulation through :class:`BatchSimulator` is **bit-identical** to
   calling ``EMSim.simulate`` per program;
-* measurement campaigns agree between ``workers=1`` (sequential legacy
-  engine) and ``workers=N`` (batched engine) to well inside 1e-9,
-  including under fault injection;
+* measurement campaigns agree between ``workers=1`` and ``workers=N``
+  (one engine at every worker count; ``tests/test_invariance.py`` pins
+  bit-identity), including under fault injection;
 * results are deterministic and independent of worker count, because
   every campaign item reseeds from ``(seed, index)``.
 """
@@ -32,7 +32,8 @@ from repro.uarch.latches import STAGES
 from repro.workloads import RandomProgramBuilder
 
 CONTRACT = 1e-9
-"""The batch engine's documented max-abs-diff bound vs sequential."""
+"""The documented max-abs-diff bound between batched and one-at-a-time
+signal helpers."""
 
 
 def _programs(count, length=24, seed=5):

@@ -98,8 +98,8 @@ def test_non_numeric_workers_exit_code(tmp_path, capsys):
     """``--workers fast`` exits with the ConfigurationError code (16)
     and names the offending value — not argparse's usage error (2)."""
     from repro.robustness import ConfigurationError
-    assert main(["bench", "--workers", "fast", "--programs", "2"]) == \
-        ConfigurationError("x").exit_code
+    assert main(["train", "--out", str(tmp_path / "m.json"),
+                 "--workers", "fast"]) == ConfigurationError("x").exit_code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "'fast'" in err

@@ -7,6 +7,8 @@ from repro.core.clustering import (agglomerative_cluster,
                                    cluster_instruction_signatures,
                                    signature_distance)
 
+from .oracles import naive_cluster
+
 
 def _waves(seed=0):
     """Three families of signatures with within-family similarity."""
@@ -79,7 +81,7 @@ def test_instruction_signatures_alias():
 
 
 # ---------------------------------------------------------------------------
-# Lance-Williams engine vs the naive reference
+# Lance-Williams engine vs the re-averaging reference (tests/oracles.py)
 # ---------------------------------------------------------------------------
 def _random_signatures(seed, count=None, length=None):
     rng = np.random.default_rng(seed)
@@ -105,12 +107,10 @@ def test_lw_matches_naive_linkage(seed):
     signatures = _random_signatures(seed)
     clusters = max(1, len(signatures) // 3)
     threshold = 0.9 if seed % 2 else None
-    naive = agglomerative_cluster(signatures, num_clusters=clusters,
-                                  distance_threshold=threshold,
-                                  method="naive")
+    naive = naive_cluster(signatures, num_clusters=clusters,
+                          distance_threshold=threshold)
     fast = agglomerative_cluster(signatures, num_clusters=clusters,
-                                 distance_threshold=threshold,
-                                 method="lw")
+                                 distance_threshold=threshold)
     assert naive.labels == fast.labels
     assert np.allclose(naive.merge_heights, fast.merge_heights,
                        atol=1e-12)
@@ -144,7 +144,3 @@ def test_distance_matrix_mixed_lengths_falls_back():
             expected = signature_distance(signatures[a], signatures[b])
             assert abs(matrix[i, j] - expected) < 1e-12
 
-
-def test_clustering_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        agglomerative_cluster(_waves(), num_clusters=2, method="ward")

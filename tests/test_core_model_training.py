@@ -5,6 +5,9 @@ and assert the paper's headline behaviours: high accuracy on held-out
 programs, and strictly worse accuracy for every model ablation.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from repro.core import (ABLATIONS, EMSim, EMSimConfig, Trainer,
 from repro.hardware import HardwareDevice
 from repro.signal import simulation_accuracy
 from repro.workloads import checksum, dot_product, fibonacci
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -140,24 +145,23 @@ def test_config_switch_helpers():
 
 
 def test_fast_and_legacy_fits_are_bit_identical():
-    """The Gram/sweep + Lance-Williams + trace-cache fast path must
-    reproduce the scalar reference model exactly (same features, same
-    Table-I clusters, same coefficients)."""
+    """The Gram/sweep + Lance-Williams + trace-cache fit must reproduce
+    the seed's scalar model-building path exactly (same features, same
+    Table-I clusters, same coefficients), on a cold and a warm trace
+    cache.  The scalar path's model is frozen in ``tests/data``."""
     from repro.core.persistence import model_to_dict
     from repro.core.trace_cache import configure_trace_cache
 
-    configure_trace_cache(clear=True)
-    legacy = model_to_dict(Trainer(device=HardwareDevice(),
-                                   activity_probes_per_class=2, seed=0,
-                                   fast=False).train())
+    legacy = json.loads((DATA / "legacy_fit_model.json").read_text())
     configure_trace_cache(clear=True)
     cold = model_to_dict(Trainer(device=HardwareDevice(),
-                                 activity_probes_per_class=2, seed=0,
-                                 fast=True).train())
+                                 activity_probes_per_class=2,
+                                 seed=0).train())
     warm = model_to_dict(Trainer(device=HardwareDevice(),
-                                 activity_probes_per_class=2, seed=0,
-                                 fast=True).train())
-    assert legacy == cold == warm
+                                 activity_probes_per_class=2,
+                                 seed=0).train())
+    assert cold == warm
+    assert json.loads(json.dumps(cold)) == legacy
 
 
 def test_trainer_fit_is_an_alias_for_train():

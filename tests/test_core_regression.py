@@ -1,11 +1,12 @@
 """Tests for regression + step-wise selection (repro.core.regression)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.regression import (fit_full, fit_linear, stepwise_select)
+
+from .oracles import naive_stepwise_select
 
 
 def _synthetic(n=200, p=30, informative=(2, 7, 11), noise=0.05, seed=0):
@@ -104,7 +105,7 @@ def test_stepwise_never_beats_perfect_fit(seed):
 
 
 # ---------------------------------------------------------------------------
-# gram engine vs the naive reference
+# gram engine vs the dense reference (tests/oracles.py)
 # ---------------------------------------------------------------------------
 def _random_problem(seed):
     """A randomized step-wise problem in the trainer's design style."""
@@ -136,12 +137,11 @@ def _random_problem(seed):
 @settings(max_examples=25, deadline=None)
 def test_stepwise_gram_matches_naive(seed):
     design, target, forced, max_features, ridge = _random_problem(seed)
-    naive = stepwise_select(design, target, max_features=max_features,
-                            ridge=ridge, forced_features=forced,
-                            method="naive")
+    naive = naive_stepwise_select(design, target,
+                                  max_features=max_features, ridge=ridge,
+                                  forced_features=forced)
     gram = stepwise_select(design, target, max_features=max_features,
-                           ridge=ridge, forced_features=forced,
-                           method="gram")
+                           ridge=ridge, forced_features=forced)
     assert list(naive.features) == list(gram.features)
     assert naive.intercept == gram.intercept
     assert np.array_equal(naive.coefficients, gram.coefficients)
@@ -153,21 +153,17 @@ def test_stepwise_gram_matches_naive_on_saturated_fit():
     rng = np.random.default_rng(3)
     design = (rng.random((24, 40)) < 0.4).astype(float)
     target = design @ rng.normal(size=40)  # exactly representable
-    naive = stepwise_select(design, target, f_threshold=4.0,
-                            method="naive")
-    gram = stepwise_select(design, target, f_threshold=4.0,
-                           method="gram")
+    naive = naive_stepwise_select(design, target, f_threshold=4.0)
+    gram = stepwise_select(design, target, f_threshold=4.0)
     assert list(naive.features) == list(gram.features)
     assert np.array_equal(naive.coefficients, gram.coefficients)
 
 
 def test_stepwise_forced_duplicates_deduped():
     design, target, _ = _synthetic(p=10, informative=(2, 7))
-    for method in ("naive", "gram"):
-        duped = stepwise_select(design, target, forced_features=[1, 1, 2],
-                                method=method)
-        clean = stepwise_select(design, target, forced_features=[1, 2],
-                                method=method)
+    for select in (naive_stepwise_select, stepwise_select):
+        duped = select(design, target, forced_features=[1, 1, 2])
+        clean = select(design, target, forced_features=[1, 2])
         assert list(duped.features) == list(clean.features)
         assert np.array_equal(duped.coefficients, clean.coefficients)
 
@@ -175,19 +171,12 @@ def test_stepwise_forced_duplicates_deduped():
 def test_stepwise_integer_target_matches_float():
     design, target, _ = _synthetic(p=12, informative=(2, 7), noise=0.3)
     rounded = np.round(target).astype(int)
-    for method in ("naive", "gram"):
-        from_int = stepwise_select(design, rounded, method=method)
-        from_float = stepwise_select(design, rounded.astype(float),
-                                     method=method)
+    for select in (naive_stepwise_select, stepwise_select):
+        from_int = select(design, rounded)
+        from_float = select(design, rounded.astype(float))
         assert list(from_int.features) == list(from_float.features)
         assert np.array_equal(from_int.coefficients,
                               from_float.coefficients)
-
-
-def test_stepwise_rejects_unknown_method():
-    design, target, _ = _synthetic(p=5, informative=(2,))
-    with pytest.raises(ValueError, match="method"):
-        stepwise_select(design, target, method="fast")
 
 
 def test_fit_full_gram_cache_is_bit_identical():

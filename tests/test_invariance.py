@@ -1,0 +1,77 @@
+"""Results are a pure function of inputs, configuration and seed.
+
+Every worker count runs the same capture and deconvolution engine, so a
+measurement campaign and a scope-captured training run are bit-identical
+whether they run in-process (``workers=1``) or in a forked pool
+(``workers=2``; a generous ``item_timeout`` forces the pool even on a
+single-CPU host), and a campaign journal written at one worker count
+replays every probe at another.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import Trainer, measurement_campaign, model_to_dict
+from repro.core.batch import supervised_campaign
+from repro.hardware import HardwareDevice
+from repro.robustness import FaultPlan
+from repro.robustness.checkpoint import CheckpointJournal
+from repro.workloads import RandomProgramBuilder
+
+POOL_TIMEOUT = 600.0
+"""Per-item deadline that forces a worker pool but never fires."""
+
+RUNS = {1: {}, 2: {"item_timeout": POOL_TIMEOUT}}
+"""Worker count -> extra keyword arguments of that run."""
+
+
+def _programs(count, length=24, seed=5):
+    builder = RandomProgramBuilder(seed=seed)
+    return [builder.program(length, name=f"prog_{i:03d}")
+            for i in range(count)]
+
+
+def _assert_probes_identical(left, right):
+    assert [probe.program_name for probe in left] == \
+        [probe.program_name for probe in right]
+    for a, b in zip(left, right):
+        assert np.array_equal(a.signal, b.signal)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+@pytest.mark.parametrize("fault_rate", [0.0, 0.25])
+def test_campaign_probes_identical_at_one_and_two_workers(fault_rate):
+    programs = _programs(4)
+    runs = []
+    for workers, extra in RUNS.items():
+        plan = FaultPlan.preset(fault_rate, seed=7) if fault_rate else None
+        runs.append(measurement_campaign(
+            HardwareDevice(seed=3, fault_plan=plan), programs,
+            repetitions=12, workers=workers, seed=9, **extra))
+    _assert_probes_identical(*runs)
+
+
+def test_reference_trainer_identical_at_one_and_two_workers():
+    models = []
+    for workers, extra in RUNS.items():
+        trainer = Trainer(device=HardwareDevice(seed=3),
+                          capture_method="reference", repetitions=12,
+                          activity_probes_per_class=2, miso_groups=1,
+                          miso_group_size=32, fit_kernel_parameters=False,
+                          seed=11, workers=workers, **extra)
+        models.append(model_to_dict(trainer.train()))
+    assert models[0] == models[1]
+
+
+def test_journal_written_at_one_worker_resumes_at_two(tmp_path):
+    programs = _programs(4)
+    path = str(tmp_path / "campaign.jsonl")
+    written = measurement_campaign(HardwareDevice(seed=3), programs,
+                                   repetitions=12, workers=1, seed=9,
+                                   checkpoint=path)
+    with CheckpointJournal(path, resume=True) as journal:
+        replayed, ledger = supervised_campaign(
+            HardwareDevice(seed=3), programs, repetitions=12, workers=2,
+            seed=9, journal=journal, **RUNS[2])
+    assert ledger.resumed == list(range(len(programs)))
+    _assert_probes_identical(written, replayed)

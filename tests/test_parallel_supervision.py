@@ -134,10 +134,6 @@ class TestParallelMapCompatibility:
             parallel_map(always_raise, [1, 2, 3], workers=4,
                          timeout=SAFE_TIMEOUT)
 
-    def test_chunk_size_accepted(self):
-        assert parallel_map(square, [1, 2], workers=2, chunk_size=7) \
-            == [1, 4]
-
     def test_timeout_propagates_campaign_error(self):
         with pytest.raises(CampaignError):
             parallel_map(hang_item, [(i, "") for i in range(3)],

@@ -1,9 +1,10 @@
 """Property-based oracle agreement for the streaming signal engine.
 
-The signal fast path (docs/architecture.md, "Signal fast path") keeps
-every seed path alive as an oracle: direct ``np.convolve`` synthesis,
-the sparse-LU deconvolver, the pickle/codec result transport, and the
-batch Welch t-test.  These properties pin the engine to those oracles
+The signal fast path (docs/architecture.md, "Signal fast path") is
+checked against the seed's paths: direct ``np.convolve`` synthesis and
+the sparse-operator deconvolver (both in ``tests/oracles.py``), the
+pickle/codec result transport, and the batch Welch t-test.  These
+properties pin the engine to those oracles
 over *generated* inputs — arbitrary amplitude vectors and kernel
 geometries, fault-corrupted captures, shuffled trace arrival orders —
 not just the canned shapes the unit tests use.  Transport identity
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.signalbench import run_signal_bench
 from repro.ipc import (SHARED_MEMORY_THRESHOLD_BYTES, SharedArrayArena,
                        SharedArrayRef, export_value,
                        shared_memory_available)
@@ -31,11 +31,14 @@ from repro.robustness import CampaignError, ConfigurationError
 from repro.robustness.errors import AcquisitionError
 from repro.robustness.faults import FaultInjector, FaultPlan
 from repro.signal.kernels import DampedSineKernel, ExpKernel
-from repro.signal.reconstruction import (batch_estimate_cycle_amplitudes,
+from repro.signal.reconstruction import (_synthesis_plan,
+                                         batch_estimate_cycle_amplitudes,
                                          batch_reconstruct,
                                          clear_plan_caches,
                                          estimate_cycle_amplitudes,
                                          reconstruct)
+
+from .oracles import direct_reconstruct, lu_estimate_cycle_amplitudes
 
 TOLERANCE = 1e-9
 
@@ -59,9 +62,11 @@ _SPC = st.integers(2, 24)
 @given(amplitudes=_AMPLITUDES, kernel=_KERNELS, spc=_SPC)
 @settings(max_examples=60, deadline=None)
 def test_planned_synthesis_matches_direct_oracle(amplitudes, kernel, spc):
-    oracle = reconstruct(amplitudes, kernel, spc, method="direct")
+    oracle = direct_reconstruct(amplitudes, kernel, spc)
     planned = reconstruct(amplitudes, kernel, spc)
-    spectral = reconstruct(amplitudes, kernel, spc, method="fft")
+    # the spectral plan, whatever the planner would pick for this kernel
+    spectral = _synthesis_plan(kernel, spc, len(amplitudes),
+                               spectral=True).synthesize(amplitudes)
     assert np.max(np.abs(planned - oracle)) <= TOLERANCE
     assert np.max(np.abs(spectral - oracle)) <= TOLERANCE
 
@@ -86,14 +91,8 @@ def test_cold_plans_agree_with_warm_plans():
     assert np.array_equal(cold, warm)
 
 
-def test_unknown_synthesis_method_is_a_configuration_error():
-    kernel = DampedSineKernel(t0=0.25, theta=4.0)
-    with pytest.raises(ConfigurationError):
-        reconstruct(np.ones(4), kernel, 5, method="wavelet")
-
-
 # ---------------------------------------------------------------------------
-# deconvolution: banded Cholesky vs the legacy sparse-LU oracle
+# deconvolution: banded Cholesky vs the sparse-operator oracle
 # ---------------------------------------------------------------------------
 @given(amplitudes=_AMPLITUDES, kernel=_KERNELS, spc=_SPC,
        noise_seed=st.integers(0, 2**16 - 1))
@@ -101,10 +100,10 @@ def test_unknown_synthesis_method_is_a_configuration_error():
 def test_banded_deconvolution_matches_lu_oracle(amplitudes, kernel, spc,
                                                 noise_seed):
     rng = np.random.default_rng(noise_seed)
-    signal = reconstruct(amplitudes, kernel, spc, method="direct")
+    signal = direct_reconstruct(amplitudes, kernel, spc)
     signal = signal + 0.01 * rng.standard_normal(len(signal))
     banded = estimate_cycle_amplitudes(signal, kernel, spc)
-    oracle = estimate_cycle_amplitudes(signal, kernel, spc, method="lu")
+    oracle = lu_estimate_cycle_amplitudes(signal, kernel, spc)
     assert np.max(np.abs(banded - oracle)) <= TOLERANCE
 
 
@@ -117,7 +116,7 @@ def test_deconvolution_engines_agree_on_faulted_captures(amplitudes,
     # captures mangled by the bench fault injector (drift, saturation,
     # bursts, drops) must still deconvolve identically on both engines:
     # the solvers may not diverge just because the data got ugly
-    signal = reconstruct(amplitudes, kernel, spc, method="direct")
+    signal = direct_reconstruct(amplitudes, kernel, spc)
     injector = FaultInjector(FaultPlan.preset(0.9, seed=fault_seed))
     # capture-level failures (brown-out, trigger loss) are retried by
     # the acquisition layer; only the signal-level corruption matters
@@ -128,9 +127,8 @@ def test_deconvolution_engines_agree_on_faulted_captures(amplitudes,
     aligned = np.zeros(len(signal))
     aligned[:len(faulted)] = faulted[:len(signal)]
     banded = batch_estimate_cycle_amplitudes([aligned], kernel, spc)
-    oracle = batch_estimate_cycle_amplitudes([aligned], kernel, spc,
-                                             method="lu")
-    assert np.max(np.abs(banded[0] - oracle[0])) <= TOLERANCE
+    oracle = lu_estimate_cycle_amplitudes(aligned, kernel, spc)
+    assert np.max(np.abs(banded[0] - oracle)) <= TOLERANCE
 
 
 @given(kernel=_KERNELS, spc=_SPC,
@@ -154,13 +152,6 @@ def test_misaligned_batch_raises_configuration_error():
     # ConfigurationError subclasses ValueError, so pre-engine callers'
     # except ValueError handlers keep catching the misalignment
     assert issubclass(ConfigurationError, ValueError)
-
-
-def test_unknown_deconvolution_method_is_a_configuration_error():
-    kernel = DampedSineKernel(t0=0.25, theta=4.0)
-    with pytest.raises(ConfigurationError):
-        estimate_cycle_amplitudes(np.ones(10), kernel, 5,
-                                  method="cholesky")
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +352,3 @@ def test_welch_contract_violations_are_configuration_errors():
     with pytest.raises(ConfigurationError):
         accumulator.t_values()
 
-
-# ---------------------------------------------------------------------------
-# the bench measurement core itself
-# ---------------------------------------------------------------------------
-def test_signal_bench_reports_gated_ratios():
-    doc = run_signal_bench(cycles=256, deconv_traces=4, deconv_cycles=64,
-                           tvla_traces=32, tvla_cycles=16, reps=1)
-    assert doc["benchmark"] == "signal_engine"
-    assert doc["oracle_agreement"] is True
-    assert doc["synthesis_max_error"] <= TOLERANCE
-    assert doc["deconv_max_error"] <= TOLERANCE
-    assert doc["tvla_max_error"] <= TOLERANCE
-    for ratio in ("synthesis_speedup", "batch_deconv_speedup",
-                  "tvla_rss_ratio"):
-        assert doc[ratio] > 0.0

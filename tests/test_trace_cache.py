@@ -144,6 +144,28 @@ def test_disk_layer_roundtrip_and_corruption(tmp_path):
     assert TraceCache(directory=directory).lookup("deadbeef") is None
 
 
+def test_entries_under_unversioned_keys_miss(tmp_path, monkeypatch):
+    """A disk cache written before keys carried TRACE_KEY_VERSION (e.g.
+    pre-columnar trace pickles) must miss, never load."""
+    import repro.core.trace_cache as trace_cache_module
+
+    program, config = isolation_probe(ALU), CoreConfig()
+    monkeypatch.setattr(trace_cache_module, "TRACE_KEY_VERSION", "")
+    old_key = trace_key(program, config)
+    monkeypatch.undo()
+    assert old_key != trace_key(program, config)
+    directory = tmp_path / "cache"
+    directory.mkdir()
+    (directory / f"{old_key}.pkl").write_bytes(
+        pickle.dumps({"occupancy": {}, "_values": {}}))
+    cache = TraceCache(directory=str(directory))
+    calls = []
+    trace = cache.get_or_run(program, config,
+                             lambda: calls.append(1) or "fresh")
+    assert trace == "fresh" and calls == [1]
+    assert cache.stats.misses == 1 and cache.stats.disk_hits == 0
+
+
 def test_disabled_cache_reruns_but_counts():
     cache = TraceCache(enabled=False)
     calls = []

@@ -1,8 +1,8 @@
 """Property-based bit-identity and codec round trips for the trace engine.
 
 The columnar :class:`~repro.uarch.trace.ActivityTrace` replaced the
-seed's per-cycle object-graph recording; the seed path survives as
-``LegacyActivityTrace``, the reference oracle.  These properties pin
+seed's per-cycle object-graph recording; the seed recorder lives on in
+``tests/oracles.py`` as the reference.  These properties pin
 the equivalence over *arbitrary* generated programs — not just the
 canned kernels the unit tests use — on both cores and under ALU fault
 injection, and pin the ``repro-trace/1`` codec: a round trip must be
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tracebench import assert_traces_identical
 from repro.leakage.debugging import (buggy_multiplier,
                                      multiplier_stress_program)
 from repro.uarch import run_program, run_program_ooo
@@ -25,6 +24,8 @@ from repro.uarch.tracecodec import (TraceCodecError, decode_trace,
                                     encode_trace)
 from repro.workloads import fibonacci
 from repro.workloads.generators import RandomProgramBuilder
+
+from .oracles import assert_traces_identical, run_legacy
 
 
 def _random_program(seed, length, **builder_options):
@@ -43,7 +44,7 @@ _PAYLOAD = encode_trace(run_program(fibonacci(6))[0])
 @settings(max_examples=25, deadline=None)
 def test_columnar_matches_legacy_inorder(seed, length):
     program = _random_program(seed, length)
-    legacy, _ = run_program(program, legacy_trace=True)
+    legacy, _ = run_legacy(program)
     columnar, _ = run_program(program)
     assert_traces_identical(legacy, columnar)
 
@@ -52,7 +53,7 @@ def test_columnar_matches_legacy_inorder(seed, length):
 @settings(max_examples=15, deadline=None)
 def test_columnar_matches_legacy_ooo(seed, length):
     program = _random_program(seed, length)
-    legacy, _ = run_program_ooo(program, legacy_trace=True)
+    legacy, _ = run_legacy(program, ooo=True)
     columnar, _ = run_program_ooo(program)
     assert_traces_identical(legacy, columnar)
 
@@ -61,8 +62,7 @@ def test_columnar_matches_legacy_ooo(seed, length):
 @settings(max_examples=10, deadline=None)
 def test_columnar_matches_legacy_under_fault_injection(seed, muls):
     program = multiplier_stress_program(muls, seed=seed)
-    legacy, _ = run_program(program, alu_bug=buggy_multiplier,
-                            legacy_trace=True)
+    legacy, _ = run_legacy(program, alu_bug=buggy_multiplier)
     columnar, _ = run_program(program, alu_bug=buggy_multiplier)
     assert_traces_identical(legacy, columnar)
 

@@ -1,6 +1,5 @@
 """Repository tooling: development gates that run under ``make check``.
 
-``tools.analysis`` is the AST-based invariant analyzer (``repro-lint``);
-``check_docstrings.py`` and ``check_docs.py`` are deprecated thin
-wrappers kept for one release (see ``docs/static-analysis.md``).
+``tools.analysis`` is the AST-based invariant analyzer (``repro-lint``;
+see ``docs/static-analysis.md``).
 """

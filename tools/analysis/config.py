@@ -65,20 +65,12 @@ class AnalysisConfig:
     #: functions) names on the per-cycle simulation hot path; P601
     #: flags any dict/list/set construction inside them — the columnar
     #: trace engine exists precisely because per-cycle object churn
-    #: dominated simulate time.  The ``Legacy*`` reference paths are
-    #: listed too: their allocations carry explicit allow tags so the
-    #: preserved seed cost stays a visible, audited decision.  The
-    #: ``reconstruction.*`` entries are the signal engine's per-trace
-    #: kernels (``repro bench --mode signal`` gates their speedups).
+    #: dominated simulate time.  The ``reconstruction.*`` entries are
+    #: the signal engine's per-trace kernels.
     hot_loop_functions: List[str] = field(default_factory=lambda: [
-        "ActivityTrace.begin_cycle", "ActivityTrace.commit_cycle",
-        "ActivityTrace.end_cycle", "ActivityTrace.record",
+        "ActivityTrace.begin_cycle", "ActivityTrace.end_cycle",
+        "ActivityTrace.record",
         "HardwareLatches.write", "HardwareLatches.write_bubble",
-        "LegacyActivityTrace.begin_cycle",
-        "LegacyActivityTrace.commit_cycle",
-        "LegacyActivityTrace.end_cycle", "LegacyActivityTrace.record",
-        "LegacyHardwareLatches.write",
-        "LegacyHardwareLatches.write_bubble",
         "OutOfOrderCore.step", "Pipeline.step",
         "reconstruction._banded_rhs",
         "reconstruction._overlap_add_synthesize",
@@ -87,13 +79,13 @@ class AnalysisConfig:
     #: flags inside hot-loop functions (matched by unqualified name).
     hot_loop_types: List[str] = field(default_factory=lambda: [
         "StageOccupancy"])
-    #: the sanctioned direct-convolution sites (same naming scheme as
+    #: sanctioned direct-convolution sites (same naming scheme as
     #: ``hot-loop-functions``); P602 flags every other ``np.convolve``
     #: call in ``src`` — Eq. 6 synthesis must go through the planned
-    #: engine (``reconstruct``), with the direct path reserved for the
-    #: bit-exact oracle it is benchmarked against.
-    convolve_oracle_functions: List[str] = field(default_factory=lambda: [
-        "reconstruction._direct_reconstruct"])
+    #: engine (``reconstruct``).  Empty by default: the direct oracle
+    #: lives in ``tests/``, and the one production call carries an
+    #: inline allow tag.
+    convolve_oracle_functions: List[str] = field(default_factory=list)
     #: import roots mapping file paths to dotted module names for the
     #: ProjectIndex; tried in order (``src/repro/cli.py`` ->
     #: ``repro.cli``, ``tools/analysis/cli.py`` -> ``tools.analysis.cli``).

@@ -8,9 +8,7 @@ kernel used to build five ``StageOccupancy`` objects and several dicts
 cold simulate time.  This pass keeps the win: any allocation expression
 that re-enters a configured hot-loop function is a finding, so a casual
 "just build a small dict here" refactor fails ``make lint`` instead of
-silently costing 2x.  The preserved ``Legacy*`` reference paths carry
-explicit ``allow[P601]`` tags — the seed's cost profile there is the
-point, and the tag makes that an audited decision.
+silently costing 2x.
 """
 
 from __future__ import annotations
@@ -140,9 +138,9 @@ class ConvolveOutsideOracleRule(Rule):
 
     The signal engine replaced direct Eq. 6 convolution with a planned
     polyphase/FFT synthesis (``repro.signal.reconstruction``); the
-    seed's ``np.convolve`` evaluation survives solely as the
-    ``method="direct"`` oracle the engine is asserted against.  Any
-    other ``np.convolve`` call in the source tree is a finding unless
+    seed's ``np.convolve`` evaluation survives only as the test oracle
+    the engine is asserted against.  Any ``np.convolve`` call in the
+    source tree is a finding unless
     its enclosing function is listed under
     ``convolve-oracle-functions`` (same ``Class.method`` /
     ``module.function`` naming as the P601 list) or the site carries an
