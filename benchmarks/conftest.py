@@ -6,6 +6,7 @@ shared; every experiment prints its paper-style rows and writes them to
 ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can cite them.
 """
 
+import json
 import os
 from dataclasses import dataclass
 
@@ -77,25 +78,33 @@ def bench_quick() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 
-def write_bench_report(name: str, metadata: dict, profiler=None) -> dict:
+def write_bench_report(name: str, metadata: dict) -> dict:
     """Write one ``BENCH_<name>.json`` report into ``results/``.
 
     The single place that knows the quick/full file-pair convention:
     under ``REPRO_BENCH_QUICK=1`` the report lands in
     ``BENCH_<name>.quick.json`` so the committed full-size artifact
-    stays intact.  Every report also records the ``quick`` flag and the
-    run-manifest path (``None`` unless the bench ran inside a
-    ``--trace-dir``-style recording; see docs/observability.md), then
-    delegates to :func:`repro.profiling.write_bench_json` for the
-    ``repro-bench/1`` envelope.
+    stays intact.  The ``repro-bench/1`` envelope carries the
+    experiment's ``metadata``, the ``quick`` flag, the run-manifest path
+    (``None`` unless the bench ran inside a ``--trace-dir``-style
+    recording; see docs/observability.md), and whatever the global
+    tracer (``spans``: ``Tracer.by_name()``) and metrics registry
+    (``counters``) recorded.  Written atomically; returns the document.
     """
-    from repro.observability import current_manifest_path
-    from repro.profiling import write_bench_json
+    from repro.observability import (current_manifest_path, get_metrics,
+                                     get_tracer)
 
-    suffix = ".quick.json" if bench_quick() else ".json"
-    document = dict(metadata)
+    document = {"schema": "repro-bench/1"}
+    document.update(metadata)
     document.setdefault("quick", bench_quick())
     document.setdefault("manifest", current_manifest_path())
-    return write_bench_json(
-        os.path.join(RESULTS_DIR, f"BENCH_{name}{suffix}"),
-        metadata=document, profiler=profiler)
+    document["spans"] = get_tracer().by_name()
+    document["counters"] = dict(sorted(get_metrics().counters.items()))
+    suffix = ".quick.json" if bench_quick() else ".json"
+    path = os.path.join(RESULTS_DIR, f"BENCH_{name}{suffix}")
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(path + ".tmp", "w") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    os.replace(path + ".tmp", path)
+    return document

@@ -24,9 +24,8 @@ import numpy as np
 import pytest
 
 from conftest import bench_quick, run_once, write_bench_report
+from repro.observability import disable_metrics, enable_metrics
 from repro.parallel import spawn_seed, supervised_map
-from repro.profiling import (disable_profiling, enable_profiling,
-                             supervision_counts)
 from repro.robustness import CheckpointJournal, content_key
 
 QUICK = bench_quick()
@@ -41,6 +40,12 @@ OVERHEAD_CEILING = 0.05
 # 10% crash+hang mix, deterministic by index
 CRASH_STRIDE, CRASH_PHASE = 20, 3
 HANG_STRIDE, HANG_PHASE = 20, 13
+
+# the supervised pool's registry counters, reported zero-filled so the
+# report's shape does not depend on which of them fired
+SUPERVISION_COUNTERS = ("retries", "timeouts", "crashes", "failures",
+                        "rebuilds", "quarantined", "resumed",
+                        "checkpointed")
 
 
 def _payload(index):
@@ -126,8 +131,8 @@ def _journaled_run(journal_path):
 @pytest.mark.benchmark(group="robustness")
 def test_supervised_resume(benchmark, record, tmp_path):
     def experiment():
-        profiler = enable_profiling()
-        profiler.reset()
+        registry = enable_metrics()
+        registry.reset()
         try:
             # -- claim 1: survive a 10% crash+hang fault mix ----------
             faults_dir = str(tmp_path / "faults")
@@ -172,7 +177,7 @@ def test_supervised_resume(benchmark, record, tmp_path):
             for a, b in zip(faulted, reference):
                 assert np.array_equal(a, b)  # faults never change data
         finally:
-            disable_profiling()
+            disable_metrics()
         return write_bench_report(
             "resume",
             metadata={
@@ -191,8 +196,11 @@ def test_supervised_resume(benchmark, record, tmp_path):
                 "checkpoint_overhead": overhead,
                 "resumed_items": len(resume_ledger.resumed),
                 "resume_bit_identical": identical,
-                "supervision": supervision_counts(profiler),
-            }, profiler=profiler)
+                "supervision": {
+                    f"supervise.{name}":
+                        registry.counters.get(f"supervise.{name}", 0)
+                    for name in SUPERVISION_COUNTERS},
+            })
 
     document = run_once(benchmark, experiment)
     lines = [f"{ITEMS} items, {document['injected_crashes']} crashes + "

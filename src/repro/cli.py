@@ -14,8 +14,9 @@ per-cycle amplitudes; ``accuracy`` scores the model on held-out coverage
 groups; ``savat`` computes simulated SAVAT values for instruction pairs;
 ``balance`` applies the branch-timing-balancing pass; ``report`` renders a run manifest (written under ``--trace-dir``) into a
 Markdown run report.
-Global flags: ``--profile`` prints a per-phase wall-time table (including
-trace-cache hit/miss counters) after any command; ``--no-trace-cache``
+Global flags: ``--profile`` records spans and counters in memory and
+prints their tables (per-span calls and seconds, then counters such as
+the trace-cache hits/misses) after any command; ``--no-trace-cache``
 and ``--trace-cache-dir`` control the content-addressed activity-trace
 cache; ``--trace-dir`` records the run (span traces, metrics, a
 ``repro-manifest/1`` manifest + events JSONL) into a directory, and
@@ -35,10 +36,12 @@ from .core import EMSim, Trainer, coverage_groups, load_model, save_model
 from .hardware import BOARDS, HardwareDevice
 from .isa import assemble
 from .leakage import SimulatorSignalSource, savat_matrix
-from .observability import (finish_run, render_report, start_run,
-                            validate_manifest)
+from .observability import (disable_metrics, disable_tracing,
+                            enable_metrics, enable_tracing, finish_run,
+                            get_metrics, get_tracer,
+                            instrumentation_tables, render_report,
+                            start_run, validate_manifest)
 from .parallel import resolve_workers
-from .profiling import enable_profiling, get_profiler
 from .robustness import ConfigurationError, FaultPlan, ReproError
 from .signal import simulation_accuracy
 from .uarch import DEFAULT_CONFIG
@@ -84,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="EMSim (HPCA 2020) reproduction CLI")
     parser.add_argument("--profile", action="store_true",
-                        help="print per-phase wall-time profile after "
+                        help="print span wall times and counters after "
                              "the command finishes")
     parser.add_argument("--no-trace-cache", action="store_true",
                         help="disable the content-addressed activity-"
@@ -341,8 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"train": _cmd_train, "simulate": _cmd_simulate,
                 "accuracy": _cmd_accuracy, "savat": _cmd_savat,
                 "balance": _cmd_balance, "report": _cmd_report}
-    if args.profile:
-        enable_profiling()
     if args.no_trace_cache or args.trace_cache_dir is not None:
         from .core import configure_trace_cache
         configure_trace_cache(enabled=not args.no_trace_cache,
@@ -355,6 +356,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code
+    if args.profile:
+        enable_tracing()
+        enable_metrics().reset()
     try:
         return handlers[args.command](args)
     except ReproError as exc:
@@ -362,11 +366,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.exit_code
     finally:
         if args.profile:
-            print(get_profiler().summary())
+            print("\n".join(instrumentation_tables(
+                get_tracer().by_name(), get_metrics().counters))
+                or "profile: nothing recorded")
         if recording:
+            # finish_run disables tracing and metrics itself
             manifest_path = finish_run()
             if manifest_path is not None:
                 print(f"run manifest written to {manifest_path}")
+        elif args.profile:
+            # leave no recording state behind for later in-process calls
+            disable_tracing()
+            disable_metrics()
+            get_tracer().reset()
+            get_metrics().reset()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,7 +40,6 @@ from ..isa.program import Program
 from ..observability import get_metrics, get_tracer, record_campaign
 from ..parallel import (CampaignLedger, parallel_map, resolve_workers,
                         spawn_seed, supervised_map)
-from ..profiling import get_profiler, monotonic
 from ..robustness.checkpoint import CheckpointJournal
 from ..robustness.errors import CampaignError
 from ..robustness.health import CaptureQuality
@@ -111,7 +110,6 @@ class BatchSimulator:
                       ) -> List[SimulatedSignal]:
         """Simulate every program; returns results in input order."""
         programs = list(programs)
-        profiler = get_profiler()
         with get_tracer().span("batch.simulate_many",
                                programs=len(programs),
                                workers=self.workers):
@@ -127,7 +125,7 @@ class BatchSimulator:
             signals = batch_reconstruct(
                 [amplitudes for _, amplitudes in results],
                 model.config.kernel, samples_per_cycle)
-        profiler.count("batch.programs", len(programs))
+        get_metrics().increment("batch.programs", len(programs))
         return [SimulatedSignal(amplitudes=amplitudes, signal=signal,
                                 trace=trace,
                                 samples_per_cycle=samples_per_cycle)
@@ -152,8 +150,6 @@ class CampaignProbe:
     signal: np.ndarray
     amplitudes: np.ndarray
     quality: Optional[CaptureQuality] = None
-    capture_seconds: float = 0.0
-    deconvolve_seconds: float = 0.0
 
 
 def _campaign_init(device, seed: int, repetitions: int,
@@ -182,20 +178,18 @@ def _campaign_item(item) -> CampaignProbe:
     injector = getattr(device, "fault_injector", None)
     if injector is not None:
         injector.reseed(spawn_seed(seed, index, stream=1))
-    start = monotonic()
-    measurement = device.capture_reference(
-        program, repetitions=_WORKER_STATE["repetitions"],
-        max_cycles=_WORKER_STATE["max_cycles"])
-    captured = monotonic()
-    amplitudes = estimate_cycle_amplitudes(
-        measurement.signal, _WORKER_STATE["kernel"],
-        _WORKER_STATE["samples_per_cycle"])
-    done = monotonic()
+    tracer = get_tracer()
+    with tracer.span("campaign.capture"):
+        measurement = device.capture_reference(
+            program, repetitions=_WORKER_STATE["repetitions"],
+            max_cycles=_WORKER_STATE["max_cycles"])
+    with tracer.span("campaign.deconvolve"):
+        amplitudes = estimate_cycle_amplitudes(
+            measurement.signal, _WORKER_STATE["kernel"],
+            _WORKER_STATE["samples_per_cycle"])
     return CampaignProbe(index=index, program_name=measurement.program_name,
                          signal=measurement.signal, amplitudes=amplitudes,
-                         quality=measurement.quality,
-                         capture_seconds=captured - start,
-                         deconvolve_seconds=done - captured)
+                         quality=measurement.quality)
 
 
 def campaign_probe_key(device: HardwareDevice, program: Program,
@@ -273,18 +267,7 @@ def supervised_campaign(device: HardwareDevice,
                 key_for=key_for if journal is not None else None)
         recording.ledger(ledger)
         recording.checkpoint(getattr(journal, "path", None))
-    profiler = get_profiler()
-    registry = get_metrics()
-    for probe in probes:
-        if probe is None:
-            continue
-        profiler.add_phase("campaign.capture", probe.capture_seconds)
-        profiler.add_phase("campaign.deconvolve", probe.deconvolve_seconds)
-        registry.observe("campaign.capture_seconds",
-                         probe.capture_seconds)
-        registry.observe("campaign.deconvolve_seconds",
-                         probe.deconvolve_seconds)
-    profiler.count("campaign.programs", len(probes))
+    get_metrics().increment("campaign.programs", len(probes))
     return probes, ledger
 
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..isa.program import Program
-from ..profiling import get_profiler
+from ..observability.tracer import get_tracer
 from ..robustness.errors import ConfigurationError
 from ..signal.reconstruction import reconstruct
 from ..uarch.config import CoreConfig, DEFAULT_CONFIG
@@ -83,7 +83,7 @@ class EMSim:
         salt = f"sim:mispredicts={self.switches.model_mispredicts}"
 
         def runner() -> ActivityTrace:
-            with get_profiler().phase("sim.trace"):
+            with get_tracer().span("sim.trace"):
                 return self._run_trace_uncached(program, config,
                                                 max_cycles)
 
@@ -110,12 +110,12 @@ class EMSim:
 
     def simulate_trace(self, trace: ActivityTrace) -> SimulatedSignal:
         """Predict the signal for an existing activity trace."""
-        profiler = get_profiler()
-        with profiler.phase("sim.predict"):
+        tracer = get_tracer()
+        with tracer.span("sim.predict"):
             amplitudes = self.model.predict_cycle_amplitudes(
                 trace, switches=self.switches)
         samples_per_cycle = self.model.config.samples_per_cycle
-        with profiler.phase("sim.reconstruct"):
+        with tracer.span("sim.reconstruct"):
             signal = reconstruct(amplitudes, self.model.config.kernel,
                                  samples_per_cycle)
         return SimulatedSignal(amplitudes=amplitudes, signal=signal,

@@ -24,7 +24,8 @@ file per digest, written atomically).  Activity traces are written as
 compact ``repro-trace/1`` codec bytes; every other artifact kind is
 pickled.  Reads discriminate by the codec magic, and a corrupt or
 truncated file of either flavour is just a miss.  Every lookup feeds
-hit/miss counters into :mod:`repro.profiling` so ``--profile`` shows
+hit/miss counters into the metrics registry
+(:mod:`repro.observability`) so ``--profile`` and run manifests show
 cache effectiveness per category.
 """
 
@@ -43,7 +44,7 @@ from typing import Any, Callable, Dict, Iterator, Optional
 import numpy as np
 
 from ..isa.program import Program
-from ..profiling import get_profiler
+from ..observability.metrics import get_metrics
 from ..uarch.config import CoreConfig
 from ..uarch.trace import ActivityTrace
 from ..uarch.tracecodec import (TraceCodecError, decode_trace, encode_trace,
@@ -193,24 +194,24 @@ class TraceCache:
                    category: str = "trace") -> Any:
         """Cached value for the keyed inputs, running ``runner`` on miss.
 
-        ``category`` labels the profiler counters
+        ``category`` labels the registry counters
         (``trace_cache.<category>.hits`` / ``.misses``) so distinct
         artifact kinds — raw traces, simulator traces, ideal captures —
-        report separately under ``--profile``.
+        report separately under ``--profile`` and in run manifests.
         """
-        profiler = get_profiler()
+        metrics = get_metrics()
         key = trace_key(program, config, core_kind=core_kind,
                         max_cycles=max_cycles, salt=salt)
         disk_hits_before = self.stats.disk_hits
         value = self.lookup(key)
         if value is not None:
             self.stats.hits += 1
-            profiler.count(f"trace_cache.{category}.hits")
+            metrics.increment(f"trace_cache.{category}.hits")
             if self.stats.disk_hits != disk_hits_before:
-                profiler.count(f"trace_cache.{category}.disk_hits")
+                metrics.increment(f"trace_cache.{category}.disk_hits")
             return value
         self.stats.misses += 1
-        profiler.count(f"trace_cache.{category}.misses")
+        metrics.increment(f"trace_cache.{category}.misses")
         value = runner()
         self.store(key, value)
         return value

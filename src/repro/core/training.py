@@ -29,7 +29,6 @@ from ..hardware.device import HardwareDevice, Measurement
 from ..isa.program import Program
 from ..observability import get_tracer, record_campaign
 from ..parallel import resolve_workers, spawn_seed, supervised_map
-from ..profiling import get_profiler, monotonic
 from ..robustness.checkpoint import CheckpointJournal
 from ..robustness.errors import (CampaignError, ConvergenceError,
                                  ProbeError)
@@ -83,9 +82,10 @@ def _pool_measure(item):
     injector = getattr(device, "fault_injector", None)
     if injector is not None:
         injector.reseed(spawn_seed(_POOL_STATE["seed"], index, stream=1))
-    return _POOL_STATE["supervisor"].measure(
-        program, method=_POOL_STATE["method"],
-        repetitions=_POOL_STATE["repetitions"])
+    with get_tracer().span("train.capture"):
+        return _POOL_STATE["supervisor"].measure(
+            program, method=_POOL_STATE["method"],
+            repetitions=_POOL_STATE["repetitions"])
 
 
 @dataclass
@@ -239,7 +239,7 @@ class Trainer:
     def _measure(self, program: Program) -> Measurement:
         """One gated capture through the supervisor, off the device's
         own RNG stream (single probes outside a batch)."""
-        with get_profiler().phase("train.capture"):
+        with get_tracer().span("train.capture"):
             measurement, outcome = self.supervisor.measure(
                 program, method=self.capture_method,
                 repetitions=self.repetitions)
@@ -271,8 +271,6 @@ class Trainer:
             return trace_key(program, self.device.core_config,
                              core_kind=self.device.core_kind, salt=salt)
 
-        profiler = get_profiler()
-        start = monotonic()
         with get_tracer().span("train.measure_many", batch=batch,
                                probes=len(programs)):
             results, ledger = supervised_map(
@@ -289,8 +287,6 @@ class Trainer:
                 seed=self.seed,
                 journal=self._journal,
                 key_for=key_for if self._journal is not None else None)
-        profiler.add_phase("train.capture", monotonic() - start,
-                           calls=len(programs))
         if not ledger.complete:
             raise CampaignError(
                 f"probe batch {batch} lost {len(ledger.quarantined)} of "
@@ -312,7 +308,7 @@ class Trainer:
         amplitude accumulator (reported as ``deconvolution`` in the
         :class:`TrainingReport`) — one pass, no matrices retained.
         """
-        with get_profiler().phase("train.deconvolve"):
+        with get_tracer().span("train.deconvolve"):
             amplitudes = estimate_cycle_amplitudes(
                 measurement.signal, self.config.kernel,
                 self.config.samples_per_cycle)

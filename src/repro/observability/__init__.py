@@ -1,21 +1,21 @@
-"""Run-record observability: span tracer, metrics registry, manifests.
+"""The one instrumentation layer: spans, metrics, run manifests.
 
-Three cooperating layers (see ``docs/observability.md``):
+Every timing and counter in the program goes through this package
+(see ``docs/observability.md``):
 
-* :mod:`repro.observability.tracer` — context-manager span tracer on
-  the monotonic clock, with a spool/merge protocol that carries worker
-  spans and metric deltas back across :class:`repro.parallel.SupervisedPool`
-  process boundaries;
+* :mod:`repro.observability.tracer` — the sanctioned :func:`monotonic`
+  clock and a context-manager span tracer on it, with a spool/merge
+  protocol that carries worker spans and metric deltas back across
+  :class:`repro.parallel.SupervisedPool` process boundaries;
 * :mod:`repro.observability.metrics` — deterministic counters, gauges,
-  and fixed-edge histograms, absorbing the legacy profiler counters
-  through :func:`repro.profiling.set_counter_sink`;
+  and fixed-edge histograms;
 * :mod:`repro.observability.manifest` / ``report`` — per-run JSONL
   events plus one atomic ``manifest.json`` (schema ``repro-manifest/1``)
-  and the Markdown renderer behind ``repro report``.
+  and the Markdown renderer behind ``repro report`` and ``--profile``.
 
-Everything is off by default: without ``--trace-dir`` (or an explicit
-:func:`start_run`) every hook is a no-op and runs are bit-identical to
-an un-instrumented build.
+Everything is off by default: without ``--trace-dir`` or ``--profile``
+(or an explicit :func:`start_run`) every hook is a no-op and runs are
+bit-identical to an un-instrumented build.
 """
 
 from .manifest import (MANIFEST_SCHEMA, CampaignRecord, RunRecorder,
@@ -23,10 +23,12 @@ from .manifest import (MANIFEST_SCHEMA, CampaignRecord, RunRecorder,
                        get_recorder, record_campaign, start_run)
 from .metrics import (DEFAULT_TIME_EDGES, Histogram, MetricsRegistry,
                       disable_metrics, enable_metrics, get_metrics)
-from .report import render_report, validate_manifest
+from .report import (instrumentation_tables, render_report,
+                     validate_manifest)
 from .tracer import (Span, Tracer, create_spool, disable_tracing,
                      enable_tracing, flush_worker_records, get_tracer,
-                     merge_spool, reset_flush_baseline, set_spool_root)
+                     merge_spool, monotonic, reset_flush_baseline,
+                     set_spool_root)
 
 __all__ = [
     "CampaignRecord",
@@ -49,7 +51,9 @@ __all__ = [
     "get_metrics",
     "get_recorder",
     "get_tracer",
+    "instrumentation_tables",
     "merge_spool",
+    "monotonic",
     "record_campaign",
     "render_report",
     "reset_flush_baseline",

@@ -24,11 +24,10 @@ import os
 from contextlib import contextmanager, suppress
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..profiling import monotonic
 from ..robustness import ConfigurationError
 from .metrics import disable_metrics, enable_metrics, get_metrics
 from .tracer import (disable_tracing, enable_tracing, get_tracer,
-                     set_spool_root)
+                     monotonic, set_spool_root)
 
 #: Version tag stamped on both the manifest and the event stream.
 MANIFEST_SCHEMA = "repro-manifest/1"

@@ -1,12 +1,8 @@
 """Deterministic metrics registry: counters, gauges, fixed-edge histograms.
 
-The registry is the one sink for run-level quantitative telemetry.  It
-absorbs the ad-hoc profiler counters (``supervise.*``,
-``trace_cache.*``, ``batch.*``, ...) through a compatibility shim: when
-the registry is enabled it installs itself as the
-:func:`repro.profiling.set_counter_sink`, so every
-``Profiler.count(name)`` call — even on a disabled profiler — is
-mirrored into the registry without touching any call site.
+The registry is the one sink for run-level quantitative telemetry:
+every counter the program bumps (``supervise.*``, ``trace_cache.*``,
+``batch.*``, ...) goes through :meth:`MetricsRegistry.increment`.
 
 Histograms use *fixed* bucket edges chosen at registration time so the
 exported bucket counts are deterministic across runs and machines: the
@@ -14,15 +10,14 @@ same sequence of observations always lands in the same buckets,
 regardless of timing jitter in unrelated code.
 
 Nothing here reads a wall clock; values are supplied by callers (who
-use :func:`repro.profiling.monotonic` for durations).
+use :func:`repro.observability.monotonic` for durations).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..profiling import set_counter_sink
 from ..robustness import ConfigurationError
 
 #: Default histogram bucket edges for durations in seconds: a coarse
@@ -206,19 +201,15 @@ def get_metrics() -> MetricsRegistry:
 
 
 def enable_metrics() -> MetricsRegistry:
-    """Enable the global registry and install the profiler-counter
-    compatibility shim, so legacy ``Profiler.count`` call sites feed
-    the registry without modification."""
+    """Enable the global registry and return it."""
     _GLOBAL.enabled = True
-    set_counter_sink(_GLOBAL.increment)
     return _GLOBAL
 
 
 def disable_metrics() -> None:
-    """Disable collection and uninstall the profiler-counter shim.
+    """Disable collection.
 
     Recorded values are kept so callers can export after disabling;
     use :meth:`MetricsRegistry.reset` to clear them.
     """
     _GLOBAL.enabled = False
-    set_counter_sink(None)

@@ -75,6 +75,30 @@ def _table(headers: Sequence[str],
     return lines
 
 
+def instrumentation_tables(by_name: Dict[str, Dict[str, float]],
+                           counters: Dict[str, int]) -> List[str]:
+    """Markdown span table (calls, seconds) and counter table.
+
+    ``by_name`` is a :meth:`~repro.observability.Tracer.by_name` digest
+    and ``counters`` a registry's counter dict; an empty input omits its
+    section.  Shared by :func:`render_report` and the CLI's
+    ``--profile`` so both print the same tables.
+    """
+    lines: List[str] = []
+    if by_name:
+        lines += ["", "## Spans", ""]
+        lines += _table(["span", "calls", "seconds"],
+                        [[f"`{name}`", int(by_name[name]["calls"]),
+                          f"{float(by_name[name]['seconds']):.3f}"]
+                         for name in sorted(by_name)])
+    if counters:
+        lines += ["", "## Counters", ""]
+        lines += _table(["counter", "value"],
+                        [[f"`{name}`", counters[name]]
+                         for name in sorted(counters)])
+    return lines
+
+
 def render_report(document: Dict[str, Any],
                   journal: Optional[Dict[str, Any]] = None) -> str:
     """Render a validated manifest (and optional journal summary from
@@ -129,12 +153,9 @@ def render_report(document: Dict[str, Any],
                       ("hits", "misses", "evictions", "disk_hits")]])
 
     metrics = document.get("metrics") or {}
-    counters = metrics.get("counters") or {}
-    if counters:
-        lines += ["", "## Counters", ""]
-        lines += _table(["counter", "value"],
-                        [[f"`{name}`", counters[name]]
-                         for name in sorted(counters)])
+    spans = document.get("spans") or {}
+    lines += instrumentation_tables(spans.get("by_name") or {},
+                                    metrics.get("counters") or {})
     gauges = metrics.get("gauges") or {}
     if gauges:
         lines += ["", "## Gauges", ""]
@@ -153,15 +174,6 @@ def render_report(document: Dict[str, Any],
             rows.append([f"`{name}`", count, f"{total:.3f}",
                          f"{mean:.4f}"])
         lines += _table(["histogram", "count", "total", "mean"], rows)
-
-    spans = document.get("spans") or {}
-    by_name = spans.get("by_name") or {}
-    if by_name:
-        lines += ["", "## Spans", ""]
-        rows = [[f"`{name}`", int(by_name[name]["calls"]),
-                 f"{float(by_name[name]['seconds']):.3f}"]
-                for name in sorted(by_name)]
-        lines += _table(["span", "calls", "seconds"], rows)
 
     if journal:
         lines += ["", "## Checkpoint journal", ""]

@@ -2,7 +2,7 @@
 
 A *span* is one finished, timed region: a name, its slash-joined
 nesting path, a start offset and duration on the monotonic clock
-(:func:`repro.profiling.monotonic` — never a wall clock), optional
+(:func:`monotonic` — never a wall clock), optional
 attributes, and the recording pid.  Spans are recorded through the
 context-manager :meth:`Tracer.span`; while the tracer is disabled (the
 default) the context manager is a no-op, so un-instrumented runs stay
@@ -26,12 +26,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from ..profiling import monotonic
 from .metrics import get_metrics
+
+
+def monotonic() -> float:
+    """High-resolution monotonic timestamp (seconds).
+
+    The one sanctioned clock read for instrumented code outside this
+    module: simulation-core files must route timing through here (or
+    :meth:`Tracer.span`) so the ``D102`` determinism lint can guarantee
+    no other time dependence exists in the core.  Durations derived
+    from it may only feed spans and benchmark reports — never model
+    outputs.
+    """
+    return time.perf_counter()
 
 
 @dataclass
@@ -152,8 +165,9 @@ def set_spool_root(path: Optional[str]) -> None:
 
 def create_spool() -> Optional[str]:
     """A fresh spool directory for one pooled campaign, or ``None``
-    when tracing is disabled (so the pool skips spooling entirely)."""
-    if not _GLOBAL.enabled:
+    when neither tracing nor metrics are enabled (so the pool skips
+    spooling entirely)."""
+    if not (_GLOBAL.enabled or get_metrics().enabled):
         return None
     return tempfile.mkdtemp(prefix="spool-", dir=_SPOOL_ROOT)
 

@@ -51,9 +51,10 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 import numpy as np
 
 from .ipc import SharedArrayArena, export_value
+from .observability.metrics import get_metrics
 from .observability.tracer import (create_spool, flush_worker_records,
-                                   merge_spool, reset_flush_baseline)
-from .profiling import get_profiler, monotonic
+                                   merge_spool, monotonic,
+                                   reset_flush_baseline)
 from .robustness.errors import CampaignError, ConfigurationError
 
 __all__ = ["resolve_workers", "parallel_map", "spawn_seed",
@@ -272,9 +273,10 @@ def _supervised_init(queue: object, function: Callable,
                      arena_prefix: Optional[str] = None) -> None:
     """Install the start-report queue + user initializer in a worker.
 
-    ``spool`` (set when the parent is tracing) is the directory this
-    worker appends its span/metric records to; the flush baseline is
-    reset first so recordings inherited from the parent at fork time —
+    ``spool`` (set when the parent records spans or metrics) is the
+    directory this worker appends its span/metric records to; the
+    flush baseline is reset first so recordings inherited from the
+    parent at fork time —
     including after a mid-campaign pool rebuild — are never re-spooled.
     ``arena_prefix`` (set when the parent opened a
     :class:`~repro.ipc.SharedArrayArena`) turns on shared-memory export
@@ -403,7 +405,7 @@ class SupervisedPool:
                     for index in range(len(items))]
         results: List[Optional[_ResultT]] = [None] * len(items)
         ledger = CampaignLedger(outcomes=outcomes)
-        profiler = get_profiler()
+        metrics = get_metrics()
         keys: Optional[List[str]] = None
         pending: List[int] = list(range(len(items)))
         if journal is not None:
@@ -414,7 +416,7 @@ class SupervisedPool:
                 if keys[index] in journal:
                     results[index] = journal.lookup(keys[index])
                     outcomes[index].resumed = True
-                    profiler.count("supervise.resumed")
+                    metrics.increment("supervise.resumed")
                 else:
                     fresh.append(index)
             pending = fresh
@@ -425,8 +427,8 @@ class SupervisedPool:
         use_pool = self.policy.timeout is not None or \
             (effective > 1 and len(pending) > 1)
         if use_pool:
-            # span/metric spool for tracing across the process boundary
-            # (None while the tracer is disabled — zero overhead)
+            # span/metric spool across the process boundary (None
+            # while tracer and metrics are disabled — zero overhead)
             spool = create_spool()
             # shared-memory result channel: large arrays cross the
             # process boundary as segment refs instead of pickle bytes
@@ -453,7 +455,7 @@ class SupervisedPool:
                 self._run_pool(context, pool, queue, function, items,
                                pending, results, outcomes, ledger,
                                journal, keys, propagate,
-                               max(1, effective), profiler, spool,
+                               max(1, effective), metrics, spool,
                                arena)
             finally:
                 merge_spool(spool)
@@ -462,7 +464,7 @@ class SupervisedPool:
         else:
             self._run_serial(function, items, pending, results,
                              outcomes, journal, keys, propagate,
-                             profiler)
+                             metrics)
         return results, ledger
 
     # ------------------------------------------------------------------
@@ -470,39 +472,39 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     def _journal_success(self, journal: object,
                          keys: Optional[List[str]], index: int,
-                         value: object, profiler: object) -> None:
+                         value: object, metrics: object) -> None:
         if journal is not None and keys is not None:
             journal.record(keys[index], index, value)
-            profiler.count("supervise.checkpointed")
+            metrics.increment("supervise.checkpointed")
 
     def _note_retry(self, outcome: ItemOutcome,
-                    profiler: object) -> None:
+                    metrics: object) -> None:
         wait = self.policy.backoff(outcome.index, outcome.retries)
         outcome.retries += 1
         outcome.waited += wait
-        profiler.count("supervise.retries")
+        metrics.increment("supervise.retries")
         if self.policy.sleep is not None:
             self.policy.sleep(wait)
 
     def _register_failure(self, outcome: ItemOutcome, kind: str,
-                          message: str, profiler: object) -> bool:
+                          message: str, metrics: object) -> bool:
         """Charge one failed attempt; True when the item may retry."""
         outcome.failures += 1
         outcome.errors.append(message)
         if kind == "timeout":
             outcome.timeouts += 1
-            profiler.count("supervise.timeouts")
+            metrics.increment("supervise.timeouts")
         elif kind == "crash":
             outcome.crashes += 1
-            profiler.count("supervise.crashes")
+            metrics.increment("supervise.crashes")
         else:
-            profiler.count("supervise.failures")
+            metrics.increment("supervise.failures")
         if outcome.failures <= self.policy.max_item_retries:
-            self._note_retry(outcome, profiler)
+            self._note_retry(outcome, metrics)
             return True
         outcome.status = OUTCOME_TIMEOUT if kind == "timeout" \
             else OUTCOME_QUARANTINED
-        profiler.count("supervise.quarantined")
+        metrics.increment("supervise.quarantined")
         return False
 
     def _finish(self, outcome: ItemOutcome) -> None:
@@ -516,7 +518,7 @@ class SupervisedPool:
                     pending: List[int], results: list,
                     outcomes: List[ItemOutcome], journal: object,
                     keys: Optional[List[str]], propagate: bool,
-                    profiler: object) -> None:
+                    metrics: object) -> None:
         if self.initializer is not None:
             self.initializer(*self.initargs)
         for index in pending:
@@ -528,7 +530,7 @@ class SupervisedPool:
                 except Exception as exc:
                     message = f"{type(exc).__name__}: {exc}"
                     if self._register_failure(outcome, "error", message,
-                                              profiler):
+                                              metrics):
                         continue
                     if propagate:
                         # repro: allow[E601] deliberate re-raise of the
@@ -539,7 +541,7 @@ class SupervisedPool:
                 results[index] = value
                 self._finish(outcome)
                 self._journal_success(journal, keys, index, value,
-                                      profiler)
+                                      metrics)
                 break
 
     # ------------------------------------------------------------------
@@ -572,7 +574,7 @@ class SupervisedPool:
                   results: list, outcomes: List[ItemOutcome],
                   ledger: CampaignLedger, journal: object,
                   keys: Optional[List[str]], propagate: bool,
-                  processes: int, profiler: object,
+                  processes: int, metrics: object,
                   spool: Optional[str] = None,
                   arena: Optional[SharedArrayArena] = None) -> None:
         timeout = self.policy.timeout
@@ -595,7 +597,7 @@ class SupervisedPool:
             pool.join()
             owner.clear()
             ledger.pool_rebuilds += 1
-            profiler.count("supervise.rebuilds")
+            metrics.increment("supervise.rebuilds")
             pool = context.Pool(
                 processes=processes,
                 initializer=_supervised_init,
@@ -629,7 +631,7 @@ class SupervisedPool:
             else:
                 message = f"{type(exc).__name__}: {exc}"
             if self._register_failure(outcomes[index], kind, message,
-                                      profiler):
+                                      metrics):
                 waiting.append((index, True))
                 return
             if propagate:
@@ -669,7 +671,7 @@ class SupervisedPool:
                         results[index] = value
                         self._finish(outcomes[index])
                         self._journal_success(journal, keys, index,
-                                              value, profiler)
+                                              value, metrics)
 
                 # 2. attribute crashed workers to the items they owned
                 drain_started()

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from ..observability.metrics import get_metrics
-from ..profiling import get_profiler
+from ..observability.tracer import get_tracer
 from ..robustness.errors import ConfigurationError
 from .kernels import Kernel
 
@@ -287,14 +287,13 @@ def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
     once per geometry) — per-trace outputs are bit-identical to the
     sequential path.
     """
-    profiler = get_profiler()
     signals = []
-    with profiler.phase("signal.batch_reconstruct"):
+    with get_tracer().span("signal.batch_reconstruct"):
         for amplitudes in amplitude_sets:
             amplitudes = np.asarray(amplitudes, dtype=float)
             signals.append(_synthesize(amplitudes, kernel,
                                        samples_per_cycle))
-    profiler.count("batch_reconstructions", len(amplitude_sets))
+    get_metrics().increment("batch_reconstructions", len(amplitude_sets))
     return signals
 
 
@@ -413,21 +412,20 @@ def batch_estimate_cycle_amplitudes(signals: Sequence[np.ndarray],
     path to the solver's roundoff (well inside 1e-9) and come back in
     input order.
     """
-    profiler = get_profiler()
     signals = [np.asarray(signal, dtype=float) for signal in signals]
     groups: Dict[int, List[int]] = {}
     for index, signal in enumerate(signals):
         _check_signal_alignment(len(signal), samples_per_cycle)
         groups.setdefault(len(signal), []).append(index)
     results: List[np.ndarray] = [None] * len(signals)  # type: ignore
-    with profiler.phase("signal.batch_estimate"):
+    with get_tracer().span("signal.batch_estimate"):
         for length, indices in groups.items():
             plan = _deconv_plan(kernel, samples_per_cycle,
                                 length // samples_per_cycle, float(ridge))
             solution = plan.solve(np.stack([signals[i] for i in indices]))
             for row, index in enumerate(indices):
                 results[index] = np.ascontiguousarray(solution[row])
-    profiler.count("batch_deconvolutions", len(signals))
+    get_metrics().increment("batch_deconvolutions", len(signals))
     return results
 
 

@@ -41,7 +41,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..isa.instructions import Instruction
-from ..profiling import get_profiler
+from ..observability.metrics import get_metrics
 from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
                      StallEvent)
 from .latches import STAGE_REGISTERS, STAGES, TOTAL_REGISTERS
@@ -134,7 +134,7 @@ def encode_trace(trace) -> bytes:
         "sections": manifest,
         "body_bytes": len(body),
     }, sort_keys=True, separators=(",", ":")).encode()
-    get_profiler().count("trace.codec.encodes")
+    get_metrics().increment("trace.codec.encodes")
     return MAGIC + struct.pack("<I", len(meta)) + meta + \
         zlib.compress(body, _COMPRESSION_LEVEL)
 
@@ -240,5 +240,5 @@ def decode_trace(payload: bytes):
     trace.retired = [RetiredInstruction(seq=seq, pc=pc, instr=table[code],
                                         cycle=cycle)
                      for seq, pc, code, cycle in events["retired"]]
-    get_profiler().count("trace.codec.decodes")
+    get_metrics().increment("trace.codec.decodes")
     return trace

@@ -723,12 +723,13 @@ class TestCampaignManifest:
 
 class TestMetricReference:
     SOURCE = textwrap.dedent("""
-        def run(profiler, category):
-            profiler.count("demo.items", 3)
-            with profiler.phase("demo.fit"):
+        def run(metrics, tracer, category):
+            metrics.increment("demo.items", 3)
+            with tracer.span("demo.fit"):
                 pass
-            profiler.count(f"demo.{category}.hits")
+            metrics.increment(f"demo.{category}.hits")
             total = "xyz".count("y")
+            metrics.increment("y")
         """)
 
     def _project(self, tmp_path, table):

@@ -22,8 +22,8 @@ from repro.core import (BatchSimulator, EMSim, ModelSwitches, Trainer,
                         measurement_campaign, model_to_dict, train_emsim)
 from repro.hardware import HardwareDevice
 from repro.parallel import spawn_seed
-from repro.profiling import (Profiler, disable_profiling, enable_profiling,
-                             write_bench_json)
+from repro.observability import (disable_metrics, disable_tracing,
+                                 enable_metrics, enable_tracing)
 from repro.robustness import FaultPlan
 from repro.signal import (DEFAULT_KERNEL, batch_estimate_cycle_amplitudes,
                           batch_reconstruct, estimate_cycle_amplitudes,
@@ -225,36 +225,20 @@ def test_trace_pickle_drops_transition_cache(trained):
 
 
 # ---------------------------------------------------------------------------
-# profiling
+# instrumentation
 # ---------------------------------------------------------------------------
-def test_profiler_merge_and_bench_json(tmp_path):
-    parent, child = Profiler(enabled=True), Profiler(enabled=True)
-    parent.add_phase("sim.trace", 1.0, calls=2)
-    child.add_phase("sim.trace", 0.5)
-    child.count("batch.programs", 7)
-    parent.merge(child)
-    assert parent.phases["sim.trace"].seconds == pytest.approx(1.5)
-    assert parent.phases["sim.trace"].calls == 3
-    assert parent.counters["batch.programs"] == 7
-
-    path = tmp_path / "BENCH_sim.json"
-    document = write_bench_json(str(path), metadata={"speedup": 3.0},
-                                profiler=parent)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == document
-    assert on_disk["schema"] == "repro-bench/1"
-    assert on_disk["speedup"] == 3.0
-    assert on_disk["phases"]["sim.trace"]["calls"] == 3
-
-
 def test_campaign_records_profile_phases():
-    profiler = enable_profiling()
-    profiler.reset()
+    tracer, registry = enable_tracing(), enable_metrics()
+    registry.reset()
     try:
         measurement_campaign(HardwareDevice(seed=3), _programs(2),
                              repetitions=8, workers=1, seed=0)
-        assert "campaign.capture" in profiler.phases
-        assert "campaign.deconvolve" in profiler.phases
-        assert profiler.counters["campaign.programs"] == 2
+        spans = tracer.by_name()
+        assert spans["campaign.capture"]["calls"] == 2
+        assert spans["campaign.deconvolve"]["calls"] == 2
+        assert registry.counters["campaign.programs"] == 2
     finally:
-        disable_profiling().reset()
+        disable_tracing()
+        disable_metrics()
+        tracer.reset()
+        registry.reset()

@@ -34,6 +34,20 @@ def test_simulate_program(model_path, tmp_path, capsys):
     assert len(lines) > 5
 
 
+def test_profile_prints_spans_and_leaves_recording_off(model_path, tmp_path,
+                                                      capsys):
+    from repro.observability import get_metrics, get_tracer
+    source = tmp_path / "profiled.s"
+    # a program no other test simulates, so sim.trace misses the cache
+    source.write_text("li t0, 7\naddi t1, t0, 5\nxor t2, t1, t0\nebreak\n")
+    assert main(["--profile", "simulate", "--model", model_path,
+                 str(source)]) == 0
+    output = capsys.readouterr().out
+    assert "| `sim.trace` | 1 |" in output
+    assert not get_tracer().enabled and get_tracer().spans == []
+    assert not get_metrics().enabled and get_metrics().counters == {}
+
+
 def test_savat_command(model_path, capsys):
     assert main(["savat", "--model", model_path,
                  "--pairs", "ADD/NOP,NOP/NOP"]) == 0

@@ -1,8 +1,8 @@
 """Tests for the run-record observability layer (repro.observability).
 
 Covers the span tracer (nesting, attributes, disabled no-op), the
-deterministic metrics registry (delta/merge transport, the profiler
-counter shim, fixed histogram edges), run manifests (schema
+deterministic metrics registry (delta/merge transport, fixed histogram
+edges), run manifests (schema
 ``repro-manifest/1``, event stream, atomic finalize), the Markdown
 report renderer against a golden file, the cross-process span/metric
 merge through the supervised pool at workers=1 and workers=4, the CLI
@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import configure_trace_cache, measurement_campaign
+from repro.hardware import HardwareDevice
 from repro.observability import (MANIFEST_SCHEMA, Histogram,
                                  MetricsRegistry, config_hash,
                                  current_manifest_path, disable_metrics,
@@ -27,9 +29,9 @@ from repro.observability import (MANIFEST_SCHEMA, Histogram,
                                  set_spool_root, start_run,
                                  validate_manifest)
 from repro.parallel import spawn_seed, supervised_map
-from repro.profiling import get_profiler
 from repro.robustness import CheckpointError, ConfigurationError
 from repro.robustness.checkpoint import JOURNAL_SCHEMA, journal_summary
+from repro.workloads import RandomProgramBuilder
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -169,17 +171,6 @@ def test_histogram_add_counts_folds_buckets():
     assert histogram.counts == [3, 1]
     assert histogram.count == 4
     assert histogram.total == pytest.approx(5.0)
-
-
-def test_profiler_counter_shim_feeds_registry():
-    registry = enable_metrics()
-    profiler = get_profiler()
-    assert not profiler.enabled  # shim works with the profiler off
-    profiler.count("shim.test_items", 3)
-    assert registry.counters["shim.test_items"] == 3
-    disable_metrics()
-    profiler.count("shim.test_items", 5)
-    assert registry.counters["shim.test_items"] == 3
 
 
 # ---------------------------------------------------------------------
@@ -373,7 +364,6 @@ def test_report_minimal_manifest():
 def _traced_item(index):
     with get_tracer().span("test.item", index=index):
         get_metrics().increment("test.items_done")
-        get_profiler().count("test.shim_items")
     return index * 2
 
 
@@ -403,7 +393,29 @@ def test_cross_process_merge(tmp_path, workers):
     validate_manifest(document)
     assert document["spans"]["by_name"]["test.item"]["calls"] == 8
     assert document["metrics"]["counters"]["test.items_done"] == 8
-    assert document["metrics"]["counters"]["test.shim_items"] == 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_instrumentation_independent_of_worker_count(workers):
+    """In-memory spans and counters see every probe at any worker count.
+
+    ``item_timeout`` forces the forked pool at workers=2 even on a
+    single-CPU host, so worker recordings must come back through the
+    spool to be counted.
+    """
+    extra = {"item_timeout": 600.0} if workers > 1 else {}
+    builder = RandomProgramBuilder(seed=5)
+    programs = [builder.program(24, name=f"prog_{index}")
+                for index in range(4)]
+    configure_trace_cache(clear=True)
+    enable_tracing()
+    enable_metrics().reset()
+    measurement_campaign(HardwareDevice(seed=3), programs, repetitions=8,
+                         workers=workers, seed=9, **extra)
+    spans = get_tracer().by_name()
+    assert spans["campaign.capture"]["calls"] == 4
+    assert spans["campaign.deconvolve"]["calls"] == 4
+    assert get_metrics().counters["trace_cache.device.misses"] == 4
 
 
 def test_serial_path_records_in_process(tmp_path):

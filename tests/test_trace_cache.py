@@ -17,7 +17,7 @@ from repro.core.trace_cache import (TraceCache, configure_trace_cache,
                                     get_trace_cache, trace_cache_disabled,
                                     trace_key)
 from repro.hardware import HardwareDevice
-from repro.profiling import disable_profiling, enable_profiling
+from repro.observability import disable_metrics, enable_metrics
 from repro.robustness import FaultPlan
 from repro.uarch.config import CoreConfig
 
@@ -178,17 +178,17 @@ def test_disabled_cache_reruns_but_counts():
 
 
 def test_profiler_sees_hit_and_miss_counters():
-    profiler = enable_profiling()
-    profiler.reset()
+    registry = enable_metrics()
+    registry.reset()
     try:
         cache = TraceCache()
         program, config = isolation_probe(ALU), CoreConfig()
         cache.get_or_run(program, config, lambda: "v", category="unit")
         cache.get_or_run(program, config, lambda: "v", category="unit")
     finally:
-        disable_profiling()
-    assert profiler.counters["trace_cache.unit.misses"] == 1
-    assert profiler.counters["trace_cache.unit.hits"] == 1
+        disable_metrics()
+    assert registry.counters["trace_cache.unit.misses"] == 1
+    assert registry.counters["trace_cache.unit.hits"] == 1
 
 
 def test_configure_trace_cache_controls_the_global_instance():

@@ -40,7 +40,7 @@ class AnalysisConfig:
         "src/repro/core", "src/repro/uarch", "src/repro/signal"])
     #: modules that own timing primitives, exempt from D102 entirely.
     clock_owner_modules: List[str] = field(default_factory=lambda: [
-        "src/repro/profiling.py"])
+        "src/repro/observability/tracer.py"])
     #: packages whose public API must be fully annotated (A404).
     annotations_packages: List[str] = field(default_factory=lambda: [
         "src/repro/core"])

@@ -51,7 +51,7 @@ WALL_CLOCK_FNS = frozenset({
     "datetime.datetime.today", "datetime.date.today",
 })
 
-#: monotonic clocks: fine for profiling layers, banned in the
+#: monotonic clocks: fine for instrumentation, banned in the
 #: simulation core where outputs must not depend on timing at all.
 MONOTONIC_CLOCK_FNS = frozenset({
     "time.monotonic", "time.monotonic_ns", "time.perf_counter",
@@ -100,7 +100,7 @@ class WallClockRule(Rule):
     monotonic clocks (``perf_counter`` and friends) are additionally
     banned inside the ``monotonic-strict`` packages — the simulation
     core's outputs must not be able to depend on timing.  Modules
-    listed as ``clock-owner-modules`` (the profiling layer) are exempt:
+    listed as ``clock-owner-modules`` (the span tracer) are exempt:
     they *are* the sanctioned place to read clocks.
     """
 
@@ -122,9 +122,9 @@ class WallClockRule(Rule):
         elif qual in MONOTONIC_CLOCK_FNS and \
                 path_matches(ctx.path, ctx.config.monotonic_strict):
             yield node, (f"{qual}() inside the simulation core; route "
-                         f"timing through repro.profiling (monotonic()/"
-                         f"Profiler.phase) so core outputs stay "
-                         f"seed-pure")
+                         f"timing through repro.observability "
+                         f"(monotonic()/Tracer.span) so core outputs "
+                         f"stay seed-pure")
 
 
 class UnsortedWalkRule(Rule):

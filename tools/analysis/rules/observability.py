@@ -8,8 +8,8 @@ Two invariants guard the observability layer added for run manifests:
   supervised pool has to create a campaign record (or visibly accept
   one), otherwise a run manifest silently loses that campaign.
 * ``A502`` — the instrumentation-name reference table in
-  ``docs/observability.md`` must list exactly the span/phase/counter/
-  gauge/histogram names the source emits, so the docs cannot rot as
+  ``docs/observability.md`` must list exactly the span/counter/gauge/
+  histogram names the source emits, so the docs cannot rot as
   instrumentation is added or renamed.
 """
 
@@ -95,9 +95,8 @@ class CampaignManifestRule(Rule):
 
 
 #: instrumentation-emitting methods whose literal first argument is a
-#: span/phase/counter/gauge/histogram name.
-_EMITTERS = frozenset({"count", "increment", "set_gauge", "observe",
-                       "span", "phase", "add_phase"})
+#: span/counter/gauge/histogram name.
+_EMITTERS = frozenset({"increment", "set_gauge", "observe", "span"})
 
 #: shape of a real instrumentation name — lowercase segments joined by
 #: dots, with ``<placeholder>`` segments for f-string parameters.
@@ -109,8 +108,8 @@ def _is_name(token: str) -> bool:
 
     Beyond the shape regex, a real name always carries a dot (a
     namespace) or an underscore (a multi-word counter); this is what
-    keeps unrelated stdlib calls such as ``"xyz".count("y")`` out of
-    the extracted set.
+    keeps single-word literals passed to unrelated same-named methods
+    out of the extracted set.
     """
     return bool(_NAME_RE.match(token)) and ("." in token or
                                             "_" in token)
