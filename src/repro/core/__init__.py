@@ -1,8 +1,8 @@
 """EMSim core: model, training, clustering, microbenchmarks, simulator."""
 
 from .ablations import ABLATIONS, all_simulators, make_simulator
-from .activity import (average_alpha, stage_class_labels,
-                       stage_flip_counts, stage_transition_matrices)
+from .activity import (average_alpha, stage_flip_counts,
+                       stage_transition_matrices)
 from .batch import (BatchSimulator, CampaignProbe, campaign_probe_key,
                     measurement_campaign, supervised_campaign)
 from .clustering import (ClusterResult, agglomerative_cluster,
@@ -85,7 +85,6 @@ __all__ = [
     "warmed_branch_probe",
     "signature_distance",
     "signature_distance_matrix",
-    "stage_class_labels",
     "stage_flip_counts",
     "stage_transition_matrices",
     "stepwise_select",

@@ -7,7 +7,7 @@ flip-count statistics behind the naive averaging activity factor (Eq. 7).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -54,11 +54,6 @@ def stage_design_matrix(trace: ActivityTrace, stage: str) -> np.ndarray:
 def stage_flip_counts(trace: ActivityTrace) -> Dict[str, np.ndarray]:
     """Per-stage (cycles,) flip-count vectors for one trace."""
     return {stage: trace.flip_counts(stage) for stage in STAGES}
-
-
-def stage_class_labels(trace: ActivityTrace) -> Dict[str, List[str]]:
-    """Per-stage per-cycle behavioural class labels."""
-    return {stage: trace.em_classes(stage) for stage in STAGES}
 
 
 def average_alpha(flips_new: np.ndarray, flips_base: float,

@@ -22,10 +22,24 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..uarch.latches import STAGES
-from ..uarch.trace import ActivityTrace
+from ..uarch.trace import EM_CLASSES, EM_INDEX, ActivityTrace, StageOccupancy
 from .config import EMSimConfig, ModelSwitches
 from .factors import (ActivityFactorModel, AverageActivity,
                       RegressionActivity, UnitActivity)
+
+_EM_NOP = EM_INDEX["nop"]
+_EM_STALL = EM_INDEX["stall"]
+
+
+def _stalled_class(occ: StageOccupancy) -> str:
+    """The class a stalled occupant would show at full activity (the
+    ``model_stalls=False`` ablation); a stalled load counts as a hit or
+    a miss by its cache tag."""
+    if occ.instr is None:
+        return "nop"
+    if occ.instr.is_load:
+        return "load_cache" if occ.dyn == "hit" else "load_mem"
+    return occ.instr.cls.value
 
 
 @dataclass
@@ -68,6 +82,20 @@ class EMSimModel:
             return self.amplitudes[("load", stage)]
         return 0.0
 
+    def class_amplitudes(self, stage: str,
+                         switches: Optional[ModelSwitches] = None
+                         ) -> np.ndarray:
+        """A(c, s) for every class of :data:`EM_CLASSES` in ``stage``.
+
+        Indexed by EM code, so ``class_amplitudes(s)[trace.em_codes(s)]``
+        is the per-cycle amplitude.  ``nop`` and ``stall`` hold 0.0: a
+        NOP contributes only the floor and a stall nothing.
+        """
+        return np.array([
+            0.0 if code in (_EM_NOP, _EM_STALL)
+            else self.amplitude(name, stage, switches)
+            for code, name in enumerate(EM_CLASSES)])
+
     def _activity_model(self,
                         switches: ModelSwitches) -> ActivityFactorModel:
         if not switches.data_dependence:
@@ -84,14 +112,12 @@ class EMSimModel:
             switches: Optional[ModelSwitches] = None) -> np.ndarray:
         """Per-cycle predicted signal amplitudes X[n] for a trace.
 
-        The per-stage arithmetic is vectorized: the Python loop only
-        resolves each cycle's behavioural class (with the A(c, s) lookups
-        memoized per stage), and the Eq. 9 combination runs as one numpy
-        expression per stage.  The operation order matches the original
-        scalar loop element-for-element, so the output is bit-identical
-        — a NOP cycle's zero amplitude contributes ``base + x * 0.0``,
-        which equals ``base`` exactly for finite operands, and stalled
-        cycles are masked to an exact ``0.0`` afterwards.
+        Each stage gathers its :meth:`class_amplitudes` table by the
+        trace's EM codes and takes the stall mask from the same codes.
+        The Eq. 9 combination then runs as one numpy expression per
+        stage, so a NOP cycle contributes ``base + x * 0.0``, which
+        equals ``base`` exactly for finite operands, and stalled cycles
+        are masked to an exact ``0.0`` afterwards.
         """
         switches = switches or self.config.switches
         activity = self._activity_model(switches)
@@ -102,35 +128,21 @@ class EMSimModel:
             beta = self.beta.get(stage, 1.0)
             scale = self.miso.get(stage, 1.0) * beta
             alphas = activity.alpha(trace, stage)
-            amplitudes = np.zeros(cycles)
-            stalled = np.zeros(cycles, dtype=bool)
-            cache: Dict[str, float] = {}
-            occupancy = None
-            for cycle, em_class in enumerate(trace.em_classes(stage)):
-                if em_class == "stall":
-                    if switches.model_stalls:
-                        stalled[cycle] = True
-                        continue
-                    # ablation: pretend the stalled instruction kept
-                    # switching at full activity (the occupancy objects
-                    # materialize only on this rarely-taken path)
-                    if occupancy is None:
-                        occupancy = trace.occupancy[stage]
-                    occ = occupancy[cycle]
-                    em_class = (occ.instr.cls.value if occ.instr is not None
-                                else "nop")
-                    if occ.instr is not None and occ.instr.is_load:
-                        em_class = "load_cache" if occ.dyn == "hit" \
-                            else "load_mem"
-                if em_class == "nop":
-                    continue
-                value = cache.get(em_class)
-                if value is None:
-                    value = self.amplitude(em_class, stage, switches)
-                    cache[em_class] = value
-                amplitudes[cycle] = value
+            table = self.class_amplitudes(stage, switches)
+            codes = trace.em_codes(stage)
+            amplitudes = table[codes]
+            stalled = codes == _EM_STALL
+            has_stalls = stalled.any()
+            if has_stalls and not switches.model_stalls:
+                # ablation: pretend the stalled instruction kept
+                # switching at full activity (the occupancy objects
+                # materialize only on this path, read at stall cycles)
+                occupancy = trace.occupancy[stage]
+                for cycle in np.flatnonzero(stalled).tolist():
+                    amplitudes[cycle] = table[EM_INDEX[
+                        _stalled_class(occupancy[cycle])]]
             contribution = (floor * beta) + (scale * alphas) * amplitudes
-            if stalled.any():
+            if has_stalls and switches.model_stalls:
                 contribution[stalled] = 0.0
             prediction += contribution
         return prediction

@@ -41,7 +41,7 @@ from ..signal.kernels import DampedSineKernel
 from ..signal.metrics import simulation_accuracy
 from ..signal.reconstruction import estimate_cycle_amplitudes, reconstruct
 from ..uarch.latches import STAGES, STAGE_REGISTERS
-from ..uarch.trace import ActivityTrace
+from ..uarch.trace import EM_CLASSES, EM_INDEX, ActivityTrace
 from .activity import stage_design_matrix
 from .config import EMSimConfig
 from .factors import AverageActivity, RegressionActivity
@@ -53,6 +53,9 @@ from .regression import (LinearModel, RobustFitInfo, fit_linear,
                          irls_solve, mad_outlier_mask, stepwise_select)
 
 _AMPLITUDE_EPS = 1e-3
+
+_EM_NOP = EM_INDEX["nop"]
+_EM_STALL = EM_INDEX["stall"]
 
 # Per-process capture state for the trainer's worker pool, installed by
 # the pool initializer (inherited by memory under the fork start method).
@@ -419,7 +422,7 @@ class Trainer:
         # are quieter and would bias the level down
         all_nop = trace.active_mask("F").copy()
         for stage in STAGES:
-            all_nop &= np.asarray(trace.em_classes(stage)) == "nop"
+            all_nop &= trace.em_codes(stage) == _EM_NOP
         nop_cycles = np.nonzero(all_nop)[0].tolist()
         if not nop_cycles:
             raise ProbeError("no all-NOP cycles found in probe")
@@ -453,10 +456,10 @@ class Trainer:
                 # second load of the double probe (first primes the line)
                 seq = seq + 1 + 6  # first load + padding NOPs
             for stage in STAGES:
-                labels = trace.em_classes(stage)
+                codes = trace.em_codes(stage)
                 for cycle in self._active_cycles(trace, seq, stage):
                     delta = float(amplitudes[cycle]) - nop_level
-                    note(labels[cycle], stage, delta)
+                    note(EM_CLASSES[codes[cycle]], stage, delta)
                     flip_rows[stage].append(
                         float(trace.flip_counts(stage)[cycle]))
             self._log(f"A probe {cls}: done")
@@ -507,9 +510,9 @@ class Trainer:
             trace = measurement.trace
             seq = probe_instruction_seq(program)
             for stage in STAGES:
-                labels = trace.em_classes(stage)
+                codes = trace.em_codes(stage)
                 for cycle in self._active_cycles(trace, seq, stage):
-                    base = amplitudes.get((labels[cycle], stage))
+                    base = amplitudes.get((EM_CLASSES[codes[cycle]], stage))
                     if base is None:
                         base = amplitudes.get((cls, stage))
                     if base is None or abs(base) < _AMPLITUDE_EPS:
@@ -617,8 +620,10 @@ class Trainer:
         """Joint-fit rows for one probe's measurement.
 
         Builds the whole (cycles, columns) block per stage with mask
-        writes and one broadcast product; cycles where no stage carries
-        an informative instruction are dropped.
+        writes and one broadcast product: each cycle's baseline level
+        and validity are gathered by EM code from per-class tables.
+        Cycles where no stage carries an informative instruction are
+        dropped.
         """
         trace = measurement.trace
         measured = self._amplitudes(measurement)
@@ -626,23 +631,21 @@ class Trainer:
         block = np.zeros((cycles, total_columns))
         informative = np.zeros(cycles, dtype=bool)
         for stage in stage_order:
-            labels = [occ.em_class()
-                      for occ in trace.occupancy[stage][:cycles]]
-            base = np.zeros(cycles)
-            valid = np.zeros(cycles, dtype=bool)
-            for cycle, label in enumerate(labels):
-                if label == "stall":
-                    block[cycle, stall_columns[stage]] = 1.0
+            levels = np.zeros(len(EM_CLASSES))
+            usable = np.zeros(len(EM_CLASSES), dtype=bool)
+            for code, name in enumerate(EM_CLASSES):
+                level = amplitudes.get((name, stage))
+                if code in (_EM_NOP, _EM_STALL) or level is None or \
+                        abs(level) < _AMPLITUDE_EPS:
                     continue
-                if label == "nop":
-                    continue
-                level = amplitudes.get((label, stage))
-                if level is None or abs(level) < _AMPLITUDE_EPS:
-                    continue
-                base[cycle] = level
-                valid[cycle] = True
+                levels[code] = level
+                usable[code] = True
+            codes = trace.em_codes(stage)
+            block[codes == _EM_STALL, stall_columns[stage]] = 1.0
+            valid = usable[codes]
             if not valid.any():
                 continue
+            base = levels[codes]
             start, width = column_spans[stage]
             block[valid, start] = base[valid]
             if width > 1:
@@ -704,22 +707,25 @@ class Trainer:
 
     def miso_design(self, model: EMSimModel, trace: ActivityTrace
                     ) -> np.ndarray:
-        """(cycles, 10) design: per-stage NOP indicator and alpha*A term."""
+        """(cycles, 10) design: per-stage NOP indicator and alpha*A term.
+
+        The floor column is 1 wherever the stage is not stalled; the
+        activity column holds ``alpha * A(c, s)`` on cycles that run an
+        instruction, with A gathered from :meth:`EMSimModel.class_amplitudes`
+        by EM code.
+        """
         cycles = trace.num_cycles
         design = np.zeros((cycles, 2 * len(STAGES)))
         activity = model.regression_activity
         for index, stage in enumerate(STAGES):
             alphas = activity.alpha(trace, stage)
-            for cycle, occ in enumerate(trace.occupancy[stage]):
-                em_class = occ.em_class()
-                if em_class == "stall":
-                    continue
-                if em_class == "nop":
-                    design[cycle, index] = 1.0
-                    continue
-                design[cycle, index] = 1.0  # floor present under activity
-                design[cycle, len(STAGES) + index] = \
-                    alphas[cycle] * model.amplitude(em_class, stage)
+            codes = trace.em_codes(stage)
+            running = codes != _EM_STALL
+            design[:, index] = running
+            working = running & (codes != _EM_NOP)
+            design[working, len(STAGES) + index] = \
+                alphas[working] * model.class_amplitudes(stage)[
+                    codes[working]]
         return design
 
     def _fit_miso(self, model: EMSimModel) -> None:

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..uarch.latches import STAGES
-from ..uarch.trace import ActivityTrace
+from ..uarch.trace import EM_CLASSES, ActivityTrace
 from .probe import CENTER, ProbePosition, coupling
 from .units import EmUnit
 
@@ -36,22 +36,28 @@ class HardwareEmitter:
         self.clock_scale = clock_scale
         self._couplings = np.array([coupling(unit, probe) * unit.polarity
                                     for unit in self.units])
+        # (units, EM classes): each unit's static activity per class
+        self._static_activity = np.array(
+            [[unit.static_activity(name) for name in EM_CLASSES]
+             for unit in self.units])
 
     # ------------------------------------------------------------------
     # per-cycle unit amplitudes
     # ------------------------------------------------------------------
     def unit_amplitudes(self, trace: ActivityTrace) -> np.ndarray:
-        """(cycles, units) matrix of raw per-unit activity amplitudes."""
+        """(cycles, units) matrix of raw per-unit activity amplitudes.
+
+        A unit's amplitude is its static activity, gathered from its
+        per-class table by the stage's EM codes, plus its flip-weighted
+        latch transitions.
+        """
         cycles = trace.num_cycles
         transitions = {stage: trace.transition_matrix(stage)
                        for stage in STAGES}
-        classes = {stage: trace.em_classes(stage) for stage in STAGES}
+        codes = {stage: trace.em_codes(stage) for stage in STAGES}
         amplitudes = np.zeros((cycles, len(self.units)))
         for column, unit in enumerate(self.units):
-            static = np.fromiter(
-                (unit.static_activity(label)
-                 for label in classes[unit.stage]),
-                dtype=float, count=cycles)
+            static = self._static_activity[column][codes[unit.stage]]
             flips = transitions[unit.stage][:, unit.bit_indices] @ \
                 unit.bit_weights
             amplitudes[:, column] = static + flips

@@ -8,8 +8,9 @@ mapping applied to main memory before execution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from .instructions import Instruction
 
@@ -58,18 +59,18 @@ class Program:
         """Byte address of the ``index``-th instruction."""
         return TEXT_BASE + 4 * index
 
-    def with_data_words(self, base: int, words: Sequence[int]) -> "Program":
-        """Return a copy with 32-bit little-endian ``words`` stored at ``base``.
+    def with_data(self, segments: Mapping[int, Iterable[int]]) -> "Program":
+        """Return a copy with each ``base -> bytes`` segment stored in its
+        data image (see :func:`store_bytes`).
 
-        Used to poke inputs (e.g. AES plaintexts) into a program image
-        without reassembling.
+        The code is not reassembled: the copy's instruction list holds
+        this program's :class:`Instruction` objects, so their memoized
+        encodings are shared too.  The AES generator binds each key
+        schedule and plaintext into its assembled template this way.
         """
         data = dict(self.data)
-        for offset, word in enumerate(words):
-            word &= 0xFFFFFFFF
-            address = base + 4 * offset
-            for byte_index in range(4):
-                data[address + byte_index] = (word >> (8 * byte_index)) & 0xFF
+        for base, values in segments.items():
+            store_bytes(data, base, values)
         return Program(instructions=list(self.instructions), data=data,
                        symbols=dict(self.symbols), entry=self.entry,
                        name=self.name)
@@ -85,11 +86,16 @@ class Program:
         return cls(instructions=list(instructions), name=name)
 
 
+def store_bytes(data: Dict[int, int], base: int,
+                values: Iterable[int]) -> None:
+    """Write ``values`` into a byte map from ``base`` up, each masked to
+    its low 8 bits (what the assembler's ``.byte`` directive stores)."""
+    data.update(zip(itertools.count(base),
+                    [int(value) & 0xFF for value in values]))
+
+
 def store_words(data: Dict[int, int], base: int,
                 words: Sequence[int]) -> None:
     """Write 32-bit little-endian ``words`` into a byte map at ``base``."""
-    for offset, word in enumerate(words):
-        word &= 0xFFFFFFFF
-        address = base + 4 * offset
-        for byte_index in range(4):
-            data[address + byte_index] = (word >> (8 * byte_index)) & 0xFF
+    store_bytes(data, base, b"".join(
+        (int(word) & 0xFFFFFFFF).to_bytes(4, "little") for word in words))

@@ -14,6 +14,7 @@ different plaintexts align cycle-for-cycle, as TVLA requires.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence
 
 from ..isa.assembler import assemble
@@ -223,19 +224,42 @@ def _emit_cache_warm(lines: List[str]) -> None:
 
 def aes_program(key: Sequence[int], plaintext: Sequence[int],
                 rounds: int = 10, warm_cache: bool = True) -> Program:
-    """Generate the runnable AES-128 encryption program.
+    """Return the runnable AES-128 encryption of ``plaintext`` under ``key``.
 
-    The ciphertext lands at :data:`CT_BASE` in data memory.  ``rounds``
-    selects reduced-round variants for shorter workloads.
+    The code does not depend on the key or the plaintext, so it is
+    assembled once per ``(rounds, warm_cache)`` and process (see
+    :func:`_aes_template`); each call binds the key schedule into the
+    ``rk`` table and the plaintext into ``state`` of a copy of that
+    template's data image.  The ciphertext lands at :data:`CT_BASE` in
+    data memory.  ``rounds`` (1..10) selects reduced-round variants for
+    shorter workloads.  A plaintext that is not 16 bytes, or ``rounds``
+    outside 1..10, raises :class:`ValueError`.
     """
+    if len(plaintext) != 16:
+        raise ValueError("plaintext must be 16 bytes")
+    if not 1 <= rounds <= 10:
+        raise ValueError(f"rounds must be in 1..10, got {rounds}")
     round_keys = key_schedule(key)
+    template = _aes_template(rounds, bool(warm_cache))
+    return template.with_data({
+        RK_BASE: [byte for round_key in round_keys for byte in round_key],
+        STATE_BASE: plaintext})
+
+
+@functools.lru_cache(maxsize=20)
+def _aes_template(rounds: int, warm_cache: bool) -> Program:
+    """The assembled AES program with all-zero ``rk`` and ``state``.
+
+    Only :func:`aes_program` reads it, and only through
+    :meth:`Program.with_data`, which copies: the cached program itself
+    is never handed out.
+    """
     lines: List[str] = [".data", f".org {SBOX_BASE:#x}"]
     lines.append("sbox: .byte " + ", ".join(str(v) for v in SBOX))
     lines.append(f".org {RK_BASE:#x}")
-    flattened = [byte for round_key in round_keys for byte in round_key]
-    lines.append("rk: .byte " + ", ".join(str(v) for v in flattened))
+    lines.append(f"rk: .space {11 * 16}")
     lines.append(f".org {STATE_BASE:#x}")
-    lines.append("state: .byte " + ", ".join(str(v) for v in plaintext))
+    lines.append("state: .space 16")
     lines.append(f".org {CT_BASE:#x}")
     lines.append("ct: .space 16")
 

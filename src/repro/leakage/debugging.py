@@ -16,7 +16,7 @@ import numpy as np
 
 from ..isa.instructions import Instruction
 from ..signal.metrics import per_cycle_similarities
-from ..uarch.trace import ActivityTrace
+from ..uarch.trace import EM_INDEX, ActivityTrace
 
 
 def buggy_multiplier(instr: Instruction, a: int, b: int) -> Optional[int]:
@@ -136,16 +136,12 @@ def unit_relative_check(simulated_amplitudes: np.ndarray,
     """
     cycles = min(len(simulated_amplitudes), len(measured_amplitudes),
                  trace.num_cycles)
-    unit_cycles, other_cycles = [], []
-    for cycle in range(cycles):
-        occ = trace.occupancy[stage][cycle]
-        if not occ.active:
-            continue
-        if occ.em_class() == em_class:
-            unit_cycles.append(cycle)
-        else:
-            other_cycles.append(cycle)
-    if not unit_cycles:
+    active = trace.active_mask(stage)[:cycles]
+    in_unit = active & (trace.em_codes(stage)[:cycles] ==
+                        EM_INDEX.get(em_class, -1))
+    unit_cycles = np.flatnonzero(in_unit)
+    other_cycles = np.flatnonzero(active & ~in_unit)
+    if not unit_cycles.size:
         raise ValueError(f"no active {em_class!r} cycles in trace")
 
     def ratio(indices):
@@ -154,9 +150,9 @@ def unit_relative_check(simulated_amplitudes: np.ndarray,
         return meas_sum / sim_sum if sim_sum > 0 else 0.0
 
     return UnitCheck(em_class=em_class,
-                     unit_ratio=ratio(np.asarray(unit_cycles)),
-                     global_ratio=ratio(np.asarray(other_cycles)),
-                     cycles_checked=len(unit_cycles),
+                     unit_ratio=ratio(unit_cycles),
+                     global_ratio=ratio(other_cycles),
+                     cycles_checked=int(unit_cycles.size),
                      tolerance=tolerance)
 
 

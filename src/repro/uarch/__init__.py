@@ -18,7 +18,7 @@ from .oracle import OracleOutcomes, collect_oracle
 from .pipeline import Pipeline, run_program
 from .regfile import RegisterFile
 from .trace import (ActivityTrace, DYN_FINAL, DYN_HIT, DYN_MISS, DYN_NONE,
-                    EM_CLASSES, KIND_BUBBLE, KIND_INSTR, KIND_STALL,
+                    EM_CLASSES, EM_INDEX, KIND_BUBBLE, KIND_INSTR, KIND_STALL,
                     OCC_BUBBLE, OCC_INSTR, OCC_STALL,
                     RetiredInstruction, StageOccupancy, concat_traces)
 from .tracecodec import (TraceCodecError, decode_trace, encode_trace,
@@ -40,6 +40,7 @@ __all__ = [
     "DataCache",
     "DirectionPredictor",
     "EM_CLASSES",
+    "EM_INDEX",
     "FlushEvent",
     "GShare",
     "GoldenSimulator",

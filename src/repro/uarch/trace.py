@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..isa.instructions import Instruction
+from ..isa.spec import InstrClass
 from .events import BranchEvent, CacheEvent, FlushEvent, StallEvent
 from .latches import (STAGE_REGISTERS, STAGE_SLICES, STAGES, TOTAL_REGISTERS,
                       stage_bit_count)
@@ -61,15 +62,16 @@ EM_CLASSES = ("nop", "stall", "alu", "shift", "muldiv", "muldiv_final",
               "system")
 """All behavioural class labels :meth:`StageOccupancy.em_class` can yield."""
 
-_EM_INDEX: Dict[str, int] = {name: code
-                             for code, name in enumerate(EM_CLASSES)}
-
-_EM_NOP = _EM_INDEX["nop"]
+EM_INDEX: Dict[str, int] = {name: code
+                            for code, name in enumerate(EM_CLASSES)}
+"""EM-class label -> code, the values :meth:`ActivityTrace.em_codes`
+holds.  Consumers index per-class tables (length ``len(EM_CLASSES)``)
+with those codes instead of comparing labels cycle by cycle."""
 
 # repro: allow[N203] EM-class indices are tiny enum codes (< 16)
-_EM_NOP_U8 = np.uint8(_EM_INDEX["nop"])
+_EM_NOP_U8 = np.uint8(EM_INDEX["nop"])
 # repro: allow[N203] EM-class indices are tiny enum codes (< 16)
-_EM_STALL_U8 = np.uint8(_EM_INDEX["stall"])
+_EM_STALL_U8 = np.uint8(EM_INDEX["stall"])
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,31 @@ class StageOccupancy:
 
 
 _BUBBLE_OCC = StageOccupancy(OCC_BUBBLE)
+
+_NO_INSTR_ROW: Tuple[int, ...] = (0,) * len(_DYN_NAMES)
+
+_EM_ROWS: Dict[Tuple[InstrClass, bool], Tuple[int, ...]] = {}
+
+
+def _em_row(instr: Instruction) -> Tuple[int, ...]:
+    """EM-class codes of ``instr`` as an active occupant, per dyn tag.
+
+    :meth:`StageOccupancy.em_class` reads only ``instr.cls`` and
+    ``instr.is_nop``, so the row is computed once per such signature
+    through the reference logic and shared by every instruction that
+    has it.  Combinations the cores never record (e.g. an ALU op tagged
+    ``final``) fall outside :data:`EM_CLASSES`; their slots are never
+    indexed, so they hold the filler code 0.
+    """
+    signature = (instr.cls, instr.is_nop)
+    row = _EM_ROWS.get(signature)
+    if row is None:
+        row = tuple(
+            EM_INDEX.get(StageOccupancy(OCC_INSTR, instr, None,
+                                        dyn).em_class(), 0)
+            for dyn in _DYN_NAMES)
+        _EM_ROWS[signature] = row
+    return row
 
 
 @dataclass
@@ -335,19 +362,12 @@ class ActivityTrace:
 
         Row 0 covers "no instruction" (never hit for ``KIND_INSTR``);
         row ``i + 1`` classifies instruction-table entry ``i`` under
-        each dynamic tag via the reference occupancy logic.
+        each dynamic tag (see :func:`_em_row`).
         """
-        table = self._instr_table
-        lookup = np.zeros((len(table) + 1, len(_DYN_NAMES)),
-                          dtype=np.uint8)
-        for code, instr in enumerate(table):
-            for dyn, dyn_name in enumerate(_DYN_NAMES):
-                occ = StageOccupancy(OCC_INSTR, instr, None, dyn_name)
-                # combos the cores never record (e.g. an ALU op tagged
-                # "final") fall outside EM_CLASSES; their slots are
-                # never indexed, so any filler value works
-                lookup[code + 1, dyn] = _EM_INDEX.get(occ.em_class(), 0)
-        return lookup
+        rows = [_NO_INSTR_ROW]
+        rows.extend(_em_row(instr) for instr in self._instr_table)
+        # repro: allow[N203] every entry is an EM_INDEX code (< 16)
+        return np.array(rows, dtype=np.uint8)
 
     def _code_column(self, column: str, stage: str) -> np.ndarray:
         """One recorded code column (codec serialization accessor)."""

@@ -13,7 +13,12 @@ asserting that the engine computes the same thing:
 * :func:`naive_stepwise_select` — step-wise selection with a full dense
   solve per candidate per step;
 * :func:`naive_cluster` — average linkage that re-averages member pair
-  distances at every step.
+  distances at every step;
+* :func:`seed_aes_program` — AES-128 generated as assembly text with the
+  key schedule and plaintext as ``.byte`` data, assembled per call;
+* :func:`seed_predict_cycle_amplitudes`, :func:`seed_unit_amplitudes`,
+  :func:`seed_miso_design` and :func:`seed_joint_rows` — the per-cycle
+  Python loops over EM-class labels and occupancy objects.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +28,15 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from repro.core.activity import stage_design_matrix
 from repro.core.clustering import ClusterResult, signature_distance_matrix
 from repro.core.regression import LinearModel, fit_linear
+from repro.isa.assembler import assemble
+from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
+                               STATE_BASE, _RK, _SBOX, _ST,
+                               _emit_add_round_key, _emit_cache_warm,
+                               _emit_mix_columns, _emit_shift_rows,
+                               _emit_sub_bytes, key_schedule)
 from repro.uarch.latches import STAGE_REGISTERS, STAGES, bubble_pattern
 from repro.uarch.ooo import OutOfOrderCore
 from repro.uarch.pipeline import Pipeline
@@ -295,3 +307,149 @@ def naive_cluster(signatures, num_clusters: Optional[int] = 7,
         for index in members:
             labels[names[index]] = cluster_id
     return ClusterResult(labels=labels, merge_heights=merge_heights)
+
+
+# ---------------------------------------------------------------------------
+# AES program generation
+# ---------------------------------------------------------------------------
+def seed_aes_program(key, plaintext, rounds=10, warm_cache=True):
+    """AES-128 as one assembly text per call, data tables as ``.byte``."""
+    round_keys = key_schedule(key)
+    lines = [".data", f".org {SBOX_BASE:#x}"]
+    lines.append("sbox: .byte " + ", ".join(str(v) for v in SBOX))
+    lines.append(f".org {RK_BASE:#x}")
+    flattened = [byte for round_key in round_keys for byte in round_key]
+    lines.append("rk: .byte " + ", ".join(str(v) for v in flattened))
+    lines.append(f".org {STATE_BASE:#x}")
+    lines.append("state: .byte " + ", ".join(str(v) for v in plaintext))
+    lines.append(f".org {CT_BASE:#x}")
+    lines.append("ct: .space 16")
+
+    lines.append(".text")
+    lines.append(f"    la {_SBOX}, sbox")
+    lines.append(f"    la {_RK}, rk")
+    lines.append(f"    la {_ST}, state")
+    if warm_cache:
+        _emit_cache_warm(lines)
+    _emit_add_round_key(lines, 0)
+    for round_index in range(1, rounds + 1):
+        lines.append(f"    # ---- round {round_index} ----")
+        _emit_sub_bytes(lines)
+        _emit_shift_rows(lines)
+        if round_index != rounds:
+            _emit_mix_columns(lines)
+        _emit_add_round_key(lines, round_index)
+    lines.append("    # copy state out to ct")
+    for byte in range(16):
+        lines.append(f"    lbu t0, {byte}({_ST})")
+        lines.append(f"    sb t0, {byte + CT_BASE - STATE_BASE}({_ST})")
+    lines.append("    ebreak")
+    return assemble("\n".join(lines), name=f"aes128_r{rounds}")
+
+
+# ---------------------------------------------------------------------------
+# EM-class consumers
+# ---------------------------------------------------------------------------
+def seed_predict_cycle_amplitudes(model, trace, switches=None):
+    """Eq. 9 with each cycle's class resolved by a Python loop."""
+    switches = switches or model.config.switches
+    activity = model._activity_model(switches)
+    cycles = trace.num_cycles
+    prediction = np.full(cycles, model.intercept)
+    for stage in STAGES:
+        floor = model.floors.get(stage, 0.0)
+        beta = model.beta.get(stage, 1.0)
+        scale = model.miso.get(stage, 1.0) * beta
+        alphas = activity.alpha(trace, stage)
+        amplitudes = np.zeros(cycles)
+        stalled = np.zeros(cycles, dtype=bool)
+        for cycle, em_class in enumerate(trace.em_classes(stage)):
+            if em_class == "stall":
+                if switches.model_stalls:
+                    stalled[cycle] = True
+                    continue
+                occ = trace.occupancy[stage][cycle]
+                em_class = (occ.instr.cls.value if occ.instr is not None
+                            else "nop")
+                if occ.instr is not None and occ.instr.is_load:
+                    em_class = "load_cache" if occ.dyn == "hit" \
+                        else "load_mem"
+            if em_class == "nop":
+                continue
+            amplitudes[cycle] = model.amplitude(em_class, stage, switches)
+        contribution = (floor * beta) + (scale * alphas) * amplitudes
+        if stalled.any():
+            contribution[stalled] = 0.0
+        prediction += contribution
+    return prediction
+
+
+def seed_unit_amplitudes(emitter, trace):
+    """Per-unit amplitudes with one ``static_activity`` call per cycle."""
+    cycles = trace.num_cycles
+    amplitudes = np.zeros((cycles, len(emitter.units)))
+    for column, unit in enumerate(emitter.units):
+        static = np.fromiter(
+            (unit.static_activity(label)
+             for label in trace.em_classes(unit.stage)),
+            dtype=float, count=cycles)
+        flips = trace.transition_matrix(unit.stage)[:, unit.bit_indices] \
+            @ unit.bit_weights
+        amplitudes[:, column] = static + flips
+    return amplitudes
+
+
+def seed_miso_design(model, trace):
+    """The MISO design filled cycle by cycle from occupancy objects."""
+    cycles = trace.num_cycles
+    design = np.zeros((cycles, 2 * len(STAGES)))
+    activity = model.regression_activity
+    for index, stage in enumerate(STAGES):
+        alphas = activity.alpha(trace, stage)
+        for cycle, occ in enumerate(trace.occupancy[stage]):
+            em_class = occ.em_class()
+            if em_class == "stall":
+                continue
+            if em_class == "nop":
+                design[cycle, index] = 1.0
+                continue
+            design[cycle, index] = 1.0  # floor present under activity
+            design[cycle, len(STAGES) + index] = \
+                alphas[cycle] * model.amplitude(em_class, stage)
+    return design
+
+
+def seed_joint_rows(measured, trace, nop_level, amplitudes, selected,
+                    stage_order, column_spans, stall_columns,
+                    total_columns, amplitude_eps=1e-3):
+    """Joint-fit rows with each cycle's class read from its occupant."""
+    cycles = trace.num_cycles
+    block = np.zeros((cycles, total_columns))
+    informative = np.zeros(cycles, dtype=bool)
+    for stage in stage_order:
+        base = np.zeros(cycles)
+        valid = np.zeros(cycles, dtype=bool)
+        for cycle, occ in enumerate(trace.occupancy[stage]):
+            label = occ.em_class()
+            if label == "stall":
+                block[cycle, stall_columns[stage]] = 1.0
+                continue
+            if label == "nop":
+                continue
+            level = amplitudes.get((label, stage))
+            if level is None or abs(level) < amplitude_eps:
+                continue
+            base[cycle] = level
+            valid[cycle] = True
+        if not valid.any():
+            continue
+        start, width = column_spans[stage]
+        block[valid, start] = base[valid]
+        if width > 1:
+            features = stage_design_matrix(trace, stage)[
+                np.ix_(valid, selected[stage])]
+            block[np.ix_(valid, np.arange(start + 1, start + width))] \
+                = base[valid, None] * features
+        informative |= valid
+    targets = measured[:cycles][informative] - nop_level
+    return block[informative], targets

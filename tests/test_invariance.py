@@ -1,19 +1,22 @@
 """Results are a pure function of inputs, configuration and seed.
 
 Every worker count runs the same capture and deconvolution engine, so a
-measurement campaign and a scope-captured training run are bit-identical
-whether they run in-process (``workers=1``) or in a forked pool
-(``workers=2``; a generous ``item_timeout`` forces the pool even on a
-single-CPU host), and a campaign journal written at one worker count
-replays every probe at another.
+measurement campaign, a scope-captured training run and an AES TVLA
+through EMSim are bit-identical whether they run in-process
+(``workers=1``) or in a forked pool (``workers=2``; a generous
+``item_timeout`` forces the pool even on a single-CPU host), and a
+campaign journal written at one worker count replays every probe at
+another.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Trainer, measurement_campaign, model_to_dict
+from repro.core import EMSim, Trainer, measurement_campaign, model_to_dict
 from repro.core.batch import supervised_campaign
 from repro.hardware import HardwareDevice
+from repro.leakage import DEFAULT_KEY, aes, aes_program
+from repro.leakage.streaming import collect_streaming_tvla
 from repro.robustness import FaultPlan
 from repro.robustness.checkpoint import CheckpointJournal
 from repro.workloads import RandomProgramBuilder
@@ -75,3 +78,27 @@ def test_journal_written_at_one_worker_resumes_at_two(tmp_path):
             seed=9, journal=journal, **RUNS[2])
     assert ledger.resumed == list(range(len(programs)))
     _assert_probes_identical(written, replayed)
+
+
+def test_aes_tvla_identical_at_one_and_two_workers():
+    device = HardwareDevice(seed=3)
+    model = Trainer(device=device, activity_probes_per_class=2,
+                    miso_groups=1, miso_group_size=32,
+                    fit_kernel_parameters=False, seed=11).train()
+    simulator = EMSim(model, core_config=device.core_config)
+
+    def source(plaintext):
+        program = aes_program(DEFAULT_KEY, plaintext, rounds=2)
+        return simulator.simulate(program).signal
+
+    t_values = []
+    for workers, extra in RUNS.items():
+        # every run (each pool worker, at workers=2) assembles its own
+        # AES template
+        aes._aes_template.cache_clear()
+        result = collect_streaming_tvla(
+            source, list(range(16)), 3, np.random.default_rng(4),
+            workers=workers, **extra)
+        t_values.append(result.t_values)
+    assert t_values[0].shape == t_values[1].shape
+    assert t_values[0].tobytes() == t_values[1].tobytes()

@@ -20,11 +20,14 @@ def test_instruction_at():
     assert program.instruction_at(TEXT_BASE - 4) is None
 
 
-def test_with_data_words():
+def test_with_data():
     base_program = Program.from_instructions([NOP])
-    poked = base_program.with_data_words(0x2000, [0x11223344])
-    assert poked.data[0x2000] == 0x44
-    assert poked.data[0x2003] == 0x11
+    poked = base_program.with_data({0x2000: [0x44, 0x133, -1],
+                                    0x3000: [7]})
+    # each value is masked to a byte, as the .byte directive does
+    assert poked.data == {0x2000: 0x44, 0x2001: 0x33, 0x2002: 0xFF,
+                          0x3000: 7}
+    assert poked.instructions[0] is NOP
     assert not base_program.data  # original untouched
 
 

@@ -1,11 +1,17 @@
 """Tests for the AES-128 implementation (repro.leakage.aes)."""
 
+import numpy as np
 import pytest
 
+from repro.core import trace_key
+from repro.isa import assemble
+from repro.leakage import aes
 from repro.leakage.aes import (DEFAULT_KEY, FIPS_CIPHERTEXT, FIPS_KEY,
-                               FIPS_PLAINTEXT, SBOX, aes128_encrypt_reference,
-                               aes_program, key_schedule, read_ciphertext)
-from repro.uarch import GoldenSimulator, run_program
+                               FIPS_PLAINTEXT, RK_BASE, SBOX, STATE_BASE,
+                               aes128_encrypt_reference, aes_program,
+                               key_schedule, read_ciphertext)
+from repro.uarch import DEFAULT_CONFIG, GoldenSimulator, run_program
+from .oracles import seed_aes_program
 
 
 def test_sbox_known_values():
@@ -82,3 +88,75 @@ def test_different_plaintexts_different_ciphertexts():
     a = aes128_encrypt_reference(DEFAULT_KEY, [0] * 16)
     b = aes128_encrypt_reference(DEFAULT_KEY, [1] + [0] * 15)
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# assembled once, data bound per call
+# ---------------------------------------------------------------------------
+def _random_bytes(rng):
+    return [int(byte) for byte in rng.integers(0, 256, 16)]
+
+
+@pytest.mark.parametrize("warm_cache", [True, False])
+def test_bound_program_equals_text_generated_seed(warm_cache):
+    rng = np.random.default_rng(2024 + warm_cache)
+    for rounds in range(1, 11):
+        # TVLA draws its random plaintexts as NumPy integers
+        key, plaintext = _random_bytes(rng), list(rng.integers(0, 256, 16))
+        bound = aes_program(key, plaintext, rounds=rounds,
+                            warm_cache=warm_cache)
+        seed = seed_aes_program(key, plaintext, rounds=rounds,
+                                warm_cache=warm_cache)
+        assert bound.instructions == seed.instructions
+        assert bound.data == seed.data
+        assert bound.symbols == seed.symbols
+        assert bound.entry == seed.entry
+        assert bound.name == seed.name
+        assert trace_key(bound, DEFAULT_CONFIG) == \
+            trace_key(seed, DEFAULT_CONFIG)
+
+
+def test_template_assembled_once_and_instructions_shared(monkeypatch):
+    calls = []
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(aes, "assemble", counting_assemble)
+    aes._aes_template.cache_clear()
+    rng = np.random.default_rng(7)
+    programs = [aes_program(key, _random_bytes(rng), rounds=2)
+                for key in (_random_bytes(rng), _random_bytes(rng))
+                for _ in range(3)]
+    assert len(calls) == 1
+    first = programs[0]
+    for program in programs[1:]:
+        assert program.instructions is not first.instructions
+        assert program.data is not first.data
+        assert all(mine is theirs for mine, theirs
+                   in zip(program.instructions, first.instructions))
+    # binding never writes into the cached template
+    template = aes._aes_template(2, True)
+    assert all(template.data[RK_BASE + offset] == 0
+               for offset in range(176))
+    assert all(template.data[STATE_BASE + offset] == 0
+               for offset in range(16))
+
+
+@pytest.mark.parametrize("length", [15, 17])
+def test_aes_program_rejects_plaintext_of_wrong_length(length):
+    with pytest.raises(ValueError):
+        aes128_encrypt_reference(DEFAULT_KEY, [0] * length)
+    with pytest.raises(ValueError):
+        aes_program(DEFAULT_KEY, [0] * length)
+
+
+@pytest.mark.parametrize("rounds", [0, 11])
+def test_aes_program_rejects_rounds_outside_1_to_10(rounds):
+    if rounds > 10:
+        # the reference runs past its 11 round keys
+        with pytest.raises(IndexError):
+            aes128_encrypt_reference(DEFAULT_KEY, [0] * 16, rounds=rounds)
+    with pytest.raises(ValueError):
+        aes_program(DEFAULT_KEY, [0] * 16, rounds=rounds)
