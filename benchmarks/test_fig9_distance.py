@@ -28,10 +28,12 @@ def test_fig9_beta_refit(bench, record, benchmark):
         # beta = 1: training-position model applied verbatim
         naive = bench.accuracy(program, device=moved)
 
-        # re-fit per-stage beta from a few measurements at the new spot
-        beta = fit_beta(bench.model, moved, fit_programs)
+        # re-fit per-stage beta (and the intercept it is solved with)
+        # from a few measurements at the new spot
+        intercept, beta = fit_beta(bench.model, moved, fit_programs)
         import copy
         adjusted_model = copy.copy(bench.model)
+        adjusted_model.intercept = intercept
         adjusted_model.beta = beta
         adjusted_sim = EMSim(adjusted_model,
                              core_config=moved.core_config)
@@ -48,6 +50,7 @@ def test_fig9_beta_refit(bench, record, benchmark):
         rmse_adjusted = normalized_rmse(adjusted_signal[:length],
                                         measured.signal[:length])
         return dict(base=base, naive=naive, adjusted=adjusted, beta=beta,
+                    intercept=intercept,
                     rmse_naive=rmse_naive, rmse_adjusted=rmse_adjusted)
 
     results = run_once(benchmark, experiment)
@@ -63,6 +66,8 @@ def test_fig9_beta_refit(bench, record, benchmark):
         f"  fitted beta at the new spot:   {results['adjusted']:6.1%} "
         f"(Fig. 9 top)",
         f"  fitted per-stage beta: {beta_text}",
+        f"  fitted intercept: {results['intercept']:.4f} (training "
+        f"position: {bench.model.intercept:.4f})",
         f"  normalized RMSE: beta=1 {results['rmse_naive']:.2f}  ->  "
         f"fitted beta {results['rmse_adjusted']:.2f}",
         "",

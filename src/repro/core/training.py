@@ -787,12 +787,15 @@ def train_emsim(device: HardwareDevice,
 
 def fit_beta(model: EMSimModel, device: HardwareDevice,
              programs: Sequence[Program],
-             capture_method: str = "ideal") -> Dict[str, float]:
+             capture_method: str = "ideal"
+             ) -> Tuple[float, Dict[str, float]]:
     """Refit per-stage loss coefficients beta at a new probe position.
 
     The paper's §V-D procedure: keep A (trained at the base position),
     substitute A -> A*beta, and solve the same linear model for beta.
-    Returns the fitted per-stage beta (does not mutate ``model``).
+    That model has a free intercept, so the fit returns
+    ``(intercept, beta)``: set both on the model to predict with the
+    solution the betas belong to (does not mutate ``model``).
     """
     designs, targets = [], []
     trainer = Trainer(device=device, config=model.config,
@@ -817,11 +820,10 @@ def fit_beta(model: EMSimModel, device: HardwareDevice,
     design = np.vstack(designs)
     target = np.concatenate(targets)
     intercept, coef = fit_linear(design, target, ridge=1e-6)
-    del intercept
     betas = {}
     for index, stage in enumerate(STAGES):
         excitation = float(np.abs(design[:, index]).sum())
         # a stage the fit programs barely exercise is unidentifiable;
         # keep the training-position default rather than fitting noise
         betas[stage] = float(coef[index]) if excitation > 1.0 else 1.0
-    return betas
+    return intercept, betas

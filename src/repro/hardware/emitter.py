@@ -84,9 +84,9 @@ class HardwareEmitter:
             impulses[::samples_per_cycle] = amplitudes[:, column]
             response = unit.kernel.sampled(samples_per_cycle)
             scaled = self.gain * self._couplings[column]
-            # repro: allow[P602] the measured-hardware emitter stays on
-            # the seed's direct summation so captured references are
-            # bit-stable against the committed model artifacts
+            # the measured-hardware emitter stays on the seed's direct
+            # summation so captured references are bit-stable against
+            # the committed model artifacts
             total += scaled * np.convolve(impulses, response)[:len(total)]
         return total
 

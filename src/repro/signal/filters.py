@@ -11,9 +11,9 @@ def moving_average(signal: np.ndarray, window: int) -> np.ndarray:
         raise ValueError("window must be >= 1")
     signal = np.asarray(signal, dtype=float)
     kernel = np.ones(window)
-    # repro: allow[P602] a genuine smoothing filter, not Eq. 6 synthesis
+    # a smoothing filter, not Eq. 6 synthesis
     smoothed = np.convolve(signal, kernel, mode="same")
-    # repro: allow[P602] same smoothing filter, edge normalization arm
+    # the same window over ones: edge-aware normalization
     norm = np.convolve(np.ones_like(signal), kernel, mode="same")
     return smoothed / norm
 
@@ -30,5 +30,4 @@ def gaussian_smooth(signal: np.ndarray, sigma: float) -> np.ndarray:
     # its sum is always >= 1; the normalization cannot divide by zero.
     kernel /= kernel.sum()
     padded = np.pad(signal, radius, mode="edge")
-    # repro: allow[P602] a smoothing filter, not Eq. 6 synthesis
     return np.convolve(padded, kernel, mode="valid")

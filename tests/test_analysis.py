@@ -4,13 +4,14 @@ Every rule gets a positive fixture (the violation is found), a negative
 fixture (the compliant spelling is clean), and a suppressed fixture
 (an inline ``# repro: allow[ID]`` moves the finding to the suppressed
 list).  On top of the per-rule coverage, the suite pins the repo-level
-contracts: the committed baseline matches a fresh scan, two runs render
+contracts: a fresh scan of the repo is clean, two runs render
 byte-identical JSON, and the analyzer's exit codes agree with the
 ``ReproError`` table.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -25,17 +26,14 @@ if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
 
 from tools.analysis import (AnalysisConfig, Analyzer, Project,  # noqa: E402
-                            check_source, load_config)
-from tools.analysis.baseline import (apply_baseline,  # noqa: E402
-                                     load_baseline, write_baseline)
+                            check_source)
 from tools.analysis.cli import EXIT_CONFIG, EXIT_FINDINGS  # noqa: E402
 from tools.analysis.cli import main as lint_main  # noqa: E402
 from tools.analysis.report import render_json  # noqa: E402
 from tools.analysis.rules import all_rules  # noqa: E402
 from tools.analysis.rules.contracts import (  # noqa: E402
-    FALLBACK_REPRO_ERRORS, BareExceptRule, CampaignTimeoutRule,
-    CliErrorTypeRule, ExitCodeTableRule, SwallowedExceptionRule,
-    repro_error_names)
+    BareExceptRule, CampaignTimeoutRule, ExitCodeTableRule,
+    SwallowedExceptionRule)
 from tools.analysis.rules.determinism import (  # noqa: E402
     ForeignPoolRule, SetIterationRule, UnseededRngRule, UnsortedWalkRule,
     WallClockRule)
@@ -46,8 +44,6 @@ from tools.analysis.rules.numeric import (  # noqa: E402
     AggregateDivisionRule, DtypeDowncastRule, FloatEqualityRule)
 from tools.analysis.rules.observability import (  # noqa: E402
     CampaignManifestRule, MetricReferenceRule, extract_names)
-from tools.analysis.rules.performance import (  # noqa: E402
-    ConvolveOutsideOracleRule, HotLoopAllocationRule)
 
 # config that points every path-scoped rule at the fixture file
 EVERYWHERE = replace(
@@ -396,36 +392,6 @@ class TestSwallowedException:
         assert rule_ids_suppressed(result) == ["E302"]
 
 
-class TestCliErrorType:
-    def test_positive_raw_value_error(self):
-        result = scan("raise ValueError('bad flag')\n",
-                      CliErrorTypeRule())
-        assert rule_ids(result) == ["E303"]
-
-    def test_negative_repro_error_and_argparse(self):
-        result = scan(
-            """
-            import argparse
-            from repro.robustness import ConfigurationError
-            raise ConfigurationError("bad")
-            raise argparse.ArgumentTypeError("bad")
-            """, CliErrorTypeRule())
-        assert result.findings == []
-
-    def test_negative_outside_cli_modules(self):
-        config = replace(EVERYWHERE, cli_modules=["src/repro/cli.py"])
-        result = scan("raise ValueError('library contract')\n",
-                      CliErrorTypeRule(), config)
-        assert result.findings == []
-
-    def test_suppressed(self):
-        result = scan(
-            "raise KeyError('k')  # repro: allow[E303] internal map\n",
-            CliErrorTypeRule())
-        assert result.findings == []
-        assert rule_ids_suppressed(result) == ["E303"]
-
-
 class TestExitCodeTable:
     def test_positive_undocumented_code(self):
         result = scan("import sys\nsys.exit(3)\n", ExitCodeTableRule())
@@ -608,7 +574,7 @@ class TestDocRules:
         assert found == []
 
     def test_cli_reference_complete_on_this_repo(self):
-        config = load_config(REPO_ROOT)
+        config = AnalysisConfig()
         found = list(CliReferenceRule().check_project(
             Project(root=REPO_ROOT, config=config)))
         assert found == []
@@ -617,7 +583,7 @@ class TestDocRules:
         docs = tmp_path / "docs"
         docs.mkdir()
         (docs / "cli.md").write_text("empty reference\n")
-        config = load_config(REPO_ROOT)
+        config = AnalysisConfig()
         found = list(CliReferenceRule().check_project(
             Project(root=str(tmp_path), config=config)))
         assert any("train" in message for _, _, message in found)
@@ -739,7 +705,10 @@ class TestMetricReference:
         docs = tmp_path / "docs"
         docs.mkdir()
         (docs / "observability.md").write_text(table)
-        return Project(root=str(tmp_path), config=AnalysisConfig())
+        analyzer = Analyzer([], AnalysisConfig(), root=str(tmp_path))
+        index = analyzer.build_index(analyzer.python_files())
+        return Project(root=str(tmp_path), config=AnalysisConfig(),
+                       index=index)
 
     @staticmethod
     def _table(*names):
@@ -748,9 +717,8 @@ class TestMetricReference:
                 "| name | kind |\n|---|---|\n" + rows +
                 "\n\n<!-- name-reference:end -->\n")
 
-    def test_extract_names_normalizes_fstrings(self, tmp_path):
-        project = self._project(tmp_path, self._table())
-        names = extract_names(project.root)
+    def test_extract_names_normalizes_fstrings(self):
+        names = extract_names(ast.parse(self.SOURCE))
         assert names == {"demo.items", "demo.fit", "demo.<category>.hits"}
 
     def test_negative_table_in_sync(self, tmp_path):
@@ -789,233 +757,13 @@ class TestMetricReference:
         assert "missing docs/observability.md" in found[0][2]
 
     def test_reference_in_sync_on_this_repo(self):
-        config = load_config(REPO_ROOT)
-        found = list(MetricReferenceRule().check_project(
-            Project(root=REPO_ROOT, config=config)))
-        assert found == []
+        analyzer = Analyzer([MetricReferenceRule()], AnalysisConfig(),
+                            root=REPO_ROOT)
+        assert analyzer.run().findings == []
 
 
 # ---------------------------------------------------------------------------
-# performance family
-# ---------------------------------------------------------------------------
-class TestHotLoopAllocation:
-    CONFIG = replace(EVERYWHERE, hot_loop_functions=["Core.step"],
-                     hot_loop_types=["StageOccupancy"])
-
-    def test_positive_displays_and_calls(self):
-        result = scan(
-            """
-            class Core:
-                def step(self):
-                    pending = {stage: None for stage in self.stages}
-                    widths = dict(self.table)
-                    occ = StageOccupancy("alu", None, 0, "none")
-            """, HotLoopAllocationRule(), self.CONFIG)
-        assert rule_ids(result) == ["P601", "P601", "P601"]
-        assert "dict comprehension" in result.findings[0].message
-        assert "dict() call" in result.findings[1].message
-        assert "StageOccupancy construction" in result.findings[2].message
-
-    def test_positive_list_display_in_nested_loop(self):
-        result = scan(
-            """
-            class Core:
-                def step(self):
-                    for stage in self.stages:
-                        self.rows.append([stage, 0, 0])
-            """, HotLoopAllocationRule(), self.CONFIG)
-        assert rule_ids(result) == ["P601"]
-
-    def test_negative_other_methods_and_functions(self):
-        result = scan(
-            """
-            class Core:
-                def reset(self):
-                    self.rows = [[0] * 4]
-
-            class Other:
-                def step(self):
-                    return {1, 2}
-
-            def step():
-                return dict(a=1)
-            """, HotLoopAllocationRule(), self.CONFIG)
-        assert result.findings == []
-
-    def test_negative_default_arguments_evaluate_once(self):
-        result = scan(
-            """
-            class Core:
-                def step(self, scratch=(), labels={}):
-                    return scratch, labels
-            """, HotLoopAllocationRule(), self.CONFIG)
-        assert result.findings == []
-
-    def test_statement_anchor_covers_multiline_construction(self):
-        # the comprehension starts two lines below the statement head;
-        # the finding must still anchor at the statement so a standalone
-        # allow above it suppresses.
-        result = scan(
-            """
-            class Core:
-                def step(self):
-                    self.commit(
-                        self.pending,
-                        {stage: 0 for stage in self.stages})
-            """, HotLoopAllocationRule(), self.CONFIG)
-        assert rule_ids(result) == ["P601"]
-        assert result.findings[0].line == 4
-
-    def test_suppressed_legacy_reference_path(self):
-        result = scan(
-            """
-            class Core:
-                def step(self):
-                    # repro: allow[P601] seed-cost reference path
-                    self.commit(
-                        {stage: 0 for stage in self.stages})
-            """, HotLoopAllocationRule(), self.CONFIG)
-        assert result.findings == []
-        assert rule_ids_suppressed(result) == ["P601"]
-
-    def test_negative_unconfigured_rule_is_silent(self):
-        config = replace(EVERYWHERE, hot_loop_functions=[])
-        result = scan(
-            """
-            class Core:
-                def step(self):
-                    return {stage: 0 for stage in self.stages}
-            """, HotLoopAllocationRule(), config)
-        assert result.findings == []
-
-    def test_hot_paths_clean_on_this_repo(self):
-        # the real per-cycle recording path must stay allocation-free,
-        # with no site-level exemptions either
-        analyzer = Analyzer([HotLoopAllocationRule()],
-                            load_config(REPO_ROOT), REPO_ROOT)
-        result = analyzer.run(["src/repro/uarch"])
-        assert result.findings == []
-        assert result.suppressed == []
-
-
-class TestModuleLevelHotFunctions:
-    """P601's ``module.function`` naming for module-level functions."""
-
-    CONFIG = replace(EVERYWHERE,
-                     hot_loop_functions=["reconstruction._scatter"])
-
-    def test_positive_module_level_function(self):
-        result = check_source(textwrap.dedent(
-            """
-            def _scatter(amplitudes, chunks):
-                return [amplitudes * chunk for chunk in chunks]
-            """), [HotLoopAllocationRule()], self.CONFIG,
-            path="src/repro/signal/reconstruction.py")
-        assert rule_ids(result) == ["P601"]
-        assert "reconstruction._scatter" in result.findings[0].message
-
-    def test_negative_same_name_in_other_module(self):
-        # the stem is part of the name: filters._scatter is not hot
-        result = check_source(textwrap.dedent(
-            """
-            def _scatter(amplitudes, chunks):
-                return [amplitudes * chunk for chunk in chunks]
-            """), [HotLoopAllocationRule()], self.CONFIG,
-            path="src/repro/signal/filters.py")
-        assert result.findings == []
-
-    def test_nested_function_resolves_at_outer_scope(self):
-        # a closure inside the hot function is still the hot function's
-        # per-call cost; it must not escape the check via its own name
-        result = check_source(textwrap.dedent(
-            """
-            def _scatter(amplitudes, chunks):
-                def phase(shift):
-                    return {shift: chunks[shift]}
-                return phase(0)
-            """), [HotLoopAllocationRule()], self.CONFIG,
-            path="src/repro/signal/reconstruction.py")
-        assert rule_ids(result) == ["P601"]
-        assert "reconstruction._scatter" in result.findings[0].message
-
-    def test_real_signal_kernels_clean_on_this_repo(self):
-        analyzer = Analyzer([HotLoopAllocationRule()],
-                            load_config(REPO_ROOT), REPO_ROOT)
-        result = analyzer.run(["src/repro/signal"])
-        assert result.findings == []
-
-
-class TestConvolveOutsideOracle:
-    def test_positive_aliased_convolve(self):
-        result = scan(
-            """
-            import numpy as np
-
-            def synthesize(amplitudes, kernel):
-                return np.convolve(amplitudes, kernel)
-            """, ConvolveOutsideOracleRule())
-        assert rule_ids(result) == ["P602"]
-        assert "reconstruct" in result.findings[0].message
-
-    def test_positive_from_import_and_module_scope(self):
-        result = scan(
-            """
-            from numpy import convolve
-            import numpy
-
-            waveform = convolve([1.0], [1.0])
-            other = numpy.convolve([1.0], [1.0])
-            """, ConvolveOutsideOracleRule())
-        assert rule_ids(result) == ["P602", "P602"]
-
-    def test_negative_sanctioned_oracle_function(self):
-        config = replace(EVERYWHERE, convolve_oracle_functions=[
-            "reconstruction._direct_reconstruct"])
-        result = check_source(textwrap.dedent(
-            """
-            import numpy as np
-
-            def _direct_reconstruct(amplitudes, kernel):
-                return np.convolve(amplitudes, kernel)
-            """), [ConvolveOutsideOracleRule()], config,
-            path="src/repro/signal/reconstruction.py")
-        assert result.findings == []
-
-    def test_negative_other_convolve_functions(self):
-        # scipy.signal.convolve, method calls, and unrelated names
-        result = scan(
-            """
-            from scipy.signal import convolve
-
-            def smooth(signal, kernel):
-                return convolve(signal, kernel)
-            """, ConvolveOutsideOracleRule())
-        assert result.findings == []
-
-    def test_suppressed_filtering_convolution(self):
-        result = scan(
-            """
-            import numpy as np
-
-            def smooth(signal, kernel):
-                # repro: allow[P602] a smoothing filter, not synthesis
-                return np.convolve(signal, kernel, mode="same")
-            """, ConvolveOutsideOracleRule())
-        assert result.findings == []
-        assert rule_ids_suppressed(result) == ["P602"]
-
-    def test_convolve_sites_audited_on_this_repo(self):
-        # the engine's oracle is config-sanctioned; the smoothing
-        # filters and the measured-hardware emitter carry allow tags
-        analyzer = Analyzer([ConvolveOutsideOracleRule()],
-                            load_config(REPO_ROOT), REPO_ROOT)
-        result = analyzer.run(["src/repro"])
-        assert result.findings == []
-        assert len(result.suppressed) == 4
-
-
-# ---------------------------------------------------------------------------
-# framework: suppressions, baseline, determinism, exit codes
+# framework: suppressions, determinism, exit codes
 # ---------------------------------------------------------------------------
 class TestFramework:
     def test_standalone_multiline_suppression_comment(self):
@@ -1036,28 +784,17 @@ class TestFramework:
             ExitCodeTableRule())
         assert rule_ids(result) == ["E304"]
 
-    def test_repo_scan_is_clean_and_matches_baseline(self):
-        config = load_config(REPO_ROOT)
-        analyzer = Analyzer(all_rules(), config, root=REPO_ROOT)
+    def test_repo_scan_is_clean(self):
+        analyzer = Analyzer(all_rules(), AnalysisConfig(), root=REPO_ROOT)
         result = analyzer.run()
-        baseline = load_baseline(os.path.join(REPO_ROOT,
-                                              config.baseline))
-        new, stale = apply_baseline(result.findings, baseline)
-        assert new == [], "unsuppressed findings:\n" + "\n".join(
-            finding.format() for finding in new)
-        assert stale == [], "stale baseline entries:\n" + "\n".join(
-            entry.format() for entry in stale)
+        assert result.findings == [], "unsuppressed findings:\n" + \
+            "\n".join(finding.format() for finding in result.findings)
 
     def test_json_report_is_byte_identical_across_runs(self):
-        config = load_config(REPO_ROOT)
-
         def render():
-            analyzer = Analyzer(all_rules(), config, root=REPO_ROOT)
-            result = analyzer.run()
-            new, stale = apply_baseline(
-                result.findings,
-                load_baseline(os.path.join(REPO_ROOT, config.baseline)))
-            return render_json(result, new, stale)
+            analyzer = Analyzer(all_rules(), AnalysisConfig(),
+                                root=REPO_ROOT)
+            return render_json(analyzer.run())
 
         first, second = render(), render()
         assert first == second
@@ -1065,24 +802,10 @@ class TestFramework:
         assert document["schema"] == "repro-lint/1"
         assert document["findings"] == []
 
-    def test_baseline_roundtrip_and_stale_detection(self, tmp_path):
-        from tools.analysis.core import Finding
-        old = Finding(path="a.py", line=1, col=0, rule="D101",
-                      message="legacy")
-        path = str(tmp_path / "baseline.json")
-        write_baseline(path, [old])
-        loaded = load_baseline(path)
-        assert loaded == [old]
-        new, stale = apply_baseline([], loaded)
-        assert new == [] and stale == [old]
-
     def test_exit_codes_follow_repro_error_table(self):
         from repro.robustness import AnalysisError, ConfigurationError
         assert EXIT_FINDINGS == AnalysisError.exit_code == 17
         assert EXIT_CONFIG == ConfigurationError.exit_code == 16
-
-    def test_fallback_error_names_in_sync(self):
-        assert repro_error_names() == FALLBACK_REPRO_ERRORS
 
     def test_cli_unknown_rule_id_is_config_error(self, capsys):
         assert lint_main(["--select", "Z999"]) == EXIT_CONFIG

@@ -4,18 +4,13 @@ Covers the :class:`ProjectIndex` (module resolution, re-export and
 star-import chasing, import cycles), the :class:`CallGraph` (including
 the name-based dynamic-call fallback), the three interprocedural rule
 families (``D201`` seed provenance, ``E601`` exit-code contracts,
-``X701`` IPC hygiene) over fixture trees, the incremental cache
-(cold/warm/tampered runs must render byte-identical reports), the
-``E000`` syntax-error contract, the ``--changed-only`` scoping, and the
-SARIF renderer.
+``X701`` IPC hygiene) over fixture trees, the ``E000`` syntax-error
+contract, and the ``A405`` stale/unknown allow-tag audit.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
-import subprocess
 import sys
 import textwrap
 from dataclasses import replace
@@ -28,18 +23,11 @@ if REPO_ROOT not in sys.path:
 
 from tools.analysis import (AnalysisConfig, Analyzer,  # noqa: E402
                             check_source)
-from tools.analysis.baseline import apply_baseline  # noqa: E402
 from tools.analysis.callgraph import (CallGraph,  # noqa: E402
                                       ExceptionHierarchy)
-from tools.analysis.cli import EXIT_CONFIG  # noqa: E402
-from tools.analysis.cli import _git_changed_files  # noqa: E402
-from tools.analysis.cli import main as lint_main  # noqa: E402
-from tools.analysis.core import (Finding, ScanResult,  # noqa: E402
-                                 SyntaxErrorRule, UnusedSuppressionRule)
-from tools.analysis.project import (ModuleRecord,  # noqa: E402
-                                    ProjectIndex, module_name_for)
-from tools.analysis.report import render_json, render_sarif  # noqa: E402
-from tools.analysis.rules import all_rules  # noqa: E402
+from tools.analysis.core import (SyntaxErrorRule,  # noqa: E402
+                                 UnusedSuppressionRule)
+from tools.analysis.project import module_name_for  # noqa: E402
 from tools.analysis.rules.contracts import ExitCodeTableRule  # noqa: E402
 from tools.analysis.rules.determinism import UnseededRngRule  # noqa: E402
 from tools.analysis.rules.wholeprogram import (  # noqa: E402
@@ -65,13 +53,11 @@ def fixture_config(**overrides):
 def build_index(root, config, rules=()):
     """The ProjectIndex an Analyzer would build over ``root``."""
     analyzer = Analyzer(list(rules), config, root=str(root))
-    files = analyzer.python_files(None)
-    records = analyzer._collect_records(files, needs_index=True)
-    return ProjectIndex(records, config, str(root))
+    return analyzer.build_index(analyzer.python_files())
 
 
 # ---------------------------------------------------------------------------
-# ProjectIndex: module naming, resolution, import graph
+# ProjectIndex: module naming, resolution
 # ---------------------------------------------------------------------------
 class TestProjectIndex:
     def test_module_name_for_source_roots(self):
@@ -111,23 +97,8 @@ class TestProjectIndex:
             "b.py": "import a\n\ndef fb():\n    return a.fa()\n",
         })
         index = build_index(tmp_path, fixture_config())
-        graph = index.import_graph()
-        assert graph["a"] == {"b"} and graph["b"] == {"a"}
-        # resolution across the cycle still terminates (visited set)
+        # resolution across the cycle terminates (visited set)
         assert index.resolve("a.fa") == ("function", "a", "fa")
-        assert index.dependents_closure(["a"]) == {"a", "b"}
-
-    def test_dependents_closure_is_transitive(self, tmp_path):
-        write_tree(tmp_path, {
-            "base.py": "X = 1\n",
-            "mid.py": "import base\n",
-            "top.py": "import mid\n",
-            "other.py": "Y = 2\n",
-        })
-        index = build_index(tmp_path, fixture_config())
-        assert index.dependents_closure(["base"]) == \
-            {"base", "mid", "top"}
-        assert index.dependents_closure(["other"]) == {"other"}
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +315,21 @@ class TestExitContract:
                              [ExitContractRule()])
         assert result.findings == []
 
+    def test_raw_raise_inside_cli_command_is_flagged(self, tmp_path):
+        write_tree(tmp_path, {
+            "cli.py": """\
+                def _cmd_go(args):
+                    if not args:
+                        raise ValueError("bad flag")
+                    return 0
+                """,
+        })
+        result = run_fixture(tmp_path, fixture_config(),
+                             [ExitContractRule()])
+        assert [(f.path, f.line, f.rule) for f in result.findings] == \
+            [("cli.py", 3, "E601")]
+        assert "ValueError" in result.findings[0].message
+
     def test_exempt_names_never_flagged(self, tmp_path):
         write_tree(tmp_path, {
             "cli.py": """\
@@ -471,178 +457,6 @@ class TestSyntaxErrorContract:
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
-# ---------------------------------------------------------------------------
-FIXTURE_TREE = {
-    "pkg/__init__.py": "from .noise import jitter\n",
-    "pkg/noise.py": """\
-        import random
-
-        def jitter():
-            return random.random()
-        """,
-    "pkg/campaign.py": """\
-        from pkg import jitter
-
-        def run_campaign(n):
-            return [jitter() for _ in range(n)]
-        """,
-}
-
-
-def render_run(root, config, rules, cache_dir=None):
-    analyzer = Analyzer(list(rules), config, root=str(root),
-                        cache_dir=cache_dir)
-    result = analyzer.run()
-    new, stale = apply_baseline(result.findings, [])
-    return render_json(result, new, stale), result
-
-
-class TestIncrementalCache:
-    CONFIG = dict(seed_entry_points=["run_campaign"])
-
-    def rules(self):
-        return [SeedProvenanceRule(), UnseededRngRule(),
-                SyntaxErrorRule()]
-
-    def test_cold_warm_and_uncached_are_byte_identical(self, tmp_path):
-        write_tree(tmp_path, FIXTURE_TREE)
-        config = fixture_config(**self.CONFIG)
-        cache = str(tmp_path / ".cache")
-        cold, _ = render_run(tmp_path, config, self.rules(), cache)
-        warm, _ = render_run(tmp_path, config, self.rules(), cache)
-        bare, _ = render_run(tmp_path, config, self.rules(), None)
-        assert cold == warm == bare
-        assert os.listdir(cache)  # the cache was actually populated
-
-    def test_edit_invalidates_dependents(self, tmp_path):
-        write_tree(tmp_path, FIXTURE_TREE)
-        config = fixture_config(**self.CONFIG)
-        cache = str(tmp_path / ".cache")
-        _, before = render_run(tmp_path, config, self.rules(), cache)
-        assert any(f.rule == "D201" for f in before.findings)
-        # fix the provenance leak in the *imported* module; the cached
-        # records of its dependents must not mask the change
-        write_tree(tmp_path, {"pkg/noise.py": """\
-            def jitter(rng=None):
-                return 0.5 if rng is None else rng.random()
-            """})
-        warm, after = render_run(tmp_path, config, self.rules(), cache)
-        cold, again = render_run(tmp_path, config, self.rules(), None)
-        assert warm == cold
-        assert not any(f.rule == "D201" for f in after.findings)
-
-    def test_tampered_cache_entry_is_a_miss(self, tmp_path):
-        write_tree(tmp_path, FIXTURE_TREE)
-        config = fixture_config(**self.CONFIG)
-        cache = str(tmp_path / ".cache")
-        cold, _ = render_run(tmp_path, config, self.rules(), cache)
-        for name in os.listdir(cache):
-            with open(os.path.join(cache, name), "w") as handle:
-                handle.write("{not json")
-        warm, _ = render_run(tmp_path, config, self.rules(), cache)
-        assert cold == warm
-
-    def test_config_change_invalidates_the_cache(self, tmp_path):
-        write_tree(tmp_path, FIXTURE_TREE)
-        config = fixture_config(**self.CONFIG)
-        cache = str(tmp_path / ".cache")
-        _, before = render_run(tmp_path, config, self.rules(), cache)
-        assert any(f.rule == "D201" for f in before.findings)
-        retuned = fixture_config(seed_entry_points=["nonesuch"])
-        _, after = render_run(tmp_path, retuned, self.rules(), cache)
-        assert not any(f.rule == "D201" for f in after.findings)
-
-
-# ---------------------------------------------------------------------------
-# --changed-only scoping
-# ---------------------------------------------------------------------------
-class TestChangedOnly:
-    def test_changed_scope_includes_dependents(self, tmp_path):
-        write_tree(tmp_path, FIXTURE_TREE)
-        config = fixture_config()
-        analyzer = Analyzer([UnseededRngRule()], config,
-                            root=str(tmp_path))
-        scope = analyzer.changed_scope(["pkg/noise.py"])
-        assert scope == ["pkg/__init__.py", "pkg/campaign.py",
-                         "pkg/noise.py"]
-        assert analyzer.changed_scope(["pkg/campaign.py"]) == \
-            ["pkg/campaign.py"]
-        assert analyzer.changed_scope(["README.md"]) == []
-
-    def test_cli_rejects_changed_only_with_paths(self, capsys):
-        assert lint_main(["--changed-only", "src"]) == EXIT_CONFIG
-        assert "positional paths" in capsys.readouterr().err
-
-    def test_cli_exits_16_without_git(self, monkeypatch, capsys):
-        monkeypatch.setattr(shutil, "which", lambda name: None)
-        assert lint_main(["--changed-only"]) == EXIT_CONFIG
-        assert "git" in capsys.readouterr().err
-
-    @pytest.mark.skipif(shutil.which("git") is None,
-                        reason="git not installed")
-    def test_git_changed_files_in_temp_repo(self, tmp_path):
-        def git(*argv):
-            subprocess.run(["git", *argv], cwd=str(tmp_path), check=True,
-                           capture_output=True)
-
-        write_tree(tmp_path, {"a.py": "A = 1\n", "b.py": "B = 2\n"})
-        git("init", "-q")
-        git("-c", "user.email=t@t", "-c", "user.name=t", "add", ".")
-        git("-c", "user.email=t@t", "-c", "user.name=t",
-            "commit", "-q", "-m", "seed")
-        with pytest.raises(ValueError):  # no origin/main yet
-            _git_changed_files(str(tmp_path))
-        git("update-ref", "refs/remotes/origin/main", "HEAD")
-        assert _git_changed_files(str(tmp_path)) == []
-        write_tree(tmp_path, {"b.py": "B = 3\n"})
-        assert _git_changed_files(str(tmp_path)) == ["b.py"]
-
-
-# ---------------------------------------------------------------------------
-# SARIF renderer
-# ---------------------------------------------------------------------------
-class TestSarif:
-    def sample(self):
-        finding = Finding(path="src/x.py", line=3, col=4, rule="D101",
-                          message="unseeded")
-        stale = Finding(path="src/y.py", line=0, col=0, rule="E304",
-                        message="gone")
-        result = ScanResult(findings=[finding], suppressed=[],
-                            checked_files=2)
-        rules = [UnseededRngRule(), ExitCodeTableRule()]
-        return render_sarif(result, [finding], [stale], rules)
-
-    def test_required_properties_and_levels(self):
-        document = json.loads(self.sample())
-        assert document["version"] == "2.1.0"
-        assert document["$schema"].endswith("sarif-2.1.0.json")
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == ["D101", "E304"]
-        levels = [entry["level"] for entry in run["results"]]
-        assert levels == ["error", "note"]
-        region = run["results"][1]["locations"][0][
-            "physicalLocation"]["region"]
-        assert region["startLine"] == 1  # clamped to 1-based
-        assert region["startColumn"] == 1
-
-    def test_render_is_byte_stable(self):
-        assert self.sample() == self.sample()
-
-    def test_cli_emits_valid_sarif(self, tmp_path, capsys):
-        out = str(tmp_path / "report.sarif")
-        code = lint_main(["--format", "sarif", "--select", "D101",
-                          "--out", out, "src"])
-        assert code == 0
-        with open(out) as handle:
-            document = json.load(handle)
-        assert document["version"] == "2.1.0"
-        assert document["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
 # A405 stale suppressions
 # ---------------------------------------------------------------------------
 class TestUnusedSuppression:
@@ -666,6 +480,22 @@ class TestUnusedSuppression:
             "x = 1  # repro: allow[D101] rule not in this run\n",
             [ExitCodeTableRule(), UnusedSuppressionRule()])
         assert result.findings == []
+
+    def test_tag_for_unknown_rule_id_is_flagged(self):
+        result = check_source(
+            "x = 1  # repro: allow[Z999] no such rule\n",
+            [ExitCodeTableRule(), UnusedSuppressionRule()])
+        assert [f.rule for f in result.findings] == ["A405"]
+        assert "Z999" in result.findings[0].message
+        assert "no registered rule" in result.findings[0].message
+
+    def test_unknown_id_is_flagged_on_a_full_run(self, tmp_path):
+        write_tree(tmp_path, {
+            "mod.py": "x = 1  # repro: allow[P602] rule was deleted\n"})
+        result = run_fixture(tmp_path, fixture_config(),
+                             [UnusedSuppressionRule()])
+        assert [(f.path, f.line, f.rule) for f in result.findings] == \
+            [("mod.py", 1, "A405")]
 
     def test_a405_is_itself_suppressible(self):
         result = check_source(
@@ -714,15 +544,6 @@ class TestRepoContracts:
         assert FromIsa is AssemblerError
         assert FromCodec is TraceCodecError
         assert FromLeak is MitigationError
-
-    def test_repo_cold_and_cached_runs_are_byte_identical(self, tmp_path):
-        from tools.analysis.config import load_config
-        config = load_config(REPO_ROOT)
-        cache = str(tmp_path / "cache")
-        cold, _ = render_run(REPO_ROOT, config, all_rules(), None)
-        warm, _ = render_run(REPO_ROOT, config, all_rules(), cache)
-        again, _ = render_run(REPO_ROOT, config, all_rules(), cache)
-        assert cold == warm == again
 
 
 if __name__ == "__main__":

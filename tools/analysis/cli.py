@@ -2,29 +2,19 @@
 
 Exit codes follow the documented ``ReproError`` table
 (``docs/robustness.md``): ``0`` clean, ``17`` (``AnalysisError``) when
-unsuppressed findings remain, ``16`` (``ConfigurationError``) for bad
-invocations, bad config, or an unusable ``--changed-only`` git state,
-``2`` from argparse itself.
-
-The incremental cache is on by default (``make lint``); ``--no-cache``
-forces a full cold analysis (``make lint-cold``) and is guaranteed to
-produce byte-identical findings.
+unsuppressed findings remain, ``16`` (``ConfigurationError``) for an
+unknown rule id, ``2`` from argparse itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import shutil
-import subprocess
 import sys
 from typing import List, Optional
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .config import REPO_ROOT, load_config
+from .config import REPO_ROOT, AnalysisConfig
 from .core import Analyzer
-from .report import (render_json, render_rule_list, render_sarif,
-                     render_text)
+from .report import render_json, render_rule_list, render_text
 from .rules import all_rules
 
 #: mirrors ``AnalysisError.exit_code`` / ``ConfigurationError.exit_code``
@@ -41,23 +31,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(determinism, numerical safety, error contracts, "
                     "API hygiene, whole-program dataflow)")
     parser.add_argument("paths", nargs="*", default=None,
-                        help="files/directories to scan (default: the "
-                             "configured lint surface)")
+                        help="files/directories to report on (default: "
+                             "the configured lint surface)")
     parser.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif"),
-                        help="report format (json and sarif are "
-                             "byte-stable across runs)")
+                        choices=("text", "json"),
+                        help="report format (json is byte-stable "
+                             "across runs)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the report here instead of stdout")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="baseline file (default: the configured "
-                             "tools/analysis/baseline.json)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline: report every "
-                             "finding")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept the current findings into the "
-                             "baseline file and exit 0")
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -65,17 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule ids to skip")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the incremental per-module cache "
-                             "(full cold analysis; identical findings)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="incremental cache directory (default: "
-                             "the configured cache-dir under the repo "
-                             "root)")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="scope to files changed vs merge-base "
-                             "with origin/main, plus their transitive "
-                             "import-graph dependents")
     return parser
 
 
@@ -101,48 +71,11 @@ def _split(value: str) -> List[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _git_changed_files(root: str) -> List[str]:
-    """Paths changed vs ``git merge-base HEAD origin/main``.
-
-    Includes uncommitted working-tree changes (that is what a local
-    pre-push lint wants).  Raises ``ValueError`` — reported as exit 16
-    — when git is missing, this is not a repository, or the merge base
-    cannot be computed (no ``origin/main``), so ``--changed-only``
-    degrades with a clear message instead of a traceback.
-    """
-    git = shutil.which("git")
-    if git is None:
-        raise ValueError("--changed-only: git is not available on PATH")
-    try:
-        base = subprocess.run(
-            [git, "merge-base", "HEAD", "origin/main"],
-            cwd=root, capture_output=True, text=True)
-    except OSError as error:
-        raise ValueError(f"--changed-only: cannot run git ({error})")
-    if base.returncode != 0:
-        detail = base.stderr.strip() or base.stdout.strip() or \
-            f"exit status {base.returncode}"
-        raise ValueError(f"--changed-only: git merge-base HEAD "
-                         f"origin/main failed ({detail})")
-    diff = subprocess.run(
-        [git, "diff", "--name-only", base.stdout.strip()],
-        cwd=root, capture_output=True, text=True)
-    if diff.returncode != 0:
-        detail = diff.stderr.strip() or f"exit status {diff.returncode}"
-        raise ValueError(f"--changed-only: git diff failed ({detail})")
-    return [line.strip() for line in diff.stdout.splitlines()
-            if line.strip()]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the analyzer; returns a ``ReproError``-table exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(REPO_ROOT)
         rules = _pick_rules(args.select, args.ignore)
-        if args.changed_only and args.paths:
-            raise ValueError("--changed-only computes its own scope; "
-                             "drop the positional paths")
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CONFIG
@@ -150,42 +83,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_rule_list(rules))
         return 0
 
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = os.path.join(REPO_ROOT,
-                                 args.cache_dir or config.cache_dir)
-    analyzer = Analyzer(rules, config, root=REPO_ROOT,
-                        cache_dir=cache_dir)
-
-    paths: Optional[List[str]] = args.paths or None
-    if args.changed_only:
-        try:
-            paths = analyzer.changed_scope(_git_changed_files(REPO_ROOT))
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_CONFIG
-    result = analyzer.run(paths)
-
-    baseline_path = os.path.join(
-        REPO_ROOT, args.baseline or config.baseline)
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(f"baseline written: {len(result.findings)} finding(s) "
-              f"-> {os.path.relpath(baseline_path, REPO_ROOT)}")
-        return 0
-    baseline = [] if args.no_baseline else load_baseline(baseline_path)
-    new, stale = apply_baseline(result.findings, baseline)
-
-    if args.format == "sarif":
-        report = render_sarif(result, new, stale, rules)
-    elif args.format == "json":
-        report = render_json(result, new, stale)
-    else:
-        report = render_text(result, new, stale)
+    analyzer = Analyzer(rules, AnalysisConfig(), root=REPO_ROOT)
+    result = analyzer.run(args.paths or None)
+    render = render_json if args.format == "json" else render_text
+    report = render(result)
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(report if report.endswith("\n")
-                         else report + "\n")
+            handle.write(report)
     else:
-        print(report, end="" if report.endswith("\n") else "\n")
-    return EXIT_FINDINGS if new or stale else 0
+        print(report, end="")
+    return EXIT_FINDINGS if result.findings else 0

@@ -1,17 +1,16 @@
-"""Analyzer configuration, read from ``[tool.repro.analysis]``.
+"""Analyzer configuration: one dataclass of defaults for this repository.
 
-Every knob has a default tuned to this repository, so a bare
-``python -m tools.analysis`` checks exactly what ``make lint`` gates.
-Path-valued options are repo-root-relative prefixes; a file matches a
-prefix when its relative path equals the prefix or lives under it.
-Tests override individual fields to point rules at fixture trees.
+A bare ``python -m tools.analysis`` checks exactly what ``make lint``
+gates; there is no config file.  Path-valued options are
+repo-root-relative prefixes; a file matches a prefix when its relative
+path equals the prefix or lives under it.  Tests override individual
+fields with :func:`dataclasses.replace` to point rules at fixture trees.
 """
 
 from __future__ import annotations
 
 import os
-import tomllib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import List
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -20,13 +19,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """All analyzer settings; field names mirror the pyproject keys."""
+    """All analyzer settings."""
 
     #: directory trees scanned for ``.py`` files (the lint surface).
     paths: List[str] = field(default_factory=lambda: ["src", "tools"])
-    #: committed baseline of accepted findings.
-    baseline: str = "tools/analysis/baseline.json"
-    #: modules making up the CLI layer; E303 restricts their raises.
+    #: modules making up the CLI layer; E601 audits what escapes their
+    #: ``main``/``_cmd_*`` entry points.
     cli_modules: List[str] = field(default_factory=lambda: [
         "src/repro/cli.py", "src/repro/__main__.py"])
     #: the sanctioned process fan-out modules (D105 flags pools
@@ -44,8 +42,7 @@ class AnalysisConfig:
     #: packages whose public API must be fully annotated (A404).
     annotations_packages: List[str] = field(default_factory=lambda: [
         "src/repro/core"])
-    #: packages/modules whose public API must be fully documented (A401;
-    #: populated from ``[tool.repro.docstrings]`` for one-gate parity).
+    #: packages/modules whose public API must be fully documented (A401).
     docstring_packages: List[str] = field(default_factory=lambda: [
         "src/repro/core", "src/repro/signal"])
     #: campaign-shaped modules where every supervised fan-out call must
@@ -61,31 +58,6 @@ class AnalysisConfig:
     #: markdown surfaces checked by the doc rules (A402/A403).
     doc_files: List[str] = field(default_factory=lambda: [
         "README.md", "docs"])
-    #: ``Class.method`` (or ``module.function`` for module-level
-    #: functions) names on the per-cycle simulation hot path; P601
-    #: flags any dict/list/set construction inside them — the columnar
-    #: trace engine exists precisely because per-cycle object churn
-    #: dominated simulate time.  The ``reconstruction.*`` entries are
-    #: the signal engine's per-trace kernels.
-    hot_loop_functions: List[str] = field(default_factory=lambda: [
-        "ActivityTrace.begin_cycle", "ActivityTrace.end_cycle",
-        "ActivityTrace.record",
-        "HardwareLatches.write", "HardwareLatches.write_bubble",
-        "OutOfOrderCore.step", "Pipeline.step",
-        "reconstruction._banded_rhs",
-        "reconstruction._overlap_add_synthesize",
-        "reconstruction._spectral_synthesize"])
-    #: per-cycle dataclass/object types whose construction P601 also
-    #: flags inside hot-loop functions (matched by unqualified name).
-    hot_loop_types: List[str] = field(default_factory=lambda: [
-        "StageOccupancy"])
-    #: sanctioned direct-convolution sites (same naming scheme as
-    #: ``hot-loop-functions``); P602 flags every other ``np.convolve``
-    #: call in ``src`` — Eq. 6 synthesis must go through the planned
-    #: engine (``reconstruct``).  Empty by default: the direct oracle
-    #: lives in ``tests/``, and the one production call carries an
-    #: inline allow tag.
-    convolve_oracle_functions: List[str] = field(default_factory=list)
     #: import roots mapping file paths to dotted module names for the
     #: ProjectIndex; tried in order (``src/repro/cli.py`` ->
     #: ``repro.cli``, ``tools/analysis/cli.py`` -> ``tools.analysis.cli``).
@@ -124,47 +96,6 @@ class AnalysisConfig:
     #: matches more than this many project functions — the graph stays
     #: an over-approximation without wiring the whole repo together.
     dynamic_call_fanout: int = 6
-    #: where the incremental engine keeps per-module records (relative
-    #: to the repo root; gitignored).
-    cache_dir: str = ".repro-lint-cache"
-
-
-def _pyproject_section(root: str, *keys: str) -> dict:
-    """Return a nested table from ``pyproject.toml`` ({} when absent)."""
-    path = os.path.join(root, "pyproject.toml")
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb") as handle:
-        document = tomllib.load(handle)
-    for key in keys:
-        document = document.get(key, {})
-    return document if isinstance(document, dict) else {}
-
-
-def load_config(root: str = REPO_ROOT) -> AnalysisConfig:
-    """Build the effective config: defaults + pyproject overrides.
-
-    ``[tool.repro.analysis]`` keys use dashes (``cli-modules``); they
-    map onto the dataclass fields with underscores.  The docstring
-    package list is inherited from ``[tool.repro.docstrings]`` so the
-    migrated A401 pass gates exactly what ``check_docstrings`` gated.
-    """
-    config = AnalysisConfig()
-    docstrings = _pyproject_section(root, "tool", "repro", "docstrings")
-    if docstrings:
-        packages = list(docstrings.get("packages", []))
-        packages += list(docstrings.get("modules", []))
-        if packages:
-            config = replace(config, docstring_packages=packages)
-    overrides = _pyproject_section(root, "tool", "repro", "analysis")
-    known = {f.name for f in fields(AnalysisConfig)}
-    updates = {}
-    for key, value in overrides.items():
-        name = key.replace("-", "_")
-        if name not in known:
-            raise ValueError(f"[tool.repro.analysis]: unknown key {key!r}")
-        updates[name] = value
-    return replace(config, **updates) if updates else config
 
 
 def path_matches(relative: str, prefixes: List[str]) -> bool:

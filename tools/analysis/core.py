@@ -22,12 +22,9 @@ The design splits a *rule* (one invariant, one ``RULE-ID``) from the
   resolved import aliases (``np`` -> ``numpy``), parent links,
   ``np.errstate`` spans, and inline suppression comments.
 
-Per-file work is cached incrementally when the engine is given a cache
-directory: each module's record (findings, suppressions, summary) is
-stored under a content hash of the module *and everything it
-transitively imports* (see :mod:`tools.analysis.cache`), so a warm run
-re-analyzes only what a change can actually affect and produces
-byte-identical findings to a cold run.
+Every run is one cold pass: each file on the lint surface is read and
+parsed exactly once, and that one tree feeds both the per-file rules
+and the module summary the whole-program index is built from.
 
 Output is deterministic by construction: files are discovered in sorted
 order, findings are sorted by ``(path, line, col, rule, message)``, and
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
-from .config import AnalysisConfig, path_matches
+from .config import AnalysisConfig
 
 SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow\[([A-Za-z]\d+(?:\s*,\s*[A-Za-z]\d+)*)\]")
@@ -68,13 +65,6 @@ class Finding:
         """JSON-ready representation (stable key order via sort_keys)."""
         return {"path": self.path, "line": self.line, "col": self.col,
                 "rule": self.rule, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the baseline loader)."""
-        return cls(path=data["path"], line=int(data["line"]),
-                   col=int(data["col"]), rule=data["rule"],
-                   message=data["message"])
 
 
 class FileContext:
@@ -191,11 +181,10 @@ class FileContext:
 class Project:
     """Repo-level view handed to :class:`ProjectRule` passes.
 
-    ``index`` is the :class:`~tools.analysis.project.ProjectIndex`
-    when the engine built one (whole-program rules active or the cache
-    enabled), letting repo-level passes read cached per-module facts
-    instead of re-walking source trees; it is ``None`` on bare
-    file-scoped runs, and rules must fall back accordingly.
+    ``index`` is the :class:`~tools.analysis.project.ProjectIndex` the
+    engine built over the whole lint surface, so repo-level passes read
+    per-module facts instead of re-walking source trees.  Passes that
+    only read markdown (``A402``/``A403``) work without one.
     """
 
     root: str
@@ -218,9 +207,6 @@ class Rule:
     #: AST node classes this rule wants to see; () = whole-file rule
     #: that only implements :meth:`check_file`.
     node_types: Tuple[type, ...] = ()
-    #: set by rules that consume the ProjectIndex when one is available
-    #: (forces the engine to build it even without ProgramRules).
-    needs_index: bool = False
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule runs on ``ctx`` at all (default: yes)."""
@@ -256,8 +242,6 @@ class ProgramRule(Rule):
     analysis itself still sees every caller and callee.
     """
 
-    needs_index = True
-
     def check_program(self, index: Any) -> Iterator[Finding]:
         """Yield findings computed from the whole-program index."""
         return iter(())
@@ -287,7 +271,9 @@ class UnusedSuppressionRule(Rule):
     suppressions rot into unreviewed noise.  The engine computes this
     after all other passes (including whole-program ones) have
     attributed their suppressions, counting only rule ids that were
-    active in the run; tags naming unselected rules are left alone.
+    active in the run; tags naming deselected rules are left alone.
+    A tag naming an id that no registered rule has can never suppress
+    anything (a typo, or a deleted rule), so it is always flagged.
     """
 
     rule_id = "A405"
@@ -317,21 +303,13 @@ def _syntax_error_finding(path: str, error: SyntaxError) -> Finding:
 
 
 class Analyzer:
-    """Runs a rule set over the configured lint surface.
-
-    With ``cache_dir`` set, per-module records are reused across runs
-    under content-hash keys (see :mod:`tools.analysis.cache`); without
-    it every run is cold.  Cached and cold runs produce byte-identical
-    results — ``tests/test_analysis_project.py`` pins this.
-    """
+    """Runs a rule set over the configured lint surface in one cold pass."""
 
     def __init__(self, rules: Sequence[Rule], config: AnalysisConfig,
-                 root: str, cache_dir: Optional[str] = None):
+                 root: str):
         self.rules = list(rules)
         self.config = config
         self.root = root
-        self.cache_dir = cache_dir
-        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # file discovery
@@ -358,24 +336,15 @@ class Analyzer:
             path.replace(os.sep, "/") for path in found))
 
     # ------------------------------------------------------------------
-    # engine identity (cache keying)
-    # ------------------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Engine + config + ruleset hash folded into cache keys."""
-        if self._fingerprint is None:
-            from .cache import engine_fingerprint
-            self._fingerprint = engine_fingerprint(
-                repr(self.config),
-                [rule.rule_id for rule in self.rules])
-        return self._fingerprint
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, paths: Optional[Sequence[str]] = None) -> ScanResult:
-        """Analyze the surface; returns sorted kept/suppressed findings."""
-        from .project import ProjectIndex
+        """Analyze the surface; returns sorted kept/suppressed findings.
 
+        ``paths`` narrows what is *reported*; the whole-program index is
+        always built over the full configured surface, so a scoped run
+        still sees every caller and callee.
+        """
         program_rules = sorted(
             (rule for rule in self.rules
              if isinstance(rule, ProgramRule)),
@@ -384,20 +353,11 @@ class Analyzer:
                             for rule in self.rules)
         unused_active = any(isinstance(rule, UnusedSuppressionRule)
                             for rule in self.rules)
-        needs_index = (bool(program_rules) or
-                       self.cache_dir is not None or
-                       any(rule.needs_index for rule in self.rules))
 
         reported = self.python_files(paths)
-        if needs_index:
-            all_files = sorted(set(reported) |
-                               set(self.python_files(None)))
-        else:
-            all_files = reported
-
-        records = self._collect_records(all_files, needs_index)
-        index = ProjectIndex(records, self.config, self.root) \
-            if needs_index else None
+        index = self.build_index(
+            sorted(set(reported) | set(self.python_files(None))))
+        records = index.records
 
         kept: List[Finding] = []
         suppressed: List[Finding] = []
@@ -412,16 +372,12 @@ class Analyzer:
         # whole-program passes: computed over the full index, reported
         # (and suppression-routed) only on the files in scope.
         program_suppressed: Dict[str, Set[Tuple[int, str]]] = {}
-        suppression_maps: Dict[str, Dict[int, Set[str]]] = {}
         for rule in program_rules:
             for finding in rule.check_program(index):
                 if finding.path not in reported_set:
                     continue
-                mapping = suppression_maps.get(finding.path)
-                if mapping is None:
-                    mapping = records[finding.path].suppression_map()
-                    suppression_maps[finding.path] = mapping
-                if finding.rule in mapping.get(finding.line, ()):
+                covered = records[finding.path].suppressions
+                if finding.rule in covered.get(finding.line, ()):
                     suppressed.append(finding)
                     program_suppressed.setdefault(
                         finding.path, set()).add(
@@ -431,18 +387,16 @@ class Analyzer:
 
         if unused_active:
             active_ids = {rule.rule_id for rule in self.rules}
+            known_ids = _registered_ids() | active_ids
             for relative in reported:
                 record = records[relative]
                 used = {(finding.line, finding.rule)
                         for finding in record.suppressed}
                 used |= program_suppressed.get(relative, set())
-                mapping = suppression_maps.get(relative)
-                if mapping is None:
-                    mapping = record.suppression_map()
-                for finding in self._stale_tags(relative, record.tags,
-                                                used, active_ids):
+                for finding in _stale_tags(relative, record.tags, used,
+                                           active_ids, known_ids):
                     if UnusedSuppressionRule.rule_id in \
-                            mapping.get(finding.line, ()):
+                            record.suppressions.get(finding.line, ()):
                         suppressed.append(finding)
                     else:
                         kept.append(finding)
@@ -460,197 +414,41 @@ class Analyzer:
                           suppressed=sorted(suppressed),
                           checked_files=len(reported))
 
-    @staticmethod
-    def _stale_tags(path: str, tags, used: Set[Tuple[int, str]],
-                    active_ids: Set[str]) -> Iterator[Finding]:
-        for tag_line, ids, covered in tags:
-            stale = [rule_id for rule_id in ids
-                     if rule_id != UnusedSuppressionRule.rule_id
-                     and rule_id in active_ids
-                     and not any((line, rule_id) in used
-                                 for line in covered)]
-            if stale:
-                yield Finding(
-                    path=path, line=tag_line, col=0,
-                    rule=UnusedSuppressionRule.rule_id,
-                    message=f"allow[{', '.join(stale)}] suppresses "
-                            f"nothing on the line(s) it covers; remove "
-                            f"the stale tag or move it to the "
-                            f"offending line")
+    def build_index(self, files: Sequence[str]):
+        """Parse and check each of ``files`` once; the whole-program index.
 
-    # ------------------------------------------------------------------
-    # per-module records (cached or fresh)
-    # ------------------------------------------------------------------
-    def _collect_records(self, files: Sequence[str],
-                         needs_index: bool) -> Dict[str, Any]:
-        from .cache import SummaryCache
-        from .project import module_name_for
-
-        sources: Dict[str, bytes] = {}
-        for relative in files:
-            with open(os.path.join(self.root, relative), "rb") as handle:
-                sources[relative] = handle.read()
-        modinfo = {relative: module_name_for(
-            relative, self.config.source_roots) for relative in files}
-
-        cache = SummaryCache(self.cache_dir) if self.cache_dir else None
-        trees: Dict[str, ast.Module] = {}
-        module_keys: Dict[str, str] = {}
-        if cache is not None:
-            module_keys = self._module_keys(files, sources, modinfo,
-                                            cache, trees)
+        Each file yields one :class:`~tools.analysis.project.ModuleRecord`
+        (per-file findings, suppressions, allow tags, module summary).
+        """
+        from .project import ModuleRecord, ProjectIndex, module_name_for
+        from .summaries import build_summary
 
         records: Dict[str, Any] = {}
         for relative in files:
-            record = None
-            key = module_keys.get(relative)
-            if cache is not None and key is not None:
-                record = self._load_record(cache, key)
-            if record is None:
-                record = self._build_record(relative, sources[relative],
-                                            modinfo[relative],
-                                            trees.get(relative),
-                                            needs_index)
-                if cache is not None and key is not None:
-                    cache.store("module", key, record.to_dict())
-            records[relative] = record
-        return records
-
-    def _module_keys(self, files, sources, modinfo, cache,
-                     trees) -> Dict[str, str]:
-        """Tree-hash cache keys, recovering imports without re-parsing."""
-        import hashlib
-
-        from .cache import source_hash, tree_hashes
-        from .summaries import module_imports
-
-        own_by_module: Dict[str, str] = {}
-        imports_by_module: Dict[str, Set[str]] = {}
-        file_of_module: Dict[str, str] = {}
-        fingerprint = self.fingerprint()
-        for relative in files:
-            info = modinfo[relative]
-            if info is None:
-                continue
-            module, is_package = info
-            own = source_hash(sources[relative])
-            own_by_module[module] = own
-            file_of_module[module] = relative
-            import_key = hashlib.sha256(
-                f"{fingerprint}:{relative}:{own}".encode()).hexdigest()
-            payload = cache.load("imports", import_key)
-            if payload is None:
-                try:
-                    tree = ast.parse(sources[relative].decode("utf-8"),
-                                     filename=relative)
-                except SyntaxError:
-                    imports: List[str] = []
-                else:
-                    trees[relative] = tree
-                    imports = module_imports(tree, module, is_package)
-                cache.store("imports", import_key,
-                            {"imports": imports})
-            else:
-                imports = list(payload.get("imports", []))
-            imports_by_module[module] = set(imports)
-        hashes = tree_hashes(own_by_module, imports_by_module,
-                             fingerprint)
-        return {file_of_module[module]: key
-                for module, key in hashes.items()}
-
-    def _load_record(self, cache, key: str):
-        from .project import ModuleRecord
-        payload = cache.load("module", key)
-        if payload is None:
-            return None
-        try:
-            return ModuleRecord.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def _build_record(self, relative: str, data: bytes, info,
-                      tree: Optional[ast.Module], needs_index: bool):
-        from .project import ModuleRecord
-        from .summaries import build_summary
-
-        module, is_package = info if info is not None else (None, False)
-        source = data.decode("utf-8")
-        if tree is None:
+            info = module_name_for(relative, self.config.source_roots)
+            module, is_package = info if info is not None else (None,
+                                                                False)
+            with open(os.path.join(self.root, relative),
+                      encoding="utf-8") as handle:
+                source = handle.read()
             try:
                 tree = ast.parse(source, filename=relative)
             except SyntaxError as error:
-                return ModuleRecord(
-                    path=relative.replace(os.sep, "/"), module=module,
-                    is_package=is_package,
+                records[relative] = ModuleRecord(
+                    path=relative, module=module, is_package=is_package,
                     error=_syntax_error_finding(relative, error))
-        ctx = FileContext(relative, source, tree, self.config)
-        kept: List[Finding] = []
-        suppressed: List[Finding] = []
-        for finding in self._check_tree(ctx):
-            (suppressed if ctx.is_suppressed(finding.line, finding.rule)
-             else kept).append(finding)
-        summary = None
-        if needs_index and module is not None:
-            summary = build_summary(module, is_package, ctx)
-        return ModuleRecord(path=ctx.path, module=module,
-                            is_package=is_package, findings=sorted(kept),
-                            suppressed=sorted(suppressed),
-                            tags=list(ctx.suppression_tags),
-                            summary=summary)
-
-    # ------------------------------------------------------------------
-    # incremental scoping (``--changed-only``)
-    # ------------------------------------------------------------------
-    def changed_scope(self, changed: Sequence[str]) -> List[str]:
-        """Changed surface files plus transitive import-graph dependents.
-
-        ``changed`` is any iterable of repo-relative paths (straight
-        from ``git diff --name-only``); anything off the lint surface is
-        ignored.  A module's dependents are every module that reaches
-        it through imports — the same closure the cache invalidates —
-        so a scoped run re-checks exactly what the change can affect.
-        """
-        from .summaries import module_imports
-        from .project import module_name_for
-
-        surface = self.python_files(None)
-        changed_set = {path.replace(os.sep, "/") for path in changed}
-        seeds = sorted(changed_set & set(surface))
-        if not seeds:
-            return []
-        deps: Dict[str, Set[str]] = {}
-        module_of: Dict[str, str] = {}
-        for relative in surface:
-            info = module_name_for(relative, self.config.source_roots)
-            if info is None:
                 continue
-            module, is_package = info
-            module_of[relative] = module
-            try:
-                with open(os.path.join(self.root, relative)) as handle:
-                    tree = ast.parse(handle.read(), filename=relative)
-            except SyntaxError:
-                deps[module] = set()
-                continue
-            deps[module] = set(module_imports(tree, module, is_package))
-        reverse: Dict[str, Set[str]] = {}
-        for module, imported in deps.items():
-            for dep in imported:
-                if dep in deps:
-                    reverse.setdefault(dep, set()).add(module)
-        closure: Set[str] = set()
-        frontier = [module_of[path] for path in seeds
-                    if path in module_of]
-        while frontier:
-            module = frontier.pop()
-            if module in closure:
-                continue
-            closure.add(module)
-            frontier.extend(sorted(reverse.get(module, ())))
-        scope = set(seeds)
-        scope.update(path for path, module in module_of.items()
-                     if module in closure)
-        return sorted(scope)
+            ctx = FileContext(relative, source, tree, self.config)
+            kept, suppressed = _split_suppressed(self._check_tree(ctx),
+                                                 ctx)
+            summary = build_summary(module, is_package, ctx) \
+                if module is not None else None
+            records[relative] = ModuleRecord(
+                path=ctx.path, module=module, is_package=is_package,
+                findings=kept, suppressed=suppressed,
+                tags=list(ctx.suppression_tags),
+                suppressions=ctx.suppressions, summary=summary)
+        return ProjectIndex(records, self.config, self.root)
 
     def _check_tree(self, ctx: FileContext) -> Iterator[Finding]:
         active = [rule for rule in self.rules
@@ -674,6 +472,50 @@ class Analyzer:
                               rule=rule.rule_id, message=message)
 
 
+def _split_suppressed(findings: Iterator[Finding], ctx: FileContext
+                      ) -> Tuple[List[Finding], List[Finding]]:
+    """Sorted ``(kept, suppressed)`` by the file's allow tags."""
+    kept: List[Finding] = []
+    suppressed: List[Finding] = []
+    for finding in findings:
+        (suppressed if ctx.is_suppressed(finding.line, finding.rule)
+         else kept).append(finding)
+    return sorted(kept), sorted(suppressed)
+
+
+def _registered_ids() -> Set[str]:
+    """Every rule id in the registry, selected for this run or not."""
+    from .rules import all_rules
+    return {rule.rule_id for rule in all_rules()}
+
+
+def _stale_tags(path: str, tags, used: Set[Tuple[int, str]],
+                active_ids: Set[str], known_ids: Set[str]
+                ) -> Iterator[Finding]:
+    """A405 findings: tags naming unknown ids, or suppressing nothing."""
+    for tag_line, ids, covered in tags:
+        unknown = [rule_id for rule_id in ids if rule_id not in known_ids]
+        if unknown:
+            yield Finding(
+                path=path, line=tag_line, col=0,
+                rule=UnusedSuppressionRule.rule_id,
+                message=f"allow[{', '.join(unknown)}] names no "
+                        f"registered rule; fix the id or remove the tag")
+        stale = [rule_id for rule_id in ids
+                 if rule_id != UnusedSuppressionRule.rule_id
+                 and rule_id in active_ids
+                 and not any((line, rule_id) in used
+                             for line in covered)]
+        if stale:
+            yield Finding(
+                path=path, line=tag_line, col=0,
+                rule=UnusedSuppressionRule.rule_id,
+                message=f"allow[{', '.join(stale)}] suppresses "
+                        f"nothing on the line(s) it covers; remove "
+                        f"the stale tag or move it to the "
+                        f"offending line")
+
+
 def check_source(source: str, rules: Sequence[Rule],
                  config: Optional[AnalysisConfig] = None,
                  path: str = "<fixture>.py") -> ScanResult:
@@ -695,18 +537,14 @@ def check_source(source: str, rules: Sequence[Rule],
         raise
     ctx = FileContext(path, source, tree, config)
     analyzer = Analyzer(rules, config, root=".")
-    kept: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in analyzer._check_tree(ctx):
-        (suppressed if ctx.is_suppressed(finding.line, finding.rule)
-         else kept).append(finding)
+    kept, suppressed = _split_suppressed(analyzer._check_tree(ctx), ctx)
     if any(isinstance(rule, UnusedSuppressionRule) for rule in rules):
         active_ids = {rule.rule_id for rule in rules}
         used = {(finding.line, finding.rule) for finding in suppressed}
-        for finding in Analyzer._stale_tags(ctx.path,
-                                            ctx.suppression_tags, used,
-                                            active_ids):
-            (suppressed if ctx.is_suppressed(finding.line, finding.rule)
-             else kept).append(finding)
+        stale = _split_suppressed(
+            _stale_tags(ctx.path, ctx.suppression_tags, used, active_ids,
+                        _registered_ids() | active_ids), ctx)
+        kept += stale[0]
+        suppressed += stale[1]
     return ScanResult(findings=sorted(kept), suppressed=sorted(suppressed),
                       checked_files=1)

@@ -3,11 +3,9 @@
 Where :class:`~tools.analysis.core.FileContext` answers questions about
 one file, the index answers the cross-module ones: *which module is
 ``repro.core.batch``*, *what does the ref ``repro.core.EMSim.simulate``
-actually name once re-exports are chased*, *who imports whom*, and
-*which files does a change to this module invalidate*.  It is built
-from one :class:`ModuleRecord` per file — each the cached (or freshly
-computed) product of that file alone — so constructing the index never
-re-parses an unchanged module.
+actually name once re-exports are chased*, and *which classes derive
+from which*.  It is built from one :class:`ModuleRecord` per file, each
+the product of that file alone.
 
 Name resolution is deliberately conservative: a dotted ref resolves by
 longest-module-prefix, then through the target module's symbol table,
@@ -21,7 +19,7 @@ guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .config import AnalysisConfig, path_matches
 from .core import Finding
@@ -62,10 +60,11 @@ def module_name_for(path: str,
 class ModuleRecord:
     """Everything one analyzer pass over a single file produced.
 
-    This is the unit of caching: findings and suppressions from the
-    per-file rules, the file's suppression tags (for the stale-tag
-    pass), the module summary (for the whole-program rules), and the
-    ``E000`` finding when the file does not parse.
+    Findings and suppressions from the per-file rules, the file's
+    suppression tags (for the stale-tag pass) and the line -> rule ids
+    they cover (for routing whole-program findings), the module summary
+    (for the whole-program rules), and the ``E000`` finding when the
+    file does not parse.
     """
 
     path: str
@@ -75,51 +74,13 @@ class ModuleRecord:
     suppressed: List[Finding] = field(default_factory=list)
     tags: List[Tuple[int, Tuple[str, ...], Tuple[int, ...]]] = \
         field(default_factory=list)
+    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     summary: Optional[dict] = None
     error: Optional[Finding] = None
 
-    def suppression_map(self) -> Dict[int, Set[str]]:
-        """Line -> suppressed rule ids, rebuilt from the stored tags."""
-        mapping: Dict[int, Set[str]] = {}
-        for _, ids, covered in self.tags:
-            for line in covered:
-                mapping.setdefault(line, set()).update(ids)
-        return mapping
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "findings": [finding.to_dict() for finding in self.findings],
-            "suppressed": [finding.to_dict()
-                           for finding in self.suppressed],
-            "tags": [[line, list(ids), list(covered)]
-                     for line, ids, covered in self.tags],
-            "summary": self.summary,
-            "error": self.error.to_dict() if self.error else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleRecord":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            is_package=bool(data["is_package"]),
-            findings=[Finding.from_dict(entry)
-                      for entry in data["findings"]],
-            suppressed=[Finding.from_dict(entry)
-                        for entry in data["suppressed"]],
-            tags=[(int(line), tuple(ids), tuple(covered))
-                  for line, ids, covered in data["tags"]],
-            summary=data["summary"],
-            error=Finding.from_dict(data["error"])
-            if data.get("error") else None,
-        )
-
 
 class ProjectIndex:
-    """Symbol tables, import graph, and ref resolution over all modules."""
+    """Symbol tables, class hierarchy, and ref resolution over all modules."""
 
     def __init__(self, records: Dict[str, ModuleRecord],
                  config: AnalysisConfig, root: str):
@@ -219,35 +180,6 @@ class ProjectIndex:
                         ref.split(".")[-1] for ref in info["bases"])
             self._bases = bases
         return self._bases
-
-    # ------------------------------------------------------------------
-    # import graph
-    # ------------------------------------------------------------------
-    def import_graph(self) -> Dict[str, Set[str]]:
-        """module -> internal modules it imports (externals dropped)."""
-        graph: Dict[str, Set[str]] = {}
-        for module in self.modules():
-            summary = self.summary(module)
-            graph[module] = {dep for dep in summary["imports"]
-                             if dep in self.by_module and dep != module}
-        return graph
-
-    def dependents_closure(self,
-                           modules: Iterable[str]) -> Set[str]:
-        """The given modules plus everything transitively importing them."""
-        reverse: Dict[str, Set[str]] = {}
-        for module, deps in self.import_graph().items():
-            for dep in deps:
-                reverse.setdefault(dep, set()).add(module)
-        closure: Set[str] = set()
-        frontier = [m for m in modules if m in self.by_module]
-        while frontier:
-            module = frontier.pop()
-            if module in closure:
-                continue
-            closure.add(module)
-            frontier.extend(sorted(reverse.get(module, ())))
-        return closure
 
     # ------------------------------------------------------------------
     # derived facts for rules

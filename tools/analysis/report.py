@@ -9,108 +9,30 @@ two consecutive runs over the same tree produce byte-identical output
 from __future__ import annotations
 
 import json
-from typing import List, Sequence
+from typing import Sequence
 
-from .core import Finding, Rule, ScanResult
+from .core import Rule, ScanResult
 
 REPORT_SCHEMA = "repro-lint/1"
 
 
-def render_text(result: ScanResult, new: List[Finding],
-                stale: List[Finding]) -> str:
+def render_text(result: ScanResult) -> str:
     """Human-readable report: one row per finding, then the tally."""
-    lines = [finding.format() for finding in new]
-    for entry in stale:
-        lines.append(f"stale baseline entry (fixed? rerun "
-                     f"--write-baseline): {entry.format()}")
+    lines = [finding.format() for finding in result.findings]
     lines.append(f"repro-lint: {result.checked_files} file(s), "
-                 f"{len(new)} finding(s), "
-                 f"{len(result.suppressed)} suppressed, "
-                 f"{len(stale)} stale baseline entr"
-                 f"{'y' if len(stale) == 1 else 'ies'}")
-    return "\n".join(lines)
+                 f"{len(result.findings)} finding(s), "
+                 f"{len(result.suppressed)} suppressed")
+    return "\n".join(lines) + "\n"
 
 
-def render_json(result: ScanResult, new: List[Finding],
-                stale: List[Finding]) -> str:
+def render_json(result: ScanResult) -> str:
     """Machine-readable report (schema ``repro-lint/1``)."""
     document = {
         "schema": REPORT_SCHEMA,
         "checked_files": result.checked_files,
-        "findings": [finding.to_dict() for finding in new],
+        "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [finding.to_dict()
                        for finding in result.suppressed],
-        "stale_baseline": [entry.to_dict() for entry in stale],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-#: published JSON schema for SARIF 2.1.0 (the static analysis results
-#: interchange format CI annotators consume).
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-SARIF_VERSION = "2.1.0"
-
-
-def render_sarif(result: ScanResult, new: List[Finding],
-                 stale: List[Finding], rules: Sequence[Rule]) -> str:
-    """SARIF 2.1.0 report for CI diff annotation.
-
-    Carries the same findings as the JSON report (new findings as
-    ``error`` results, stale baseline entries as ``note`` results) in
-    the shape code-review integrations ingest: one run, driver
-    ``repro-lint``, per-rule metadata, and physical locations with
-    1-based lines/columns and repo-relative URIs.  Deterministic like
-    every other renderer: sorted keys, no timestamps, no absolute
-    paths — two runs over the same tree are byte-identical.
-    """
-    driver_rules = [
-        {
-            "id": rule.rule_id,
-            "name": type(rule).__name__,
-            "shortDescription": {"text": rule.title},
-            "properties": {"family": rule.family},
-        }
-        for rule in sorted(rules, key=lambda rule: rule.rule_id)
-        if rule.rule_id
-    ]
-    results = []
-    for level, findings in (("error", new), ("note", stale)):
-        for finding in findings:
-            message = finding.message if level == "error" else \
-                f"stale baseline entry (fixed? rerun " \
-                f"--write-baseline): {finding.message}"
-            results.append({
-                "ruleId": finding.rule,
-                "level": level,
-                "message": {"text": message},
-                "locations": [{
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": max(1, finding.line),
-                            "startColumn": finding.col + 1,
-                        },
-                    },
-                }],
-            })
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-lint",
-                    "informationUri":
-                        "docs/static-analysis.md",
-                    "rules": driver_rules,
-                },
-            },
-            "results": results,
-            "properties": {
-                "checkedFiles": result.checked_files,
-                "suppressed": len(result.suppressed),
-            },
-        }],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 

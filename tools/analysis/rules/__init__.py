@@ -11,8 +11,7 @@ from typing import List
 
 from ..core import Rule, SyntaxErrorRule, UnusedSuppressionRule
 from .contracts import (BareExceptRule, CampaignTimeoutRule,
-                        CliErrorTypeRule, ExitCodeTableRule,
-                        SwallowedExceptionRule)
+                        ExitCodeTableRule, SwallowedExceptionRule)
 from .determinism import (ForeignPoolRule, SetIterationRule, UnseededRngRule,
                           UnsortedWalkRule, WallClockRule)
 from .docs import CliReferenceRule, DocLinkRule
@@ -20,7 +19,6 @@ from .hygiene import AnnotationCoverageRule, DocstringCoverageRule
 from .numeric import (AggregateDivisionRule, DtypeDowncastRule,
                       FloatEqualityRule)
 from .observability import CampaignManifestRule, MetricReferenceRule
-from .performance import ConvolveOutsideOracleRule, HotLoopAllocationRule
 from .wholeprogram import (ExitContractRule, IpcHygieneRule,
                            SeedProvenanceRule)
 
@@ -40,7 +38,6 @@ def all_rules() -> List[Rule]:
         DtypeDowncastRule(),
         BareExceptRule(),
         SwallowedExceptionRule(),
-        CliErrorTypeRule(),
         ExitCodeTableRule(),
         CampaignTimeoutRule(),
         ExitContractRule(),
@@ -51,8 +48,6 @@ def all_rules() -> List[Rule]:
         AnnotationCoverageRule(),
         CampaignManifestRule(),
         MetricReferenceRule(),
-        HotLoopAllocationRule(),
-        ConvolveOutsideOracleRule(),
         IpcHygieneRule(),
     ]
     return sorted(rules, key=lambda rule: rule.rule_id)

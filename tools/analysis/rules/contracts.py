@@ -1,64 +1,21 @@
 """Error-contract rules (``E3xx``): failures must stay typed and
 mapped to the documented exit-code table.
 
-PR 1 introduced the ``ReproError`` hierarchy so scripted pipelines can
-branch on failure families via exit codes.  These passes keep that
-contract tight: no handler may silently eat an exception, the CLI layer
-may only raise typed errors, and every literal process exit code must
-appear in the table in ``docs/robustness.md``.
+The ``ReproError`` hierarchy lets scripted pipelines branch on failure
+families via exit codes.  These passes keep that contract tight: no
+handler may silently eat an exception, every literal process exit code
+must appear in the table in ``docs/robustness.md``, and campaign
+fan-outs state their deadline.  What may escape the CLI entry points is
+the whole-program pass ``E601`` (:mod:`.wholeprogram`).
 """
 
 from __future__ import annotations
 
 import ast
-import os
-import sys
-from typing import FrozenSet, Iterator, Tuple
+from typing import Iterator, Tuple
 
-from ..config import REPO_ROOT, path_matches
+from ..config import path_matches
 from ..core import FileContext, Rule
-
-#: non-ReproError raises the CLI layer is still allowed: argparse's own
-#: conversion-error type (argparse turns it into exit code 2) and the
-#: interpreter-level exits.
-CLI_EXEMPT_RAISES = frozenset({
-    "ArgumentTypeError", "ArgumentError", "SystemExit",
-    "KeyboardInterrupt", "NotImplementedError",
-})
-
-#: fallback when ``repro.robustness.errors`` cannot be imported (kept in
-#: sync by ``test_analysis.py::test_repro_error_names_in_sync``).
-FALLBACK_REPRO_ERRORS = frozenset({
-    "ReproError", "AcquisitionError", "CaptureQualityError",
-    "ConvergenceError", "ModelFormatError", "ProbeError",
-    "ConfigurationError", "AnalysisError", "CampaignError",
-    "CheckpointError", "AssemblerError", "TraceCodecError",
-    "MitigationError",
-})
-
-
-def repro_error_names() -> FrozenSet[str]:
-    """Names of every class in the ``ReproError`` hierarchy.
-
-    Resolved by importing :mod:`repro.robustness.errors` (the single
-    source of truth), so a new error subclass is allowed from the CLI
-    the moment it is defined; falls back to a static list when the
-    package is unimportable (e.g. fixture runs outside the repo).
-    """
-    source = os.path.join(REPO_ROOT, "src")
-    if source not in sys.path:
-        sys.path.insert(0, source)
-    try:
-        from repro.robustness import errors
-    except ImportError:  # pragma: no cover - repo always importable
-        return FALLBACK_REPRO_ERRORS
-    names = set()
-    stack = [errors.ReproError]
-    while stack:
-        cls = stack.pop()
-        names.add(cls.__name__)
-        stack.extend(cls.__subclasses__())
-    return frozenset(names)
 
 
 class BareExceptRule(Rule):
@@ -119,42 +76,6 @@ class SwallowedExceptionRule(Rule):
             yield node, ("exception swallowed by an empty handler; "
                          "record it, re-raise, or move the fallback "
                          "into the handler body")
-
-
-class CliErrorTypeRule(Rule):
-    """E303: the CLI layer raises only ``ReproError`` subclasses.
-
-    ``repro.cli.main`` maps ``ReproError`` families to exit codes and a
-    one-line stderr message; any other exception type escapes as a raw
-    traceback with exit code 1, which scripted pipelines cannot branch
-    on.  Applies to the modules configured as ``cli-modules``.
-    """
-
-    rule_id = "E303"
-    family = "contracts"
-    title = "non-ReproError raise in the CLI layer"
-    node_types = (ast.Raise,)
-
-    def __init__(self) -> None:
-        self._allowed = repro_error_names() | CLI_EXEMPT_RAISES
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return path_matches(ctx.path, ctx.config.cli_modules)
-
-    def check_node(self, node: ast.Raise,
-                   ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
-        if node.exc is None:  # re-raise keeps the original contract
-            return
-        target = node.exc.func if isinstance(node.exc, ast.Call) \
-            else node.exc
-        qual = ctx.qualname(target)
-        if qual is None:  # raising a computed object; can't tell
-            return
-        name = qual.rpartition(".")[2]
-        if name not in self._allowed:
-            yield node, (f"raise {name} from the CLI layer; raise a "
-                         f"ReproError subclass so the exit-code table "
-                         f"stays truthful")
 
 
 class ExitCodeTableRule(Rule):

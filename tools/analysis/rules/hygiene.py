@@ -1,11 +1,11 @@
 """API-hygiene rules (``A4xx``, AST half): docstring and annotation
 coverage for the gated public API.
 
-``A401`` is the migrated ``check_docstrings.py`` gate (same traversal,
-same public-name policy, same package list from
-``[tool.repro.docstrings]``) re-expressed as an analyzer pass so there
-is one report, one suppression syntax, and one baseline.  ``A404`` adds
-the annotation-coverage companion for the model-building core.
+``A401`` gates docstrings on the public surface of the configured
+``docstring_packages`` (``src/repro/core`` and ``src/repro/signal``),
+with one report and one suppression syntax alongside every other rule.
+``A404`` adds the annotation-coverage companion for the model-building
+core.
 """
 
 from __future__ import annotations

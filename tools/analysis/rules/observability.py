@@ -147,34 +147,25 @@ def _literal_name(argument: ast.expr) -> "str | None":
     return None
 
 
-def extract_names(root: str, package: str = "src/repro") -> Set[str]:
-    """Every instrumentation name emitted by literal calls in ``package``.
+def extract_names(tree: ast.AST) -> Set[str]:
+    """Every instrumentation name emitted by literal calls in ``tree``.
 
-    Walks the package AST looking for method calls named in
-    ``_EMITTERS`` whose first argument is a string literal (or
-    f-string, normalized); anything not shaped like a dotted
-    instrumentation name is discarded.
+    Looks for method calls named in ``_EMITTERS`` whose first argument
+    is a string literal (or f-string, normalized); anything not shaped
+    like a dotted instrumentation name is discarded.  The engine stores
+    each module's names in its summary, and ``A502`` reads their union
+    from the index.
     """
     names: Set[str] = set()
-    base = os.path.join(root, package)
-    for directory, subdirs, files in sorted(os.walk(base)):
-        subdirs.sort()
-        subdirs[:] = [d for d in subdirs if d != "__pycache__"]
-        for filename in sorted(files):
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(directory, filename)
-            with open(path) as handle:
-                tree = ast.parse(handle.read(), filename=path)
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call) or not node.args:
-                    continue
-                if not isinstance(node.func, ast.Attribute) or \
-                        node.func.attr not in _EMITTERS:
-                    continue
-                name = _literal_name(node.args[0])
-                if name is not None and _is_name(name):
-                    names.add(name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        if not isinstance(node.func, ast.Attribute) or \
+                node.func.attr not in _EMITTERS:
+            continue
+        name = _literal_name(node.args[0])
+        if name is not None and _is_name(name):
+            names.add(name)
     return names
 
 
@@ -195,17 +186,10 @@ class MetricReferenceRule(ProjectRule):
 
     REFERENCE = os.path.join("docs", "observability.md")
 
-    #: consume cached per-module summaries when the engine built an
-    #: index — a warm incremental run then never re-parses src/repro.
-    needs_index = True
-
     def check_project(self,
                       project: Project) -> Iterator[Tuple[str, int, str]]:
         reference_path = os.path.join(project.root, self.REFERENCE)
-        if project.index is not None:
-            emitted = project.index.metric_names("src/repro")
-        else:
-            emitted = extract_names(project.root)
+        emitted = project.index.metric_names("src/repro")
         if not os.path.exists(reference_path):
             if emitted:
                 yield self.REFERENCE, 1, \

@@ -1,13 +1,11 @@
-"""Per-module summaries: the JSON-serializable facts the whole-program
-layer needs from one file.
+"""Per-module summaries: the facts the whole-program layer needs from
+one file.
 
 A summary is a *pure function of one module's source* (plus its dotted
-module name), which is what makes the incremental cache sound: the
-entry for ``repro/core/batch.py`` can be reused until that file's
-content hash changes, no matter what happened elsewhere — all
-cross-module reasoning (call-graph edges, exception escape, seed
-provenance) happens later, at :mod:`tools.analysis.callgraph` build
-time, from the summaries of *every* module.
+module name); all cross-module reasoning (call-graph edges, exception
+escape, seed provenance) happens later, at
+:mod:`tools.analysis.callgraph` build time, from the summaries of
+*every* module.
 
 One summary records, per function (methods keyed ``Class.method``,
 nested defs keyed ``outer.inner``):
@@ -27,9 +25,8 @@ nested defs keyed ``outer.inner``):
   the resolved worker argument.
 
 Module-level facts: import bindings (``np`` -> ``numpy``), star
-imports, class bases, the emitted instrumentation names (so ``A502``
-does not have to re-parse unchanged files), and the file's suppression
-tags.
+imports, class bases, and the emitted instrumentation names (so
+``A502`` reads them from the index instead of re-parsing ``src``).
 """
 
 from __future__ import annotations
@@ -41,9 +38,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from .core import FileContext
 from .rules.determinism import (GLOBAL_NP_RANDOM_FNS, GLOBAL_RANDOM_FNS,
                                 SEEDED_CONSTRUCTORS)
-from .rules.observability import _EMITTERS, _is_name, _literal_name
-
-SUMMARY_SCHEMA = "repro-lint-summary/1"
+from .rules.observability import extract_names
 
 #: node types that open a new scope — the per-function walks stop here
 #: so an inner def's calls are attributed to the inner function.
@@ -98,7 +93,6 @@ class _ModuleScope:
         self.module = module
         self.bindings: Dict[str, str] = {}
         self.star_imports: List[str] = []
-        self.imports: Set[str] = set()
         self.functions: Dict[str, int] = {}
         self.classes: Dict[str, dict] = {}
         self._scan_imports(tree, is_package)
@@ -109,7 +103,6 @@ class _ModuleScope:
         for node in _own_scope_nodes(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.imports.add(alias.name)
                     if alias.asname:
                         self.bindings[alias.asname] = alias.name
                     else:
@@ -118,17 +111,10 @@ class _ModuleScope:
             elif isinstance(node, ast.ImportFrom):
                 base = resolve_relative(self.module, is_package,
                                         node.level, node.module)
-                if base:
-                    self.imports.add(base)
                 for alias in node.names:
                     if alias.name == "*":
                         self.star_imports.append(base)
                         continue
-                    # ``from pkg import sub`` may bind a submodule: list
-                    # both candidates, the graph keeps the ones that are
-                    # real modules.
-                    self.imports.add(f"{base}.{alias.name}"
-                                     if base else alias.name)
                     self.bindings[alias.asname or alias.name] = \
                         f"{base}.{alias.name}" if base else alias.name
 
@@ -418,35 +404,9 @@ class _FunctionWalker:
                 yield target
 
 
-def _metric_names(tree: ast.Module) -> List[str]:
-    """Instrumentation names emitted by literal calls in this module.
-
-    Byte-for-byte the same extraction :func:`..rules.observability
-    .extract_names` performs, so ``A502`` answers identically whether it
-    reads cached summaries or re-walks the tree.
-    """
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        if not isinstance(node.func, ast.Attribute) or \
-                node.func.attr not in _EMITTERS:
-            continue
-        name = _literal_name(node.args[0])
-        if name is not None and _is_name(name):
-            names.add(name)
-    return sorted(names)
-
-
-def module_imports(tree: ast.Module, module: str,
-                   is_package: bool) -> List[str]:
-    """Absolute names of every module this one imports (pre-filter)."""
-    return sorted(_ModuleScope(module, is_package, tree).imports)
-
-
 def build_summary(module: str, is_package: bool,
                   ctx: FileContext) -> dict:
-    """The full per-module summary document (JSON-serializable)."""
+    """The full per-module summary document."""
     scope = _ModuleScope(module, is_package, ctx.tree)
     functions: Dict[str, dict] = {}
     stack: List[Tuple[List[ast.stmt], str, Optional[str]]] = [
@@ -466,15 +426,13 @@ def build_summary(module: str, is_package: bool,
                 for body in _statement_bodies(node):
                     stack.append((body, prefix, cls))
     return {
-        "schema": SUMMARY_SCHEMA,
         "module": module,
         "is_package": is_package,
-        "imports": sorted(scope.imports),
         "bindings": dict(sorted(scope.bindings.items())),
         "star_imports": list(scope.star_imports),
         "functions": {qual: functions[qual]
                       for qual in sorted(functions)},
         "classes": {name: scope.classes[name]
                     for name in sorted(scope.classes)},
-        "metrics": _metric_names(ctx.tree),
+        "metrics": extract_names(ctx.tree),
     }
