@@ -7,9 +7,14 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Tier-1 tests, repro-lint, then the benchmark harness's self-tests:
 # bench/test_bench.py sits outside pytest's testpaths, and it fails when
-# a callable the traced pass wraps is renamed or deleted.
+# a callable the traced pass wraps is renamed or deleted.  Last, the
+# Fig. 10 paper-shape bench (AES TVLA through EMSim's schedule replay,
+# ~7 s); it rewrites benchmarks/results/fig10_tvla.txt, so a changed
+# result shows up in `git status`.
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
+	cd benchmarks && $(PYTHON) -m pytest test_fig10_tvla.py \
+		--benchmark-disable -q
 
 test:
 	$(PYTHON) -m pytest -x -q

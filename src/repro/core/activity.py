@@ -7,7 +7,7 @@ flip-count statistics behind the naive averaging activity factor (Eq. 7).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -36,19 +36,77 @@ def stage_feature_names(stage: str) -> list:
     return names
 
 
-def stage_design_matrix(trace: ActivityTrace, stage: str) -> np.ndarray:
+def _feature_tables():
+    """Per-stage (register, bit shift, is-count) of every design column."""
+    tables = {}
+    for stage in STAGES:
+        widths = [width for _, width in STAGE_REGISTERS[stage]]
+        registers = list(range(len(widths)))
+        shifts = [0] * len(widths)
+        for register, width in enumerate(widths):
+            registers.extend([register] * width)
+            shifts.extend(range(width))
+        is_count = np.arange(len(registers)) < len(widths)
+        tables[stage] = (np.asarray(registers, dtype=np.intp),
+                         np.asarray(shifts, dtype=np.uint64), is_count)
+    return tables
+
+
+_FEATURES = _feature_tables()
+
+# The memory order NumPy gives ``full[:, columns]``.  A selection is laid
+# out the same way, so ``selection @ coefficients`` runs the same BLAS
+# call, and rounds the same way, as it does on the full design.
+_SELECTION_ORDER = "F" if np.empty((3, 4))[:, [0, 2]].flags.f_contiguous \
+    else "C"
+
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of every element of a ``uint64`` array (SWAR: NumPy
+    before 2.0 has no ``bitwise_count``)."""
+    words = words - ((words >> np.uint64(1)) & _M1)
+    words = (words & _M2) + ((words >> np.uint64(2)) & _M2)
+    words = (words + (words >> np.uint64(4))) & _M4
+    return (words * _H01) >> np.uint64(56)
+
+
+def stage_design_matrix(trace: ActivityTrace, stage: str,
+                        columns: Optional[Sequence[int]] = None
+                        ) -> np.ndarray:
     """(cycles, registers + bits) activity-regression design for a stage.
 
-    Column layout matches :func:`stage_feature_names`.
+    Column layout matches :func:`stage_feature_names`: per-register flip
+    counts, then every transition bit, from the XOR of adjacent latch
+    rows (cycle 0 against the all-zero reset state); counts are integer
+    popcounts, bits are shifted and masked out.  ``columns`` selects
+    design columns and builds only those: the result equals
+    ``stage_design_matrix(trace, stage)[:, columns]`` in values and in
+    memory order.
     """
-    bits = trace.transition_matrix(stage).astype(float)
-    offsets = stage_register_offsets(stage)
-    counts = np.stack(
-        [bits[:, start:start + width].sum(axis=1)
-         for _, (start, width) in sorted(offsets.items(),
-                                         key=lambda item: item[1][0])],
-        axis=1)
-    return np.hstack([counts, bits])
+    registers, shifts, is_count = _FEATURES[stage]
+    if columns is None:
+        order = "C"
+    else:
+        columns = np.asarray(columns, dtype=np.intp)
+        registers, shifts, is_count = (registers[columns],
+                                       shifts[columns], is_count[columns])
+        order = _SELECTION_ORDER
+    values = trace.values_matrix(stage)
+    xor = np.array(values)
+    xor[1:] ^= values[:-1]
+    design = np.empty((xor.shape[0], registers.size), order=order)
+    if is_count.any():
+        design[:, is_count] = _popcount(xor[:, registers[is_count]])
+    is_bit = ~is_count
+    if is_bit.any():
+        design[:, is_bit] = (xor[:, registers[is_bit]] >>
+                             shifts[is_bit]) & np.uint64(1)
+    return design
 
 
 def stage_flip_counts(trace: ActivityTrace) -> Dict[str, np.ndarray]:

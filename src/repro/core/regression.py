@@ -36,9 +36,13 @@ class LinearModel:
     def predict(self, design: np.ndarray) -> np.ndarray:
         """Predict for a full design matrix (all columns present)."""
         design = np.atleast_2d(np.asarray(design, dtype=float))
+        return self.predict_selected(design[:, self.features])
+
+    def predict_selected(self, selected: np.ndarray) -> np.ndarray:
+        """Predict from the selected columns alone, ``design[:, features]``."""
         if self.features.size == 0:
-            return np.full(design.shape[0], self.intercept)
-        return self.intercept + design[:, self.features] @ self.coefficients
+            return np.full(selected.shape[0], self.intercept)
+        return self.intercept + selected @ self.coefficients
 
 
 def fit_linear(design: np.ndarray, target: np.ndarray,

@@ -14,15 +14,21 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..isa.program import Program
+from ..observability.metrics import get_metrics
 from ..observability.tracer import get_tracer
 from ..robustness.errors import ConfigurationError
 from ..signal.reconstruction import reconstruct
 from ..uarch.config import CoreConfig, DEFAULT_CONFIG
 from ..uarch.oracle import collect_oracle
 from ..uarch.pipeline import Pipeline
+from ..uarch.replay import Schedule, record, replay
 from ..uarch.trace import ActivityTrace
 from .config import ModelSwitches
 from .model import EMSimModel
+from .trace_cache import code_family_key, get_trace_cache
+
+_SEEN_ONCE = "seen-once"
+"""Code-family mark: one miss of the family ran the plain scalar core."""
 
 
 @dataclass
@@ -76,23 +82,25 @@ class EMSim:
         Traces are served from the content-addressed trace cache: the
         key covers the *effective* (ablation-adjusted) core config plus
         the mispredict-ablation flag, so each switch combination caches
-        independently and ablation sweeps never cross-contaminate.
+        independently and ablation sweeps never cross-contaminate.  A
+        miss on the in-order core may replay a recorded schedule (see
+        :meth:`_run_in_order`).
         """
-        from .trace_cache import get_trace_cache
         config = self._effective_core_config()
         salt = f"sim:mispredicts={self.switches.model_mispredicts}"
 
         def runner() -> ActivityTrace:
             with get_tracer().span("sim.trace"):
                 return self._run_trace_uncached(program, config,
-                                                max_cycles)
+                                                max_cycles, salt)
 
         return get_trace_cache().get_or_run(
             program, config, runner, core_kind=self.core_kind,
             max_cycles=max_cycles, salt=salt, category="sim")
 
     def _run_trace_uncached(self, program: Program, config: CoreConfig,
-                            max_cycles: Optional[int]) -> ActivityTrace:
+                            max_cycles: Optional[int],
+                            salt: str) -> ActivityTrace:
         """The actual core execution behind :meth:`run_trace`."""
         if self.core_kind == "out-of-order":
             from ..uarch.ooo import OutOfOrderCore
@@ -102,11 +110,44 @@ class EMSim:
                     "for the in-order core")
             core = OutOfOrderCore(program, config=config)
             return core.run(max_cycles=max_cycles)
-        oracle = None
         if not self.switches.model_mispredicts:
-            oracle = collect_oracle(program)
-        core = Pipeline(program, config=config, oracle=oracle)
-        return core.run(max_cycles=max_cycles)
+            core = Pipeline(program, config=config,
+                            oracle=collect_oracle(program))
+            return core.run(max_cycles=max_cycles)
+        return self._run_in_order(program, config, max_cycles, salt)
+
+    def _run_in_order(self, program: Program, config: CoreConfig,
+                      max_cycles: Optional[int],
+                      salt: str) -> ActivityTrace:
+        """The in-order core, replaying its schedule across data images.
+
+        Programs with the same code and settings form a code family
+        (:func:`~repro.core.trace_cache.code_family_key`).  The family's
+        first trace-cache miss runs the scalar core as it is, the second
+        runs it with a schedule recorder, and later misses replay that
+        schedule over their own data image
+        (:func:`repro.uarch.replay.replay`), which is bit-identical to
+        the scalar core.  A replay that diverges from the schedule falls
+        back to the scalar core.  The family entries live in the trace
+        cache's memory, so a disabled cache never replays.
+        """
+        cache = get_trace_cache()
+        family = code_family_key(program, config, max_cycles=max_cycles,
+                                 salt=salt)
+        entry = cache.family(family)
+        if isinstance(entry, Schedule):
+            trace = replay(entry, program)
+            if trace is not None:
+                get_metrics().increment("trace_cache.sim.replays")
+                return trace
+            get_metrics().increment("trace_cache.sim.replay_fallbacks")
+        elif entry is _SEEN_ONCE:
+            trace, schedule = record(program, config, max_cycles)
+            cache.remember_family(family, schedule)
+            return trace
+        else:
+            cache.remember_family(family, _SEEN_ONCE)
+        return Pipeline(program, config=config).run(max_cycles=max_cycles)
 
     def simulate_trace(self, trace: ActivityTrace) -> SimulatedSignal:
         """Predict the signal for an existing activity trace."""

@@ -27,6 +27,13 @@ truncated file of either flavour is just a miss.  Every lookup feeds
 hit/miss counters into the metrics registry
 (:mod:`repro.observability`) so ``--profile`` and run manifests show
 cache effectiveness per category.
+
+The in-memory layer also keeps one entry per *code family* — the key
+inputs without the data image, see :func:`code_family_key` — for
+runners that reuse work across programs that differ only in their data
+(the simulator's schedule replay, :mod:`repro.uarch.replay`).  Family
+entries never reach the disk layer and :meth:`TraceCache.clear` drops
+them with the traces.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +78,52 @@ def _config_bytes(config: CoreConfig) -> bytes:
     return repr(config).encode()
 
 
+def _program_digests(program: Program) -> Tuple[bytes, bytes]:
+    """``(code digest, code + data digest)`` of ``program``'s sections.
+
+    Both hash the entry point and the machine code; the second goes on
+    over the data image.  They are memoized on the program when it
+    allows attributes (slotted or frozen programs simply re-hash).
+    """
+    digests = getattr(program, "_trace_digests", None)
+    if digests is not None:
+        return digests
+    sections = hashlib.sha256()
+    sections.update(repr(program.entry).encode())
+    machine_code = program.machine_code
+    code = np.fromiter(machine_code, dtype=np.int64,
+                       count=len(machine_code))
+    # repro: allow[N203] values are masked to 32 bits on the line
+    # above, so the little-endian u4 cast is lossless by design.
+    sections.update((code & 0xFFFFFFFF).astype("<u4").tobytes())
+    code_digest = sections.copy().digest()
+    addresses = sorted(program.data)
+    data = np.empty(len(addresses),
+                    dtype=[("address", "<u8"), ("value", "u1")])
+    data["address"] = addresses
+    values = np.fromiter(
+        (program.data[address] for address in addresses),
+        dtype=np.int64, count=len(addresses))
+    data["value"] = values & 0xFF
+    sections.update(data.tobytes())
+    digests = (code_digest, sections.digest())
+    with contextlib.suppress(AttributeError):
+        program._trace_digests = digests
+    return digests
+
+
+def _digest(sections: bytes, config: CoreConfig, core_kind: str,
+            max_cycles: Optional[int], salt: str) -> str:
+    """Hex key over the run settings and a program-section digest."""
+    hasher = hashlib.sha256(TRACE_KEY_VERSION.encode())
+    hasher.update(_config_bytes(config))
+    hasher.update(core_kind.encode())
+    hasher.update(repr(max_cycles).encode())
+    hasher.update(salt.encode())
+    hasher.update(sections)
+    return hasher.hexdigest()
+
+
 def trace_key(program: Program, config: CoreConfig,
               core_kind: str = "in-order",
               max_cycles: Optional[int] = None, salt: str = "") -> str:
@@ -91,37 +144,21 @@ def trace_key(program: Program, config: CoreConfig,
     over and over (programs must not be mutated after first use,
     the same contract :mod:`repro.core.microbench` states).
     """
-    hasher = hashlib.sha256(TRACE_KEY_VERSION.encode())
-    hasher.update(_config_bytes(config))
-    hasher.update(core_kind.encode())
-    hasher.update(repr(max_cycles).encode())
-    hasher.update(salt.encode())
-    content = getattr(program, "_trace_digest", None)
-    if content is None:
-        sections = hashlib.sha256()
-        sections.update(repr(program.entry).encode())
-        machine_code = program.machine_code
-        code = np.fromiter(machine_code, dtype=np.int64,
-                           count=len(machine_code))
-        # repro: allow[N203] values are masked to 32 bits on the line
-        # above, so the little-endian u4 cast is lossless by design.
-        sections.update((code & 0xFFFFFFFF).astype("<u4").tobytes())
-        addresses = sorted(program.data)
-        data = np.empty(len(addresses),
-                        dtype=[("address", "<u8"), ("value", "u1")])
-        data["address"] = addresses
-        values = np.fromiter(
-            (program.data[address] for address in addresses),
-            dtype=np.int64, count=len(addresses))
-        data["value"] = values & 0xFF
-        sections.update(data.tobytes())
-        content = sections.digest()
-        # memoize on the program when it allows attributes (slotted or
-        # frozen programs simply skip the memo and re-hash next time)
-        with contextlib.suppress(AttributeError):
-            program._trace_digest = content
-    hasher.update(content)
-    return hasher.hexdigest()
+    return _digest(_program_digests(program)[1], config, core_kind,
+                   max_cycles, salt)
+
+
+def code_family_key(program: Program, config: CoreConfig,
+                    core_kind: str = "in-order",
+                    max_cycles: Optional[int] = None,
+                    salt: str = "") -> str:
+    """:func:`trace_key` without the data image.
+
+    Programs with the same machine code and entry point, run under the
+    same settings, share this key whatever their initialized data.
+    """
+    return _digest(_program_digests(program)[0], config, core_kind,
+                   max_cycles, salt)
 
 
 @dataclass
@@ -156,6 +193,9 @@ class TraceCache:
     or unreadable file of either format is treated as a miss.  ``enabled=False`` turns every
     lookup into a miss without touching storage, which is how the
     ``--no-trace-cache`` flag and :func:`trace_cache_disabled` work.
+
+    Code-family entries (:meth:`family`, :meth:`remember_family`) live
+    in memory only, in their own LRU of the same ``capacity``.
     """
 
     capacity: int = 256
@@ -163,6 +203,7 @@ class TraceCache:
     enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: "OrderedDict[str, Any]" = field(default_factory=OrderedDict)
+    _families: "OrderedDict[str, Any]" = field(default_factory=OrderedDict)
 
     def lookup(self, key: str) -> Optional[Any]:
         """Return the cached value for ``key`` or ``None`` on a miss."""
@@ -216,17 +257,31 @@ class TraceCache:
         self.store(key, value)
         return value
 
+    def family(self, key: str) -> Optional[Any]:
+        """The entry stored for code family ``key`` (see
+        :func:`code_family_key`), or ``None``; always ``None`` while
+        the cache is disabled."""
+        if not self.enabled or key not in self._families:
+            return None
+        self._families.move_to_end(key)
+        return self._families[key]
+
+    def remember_family(self, key: str, value: Any) -> None:
+        """Store ``value`` for code family ``key`` (in memory only; a
+        disabled cache stores nothing)."""
+        if self.enabled:
+            _lru_insert(self._families, key, value, self.capacity)
+
     def clear(self) -> None:
-        """Drop every in-memory entry (the disk layer is untouched)."""
+        """Drop every in-memory entry, code families included (the disk
+        layer is untouched)."""
         self._entries.clear()
+        self._families.clear()
 
     def _remember(self, key: str, value: Any) -> None:
         """LRU insert into the in-memory layer, evicting if over capacity."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self.stats.evictions += _lru_insert(self._entries, key, value,
+                                            self.capacity)
 
     def _path(self, key: str) -> str:
         """On-disk path for ``key`` inside the cache directory."""
@@ -275,6 +330,19 @@ class TraceCache:
                 with contextlib.suppress(OSError):
                     os.unlink(handle.name)
                 raise
+
+
+def _lru_insert(entries: "OrderedDict[str, Any]", key: str, value: Any,
+                capacity: int) -> int:
+    """Insert ``key`` as most recent; returns how many entries the
+    ``capacity`` bound evicted."""
+    entries[key] = value
+    entries.move_to_end(key)
+    evicted = 0
+    while len(entries) > capacity:
+        entries.popitem(last=False)
+        evicted += 1
+    return evicted
 
 
 _GLOBAL_CACHE = TraceCache(

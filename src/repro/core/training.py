@@ -511,6 +511,7 @@ class Trainer:
             seq = probe_instruction_seq(program)
             for stage in STAGES:
                 codes = trace.em_codes(stage)
+                design = None
                 for cycle in self._active_cycles(trace, seq, stage):
                     base = amplitudes.get((EM_CLASSES[codes[cycle]], stage))
                     if base is None:
@@ -518,8 +519,9 @@ class Trainer:
                     if base is None or abs(base) < _AMPLITUDE_EPS:
                         continue
                     alpha = (float(measured[cycle]) - nop_level) / base
-                    rows[stage].append(
-                        stage_design_matrix(trace, stage)[cycle])
+                    if design is None:
+                        design = stage_design_matrix(trace, stage)
+                    rows[stage].append(design[cycle])
                     targets[stage].append(alpha)
 
         # pass 1: step-wise bit selection on the isolated observations
@@ -649,8 +651,8 @@ class Trainer:
             start, width = column_spans[stage]
             block[valid, start] = base[valid]
             if width > 1:
-                features = stage_design_matrix(trace, stage)[
-                    np.ix_(valid, selected[stage])]
+                features = stage_design_matrix(
+                    trace, stage, columns=selected[stage])[valid]
                 block[np.ix_(valid, np.arange(start + 1, start + width))] \
                     = base[valid, None] * features
             informative |= valid

@@ -70,10 +70,22 @@ SBOX: List[int] = [_affine(_gf_inverse(value)) for value in range(256)]
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
+def _check_bytes(values: Sequence[int], what: str) -> None:
+    """Raise :class:`ValueError` unless every value is in 0..255."""
+    for index, value in enumerate(values):
+        if not 0 <= value <= 255:
+            raise ValueError(f"{what} byte {index} is out of range "
+                             f"0..255: {value!r}")
+
+
 def key_schedule(key: Sequence[int]) -> List[List[int]]:
-    """AES-128 key expansion: 16-byte key -> 11 round keys of 16 bytes."""
+    """AES-128 key expansion: 16-byte key -> 11 round keys of 16 bytes.
+
+    A key that is not 16 values in 0..255 raises :class:`ValueError`.
+    """
     if len(key) != 16:
         raise ValueError("AES-128 key must be 16 bytes")
+    _check_bytes(key, "key")
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for index in range(4, 44):
         temp = list(words[index - 1])
@@ -96,10 +108,12 @@ def aes128_encrypt_reference(key: Sequence[int],
     """Reference AES-128 encryption (state bytes in column-major order).
 
     ``rounds`` < 10 gives a reduced-round variant (used to shorten test
-    workloads); the final round always skips MixColumns.
+    workloads); the final round always skips MixColumns.  A key or
+    plaintext that is not 16 values in 0..255 raises :class:`ValueError`.
     """
     if len(plaintext) != 16:
         raise ValueError("plaintext must be 16 bytes")
+    _check_bytes(plaintext, "plaintext")
     round_keys = key_schedule(key)
     state = [plaintext[i] ^ round_keys[0][i] for i in range(16)]
     for round_index in range(1, rounds + 1):
@@ -232,11 +246,12 @@ def aes_program(key: Sequence[int], plaintext: Sequence[int],
     ``rk`` table and the plaintext into ``state`` of a copy of that
     template's data image.  The ciphertext lands at :data:`CT_BASE` in
     data memory.  ``rounds`` (1..10) selects reduced-round variants for
-    shorter workloads.  A plaintext that is not 16 bytes, or ``rounds``
-    outside 1..10, raises :class:`ValueError`.
+    shorter workloads.  A key or plaintext that is not 16 values in
+    0..255, or ``rounds`` outside 1..10, raises :class:`ValueError`.
     """
     if len(plaintext) != 16:
         raise ValueError("plaintext must be 16 bytes")
+    _check_bytes(plaintext, "plaintext")
     if not 1 <= rounds <= 10:
         raise ValueError(f"rounds must be in 1..10, got {rounds}")
     round_keys = key_schedule(key)

@@ -11,6 +11,11 @@ model of :mod:`repro.uarch.latches`: stages that do real work update their
 latches, stalled stages hold them, and flushed stages snap to the NOP bubble
 pattern — producing the per-cycle transition-bit vectors that drive both the
 ground-truth EM emitter and EMSim's regression model.
+
+A core with a ``recorder`` (a :class:`repro.uarch.replay.ScheduleRecorder`)
+also reports, at every data-latch write, which dynamic instruction's
+operand or result the latch now holds; :mod:`repro.uarch.replay` turns that
+into a schedule it can replay for other data images of the same code.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ class Pipeline:
         self.trace = ActivityTrace()
         self.alu_bug = alu_bug   # optional callable(instr, a, b) -> result
         self.oracle = oracle     # optional OracleOutcomes (perfect fetch)
+        self.recorder = None     # optional ScheduleRecorder (data provenance)
 
         self.pc = program.entry
         self.cycle = 0
@@ -144,6 +150,8 @@ class Pipeline:
             self._stage_fetch(decode_redirect)
 
         self.trace.end_cycle(self.latches)
+        if self.recorder is not None:
+            self.recorder.end_cycle()
         self.cycle += 1
         if self.fetch_halted and self.pipeline_empty:
             self.halted = True
@@ -159,6 +167,8 @@ class Pipeline:
         self.f_uop = None
         self.latches.write_bubble("D")
         self.latches.write_bubble("F")
+        if self.recorder is not None:
+            self.recorder.bubble("D")
         self.pc = flush_redirect
         self.fetch_halted = False  # wrong path may have run off the end
         self.trace.flushes.append(FlushEvent(cycle=self.cycle,
@@ -172,12 +182,16 @@ class Pipeline:
         uop = self.w_uop
         if uop is None:
             self.latches.write_bubble("W")
+            if self.recorder is not None:
+                self.recorder.bubble("W")
             return
         rd = uop.writes_reg
         if rd is not None:
             self.regfile.write(rd, uop.result)
         self.latches.write_writeback(uop.result if rd is not None else 0,
                                      rd or 0, 1 if rd is not None else 0)
+        if self.recorder is not None:
+            self.recorder.writeback(uop.seq, rd)
         self.trace.record("W", KIND_INSTR, uop.instr, uop.seq)
         self.trace.retired.append(RetiredInstruction(
             seq=uop.seq, pc=uop.pc, instr=uop.instr, cycle=self.cycle))
@@ -194,6 +208,8 @@ class Pipeline:
         uop = self.m_uop
         if uop is None:
             self.latches.write_bubble("M")
+            if self.recorder is not None:
+                self.recorder.bubble("M")
             return True
         instr = uop.instr
         if not uop.m_started:
@@ -216,6 +232,8 @@ class Pipeline:
                 # data-return flip on the read-data bus
                 self.latches.write_mem_rdata(uop.result)
                 uop.result_ready = True
+                if self.recorder is not None:
+                    self.recorder.load_data(uop.seq)
         if uop.m_remaining == 0:
             self.m_uop = None
             self.w_uop = uop
@@ -234,20 +252,27 @@ class Pipeline:
         self.trace.cache_events.append(CacheEvent(
             cycle=self.cycle, address=address, is_store=instr.is_store,
             hit=hit, seq=uop.seq))
+        rec = self.recorder
         if instr.is_store:
             self.memory.store(address, uop.store_val,
                               store_width(instr.name))
             self.latches.write("M", mem_addr=address,
                                mem_wdata=uop.store_val,
                                mem_ctrl=control_word(instr, 8))
+            if rec is not None:
+                rec.store(uop.seq)
         else:
             nbytes, signed = load_width(instr.name)
             uop.result = self.memory.load(address, nbytes, signed)
             self.latches.write("M", mem_addr=address,
                                mem_ctrl=control_word(instr, 8))
+            if rec is not None:
+                rec.load_address(uop.seq)
             if uop.m_remaining == 0:
                 self.latches.write_mem_rdata(uop.result)
                 uop.result_ready = True
+                if rec is not None:
+                    rec.load_data(uop.seq)
         self.trace.record("M", KIND_INSTR, instr, uop.seq,
                           DYN_HIT if hit else DYN_MISS)
 
@@ -259,6 +284,8 @@ class Pipeline:
         uop = self.e_uop
         if uop is None:
             self.latches.write_bubble("E")
+            if self.recorder is not None:
+                self.recorder.bubble("E")
             return True, None
         instr = uop.instr
 
@@ -292,6 +319,8 @@ class Pipeline:
                                    muldiv_hi=(uop.rs1_val * uop.rs2_val)
                                    >> 32)
                 uop.result_ready = True
+                if self.recorder is not None:
+                    self.recorder.muldiv_result(uop.seq, high=True)
                 self.trace.record("E", KIND_INSTR, instr, uop.seq,
                                   DYN_FINAL)
             else:
@@ -308,10 +337,13 @@ class Pipeline:
     def _execute_first_cycle(self, uop: _Uop) -> Optional[int]:
         """First Execute cycle: compute, resolve control flow."""
         instr = uop.instr
+        rec = self.recorder
         a, b = uop.rs1_val, uop.rs2_val
-        operand_b = b if instr.fmt.value in ("R", "S", "B") else \
-            (instr.imm & MASK32)
+        register_b = instr.fmt.value in ("R", "S", "B")
+        operand_b = b if register_b else (instr.imm & MASK32)
         self.latches.write_execute(a, operand_b, control_word(instr, 8))
+        if rec is not None:
+            rec.execute(uop.seq, uop.pc, register_b)
         self.trace.record("E", KIND_INSTR, instr, uop.seq)
         redirect: Optional[int] = None
 
@@ -320,6 +352,8 @@ class Pipeline:
             uop.target = control_flow_target(instr, uop.pc, a)
             uop.result_ready = True
             self.latches.write_alu_out(uop.target if uop.taken else 0)
+            if rec is not None:  # the outcome is checked on replay
+                rec.alu_out(None)
             redirect = self._resolve_control(uop)
         elif instr.name == "jalr":
             uop.taken = True
@@ -327,6 +361,8 @@ class Pipeline:
             uop.result = (uop.pc + 4) & MASK32
             uop.result_ready = True
             self.latches.write_alu_out(uop.result)
+            if rec is not None:  # the link value depends on the PC only
+                rec.alu_out(None)
             redirect = self._resolve_control(uop)
         elif instr.is_muldiv:
             uop.result = self._alu(instr, a, b, uop.pc)
@@ -337,9 +373,13 @@ class Pipeline:
                 self.latches.write("E", alu_out=uop.result,
                                    muldiv_lo=uop.result)
                 uop.result_ready = True
+                if rec is not None:
+                    rec.muldiv_result(uop.seq, high=False)
         else:
             uop.result = self._alu(instr, a, b, uop.pc)
             self.latches.write_alu_out(uop.result)
+            if rec is not None:
+                rec.alu_out(uop.seq)
             if instr.is_load or instr.is_store:
                 # the "result" so far is only the effective address; load
                 # data becomes forwardable when Memory returns it
@@ -386,6 +426,8 @@ class Pipeline:
         uop = self.d_uop
         if uop is None:
             self.latches.write_bubble("D")
+            if self.recorder is not None:
+                self.recorder.bubble("D")
             return None
         instr = uop.instr
 
@@ -399,20 +441,24 @@ class Pipeline:
             return None
 
         operands = {}
+        producers = {}
         for reg in instr.unique_sources:
-            value, ready, cause = self._operand(reg)
+            value, ready, cause, producer = self._operand(reg)
             if not ready:
                 self.trace.record("D", KIND_STALL, instr, uop.seq)
                 self.trace.stalls.append(StallEvent(
                     cycle=self.cycle, stage="D", cause=cause, seq=uop.seq))
                 return None
             operands[reg] = value
+            producers[reg] = producer
         uop.rs1_val = operands.get(instr.rs1, 0)
         uop.rs2_val = operands.get(instr.rs2, 0)
 
         self.latches.write_decode(instr.encode(), uop.rs1_val,
                                   uop.rs2_val, instr.imm & MASK32,
                                   control_word(instr, 12))
+        if self.recorder is not None:
+            self.recorder.decode(uop.seq, instr, producers)
         self.trace.record("D", KIND_INSTR, instr, uop.seq)
         self.d_uop = None
         self.e_uop = uop
@@ -428,25 +474,27 @@ class Pipeline:
         return None
 
     def _operand(self, reg: int):
-        """Resolve a source register: value, readiness, stall cause.
+        """Resolve a source register: value, readiness, stall cause and
+        the in-flight uop the value is forwarded from (None when it comes
+        from the register file).
 
         Scans in-flight producers youngest-first (Execute, Memory,
         Writeback slots); falls back to the register file.
         """
         if reg == 0:
-            return 0, True, None
+            return 0, True, None, None
         for slot, holder in (("E", self.e_uop), ("M", self.m_uop),
                              ("W", self.w_uop)):
             if holder is None or holder.writes_reg != reg:
                 continue
             if not self.config.forwarding:
-                return 0, False, StallCause.RAW_HAZARD
+                return 0, False, StallCause.RAW_HAZARD, None
             if holder.result_ready:
-                return holder.result, True, None
+                return holder.result, True, None, holder
             cause = StallCause.LOAD_USE if holder.instr.is_load \
                 else StallCause.RAW_HAZARD
-            return 0, False, cause
-        return self.regfile.read(reg), True, None
+            return 0, False, cause, None
+        return self.regfile.read(reg), True, None, None
 
     # ------------------------------------------------------------------
     # Fetch

@@ -315,6 +315,32 @@ class ActivityTrace:
                             in enumerate(trace._instr_table)}
         return trace
 
+    @classmethod
+    def _assemble(cls, values: np.ndarray,
+                  packed: Dict[str, Sequence[int]],
+                  instr_table: List[Instruction],
+                  codes: Dict[str, Dict[str, np.ndarray]]
+                  ) -> "ActivityTrace":
+        """Build a trace from finished parts (schedule replay).
+
+        ``values`` becomes the latch store as it is; ``packed`` and
+        ``instr_table`` are copied, and copies of the unpacked ``codes``
+        columns (which must match ``packed``) seed the unpack cache.
+        """
+        trace = cls(capacity=1)
+        cycles = values.shape[0]
+        trace._vals = values
+        trace._n = trace._capacity = cycles
+        for stage in STAGES:
+            trace._packed[stage].extend(packed[stage])
+        trace._instr_table = list(instr_table)
+        trace._instr_ids = {id(instr): code for code, instr
+                            in enumerate(trace._instr_table, start=1)}
+        trace._codes_cache = {"n": cycles, "codes": {
+            column: {stage: array.copy() for stage, array in by_stage.items()}
+            for column, by_stage in codes.items()}}
+        return trace
+
     def _values_all(self) -> np.ndarray:
         """(cycles, TOTAL_REGISTERS) whole-pipeline latch matrix view."""
         return self._vals[:self._n]

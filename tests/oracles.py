@@ -18,7 +18,11 @@ asserting that the engine computes the same thing:
   key schedule and plaintext as ``.byte`` data, assembled per call;
 * :func:`seed_predict_cycle_amplitudes`, :func:`seed_unit_amplitudes`,
   :func:`seed_miso_design` and :func:`seed_joint_rows` — the per-cycle
-  Python loops over EM-class labels and occupancy objects.
+  Python loops over EM-class labels and occupancy objects;
+* :func:`full_design_alpha` — Eq. 8 activity factors from the whole
+  stage design (:func:`seed_stage_design_matrix`, float transition bits
+  and their per-register sums), of which the model then keeps its
+  selected columns.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +34,7 @@ from scipy.sparse.linalg import spsolve
 
 from repro.core.activity import stage_design_matrix
 from repro.core.clustering import ClusterResult, signature_distance_matrix
+from repro.core.factors import ALPHA_MAX, ALPHA_MIN
 from repro.core.regression import LinearModel, fit_linear
 from repro.isa.assembler import assemble
 from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
@@ -37,7 +42,8 @@ from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                _emit_add_round_key, _emit_cache_warm,
                                _emit_mix_columns, _emit_shift_rows,
                                _emit_sub_bytes, key_schedule)
-from repro.uarch.latches import STAGE_REGISTERS, STAGES, bubble_pattern
+from repro.uarch.latches import (STAGE_REGISTERS, STAGES, bubble_pattern,
+                                 stage_register_offsets)
 from repro.uarch.ooo import OutOfOrderCore
 from repro.uarch.pipeline import Pipeline
 from repro.uarch.trace import (_BUBBLE_OCC, _DYN_NAMES, _KIND_NAMES,
@@ -453,3 +459,28 @@ def seed_joint_rows(measured, trace, nop_level, amplitudes, selected,
         informative |= valid
     targets = measured[:cycles][informative] - nop_level
     return block[informative], targets
+
+
+# ---------------------------------------------------------------------------
+# activity factors
+# ---------------------------------------------------------------------------
+def seed_stage_design_matrix(trace, stage):
+    """The whole stage design: per-register sums of the float transition
+    bits, then the bits themselves."""
+    bits = trace.transition_matrix(stage).astype(float)
+    offsets = stage_register_offsets(stage)
+    counts = np.stack(
+        [bits[:, start:start + width].sum(axis=1)
+         for _, (start, width) in sorted(offsets.items(),
+                                         key=lambda item: item[1][0])],
+        axis=1)
+    return np.hstack([counts, bits])
+
+
+def full_design_alpha(activity, trace, stage):
+    """Eq. 8 factors predicted from the whole stage design."""
+    model = activity.models.get(stage)
+    if model is None:
+        return np.ones(trace.num_cycles)
+    return np.clip(model.predict(seed_stage_design_matrix(trace, stage)),
+                   ALPHA_MIN, ALPHA_MAX)

@@ -10,10 +10,16 @@ from repro.core.factors import (ALPHA_MAX, AverageActivity,
                                 RegressionActivity, UnitActivity)
 from repro.core.model import EMSimModel
 from repro.core.regression import LinearModel
+from repro.core import train_emsim
 from repro.isa import Instruction
-from repro.uarch import STAGES, run_program, stage_bit_count
+from repro.leakage import DEFAULT_KEY, aes_program
+from repro.leakage.savat import savat_program
+from repro.uarch import DEFAULT_CONFIG, STAGES, run_program, stage_bit_count
 from repro.uarch.latches import STAGE_REGISTERS
-from repro.workloads import nop_padded
+from repro.uarch.replay import record, replay
+from repro.workloads import RandomProgramBuilder, nop_padded
+
+from .oracles import full_design_alpha, seed_stage_design_matrix
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +123,60 @@ def test_simulator_effective_config_no_cache():
     assert simulator._effective_core_config().cache.miss_extra_cycles == 0
     full = EMSim(model)
     assert full._effective_core_config().cache.miss_extra_cycles == 2
+
+
+# ---------------------------------------------------------------------------
+# Eq. 8 from the selected columns == Eq. 8 from the whole design
+# ---------------------------------------------------------------------------
+def _oracle_traces():
+    """AES (scalar and replayed), SAVAT and random-program traces."""
+    aes = [aes_program(DEFAULT_KEY, [7 * index + byte for byte in range(16)],
+                       rounds=2) for index in range(2)]
+    recorded, schedule = record(aes[0], DEFAULT_CONFIG)
+    traces = [recorded, replay(schedule, aes[1])]
+    traces += [run_program(savat_program(kind_a, kind_b, repeats=2))[0]
+               for kind_a, kind_b in (("ADD", "MUL"), ("LDM", "DIV"))]
+    builder = RandomProgramBuilder(seed=21)
+    traces += [run_program(builder.program(48))[0] for _ in range(3)]
+    return traces
+
+
+def _synthetic_activity():
+    """Random feature sets (counts and bits) with random coefficients on
+    F, D and E; no selected feature on M; no model on W."""
+    rng = np.random.default_rng(8)
+    models = {}
+    for stage in ("F", "D", "E"):
+        width = len(STAGE_REGISTERS[stage]) + stage_bit_count(stage)
+        features = np.sort(rng.choice(width, size=min(40, width),
+                                      replace=False))
+        models[stage] = LinearModel(
+            intercept=float(rng.normal()),
+            coefficients=0.1 * rng.normal(size=features.size),
+            features=features)
+    models["M"] = LinearModel(intercept=0.7, coefficients=np.zeros(0),
+                              features=np.zeros(0, dtype=int))
+    return RegressionActivity(models=models)
+
+
+def test_selected_column_alpha_equals_full_design_alpha(device):
+    traces = _oracle_traces()
+    for activity in (_synthetic_activity(),
+                     train_emsim(device).regression_activity):
+        for trace in traces:
+            for stage in STAGES:
+                assert np.array_equal(
+                    activity.alpha(trace, stage),
+                    full_design_alpha(activity, trace, stage)), stage
+
+
+def test_design_columns_equal_the_seed_design():
+    rng = np.random.default_rng(3)
+    for trace in _oracle_traces()[::2]:
+        for stage in STAGES:
+            full = seed_stage_design_matrix(trace, stage)
+            assert np.array_equal(stage_design_matrix(trace, stage), full)
+            columns = rng.choice(full.shape[1], size=12, replace=False)
+            selected = stage_design_matrix(trace, stage, columns=columns)
+            assert np.array_equal(selected, full[:, columns])
+            assert selected.strides == full[:, columns].strides

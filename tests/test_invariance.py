@@ -6,13 +6,17 @@ through EMSim are bit-identical whether they run in-process
 (``workers=1``) or in a forked pool (``workers=2``; a generous
 ``item_timeout`` forces the pool even on a single-CPU host), and a
 campaign journal written at one worker count replays every probe at
-another.
+another.  The AES TVLA is also bit-identical in every trace-cache state:
+disabled, cold (EMSim records and replays the AES schedule), warm, and
+served from the disk layer.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import EMSim, Trainer, measurement_campaign, model_to_dict
+from repro.core import (EMSim, Trainer, configure_trace_cache,
+                        get_trace_cache, measurement_campaign,
+                        model_to_dict, trace_cache_disabled)
 from repro.core.batch import supervised_campaign
 from repro.hardware import HardwareDevice
 from repro.leakage import DEFAULT_KEY, aes, aes_program
@@ -80,25 +84,65 @@ def test_journal_written_at_one_worker_resumes_at_two(tmp_path):
     _assert_probes_identical(written, replayed)
 
 
-def test_aes_tvla_identical_at_one_and_two_workers():
+@pytest.fixture(scope="module")
+def aes_simulator():
     device = HardwareDevice(seed=3)
     model = Trainer(device=device, activity_probes_per_class=2,
                     miso_groups=1, miso_group_size=32,
                     fit_kernel_parameters=False, seed=11).train()
-    simulator = EMSim(model, core_config=device.core_config)
+    return EMSim(model, core_config=device.core_config)
+
+
+def _aes_tvla(simulator, workers, extra):
+    """t-values of a 2-round AES TVLA through ``simulator``."""
 
     def source(plaintext):
         program = aes_program(DEFAULT_KEY, plaintext, rounds=2)
         return simulator.simulate(program).signal
 
-    t_values = []
-    for workers, extra in RUNS.items():
-        # every run (each pool worker, at workers=2) assembles its own
-        # AES template
-        aes._aes_template.cache_clear()
-        result = collect_streaming_tvla(
-            source, list(range(16)), 3, np.random.default_rng(4),
-            workers=workers, **extra)
-        t_values.append(result.t_values)
+    # every run (each pool worker, at workers=2) assembles its own AES
+    # template
+    aes._aes_template.cache_clear()
+    return collect_streaming_tvla(
+        source, list(range(16)), 3, np.random.default_rng(4),
+        workers=workers, **extra).t_values
+
+
+def test_aes_tvla_identical_at_one_and_two_workers(aes_simulator):
+    t_values = [_aes_tvla(aes_simulator, workers, extra)
+                for workers, extra in RUNS.items()]
     assert t_values[0].shape == t_values[1].shape
     assert t_values[0].tobytes() == t_values[1].tobytes()
+
+
+def test_aes_tvla_identical_in_every_cache_state(aes_simulator, tmp_path):
+    def cold():
+        configure_trace_cache(clear=True)
+
+    def warm():
+        cold()
+        _aes_tvla(aes_simulator, 1, {})
+
+    def disk():
+        configure_trace_cache(directory=str(tmp_path), clear=True)
+        _aes_tvla(aes_simulator, 1, {})
+        configure_trace_cache(clear=True)
+
+    t_values = {}
+    try:
+        for workers, extra in RUNS.items():
+            with trace_cache_disabled():
+                t_values["disabled", workers] = _aes_tvla(
+                    aes_simulator, workers, extra)
+            for state, prepare in (("cold", cold), ("warm", warm),
+                                   ("disk", disk)):
+                prepare()
+                disk_hits = get_trace_cache().stats.disk_hits
+                t_values[state, workers] = _aes_tvla(aes_simulator,
+                                                     workers, extra)
+                if state == "disk" and workers == 1:
+                    assert get_trace_cache().stats.disk_hits > disk_hits
+    finally:
+        configure_trace_cache(directory="", enabled=True, clear=True)
+    assert len(t_values) == 8
+    assert len({values.tobytes() for values in t_values.values()}) == 1

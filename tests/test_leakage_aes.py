@@ -160,3 +160,20 @@ def test_aes_program_rejects_rounds_outside_1_to_10(rounds):
             aes128_encrypt_reference(DEFAULT_KEY, [0] * 16, rounds=rounds)
     with pytest.raises(ValueError):
         aes_program(DEFAULT_KEY, [0] * 16, rounds=rounds)
+
+
+@pytest.mark.parametrize("value", [300, -1, 256])
+@pytest.mark.parametrize("position", [0, 7, 15])
+def test_out_of_range_key_or_plaintext_byte_raises(value, position):
+    # 300 used to be stored as 44, a key byte of -1 read SBOX[-1], and a
+    # key byte of 256 raised IndexError
+    bad = list(range(16))
+    bad[position] = value
+    good = list(range(16))
+    with pytest.raises(ValueError, match="out of range"):
+        key_schedule(bad)
+    for key, plaintext in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="out of range"):
+            aes_program(key, plaintext, rounds=1)
+        with pytest.raises(ValueError, match="out of range"):
+            aes128_encrypt_reference(key, plaintext, rounds=1)

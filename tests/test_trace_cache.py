@@ -13,10 +13,11 @@ import pytest
 
 from repro.core.microbench import REPRESENTATIVES, isolation_probe, \
     pair_probe
-from repro.core.trace_cache import (TraceCache, configure_trace_cache,
-                                    get_trace_cache, trace_cache_disabled,
-                                    trace_key)
+from repro.core.trace_cache import (TraceCache, code_family_key,
+                                    configure_trace_cache, get_trace_cache,
+                                    trace_cache_disabled, trace_key)
 from repro.hardware import HardwareDevice
+from repro.leakage import aes_program
 from repro.observability import disable_metrics, enable_metrics
 from repro.robustness import FaultPlan
 from repro.uarch.config import CoreConfig
@@ -69,6 +70,20 @@ def test_trace_key_sees_data_and_config():
     assert trace_key(patched, config) != trace_key(first, config)
     other = CoreConfig(mul_latency=config.mul_latency + 1)
     assert trace_key(first, other) != trace_key(first, config)
+    # the code family leaves the data image out, and only that
+    family = code_family_key(first, config)
+    assert code_family_key(patched, config) == family
+    assert code_family_key(first, other) != family
+    assert code_family_key(isolation_probe(LOAD), config) != family
+    assert code_family_key(first, config, max_cycles=64) != family
+
+
+def test_trace_key_is_pinned():
+    # a trace_key change orphans every disk-cache entry; bump
+    # TRACE_KEY_VERSION deliberately instead
+    program = aes_program(list(range(16)), list(range(16)), rounds=1)
+    assert trace_key(program, CoreConfig()) == (
+        "196ec47e08b77d25e53431eee147aa35a511856303d1229c754c5761eb2b1375")
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +144,10 @@ def test_lru_eviction_is_bounded():
     assert cache.stats.evictions == 1
     assert cache.lookup("a") is None
     assert cache.lookup("b") == 2 and cache.lookup("c") == 3
+    for key in "xyz":
+        cache.remember_family(key, key)
+    assert cache.family("x") is None and cache.family("z") == "z"
+    assert cache.lookup("b") == 2 and cache.stats.evictions == 1
 
 
 def test_disk_layer_roundtrip_and_corruption(tmp_path):
