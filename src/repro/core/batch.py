@@ -9,12 +9,14 @@ Two campaign shapes dominate this codebase:
   deconvolve their per-cycle amplitudes (model training, TVLA corpora).
 
 :class:`BatchSimulator` and :func:`measurement_campaign` run both as a
-single ordered fan-out over :func:`~repro.parallel.parallel_map`: items
-go to a process pool when ``workers > 1`` (falling back to an in-process
-loop on single-CPU machines), every item is reseeded from ``(campaign
-seed, item index)``, and every worker count runs the same engine (the
-emitter's lag-factored evaluator, the vectorized repetition capture, and
-the plan-cached banded deconvolver).  Results are therefore
+single ordered fan-out, over :func:`~repro.parallel.parallel_map` and
+:func:`~repro.parallel.supervised_map` respectively: items go to a
+process pool when ``workers > 1`` or an item timeout is set (falling
+back to an in-process loop on single-CPU machines without a timeout),
+every item is reseeded from ``(campaign seed, item index)``, and every
+worker count runs the same engine (the emitter's lag-factored
+evaluator, the vectorized repetition capture, and the plan-cached
+banded deconvolver).  Results are therefore
 bit-identical at any worker count, and so are checkpoint keys: a journal
 written at one worker count resumes at another.
 

@@ -10,9 +10,11 @@ campaign alive when individual items misbehave:
   worker scheduling;
 * **deterministic** — callers seed *per item* (see :func:`spawn_seed`),
   never from a shared stream, so the result of item ``i`` is independent
-  of worker count and scheduling; the supervision ledger is equally
-  scheduling-independent (an innocent item resubmitted because a
-  *neighbor* hung or crashed is never charged an attempt);
+  of worker count and scheduling.  The supervision ledger can differ:
+  a deadline rebuilds the whole pool and resubmits every other
+  in-flight item uncharged, including one that is itself hung, so when
+  hangs overlap a larger pool charges fewer timeouts, retries and
+  rebuilds than ``workers=1`` does;
 * **supervised** — :class:`SupervisedPool` submits items individually
   (``apply_async`` plus a deadline ledger) so it can enforce a per-item
   wall-clock timeout, detect crashed workers (dead pool /
@@ -25,14 +27,15 @@ campaign alive when individual items misbehave:
   :class:`~repro.robustness.checkpoint.CheckpointJournal` plus a
   ``key_for`` callback and every completed item is journaled; a resumed
   run skips journaled items bit-identically;
-* **degradable** — without a timeout or journal, ``workers=1`` (the
-  default everywhere) never touches ``multiprocessing``: it runs the
-  plain in-process loop, bit-identical to not using this module at all,
-  which is also the fallback when a pool cannot be created (restricted
+* **degradable** — without a timeout, ``workers=1`` (the default
+  everywhere) never touches ``multiprocessing``: it runs the plain
+  in-process loop, bit-identical to not using this module at all, which
+  is also the fallback when a pool cannot be created (restricted
   sandboxes).
 
 The worker function and its items must be picklable (top-level
-functions, dataclasses, numpy arrays).  Per-worker state that is
+functions, dataclasses, numpy arrays); every result comes back through
+the pool's own pickle pipe.  Per-worker state that is
 expensive to pickle per item (a
 :class:`~repro.hardware.device.HardwareDevice`, a trained model) goes
 through ``initializer``/``initargs`` and lives in the worker's module
@@ -45,12 +48,11 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     TypeVar)
 
 import numpy as np
 
-from .ipc import SharedArrayArena, export_value
 from .observability.metrics import get_metrics
 from .observability.tracer import (create_spool, flush_worker_records,
                                    merge_spool, monotonic,
@@ -59,7 +61,7 @@ from .robustness.errors import CampaignError, ConfigurationError
 
 __all__ = ["resolve_workers", "parallel_map", "spawn_seed",
            "supervised_map", "retry_backoff", "SupervisedPool",
-           "SupervisionPolicy", "ItemOutcome", "CampaignLedger",
+           "ItemOutcome", "CampaignLedger",
            "OUTCOME_OK", "OUTCOME_RETRIED", "OUTCOME_TIMEOUT",
            "OUTCOME_QUARANTINED"]
 
@@ -85,6 +87,15 @@ RETRY_STREAM = 0x5EED
 """The :func:`spawn_seed` stream reserved for retry-backoff jitter
 (far above the small stream numbers campaign items use for their own
 RNG consumers, so backoff draws can never collide with capture noise)."""
+
+BACKOFF_BASE = 0.05
+"""Seconds :func:`retry_backoff` waits before an item's first retry."""
+
+BACKOFF_CAP = 1.0
+"""Upper bound, in seconds, on one retry's backoff."""
+
+POLL_INTERVAL = 0.01
+"""Seconds the pool loop sleeps after a pass that reaped nothing."""
 
 
 def resolve_workers(workers: object) -> int:
@@ -123,54 +134,23 @@ def spawn_seed(base_seed: int, index: int,
     return np.random.default_rng([int(base_seed), int(stream), int(index)])
 
 
-def retry_backoff(seed: int, index: int, retry_index: int,
-                  base: float = 0.05, cap: float = 1.0) -> float:
+def retry_backoff(seed: int, index: int, retry_index: int) -> float:
     """Deterministic exponential backoff with seeded jitter (seconds).
 
     Retry ``retry_index`` (0-based) of item ``index`` waits
-    ``base * 2**retry_index`` scaled by a jitter factor in ``[0.5,
-    1.5)`` drawn from ``spawn_seed(seed, index, RETRY_STREAM)`` —
-    the same recipe :class:`~repro.robustness.retry.RetryPolicy` uses,
-    keyed per item so two quarreling items never synchronize, and a
-    pure function of ``(seed, index, retry_index)`` so the supervision
-    ledger stays reproducible.
+    ``BACKOFF_BASE * 2**retry_index`` scaled by a jitter factor in
+    ``[0.5, 1.5)`` drawn from ``spawn_seed(seed, index, RETRY_STREAM)``
+    and capped at :data:`BACKOFF_CAP` — the same recipe
+    :class:`~repro.robustness.retry.RetryPolicy` uses, keyed per item so
+    two quarreling items never synchronize, and a pure function of
+    ``(seed, index, retry_index)`` so the recorded ``waited`` stays
+    reproducible.
     """
     draws = spawn_seed(seed, index, stream=RETRY_STREAM).random(
         retry_index + 1)
     jitter = 0.5 + float(draws[retry_index])
-    return float(min(cap, base * (2.0 ** retry_index) * jitter))
-
-
-@dataclass
-class SupervisionPolicy:
-    """Knobs governing one supervised fan-out.
-
-    ``timeout`` is the per-item wall-clock deadline in seconds (``None``
-    disables deadlines — and with it the pool-even-at-one-worker mode
-    that deadline enforcement needs).  ``max_item_retries`` bounds how
-    many *failed* attempts one item may accumulate (crash, timeout, or
-    exception all count) before it is quarantined; the first attempt is
-    free, so an item sees at most ``max_item_retries + 1`` attempts.
-    ``sleep`` is the backoff actuator: ``None`` (the default) records
-    the deterministic wait in the ledger without actually sleeping —
-    the simulation bench gains nothing from waiting, exactly like
-    :class:`~repro.robustness.retry.RetryPolicy` — while bench code
-    driving real hardware passes ``time.sleep``.
-    """
-
-    timeout: Optional[float] = None
-    max_item_retries: int = 2
-    seed: int = 0
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    sleep: Optional[Callable[[float], None]] = None
-    poll_interval: float = 0.01
-
-    def backoff(self, index: int, retry_index: int) -> float:
-        """Backoff for retry ``retry_index`` of item ``index``."""
-        return retry_backoff(self.seed, index, retry_index,
-                             base=self.backoff_base,
-                             cap=self.backoff_cap)
+    return float(min(BACKOFF_CAP,
+                     BACKOFF_BASE * (2.0 ** retry_index) * jitter))
 
 
 @dataclass
@@ -179,11 +159,12 @@ class ItemOutcome:
 
     ``status`` is one of :data:`OUTCOME_OK`, :data:`OUTCOME_RETRIED`,
     :data:`OUTCOME_TIMEOUT`, :data:`OUTCOME_QUARANTINED`.  ``attempts``
-    counts *charged* attempts only — an innocent item resubmitted
-    because the pool was rebuilt under it keeps its count, which is
-    what makes the ledger independent of worker count.  ``waited`` is
-    the total deterministic backoff attributed to the item (recorded
-    even when the policy does not actually sleep); ``resumed`` marks
+    counts *charged* attempts only — an item resubmitted because a
+    neighbour's deadline rebuilt the pool under it keeps its count.
+    That holds even when the item was itself hung at the time, so with
+    overlapping hangs the row depends on the worker count.  ``waited``
+    is the total deterministic backoff attributed to the item (recorded
+    even when the pool does not actually sleep); ``resumed`` marks
     items served from a checkpoint journal without running at all.
     """
 
@@ -269,8 +250,7 @@ _SUPERVISED_STATE: dict = {}
 def _supervised_init(queue: object, function: Callable,
                      initializer: Optional[Callable],
                      initargs: tuple,
-                     spool: Optional[str] = None,
-                     arena_prefix: Optional[str] = None) -> None:
+                     spool: Optional[str] = None) -> None:
     """Install the start-report queue + user initializer in a worker.
 
     ``spool`` (set when the parent records spans or metrics) is the
@@ -278,14 +258,10 @@ def _supervised_init(queue: object, function: Callable,
     flush baseline is reset first so recordings inherited from the
     parent at fork time —
     including after a mid-campaign pool rebuild — are never re-spooled.
-    ``arena_prefix`` (set when the parent opened a
-    :class:`~repro.ipc.SharedArrayArena`) turns on shared-memory export
-    of large result arrays.
     """
     _SUPERVISED_STATE["queue"] = queue
     _SUPERVISED_STATE["function"] = function
     _SUPERVISED_STATE["spool"] = spool
-    _SUPERVISED_STATE["arena"] = arena_prefix
     if spool is not None:
         reset_flush_baseline()
     if initializer is not None:
@@ -303,20 +279,11 @@ def _supervised_call(index: int, item: object) -> object:
     if queue is not None:
         queue.put((os.getpid(), index))
     spool = _SUPERVISED_STATE.get("spool")
-    arena_prefix = _SUPERVISED_STATE.get("arena")
-    if spool is None:
-        return _export(_SUPERVISED_STATE["function"](item), arena_prefix)
     try:
-        return _export(_SUPERVISED_STATE["function"](item), arena_prefix)
+        return _SUPERVISED_STATE["function"](item)
     finally:
-        flush_worker_records(spool, index)
-
-
-def _export(value: object, arena_prefix: Optional[str]) -> object:
-    """Route a worker result through the shared-memory arena if open."""
-    if arena_prefix is None:
-        return value
-    return export_value(value, arena_prefix)
+        if spool is not None:
+            flush_worker_records(spool, index)
 
 
 @dataclass
@@ -345,8 +312,10 @@ class SupervisedPool:
        only the indicted item is charged a failed attempt;
     3. **enforce deadlines** — an expired item is charged a timeout and
        the pool is torn down and rebuilt (the only way to kill a stuck
-       worker); in-flight *innocents* are resubmitted without being
-       charged, keeping the ledger independent of scheduling;
+       worker); every other in-flight item is resubmitted without being
+       charged.  An item that was itself hung then escapes its own
+       charge, so when hangs overlap the ledger depends on how many
+       workers ran them;
     4. **retry or quarantine** — a failed item re-queues with
        deterministic seeded backoff until ``max_item_retries`` is
        exhausted, then its slot is ``None`` and its ledger row says
@@ -356,22 +325,35 @@ class SupervisedPool:
     also trigger a rebuild.  Without a timeout the fan-out degrades to
     the legacy in-process loop at one effective worker — bit-identical
     to the pre-supervision code path.
+
+    ``timeout`` is the per-item wall-clock deadline in seconds (``None``
+    disables deadlines — and with it the pool-even-at-one-worker mode
+    that deadline enforcement needs).  ``max_item_retries`` bounds how
+    many *failed* attempts one item may accumulate (crash, timeout, or
+    exception all count) before it is quarantined; the first attempt is
+    free, so an item sees at most ``max_item_retries + 1`` attempts.
+    ``seed`` keys the backoff jitter (:func:`retry_backoff`).  ``sleep``
+    is the backoff actuator: ``None`` (the default) records the
+    deterministic wait in the ledger without actually sleeping — the
+    simulation bench gains nothing from waiting, exactly like
+    :class:`~repro.robustness.retry.RetryPolicy` — while bench code
+    driving real hardware passes ``time.sleep``.
     """
 
     def __init__(self, workers: object = 1,
                  initializer: Optional[Callable] = None,
                  initargs: tuple = (),
-                 policy: Optional[SupervisionPolicy] = None,
-                 transport: str = "auto"):
+                 timeout: Optional[float] = None,
+                 max_item_retries: int = 2,
+                 seed: int = 0,
+                 sleep: Optional[Callable[[float], None]] = None):
         self.workers = resolve_workers(workers)
         self.initializer = initializer
         self.initargs = initargs
-        self.policy = policy or SupervisionPolicy()
-        if transport not in ("auto", "shared", "codec"):
-            raise ConfigurationError(
-                f"invalid transport {transport!r}: expected 'auto', "
-                f"'shared', or 'codec'")
-        self.transport = transport
+        self.timeout = timeout
+        self.max_item_retries = max_item_retries
+        self.seed = seed
+        self.sleep = sleep
 
     # ------------------------------------------------------------------
     # public entry point
@@ -424,30 +406,16 @@ class SupervisedPool:
             return results, ledger
 
         effective = min(self.workers, len(pending), os.cpu_count() or 1)
-        use_pool = self.policy.timeout is not None or \
+        use_pool = self.timeout is not None or \
             (effective > 1 and len(pending) > 1)
         if use_pool:
             # span/metric spool across the process boundary (None
             # while tracer and metrics are disabled — zero overhead)
             spool = create_spool()
-            # shared-memory result channel: large arrays cross the
-            # process boundary as segment refs instead of pickle bytes
-            # (transport="codec" or unusable shared memory -> pipe)
-            arena = None
-            if self.transport != "codec":
-                arena = SharedArrayArena.create_if_available()
-                if arena is None and self.transport == "shared":
-                    raise ConfigurationError(
-                        "transport='shared' requested but shared memory "
-                        "is unavailable here (or REPRO_NO_SHM is set)")
-            pool_state = self._start_pool(
-                function, max(1, effective), spool,
-                arena.prefix if arena is not None else None)
+            pool_state = self._start_pool(function, max(1, effective),
+                                          spool)
             if pool_state is None:
                 merge_spool(spool)
-                if arena is not None:
-                    arena.close()
-                    arena = None
                 use_pool = False
         if use_pool:
             context, pool, queue = pool_state
@@ -455,12 +423,9 @@ class SupervisedPool:
                 self._run_pool(context, pool, queue, function, items,
                                pending, results, outcomes, ledger,
                                journal, keys, propagate,
-                               max(1, effective), metrics, spool,
-                               arena)
+                               max(1, effective), metrics, spool)
             finally:
                 merge_spool(spool)
-                if arena is not None:
-                    arena.close()
         else:
             self._run_serial(function, items, pending, results,
                              outcomes, journal, keys, propagate,
@@ -479,12 +444,12 @@ class SupervisedPool:
 
     def _note_retry(self, outcome: ItemOutcome,
                     metrics: object) -> None:
-        wait = self.policy.backoff(outcome.index, outcome.retries)
+        wait = retry_backoff(self.seed, outcome.index, outcome.retries)
         outcome.retries += 1
         outcome.waited += wait
         metrics.increment("supervise.retries")
-        if self.policy.sleep is not None:
-            self.policy.sleep(wait)
+        if self.sleep is not None:
+            self.sleep(wait)
 
     def _register_failure(self, outcome: ItemOutcome, kind: str,
                           message: str, metrics: object) -> bool:
@@ -499,7 +464,7 @@ class SupervisedPool:
             metrics.increment("supervise.crashes")
         else:
             metrics.increment("supervise.failures")
-        if outcome.failures <= self.policy.max_item_retries:
+        if outcome.failures <= self.max_item_retries:
             self._note_retry(outcome, metrics)
             return True
         outcome.status = OUTCOME_TIMEOUT if kind == "timeout" \
@@ -548,8 +513,7 @@ class SupervisedPool:
     # pool path
     # ------------------------------------------------------------------
     def _start_pool(self, function: Callable, processes: int,
-                    spool: Optional[str] = None,
-                    arena_prefix: Optional[str] = None):
+                    spool: Optional[str] = None):
         """Fork a supervised pool; ``None`` when the sandbox forbids it."""
         try:
             import multiprocessing
@@ -562,7 +526,7 @@ class SupervisedPool:
                 processes=processes,
                 initializer=_supervised_init,
                 initargs=(queue, function, self.initializer,
-                          self.initargs, spool, arena_prefix))
+                          self.initargs, spool))
         except (ImportError, OSError):            # pragma: no cover
             # restricted environments (no /dev/shm, fork disabled):
             # degrade to the in-process loop
@@ -575,12 +539,10 @@ class SupervisedPool:
                   ledger: CampaignLedger, journal: object,
                   keys: Optional[List[str]], propagate: bool,
                   processes: int, metrics: object,
-                  spool: Optional[str] = None,
-                  arena: Optional[SharedArrayArena] = None) -> None:
-        timeout = self.policy.timeout
-        # waiting entries are (index, charge): innocent resubmissions
-        # after a rebuild carry charge=False so the ledger never depends
-        # on which neighbor happened to hang
+                  spool: Optional[str] = None) -> None:
+        timeout = self.timeout
+        # waiting entries are (index, charge): resubmissions after a
+        # neighbour's deadline rebuilt the pool carry charge=False
         waiting: deque = deque((index, True) for index in pending)
         inflight: Dict[int, _InFlight] = {}
         owner: Dict[int, int] = {}  # worker pid -> item it is running
@@ -602,8 +564,7 @@ class SupervisedPool:
                 processes=processes,
                 initializer=_supervised_init,
                 initargs=(queue, function, self.initializer,
-                          self.initargs, spool,
-                          arena.prefix if arena is not None else None))
+                          self.initargs, spool))
 
         def submit(index: int, charge: bool) -> None:
             if charge:
@@ -660,11 +621,6 @@ class SupervisedPool:
                         del owner[pid]
                     try:
                         value = entry.handle.get()
-                        # claim shared-memory refs back into ordinary
-                        # arrays *before* journaling, so checkpoint
-                        # bytes are identical on every transport
-                        if arena is not None:
-                            value = arena.claim(value)
                     except Exception as exc:
                         fail(index, "error", exc)
                     else:
@@ -688,8 +644,8 @@ class SupervisedPool:
                             fail(victim, "crash", None)
 
                 # 3. enforce per-item deadlines; a rebuild is the only
-                # way to kill a stuck worker, so in-flight innocents are
-                # resubmitted uncharged afterwards
+                # way to kill a stuck worker, so the other in-flight
+                # items (hung or not) are resubmitted uncharged
                 if timeout is not None and inflight:
                     now = monotonic()
                     expired = [index for index, entry
@@ -708,7 +664,7 @@ class SupervisedPool:
                             waiting.appendleft((index, False))
 
                 if not progressed and (waiting or inflight):
-                    time.sleep(self.policy.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             pool.terminate()
             pool.join()
@@ -724,26 +680,19 @@ def supervised_map(function: Callable[[_ItemT], _ResultT],
                    seed: int = 0,
                    journal: object = None,
                    key_for: Optional[Callable[[int, _ItemT], str]] = None,
-                   sleep: Optional[Callable[[float], None]] = None,
-                   transport: str = "auto"
+                   sleep: Optional[Callable[[float], None]] = None
                    ) -> Tuple[List[Optional[_ResultT]], CampaignLedger]:
     """One-call supervised fan-out; returns ``(results, ledger)``.
 
     The campaign entry point: quarantined items leave ``None`` slots
     and a ledger row explaining why, instead of aborting the run.  See
-    :class:`SupervisedPool` for the supervision mechanics and
-    :class:`SupervisionPolicy` for the knob semantics.  ``transport``
-    selects the result channel for pool runs: ``"auto"`` (default)
-    ships large arrays through a :class:`~repro.ipc.SharedArrayArena`
-    when shared memory is usable, ``"codec"`` forces the legacy
-    pickle/codec pipe, ``"shared"`` requires shared memory.
+    :class:`SupervisedPool` for the supervision mechanics and the
+    meaning of each argument.
     """
     pool = SupervisedPool(
         workers=workers, initializer=initializer, initargs=initargs,
-        policy=SupervisionPolicy(timeout=timeout,
-                                 max_item_retries=max_item_retries,
-                                 seed=seed, sleep=sleep),
-        transport=transport)
+        timeout=timeout, max_item_retries=max_item_retries, seed=seed,
+        sleep=sleep)
     return pool.map(function, items, journal=journal, key_for=key_for)
 
 
@@ -767,7 +716,6 @@ def parallel_map(function: Callable[[_ItemT], _ResultT],
     """
     pool = SupervisedPool(
         workers=workers, initializer=initializer, initargs=initargs,
-        policy=SupervisionPolicy(timeout=timeout,
-                                 max_item_retries=max_item_retries))
+        timeout=timeout, max_item_retries=max_item_retries)
     results, _ = pool.map(function, items, propagate=True)
     return results

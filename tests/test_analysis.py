@@ -790,6 +790,30 @@ class TestFramework:
         assert result.findings == [], "unsuppressed findings:\n" + \
             "\n".join(finding.format() for finding in result.findings)
 
+    def test_config_names_only_what_exists(self):
+        # a stale entry would silently exempt (pool_modules) or scope
+        # (the others) a rule for whatever file lands at that path next
+        config = AnalysisConfig()
+        for name in ("paths", "cli_modules", "pool_modules",
+                     "monotonic_strict", "clock_owner_modules",
+                     "annotations_packages", "docstring_packages",
+                     "campaign_modules", "doc_files"):
+            for path in getattr(config, name):
+                assert os.path.exists(os.path.join(REPO_ROOT, path)), \
+                    f"AnalysisConfig.{name} names missing {path!r}"
+        classes = set()
+        for directory, _, files in sorted(os.walk(
+                os.path.join(REPO_ROOT, "src"))):
+            for filename in sorted(files):
+                if filename.endswith(".py"):
+                    with open(os.path.join(directory, filename),
+                              encoding="utf-8") as handle:
+                        tree = ast.parse(handle.read())
+                    classes.update(node.name for node in ast.walk(tree)
+                                   if isinstance(node, ast.ClassDef))
+        assert set(config.ipc_allowlist) <= classes, \
+            sorted(set(config.ipc_allowlist) - classes)
+
     def test_json_report_is_byte_identical_across_runs(self):
         def render():
             analyzer = Analyzer(all_rules(), AnalysisConfig(),

@@ -1,8 +1,9 @@
 """Results are a pure function of inputs, configuration and seed.
 
 Every worker count runs the same capture and deconvolution engine, so a
-measurement campaign, a scope-captured training run and an AES TVLA
-through EMSim are bit-identical whether they run in-process
+measurement campaign, a scope-captured training run, an AES TVLA
+through EMSim and the Table II SAVAT matrix (simulated and
+ideal-captured) are bit-identical whether they run in-process
 (``workers=1``) or in a forked pool (``workers=2``; a generous
 ``item_timeout`` forces the pool even on a single-CPU host), and a
 campaign journal written at one worker count replays every probe at
@@ -10,6 +11,8 @@ another.  The AES TVLA is also bit-identical in every trace-cache state:
 disabled, cold (EMSim records and replays the AES schedule), warm, and
 served from the disk layer.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from repro.core import (EMSim, Trainer, configure_trace_cache,
                         model_to_dict, trace_cache_disabled)
 from repro.core.batch import supervised_campaign
 from repro.hardware import HardwareDevice
-from repro.leakage import DEFAULT_KEY, aes, aes_program
+from repro.leakage import (DEFAULT_KEY, SimulatorSignalSource, aes,
+                           aes_program, savat_matrix)
 from repro.leakage.streaming import collect_streaming_tvla
 from repro.robustness import FaultPlan
 from repro.robustness.checkpoint import CheckpointJournal
@@ -146,3 +150,26 @@ def test_aes_tvla_identical_in_every_cache_state(aes_simulator, tmp_path):
         configure_trace_cache(directory="", enabled=True, clear=True)
     assert len(t_values) == 8
     assert len({values.tobytes() for values in t_values.values()}) == 1
+
+
+@dataclass
+class IdealCaptureSource:
+    """``program -> (signal, cycles)`` over a device's ideal capture."""
+
+    device: HardwareDevice
+
+    def __call__(self, program):
+        measurement = self.device.capture_ideal(program)
+        return measurement.signal, measurement.num_cycles
+
+
+def test_savat_matrix_identical_at_one_and_two_workers(aes_simulator):
+    device = HardwareDevice(seed=3)
+    for source in (SimulatorSignalSource(aes_simulator),
+                   IdealCaptureSource(device)):
+        matrices = [savat_matrix(source, device.samples_per_cycle,
+                                 workers=workers, **extra)
+                    for workers, extra in RUNS.items()]
+        assert list(matrices[0]) == list(matrices[1])
+        assert np.array(list(matrices[0].values())).tobytes() == \
+            np.array(list(matrices[1].values())).tobytes()

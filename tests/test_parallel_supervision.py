@@ -13,13 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.hardware import HardwareDevice
 from repro.parallel import (MAX_WORKERS, CampaignLedger, ItemOutcome,
                             OUTCOME_OK, OUTCOME_QUARANTINED,
                             OUTCOME_RETRIED, OUTCOME_TIMEOUT,
-                            SupervisionPolicy, parallel_map,
-                            resolve_workers, retry_backoff, spawn_seed,
-                            supervised_map)
+                            parallel_map, resolve_workers, retry_backoff,
+                            spawn_seed, supervised_map)
 from repro.robustness import CampaignError, ConfigurationError
+from repro.workloads import RandomProgramBuilder
 
 # generous deadline for tests that need pool-mode supervision (crash
 # detection) but must never trip on a slow CI machine
@@ -73,6 +74,17 @@ def hang_item(item):
     if value == 1:
         time.sleep(120)
     return value
+
+
+# 123 cycles: a 19,680-byte ideal-capture signal
+CAPTURE_DEVICE = HardwareDevice()
+CAPTURE_PROGRAM = RandomProgramBuilder(seed=3).program(40)
+
+
+def memoized_capture(_):
+    """The device's memoized ideal capture: one cached object, returned
+    again on every call after a worker's first."""
+    return CAPTURE_DEVICE.capture_ideal(CAPTURE_PROGRAM)
 
 
 def hang_once(item):
@@ -190,9 +202,6 @@ class TestRetry:
         assert all(wait > 0 for wait in waits)
         # a different item draws different jitter
         assert retry_backoff(7, 4, 0) != waits[0]
-        # the policy records backoff without sleeping by default
-        policy = SupervisionPolicy(seed=7)
-        assert policy.backoff(3, 0) == waits[0]
 
     def test_backoff_sleep_injectable(self, tmp_path):
         slept = []
@@ -203,6 +212,8 @@ class TestRetry:
         assert results == [30]
         assert len(slept) == 1
         assert slept[0] == ledger.outcomes[0].waited
+        # seed 0, item 0, first retry
+        assert ledger.outcomes[0].waited == retry_backoff(0, 0, 0)
 
 
 class TestCrash:
@@ -266,6 +277,24 @@ class TestHang:
             max_item_retries=0)
         assert results == [0, None, 2]
         assert ledger.outcomes[1].status == OUTCOME_TIMEOUT
+
+
+class TestResults:
+    def test_memoized_result_comes_back_intact(self):
+        """A worker that returns the same cached object for several
+        items hands every copy back unchanged (the timeout forces a
+        pool; on one CPU a single worker serves all six items)."""
+        expected = CAPTURE_DEVICE.capture_ideal(CAPTURE_PROGRAM).signal
+        assert len(expected) * expected.itemsize == 19680
+        results, ledger = supervised_map(
+            memoized_capture, range(6), workers=2, timeout=SAFE_TIMEOUT)
+        assert ledger.complete, ledger.summary()
+        assert all(np.array_equal(result.signal, expected)
+                   for result in results)
+        pooled = parallel_map(memoized_capture, range(6), workers=2,
+                              timeout=SAFE_TIMEOUT)
+        assert all(np.array_equal(result.signal, expected)
+                   for result in pooled)
 
 
 class TestLedger:

@@ -2,15 +2,13 @@
 
 The signal fast path (docs/architecture.md, "Signal fast path") is
 checked against the seed's paths: direct ``np.convolve`` synthesis and
-the sparse-operator deconvolver (both in ``tests/oracles.py``), the
-pickle/codec result transport, and the batch Welch t-test.  These
-properties pin the engine to those oracles
+the sparse-operator deconvolver (both in ``tests/oracles.py``), and the
+batch Welch t-test.  These properties pin the engine to those oracles
 over *generated* inputs — arbitrary amplitude vectors and kernel
 geometries, fault-corrupted captures, shuffled trace arrival orders —
-not just the canned shapes the unit tests use.  Transport identity
-runs through a real supervised pool (a timeout forces pool mode even
-on a single-CPU box) so the shared-memory arena actually carries the
-results it is asserted against.
+not just the canned shapes the unit tests use.  Trace-sized results
+that come back from a real supervised pool (a timeout forces pool mode
+even on a single-CPU box) are pinned to the in-process loop's.
 """
 
 import contextlib
@@ -20,9 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ipc import (SHARED_MEMORY_THRESHOLD_BYTES, SharedArrayArena,
-                       SharedArrayRef, export_value,
-                       shared_memory_available)
 from repro.leakage.streaming import (StreamingTTest, WelfordAccumulator,
                                      streaming_tvla)
 from repro.leakage.tvla import tvla, welch_t_statistic
@@ -155,18 +150,18 @@ def test_misaligned_batch_raises_configuration_error():
 
 
 # ---------------------------------------------------------------------------
-# transport: shared-memory arena vs the codec/pickle pipe
+# pool results vs the in-process loop
 # ---------------------------------------------------------------------------
 # generous deadline: forces pool mode (deadline enforcement needs a
 # worker process) without ever tripping on a slow machine
 SAFE_TIMEOUT = 60.0
 
-#: 4096 float64s = 32 KiB, comfortably over the 16 KiB export threshold
+#: 4096 float64s = 32 KiB, a trace-sized result
 _TRACE_SAMPLES = 4096
 
 
 def trace_worker(seed):
-    """Deterministic worker returning an export-sized trace array."""
+    """Deterministic worker returning a trace-sized array."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(_TRACE_SAMPLES)
 
@@ -177,76 +172,33 @@ def record_worker(seed):
     return (seed, rng.standard_normal(_TRACE_SAMPLES), np.ones(4))
 
 
+def _assert_arrays_identical(left, right):
+    assert left.dtype == right.dtype
+    assert np.array_equal(left, right)
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_shared_transport_is_identical_to_codec(workers):
-    if not shared_memory_available():
-        pytest.skip("no usable shared memory on this platform")
     items = list(range(8))
-    via_codec, ledger_codec = supervised_map(
-        trace_worker, items, workers=workers, timeout=SAFE_TIMEOUT,
-        transport="codec")
-    via_shm, ledger_shm = supervised_map(
-        trace_worker, items, workers=workers, timeout=SAFE_TIMEOUT,
-        transport="shared")
-    assert ledger_codec.complete and ledger_shm.complete
-    for codec_trace, shm_trace in zip(via_codec, via_shm):
-        assert isinstance(shm_trace, np.ndarray)
-        assert np.array_equal(codec_trace, shm_trace)
+    in_process, _ = supervised_map(trace_worker, items, workers=1)
+    pooled, ledger = supervised_map(
+        trace_worker, items, workers=workers, timeout=SAFE_TIMEOUT)
+    assert ledger.complete
+    for expected, trace in zip(in_process, pooled):
+        _assert_arrays_identical(expected, trace)
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_shared_transport_handles_structured_results(workers):
-    if not shared_memory_available():
-        pytest.skip("no usable shared memory on this platform")
     items = list(range(5))
-    via_codec, _ = supervised_map(
-        record_worker, items, workers=workers, timeout=SAFE_TIMEOUT,
-        transport="codec")
-    via_shm, _ = supervised_map(
-        record_worker, items, workers=workers, timeout=SAFE_TIMEOUT,
-        transport="shared")
-    for codec_rec, shm_rec in zip(via_codec, via_shm):
-        assert codec_rec[0] == shm_rec[0]
-        assert np.array_equal(codec_rec[1], shm_rec[1])
-        assert np.array_equal(codec_rec[2], shm_rec[2])
-
-
-def test_export_claim_round_trip_preserves_bytes():
-    if not shared_memory_available():
-        pytest.skip("no usable shared memory on this platform")
-    rng = np.random.default_rng(3)
-    payload = rng.standard_normal(_TRACE_SAMPLES)
-    with SharedArrayArena() as arena:
-        exported = export_value(payload.copy(), arena.prefix)
-        assert isinstance(exported, SharedArrayRef)
-        claimed = arena.claim(exported)
-    assert np.array_equal(claimed, payload)
-
-
-def test_small_arrays_stay_on_the_pipe():
-    small = np.ones(8)
-    assert small.nbytes < SHARED_MEMORY_THRESHOLD_BYTES
-    exported = export_value(small, "repro-test-noexport")
-    assert exported is small
-
-
-def test_kill_switch_disables_shared_memory(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SHM", "1")
-    assert not shared_memory_available()
-    assert SharedArrayArena.create_if_available() is None
-
-
-def test_arena_sweep_collects_unclaimed_segments():
-    if not shared_memory_available():
-        pytest.skip("no usable shared memory on this platform")
-    rng = np.random.default_rng(5)
-    with SharedArrayArena() as arena:
-        exported = export_value(rng.standard_normal(_TRACE_SAMPLES),
-                                arena.prefix)
-        assert isinstance(exported, SharedArrayRef)
-        # never claimed — close() must sweep the stray segment
-        assert arena.sweep() == 1
-        assert arena.sweep() == 0
+    in_process, _ = supervised_map(record_worker, items, workers=1)
+    pooled, ledger = supervised_map(
+        record_worker, items, workers=workers, timeout=SAFE_TIMEOUT)
+    assert ledger.complete
+    for expected, record in zip(in_process, pooled):
+        assert expected[0] == record[0]
+        _assert_arrays_identical(expected[1], record[1])
+        _assert_arrays_identical(expected[2], record[2])
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,9 @@ class AnalysisConfig:
     cli_modules: List[str] = field(default_factory=lambda: [
         "src/repro/cli.py", "src/repro/__main__.py"])
     #: the sanctioned process fan-out modules (D105 flags pools
-    #: elsewhere): the supervised pool itself and the shared-memory
-    #: result transport it rides on.
+    #: elsewhere): the supervised pool itself.
     pool_modules: List[str] = field(default_factory=lambda: [
-        "src/repro/parallel.py", "src/repro/ipc.py"])
+        "src/repro/parallel.py"])
     #: packages where even monotonic clocks are banned (D102); the
     #: simulation core must be a pure function of its seeds.
     monotonic_strict: List[str] = field(default_factory=lambda: [
@@ -90,8 +89,7 @@ class AnalysisConfig:
     #: plain JSON-able types.  Each entry is justified in
     #: ``docs/static-analysis.md``.
     ipc_allowlist: List[str] = field(default_factory=lambda: [
-        "CampaignProbe", "SavatMeasurement", "Measurement",
-        "SharedArrayRef"])
+        "CampaignProbe", "SavatMeasurement", "Measurement"])
     #: name-based (dynamic) call edges are dropped when a bare name
     #: matches more than this many project functions — the graph stays
     #: an over-approximation without wiring the whole repo together.
