@@ -7,13 +7,17 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Tier-1 tests, repro-lint, then the benchmark harness's self-tests:
 # bench/test_bench.py sits outside pytest's testpaths, and it fails when
-# a callable the traced pass wraps is renamed or deleted.  Last, the
-# Fig. 10 paper-shape bench (AES TVLA through EMSim's schedule replay,
-# ~7 s); it rewrites benchmarks/results/fig10_tvla.txt, so a changed
+# a callable the traced pass wraps is renamed or deleted.  Last, two
+# paper-shape benches: Fig. 10 (AES TVLA through EMSim's schedule
+# replay, ~7 s) and Table II (the SAVAT matrix, measured and simulated:
+# ~1 s after a ~1.3 s model fit).  They rewrite
+# benchmarks/results/fig10_tvla.txt and tab2_savat.txt, so a changed
 # result shows up in `git status`.
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig10_tvla.py \
+		--benchmark-disable -q
+	cd benchmarks && $(PYTHON) -m pytest test_tab2_savat.py \
 		--benchmark-disable -q
 
 test:

@@ -9,7 +9,7 @@ without any measurement equipment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..uarch.replay import Schedule, record, replay
 from ..uarch.trace import ActivityTrace
 from .config import ModelSwitches
 from .model import EMSimModel
-from .trace_cache import code_family_key, get_trace_cache
+from .trace_cache import code_family_key, get_trace_cache, trace_key
 
 _SEEN_ONCE = "seen-once"
 """Code-family mark: one miss of the family ran the plain scalar core."""
@@ -82,9 +82,19 @@ class EMSim:
         Traces are served from the content-addressed trace cache: the
         key covers the *effective* (ablation-adjusted) core config plus
         the mispredict-ablation flag, so each switch combination caches
-        independently and ablation sweeps never cross-contaminate.  A
-        miss on the in-order core may replay a recorded schedule (see
-        :meth:`_run_in_order`).
+        independently and ablation sweeps never cross-contaminate.
+
+        With misprediction modeling on, EMSim runs the device's core, so
+        a miss first looks up the entry
+        :meth:`~repro.hardware.device.HardwareDevice.run_trace` uses
+        (the unsalted :func:`~repro.core.trace_cache.trace_key` of the
+        effective config) and counts a find as
+        ``trace_cache.sim.scalar_hits``.  Every trace the scalar core
+        then produces is stored under that entry too; a replayed one
+        (see :meth:`_run_in_order`) stays under EMSim's own key, so the
+        device's ground truth never comes from a replay.  The
+        no-misprediction ablation runs another core and never touches
+        the shared entry.
         """
         config = self._effective_core_config()
         salt = f"sim:mispredicts={self.switches.model_mispredicts}"
@@ -102,23 +112,36 @@ class EMSim:
                             max_cycles: Optional[int],
                             salt: str) -> ActivityTrace:
         """The actual core execution behind :meth:`run_trace`."""
-        if self.core_kind == "out-of-order":
-            from ..uarch.ooo import OutOfOrderCore
-            if not self.switches.model_mispredicts:
+        if not self.switches.model_mispredicts:
+            if self.core_kind == "out-of-order":
                 raise ConfigurationError(
                     "the no-mispredict ablation is only implemented "
                     "for the in-order core")
-            core = OutOfOrderCore(program, config=config)
-            return core.run(max_cycles=max_cycles)
-        if not self.switches.model_mispredicts:
             core = Pipeline(program, config=config,
                             oracle=collect_oracle(program))
             return core.run(max_cycles=max_cycles)
-        return self._run_in_order(program, config, max_cycles, salt)
+        cache = get_trace_cache()
+        shared = trace_key(program, config, core_kind=self.core_kind,
+                           max_cycles=max_cycles)
+        trace = cache.lookup(shared)
+        if trace is not None:
+            get_metrics().increment("trace_cache.sim.scalar_hits")
+            return trace
+        if self.core_kind == "out-of-order":
+            from ..uarch.ooo import OutOfOrderCore
+            trace = OutOfOrderCore(program, config=config).run(
+                max_cycles=max_cycles)
+        else:
+            trace, replayed = self._run_in_order(program, config,
+                                                 max_cycles, salt)
+            if replayed:
+                return trace
+        cache.store(shared, trace)
+        return trace
 
     def _run_in_order(self, program: Program, config: CoreConfig,
                       max_cycles: Optional[int],
-                      salt: str) -> ActivityTrace:
+                      salt: str) -> Tuple[ActivityTrace, bool]:
         """The in-order core, replaying its schedule across data images.
 
         Programs with the same code and settings form a code family
@@ -129,7 +152,8 @@ class EMSim:
         (:func:`repro.uarch.replay.replay`), which is bit-identical to
         the scalar core.  A replay that diverges from the schedule falls
         back to the scalar core.  The family entries live in the trace
-        cache's memory, so a disabled cache never replays.
+        cache's memory, so a disabled cache never replays.  Returns the
+        trace and whether it was replayed.
         """
         cache = get_trace_cache()
         family = code_family_key(program, config, max_cycles=max_cycles,
@@ -139,15 +163,16 @@ class EMSim:
             trace = replay(entry, program)
             if trace is not None:
                 get_metrics().increment("trace_cache.sim.replays")
-                return trace
+                return trace, True
             get_metrics().increment("trace_cache.sim.replay_fallbacks")
         elif entry is _SEEN_ONCE:
             trace, schedule = record(program, config, max_cycles)
             cache.remember_family(family, schedule)
-            return trace
+            return trace, False
         else:
             cache.remember_family(family, _SEEN_ONCE)
-        return Pipeline(program, config=config).run(max_cycles=max_cycles)
+        return Pipeline(program, config=config).run(
+            max_cycles=max_cycles), False
 
     def simulate_trace(self, trace: ActivityTrace) -> SimulatedSignal:
         """Predict the signal for an existing activity trace."""

@@ -19,6 +19,13 @@ therefore automatic — touch any input and the key changes.  Every key
 also hashes :data:`TRACE_KEY_VERSION`, which changes whenever the stored
 artifacts change shape, so entries written by older code simply miss.
 
+The unsalted key holds the scalar core's trace, and two callers share
+it: :meth:`~repro.hardware.device.HardwareDevice.run_trace` and, with
+misprediction modeling on, :meth:`~repro.core.simulator.EMSim.run_trace`,
+which looks it up before running its core and stores every scalar run
+there (never a replayed trace).  So a program that is both simulated
+and captured runs the core once, whichever side comes first.
+
 Storage is a bounded in-memory LRU with an optional on-disk layer (one
 file per digest, written atomically).  Activity traces are written as
 compact ``repro-trace/1`` codec bytes; every other artifact kind is
@@ -54,8 +61,7 @@ from ..isa.program import Program
 from ..observability.metrics import get_metrics
 from ..uarch.config import CoreConfig
 from ..uarch.trace import ActivityTrace
-from ..uarch.tracecodec import (TraceCodecError, decode_trace, encode_trace,
-                                is_encoded_trace)
+from ..uarch.tracecodec import decode_trace, encode_trace, is_encoded_trace
 
 
 TRACE_KEY_VERSION = "repro-trace-key/2"
@@ -292,7 +298,9 @@ class TraceCache:
 
         The first bytes discriminate the format: the ``repro-trace/1``
         magic means raw codec bytes (the fast path for traces), anything
-        else is a pickle.
+        else is a pickle.  A corrupt pickle can raise almost any
+        exception (``UnicodeDecodeError``, ``OverflowError``, ...), so
+        every ``Exception`` from reading or decoding is a miss.
         """
         try:
             with open(self._path(key), "rb") as handle:
@@ -300,8 +308,7 @@ class TraceCache:
             if is_encoded_trace(payload):
                 return decode_trace(payload)
             return pickle.loads(payload)
-        except (OSError, TraceCodecError, pickle.UnpicklingError,
-                EOFError, AttributeError, ImportError):
+        except Exception:
             return None
 
     def _write_disk(self, key: str, value: Any) -> None:

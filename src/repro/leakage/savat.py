@@ -169,7 +169,9 @@ def savat_pair(signal_source: Callable[[Program], Tuple[np.ndarray, int]],
     """
     program = savat_program(kind_a, kind_b, repeats=repeats, burst=burst)
     signal, num_cycles = signal_source(program)
-    # discard the setup prefix: analyze an integral number of periods
+    # the whole capture is analysed, setup prefix and drain included, so
+    # the period (num_cycles / repeats) is slightly longer than one A/B
+    # alternation
     value = savat_value(signal, samples_per_cycle, num_cycles, repeats)
     return SavatMeasurement(kind_a=kind_a, kind_b=kind_b, value=value,
                             period_cycles=num_cycles / repeats,

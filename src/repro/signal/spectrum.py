@@ -34,16 +34,11 @@ def power_spectrum(signal: np.ndarray,
     return frequencies, power
 
 
-def spike_energy(signal: np.ndarray, sample_rate: float,
+def _band_energy(spectrum: Tuple[np.ndarray, np.ndarray],
                  target_frequency: float,
-                 relative_bandwidth: float = 0.15) -> float:
-    """Energy of the spectral spike at ``target_frequency``.
-
-    Integrates the PSD inside a band of ``relative_bandwidth`` around the
-    target, minus the local noise floor estimated from the flanking bands —
-    the "area under the curve" of the paper's SAVAT description.
-    """
-    frequencies, power = power_spectrum(signal, sample_rate)
+                 relative_bandwidth: float) -> float:
+    """Spike energy at ``target_frequency`` of a :func:`power_spectrum`."""
+    frequencies, power = spectrum
     half_band = target_frequency * relative_bandwidth / 2
     in_band = (frequencies >= target_frequency - half_band) & \
         (frequencies <= target_frequency + half_band)
@@ -59,15 +54,35 @@ def spike_energy(signal: np.ndarray, sample_rate: float,
     return float(np.clip(excess, 0.0, None).sum())
 
 
+def spike_energy(signal: np.ndarray, sample_rate: float,
+                 target_frequency: float,
+                 relative_bandwidth: float = 0.15) -> float:
+    """Energy of the spectral spike at ``target_frequency``.
+
+    Integrates the PSD inside a band of ``relative_bandwidth`` around the
+    target, minus the local noise floor estimated from the flanking bands —
+    the "area under the curve" of the paper's SAVAT description.
+    """
+    return _band_energy(power_spectrum(signal, sample_rate),
+                        target_frequency, relative_bandwidth)
+
+
 def harmonic_energy(signal: np.ndarray, sample_rate: float,
                     fundamental: float, harmonics: int = 3,
                     relative_bandwidth: float = 0.15) -> float:
-    """Spike energy summed over the fundamental and its harmonics."""
+    """Spike energy summed over the fundamental and its harmonics.
+
+    Harmonics at or above Nyquist are left out.  The spectrum is taken
+    once, when the first band is in range, and every band is integrated
+    from it, so the sum equals :func:`spike_energy` per harmonic.
+    """
     total = 0.0
+    spectrum = None
     for order in range(1, harmonics + 1):
         frequency = fundamental * order
         if frequency >= sample_rate / 2:
             break
-        total += spike_energy(signal, sample_rate, frequency,
-                              relative_bandwidth)
+        if spectrum is None:
+            spectrum = power_spectrum(signal, sample_rate)
+        total += _band_energy(spectrum, frequency, relative_bandwidth)
     return total

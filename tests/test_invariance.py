@@ -9,7 +9,8 @@ ideal-captured) are bit-identical whether they run in-process
 campaign journal written at one worker count replays every probe at
 another.  The AES TVLA is also bit-identical in every trace-cache state:
 disabled, cold (EMSim records and replays the AES schedule), warm, and
-served from the disk layer.
+served from the disk layer.  So are SAVAT values, simulated and
+ideal-captured, whichever side runs a program's core first.
 """
 
 from dataclasses import dataclass
@@ -173,3 +174,52 @@ def test_savat_matrix_identical_at_one_and_two_workers(aes_simulator):
         assert list(matrices[0]) == list(matrices[1])
         assert np.array(list(matrices[0].values())).tobytes() == \
             np.array(list(matrices[1].values())).tobytes()
+
+
+SAVAT_PAIRS = [("LDM", "ADD"), ("LDC", "DIV"), ("NOP", "MUL")]
+
+
+def test_savat_identical_in_every_cache_state(aes_simulator, tmp_path):
+    device = HardwareDevice(seed=3)
+    sources = {"S": SimulatorSignalSource(aes_simulator),
+               "R": IdealCaptureSource(device)}
+
+    def sweep(order):
+        """Both columns over SAVAT_PAIRS, the ``order`` column first
+        ("SR" as the benchmark runs, "RS" as the Table II bench)."""
+        matrices = {column: savat_matrix(sources[column],
+                                         device.samples_per_cycle,
+                                         pairs=SAVAT_PAIRS)
+                    for column in order}
+        return np.array([[matrices[column][pair] for pair in SAVAT_PAIRS]
+                         for column in "SR"])
+
+    def cold(order):
+        configure_trace_cache(clear=True)
+
+    def warm(order):
+        cold(order)
+        sweep(order)
+
+    def disk(order):
+        configure_trace_cache(directory=str(tmp_path / order), clear=True)
+        sweep(order)
+        configure_trace_cache(clear=True)
+
+    values = {}
+    try:
+        for order in ("SR", "RS"):
+            with trace_cache_disabled():
+                values["disabled", order] = sweep(order)
+            for state, prepare in (("cold", cold), ("warm", warm),
+                                   ("disk", disk)):
+                prepare(order)
+                disk_hits = get_trace_cache().stats.disk_hits
+                values[state, order] = sweep(order)
+                if state == "disk":
+                    assert get_trace_cache().stats.disk_hits > disk_hits
+    finally:
+        configure_trace_cache(directory="", enabled=True, clear=True)
+    assert len(values) == 8
+    assert len({array.tobytes() for array in values.values()}) == 1
+    assert np.all(values["cold", "SR"][:, 0] > 0)

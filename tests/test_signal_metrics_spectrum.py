@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.robustness.errors import AcquisitionError
 from repro.signal import (DampedSineKernel, amplitude_correlation,
-                          cross_correlation, normalize_energy,
-                          normalized_rmse, per_cycle_correlations,
-                          per_cycle_similarities, power_spectrum,
-                          reconstruct, rms_error, simulation_accuracy,
-                          spike_energy)
+                          cross_correlation, harmonic_energy,
+                          normalize_energy, normalized_rmse,
+                          per_cycle_correlations, per_cycle_similarities,
+                          power_spectrum, reconstruct, rms_error,
+                          simulation_accuracy, spike_energy)
 
 SPC = 20
 KERNEL = DampedSineKernel()
@@ -115,3 +117,34 @@ def test_spike_energy_detects_alternation():
 def test_spike_energy_out_of_band_rejected():
     with pytest.raises(ValueError):
         spike_energy(np.ones(100), 10.0, 20.0)
+
+
+@given(noise=arrays(float, st.integers(128, 600),
+                    elements=st.floats(-10.0, 10.0)),
+       sample_rate=st.floats(1.0, 50.0),
+       fundamental=st.floats(0.05, 0.7),
+       harmonics=st.integers(1, 6),
+       bandwidth=st.floats(0.2, 0.6))
+@settings(max_examples=60, deadline=None)
+def test_harmonic_energy_equals_its_bands(noise, sample_rate, fundamental,
+                                          harmonics, bandwidth):
+    # every band is wider than a frequency bin, so none is empty
+    fundamental *= sample_rate
+    times = np.arange(len(noise)) / sample_rate
+    signal = noise + np.sin(2 * np.pi * fundamental * times)
+    expected = 0.0
+    for order in range(1, harmonics + 1):
+        if fundamental * order < sample_rate / 2:
+            expected += spike_energy(signal, sample_rate,
+                                     fundamental * order, bandwidth)
+    assert harmonic_energy(signal, sample_rate, fundamental, harmonics,
+                           bandwidth) == expected
+
+
+def test_harmonic_energy_takes_no_spectrum_above_nyquist():
+    # a 2-sample Hann window has zero energy: any spectrum would raise
+    capture = np.array([1.0, -1.0])
+    assert harmonic_energy(capture, 10.0, 5.0) == 0.0
+    assert harmonic_energy(capture, 10.0, 7.5, harmonics=4) == 0.0
+    with pytest.raises(AcquisitionError):
+        harmonic_energy(capture, 10.0, 1.0)

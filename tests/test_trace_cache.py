@@ -4,6 +4,9 @@ The load-bearing contract: cached and uncached runs produce
 **bit-identical** artifacts — for raw activity traces, for ideal-capture
 measurements, and under fault injection (faults corrupt only the scope
 path, never the trace, so they must not defeat or poison the cache).
+EMSim and the device share the scalar core's trace entry, so a program
+that is both simulated and captured runs the core once; replayed traces
+and the ablations never reach that entry.
 """
 
 import pickle
@@ -11,16 +14,21 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import EMSim
+from repro.core.config import EMSimConfig
 from repro.core.microbench import REPRESENTATIVES, isolation_probe, \
     pair_probe
+from repro.core.model import EMSimModel
 from repro.core.trace_cache import (TraceCache, code_family_key,
                                     configure_trace_cache, get_trace_cache,
                                     trace_cache_disabled, trace_key)
 from repro.hardware import HardwareDevice
-from repro.leakage import aes_program
+from repro.leakage import SimulatorSignalSource, aes_program, savat_matrix
 from repro.observability import disable_metrics, enable_metrics
 from repro.robustness import FaultPlan
+from repro.uarch import Pipeline
 from repro.uarch.config import CoreConfig
+from repro.uarch.tracecodec import encode_trace, is_encoded_trace
 
 ALU = REPRESENTATIVES["alu"]
 LOAD = REPRESENTATIVES["load"]
@@ -28,10 +36,13 @@ LOAD = REPRESENTATIVES["load"]
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    """Each test starts from an empty, enabled in-memory global cache."""
+    """Each test starts from an empty, enabled in-memory global cache
+    and leaves it at the capacity it found."""
+    capacity = get_trace_cache().capacity
     configure_trace_cache(directory="", enabled=True, clear=True)
     yield
-    configure_trace_cache(directory="", enabled=True, clear=True)
+    configure_trace_cache(capacity=capacity, directory="", enabled=True,
+                          clear=True)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +174,30 @@ def test_disk_layer_roundtrip_and_corruption(tmp_path):
     assert TraceCache(directory=directory).lookup("deadbeef") is None
 
 
+@pytest.mark.parametrize("payload", [
+    b"\x80\x05\x8c\x02\xff\xfe.",                 # UnicodeDecodeError
+    b"\x80\x05\x8e" + b"\xff" * 7 + b"\x7f.",       # OverflowError
+], ids=["unicode", "overflow"])
+def test_corrupt_pickle_on_disk_is_a_miss(tmp_path, payload):
+    program, device = isolation_probe(ALU), HardwareDevice()
+    with trace_cache_disabled():
+        cold = device.capture_ideal(program)
+    directory = tmp_path / "cache"
+    configure_trace_cache(directory=str(directory))
+    device.capture_ideal(program)
+    # the device trace is codec bytes; the measurement is the pickle
+    [entry] = [path for path in directory.iterdir()
+               if not is_encoded_trace(path.read_bytes())]
+    entry.write_bytes(payload)
+    configure_trace_cache(clear=True)
+    capture = device.capture_ideal(program)
+    assert np.array_equal(capture.signal, cold.signal)
+    assert encode_trace(capture.trace) == encode_trace(cold.trace)
+    rewritten = TraceCache(directory=str(directory)).lookup(entry.stem)
+    assert rewritten is not None
+    assert np.array_equal(rewritten.signal, cold.signal)
+
+
 def test_entries_under_unversioned_keys_miss(tmp_path, monkeypatch):
     """A disk cache written before keys carried TRACE_KEY_VERSION (e.g.
     pre-columnar trace pickles) must miss, never load."""
@@ -219,3 +254,114 @@ def test_configure_trace_cache_controls_the_global_instance():
     assert get_trace_cache().directory == "/tmp/somewhere"
     configure_trace_cache(directory="")
     assert get_trace_cache().directory is None
+
+
+# ---------------------------------------------------------------------------
+# EMSim shares the device's scalar-trace entry
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def simulator():
+    """A full-model simulator on the default core (traces need no fit)."""
+    return EMSim(EMSimModel(config=EMSimConfig()))
+
+
+@pytest.fixture()
+def core_runs(monkeypatch):
+    """One entry per scalar in-order core run since the test started."""
+    runs = []
+    run = Pipeline.run
+
+    def counting(self, *args, **kwargs):
+        runs.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Pipeline, "run", counting)
+    return runs
+
+
+@pytest.fixture()
+def registry():
+    """The metrics registry, enabled and empty for one test."""
+    registry = enable_metrics()
+    registry.reset()
+    yield registry
+    disable_metrics()
+    registry.reset()
+
+
+def _aes(count, seed=6):
+    rng = np.random.default_rng(seed)
+    return [aes_program(list(range(16)),
+                        [int(byte) for byte in rng.integers(0, 256, 16)],
+                        rounds=1)
+            for _ in range(count)]
+
+
+def test_device_reuses_emsim_scalar_runs_but_not_replays(
+        simulator, core_runs, registry):
+    programs = _aes(3)
+    device = HardwareDevice()
+    simulated = [simulator.run_trace(program) for program in programs]
+    # a plain run, a recording, a replay
+    assert len(core_runs) == 2
+    assert registry.counters["trace_cache.sim.replays"] == 1
+    captured = [device.run_trace(program) for program in programs[:2]]
+    assert len(core_runs) == 2
+    assert all(mine is theirs for mine, theirs in zip(captured, simulated))
+    captured.append(device.run_trace(programs[2]))
+    assert len(core_runs) == 3 and captured[2] is not simulated[2]
+    with trace_cache_disabled():
+        scalar = [encode_trace(device.run_trace(program))
+                  for program in programs]
+    assert [encode_trace(trace) for trace in simulated] == scalar
+    assert [encode_trace(trace) for trace in captured] == scalar
+
+
+def test_emsim_reuses_the_device_trace(simulator, core_runs, registry):
+    program = _aes(1)[0]
+    captured = HardwareDevice().run_trace(program)
+    assert len(core_runs) == 1
+    assert simulator.run_trace(program) is captured
+    assert len(core_runs) == 1
+    assert registry.counters["trace_cache.sim.scalar_hits"] == 1
+    family = code_family_key(program, simulator.core_config,
+                             salt="sim:mispredicts=True")
+    assert get_trace_cache().family(family) is None
+
+
+def test_out_of_order_traces_are_shared_both_ways():
+    simulator = EMSim(EMSimModel(config=EMSimConfig()),
+                      core_kind="out-of-order")
+    device = HardwareDevice(core_kind="out-of-order")
+    device_first, emsim_first = isolation_probe(ALU), pair_probe(ALU, LOAD)
+    captured = device.run_trace(device_first)
+    assert simulator.run_trace(device_first) is captured
+    simulated = simulator.run_trace(emsim_first)
+    assert device.run_trace(emsim_first) is simulated
+
+
+@pytest.mark.parametrize("flag", ["model_mispredicts", "model_cache"])
+def test_ablations_never_get_the_device_trace(simulator, registry, flag):
+    program = _aes(1)[0]
+    captured = HardwareDevice().run_trace(program)
+    ablated = simulator.with_switches(**{flag: False})
+    traces = [ablated.run_trace(program) for _ in range(2)]
+    with trace_cache_disabled():
+        own = encode_trace(ablated.run_trace(program))
+    assert all(trace is not captured for trace in traces)
+    assert [encode_trace(trace) for trace in traces] == [own, own]
+    assert own != encode_trace(captured)
+    assert "trace_cache.sim.scalar_hits" not in registry.counters
+
+
+def test_savat_sweep_runs_the_core_once_per_program(simulator, core_runs):
+    device = HardwareDevice()
+    pairs = [("ADD", "MUL"), ("LDC", "DIV")]
+
+    def measured(program):
+        capture = device.capture_ideal(program)
+        return capture.signal, capture.num_cycles
+
+    for source in (SimulatorSignalSource(simulator), measured):
+        savat_matrix(source, device.samples_per_cycle, pairs=pairs)
+    assert len(core_runs) == len(pairs)
