@@ -7,17 +7,20 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Tier-1 tests, repro-lint, then the benchmark harness's self-tests:
 # bench/test_bench.py sits outside pytest's testpaths, and it fails when
-# a callable the traced pass wraps is renamed or deleted.  Last, two
+# a callable the traced pass wraps is renamed or deleted.  Last, the
 # paper-shape benches: Fig. 10 (AES TVLA through EMSim's schedule
-# replay, ~7 s) and Table II (the SAVAT matrix, measured and simulated:
-# ~1 s after a ~1.3 s model fit).  They rewrite
-# benchmarks/results/fig10_tvla.txt and tab2_savat.txt, so a changed
-# result shows up in `git status`.
+# replay, ~7 s), then Figs. 5-7 (stalls, cache misses, mispredictions)
+# and Table II (the SAVAT matrix, measured and simulated) in one pytest
+# call, so they share one ~1.3 s model fit (~3.5 s for the three
+# figures, ~1 s for the table).  They rewrite
+# benchmarks/results/fig{5_stall,6_cache,7_mispredict,10_tvla}.txt and
+# tab2_savat.txt, so a changed result shows up in `git status`.
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig10_tvla.py \
 		--benchmark-disable -q
-	cd benchmarks && $(PYTHON) -m pytest test_tab2_savat.py \
+	cd benchmarks && $(PYTHON) -m pytest test_fig5_stall.py \
+		test_fig6_cache.py test_fig7_mispredict.py test_tab2_savat.py \
 		--benchmark-disable -q
 
 test:

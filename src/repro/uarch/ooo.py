@@ -35,15 +35,15 @@ from ..isa.program import Program
 from .branch import BranchTargetBuffer, make_predictor
 from .cache import DataCache
 from .config import CoreConfig, DEFAULT_CONFIG
-from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
-                     StallEvent)
+from .events import StallCause
 from .isa_exec import (alu_result, branch_taken, control_flow_target,
                        load_width, store_width)
 from .latches import HardwareLatches, STAGES, control_word
 from .memory import MainMemory
 from .regfile import RegisterFile
-from .trace import (DYN_FINAL, DYN_HIT, DYN_MISS, KIND_BUBBLE, KIND_INSTR,
-                    KIND_STALL, ActivityTrace, RetiredInstruction)
+from .trace import (ACTIVE, ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS,
+                    KIND_BUBBLE, STALLED, STALLED_HIT, STALLED_MISS,
+                    ActivityTrace)
 
 MASK32 = 0xFFFFFFFF
 
@@ -55,6 +55,7 @@ class _RobEntry:
     instr: Instruction
     pc: int
     seq: int
+    tag: object                  # the trace's occupancy tag
     pred_taken: bool = False
     pred_target: Optional[int] = None
     # operand readiness: (True, value) or (False, producer _RobEntry)
@@ -150,10 +151,9 @@ class OutOfOrderCore:
         head = self.rob[0]
         if not head.completed:
             if head.issued:
-                self.trace.record("W", KIND_STALL, head.instr, head.seq)
-                self.trace.stalls.append(StallEvent(
-                    cycle=self.cycle, stage="W",
-                    cause=StallCause.RAW_HAZARD, seq=head.seq))
+                self.trace.record("W", head.tag, STALLED)
+                self.trace.stall(self.cycle, "W", StallCause.RAW_HAZARD,
+                                 head.seq)
             return
         self.rob.pop(0)
         if head.writes is not None:
@@ -163,9 +163,8 @@ class OutOfOrderCore:
         self.latches.write_writeback(
             head.result if head.writes is not None else 0,
             head.writes or 0, 1 if head.writes is not None else 0)
-        self.trace.record("W", KIND_INSTR, head.instr, head.seq)
-        self.trace.retired.append(RetiredInstruction(
-            seq=head.seq, pc=head.pc, instr=head.instr, cycle=self.cycle))
+        self.trace.record("W", head.tag, ACTIVE)
+        self.trace.retire(head.seq, head.pc, head.instr, self.cycle)
         if head.instr.name in ("ecall", "ebreak"):
             self.fetch_halted = True
             self._flush_younger_than(head, redirect=None)
@@ -186,8 +185,7 @@ class OutOfOrderCore:
         if redirect is not None:
             self.pc = redirect
             self.fetch_halted = False
-            self.trace.flushes.append(FlushEvent(
-                cycle=self.cycle, flushed=flushed, redirect_pc=redirect))
+            self.trace.flush(self.cycle, flushed, redirect)
 
     # ------------------------------------------------------------------
     # execute / complete (stages E and M)
@@ -218,24 +216,23 @@ class OutOfOrderCore:
             if entry.remaining > 0:
                 if attribute == "lsu_busy":
                     self.trace.record(
-                        "M", KIND_STALL, entry.instr, entry.seq,
-                        DYN_HIT if entry.mem_hit else DYN_MISS)
+                        "M", entry.tag,
+                        STALLED_HIT if entry.mem_hit else STALLED_MISS)
                 else:
-                    self.trace.record("E", KIND_STALL, entry.instr,
-                                      entry.seq)
+                    self.trace.record("E", entry.tag, STALLED)
                 continue
             # completes this cycle
             entry.completed = True
             if attribute == "muldiv_busy":
                 self.latches.write("E", alu_out=entry.result,
                                    muldiv_lo=entry.result)
-                self.trace.record("E", KIND_INSTR, entry.instr,
-                                  entry.seq, DYN_FINAL)
+                self.trace.record("E", entry.tag, ACTIVE_FINAL)
             else:
                 if entry.instr.is_load:
                     self.latches.write_mem_rdata(entry.result)
-                self.trace.record("M", KIND_STALL, entry.instr, entry.seq,
-                                  DYN_HIT if entry.mem_hit else DYN_MISS)
+                self.trace.record(
+                    "M", entry.tag,
+                    STALLED_HIT if entry.mem_hit else STALLED_MISS)
             setattr(self, attribute, None)
         # single-cycle ALU result was computed at issue; free the unit
         if self.alu_busy is not None:
@@ -305,11 +302,9 @@ class OutOfOrderCore:
             self.predictor.update(entry.pc, entry.taken)
             if entry.taken:
                 self.btb.update(entry.pc, entry.target)
-            self.trace.branch_events.append(BranchEvent(
-                cycle=self.cycle, pc=entry.pc, taken=entry.taken,
-                target=actual, predicted_taken=entry.pred_taken,
-                predicted_target=entry.pred_target,
-                mispredicted=entry.mispredicted, seq=entry.seq))
+            self.trace.branch(self.cycle, entry.pc, entry.taken, actual,
+                              entry.pred_taken, entry.pred_target,
+                              entry.mispredicted, entry.seq)
             entry.result = 0
         elif instr.is_jump:
             entry.taken = True
@@ -324,7 +319,7 @@ class OutOfOrderCore:
             else (instr.imm & MASK32)
         self.latches.write_execute_out(a, operand_b, entry.result,
                                        control_word(instr, 8))
-        self.trace.record("E", KIND_INSTR, instr, entry.seq)
+        self.trace.record("E", entry.tag, ACTIVE)
         self.alu_busy = entry
 
     def _issue_muldiv(self, entry: _RobEntry) -> None:
@@ -338,7 +333,7 @@ class OutOfOrderCore:
                            ex_ctrl=control_word(instr, 8),
                            muldiv_hi=(a * b) >> 32)
         if self.trace.stage_kind_at("E") == KIND_BUBBLE:
-            self.trace.record("E", KIND_INSTR, instr, entry.seq)
+            self.trace.record("E", entry.tag, ACTIVE)
         self.muldiv_busy = entry
 
     def _issue_memory(self, entry: _RobEntry) -> None:
@@ -351,9 +346,8 @@ class OutOfOrderCore:
         cache_cfg = self.config.cache
         entry.remaining = 1 + cache_cfg.hit_extra_cycles + \
             (0 if hit else cache_cfg.miss_extra_cycles)
-        self.trace.cache_events.append(CacheEvent(
-            cycle=self.cycle, address=address, is_store=instr.is_store,
-            hit=hit, seq=entry.seq))
+        self.trace.cache_access(self.cycle, address, instr.is_store, hit,
+                                entry.seq)
         if instr.is_store:
             self.memory.store(address, b, store_width(instr.name))
             self.latches.write("M", mem_addr=address, mem_wdata=b,
@@ -363,8 +357,7 @@ class OutOfOrderCore:
             entry.result = self.memory.load(address, nbytes, signed)
             self.latches.write("M", mem_addr=address,
                                mem_ctrl=control_word(instr, 8))
-        self.trace.record("M", KIND_INSTR, instr, entry.seq,
-                          DYN_HIT if hit else DYN_MISS)
+        self.trace.record("M", entry.tag, ACTIVE_HIT if hit else ACTIVE_MISS)
         self.lsu_busy = entry
 
     # ------------------------------------------------------------------
@@ -375,10 +368,9 @@ class OutOfOrderCore:
         if entry is None:
             return None
         if len(self.rob) >= self.ROB_SIZE:
-            self.trace.record("D", KIND_STALL, entry.instr, entry.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="D", cause=StallCause.RAW_HAZARD,
-                seq=entry.seq))
+            self.trace.record("D", entry.tag, STALLED)
+            self.trace.stall(self.cycle, "D", StallCause.RAW_HAZARD,
+                             entry.seq)
             return None
         instr = entry.instr
         for reg in instr.unique_sources:
@@ -409,7 +401,7 @@ class OutOfOrderCore:
         self.latches.write_decode(instr.encode(), rs1_val, rs2_val,
                                   instr.imm & MASK32,
                                   control_word(instr, 12))
-        self.trace.record("D", KIND_INSTR, instr, entry.seq)
+        self.trace.record("D", entry.tag, ACTIVE)
         if instr.name == "jal":
             target = (entry.pc + instr.imm) & MASK32
             self.btb.update(entry.pc, target)
@@ -428,8 +420,7 @@ class OutOfOrderCore:
             self.fetch_halted = False
             return
         if self.fetched is not None:
-            self.trace.record("F", KIND_STALL, self.fetched.instr,
-                              self.fetched.seq)
+            self.trace.record("F", self.fetched.tag, STALLED)
             return
         if self.fetch_halted:
             return
@@ -437,8 +428,10 @@ class OutOfOrderCore:
         if instr is None:
             self.fetch_halted = True
             return
-        entry = _RobEntry(instr=instr, pc=self.pc, seq=self.next_seq)
-        self.next_seq += 1
+        seq = self.next_seq
+        entry = _RobEntry(instr=instr, pc=self.pc, seq=seq,
+                          tag=self.trace.tag(instr, seq))
+        self.next_seq = seq + 1
         if instr.is_branch:
             target = self.btb.lookup(self.pc)
             entry.pred_taken = self.predictor.predict(self.pc) and \
@@ -450,7 +443,7 @@ class OutOfOrderCore:
             entry.pred_target = target
         self.latches.write_fetch(self.pc, instr.encode(),
                                  int(entry.pred_taken))
-        self.trace.record("F", KIND_INSTR, instr, entry.seq)
+        self.trace.record("F", entry.tag, ACTIVE)
         self.fetched = entry
         self.pc = entry.pred_target if (entry.pred_taken and
                                         entry.pred_target is not None) \

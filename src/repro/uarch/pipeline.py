@@ -20,7 +20,6 @@ into a schedule it can replay for other data images of the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..isa.instructions import Instruction
@@ -28,45 +27,48 @@ from ..isa.program import Program
 from .branch import BranchTargetBuffer, make_predictor
 from .cache import DataCache
 from .config import CoreConfig, DEFAULT_CONFIG
-from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
-                     StallEvent)
+from .events import StallCause
 from .isa_exec import (alu_result, branch_taken, control_flow_target,
                        load_width, store_width)
 from .latches import HardwareLatches, STAGES, control_word
 from .memory import MainMemory
 from .regfile import RegisterFile
-from .trace import (DYN_FINAL, DYN_HIT, DYN_MISS, KIND_INSTR, KIND_STALL,
-                    ActivityTrace, RetiredInstruction)
+from .trace import (ACTIVE, ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS, STALLED,
+                    STALLED_HIT, STALLED_MISS, ActivityTrace)
 
 MASK32 = 0xFFFFFFFF
 
 
-@dataclass
 class _Uop:
     """One in-flight dynamic instruction."""
 
-    instr: Instruction
-    pc: int
-    seq: int
-    pred_taken: bool = False
-    pred_target: Optional[int] = None
-    rs1_val: int = 0
-    rs2_val: int = 0
-    result: int = 0              # ALU result / load data / link value
-    mem_addr: int = 0
-    store_val: int = 0
-    result_ready: bool = False
-    e_started: bool = False
-    e_remaining: int = 0
-    m_started: bool = False
-    m_remaining: int = 0
-    mem_hit: Optional[bool] = None
-    taken: bool = False
-    target: int = 0
+    __slots__ = ("instr", "pc", "seq", "tag", "writes_reg", "pred_taken",
+                 "pred_target", "rs1_val", "rs2_val", "result", "mem_addr",
+                 "store_val", "result_ready", "e_started", "e_remaining",
+                 "m_started", "m_remaining", "mem_hit", "taken", "target")
 
-    @property
-    def writes_reg(self) -> Optional[int]:
-        return self.instr.destination_register
+    def __init__(self, instr: Instruction, pc: int, seq: int,
+                 tag: object) -> None:
+        self.instr = instr
+        self.pc = pc
+        self.seq = seq
+        self.tag = tag               # the trace's occupancy tag
+        self.writes_reg: Optional[int] = instr.destination_register
+        self.pred_taken = False
+        self.pred_target: Optional[int] = None
+        self.rs1_val = 0
+        self.rs2_val = 0
+        self.result = 0              # ALU result / load data / link value
+        self.mem_addr = 0
+        self.store_val = 0
+        self.result_ready = False
+        self.e_started = False
+        self.e_remaining = 0
+        self.m_started = False
+        self.m_remaining = 0
+        self.mem_hit: Optional[bool] = None
+        self.taken = False
+        self.target = 0
 
 
 class Pipeline:
@@ -171,9 +173,7 @@ class Pipeline:
             self.recorder.bubble("D")
         self.pc = flush_redirect
         self.fetch_halted = False  # wrong path may have run off the end
-        self.trace.flushes.append(FlushEvent(cycle=self.cycle,
-                                             flushed=flushed,
-                                             redirect_pc=flush_redirect))
+        self.trace.flush(self.cycle, flushed, flush_redirect)
 
     # ------------------------------------------------------------------
     # Writeback
@@ -192,9 +192,9 @@ class Pipeline:
                                      rd or 0, 1 if rd is not None else 0)
         if self.recorder is not None:
             self.recorder.writeback(uop.seq, rd)
-        self.trace.record("W", KIND_INSTR, uop.instr, uop.seq)
-        self.trace.retired.append(RetiredInstruction(
-            seq=uop.seq, pc=uop.pc, instr=uop.instr, cycle=self.cycle))
+        trace = self.trace
+        trace.record("W", uop.tag, ACTIVE)
+        trace.retire(uop.seq, uop.pc, uop.instr, self.cycle)
         if uop.instr.name in ("ecall", "ebreak"):
             self.fetch_halted = True
         self.w_uop = None
@@ -218,16 +218,17 @@ class Pipeline:
                 self._memory_access(uop)
             else:
                 self.latches.write_mem_ctrl(control_word(instr, 8))
-                self.trace.record("M", KIND_INSTR, instr, uop.seq)
+                self.trace.record("M", uop.tag, ACTIVE)
                 uop.m_remaining = 0
         else:
             uop.m_remaining -= 1
-            cause = StallCause.CACHE_MISS if uop.mem_hit is False \
-                else StallCause.MEM_BUSY
-            self.trace.record("M", KIND_STALL, instr, uop.seq,
-                              DYN_MISS if uop.mem_hit is False else DYN_HIT)
-            self.trace.stalls.append(StallEvent(cycle=self.cycle, stage="M",
-                                                cause=cause, seq=uop.seq))
+            trace = self.trace
+            if uop.mem_hit is False:
+                trace.record("M", uop.tag, STALLED_MISS)
+                trace.stall(self.cycle, "M", StallCause.CACHE_MISS, uop.seq)
+            else:
+                trace.record("M", uop.tag, STALLED_HIT)
+                trace.stall(self.cycle, "M", StallCause.MEM_BUSY, uop.seq)
             if uop.m_remaining == 0 and instr.is_load:
                 # data-return flip on the read-data bus
                 self.latches.write_mem_rdata(uop.result)
@@ -249,9 +250,8 @@ class Pipeline:
         cache_cfg = self.config.cache
         uop.m_remaining = cache_cfg.hit_extra_cycles + \
             (0 if hit else cache_cfg.miss_extra_cycles)
-        self.trace.cache_events.append(CacheEvent(
-            cycle=self.cycle, address=address, is_store=instr.is_store,
-            hit=hit, seq=uop.seq))
+        self.trace.cache_access(self.cycle, address, instr.is_store, hit,
+                                uop.seq)
         rec = self.recorder
         if instr.is_store:
             self.memory.store(address, uop.store_val,
@@ -273,8 +273,7 @@ class Pipeline:
                 uop.result_ready = True
                 if rec is not None:
                     rec.load_data(uop.seq)
-        self.trace.record("M", KIND_INSTR, instr, uop.seq,
-                          DYN_HIT if hit else DYN_MISS)
+        self.trace.record("M", uop.tag, ACTIVE_HIT if hit else ACTIVE_MISS)
 
     # ------------------------------------------------------------------
     # Execute
@@ -287,7 +286,6 @@ class Pipeline:
             if self.recorder is not None:
                 self.recorder.bubble("E")
             return True, None
-        instr = uop.instr
 
         if not uop.e_started:
             uop.e_started = True
@@ -302,14 +300,12 @@ class Pipeline:
 
         if not mem_free and uop.e_remaining == 0:
             # finished, waiting for the Memory stage to drain
-            self.trace.record("E", KIND_STALL, instr, uop.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="E", cause=StallCause.MEM_BUSY,
-                seq=uop.seq))
+            self.trace.record("E", uop.tag, STALLED)
+            self.trace.stall(self.cycle, "E", StallCause.MEM_BUSY, uop.seq)
             return False, None
         if uop.e_remaining == 0:
             # previously finished, was waiting on Memory; transits quietly
-            self.trace.record("E", KIND_STALL, instr, uop.seq)
+            self.trace.record("E", uop.tag, STALLED)
         if uop.e_remaining > 0:
             uop.e_remaining -= 1
             if uop.e_remaining == 0:
@@ -321,13 +317,11 @@ class Pipeline:
                 uop.result_ready = True
                 if self.recorder is not None:
                     self.recorder.muldiv_result(uop.seq, high=True)
-                self.trace.record("E", KIND_INSTR, instr, uop.seq,
-                                  DYN_FINAL)
+                self.trace.record("E", uop.tag, ACTIVE_FINAL)
             else:
-                self.trace.record("E", KIND_STALL, instr, uop.seq)
-                self.trace.stalls.append(StallEvent(
-                    cycle=self.cycle, stage="E", cause=StallCause.EX_BUSY,
-                    seq=uop.seq))
+                self.trace.record("E", uop.tag, STALLED)
+                self.trace.stall(self.cycle, "E", StallCause.EX_BUSY,
+                                 uop.seq)
         if uop.e_remaining == 0 and mem_free:
             self.e_uop = None
             self.m_uop = uop
@@ -344,7 +338,7 @@ class Pipeline:
         self.latches.write_execute(a, operand_b, control_word(instr, 8))
         if rec is not None:
             rec.execute(uop.seq, uop.pc, register_b)
-        self.trace.record("E", KIND_INSTR, instr, uop.seq)
+        self.trace.record("E", uop.tag, ACTIVE)
         redirect: Optional[int] = None
 
         if instr.is_branch:
@@ -410,11 +404,9 @@ class Pipeline:
             self.predictor.update(uop.pc, uop.taken)
         if uop.taken:
             self.btb.update(uop.pc, uop.target)
-        self.trace.branch_events.append(BranchEvent(
-            cycle=self.cycle, pc=uop.pc, taken=uop.taken,
-            target=actual_target, predicted_taken=uop.pred_taken,
-            predicted_target=uop.pred_target, mispredicted=mispredicted,
-            seq=uop.seq))
+        self.trace.branch(self.cycle, uop.pc, uop.taken, actual_target,
+                          uop.pred_taken, uop.pred_target, mispredicted,
+                          uop.seq)
         return actual_target if mispredicted else None
 
     # ------------------------------------------------------------------
@@ -435,9 +427,8 @@ class Pipeline:
             cause = StallCause.EX_BUSY if (self.e_uop and
                                            self.e_uop.e_remaining > 0) \
                 else StallCause.MEM_BUSY
-            self.trace.record("D", KIND_STALL, instr, uop.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="D", cause=cause, seq=uop.seq))
+            self.trace.record("D", uop.tag, STALLED)
+            self.trace.stall(self.cycle, "D", cause, uop.seq)
             return None
 
         operands = {}
@@ -445,9 +436,8 @@ class Pipeline:
         for reg in instr.unique_sources:
             value, ready, cause, producer = self._operand(reg)
             if not ready:
-                self.trace.record("D", KIND_STALL, instr, uop.seq)
-                self.trace.stalls.append(StallEvent(
-                    cycle=self.cycle, stage="D", cause=cause, seq=uop.seq))
+                self.trace.record("D", uop.tag, STALLED)
+                self.trace.stall(self.cycle, "D", cause, uop.seq)
                 return None
             operands[reg] = value
             producers[reg] = producer
@@ -459,7 +449,7 @@ class Pipeline:
                                   control_word(instr, 12))
         if self.recorder is not None:
             self.recorder.decode(uop.seq, instr, producers)
-        self.trace.record("D", KIND_INSTR, instr, uop.seq)
+        self.trace.record("D", uop.tag, ACTIVE)
         self.d_uop = None
         self.e_uop = uop
 
@@ -509,11 +499,9 @@ class Pipeline:
             return
         if self.f_uop is not None:
             # Decode is still occupied: the fetched instruction waits
-            self.trace.record("F", KIND_STALL, self.f_uop.instr,
-                              self.f_uop.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="F",
-                cause=StallCause.RAW_HAZARD, seq=self.f_uop.seq))
+            self.trace.record("F", self.f_uop.tag, STALLED)
+            self.trace.stall(self.cycle, "F", StallCause.RAW_HAZARD,
+                             self.f_uop.seq)
             return
         if self.fetch_halted:
             self.latches.write_bubble("F")
@@ -523,13 +511,14 @@ class Pipeline:
             self.fetch_halted = True
             self.latches.write_bubble("F")
             return
-        uop = _Uop(instr=instr, pc=self.pc, seq=self.next_seq)
-        self.next_seq += 1
+        seq = self.next_seq
+        uop = _Uop(instr, self.pc, seq, self.trace.tag(instr, seq))
+        self.next_seq = seq + 1
         self._predict(uop)
         self.latches.write_fetch(self.pc, instr.encode(),
                                  int(uop.pred_taken) |
                                  (self.predictor.state_signature() << 1))
-        self.trace.record("F", KIND_INSTR, instr, uop.seq)
+        self.trace.record("F", uop.tag, ACTIVE)
         self.f_uop = uop
         self.pc = uop.pred_target if (uop.pred_taken and
                                       uop.pred_target is not None) \

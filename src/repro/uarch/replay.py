@@ -44,13 +44,12 @@ from ..isa.instructions import Instruction
 from ..isa.program import TEXT_BASE, Program
 from .cache import DataCache
 from .config import CacheConfig, CoreConfig
-from .events import BranchEvent, CacheEvent, FlushEvent, StallEvent
 from .isa_exec import (alu_result, branch_taken, control_flow_target,
                        load_width, store_width)
 from .latches import REGISTER_INDEX, TOTAL_REGISTERS, bubble_pattern
 from .memory import MainMemory
 from .pipeline import Pipeline
-from .trace import ActivityTrace, RetiredInstruction
+from .trace import ActivityTrace
 
 MASK32 = 0xFFFFFFFF
 
@@ -180,9 +179,11 @@ class ScheduleRecorder:
                  config: CoreConfig) -> "Schedule":
         """Freeze the recorded run into a :class:`Schedule`."""
         instructions = program.instructions
-        taken = {event.seq: event.taken for event in trace.branch_events}
-        targets = {event.seq: event.target for event in trace.branch_events}
-        hits = {event.seq: event.hit for event in trace.cache_events}
+        taken = {seq: was_taken for _, _, was_taken, _, _, _, _, seq
+                 in trace._branch_rows}
+        targets = {seq: target for _, _, _, target, _, _, _, seq
+                   in trace._branch_rows}
+        hits = {seq: hit for _, _, _, hit, seq in trace._cache_rows}
         steps = []
         for seq, pc, first, second in self._stream:
             index = (pc - TEXT_BASE) >> 2
@@ -228,12 +229,12 @@ class ScheduleRecorder:
             shared=tuple((code, tuple(indices[1:]))
                          for code, indices in enumerate(entries)
                          if len(indices) > 1),
-            stalls=tuple(trace.stalls),
-            branch_events=tuple(trace.branch_events),
-            flushes=tuple(trace.flushes),
-            cache_events=tuple(trace.cache_events),
-            retired=tuple((entry.seq, entry.pc, (entry.pc - TEXT_BASE) >> 2,
-                           entry.cycle) for entry in trace.retired))
+            stalls=tuple(trace._stall_rows),
+            branch_events=tuple(trace._branch_rows),
+            flushes=tuple(trace._flush_rows),
+            cache_events=tuple(trace._cache_rows),
+            retired=tuple((seq, pc, (pc - TEXT_BASE) >> 2, cycle)
+                          for seq, pc, _, cycle in trace._retire_rows))
 
 
 
@@ -269,10 +270,11 @@ class Schedule:
     # indices of entries whose object sits at several addresses
     entries: Tuple[int, ...]
     shared: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    stalls: Tuple[StallEvent, ...]
-    branch_events: Tuple[BranchEvent, ...]
-    flushes: Tuple[FlushEvent, ...]
-    cache_events: Tuple[CacheEvent, ...]
+    # event rows, each in its event type's field order
+    stalls: Tuple[tuple, ...]
+    branch_events: Tuple[tuple, ...]
+    flushes: Tuple[tuple, ...]
+    cache_events: Tuple[tuple, ...]
     retired: Tuple[Tuple[int, int, int, int], ...]  # seq, pc, index, cycle
 
 
@@ -354,18 +356,19 @@ def replay(schedule: Schedule, program: Program) -> Optional[ActivityTrace]:
         values, dtype=np.uint64)[schedule.sources]
     trace = ActivityTrace._assemble(latches, schedule.packed, table,
                                     schedule.codes)
-    trace.stalls = list(schedule.stalls)
-    trace.branch_events = list(schedule.branch_events)
-    trace.flushes = list(schedule.flushes)
-    # cache events are frozen: one whose address the data did not move
-    # is shared with the recording
-    trace.cache_events = []
-    for event in schedule.cache_events:
-        address = values[_slot(event.seq, _ALU)]
-        trace.cache_events.append(
-            event if address == event.address else
-            CacheEvent(event.cycle, address, event.is_store, event.hit,
-                       event.seq))
-    trace.retired = [RetiredInstruction(seq, pc, instructions[index], cycle)
-                     for seq, pc, index, cycle in schedule.retired]
+    # rows are immutable: a cache access whose address the data did not
+    # move is shared with the recording
+    cache_rows = []
+    for row in schedule.cache_events:
+        cycle, recorded, is_store, hit, seq = row
+        address = values[_slot(seq, _ALU)]
+        cache_rows.append(row if address == recorded
+                          else (cycle, address, is_store, hit, seq))
+    trace._extend_events(
+        schedule.stalls,
+        cache_rows,
+        schedule.branch_events,
+        schedule.flushes,
+        [(seq, pc, instructions[index], cycle)
+         for seq, pc, index, cycle in schedule.retired])
     return trace

@@ -10,33 +10,48 @@ regression (Eq. 8 of the paper) consume.
 The production trace is **columnar**: per-stage integer-code arrays for
 occupancy (kind / EM class / dynamic sequence number / dynamic tag) and
 one ``uint64`` matrix of latch values, all preallocated and grown by
-doubling.  Recording a cycle writes integer codes by direct index and
-snapshots the latches with a single row copy — no per-cycle objects.
-Every derived view of the seed API (``occupancy``, ``stage_kinds``,
-``active_mask``, ``em_class`` sequences, ``cycles_of``,
-``instruction_labels``, ``transition_matrix``) is preserved, computed
-lazily and vectorized.
+doubling.  Events (stalls, cache accesses, branches, flushes,
+retirements) are kept as plain tuple rows.  Recording builds no
+occupancy or event object: a stage record ORs a per-instruction tag
+with a state code into one list slot, an event appends one tuple, and
+a cycle ends with a single latch row copy.  Every derived view of the
+seed API (``occupancy``, ``stage_kinds``, ``active_mask``, ``em_class``
+sequences, ``cycles_of``, ``instruction_labels``, ``transition_matrix``,
+and the event lists ``stalls`` / ``cache_events`` / ``branch_events`` /
+``flushes`` / ``retired``) is preserved, built lazily on first read and
+rebuilt once more cycles or rows arrive.
 
 Recording protocol (what the cores call)::
 
     trace.begin_cycle()
-    trace.record(stage, KIND_INSTR, instr, seq, DYN_HIT)   # active stages
-    trace.stage_kind_at(stage)                             # mid-cycle peek
-    trace.end_cycle(latches)                               # snapshot + advance
+    tag = trace.tag(instr, seq)             # once per fetched instruction
+    trace.record(stage, tag, ACTIVE_HIT)    # a stage's state this cycle
+    trace.stage_kind_at(stage)              # mid-cycle peek
+    trace.stall(cycle, stage, cause, seq)   # events, in field order:
+    trace.cache_access(cycle, address, is_store, hit, seq)
+    trace.branch(cycle, pc, taken, target, predicted_taken,
+                 predicted_target, mispredicted, seq)
+    trace.flush(cycle, flushed, redirect_pc)
+    trace.retire(seq, pc, instr, cycle)
+    trace.end_cycle(latches)                # snapshot + advance
 
-Stages never recorded in a cycle default to the pipeline bubble.
+Stages never recorded in a cycle default to the pipeline bubble.  The
+tag is opaque to the cores; ``tests/oracles.py`` substitutes a recorder
+whose tags are ``(instr, seq)`` pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..isa.instructions import Instruction
 from ..isa.spec import InstrClass
-from .events import BranchEvent, CacheEvent, FlushEvent, StallEvent
+from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
+                     StallEvent)
 from .latches import (STAGE_REGISTERS, STAGE_SLICES, STAGES, TOTAL_REGISTERS,
                       stage_bit_count)
 
@@ -56,6 +71,16 @@ DYN_MISS = 2
 DYN_FINAL = 3
 
 _DYN_NAMES: Tuple[Optional[str], ...] = (None, "hit", "miss", "final")
+
+# The states a core records for a stage: a KIND_* code with its DYN_*
+# tag, combined once here so that a record is a single OR.
+ACTIVE = KIND_INSTR
+ACTIVE_HIT = KIND_INSTR | DYN_HIT << 2
+ACTIVE_MISS = KIND_INSTR | DYN_MISS << 2
+ACTIVE_FINAL = KIND_INSTR | DYN_FINAL << 2
+STALLED = KIND_STALL
+STALLED_HIT = KIND_STALL | DYN_HIT << 2
+STALLED_MISS = KIND_STALL | DYN_MISS << 2
 
 EM_CLASSES = ("nop", "stall", "alu", "shift", "muldiv", "muldiv_final",
               "load", "load_cache", "load_mem", "store", "branch", "jump",
@@ -207,10 +232,12 @@ class ActivityTrace:
     stage has one packed-int code column (kind / dyn / instruction-table
     index / dynamic sequence number in a single machine word, one list
     store per record).  Rows open as bubbles, so a cycle that never
-    records a stage needs no explicit bubble write.  The seed's object
-    API — ``occupancy``, ``stage_kinds``, ``active_mask``, ``em_class``
-    sequences, ``cycles_of``, ``instruction_labels`` — is served by
-    lazy vectorized views that unpack (and cache) on demand.
+    records a stage needs no explicit bubble write.  Events are rows:
+    one tuple per event, in its event type's field order.  The seed's
+    object API — ``occupancy``, ``stage_kinds``, ``active_mask``,
+    ``em_class`` sequences, ``cycles_of``, ``instruction_labels`` and
+    the event lists — is served by lazy views that unpack (and cache)
+    on demand.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -222,16 +249,17 @@ class ActivityTrace:
                                               for stage in STAGES}
         self._appenders = tuple(self._packed[stage].append
                                 for stage in STAGES)
-        self.stalls: List[StallEvent] = []
-        self.cache_events: List[CacheEvent] = []
-        self.branch_events: List[BranchEvent] = []
-        self.flushes: List[FlushEvent] = []
-        self.retired: List[RetiredInstruction] = []
+        self._stall_rows: List[tuple] = []
+        self._cache_rows: List[tuple] = []
+        self._branch_rows: List[tuple] = []
+        self._flush_rows: List[tuple] = []
+        self._retire_rows: List[tuple] = []
         self._instr_table: List[Instruction] = []
         self._instr_ids: Dict[int, int] = {}
         self._transition_cache: Dict[str, np.ndarray] = {}
         self._codes_cache: Dict[str, object] = {}
         self._occ_cache: Dict[str, object] = {}
+        self._event_cache: Dict[type, Tuple[int, list]] = {}
 
     # -- recording (called by the pipeline) -----------------------------
     def begin_cycle(self) -> None:
@@ -241,33 +269,58 @@ class ActivityTrace:
         for append in self._appenders:
             append(_PACK_BUBBLE)
 
-    def record(self, stage: str, kind: int,
-               instr: Optional[Instruction] = None, seq: int = -1,
-               dyn: int = DYN_NONE) -> None:
+    def tag(self, instr: Instruction, seq: int) -> int:
+        """The occupancy tag of dynamic instruction ``seq`` executing
+        ``instr``: its instruction-table code and sequence number,
+        packed once so that each :meth:`record` is a single OR."""
+        code = self._instr_ids.get(id(instr))
+        if code is None:
+            table = self._instr_table
+            table.append(instr)
+            code = self._instr_ids[id(instr)] = len(table)
+        return (code << _INSTR_SHIFT) | ((seq + 1) << _SEQ_SHIFT)
+
+    def record(self, stage: str, tag: int, state: int) -> None:
         """Record ``stage``'s occupancy for the open cycle.
 
-        ``kind`` is a ``KIND_*`` code, ``seq`` the dynamic instruction
-        number (``-1`` for none) and ``dyn`` a ``DYN_*`` code.  May be
-        called again for the same stage (e.g. a flush squashing it); the
-        last record wins.
+        ``tag`` comes from :meth:`tag` and ``state`` is one of
+        :data:`ACTIVE`, :data:`ACTIVE_HIT`, :data:`ACTIVE_MISS`,
+        :data:`ACTIVE_FINAL`, :data:`STALLED`, :data:`STALLED_HIT` or
+        :data:`STALLED_MISS`.  A later record of the same stage in the
+        same cycle replaces the earlier one.
         """
-        if instr is None:
-            code = 0
-        else:
-            code = self._instr_ids.get(id(instr), 0)
-            if code == 0:
-                table = self._instr_table
-                table.append(instr)
-                code = len(table)
-                self._instr_ids[id(instr)] = code
-        self._packed[stage][-1] = (kind | (dyn << 2) |
-                                   (code << _INSTR_SHIFT) |
-                                   ((seq + 1) << _SEQ_SHIFT))
+        self._packed[stage][-1] = tag | state
 
     def stage_kind_at(self, stage: str) -> int:
         """The ``KIND_*`` code currently recorded for ``stage`` in the
         open cycle (the opening bubble until :meth:`record` runs)."""
         return self._packed[stage][-1] & 3
+
+    def stall(self, cycle: int, stage: str, cause: StallCause,
+              seq: int) -> None:
+        """``stage`` spent ``cycle`` stalled (a :class:`StallEvent`)."""
+        self._stall_rows.append((cycle, stage, cause, seq))
+
+    def cache_access(self, cycle: int, address: int, is_store: bool,
+                     hit: bool, seq: int) -> None:
+        """One data-cache access (a :class:`CacheEvent`)."""
+        self._cache_rows.append((cycle, address, is_store, hit, seq))
+
+    def branch(self, cycle: int, pc: int, taken: bool, target: int,
+               predicted_taken: bool, predicted_target: Optional[int],
+               mispredicted: bool, seq: int) -> None:
+        """A resolved branch or indirect jump (a :class:`BranchEvent`)."""
+        self._branch_rows.append((cycle, pc, taken, target, predicted_taken,
+                                  predicted_target, mispredicted, seq))
+
+    def flush(self, cycle: int, flushed: int, redirect_pc: int) -> None:
+        """A misprediction flush (a :class:`FlushEvent`)."""
+        self._flush_rows.append((cycle, flushed, redirect_pc))
+
+    def retire(self, seq: int, pc: int, instr: Instruction,
+               cycle: int) -> None:
+        """``instr`` completed writeback (a :class:`RetiredInstruction`)."""
+        self._retire_rows.append((seq, pc, instr, cycle))
 
     def end_cycle(self, latches) -> None:
         """Snapshot the flat latch vector and advance to the next cycle."""
@@ -340,6 +393,18 @@ class ActivityTrace:
             column: {stage: array.copy() for stage, array in by_stage.items()}
             for column, by_stage in codes.items()}}
         return trace
+
+    def _extend_events(self, stalls: Sequence[tuple],
+                       cache_events: Sequence[tuple],
+                       branch_events: Sequence[tuple],
+                       flushes: Sequence[tuple],
+                       retired: Sequence[tuple]) -> None:
+        """Append event rows, each in its event type's field order."""
+        self._stall_rows.extend(stalls)
+        self._cache_rows.extend(cache_events)
+        self._branch_rows.extend(branch_events)
+        self._flush_rows.extend(flushes)
+        self._retire_rows.extend(retired)
 
     def _values_all(self) -> np.ndarray:
         """(cycles, TOTAL_REGISTERS) whole-pipeline latch matrix view."""
@@ -516,21 +581,56 @@ class ActivityTrace:
         return np.nonzero(
             self._unpacked()["seq"][stage] == seq)[0].tolist()
 
+    # -- event views -------------------------------------------------------
+    def _events(self, rows: List[tuple], event_type: type) -> list:
+        """``rows`` as ``event_type`` objects: built on first read and
+        rebuilt once more rows arrive."""
+        cached = self._event_cache.get(event_type)
+        if cached is None or cached[0] != len(rows):
+            cached = (len(rows), list(starmap(event_type, rows)))
+            self._event_cache[event_type] = cached
+        return cached[1]
+
+    @property
+    def stalls(self) -> List[StallEvent]:
+        """Every stalled stage-cycle, in recording order."""
+        return self._events(self._stall_rows, StallEvent)
+
+    @property
+    def cache_events(self) -> List[CacheEvent]:
+        """Every data-cache access, in recording order."""
+        return self._events(self._cache_rows, CacheEvent)
+
+    @property
+    def branch_events(self) -> List[BranchEvent]:
+        """Every resolved branch and indirect jump, in recording order."""
+        return self._events(self._branch_rows, BranchEvent)
+
+    @property
+    def flushes(self) -> List[FlushEvent]:
+        """Every misprediction flush, in recording order."""
+        return self._events(self._flush_rows, FlushEvent)
+
+    @property
+    def retired(self) -> List[RetiredInstruction]:
+        """Every instruction that completed writeback, in order."""
+        return self._events(self._retire_rows, RetiredInstruction)
+
     # -- convenience statistics ---------------------------------------------
     @property
     def instructions_retired(self) -> int:
         """Count of retired instructions."""
-        return len(self.retired)
+        return len(self._retire_rows)
 
     @property
     def mispredictions(self) -> int:
         """Count of mispredicted branch events."""
-        return sum(event.mispredicted for event in self.branch_events)
+        return sum(row[6] for row in self._branch_rows)
 
     @property
     def cache_misses(self) -> int:
         """Count of data-cache misses."""
-        return sum(not event.hit for event in self.cache_events)
+        return sum(not row[3] for row in self._cache_rows)
 
     def stage_bits(self, stage: str) -> int:
         """Number of tracked latch bits for ``stage``."""
@@ -540,7 +640,9 @@ class ActivityTrace:
 def concat_traces(traces: Sequence[ActivityTrace]) -> ActivityTrace:
     """Concatenate traces cycle-wise (for stitched training corpora).
 
-    The inputs merge by array copy into one exactly-sized trace.
+    The inputs merge by array copy into one exactly-sized trace; each
+    part's events move by the cycles of the parts before it, so they
+    index the merged rows.
     """
     traces = list(traces)
     total = sum(trace.num_cycles for trace in traces)
@@ -567,10 +669,17 @@ def concat_traces(traces: Sequence[ActivityTrace]) -> ActivityTrace:
             packed = (packed & clear_instr) | (
                 remap[codes] << np.uint64(_INSTR_SHIFT))
             merged._packed[stage].extend(packed.tolist())
-        merged.stalls.extend(trace.stalls)
-        merged.cache_events.extend(trace.cache_events)
-        merged.branch_events.extend(trace.branch_events)
-        merged.flushes.extend(trace.flushes)
-        merged.retired.extend(trace.retired)
+        merged._extend_events(
+            _shifted(trace._stall_rows, offset),
+            _shifted(trace._cache_rows, offset),
+            _shifted(trace._branch_rows, offset),
+            _shifted(trace._flush_rows, offset),
+            [(seq, pc, instr, cycle + offset)
+             for seq, pc, instr, cycle in trace._retire_rows])
         offset += n
     return merged
+
+
+def _shifted(rows: Sequence[tuple], offset: int) -> List[tuple]:
+    """Event rows whose leading ``cycle`` field moved by ``offset``."""
+    return [(row[0] + offset,) + row[1:] for row in rows]

@@ -42,8 +42,7 @@ import numpy as np
 
 from ..isa.instructions import Instruction
 from ..observability.metrics import get_metrics
-from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
-                     StallEvent)
+from .events import StallCause
 from .latches import STAGE_REGISTERS, STAGES, TOTAL_REGISTERS
 
 FORMAT_NAME = "repro-trace/1"
@@ -73,7 +72,7 @@ def is_encoded_trace(payload: bytes) -> bool:
 
 
 def _events_document(trace) -> Dict[str, Any]:
-    """Flatten the trace's event lists and instruction table to JSON rows.
+    """Flatten the trace's event rows and instruction table to JSON rows.
 
     Retired instructions index into the shared instruction-word table so
     identity survives the round trip; ``None`` sequence numbers and
@@ -82,26 +81,27 @@ def _events_document(trace) -> Dict[str, Any]:
     table = trace._instr_table
     index = {id(instr): code for code, instr in enumerate(table)}
     retired = []
-    for entry in trace.retired:
-        code = index.get(id(entry.instr))
+    for seq, pc, instr, cycle in trace._retire_rows:
+        code = index.get(id(instr))
         if code is None:
             code = len(table)
-            table.append(entry.instr)
-            index[id(entry.instr)] = code
-        retired.append([entry.seq, entry.pc, code, entry.cycle])
+            table.append(instr)
+            index[id(instr)] = code
+        retired.append([seq, pc, code, cycle])
     return {
         "instr_words": [instr.encode() for instr in table],
-        "stalls": [[event.cycle, event.stage, event.cause.value, event.seq]
-                   for event in trace.stalls],
-        "cache": [[event.cycle, event.address, int(event.is_store),
-                   int(event.hit), event.seq]
-                  for event in trace.cache_events],
-        "branch": [[event.cycle, event.pc, int(event.taken), event.target,
-                    int(event.predicted_taken), event.predicted_target,
-                    int(event.mispredicted), event.seq]
-                   for event in trace.branch_events],
-        "flushes": [[event.cycle, event.flushed, event.redirect_pc]
-                    for event in trace.flushes],
+        "stalls": [[cycle, stage, cause.value, seq]
+                   for cycle, stage, cause, seq in trace._stall_rows],
+        "cache": [[cycle, address, int(is_store), int(hit), seq]
+                  for cycle, address, is_store, hit, seq
+                  in trace._cache_rows],
+        "branch": [[cycle, pc, int(taken), target, int(predicted_taken),
+                    predicted_target, int(mispredicted), seq]
+                   for (cycle, pc, taken, target, predicted_taken,
+                        predicted_target, mispredicted, seq)
+                   in trace._branch_rows],
+        "flushes": [[cycle, flushed, redirect_pc]
+                    for cycle, flushed, redirect_pc in trace._flush_rows],
         "retired": retired,
     }
 
@@ -168,7 +168,7 @@ def decode_trace(payload: bytes):
     Raises :class:`TraceCodecError` for bad magic, a foreign format or
     schema, or any truncation/corruption of the compressed body.
     """
-    from .trace import ActivityTrace, RetiredInstruction
+    from .trace import ActivityTrace
 
     meta = _parse_meta(payload)
     cycles = meta.get("cycles")
@@ -219,26 +219,18 @@ def decode_trace(payload: bytes):
                         for stage in STAGES}
                for column, _ in _CODE_COLUMNS},
         instr_table=table)
-    trace.stalls = [StallEvent(cycle=cycle, stage=stage,
-                               cause=StallCause(cause), seq=seq)
-                    for cycle, stage, cause, seq in events["stalls"]]
-    trace.cache_events = [CacheEvent(cycle=cycle, address=address,
-                                     is_store=bool(store), hit=bool(hit),
-                                     seq=seq)
-                          for cycle, address, store, hit, seq
-                          in events["cache"]]
-    trace.branch_events = [
-        BranchEvent(cycle=cycle, pc=pc, taken=bool(taken), target=target,
-                    predicted_taken=bool(ptaken),
-                    predicted_target=ptarget,
-                    mispredicted=bool(mis), seq=seq)
-        for cycle, pc, taken, target, ptaken, ptarget, mis, seq
-        in events["branch"]]
-    trace.flushes = [FlushEvent(cycle=cycle, flushed=flushed,
-                                redirect_pc=redirect)
-                     for cycle, flushed, redirect in events["flushes"]]
-    trace.retired = [RetiredInstruction(seq=seq, pc=pc, instr=table[code],
-                                        cycle=cycle)
-                     for seq, pc, code, cycle in events["retired"]]
+    trace._extend_events(
+        [(cycle, stage, StallCause(cause), seq)
+         for cycle, stage, cause, seq in events["stalls"]],
+        [(cycle, address, bool(store), bool(hit), seq)
+         for cycle, address, store, hit, seq in events["cache"]],
+        [(cycle, pc, bool(taken), target, bool(ptaken), ptarget, bool(mis),
+          seq)
+         for cycle, pc, taken, target, ptaken, ptarget, mis, seq
+         in events["branch"]],
+        [(cycle, flushed, redirect)
+         for cycle, flushed, redirect in events["flushes"]],
+        [(seq, pc, table[code], cycle)
+         for seq, pc, code, cycle in events["retired"]])
     get_metrics().increment("trace.codec.decodes")
     return trace

@@ -42,11 +42,16 @@ from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                _emit_add_round_key, _emit_cache_warm,
                                _emit_mix_columns, _emit_shift_rows,
                                _emit_sub_bytes, key_schedule)
+from repro.uarch.events import (BranchEvent, CacheEvent, FlushEvent,
+                                StallEvent)
 from repro.uarch.latches import (STAGE_REGISTERS, STAGES, bubble_pattern,
                                  stage_register_offsets)
 from repro.uarch.ooo import OutOfOrderCore
 from repro.uarch.pipeline import Pipeline
-from repro.uarch.trace import (_BUBBLE_OCC, _DYN_NAMES, _KIND_NAMES,
+from repro.uarch.trace import (_BUBBLE_OCC, _KIND_NAMES, ACTIVE,
+                               ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS,
+                               OCC_INSTR, OCC_STALL, STALLED, STALLED_HIT,
+                               STALLED_MISS, RetiredInstruction,
                                StageOccupancy)
 
 
@@ -102,10 +107,19 @@ class LegacyHardwareLatches:
         return tuple(registers[name] for name, _ in STAGE_REGISTERS[stage])
 
 
+# (kind, dyn) of each occupancy state the cores record
+_LEGACY_STATES = {
+    ACTIVE: (OCC_INSTR, None), ACTIVE_HIT: (OCC_INSTR, "hit"),
+    ACTIVE_MISS: (OCC_INSTR, "miss"), ACTIVE_FINAL: (OCC_INSTR, "final"),
+    STALLED: (OCC_STALL, None), STALLED_HIT: (OCC_STALL, "hit"),
+    STALLED_MISS: (OCC_STALL, "miss")}
+
+
 @dataclass
 class LegacyActivityTrace:
     """The seed's trace: one occupancy object and latch tuple per stage
-    per cycle, with every derived view a Python scan."""
+    per cycle, one event object per event, with every derived view a
+    Python scan.  Its tags are ``(instr, seq)`` pairs."""
 
     occupancy: Dict[str, List[StageOccupancy]] = field(
         default_factory=lambda: {stage: [] for stage in STAGES})
@@ -121,13 +135,41 @@ class LegacyActivityTrace:
     def begin_cycle(self) -> None:
         self._pending = {stage: _BUBBLE_OCC for stage in STAGES}
 
-    def record(self, stage, kind, instr=None, seq=-1, dyn=0) -> None:
-        self._pending[stage] = StageOccupancy(
-            _KIND_NAMES[kind], instr, None if seq < 0 else seq,
-            _DYN_NAMES[dyn])
+    def tag(self, instr, seq):
+        return instr, seq
+
+    def record(self, stage, tag, state) -> None:
+        instr, seq = tag
+        kind, dyn = _LEGACY_STATES[state]
+        self._pending[stage] = StageOccupancy(kind, instr, seq, dyn)
 
     def stage_kind_at(self, stage: str) -> int:
         return _KIND_NAMES.index(self._pending[stage].kind)
+
+    def stall(self, cycle, stage, cause, seq) -> None:
+        self.stalls.append(StallEvent(cycle=cycle, stage=stage, cause=cause,
+                                      seq=seq))
+
+    def cache_access(self, cycle, address, is_store, hit, seq) -> None:
+        self.cache_events.append(CacheEvent(
+            cycle=cycle, address=address, is_store=is_store, hit=hit,
+            seq=seq))
+
+    def branch(self, cycle, pc, taken, target, predicted_taken,
+               predicted_target, mispredicted, seq) -> None:
+        self.branch_events.append(BranchEvent(
+            cycle=cycle, pc=pc, taken=taken, target=target,
+            predicted_taken=predicted_taken,
+            predicted_target=predicted_target, mispredicted=mispredicted,
+            seq=seq))
+
+    def flush(self, cycle, flushed, redirect_pc) -> None:
+        self.flushes.append(FlushEvent(cycle=cycle, flushed=flushed,
+                                       redirect_pc=redirect_pc))
+
+    def retire(self, seq, pc, instr, cycle) -> None:
+        self.retired.append(RetiredInstruction(seq=seq, pc=pc, instr=instr,
+                                               cycle=cycle))
 
     def end_cycle(self, latches) -> None:
         for stage in STAGES:

@@ -257,7 +257,9 @@ def test_replays_and_fallbacks_are_counted(simulator):
 # ---------------------------------------------------------------------------
 def _mutable_parts(trace):
     lists = [trace._instr_table, trace.stalls, trace.cache_events,
-             trace.branch_events, trace.flushes, trace.retired]
+             trace.branch_events, trace.flushes, trace.retired,
+             trace._stall_rows, trace._cache_rows, trace._branch_rows,
+             trace._flush_rows, trace._retire_rows]
     lists += [trace._packed[stage] for stage in STAGES]
     arrays = [trace._vals]
     arrays += [array for by_stage in trace._unpacked().values()

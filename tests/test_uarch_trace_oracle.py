@@ -4,11 +4,34 @@ import numpy as np
 import pytest
 
 from repro.isa import Instruction, NOP, assemble
-from repro.uarch import (OCC_BUBBLE, OCC_INSTR, STAGES, GoldenSimulator,
-                         OracleOutcomes, collect_oracle, concat_traces,
-                         run_program, stage_bit_count)
+from repro.uarch import (OCC_BUBBLE, OCC_INSTR, STAGES, BranchEvent,
+                         CacheEvent, FlushEvent, GoldenSimulator,
+                         OracleOutcomes, OutOfOrderCore, Pipeline,
+                         RetiredInstruction, StallEvent, collect_oracle,
+                         concat_traces, run_program, stage_bit_count)
 from repro.uarch.trace import StageOccupancy
 from repro.workloads import fibonacci, nop_padded
+
+EVENT_LISTS = ("stalls", "cache_events", "branch_events", "flushes",
+               "retired")
+
+# a load miss, a load-use multiply and a loop branch mispredicted on its
+# first and last iteration: every event kind, on both cores
+EVENTFUL = assemble("""
+.data
+values: .word 5, 7, 9
+.text
+    la t0, values
+    li t1, 3
+loop:
+    lw t2, 0(t0)
+    mul t3, t2, t2
+    add t4, t3, t2
+    addi t0, t0, 4
+    addi t1, t1, -1
+    bnez t1, loop
+    ebreak
+""")
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +103,68 @@ def test_concat_traces():
     joined = np.concatenate([first.flip_counts("E"),
                              second.flip_counts("E")])
     assert np.array_equal(merged.flip_counts("E"), joined)
+
+
+def test_concat_traces_moves_events_to_the_merged_cycles():
+    # both parts stall: a multi-cycle multiply, then a load-use pair
+    first, _ = run_program(nop_padded([Instruction("mul", rd=5, rs1=8,
+                                                   rs2=9)]))
+    second, _ = run_program(nop_padded([Instruction("lw", rd=5, rs1=0),
+                                        Instruction("add", rd=6, rs1=5,
+                                                    rs2=5)]))
+    merged = concat_traces([first, second])
+    for name in EVENT_LISTS:
+        assert [event.cycle for event in getattr(merged, name)] == \
+            [event.cycle for event in getattr(first, name)] + \
+            [event.cycle + first.num_cycles
+             for event in getattr(second, name)]
+    assert first.stalls and second.stalls
+    for event in merged.stalls:
+        assert merged.stall_mask(event.stage)[event.cycle]
+
+
+# ----------------------------------------------------------------------
+# event lists are views over recorded rows
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("core_class", [Pipeline, OutOfOrderCore],
+                         ids=["in-order", "ooo"])
+def test_recording_builds_no_event_object(monkeypatch, core_class):
+    built = []
+
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+        return counted
+
+    for event_type in (StallEvent, CacheEvent, BranchEvent, FlushEvent,
+                       RetiredInstruction):
+        monkeypatch.setattr(event_type, "__init__",
+                            counting(event_type.__init__))
+    trace = core_class(EVENTFUL).run()
+    assert built == []
+    lists = [getattr(trace, name) for name in EVENT_LISTS]
+    assert all(lists)
+    assert len(built) == sum(map(len, lists))
+    # a second read builds nothing
+    assert [getattr(trace, name) for name in EVENT_LISTS] == lists
+    assert len(built) == sum(map(len, lists))
+
+
+@pytest.mark.parametrize("core_class", [Pipeline, OutOfOrderCore],
+                         ids=["in-order", "ooo"])
+def test_event_lists_read_mid_run_follow_later_rows(core_class):
+    fresh = core_class(EVENTFUL).run()
+    core = core_class(EVENTFUL)
+    for _ in range(fresh.num_cycles // 2):
+        core.step()
+    early = {name: len(getattr(core.trace, name)) for name in EVENT_LISTS}
+    assert early["retired"] and early["cache_events"]
+    trace = core.run()
+    for name in EVENT_LISTS:
+        assert getattr(trace, name) == getattr(fresh, name)
+    assert any(len(getattr(trace, name)) > early[name]
+               for name in EVENT_LISTS)
 
 
 def test_cycles_of_covers_multicycle_occupancy():
