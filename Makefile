@@ -12,15 +12,21 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # replay, ~7 s), then Figs. 5-7 (stalls, cache misses, mispredictions)
 # and Table II (the SAVAT matrix, measured and simulated) in one pytest
 # call, so they share one ~1.3 s model fit (~3.5 s for the three
-# figures, ~1 s for the table).  They rewrite
-# benchmarks/results/fig{5_stall,6_cache,7_mispredict,10_tvla}.txt and
-# tab2_savat.txt, so a changed result shows up in `git status`.
+# figures, ~1 s for the table).  Then the robustness recovery bench
+# (~7 s): it trains through reference captures at 0, 5 and 20 %
+# injected faults, so it runs the repetition screen's fold fallback and
+# its ragged-repetition path.  They rewrite
+# benchmarks/results/fig{5_stall,6_cache,7_mispredict,10_tvla}.txt,
+# tab2_savat.txt and robustness_recovery.txt, so a changed result shows
+# up in `git status`.
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig10_tvla.py \
 		--benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig5_stall.py \
 		test_fig6_cache.py test_fig7_mispredict.py test_tab2_savat.py \
+		--benchmark-disable -q
+	cd benchmarks && $(PYTHON) -m pytest test_robustness_recovery.py \
 		--benchmark-disable -q
 
 test:

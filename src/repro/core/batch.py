@@ -14,9 +14,9 @@ single ordered fan-out, over :func:`~repro.parallel.parallel_map` and
 process pool when ``workers > 1`` or an item timeout is set (falling
 back to an in-process loop on single-CPU machines without a timeout),
 every item is reseeded from ``(campaign seed, item index)``, and every
-worker count runs the same engine (the emitter's lag-factored
-evaluator, the vectorized repetition capture, and the plan-cached
-banded deconvolver).  Results are therefore
+worker count runs the same engine (the emitter's grid evaluator, the
+vectorized repetition capture, and the plan-cached banded
+deconvolver).  Results are therefore
 bit-identical at any worker count, and so are checkpoint keys: a journal
 written at one worker count resumes at another.
 
@@ -204,13 +204,16 @@ def campaign_probe_key(device: HardwareDevice, program: Program,
     content hash the trace cache uses for the program/config pair —
     salted with everything else that determines the probe's result:
     campaign seed, probe index, repetition count, kernel, sample rate,
-    and the device's emitter digest.  Worker count is not an input: a
-    resumed campaign reuses a journaled probe at any worker count,
-    because rerunning it would be bit-identical anyway.
+    the device's emitter digest, and its scope: the scope config, the
+    fault plan and the auto-range switch (frozen dataclasses and a bool,
+    so their reprs are stable).  Worker count is not an input: a resumed
+    campaign reuses a journaled probe at any worker count, because
+    rerunning it would be bit-identical anyway.
     """
     salt = (f"campaign:{seed}:{index}:{repetitions}:{kernel!r}:"
             f"{samples_per_cycle}:{device.name}:"
-            f"{device._emitter_digest}")
+            f"{device._emitter_digest}:{device.scope_config!r}:"
+            f"{device.fault_plan!r}:{device.auto_range}")
     return trace_key(program, device.core_config,
                      core_kind=device.core_kind, max_cycles=max_cycles,
                      salt=salt)

@@ -193,11 +193,16 @@ class HardwareDevice:
         individually (clipping, energy, fold residual) before the fold,
         and the returned measurement carries a
         :class:`~repro.robustness.health.CaptureQuality` for gating.
+        Each capture is folded once: when the screen's residual stage
+        rejects none of its survivors, its provisional fold is the
+        reference; the offset bins it computed for equal-length
+        repetitions feed the quality statistics.
 
         The repetitions are collected in one vectorized pass: every
         trigger and noise draw comes off the device RNG in repetition
-        order, then ``y(t)`` is evaluated once for all of them, so the
-        result is a pure function of the program and the RNG state.
+        order, then ``y`` is evaluated once on all of their sampling
+        grids, so the result is a pure function of the program and the
+        RNG state.
 
         Only the deterministic pipeline trace is cache-served here; the
         scope path (noise, faults, screening) always runs live.
@@ -206,15 +211,13 @@ class HardwareDevice:
         waveform = self.emitter.continuous(trace)
         duration = trace.num_cycles * self.instance.clock_scale
         scope_config = self.scope_config
+        num_bins = trace.num_cycles * self.samples_per_cycle
         if self.auto_range:
             # the operator's vertical auto-range: one pilot sweep sets the
             # ADC full scale so dense programs don't rail the converter
             # (the default 4.0 full scale clips heavy combination groups)
-            pilot_grid = np.linspace(0.0, duration,
-                                     trace.num_cycles *
-                                     self.samples_per_cycle,
-                                     endpoint=False)
-            span = float(np.max(np.abs(waveform(pilot_grid))))
+            pilot = waveform(np.zeros(1), num_bins, duration / num_bins)
+            span = float(np.max(np.abs(pilot)))
             if span > 0:
                 scope_config = replace(scope_config,
                                        adc_range=2.5 * span)
@@ -227,20 +230,23 @@ class HardwareDevice:
             raise AcquisitionError(
                 f"capture run lost all {repetitions} repetitions "
                 f"to trigger/brown-out faults")
-        num_bins = trace.num_cycles * self.samples_per_cycle
         screen = screen_repetitions(
             times_list, samples_list, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
             adc_bits=scope_config.adc_bits)
-        kept = [index for index, ok in enumerate(screen.keep) if ok]
-        if not kept:
+        kept = np.flatnonzero(screen.keep)
+        if not kept.size:
             raise AcquisitionError(
                 f"all {len(samples_list)} delivered repetitions were "
                 f"screened out as corrupt")
         times = np.concatenate([times_list[i] for i in kept])
         samples = np.concatenate([samples_list[i] for i in kept])
-        reference, _ = modulo_average(
-            samples, times, period=duration, num_bins=num_bins)
+        # fold once: the screen's fold is the reference whenever it
+        # covers exactly the kept repetitions
+        reference = screen.reference
+        if reference is None:
+            reference, _ = modulo_average(
+                samples, times, period=duration, num_bins=num_bins)
         quality = assess_capture(
             samples, times, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
@@ -248,7 +254,8 @@ class HardwareDevice:
             lost_repetitions=stats.lost,
             screened_repetitions=screen.rejected,
             total_repetitions=stats.requested,
-            reference=reference)
+            reference=reference,
+            bins=None if screen.bins is None else screen.bins[kept].ravel())
         return Measurement(signal=reference, trace=trace,
                            samples_per_cycle=self.samples_per_cycle,
                            program_name=program.name,

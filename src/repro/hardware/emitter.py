@@ -106,112 +106,86 @@ class HardwareEmitter:
                                    unit_names=names)
 
     def continuous(self, trace: ActivityTrace):
-        """Return ``y(t)`` in *nominal*-clock cycle units.
+        """Return ``y(starts, count, step)``: the emission on time grids.
 
-        The device's actual clock may be slightly off nominal
-        (``clock_scale``); events land at ``n * clock_scale`` and kernels
-        stretch accordingly, exactly what a scope with an absolute time
-        base sees.
+        ``y`` samples every repetition ``r`` at ``t = starts[r] + k * step``
+        for ``k < count`` and returns the repetitions concatenated in
+        order, as one 1-D array.  Times are in *nominal*-clock cycles: the
+        device's actual clock may be slightly off nominal
+        (``clock_scale``), so events land at ``n * clock_scale`` and
+        kernels stretch accordingly, exactly what a scope with an
+        absolute time base sees.
 
-        Every unit radiates through a damped sine, so each kernel is
-        rewritten across its integer lags with the angle addition
-        formula: ``k(frac + lag)`` becomes a per-sample ``(sin, exp)``
-        pair times per-lag constants, and the lag sums fold into
-        per-cycle tables up front.  One unit then costs two
-        transcendental passes per sample instead of two per lag.
+        Every unit radiates through a damped sine,
+        ``Im(e^(i phase) * e^(lam * tau))`` with ``lam = 2 pi i / T0 -
+        theta``, so its lag sum folds into one complex per-cycle table
+        ``Z[n] = e^(i phase) * sum_lag w[n - lag] * e^(lam * lag)`` over
+        lags ``0..ceil(support)`` inclusive, and ``y(n + f) = sum_u
+        Im(Z[n, u] * e^(lam_u * f))``.  On a grid the fraction is
+        ``f = frac(start) + frac(k * step) - c`` with a carry ``c`` of 0
+        or 1 into the next cycle, so ``e^(lam * f)`` splits into one row
+        ``e^(lam * frac(start))`` per repetition, one table
+        ``P[k] = e^(lam * frac(k * step))`` shared by all repetitions,
+        and ``e^(-lam * c)``, which the table's carry rows hold.  A sample
+        then costs one row gather and a real dot product of two terms per
+        unit (22 for the boards' 11 units); no sample pays a ``sin`` or
+        ``exp``.
         """
-        units = self.units
-        amplitudes = self.unit_amplitudes(trace)
-        weighted = amplitudes * (self.gain * self._couplings)[None, :]
-        num_cycles = trace.num_cycles
+        kernels = [unit.kernel for unit in self.units]
+        weighted = self.unit_amplitudes(trace) * \
+            (self.gain * self._couplings)[None, :]
+        supports = np.array([int(np.ceil(kernel.support_cycles))
+                             for kernel in kernels])
+        lags = np.arange(supports.max() + 1)
+        lam = np.array([2j * np.pi / kernel.t0 - kernel.theta
+                        for kernel in kernels])
+        lag_factor = np.where(lags[:, None] <= supports[None, :],
+                              np.exp(np.multiply.outer(lags, lam)), 0.0)
+        # zero-guard rows on both sides absorb out-of-range cycles; one
+        # more zero row is the carry target of the last guard row
+        pad = len(lags)
+        rows = trace.num_cycles + 2 * pad
+        padded = np.zeros((rows + 1, len(kernels)))
+        padded[pad:pad + trace.num_cycles] = weighted
+        table = np.zeros(padded.shape, dtype=complex)
+        for lag in lags:
+            table[lag:] += padded[:len(padded) - lag] * lag_factor[lag]
+        table *= np.exp(1j * np.array([kernel.phase for kernel in kernels]))
+        # row 2n holds Z[n], row 2n + 1 the carried Z[n + 1] * e^(-lam)
+        pairs = np.empty((rows, 2, len(kernels)), dtype=complex)
+        pairs[:, 0] = table[:-1]
+        pairs[:, 1] = table[1:] * np.exp(-lam)
+        pairs = pairs.reshape(2 * rows, len(kernels))
         scale = self.clock_scale
 
-        supports = np.array([int(np.ceil(unit.kernel.support_cycles))
-                             for unit in units])
-        max_lag = int(supports.max())
-        lags = np.arange(max_lag + 1)
-        t0 = np.array([unit.kernel.t0 for unit in units])
-        theta = np.array([unit.kernel.theta for unit in units])
-        phase = np.array([unit.kernel.phase for unit in units])
-        # (lags, units) constants: cos/sin of the per-lag phase advance,
-        # scaled by the per-lag decay; zeroed beyond each unit's support
-        lag_angle = 2.0 * np.pi * lags[:, None] / t0[None, :]
-        lag_decay = np.exp(-theta[None, :] * lags[:, None])
-        in_support = lags[:, None] <= supports[None, :]
-        lag_cos = np.where(in_support, np.cos(lag_angle) * lag_decay, 0.0)
-        lag_sin = np.where(in_support, np.sin(lag_angle) * lag_decay, 0.0)
-        # The lag sums depend on a sample time only through its integer
-        # base cycle, so fold them into per-*cycle* tables up front
-        # (a tiny convolution over the trace's cycles) — the per-sample
-        # work then reduces to one row gather plus the transcendentals.
-        # Zero-guard rows on both sides absorb out-of-range cycles.
-        pad = max_lag + 1
-        padded = np.zeros((num_cycles + 2 * pad, len(units)))
-        padded[pad:pad + num_cycles] = weighted
-        rows = padded.shape[0]
-        cos_table = np.zeros_like(padded)
-        sin_table = np.zeros_like(padded)
-        for lag in range(max_lag + 1):
-            shifted = np.roll(padded, lag, axis=0)
-            shifted[:lag] = 0.0
-            cos_table += shifted * lag_cos[lag][None, :]
-            sin_table += shifted * lag_sin[lag][None, :]
-        # fold the per-unit probe phase into the tables too, so the
-        # per-sample angle is a bare outer product (one fewer pass):
-        #   sin(a f + phi) X + cos(a f + phi) Y
-        #     = sin(a f)(X cos phi - Y sin phi)
-        #       + cos(a f)(X sin phi + Y cos phi)
-        cos_phase, sin_phase = np.cos(phase), np.sin(phase)
-        cos_table, sin_table = \
-            (cos_table * cos_phase[None, :] -
-             sin_table * sin_phase[None, :],
-             cos_table * sin_phase[None, :] +
-             sin_table * cos_phase[None, :])
-        # collapse each cycle's (X, Y) pair to amplitude/phase form:
-        #   X sin(a f) + Y cos(a f)  =  R sin(a f + psi)
-        # with R = hypot(X, Y), psi = atan2(Y, X) — a few hundred cheap
-        # per-cycle transcendentals up front buy one fewer per-sample
-        # transcendental pass below (sin instead of sin + cos)
-        amp_table = np.hypot(cos_table, sin_table)
-        shift_table = np.arctan2(sin_table, cos_table)
-        angular = 2.0 * np.pi / t0
-        neg_theta = -theta
-        # process in fixed-size chunks through preallocated buffers:
-        # keeps the working set L2-resident and avoids page-faulting a
-        # fresh ~2 MB temporary per elementwise pass on long time grids
-        chunk = 4096
-        num_units = len(units)
-        angle_buf = np.empty((chunk, num_units))
-        decay_buf = np.empty((chunk, num_units))
-
-        def evaluate(times: np.ndarray) -> np.ndarray:
-            times = np.asarray(times, dtype=float) / scale
-            base_cycle = np.floor(times).astype(int)
-            frac = times - base_cycle
-            index = np.clip(base_cycle + pad, 0, rows - 1)
-            result = np.empty(len(times))
-            for start in range(0, len(times), chunk):
-                stop = min(start + chunk, len(times))
-                count = stop - start
-                angle = angle_buf[:count]
-                decay = decay_buf[:count]
-                rows_here = index[start:stop]
-                np.multiply(frac[start:stop, None], angular[None, :],
-                            out=angle)
-                angle += shift_table[rows_here]
-                np.sin(angle, out=angle)
-                angle *= amp_table[rows_here]
-                np.multiply(frac[start:stop, None], neg_theta[None, :],
-                            out=decay)
-                np.exp(decay, out=decay)
-                angle *= decay
-                result[start:stop] = angle.sum(axis=1)
-            return result
+        def evaluate(starts: np.ndarray, count: int,
+                     step: float) -> np.ndarray:
+            starts = np.asarray(starts, dtype=float) / scale
+            grid = np.arange(count) * step / scale
+            grid_cycle = np.floor(grid)
+            grid_frac = grid - grid_cycle
+            start_cycle = np.floor(starts)
+            start_frac = starts - start_cycle
+            shared = np.exp(np.multiply.outer(grid_frac, lam))
+            # Im(T * P) = Re(T) Im(P) + Im(T) Re(P): (Im P, Re P) pairs
+            # line up with the (Re, Im) float view of a complex row
+            weights = np.stack([shared.imag, shared.real], axis=-1) \
+                .reshape(count, 2 * len(kernels))
+            base = 2 * (grid_cycle.astype(int) + pad)
+            result = np.empty((len(starts), count))
+            for row, cycle, frac in zip(result, start_cycle.astype(int),
+                                        start_frac):
+                lead = (pairs * np.exp(frac * lam)).view(float)
+                index = np.clip(base + 2 * cycle, 0, 2 * rows - 2)
+                index += grid_frac >= 1.0 - frac
+                np.einsum("ij,ij->i", np.take(lead, index, axis=0),
+                          weights, out=row)
+            return result.ravel()
 
         return evaluate
 
-    # former name of the lag-factored evaluator, kept as an alias because
-    # the benchmark's layer tracer (bench/tracing.py) wraps both names
+    # former name of the grid evaluator, kept as an alias because the
+    # benchmark's layer tracer (bench/tracing.py) wraps both names
     continuous_fast = continuous
 
 

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..signal.modulo import modular_offsets, modulo_average
+from ..signal.modulo import modulo_average, offset_bins
 from .errors import CaptureQualityError
 
 _EPS = 1e-12
@@ -68,13 +68,6 @@ class CaptureQuality:
     def clean_repetitions(self) -> int:
         return max(0, self.total_repetitions - self.lost_repetitions -
                    self.screened_repetitions)
-
-    @property
-    def lost_fraction(self) -> float:
-        if self.total_repetitions <= 0:
-            return 0.0
-        return (self.lost_repetitions + self.screened_repetitions) / \
-            self.total_repetitions
 
     def summary(self) -> str:
         return (f"clip={self.clipping_ratio:.1%} snr={self.snr_db:.1f}dB "
@@ -136,10 +129,19 @@ class HealthPolicy:
 
 @dataclass
 class RepetitionScreen:
-    """Result of per-repetition screening of one capture run."""
+    """Result of per-repetition screening of one capture run.
+
+    ``reference`` is the screen's fold when it is the fold of exactly
+    the kept repetitions (stage B ran and rejected none), else ``None``;
+    ``bins`` holds every delivered repetition's offset bins, one row
+    each, when stage B ran on equal-length repetitions, else ``None``.
+    Both let the caller skip folding and binning the kept set again.
+    """
 
     keep: np.ndarray                  # boolean mask over delivered reps
     reasons: List[str]                # one line per rejected repetition
+    reference: Optional[np.ndarray] = None
+    bins: Optional[np.ndarray] = None
 
     @property
     def rejected(self) -> int:
@@ -160,7 +162,9 @@ def screen_repetitions(times_list, samples_list, period: float,
     with the folded reference far more than their peers (clock-jitter
     spikes, burst interference).  Retrying a rejected *run* with a larger
     repetition budget therefore converges: the clean subset grows even if
-    the corruption rate stays constant.
+    the corruption rate stays constant.  The provisional fold and the
+    offset bins come back on the result for the caller to reuse (see
+    :class:`RepetitionScreen`).
     """
     count = len(samples_list)
     keep = np.ones(count, dtype=bool)
@@ -206,7 +210,9 @@ def screen_repetitions(times_list, samples_list, period: float,
                            f"median {median_rms:.3f}")
 
     # stage B: agreement with the provisional fold of the survivors
-    if keep.sum() >= 3:
+    survivors = int(keep.sum())
+    reference = bins = None
+    if survivors >= 3:
         survivor_samples = np.concatenate(
             [samples_list[i] for i in range(count) if keep[i]])
         survivor_times = np.concatenate(
@@ -215,10 +221,7 @@ def screen_repetitions(times_list, samples_list, period: float,
                                       period=period, num_bins=num_bins)
         residuals = np.full(count, np.nan)
         if stacked is not None:
-            times_mat = np.vstack(times_list)
-            offsets = modular_offsets(times_mat, period)
-            bins = np.round(offsets / period * num_bins).astype(int) \
-                % num_bins
+            bins = offset_bins(np.vstack(times_list), period, num_bins)
             residual = stacked - reference[bins]
             all_residuals = np.sqrt(np.mean(residual ** 2, axis=1))
             residuals[keep] = all_residuals[keep]
@@ -226,10 +229,8 @@ def screen_repetitions(times_list, samples_list, period: float,
             for index in range(count):
                 if not keep[index]:
                     continue
-                offsets = modular_offsets(times_list[index], period)
-                bins = np.round(offsets / period * num_bins).astype(int) \
-                    % num_bins
-                residual = samples_list[index] - reference[bins]
+                residual = samples_list[index] - reference[
+                    offset_bins(times_list[index], period, num_bins)]
                 residuals[index] = float(np.sqrt(np.mean(residual ** 2)))
         median_residual = float(np.nanmedian(residuals))
         if median_residual > _EPS:
@@ -243,7 +244,12 @@ def screen_repetitions(times_list, samples_list, period: float,
                         f"{residuals[index]:.3f} vs median "
                         f"{median_residual:.3f}")
 
-    return RepetitionScreen(keep=keep, reasons=reasons)
+    # the provisional fold covers exactly the kept set unless stage B
+    # rejected one of its survivors
+    if keep.sum() < survivors:
+        reference = None
+    return RepetitionScreen(keep=keep, reasons=reasons, reference=reference,
+                            bins=bins)
 
 
 def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
@@ -251,12 +257,13 @@ def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
                    lost_repetitions: int = 0,
                    screened_repetitions: int = 0,
                    total_repetitions: int = 0,
-                   reference: Optional[np.ndarray] = None
-                   ) -> CaptureQuality:
+                   reference: Optional[np.ndarray] = None,
+                   bins: Optional[np.ndarray] = None) -> CaptureQuality:
     """Score one raw repetition stream against its folded reference.
 
-    ``reference`` may be passed when the caller already folded the
-    capture (avoids folding twice); otherwise it is recomputed here.
+    ``reference`` and ``bins`` (each sample's offset bin) may be passed
+    when the caller already has them (avoids folding or binning twice);
+    otherwise they are recomputed here.
     """
     samples = np.asarray(samples, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -270,10 +277,10 @@ def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
     if reference is None:
         reference, _ = modulo_average(samples, times, period=period,
                                       num_bins=num_bins)
+    if bins is None:
+        bins = offset_bins(times, period, num_bins)
     # residual of every raw sample against its own offset bin's average:
     # AWGN, bursts, drift, and misalignment all land here
-    offsets = modular_offsets(times, period)
-    bins = np.round(offsets / period * num_bins).astype(int) % num_bins
     residual = samples - reference[bins]
     signal_rms = float(np.sqrt(np.mean(
         (reference - reference.mean()) ** 2)))

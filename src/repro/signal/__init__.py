@@ -8,7 +8,7 @@ from .metrics import (amplitude_correlation, cross_correlation,
                       match_report, normalize_energy, normalized_rmse,
                       per_cycle_correlations, per_cycle_similarities,
                       rms_error, simulation_accuracy)
-from .modulo import fold_repetitions, modular_offsets, modulo_average
+from .modulo import modular_offsets, modulo_average
 from .reconstruction import (batch_estimate_cycle_amplitudes,
                              batch_reconstruct, estimate_cycle_amplitudes,
                              peak_amplitudes, reconstruct, reconstruct_at)
@@ -27,7 +27,6 @@ __all__ = [
     "batch_reconstruct",
     "cross_correlation",
     "estimate_cycle_amplitudes",
-    "fold_repetitions",
     "gaussian_smooth",
     "harmonic_energy",
     "make_kernel",

@@ -55,19 +55,19 @@ class RepetitionStats:
 
 
 class Oscilloscope:
-    """Samples a continuous signal ``y(t)`` (t in device clock cycles).
+    """Samples a continuous signal on the scope's time grid.
+
+    The signal is a grid evaluator ``y(starts, count, step)``: it samples
+    ``t = starts[r] + k * step`` (t in device clock cycles) for
+    ``k < count`` and returns the repetitions concatenated in order, as
+    :meth:`~repro.hardware.emitter.HardwareEmitter.continuous` does.
 
     ``injector`` optionally threads a seeded
     :class:`~repro.robustness.faults.FaultInjector` into the capture
-    path: capture-killing faults raise
-    :class:`~repro.robustness.errors.AcquisitionError`, signal faults
+    path: capture-killing faults lose the repetition, signal faults
     corrupt the raw samples before quantization (so saturation rails,
     exactly as on a real ADC).
     """
-
-    #: a repetition run losing more than this fraction of its traces is
-    #: reported as failed delivery rather than silently under-averaged
-    MAX_LOST_FRACTION = 0.5
 
     def __init__(self, config: ScopeConfig,
                  rng: np.random.Generator,
@@ -84,76 +84,30 @@ class Oscilloscope:
                           config.adc_range / 2 - step)
         return np.round(clipped / step) * step
 
-    def capture(self, continuous: Callable[[np.ndarray], np.ndarray],
-                duration_cycles: float,
-                start_cycle: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Capture one trace; returns ``(sample_times, samples)``.
-
-        ``sample_times`` are in device-clock cycles, offset by trigger
-        jitter; samples include AWGN and quantization.  With a fault
-        injector attached, a lost trigger or device brown-out raises
-        :class:`AcquisitionError` and corrupting faults are folded in
-        ahead of the ADC.
-        """
-        if self.injector is not None:
-            self.injector.begin_capture()
-        config = self.config
-        count = int(duration_cycles * config.effective_rate)
-        jitter = self.rng.uniform(0, config.trigger_jitter_cycles)
-        times = start_cycle + jitter + \
-            np.arange(count) / config.effective_rate
-        samples = continuous(times)
-        samples = samples + self.rng.normal(0.0, config.noise_rms,
-                                            size=samples.shape)
-        if self.injector is not None:
-            times, samples = self.injector.corrupt(times, samples)
-        return times, self._quantize(samples)
-
-    def capture_repetitions(self,
-                            continuous: Callable[[np.ndarray], np.ndarray],
-                            duration_cycles: float,
-                            repetitions: int) -> Tuple[np.ndarray,
-                                                       np.ndarray]:
-        """Capture ``repetitions`` back-to-back traces of the same
-        sequence, concatenated on a common absolute time axis.
-
-        This is the paper's "executed several times (1000 times in our
-        measurements)" collection loop.  Individual repetitions lost to
-        trigger/brown-out faults are skipped and tallied in
-        ``last_repetition_stats``; the run only fails (with
-        :class:`AcquisitionError`) when more than ``MAX_LOST_FRACTION``
-        of the requested traces are gone.
-        """
-        times_list, samples_list = self.capture_repetition_list(
-            continuous, duration_cycles, repetitions)
-        lost = self.last_repetition_stats.lost
-        if not samples_list or lost > repetitions * self.MAX_LOST_FRACTION:
-            raise AcquisitionError(
-                f"capture run lost {lost}/{repetitions} repetitions "
-                f"to trigger/brown-out faults")
-        return np.concatenate(times_list), np.concatenate(samples_list)
-
     def capture_repetition_list(self,
-                                continuous: Callable[[np.ndarray],
-                                                     np.ndarray],
+                                continuous: Callable[[np.ndarray, int,
+                                                      float], np.ndarray],
                                 duration_cycles: float,
                                 repetitions: int) -> Tuple[list, list]:
-        """Capture repetitions as *separate* traces (for screening).
+        """Capture back-to-back repetitions as *separate* traces.
 
-        Returns ``(times_list, samples_list)`` of the delivered traces,
-        each already shifted onto the common absolute time axis; lost
-        repetitions are recorded in ``last_repetition_stats`` instead of
-        raising, so the caller decides how many losses are tolerable.
+        This is the paper's "executed several times (1000 times in our
+        measurements)" collection loop.  Returns ``(times_list,
+        samples_list)`` of the delivered traces, each already shifted
+        onto the common absolute time axis; repetitions lost to
+        trigger/brown-out faults are recorded in
+        ``last_repetition_stats`` instead of raising, so the caller
+        decides how many losses are tolerable.
 
         The RNG stream is consumed per repetition, in order (trigger
-        gating, jitter, noise, corruption draws); then every delivered
-        repetition's sampling grid is concatenated and ``y(t)`` is
-        evaluated **once**, split, given its noise and corruption, and
-        quantized.
+        gating, jitter, noise, corruption draws); then ``y`` is evaluated
+        **once**, on every delivered repetition's grid (its jitter, the
+        sample count, one sample period), split, given its noise and
+        corruption, and quantized.
         """
         config = self.config
         count = int(duration_cycles * config.effective_rate)
-        plans = []          # (repetition, times, noise, recipe)
+        plans = []          # (repetition, jitter, noise, recipe)
         lost = 0
         for repetition in range(repetitions):
             if self.injector is not None:
@@ -163,20 +117,22 @@ class Oscilloscope:
                     lost += 1
                     continue
             jitter = self.rng.uniform(0, config.trigger_jitter_cycles)
-            times = jitter + np.arange(count) / config.effective_rate
             noise = self.rng.normal(0.0, config.noise_rms, size=count)
             recipe = self.injector.draw_corruption(count) \
                 if self.injector is not None else None
-            plans.append((repetition, times, noise, recipe))
+            plans.append((repetition, jitter, noise, recipe))
 
         times_list: list = []
         samples_list: list = []
         if plans:
-            values = continuous(np.concatenate([plan[1] for plan in plans]))
+            values = continuous(np.array([plan[1] for plan in plans]),
+                                count, 1.0 / config.effective_rate)
+            grid = np.arange(count) / config.effective_rate
             offset = 0
-            for repetition, times, noise, recipe in plans:
+            for repetition, jitter, noise, recipe in plans:
                 samples = values[offset:offset + count] + noise
                 offset += count
+                times = jitter + grid
                 if recipe is not None:
                     times, samples = self.injector.apply_corruption(
                         recipe, times, samples)

@@ -21,6 +21,17 @@ def modular_offsets(sample_times: np.ndarray,
     return np.mod(np.asarray(sample_times, dtype=float), period)
 
 
+def offset_bins(sample_times: np.ndarray, period: float,
+                num_bins: int) -> np.ndarray:
+    """Each sample's offset bin on a uniform ``num_bins`` grid.
+
+    Nearest-bin assignment keeps each bin's average centered on its grid
+    point (floor would introduce a half-bin phase lag).
+    """
+    offsets = modular_offsets(sample_times, period)
+    return np.round(offsets / period * num_bins).astype(int) % num_bins
+
+
 def modulo_average(samples: np.ndarray, sample_times: np.ndarray,
                    period: float, num_bins: int) -> Tuple[np.ndarray,
                                                           np.ndarray]:
@@ -32,11 +43,7 @@ def modulo_average(samples: np.ndarray, sample_times: np.ndarray,
     interpolation from their neighbours.
     """
     samples = np.asarray(samples, dtype=float)
-    offsets = modular_offsets(sample_times, period)
-    # nearest-bin assignment keeps each bin's average centered on its grid
-    # point (floor would introduce a half-bin phase lag)
-    bins = np.round(offsets / period * num_bins).astype(int) % num_bins
-
+    bins = offset_bins(sample_times, period, num_bins)
     sums = np.bincount(bins, weights=samples, minlength=num_bins)
     counts = np.bincount(bins, minlength=num_bins)
     reference = np.zeros(num_bins)
@@ -53,14 +60,3 @@ def modulo_average(samples: np.ndarray, sample_times: np.ndarray,
         reference[~filled] = np.interp(grid[~filled], grid[filled],
                                        reference[filled], period=num_bins)
     return reference, counts
-
-
-def fold_repetitions(samples: np.ndarray, sample_times: np.ndarray,
-                     clock_period: float, num_cycles: int,
-                     samples_per_cycle: int) -> np.ndarray:
-    """Convenience wrapper: reference waveform for a ``num_cycles``-long
-    sequence on the standard ``samples_per_cycle`` grid."""
-    period = num_cycles * clock_period
-    reference, _ = modulo_average(samples, sample_times, period,
-                                  num_cycles * samples_per_cycle)
-    return reference

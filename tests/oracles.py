@@ -16,6 +16,9 @@ asserting that the engine computes the same thing:
   distances at every step;
 * :func:`seed_aes_program` — AES-128 generated as assembly text with the
   key schedule and plaintext as ``.byte`` data, assembled per call;
+* :func:`seed_continuous` — the emitter's ``y(t)`` at arbitrary times,
+  one ``sin`` and one ``exp`` per sample and unit (:func:`on_grid`
+  gives it, or any one-argument signal, the grid call form);
 * :func:`seed_predict_cycle_amplitudes`, :func:`seed_unit_amplitudes`,
   :func:`seed_miso_design` and :func:`seed_joint_rows` — the per-cycle
   Python loops over EM-class labels and occupancy objects;
@@ -445,6 +448,80 @@ def seed_unit_amplitudes(emitter, trace):
             @ unit.bit_weights
         amplitudes[:, column] = static + flips
     return amplitudes
+
+
+def seed_continuous(emitter, trace):
+    """``y(t)`` at arbitrary times: the lag sums fold into per-cycle
+    tables, then every sample pays one ``sin`` and one ``exp`` per unit.
+
+    Times are in nominal-clock cycles, as for
+    :meth:`~repro.hardware.emitter.HardwareEmitter.continuous`.
+    """
+    units = emitter.units
+    amplitudes = emitter.unit_amplitudes(trace)
+    weighted = amplitudes * (emitter.gain * emitter._couplings)[None, :]
+    num_cycles = trace.num_cycles
+    scale = emitter.clock_scale
+
+    supports = np.array([int(np.ceil(unit.kernel.support_cycles))
+                         for unit in units])
+    max_lag = int(supports.max())
+    lags = np.arange(max_lag + 1)
+    t0 = np.array([unit.kernel.t0 for unit in units])
+    theta = np.array([unit.kernel.theta for unit in units])
+    phase = np.array([unit.kernel.phase for unit in units])
+    # (lags, units) constants: cos/sin of the per-lag phase advance,
+    # scaled by the per-lag decay; zeroed beyond each unit's support
+    lag_angle = 2.0 * np.pi * lags[:, None] / t0[None, :]
+    lag_decay = np.exp(-theta[None, :] * lags[:, None])
+    in_support = lags[:, None] <= supports[None, :]
+    lag_cos = np.where(in_support, np.cos(lag_angle) * lag_decay, 0.0)
+    lag_sin = np.where(in_support, np.sin(lag_angle) * lag_decay, 0.0)
+    # zero-guard rows on both sides absorb out-of-range cycles
+    pad = max_lag + 1
+    padded = np.zeros((num_cycles + 2 * pad, len(units)))
+    padded[pad:pad + num_cycles] = weighted
+    rows = padded.shape[0]
+    cos_table = np.zeros_like(padded)
+    sin_table = np.zeros_like(padded)
+    for lag in range(max_lag + 1):
+        shifted = np.roll(padded, lag, axis=0)
+        shifted[:lag] = 0.0
+        cos_table += shifted * lag_cos[lag][None, :]
+        sin_table += shifted * lag_sin[lag][None, :]
+    # fold the probe phase in:
+    #   sin(a f + phi) X + cos(a f + phi) Y
+    #     = sin(a f)(X cos phi - Y sin phi) + cos(a f)(X sin phi + Y cos phi)
+    cos_phase, sin_phase = np.cos(phase), np.sin(phase)
+    cos_table, sin_table = \
+        (cos_table * cos_phase[None, :] - sin_table * sin_phase[None, :],
+         cos_table * sin_phase[None, :] + sin_table * cos_phase[None, :])
+    # X sin(a f) + Y cos(a f) = R sin(a f + psi)
+    amp_table = np.hypot(cos_table, sin_table)
+    shift_table = np.arctan2(sin_table, cos_table)
+    angular = 2.0 * np.pi / t0
+
+    def evaluate(times):
+        times = np.asarray(times, dtype=float) / scale
+        base_cycle = np.floor(times).astype(int)
+        frac = times - base_cycle
+        index = np.clip(base_cycle + pad, 0, rows - 1)
+        angle = frac[:, None] * angular[None, :] + shift_table[index]
+        decay = np.exp(-frac[:, None] * theta[None, :])
+        return (amp_table[index] * np.sin(angle) * decay).sum(axis=1)
+
+    return evaluate
+
+
+def on_grid(evaluate):
+    """Adapt a one-argument ``y(t)`` to the grid call form
+    ``y(starts, count, step)``: ``t = starts[r] + k * step`` for
+    ``k < count``, repetitions concatenated in order."""
+    def sampled(starts, count, step):
+        starts = np.asarray(starts, dtype=float)
+        return evaluate((starts[:, None] + np.arange(count) * step).ravel())
+
+    return sampled
 
 
 def seed_miso_design(model, trace):

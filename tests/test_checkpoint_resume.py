@@ -19,8 +19,9 @@ from repro.hardware import HardwareDevice
 from repro.leakage.tvla import collect_tvla_traces, tvla
 from repro.parallel import supervised_map
 from repro.robustness import (CheckpointError, CheckpointJournal,
-                              ConfigurationError, JOURNAL_SCHEMA,
+                              ConfigurationError, FaultPlan, JOURNAL_SCHEMA,
                               content_key)
+from repro.signal import ScopeConfig
 from repro.workloads import RandomProgramBuilder
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -212,6 +213,32 @@ class TestCampaignResume:
             measurement_campaign(HardwareDevice(seed=3), programs,
                                  repetitions=8, workers=1, seed=10,
                                  checkpoint=path, resume=True)
+
+    @pytest.mark.parametrize("changed", [
+        {"scope_config": ScopeConfig(adc_range=16.0, noise_rms=0.5)},
+        {"fault_plan": FaultPlan.preset(0.2)},
+        {"auto_range": False},
+    ], ids=["noise", "faults", "fixed-range"])
+    def test_resume_under_a_changed_scope_recaptures(self, tmp_path,
+                                                     changed):
+        """The probe key covers the scope: a journal written under one
+        scope must not answer for a bench with another one."""
+        programs = _programs(2)
+        path = str(tmp_path / "campaign.jsonl")
+        written = {"seed": 3, "scope_config": ScopeConfig(adc_range=16.0)}
+        measurement_campaign(HardwareDevice(**written), programs,
+                             repetitions=24, workers=1, seed=9,
+                             checkpoint=path)
+        bench = dict(written, **changed)
+        fresh = measurement_campaign(HardwareDevice(**bench), programs,
+                                     repetitions=24, workers=1, seed=9)
+        resumed = measurement_campaign(HardwareDevice(**bench), programs,
+                                       repetitions=24, workers=1, seed=9,
+                                       checkpoint=path, resume=True)
+        for a, b in zip(fresh, resumed):
+            assert np.array_equal(a.signal, b.signal)
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert a.quality == b.quality
 
     def test_hard_kill_then_resume(self, tmp_path):
         """A campaign process dying mid-run (os._exit, as a stand-in

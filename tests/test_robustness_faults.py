@@ -5,15 +5,21 @@ fault stream, the same corrupted samples, and the same screening
 decisions run after run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.hardware import HardwareDevice
+from repro.hardware import device as device_module
 from repro.robustness import (AcquisitionError, CaptureQualityError,
                               FAULT_KINDS, FaultInjector, FaultPlan,
                               HealthPolicy, assess_capture, clipping_ratio,
-                              screen_repetitions)
+                              health, screen_repetitions)
 from repro.signal.acquisition import Oscilloscope, ScopeConfig
+from repro.workloads import RandomProgramBuilder
+
+from .oracles import on_grid
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +113,7 @@ def test_saturation_rails_the_adc():
     config = ScopeConfig()
     scope = Oscilloscope(config, np.random.default_rng(0),
                          injector=FaultInjector(plan))
-    times, samples = scope.capture(lambda t: np.sin(t), 20.0)
+    _, (samples,) = scope.capture_repetition_list(on_grid(np.sin), 20.0, 1)
     ratio = clipping_ratio(samples, config.adc_range, config.adc_bits)
     assert ratio > 0.5
 
@@ -116,32 +122,16 @@ def test_saturation_rails_the_adc():
 # scope integration
 # ----------------------------------------------------------------------
 
-def test_trigger_loss_raises_from_capture():
-    plan = FaultPlan(trigger_loss_prob=1.0, seed=0)
-    scope = Oscilloscope(ScopeConfig(), np.random.default_rng(0),
-                         injector=FaultInjector(plan))
-    with pytest.raises(AcquisitionError, match="trigger"):
-        scope.capture(lambda t: np.zeros_like(t), 10.0)
-
-
 def test_repetition_list_tallies_losses_without_raising():
     plan = FaultPlan(trigger_loss_prob=0.5, seed=11)
     scope = Oscilloscope(ScopeConfig(), np.random.default_rng(0),
                          injector=FaultInjector(plan))
     times_list, samples_list = scope.capture_repetition_list(
-        lambda t: np.sin(t), 10.0, 40)
+        on_grid(np.sin), 10.0, 40)
     stats = scope.last_repetition_stats
     assert stats.requested == 40
     assert stats.lost == 40 - len(samples_list)
     assert 0 < stats.lost < 40
-
-
-def test_repetition_run_fails_when_mostly_lost():
-    plan = FaultPlan(trigger_loss_prob=0.95, seed=2)
-    scope = Oscilloscope(ScopeConfig(), np.random.default_rng(0),
-                         injector=FaultInjector(plan))
-    with pytest.raises(AcquisitionError, match="lost"):
-        scope.capture_repetitions(lambda t: np.sin(t), 10.0, 40)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +142,8 @@ def _clean_repetitions(count=12, cycles=30, seed=0):
     """Synthesize a repetition stream the screen should fully accept."""
     config = ScopeConfig()
     scope = Oscilloscope(config, np.random.default_rng(seed))
-    signal = lambda t: np.sin(2 * np.pi * t) + 0.3 * np.sin(4 * np.pi * t)
+    signal = on_grid(lambda t: np.sin(2 * np.pi * t) +
+                     0.3 * np.sin(4 * np.pi * t))
     return scope.capture_repetition_list(signal, float(cycles), count), \
         float(cycles), cycles * 20, config
 
@@ -241,3 +232,65 @@ def test_device_with_faults_reports_degraded_capture():
     measurement = device.capture_reference(group, repetitions=16)
     assert measurement.quality.lost_repetitions > 0
     assert measurement.quality.clean_repetitions < 16
+
+
+# ----------------------------------------------------------------------
+# fold once
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("plan, folds, stage_b_rejects, stacked", [
+    (None, 1, False, True),
+    # stage B rejects repetition 6, so the kept set is folded again
+    (FaultPlan.preset(0.2, seed=4), 2, True, False),
+    # stage B rejects repetition 9; the kept rows' bins are reused
+    (FaultPlan(jitter_spike_prob=0.2, seed=0), 2, True, True),
+    # dropped samples leave ragged repetitions: no stacked bins
+    (FaultPlan(drop_rate=0.05, seed=1), 1, False, False),
+], ids=["clean", "preset-0.2", "jitter-spikes", "ragged"])
+def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
+                                                   stage_b_rejects,
+                                                   stacked):
+    """The screen's provisional fold is the reference unless stage B
+    rejected one of its survivors, and its bins feed the quality; either
+    way the measurement equals the one folded and binned from scratch."""
+    program = RandomProgramBuilder(seed=2).program(24, name="fold")
+    calls = []
+    screens = []
+    fold = health.modulo_average
+
+    def counted_fold(*args, **kwargs):
+        calls.append(1)
+        return fold(*args, **kwargs)
+
+    def recorded_screen(*args, **kwargs):
+        screens.append(screen_repetitions(*args, **kwargs))
+        return screens[-1]
+
+    monkeypatch.setattr(health, "modulo_average", counted_fold)
+    monkeypatch.setattr(device_module, "modulo_average", counted_fold)
+    monkeypatch.setattr(device_module, "screen_repetitions",
+                        recorded_screen)
+
+    def capture():
+        device = HardwareDevice(seed=4, fault_plan=plan)
+        return device.capture_reference(program, repetitions=24)
+
+    measurement = capture()
+    (screen,) = screens
+    assert len(calls) == folds
+    assert any("fold residual" in reason
+               for reason in screen.reasons) == stage_b_rejects
+    assert (screen.reference is None) == stage_b_rejects
+    assert (screen.bins is not None) == stacked
+
+    # today's path: a screen result without its fold and bins
+    monkeypatch.setattr(
+        device_module, "screen_repetitions",
+        lambda *args, **kwargs: dataclasses.replace(
+            screen_repetitions(*args, **kwargs), reference=None,
+            bins=None))
+    folded = capture()
+    assert np.array_equal(measurement.signal, folded.signal)
+    for field in dataclasses.fields(measurement.quality):
+        assert getattr(measurement.quality, field.name) == \
+            getattr(folded.quality, field.name), field.name

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from repro.robustness import AcquisitionError
 from repro.signal import (DampedSineKernel, Oscilloscope, ScopeConfig,
-                          fold_repetitions, gaussian_smooth,
-                          modular_offsets, modulo_average, moving_average,
-                          reconstruct, reconstruct_at,
+                          gaussian_smooth, modular_offsets, modulo_average,
+                          moving_average, reconstruct, reconstruct_at,
                           simulation_accuracy)
+
+from .oracles import on_grid
 
 KERNEL = DampedSineKernel()
 SPC = 20
@@ -55,7 +56,9 @@ def test_scope_capture_shapes_and_quantization():
                                      noise_rms=0.0, adc_bits=6,
                                      trigger_jitter_cycles=0.0),
                          np.random.default_rng(0))
-    times, samples = scope.capture(lambda t: np.sin(t), 10.0)
+    times_list, samples_list = scope.capture_repetition_list(
+        on_grid(np.sin), 10.0, 1)
+    (times,), (samples,) = times_list, samples_list
     assert len(times) == len(samples) == int(10 * 8.0 * (1 + 1.37e-3))
     step = 4.0 / 2 ** 6
     assert np.allclose(np.round(samples / step), samples / step)
@@ -65,7 +68,8 @@ def test_scope_noise_statistics():
     scope = Oscilloscope(ScopeConfig(samples_per_cycle=50.0,
                                      noise_rms=0.1, adc_bits=14),
                          np.random.default_rng(1))
-    _, samples = scope.capture(lambda t: np.zeros_like(t), 200.0)
+    _, (samples,) = scope.capture_repetition_list(
+        on_grid(np.zeros_like), 200.0, 1)
     assert 0.08 < samples.std() < 0.12
 
 
@@ -75,10 +79,11 @@ def test_full_capture_chain_recovers_reference(rng):
     scope = Oscilloscope(ScopeConfig(samples_per_cycle=7.0,
                                      noise_rms=0.05),
                          np.random.default_rng(2))
-    times, samples = scope.capture_repetitions(
-        lambda t: reconstruct_at(amplitudes, KERNEL, t), 30.0, 300)
-    reference = fold_repetitions(samples, times, clock_period=1.0,
-                                 num_cycles=30, samples_per_cycle=SPC)
+    times_list, samples_list = scope.capture_repetition_list(
+        on_grid(lambda t: reconstruct_at(amplitudes, KERNEL, t)), 30.0, 300)
+    reference, _ = modulo_average(np.concatenate(samples_list),
+                                  np.concatenate(times_list), period=30.0,
+                                  num_bins=30 * SPC)
     assert simulation_accuracy(ideal, reference, SPC) > 0.95
 
 
