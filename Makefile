@@ -7,7 +7,10 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Tier-1 tests, repro-lint, then the benchmark harness's self-tests:
 # bench/test_bench.py sits outside pytest's testpaths, and it fails when
-# a callable the traced pass wraps is renamed or deleted.  Last, the
+# a callable the traced pass wraps is renamed or deleted.  Then the
+# benchmark's smoke run (~20 s): `python -m bench --quick` checks every
+# workload's outputs against bench/golden.json, so a change that moves a
+# trained model, a TVLA t statistic or a SAVAT entry fails here.  Last, the
 # paper-shape benches: Fig. 10 (AES TVLA through EMSim's schedule
 # replay, ~7 s), then Figs. 5-7 (stalls, cache misses, mispredictions)
 # and Table II (the SAVAT matrix, measured and simulated) in one pytest
@@ -21,6 +24,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # up in `git status`.
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
+	$(PYTHON) -m bench --quick
 	cd benchmarks && $(PYTHON) -m pytest test_fig10_tvla.py \
 		--benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig5_stall.py \

@@ -167,11 +167,14 @@ def _stepwise_gram(cache: GramCache, f_threshold: float,
     with the exact :func:`_rss` and the winner chosen by a strict-``<``
     scan in candidate order, so exact ties (duplicate design columns
     are common in transition matrices) break toward the earliest
-    column, as a dense scan over every candidate would.  The decision
-    quantities — the accepted candidate's residual sum of squares and
-    the partial-F statistic — come from those exact rescores, which
-    also sidesteps the sweep's weakness: the ``y^T y - b . beta``
-    identity cancels catastrophically once the fit is nearly exact.
+    column, as a dense scan over every candidate would.  Candidates that
+    tie only in exact arithmetic are decided by rounding, so a ~1e-16
+    change to the design or the target can pick a different column.  The
+    decision quantities — the accepted candidate's residual sum of
+    squares and the partial-F statistic — come from those exact
+    rescores, which also sidesteps the sweep's weakness: the
+    ``y^T y - b . beta`` identity cancels catastrophically once the fit
+    is nearly exact.
     The shortlist is a handful of columns in practice, so each step
     costs a few dense solves instead of one per candidate.
     """

@@ -193,10 +193,12 @@ class HardwareDevice:
         individually (clipping, energy, fold residual) before the fold,
         and the returned measurement carries a
         :class:`~repro.robustness.health.CaptureQuality` for gating.
-        Each capture is folded once: when the screen's residual stage
-        rejects none of its survivors, its provisional fold is the
-        reference; the offset bins it computed for equal-length
-        repetitions feed the quality statistics.
+        Each capture is binned and folded once: when the screen's
+        residual stage rejects none of its survivors, its provisional
+        fold is the reference; the offset bins it computed for
+        equal-length repetitions feed any later fold and the quality
+        statistics, and the kept sample times are then never
+        concatenated.
 
         The repetitions are collected in one vectorized pass: every
         trigger and noise draw comes off the device RNG in repetition
@@ -239,14 +241,20 @@ class HardwareDevice:
             raise AcquisitionError(
                 f"all {len(samples_list)} delivered repetitions were "
                 f"screened out as corrupt")
-        times = np.concatenate([times_list[i] for i in kept])
         samples = np.concatenate([samples_list[i] for i in kept])
-        # fold once: the screen's fold is the reference whenever it
-        # covers exactly the kept repetitions
+        # bin and fold once: the screen's bins are the kept samples' bins
+        # whenever it stacked equal-length repetitions, and its fold is
+        # the reference whenever it covers exactly the kept repetitions
+        bins = times = None
+        if screen.bins is not None:
+            bins = screen.bins[kept].ravel()
+        else:
+            times = np.concatenate([times_list[i] for i in kept])
         reference = screen.reference
         if reference is None:
             reference, _ = modulo_average(
-                samples, times, period=duration, num_bins=num_bins)
+                samples, times, period=duration, num_bins=num_bins,
+                bins=bins)
         quality = assess_capture(
             samples, times, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
@@ -254,8 +262,7 @@ class HardwareDevice:
             lost_repetitions=stats.lost,
             screened_repetitions=screen.rejected,
             total_repetitions=stats.requested,
-            reference=reference,
-            bins=None if screen.bins is None else screen.bins[kept].ravel())
+            reference=reference, bins=bins)
         return Measurement(signal=reference, trace=trace,
                            samples_per_cycle=self.samples_per_cycle,
                            program_name=program.name,

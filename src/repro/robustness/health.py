@@ -162,7 +162,9 @@ def screen_repetitions(times_list, samples_list, period: float,
     with the folded reference far more than their peers (clock-jitter
     spikes, burst interference).  Retrying a rejected *run* with a larger
     repetition budget therefore converges: the clean subset grows even if
-    the corruption rate stays constant.  The provisional fold and the
+    the corruption rate stays constant.  Equal-length repetitions are
+    binned once: the provisional fold reads the survivors' rows of those
+    bins and the residuals read every row.  The provisional fold and the
     offset bins come back on the result for the caller to reuse (see
     :class:`RepetitionScreen`).
     """
@@ -213,19 +215,24 @@ def screen_repetitions(times_list, samples_list, period: float,
     survivors = int(keep.sum())
     reference = bins = None
     if survivors >= 3:
-        survivor_samples = np.concatenate(
-            [samples_list[i] for i in range(count) if keep[i]])
-        survivor_times = np.concatenate(
-            [times_list[i] for i in range(count) if keep[i]])
-        reference, _ = modulo_average(survivor_samples, survivor_times,
-                                      period=period, num_bins=num_bins)
         residuals = np.full(count, np.nan)
         if stacked is not None:
+            # one binning pass: the fold reads the survivors' rows of
+            # the same bins, in the order concatenation would give
             bins = offset_bins(np.vstack(times_list), period, num_bins)
+            reference, _ = modulo_average(stacked[keep].ravel(), None,
+                                          period=period, num_bins=num_bins,
+                                          bins=bins[keep].ravel())
             residual = stacked - reference[bins]
             all_residuals = np.sqrt(np.mean(residual ** 2, axis=1))
             residuals[keep] = all_residuals[keep]
         else:
+            survivor_samples = np.concatenate(
+                [samples_list[i] for i in range(count) if keep[i]])
+            survivor_times = np.concatenate(
+                [times_list[i] for i in range(count) if keep[i]])
+            reference, _ = modulo_average(survivor_samples, survivor_times,
+                                          period=period, num_bins=num_bins)
             for index in range(count):
                 if not keep[index]:
                     continue
@@ -252,8 +259,9 @@ def screen_repetitions(times_list, samples_list, period: float,
                             bins=bins)
 
 
-def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
-                   num_bins: int, adc_range: float, adc_bits: int,
+def assess_capture(samples: np.ndarray, times: Optional[np.ndarray],
+                   period: float, num_bins: int, adc_range: float,
+                   adc_bits: int,
                    lost_repetitions: int = 0,
                    screened_repetitions: int = 0,
                    total_repetitions: int = 0,
@@ -263,10 +271,9 @@ def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
 
     ``reference`` and ``bins`` (each sample's offset bin) may be passed
     when the caller already has them (avoids folding or binning twice);
-    otherwise they are recomputed here.
+    otherwise they are recomputed here, and only then is ``times`` read.
     """
     samples = np.asarray(samples, dtype=float)
-    times = np.asarray(times, dtype=float)
     if samples.size == 0:
         return CaptureQuality(clipping_ratio=0.0, snr_db=-np.inf,
                               alignment_residual=np.inf,
@@ -274,11 +281,11 @@ def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
                               screened_repetitions=screened_repetitions,
                               total_repetitions=total_repetitions,
                               num_samples=0)
-    if reference is None:
-        reference, _ = modulo_average(samples, times, period=period,
-                                      num_bins=num_bins)
     if bins is None:
         bins = offset_bins(times, period, num_bins)
+    if reference is None:
+        reference, _ = modulo_average(samples, None, period=period,
+                                      num_bins=num_bins, bins=bins)
     # residual of every raw sample against its own offset bin's average:
     # AWGN, bursts, drift, and misalignment all land here
     residual = samples - reference[bins]

@@ -143,8 +143,12 @@ class CaptureSupervisor:
         :class:`CaptureQualityError` only when degradation is disabled
         (or impossible, i.e. the ideal path itself failed).
         """
-        outcome = ProbeOutcome(program=getattr(program, "name", str(program)),
-                               final_method=method,
+        # str() only for an object without a name: a program's repr
+        # formats its whole instruction list and data image
+        name = getattr(program, "name", None)
+        if name is None:
+            name = str(program)
+        outcome = ProbeOutcome(program=name, final_method=method,
                                final_repetitions=repetitions)
         reps = repetitions
         last_error: Optional[Exception] = None

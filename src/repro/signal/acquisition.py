@@ -80,9 +80,13 @@ class Oscilloscope:
     def _quantize(self, samples: np.ndarray) -> np.ndarray:
         config = self.config
         step = config.adc_range / (2 ** config.adc_bits)
-        clipped = np.clip(samples, -config.adc_range / 2,
-                          config.adc_range / 2 - step)
-        return np.round(clipped / step) * step
+        # round(clip(x) / step) * step, in place on the clipped copy
+        codes = np.clip(samples, -config.adc_range / 2,
+                        config.adc_range / 2 - step)
+        codes /= step
+        np.round(codes, out=codes)
+        codes *= step
+        return codes
 
     def capture_repetition_list(self,
                                 continuous: Callable[[np.ndarray, int,

@@ -8,8 +8,6 @@ cross-correlation of each cycle pair, and report the average across cycles —
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 _EPSILON = 1e-12
@@ -40,26 +38,6 @@ def cross_correlation(first: np.ndarray, second: np.ndarray) -> float:
         return 0.0
     return float(np.dot(first, second) /
                  np.sqrt(energy_first * energy_second))
-
-
-def per_cycle_correlations(simulated: np.ndarray, measured: np.ndarray,
-                           samples_per_cycle: int) -> np.ndarray:
-    """Normalized cross-correlation of each clock cycle's waveform.
-
-    Amplitude-*insensitive*: each cycle segment is normalized separately,
-    so this measures waveform-shape agreement only.
-    """
-    simulated = normalize_energy(simulated)
-    measured = normalize_energy(measured)
-    length = min(len(simulated), len(measured))
-    num_cycles = length // samples_per_cycle
-    correlations = np.empty(num_cycles)
-    for cycle in range(num_cycles):
-        start = cycle * samples_per_cycle
-        stop = start + samples_per_cycle
-        correlations[cycle] = cross_correlation(simulated[start:stop],
-                                                measured[start:stop])
-    return correlations
 
 
 def per_cycle_similarities(simulated: np.ndarray, measured: np.ndarray,
@@ -125,29 +103,3 @@ def normalized_rmse(simulated: np.ndarray, measured: np.ndarray) -> float:
         return 0.0 if rms_error(simulated, measured) < _EPSILON else \
             float("inf")
     return rms_error(simulated, measured) / float(rms)
-
-
-def amplitude_correlation(simulated: np.ndarray,
-                          measured: np.ndarray) -> float:
-    """Pearson correlation of per-cycle amplitude sequences."""
-    simulated = np.asarray(simulated, dtype=float)
-    measured = np.asarray(measured, dtype=float)
-    length = min(len(simulated), len(measured))
-    if length < 2:
-        return 1.0
-    sim = simulated[:length] - simulated[:length].mean()
-    meas = measured[:length] - measured[:length].mean()
-    denom = np.sqrt(np.dot(sim, sim) * np.dot(meas, meas))
-    if denom < _EPSILON:
-        return 1.0 if np.allclose(sim, meas) else 0.0
-    return float(np.dot(sim, meas) / denom)
-
-
-def match_report(simulated: np.ndarray, measured: np.ndarray,
-                 samples_per_cycle: int) -> Tuple[float, float, float]:
-    """(accuracy, normalized RMSE, amplitude correlation) in one call."""
-    return (simulation_accuracy(simulated, measured, samples_per_cycle),
-            normalized_rmse(simulated, measured),
-            cross_correlation(
-                normalize_energy(simulated[:len(measured)]),
-                normalize_energy(measured[:len(simulated)])))

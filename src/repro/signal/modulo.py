@@ -10,7 +10,7 @@ reference waveform that model training runs on.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,25 +25,36 @@ def offset_bins(sample_times: np.ndarray, period: float,
                 num_bins: int) -> np.ndarray:
     """Each sample's offset bin on a uniform ``num_bins`` grid.
 
-    Nearest-bin assignment keeps each bin's average centered on its grid
-    point (floor would introduce a half-bin phase lag).
+    ``round(offset / period * num_bins)`` of the Eq. 1 offset, scaled and
+    rounded in place.  Nearest-bin assignment keeps each bin's average
+    centered on its grid point (floor would introduce a half-bin phase
+    lag).  The offsets lie in ``[0, period]``, so the rounded index lies
+    in ``[0, num_bins]``, and only ``num_bins`` wraps to bin 0.
     """
-    offsets = modular_offsets(sample_times, period)
-    return np.round(offsets / period * num_bins).astype(int) % num_bins
+    scaled = modular_offsets(sample_times, period)
+    scaled /= period
+    scaled *= num_bins
+    bins = np.round(scaled, out=scaled).astype(int)
+    bins[bins == num_bins] = 0
+    return bins
 
 
-def modulo_average(samples: np.ndarray, sample_times: np.ndarray,
-                   period: float, num_bins: int) -> Tuple[np.ndarray,
-                                                          np.ndarray]:
+def modulo_average(samples: np.ndarray, sample_times: Optional[np.ndarray],
+                   period: float, num_bins: int,
+                   bins: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Fold samples onto one period and average per offset bin.
 
     Returns ``(reference, counts)``: the averaged waveform on a uniform
     ``num_bins`` grid over one period, and how many raw samples landed in
     each bin.  Bins that received no samples are filled by linear
-    interpolation from their neighbours.
+    interpolation from their neighbours.  ``bins`` (each sample's
+    :func:`offset_bins`) may be passed when the caller already has them;
+    ``sample_times`` is then not read.
     """
     samples = np.asarray(samples, dtype=float)
-    bins = offset_bins(sample_times, period, num_bins)
+    if bins is None:
+        bins = offset_bins(sample_times, period, num_bins)
     sums = np.bincount(bins, weights=samples, minlength=num_bins)
     counts = np.bincount(bins, minlength=num_bins)
     reference = np.zeros(num_bins)

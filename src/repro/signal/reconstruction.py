@@ -258,26 +258,6 @@ def reconstruct(amplitudes: np.ndarray, kernel: Kernel,
     return _synthesize(amplitudes, kernel, samples_per_cycle)
 
 
-def reconstruct_at(amplitudes: np.ndarray, kernel: Kernel,
-                   times: np.ndarray) -> np.ndarray:
-    """Evaluate ``y(t) = sum_n x[n] f(t - n)`` at arbitrary times.
-
-    ``times`` are in cycle units; used by the scope model, whose sampling
-    grid is asynchronous to the device clock.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    times = np.asarray(times, dtype=float)
-    result = np.zeros_like(times)
-    support = int(np.ceil(kernel.support_cycles))
-    base_cycle = np.floor(times).astype(int)
-    for lag in range(support + 1):
-        cycle = base_cycle - lag
-        valid = (cycle >= 0) & (cycle < len(amplitudes))
-        tau = times[valid] - cycle[valid]
-        result[valid] += amplitudes[cycle[valid]] * kernel.evaluate(tau)
-    return result
-
-
 def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
                       samples_per_cycle: int) -> List[np.ndarray]:
     """Synthesize waveforms for many per-cycle amplitude vectors (Eq. 6).
@@ -427,13 +407,3 @@ def batch_estimate_cycle_amplitudes(signals: Sequence[np.ndarray],
                 results[index] = np.ascontiguousarray(solution[row])
     get_metrics().increment("batch_deconvolutions", len(signals))
     return results
-
-
-def peak_amplitudes(signal: np.ndarray,
-                    samples_per_cycle: int) -> np.ndarray:
-    """Cheap alternative estimator: max |signal| within each cycle."""
-    signal = np.asarray(signal, dtype=float)
-    num_cycles = len(signal) // samples_per_cycle
-    segments = signal[:num_cycles * samples_per_cycle].reshape(
-        num_cycles, samples_per_cycle)
-    return np.abs(segments).max(axis=1)

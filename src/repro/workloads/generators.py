@@ -56,6 +56,10 @@ def _scratch_data() -> dict:
     return data
 
 
+# built once per process; every wrapped program gets its own copy
+_SCRATCH_IMAGE = _scratch_data()
+
+
 def wrap_program(instructions: Iterable[Instruction],
                  name: str = "generated",
                  seed_registers: bool = True,
@@ -69,7 +73,7 @@ def wrap_program(instructions: Iterable[Instruction],
     code = (_scratch_preamble() if seed_registers else []) + body
     if append_ebreak:
         code.append(Instruction("ebreak"))
-    return Program(instructions=code, data=_scratch_data(), name=name)
+    return Program(instructions=code, data=dict(_SCRATCH_IMAGE), name=name)
 
 
 class RandomProgramBuilder:

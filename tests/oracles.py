@@ -7,7 +7,9 @@ asserting that the engine computes the same thing:
 * :class:`LegacyActivityTrace` / :class:`LegacyHardwareLatches` — the
   seed's object-graph trace recorder and dict-backed latch store, run on
   either core through :func:`run_legacy`;
-* :func:`direct_reconstruct` — Eq. 6 as one ``np.convolve``;
+* :func:`direct_reconstruct` — Eq. 6 as one ``np.convolve``, and
+  :func:`reconstruct_at` — Eq. 6 at arbitrary times, one kernel
+  evaluation per lag;
 * :func:`lu_estimate_cycle_amplitudes` — the sparse normal-equations
   deconvolution solved by ``spsolve``;
 * :func:`naive_stepwise_select` — step-wise selection with a full dense
@@ -16,6 +18,8 @@ asserting that the engine computes the same thing:
   distances at every step;
 * :func:`seed_aes_program` — AES-128 generated as assembly text with the
   key schedule and plaintext as ``.byte`` data, assembled per call;
+* :func:`seed_offset_bins` — Eq. 1 offset bins with a separate
+  ``% num_bins`` wrap;
 * :func:`seed_continuous` — the emitter's ``y(t)`` at arbitrary times,
   one ``sin`` and one ``exp`` per sample and unit (:func:`on_grid`
   gives it, or any one-argument signal, the grid call form);
@@ -256,6 +260,21 @@ def direct_reconstruct(amplitudes, kernel, samples_per_cycle):
     return signal[:len(impulse_train)]
 
 
+def reconstruct_at(amplitudes, kernel, times):
+    """``y(t) = sum_n x[n] f(t - n)`` at arbitrary times (cycle units)."""
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    times = np.asarray(times, dtype=float)
+    result = np.zeros_like(times)
+    support = int(np.ceil(kernel.support_cycles))
+    base_cycle = np.floor(times).astype(int)
+    for lag in range(support + 1):
+        cycle = base_cycle - lag
+        valid = (cycle >= 0) & (cycle < len(amplitudes))
+        tau = times[valid] - cycle[valid]
+        result[valid] += amplitudes[cycle[valid]] * kernel.evaluate(tau)
+    return result
+
+
 def lu_estimate_cycle_amplitudes(signal, kernel, samples_per_cycle,
                                  ridge=1e-9):
     """Ridge deconvolution through the sparse kernel operator."""
@@ -273,6 +292,16 @@ def lu_estimate_cycle_amplitudes(signal, kernel, samples_per_cycle,
                                  shape=(len(signal), num_cycles))
     gram = operator.T @ operator + ridge * sparse.identity(num_cycles)
     return np.asarray(spsolve(gram.tocsc(), operator.T @ signal)).ravel()
+
+
+# ---------------------------------------------------------------------------
+# modulo fold
+# ---------------------------------------------------------------------------
+def seed_offset_bins(sample_times, period, num_bins):
+    """Each sample's Eq. 1 offset bin, ``round(offset / period *
+    num_bins)``, wrapped by an integer ``% num_bins``."""
+    offsets = np.mod(np.asarray(sample_times, dtype=float), period)
+    return np.round(offsets / period * num_bins).astype(int) % num_bins
 
 
 # ---------------------------------------------------------------------------

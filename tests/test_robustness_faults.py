@@ -16,6 +16,7 @@ from repro.robustness import (AcquisitionError, CaptureQualityError,
                               FAULT_KINDS, FaultInjector, FaultPlan,
                               HealthPolicy, assess_capture, clipping_ratio,
                               health, screen_repetitions)
+from repro.signal import modulo
 from repro.signal.acquisition import Oscilloscope, ScopeConfig
 from repro.workloads import RandomProgramBuilder
 
@@ -242,7 +243,7 @@ def test_device_with_faults_reports_degraded_capture():
     (None, 1, False, True),
     # stage B rejects repetition 6, so the kept set is folded again
     (FaultPlan.preset(0.2, seed=4), 2, True, False),
-    # stage B rejects repetition 9; the kept rows' bins are reused
+    # stage B rejects repetition 9; the kept rows' bins are folded again
     (FaultPlan(jitter_spike_prob=0.2, seed=0), 2, True, True),
     # dropped samples leave ragged repetitions: no stacked bins
     (FaultPlan(drop_rate=0.05, seed=1), 1, False, False),
@@ -251,16 +252,23 @@ def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
                                                    stage_b_rejects,
                                                    stacked):
     """The screen's provisional fold is the reference unless stage B
-    rejected one of its survivors, and its bins feed the quality; either
-    way the measurement equals the one folded and binned from scratch."""
+    rejected one of its survivors, and its bins feed any later fold and
+    the quality, so an equal-length capture is binned once; either way
+    the measurement equals the one folded and binned from scratch."""
     program = RandomProgramBuilder(seed=2).program(24, name="fold")
     calls = []
+    binned = []
     screens = []
     fold = health.modulo_average
+    bin_offsets = modulo.offset_bins
 
     def counted_fold(*args, **kwargs):
         calls.append(1)
         return fold(*args, **kwargs)
+
+    def counted_bins(*args, **kwargs):
+        binned.append(1)
+        return bin_offsets(*args, **kwargs)
 
     def recorded_screen(*args, **kwargs):
         screens.append(screen_repetitions(*args, **kwargs))
@@ -268,6 +276,8 @@ def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
 
     monkeypatch.setattr(health, "modulo_average", counted_fold)
     monkeypatch.setattr(device_module, "modulo_average", counted_fold)
+    monkeypatch.setattr(health, "offset_bins", counted_bins)
+    monkeypatch.setattr(modulo, "offset_bins", counted_bins)
     monkeypatch.setattr(device_module, "screen_repetitions",
                         recorded_screen)
 
@@ -282,6 +292,15 @@ def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
                for reason in screen.reasons) == stage_b_rejects
     assert (screen.reference is None) == stage_b_rejects
     assert (screen.bins is not None) == stacked
+    if stacked:
+        assert len(binned) == 1
+    else:
+        # the screen bins its stage-A survivors together, then one by
+        # one; the capture bins the kept set for each fold it runs and
+        # for its quality
+        stage_a_kept = len(screen.keep) - sum(
+            "fold residual" not in reason for reason in screen.reasons)
+        assert len(binned) == 1 + stage_a_kept + folds
 
     # today's path: a screen result without its fold and bins
     monkeypatch.setattr(

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core import irls_solve, mad_outlier_mask
+from repro.hardware import HardwareDevice
+from repro.isa.program import Program
 from repro.robustness import (AcquisitionError, CaptureQuality,
                               CaptureQualityError, CaptureSupervisor,
                               HealthPolicy, RetryPolicy)
 from repro.robustness.errors import (ConvergenceError, ModelFormatError,
                                      ProbeError, ReproError, exit_code_for)
+from repro.workloads import RandomProgramBuilder
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +175,31 @@ def test_stats_summary_mentions_all_counters():
     for token in ("probes=1", "retried=1", "rejected=1", "lost=1",
                   "escalated=1", "degraded=0"):
         assert token in summary
+
+
+class _UnprintableProgram(Program):
+    def __repr__(self):
+        raise AssertionError("the supervisor formatted the program")
+
+
+def test_outcome_names_the_program_without_formatting_it():
+    template = RandomProgramBuilder(seed=1).program(8, name="named")
+    program = _UnprintableProgram(instructions=template.instructions,
+                                  data=template.data, name="named")
+    supervisor = CaptureSupervisor(HardwareDevice(seed=1))
+    measurement, outcome = supervisor.measure(program, method="ideal")
+    assert outcome.program == "named"
+    assert measurement.program_name == "named"
+
+
+def test_outcome_of_a_nameless_probe_is_its_str():
+    class Nameless:
+        def __str__(self):
+            return "nameless probe"
+
+    _, outcome = _supervisor(_StubDevice(["good"])).measure(
+        Nameless(), method="reference", repetitions=16)
+    assert outcome.program == "nameless probe"
 
 
 # ----------------------------------------------------------------------

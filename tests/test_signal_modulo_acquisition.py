@@ -1,4 +1,4 @@
-"""Tests for the modulo operation, scope model and filters."""
+"""Tests for the modulo operation and the scope model."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.robustness import AcquisitionError
 from repro.signal import (DampedSineKernel, Oscilloscope, ScopeConfig,
-                          gaussian_smooth, modular_offsets, modulo_average,
-                          moving_average, reconstruct, reconstruct_at,
+                          modular_offsets, modulo_average, reconstruct,
                           simulation_accuracy)
+from repro.signal.modulo import offset_bins
 
-from .oracles import on_grid
+from .oracles import on_grid, reconstruct_at, seed_offset_bins
 
 KERNEL = DampedSineKernel()
 SPC = 20
@@ -21,6 +21,33 @@ def test_modular_offsets_eq1():
     times = np.array([0.0, 1.5, 10.0, 10.25])
     offsets = modular_offsets(times, period=10.0)
     assert np.allclose(offsets, [0.0, 1.5, 0.0, 0.25])
+
+
+@pytest.mark.parametrize("period, num_bins",
+                         [(30.0, 600), (97.0013, 1940), (4.0, 32),
+                          (0.37, 7), (113.25, 2265)])
+def test_offset_bins_match_the_seed_binning(period, num_bins):
+    rng = np.random.default_rng(num_bins)
+    # scope grids: 40 repetitions, each jittered, at an asynchronous rate
+    rate = num_bins / period * (1 + 1.37e-3)
+    count = int(period * rate)
+    grid = (rng.uniform(0, 0.4, (40, 1)) + np.arange(count) / rate
+            + period * np.arange(40)[:, None])
+    multiples = period * np.arange(-3.0, 4.0)
+    # tiny negatives: np.mod maps them to ``period`` itself, whose index
+    # rounds to ``num_bins`` and must wrap to bin 0
+    tiny = -np.logspace(-300, -17, 12)
+    assert np.all(modular_offsets(tiny, period) == period)
+    edges = np.concatenate([
+        -grid[:3].ravel(), multiples, np.nextafter(multiples, -np.inf),
+        np.nextafter(multiples, np.inf), [-0.0, 0.0], tiny])
+    for times in (grid, grid.ravel(), edges):
+        expected = seed_offset_bins(times, period, num_bins)
+        bins = offset_bins(times, period, num_bins)
+        assert bins.dtype == expected.dtype
+        assert bins.shape == expected.shape
+        assert np.array_equal(bins, expected)
+    assert np.all(offset_bins(tiny, period, num_bins) == 0)
 
 
 def test_modulo_average_folds_periodic_signal():
@@ -34,6 +61,11 @@ def test_modulo_average_folds_periodic_signal():
     expected = np.sin(2 * np.pi * grid / period)
     assert counts.sum() == len(times)
     assert np.max(np.abs(reference - expected)) < 0.1
+    # given its samples' bins, the fold reads no times
+    given = modulo_average(noisy, None, period, bins,
+                           bins=offset_bins(times, period, bins))
+    assert np.array_equal(given[0], reference)
+    assert np.array_equal(given[1], counts)
 
 
 def test_modulo_average_interpolates_empty_bins():
@@ -85,32 +117,6 @@ def test_full_capture_chain_recovers_reference(rng):
                                   np.concatenate(times_list), period=30.0,
                                   num_bins=30 * SPC)
     assert simulation_accuracy(ideal, reference, SPC) > 0.95
-
-
-def test_moving_average_preserves_mean():
-    signal = np.arange(100, dtype=float)
-    smoothed = moving_average(signal, 5)
-    assert abs(smoothed.mean() - signal.mean()) < 0.5
-    assert len(smoothed) == len(signal)
-
-
-def test_moving_average_rejects_bad_window():
-    with pytest.raises(ValueError):
-        moving_average(np.ones(10), 0)
-
-
-def test_gaussian_smooth_reduces_noise_keeps_dc():
-    rng = np.random.default_rng(3)
-    signal = 1.0 + rng.normal(0, 0.5, 500)
-    smoothed = gaussian_smooth(signal, sigma=4.0)
-    assert smoothed.std() < signal.std() / 2
-    assert abs(smoothed.mean() - 1.0) < 0.1
-    assert len(smoothed) == len(signal)
-
-
-def test_gaussian_smooth_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        gaussian_smooth(np.ones(10), 0.0)
 
 
 @given(st.floats(2.0, 50.0), st.integers(8, 128))

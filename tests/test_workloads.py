@@ -1,11 +1,15 @@
 """Tests for workload generators and canned kernels."""
 
+import random
+
 import pytest
 
 from repro.isa import Instruction
+from repro.isa.program import store_words
 from repro.uarch import GoldenSimulator, run_program
 from repro.workloads import (ALL_KERNELS, RandomProgramBuilder,
-                             SCRATCH_BASE, nop_padded, wrap_program)
+                             SCRATCH_BASE, SCRATCH_WORDS, nop_padded,
+                             wrap_program)
 
 
 def test_wrap_program_appends_ebreak_and_scratch():
@@ -13,6 +17,20 @@ def test_wrap_program_appends_ebreak_and_scratch():
     assert program.instructions[-1].name == "ebreak"
     assert program.data  # scratch region initialized
     assert min(program.data) == SCRATCH_BASE
+
+
+def test_wrapped_programs_own_copies_of_the_scratch_image():
+    rng = random.Random(0xE351)
+    image = {}
+    store_words(image, SCRATCH_BASE,
+                [rng.getrandbits(32) for _ in range(SCRATCH_WORDS)])
+    first = wrap_program([], name="first")
+    second = wrap_program([], name="second")
+    assert first.data == image and second.data == image
+    first.data[SCRATCH_BASE] ^= 0xFF
+    first.data[SCRATCH_BASE + 4 * SCRATCH_WORDS] = 1
+    assert second.data == image
+    assert wrap_program([], name="third").data == image
 
 
 def test_wrap_program_sets_gp():
