@@ -18,10 +18,15 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # figures, ~1 s for the table).  Then the robustness recovery bench
 # (~7 s): it trains through reference captures at 0, 5 and 20 %
 # injected faults, so it runs the repetition screen's fold fallback and
-# its ragged-repetition path.  They rewrite
-# benchmarks/results/fig{5_stall,6_cache,7_mispredict,10_tvla}.txt,
-# tab2_savat.txt and robustness_recovery.txt, so a changed result shows
-# up in `git status`.
+# its ragged-repetition path.  They rewrite the six PAPER_RESULTS files,
+# and the last step fails on any difference from the committed (or
+# staged) ones in a git work tree; elsewhere it is skipped.  So a stall,
+# cache-miss, misprediction, AES TVLA, SAVAT or fault-recovery result
+# that moved fails the check.
+PAPER_RESULTS = $(addprefix benchmarks/results/,fig5_stall.txt \
+	fig6_cache.txt fig7_mispredict.txt fig10_tvla.txt tab2_savat.txt \
+	robustness_recovery.txt)
+
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
 	$(PYTHON) -m bench --quick
@@ -32,6 +37,9 @@ check: test lint
 		--benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_robustness_recovery.py \
 		--benchmark-disable -q
+	if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then \
+		git diff --exit-code -- $(PAPER_RESULTS); \
+	else echo "not a git work tree: result drift not checked"; fi
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -1,8 +1,7 @@
 """EMSim core: model, training, clustering, microbenchmarks, simulator."""
 
-from .ablations import ABLATIONS, all_simulators, make_simulator
-from .activity import (average_alpha, stage_flip_counts,
-                       stage_transition_matrices)
+from .ablations import ABLATIONS, make_simulator
+from .activity import average_alpha
 from .batch import (BatchSimulator, CampaignProbe, campaign_probe_key,
                     measurement_campaign, supervised_campaign)
 from .clustering import (ClusterResult, agglomerative_cluster,
@@ -20,7 +19,7 @@ from .model import EMSimModel
 from .persistence import (load_model, model_from_dict, model_to_dict,
                           save_model)
 from .regression import (GramCache, LinearModel, RobustFitInfo, fit_full,
-                         fit_linear, fit_robust, fit_trimmed, irls_solve,
+                         fit_linear, irls_solve,
                          mad_outlier_mask, stepwise_select)
 from .simulator import EMSim, SimulatedSignal
 from .trace_cache import (CacheStats, TraceCache, configure_trace_cache,
@@ -54,7 +53,6 @@ __all__ = [
     "UnitActivity",
     "agglomerative_cluster",
     "all_combinations",
-    "all_simulators",
     "average_alpha",
     "campaign_probe_key",
     "cluster_instruction_signatures",
@@ -66,8 +64,6 @@ __all__ = [
     "fit_full",
     "fit_kernel",
     "fit_linear",
-    "fit_robust",
-    "fit_trimmed",
     "get_trace_cache",
     "irls_solve",
     "isolation_probe",
@@ -85,8 +81,6 @@ __all__ = [
     "warmed_branch_probe",
     "signature_distance",
     "signature_distance_matrix",
-    "stage_flip_counts",
-    "stage_transition_matrices",
     "stepwise_select",
     "trace_cache_disabled",
     "trace_key",

@@ -44,10 +44,3 @@ def make_simulator(model: EMSimModel, ablation: str = "full",
     overrides = ABLATIONS[ablation]
     return simulator.with_switches(**overrides) if overrides else simulator
 
-
-def all_simulators(model: EMSimModel,
-                   core_config: CoreConfig = DEFAULT_CONFIG
-                   ) -> Dict[str, EMSim]:
-    """One simulator per ablation, keyed by name."""
-    return {name: make_simulator(model, name, core_config)
-            for name in ABLATIONS}

@@ -7,18 +7,13 @@ flip-count statistics behind the naive averaging activity factor (Eq. 7).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..uarch.latches import (STAGES, STAGE_REGISTERS, stage_bit_count,
                              stage_register_offsets)
 from ..uarch.trace import ActivityTrace
-
-
-def stage_transition_matrices(trace: ActivityTrace) -> Dict[str, np.ndarray]:
-    """Per-stage (cycles, bits) transition matrices for one trace."""
-    return {stage: trace.transition_matrix(stage) for stage in STAGES}
 
 
 def stage_feature_names(stage: str) -> list:
@@ -107,11 +102,6 @@ def stage_design_matrix(trace: ActivityTrace, stage: str,
         design[:, is_bit] = (xor[:, registers[is_bit]] >>
                              shifts[is_bit]) & np.uint64(1)
     return design
-
-
-def stage_flip_counts(trace: ActivityTrace) -> Dict[str, np.ndarray]:
-    """Per-stage (cycles,) flip-count vectors for one trace."""
-    return {stage: trace.flip_counts(stage) for stage in STAGES}
 
 
 def average_alpha(flips_new: np.ndarray, flips_base: float,

@@ -83,7 +83,7 @@ class GramCache:
     and residual sums of squares for arbitrary column subsets then come
     from small dense solves on submatrices of ``G`` instead of fresh
     O(n p^2) passes over the data.  Shared by the step-wise selector's
-    fast path, :func:`fit_full`, and the trimmed robust refit.
+    fast path and :func:`fit_full`.
     """
 
     def __init__(self, design: np.ndarray, target: np.ndarray):
@@ -111,21 +111,6 @@ class GramCache:
         idx = self.indices(columns)
         sub = self.gram[np.ix_(idx, idx)] + ridge * np.eye(len(idx))
         solution = np.linalg.solve(sub, self.moment[idx])
-        return float(solution[0]), solution[1:]
-
-    def solve_rows(self, keep: np.ndarray, ridge: float
-                   ) -> Tuple[float, np.ndarray]:
-        """Ridge solution over all columns using only rows where ``keep``.
-
-        The full Gram matrix is *downdated* by the dropped rows' outer
-        products — O(dropped x p^2) instead of O(n p^2) per refit, which
-        is what makes the trimmed-LS rounds cheap when few rows drop.
-        """
-        dropped = self.augmented[~keep]
-        gram = self.gram - dropped.T @ dropped
-        moment = self.moment - dropped.T @ self.target[~keep]
-        gram = gram + ridge * np.eye(gram.shape[0])
-        solution = np.linalg.solve(gram, moment)
         return float(solution[0]), solution[1:]
 
     def _state(self, columns, ridge: float):
@@ -323,7 +308,7 @@ def fit_full(design: np.ndarray, target: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# robust fitting (IRLS / Huber and trimmed least squares)
+# robust fitting (IRLS / Huber)
 # ----------------------------------------------------------------------
 # Corrupted probes (burst noise, drift, mis-gated amplitudes) produce
 # gross outliers that ordinary least squares lets poison every
@@ -338,7 +323,7 @@ _SCALE_FLOOR = 1e-12
 
 @dataclass
 class RobustFitInfo:
-    """Diagnostics from one robust (IRLS or trimmed) fit."""
+    """Diagnostics from one robust (IRLS) fit."""
 
     method: str = "huber"
     iterations: int = 0
@@ -451,57 +436,3 @@ def irls_solve(matrix: np.ndarray, target: np.ndarray,
     info.weights = base * robust
     info.outliers_rejected = int(np.sum(robust < 0.5))
     return solution, info
-
-
-def fit_robust(design: np.ndarray, target: np.ndarray,
-               ridge: float = 1e-8, c: float = 1.345,
-               max_iter: int = 50,
-               weights: Optional[np.ndarray] = None
-               ) -> Tuple[float, np.ndarray, RobustFitInfo]:
-    """Huber-robust analogue of :func:`fit_linear`.
-
-    Returns ``(intercept, coefficients, info)``.
-    """
-    design = np.asarray(design, dtype=float)
-    target = np.asarray(target, dtype=float)
-    augmented = np.hstack([np.ones((design.shape[0], 1)), design])
-    solution, info = irls_solve(augmented, target, ridge=ridge, c=c,
-                                max_iter=max_iter, base_weights=weights)
-    return float(solution[0]), solution[1:], info
-
-
-def fit_trimmed(design: np.ndarray, target: np.ndarray,
-                trim: float = 0.1, ridge: float = 1e-8,
-                rounds: int = 3) -> Tuple[float, np.ndarray,
-                                          RobustFitInfo]:
-    """Trimmed least squares: iteratively drop the worst residuals.
-
-    Each round refits on the (1 - ``trim``) fraction of observations
-    with the smallest absolute residuals — a blunter alternative to
-    IRLS, useful when corruption is heavy-tailed rather than smooth.
-    The per-round refits reuse one :class:`GramCache`, downdating the
-    full normal equations by the dropped rows instead of re-scanning
-    the kept data each round.
-    """
-    if not 0.0 <= trim < 0.5:
-        raise ValueError(f"trim fraction must be in [0, 0.5): {trim!r}")
-    cache = GramCache(design, target)
-    design, target = cache.design, cache.target
-    n_rows = cache.n_samples
-    keep = np.ones(n_rows, dtype=bool)
-    intercept, coef = cache.solve(range(design.shape[1]), ridge)
-    kept_rows = n_rows
-    info = RobustFitInfo(method="trimmed", total_observations=n_rows)
-    for round_index in range(1, rounds + 1):
-        residuals = np.abs(target - (intercept + design @ coef))
-        kept_rows = max(design.shape[1] + 2,
-                        int(np.ceil((1.0 - trim) * n_rows)))
-        threshold = np.partition(residuals, kept_rows - 1)[kept_rows - 1]
-        keep = residuals <= threshold
-        intercept, coef = cache.solve_rows(keep, ridge)
-        info.iterations = round_index
-    info.outliers_rejected = int(n_rows - keep.sum())
-    info.weights = keep.astype(float)
-    residuals = target[keep] - (intercept + design[keep] @ coef)
-    info.final_scale = mad_scale(residuals)
-    return float(intercept), coef, info

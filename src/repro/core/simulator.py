@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..isa.program import Program
+from ..isa.program import Program, bound_template
 from ..observability.metrics import get_metrics
 from ..observability.tracer import get_tracer
 from ..robustness.errors import ConfigurationError
@@ -145,15 +145,22 @@ class EMSim:
         """The in-order core, replaying its schedule across data images.
 
         Programs with the same code and settings form a code family
-        (:func:`~repro.core.trace_cache.code_family_key`).  The family's
-        first trace-cache miss runs the scalar core as it is, the second
-        runs it with a schedule recorder, and later misses replay that
-        schedule over their own data image
-        (:func:`repro.uarch.replay.replay`), which is bit-identical to
-        the scalar core.  A replay that diverges from the schedule falls
-        back to the scalar core.  The family entries live in the trace
-        cache's memory, so a disabled cache never replays.  Returns the
-        trace and whether it was replayed.
+        (:func:`~repro.core.trace_cache.code_family_key`).  One
+        trace-cache miss of the family runs the scalar core with a
+        schedule recorder, and later misses replay that schedule over
+        their own data image (:func:`repro.uarch.replay.replay`), which
+        is bit-identical to the scalar core.  A replay that diverges
+        from the schedule falls back to the scalar core.
+
+        A program bound from a template
+        (:meth:`~repro.isa.program.Program.with_data`) announces more
+        data images of its code, so its family records on the first
+        miss.  Any other family's first miss runs the plain scalar core
+        and marks the family seen; its second miss records, so a
+        one-off program never pays for a recording.  The family entries
+        live in the trace cache's memory, so a disabled cache never
+        records or replays.  Returns the trace and whether it was
+        replayed.
         """
         cache = get_trace_cache()
         family = code_family_key(program, config, max_cycles=max_cycles,
@@ -165,9 +172,12 @@ class EMSim:
                 get_metrics().increment("trace_cache.sim.replays")
                 return trace, True
             get_metrics().increment("trace_cache.sim.replay_fallbacks")
-        elif entry is _SEEN_ONCE:
+        elif entry is _SEEN_ONCE or (
+                entry is None and cache.enabled
+                and bound_template(program) is not None):
             trace, schedule = record(program, config, max_cycles)
             cache.remember_family(family, schedule)
+            get_metrics().increment("trace_cache.sim.recordings")
             return trace, False
         else:
             cache.remember_family(family, _SEEN_ONCE)

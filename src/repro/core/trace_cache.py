@@ -41,6 +41,12 @@ runners that reuse work across programs that differ only in their data
 (the simulator's schedule replay, :mod:`repro.uarch.replay`).  Family
 entries never reach the disk layer and :meth:`TraceCache.clear` drops
 them with the traces.
+
+Programs bound from one template by
+:meth:`~repro.isa.program.Program.with_data` (every AES plaintext of a
+TVLA campaign) share their code, so their keys hash the code section
+the template memoizes once and then only each copy's data image; the
+keys are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..isa.program import Program
+from ..isa.program import Program, bound_template
 from ..observability.metrics import get_metrics
 from ..uarch.config import CoreConfig
 from ..uarch.trace import ActivityTrace
@@ -84,25 +90,54 @@ def _config_bytes(config: CoreConfig) -> bytes:
     return repr(config).encode()
 
 
+def _code_section(program: Program) -> bytes:
+    """The entry point's ``repr``, then the 32-bit little-endian words of
+    ``program``'s machine code: the bytes every key hashes first."""
+    machine_code = program.machine_code
+    code = np.fromiter(machine_code, dtype=np.int64,
+                       count=len(machine_code))
+    # repro: allow[N203] values are masked to 32 bits on this line,
+    # so the little-endian u4 cast is lossless by design.
+    words = (code & 0xFFFFFFFF).astype("<u4")
+    return repr(program.entry).encode() + words.tobytes()
+
+
+def _code_digests(program: Program) -> Tuple[bytes, bytes]:
+    """``(code section, its digest)`` of ``program``.
+
+    A copy bound from a template (:func:`bound_template`) whose entry
+    and instruction list still equal the template's takes the
+    template's, computed once and memoized on the template as bytes (so
+    a bound copy, which references its template, stays picklable).  The
+    list comparison is cheap: a bound copy holds the template's own
+    :class:`Instruction` objects.
+    """
+    template = bound_template(program)
+    if template is None or program.entry != template.entry or \
+            program.instructions != template.instructions:
+        section = _code_section(program)
+        return section, hashlib.sha256(section).digest()
+    memo = getattr(template, "_code_digests", None)
+    if memo is None:
+        section = _code_section(template)
+        memo = (section, hashlib.sha256(section).digest())
+        with contextlib.suppress(AttributeError):
+            template._code_digests = memo
+    return memo
+
+
 def _program_digests(program: Program) -> Tuple[bytes, bytes]:
     """``(code digest, code + data digest)`` of ``program``'s sections.
 
-    Both hash the entry point and the machine code; the second goes on
-    over the data image.  They are memoized on the program when it
+    Both hash the code section (:func:`_code_section`); the second goes
+    on over the data image.  They are memoized on the program when it
     allows attributes (slotted or frozen programs simply re-hash).
     """
     digests = getattr(program, "_trace_digests", None)
     if digests is not None:
         return digests
-    sections = hashlib.sha256()
-    sections.update(repr(program.entry).encode())
-    machine_code = program.machine_code
-    code = np.fromiter(machine_code, dtype=np.int64,
-                       count=len(machine_code))
-    # repro: allow[N203] values are masked to 32 bits on the line
-    # above, so the little-endian u4 cast is lossless by design.
-    sections.update((code & 0xFFFFFFFF).astype("<u4").tobytes())
-    code_digest = sections.copy().digest()
+    section, code_digest = _code_digests(program)
+    sections = hashlib.sha256(section)
     addresses = sorted(program.data)
     data = np.empty(len(addresses),
                     dtype=[("address", "<u8"), ("value", "u1")])
@@ -142,13 +177,17 @@ def trace_key(program: Program, config: CoreConfig,
     limit.  ``salt`` namespaces derived artifacts that add inputs of
     their own (e.g. the emitter digest for ideal captures).  The
     program sections are serialized through bulk numpy casts — the
-    byte stream (4-byte little-endian code words, then interleaved
-    8-byte-address/1-byte-value pairs in address order) is exactly
-    what a per-word loop would produce, at a fraction of the cost —
-    and the resulting section digest is memoized on the program
-    object, since probe programs are themselves memoized and keyed
-    over and over (programs must not be mutated after first use,
-    the same contract :mod:`repro.core.microbench` states).
+    byte stream (the entry's ``repr``, 4-byte little-endian code words,
+    then interleaved 8-byte-address/1-byte-value pairs in address
+    order) is exactly what a per-word loop would produce, at a fraction
+    of the cost — and the resulting section digest is memoized on the
+    program object, since probe programs are themselves memoized and
+    keyed over and over (programs must not be mutated after first use,
+    the same contract :mod:`repro.core.microbench` states).  A copy
+    bound from a template (:meth:`~repro.isa.program.Program.with_data`)
+    takes the code section its template memoized, unless its entry or
+    instruction list no longer equals the template's, and serializes
+    only its data image.
     """
     return _digest(_program_digests(program)[1], config, core_kind,
                    max_cycles, salt)

@@ -195,8 +195,8 @@ class HardwareDevice:
         :class:`~repro.robustness.health.CaptureQuality` for gating.
         Each capture is binned and folded once: when the screen's
         residual stage rejects none of its survivors, its provisional
-        fold is the reference; the offset bins it computed for
-        equal-length repetitions feed any later fold and the quality
+        fold is the reference; the offset bins it computed for every
+        delivered repetition feed any later fold and the quality
         statistics, and the kept sample times are then never
         concatenated.
 
@@ -243,11 +243,11 @@ class HardwareDevice:
                 f"screened out as corrupt")
         samples = np.concatenate([samples_list[i] for i in kept])
         # bin and fold once: the screen's bins are the kept samples' bins
-        # whenever it stacked equal-length repetitions, and its fold is
-        # the reference whenever it covers exactly the kept repetitions
+        # whenever its residual stage ran, and its fold is the reference
+        # whenever it covers exactly the kept repetitions
         bins = times = None
         if screen.bins is not None:
-            bins = screen.bins[kept].ravel()
+            bins = np.concatenate([screen.bins[i] for i in kept])
         else:
             times = np.concatenate([times_list[i] for i in kept])
         reference = screen.reference

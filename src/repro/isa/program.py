@@ -32,10 +32,15 @@ class Program:
     name: str = "program"
 
     def __post_init__(self) -> None:
-        for address, value in self.data.items():
-            if not 0 <= value < 256:
-                raise ValueError(
-                    f"data byte at {address:#x} out of range: {value}")
+        try:
+            bytes(self.data.values())
+        except (TypeError, ValueError):
+            # name the first bad address; values ``bytes`` declines but
+            # the range check takes (``3.0``) are still accepted
+            for address, value in self.data.items():
+                if not 0 <= value < 256:
+                    raise ValueError(
+                        f"data byte at {address:#x} out of range: {value}")
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -67,13 +72,22 @@ class Program:
         this program's :class:`Instruction` objects, so their memoized
         encodings are shared too.  The AES generator binds each key
         schedule and plaintext into its assembled template this way.
+
+        Binding says that more data images of the same code will follow,
+        so the copy remembers its template (:func:`bound_template`; a
+        copy of a copy, the root template).  The trace cache then
+        serializes only the copy's data image, and EMSim records the
+        schedule of such a code family on its first miss.
         """
         data = dict(self.data)
         for base, values in segments.items():
             store_bytes(data, base, values)
-        return Program(instructions=list(self.instructions), data=data,
+        copy = Program(instructions=list(self.instructions), data=data,
                        symbols=dict(self.symbols), entry=self.entry,
                        name=self.name)
+        root = bound_template(self)
+        copy._template = self if root is None else root
+        return copy
 
     def to_asm(self) -> str:
         """Render the code segment as assembly text (no labels)."""
@@ -84,6 +98,13 @@ class Program:
                           name: str = "program") -> "Program":
         """Build a program from a plain instruction sequence."""
         return cls(instructions=list(instructions), name=name)
+
+
+def bound_template(program: Program) -> Optional[Program]:
+    """The template :meth:`Program.with_data` bound ``program`` from (the
+    root template for a copy of a copy), or ``None`` for any other
+    program."""
+    return getattr(program, "_template", None)
 
 
 def store_bytes(data: Dict[int, int], base: int,

@@ -14,8 +14,8 @@ from .mitigation import (BalanceReport, MitigationError,
 from .savat import (SAVAT_INSTRUCTIONS, SavatMeasurement,
                     SimulatorSignalSource, format_matrix, savat_matrix,
                     savat_pair, savat_program, savat_value)
-from .spa import (SpaResult, amplitude_profile, duration_separation,
-                  iteration_starts, recover_exponent)
+from .spa import (SpaResult, duration_separation, iteration_starts,
+                  recover_exponent)
 from .streaming import (StreamingTTest, WelfordAccumulator,
                         collect_streaming_tvla, streaming_tvla)
 from .tvla import (TVLA_THRESHOLD, TVLAResult, collect_tvla_traces, tvla,
@@ -44,7 +44,6 @@ __all__ = [
     "MitigationError",
     "aes_program",
     "buggy_multiplier",
-    "amplitude_profile",
     "balance_branch_timing",
     "calibrated_deficit",
     "capacity_per_cycle",

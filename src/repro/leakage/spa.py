@@ -85,19 +85,6 @@ def recover_exponent(trace: ActivityTrace, program,
                      threshold=float(threshold))
 
 
-def amplitude_profile(signal: np.ndarray, starts: Sequence[int],
-                      samples_per_cycle: int) -> List[float]:
-    """Mean |signal| per loop iteration (the amplitude-SPA channel)."""
-    boundaries = list(starts) + [len(signal) // samples_per_cycle]
-    profile = []
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        window = signal[start * samples_per_cycle:
-                        end * samples_per_cycle]
-        profile.append(float(np.abs(window).mean()) if len(window)
-                       else 0.0)
-    return profile
-
-
 def duration_separation(durations: Sequence[int]) -> float:
     """Gap between the two duration clusters, normalized by their spread.
 

@@ -133,9 +133,10 @@ class RepetitionScreen:
 
     ``reference`` is the screen's fold when it is the fold of exactly
     the kept repetitions (stage B ran and rejected none), else ``None``;
-    ``bins`` holds every delivered repetition's offset bins, one row
-    each, when stage B ran on equal-length repetitions, else ``None``.
-    Both let the caller skip folding and binning the kept set again.
+    ``bins`` holds every delivered repetition's offset bins, one entry
+    each (the rows of one array when the repetitions have equal
+    lengths), when stage B ran, else ``None``.  Both let the caller skip
+    folding and binning the kept set again.
     """
 
     keep: np.ndarray                  # boolean mask over delivered reps
@@ -162,10 +163,11 @@ def screen_repetitions(times_list, samples_list, period: float,
     with the folded reference far more than their peers (clock-jitter
     spikes, burst interference).  Retrying a rejected *run* with a larger
     repetition budget therefore converges: the clean subset grows even if
-    the corruption rate stays constant.  Equal-length repetitions are
-    binned once: the provisional fold reads the survivors' rows of those
-    bins and the residuals read every row.  The provisional fold and the
-    offset bins come back on the result for the caller to reuse (see
+    the corruption rate stays constant.  Every delivered repetition is
+    binned in one call (ragged ones concatenated, then split by length,
+    which is exact: binning is elementwise); the provisional fold and
+    the residuals read those bins.  The provisional fold and the offset
+    bins come back on the result for the caller to reuse (see
     :class:`RepetitionScreen`).
     """
     count = len(samples_list)
@@ -216,9 +218,9 @@ def screen_repetitions(times_list, samples_list, period: float,
     reference = bins = None
     if survivors >= 3:
         residuals = np.full(count, np.nan)
+        # one binning pass: the fold reads the survivors' bins, in the
+        # order concatenation would give
         if stacked is not None:
-            # one binning pass: the fold reads the survivors' rows of
-            # the same bins, in the order concatenation would give
             bins = offset_bins(np.vstack(times_list), period, num_bins)
             reference, _ = modulo_average(stacked[keep].ravel(), None,
                                           period=period, num_bins=num_bins,
@@ -227,17 +229,16 @@ def screen_repetitions(times_list, samples_list, period: float,
             all_residuals = np.sqrt(np.mean(residual ** 2, axis=1))
             residuals[keep] = all_residuals[keep]
         else:
-            survivor_samples = np.concatenate(
-                [samples_list[i] for i in range(count) if keep[i]])
-            survivor_times = np.concatenate(
-                [times_list[i] for i in range(count) if keep[i]])
-            reference, _ = modulo_average(survivor_samples, survivor_times,
-                                          period=period, num_bins=num_bins)
-            for index in range(count):
-                if not keep[index]:
-                    continue
-                residual = samples_list[index] - reference[
-                    offset_bins(times_list[index], period, num_bins)]
+            bins = np.split(
+                offset_bins(np.concatenate(times_list), period, num_bins),
+                np.cumsum([len(s) for s in samples_list])[:-1])
+            survivors_at = np.flatnonzero(keep)
+            reference, _ = modulo_average(
+                np.concatenate([samples_list[i] for i in survivors_at]),
+                None, period=period, num_bins=num_bins,
+                bins=np.concatenate([bins[i] for i in survivors_at]))
+            for index in survivors_at:
+                residual = samples_list[index] - reference[bins[index]]
                 residuals[index] = float(np.sqrt(np.mean(residual ** 2)))
         median_residual = float(np.nanmedian(residuals))
         if median_residual > _EPS:

@@ -52,8 +52,7 @@ from ..isa.instructions import Instruction
 from ..isa.spec import InstrClass
 from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
                      StallEvent)
-from .latches import (STAGE_REGISTERS, STAGE_SLICES, STAGES, TOTAL_REGISTERS,
-                      stage_bit_count)
+from .latches import STAGE_REGISTERS, STAGE_SLICES, STAGES, TOTAL_REGISTERS
 
 OCC_INSTR = "instr"
 OCC_BUBBLE = "bubble"
@@ -567,10 +566,6 @@ class ActivityTrace:
         return [EM_CLASSES[code] for code
                 in self._unpacked()["em"][stage].tolist()]
 
-    def seqs(self, stage: str) -> np.ndarray:
-        """(cycles,) dynamic instruction numbers (``-1`` where none)."""
-        return self._unpacked()["seq"][stage]
-
     def instruction_labels(self, stage: str) -> List[str]:
         """Readable per-cycle labels for ``stage`` (for reports/tests)."""
         return [occ.label() for occ in self.occupancy[stage]]
@@ -631,10 +626,6 @@ class ActivityTrace:
     def cache_misses(self) -> int:
         """Count of data-cache misses."""
         return sum(not row[3] for row in self._cache_rows)
-
-    def stage_bits(self, stage: str) -> int:
-        """Number of tracked latch bits for ``stage``."""
-        return stage_bit_count(stage)
 
 
 def concat_traces(traces: Sequence[ActivityTrace]) -> ActivityTrace:

@@ -20,6 +20,8 @@ asserting that the engine computes the same thing:
   key schedule and plaintext as ``.byte`` data, assembled per call;
 * :func:`seed_offset_bins` — Eq. 1 offset bins with a separate
   ``% num_bins`` wrap;
+* :func:`seed_trace_keys` — the trace cache's keys hashed from each
+  program's own sections, with no memo and no template reuse;
 * :func:`seed_continuous` — the emitter's ``y(t)`` at arbitrary times,
   one ``sin`` and one ``exp`` per sample and unit (:func:`on_grid`
   gives it, or any one-argument signal, the grid call form);
@@ -32,6 +34,7 @@ asserting that the engine computes the same thing:
   selected columns.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,6 +46,7 @@ from repro.core.activity import stage_design_matrix
 from repro.core.clustering import ClusterResult, signature_distance_matrix
 from repro.core.factors import ALPHA_MAX, ALPHA_MIN
 from repro.core.regression import LinearModel, fit_linear
+from repro.core.trace_cache import TRACE_KEY_VERSION
 from repro.isa.assembler import assemble
 from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                STATE_BASE, _RK, _SBOX, _ST,
@@ -302,6 +306,44 @@ def seed_offset_bins(sample_times, period, num_bins):
     num_bins)``, wrapped by an integer ``% num_bins``."""
     offsets = np.mod(np.asarray(sample_times, dtype=float), period)
     return np.round(offsets / period * num_bins).astype(int) % num_bins
+
+
+# ---------------------------------------------------------------------------
+# trace-cache keys
+# ---------------------------------------------------------------------------
+def seed_trace_keys(program, config, core_kind="in-order", max_cycles=None,
+                    salt=""):
+    """``(code_family_key, trace_key)`` of ``program``: the entry
+    ``repr``, the 32-bit little-endian code words, then the data image
+    as (8-byte address, 1-byte value) pairs in address order, hashed
+    after the run settings."""
+    sections = hashlib.sha256()
+    sections.update(repr(program.entry).encode())
+    machine_code = program.machine_code
+    code = np.fromiter(machine_code, dtype=np.int64,
+                       count=len(machine_code))
+    sections.update((code & 0xFFFFFFFF).astype("<u4").tobytes())
+    code_digest = sections.copy().digest()
+    addresses = sorted(program.data)
+    data = np.empty(len(addresses),
+                    dtype=[("address", "<u8"), ("value", "u1")])
+    data["address"] = addresses
+    values = np.fromiter(
+        (program.data[address] for address in addresses),
+        dtype=np.int64, count=len(addresses))
+    data["value"] = values & 0xFF
+    sections.update(data.tobytes())
+
+    def key(section_digest):
+        hasher = hashlib.sha256(TRACE_KEY_VERSION.encode())
+        hasher.update(repr(config).encode())
+        hasher.update(core_kind.encode())
+        hasher.update(repr(max_cycles).encode())
+        hasher.update(salt.encode())
+        hasher.update(section_digest)
+        return hasher.hexdigest()
+
+    return key(code_digest), key(sections.digest())
 
 
 # ---------------------------------------------------------------------------

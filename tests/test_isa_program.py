@@ -1,9 +1,11 @@
 """Tests for the Program container and the disassembler."""
 
+import numpy as np
 import pytest
 
 from repro.isa import (Instruction, NOP, Program, TEXT_BASE, assemble,
                        disassemble, disassemble_word, store_words)
+from repro.isa.program import bound_template
 
 
 def test_machine_code_matches_instructions():
@@ -31,9 +33,32 @@ def test_with_data():
     assert not base_program.data  # original untouched
 
 
+def test_with_data_copies_remember_their_root_template():
+    template = Program.from_instructions([NOP])
+    copy = template.with_data({0x2000: [1]})
+    again = copy.with_data({0x2000: [2]})
+    assert bound_template(template) is None
+    assert bound_template(copy) is template
+    assert bound_template(again) is template
+    assert bound_template(Program.from_instructions([NOP])) is None
+
+
 def test_data_byte_validation():
     with pytest.raises(ValueError):
         Program(instructions=[NOP], data={0: 300})
+    # the error names the first bad address
+    for value in (256, -1):
+        with pytest.raises(ValueError) as error:
+            Program(instructions=[NOP],
+                    data={0x10: 1, 0x11: value, 0x12: 999})
+        assert str(error.value) == \
+            f"data byte at 0x11 out of range: {value}"
+
+
+def test_data_byte_validation_accepts_what_the_range_check_accepts():
+    values = [0, 255, True, np.uint8(7), 3.0]
+    program = Program(instructions=[NOP], data=dict(enumerate(values)))
+    assert list(program.data.values()) == values
 
 
 def test_store_words_little_endian():

@@ -239,21 +239,21 @@ def test_device_with_faults_reports_degraded_capture():
 # fold once
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("plan, folds, stage_b_rejects, stacked", [
-    (None, 1, False, True),
-    # stage B rejects repetition 6, so the kept set is folded again
-    (FaultPlan.preset(0.2, seed=4), 2, True, False),
+@pytest.mark.parametrize("plan, folds, stage_b_rejects", [
+    (None, 1, False),
+    # ragged repetitions; stage B rejects repetition 6, so the kept set
+    # is folded again
+    (FaultPlan.preset(0.2, seed=4), 2, True),
     # stage B rejects repetition 9; the kept rows' bins are folded again
-    (FaultPlan(jitter_spike_prob=0.2, seed=0), 2, True, True),
-    # dropped samples leave ragged repetitions: no stacked bins
-    (FaultPlan(drop_rate=0.05, seed=1), 1, False, False),
+    (FaultPlan(jitter_spike_prob=0.2, seed=0), 2, True),
+    # dropped samples leave ragged repetitions
+    (FaultPlan(drop_rate=0.05, seed=1), 1, False),
 ], ids=["clean", "preset-0.2", "jitter-spikes", "ragged"])
 def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
-                                                   stage_b_rejects,
-                                                   stacked):
+                                                   stage_b_rejects):
     """The screen's provisional fold is the reference unless stage B
     rejected one of its survivors, and its bins feed any later fold and
-    the quality, so an equal-length capture is binned once; either way
+    the quality, so a capture is binned once, ragged or not; either way
     the measurement equals the one folded and binned from scratch."""
     program = RandomProgramBuilder(seed=2).program(24, name="fold")
     calls = []
@@ -291,16 +291,8 @@ def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
     assert any("fold residual" in reason
                for reason in screen.reasons) == stage_b_rejects
     assert (screen.reference is None) == stage_b_rejects
-    assert (screen.bins is not None) == stacked
-    if stacked:
-        assert len(binned) == 1
-    else:
-        # the screen bins its stage-A survivors together, then one by
-        # one; the capture bins the kept set for each fold it runs and
-        # for its quality
-        stage_a_kept = len(screen.keep) - sum(
-            "fold residual" not in reason for reason in screen.reasons)
-        assert len(binned) == 1 + stage_a_kept + folds
+    assert len(screen.bins) == len(screen.keep)
+    assert len(binned) == 1
 
     # today's path: a screen result without its fold and bins
     monkeypatch.setattr(

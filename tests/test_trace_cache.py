@@ -23,12 +23,15 @@ from repro.core.trace_cache import (TraceCache, code_family_key,
                                     configure_trace_cache, get_trace_cache,
                                     trace_cache_disabled, trace_key)
 from repro.hardware import HardwareDevice
+from repro.isa import assemble
+from repro.isa.program import bound_template
 from repro.leakage import SimulatorSignalSource, aes_program, savat_matrix
 from repro.observability import disable_metrics, enable_metrics
 from repro.robustness import FaultPlan
-from repro.uarch import Pipeline
 from repro.uarch.config import CoreConfig
 from repro.uarch.tracecodec import encode_trace, is_encoded_trace
+
+from .oracles import seed_trace_keys
 
 ALU = REPRESENTATIVES["alu"]
 LOAD = REPRESENTATIVES["load"]
@@ -95,6 +98,65 @@ def test_trace_key_is_pinned():
     program = aes_program(list(range(16)), list(range(16)), rounds=1)
     assert trace_key(program, CoreConfig()) == (
         "196ec47e08b77d25e53431eee147aa35a511856303d1229c754c5761eb2b1375")
+
+
+SMALL = """
+.data
+value: .word 5, 9
+.text
+    la t0, value
+    lw t1, 0(t0)
+    addi t1, t1, 3
+    sw t1, 4(t0)
+    ebreak
+"""
+
+
+def _bound_programs(kind):
+    """Programs bound from a template; the first two share its code."""
+    if kind.startswith("aes"):
+        rounds = int(kind[3:])
+        return [aes_program(list(range(16)), [seed] * 16, rounds=rounds)
+                for seed in (1, 2)]
+    template = assemble(SMALL)
+    first = template.with_data({template.symbols["value"]: [1, 2, 3]})
+    second = template.with_data({template.symbols["value"]: [4]})
+    if kind == "copy-of-copy":
+        second = first.with_data({template.symbols["value"] + 4: [7]})
+        assert bound_template(second) is template
+    elif kind == "replaced-code":
+        # rebound to other code before its first key: it hashes its own
+        other = assemble(SMALL.replace("addi t1, t1, 3", "xori t1, t1, 3"))
+        second.instructions = other.instructions
+    return [first, second]
+
+
+@pytest.mark.parametrize("kind", ["aes1", "aes10", "small",
+                                  "copy-of-copy", "replaced-code"])
+def test_bound_copies_hash_to_the_oracle_keys(kind):
+    first, second = _bound_programs(kind)
+    settings = [(CoreConfig(), {}),
+                (CoreConfig(mul_latency=5),
+                 {"core_kind": "ooo", "max_cycles": 64, "salt": "x"})]
+    for program in (first, second, first, second):
+        for config, options in settings:
+            family, key = seed_trace_keys(program, config, **options)
+            assert code_family_key(program, config, **options) == family
+            assert trace_key(program, config, **options) == key
+    same_code = code_family_key(first, CoreConfig()) == \
+        code_family_key(second, CoreConfig())
+    assert same_code == (kind != "replaced-code")
+
+
+def test_bound_copy_pickles_after_its_template_was_keyed():
+    config = CoreConfig()
+    keyed, fresh = _bound_programs("aes1")
+    trace_key(keyed, config)
+    for program in (keyed, fresh):
+        loaded = pickle.loads(pickle.dumps(program))
+        assert bound_template(loaded) is not None
+        assert trace_key(loaded, config) == trace_key(program, config) \
+            == seed_trace_keys(program, config)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +328,6 @@ def simulator():
 
 
 @pytest.fixture()
-def core_runs(monkeypatch):
-    """One entry per scalar in-order core run since the test started."""
-    runs = []
-    run = Pipeline.run
-
-    def counting(self, *args, **kwargs):
-        runs.append(1)
-        return run(self, *args, **kwargs)
-
-    monkeypatch.setattr(Pipeline, "run", counting)
-    return runs
-
-
-@pytest.fixture()
 def registry():
     """The metrics registry, enabled and empty for one test."""
     registry = enable_metrics()
@@ -302,14 +350,16 @@ def test_device_reuses_emsim_scalar_runs_but_not_replays(
     programs = _aes(3)
     device = HardwareDevice()
     simulated = [simulator.run_trace(program) for program in programs]
-    # a plain run, a recording, a replay
-    assert len(core_runs) == 2
-    assert registry.counters["trace_cache.sim.replays"] == 1
-    captured = [device.run_trace(program) for program in programs[:2]]
-    assert len(core_runs) == 2
-    assert all(mine is theirs for mine, theirs in zip(captured, simulated))
-    captured.append(device.run_trace(programs[2]))
-    assert len(core_runs) == 3 and captured[2] is not simulated[2]
+    # bound from one template: a recording, then two replays
+    assert len(core_runs) == 1
+    assert registry.counters["trace_cache.sim.recordings"] == 1
+    assert registry.counters["trace_cache.sim.replays"] == 2
+    captured = [device.run_trace(programs[0])]
+    assert len(core_runs) == 1 and captured[0] is simulated[0]
+    captured += [device.run_trace(program) for program in programs[1:]]
+    assert len(core_runs) == 3
+    assert all(mine is not theirs
+               for mine, theirs in zip(captured[1:], simulated[1:]))
     with trace_cache_disabled():
         scalar = [encode_trace(device.run_trace(program))
                   for program in programs]

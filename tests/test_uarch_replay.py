@@ -1,8 +1,11 @@
 """Schedule replay equals the scalar core, byte for byte.
 
-EMSim's trace-cache runner records the in-order core's schedule on the
-second miss of a code family and replays it for later misses
-(:mod:`repro.uarch.replay`).  Every test here compares the
+EMSim's trace-cache runner records the in-order core's schedule once
+per code family and replays it for later misses
+(:mod:`repro.uarch.replay`).  A family of programs bound from one
+template (``Program.with_data``, e.g. every ``aes_program``) records on
+its first miss; any other family runs the plain core on its first miss
+and records on its second.  Every test here compares the
 ``repro-trace/1`` bytes of those runs with runs under
 :func:`trace_cache_disabled`, which always take the scalar core, and
 checks which later misses replayed and which fell back.
@@ -94,11 +97,11 @@ def _word_programs(source, words):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("rounds", [1, 2, 10])
 def test_aes_replays_equal_the_scalar_core(simulator, replays, rounds):
-    # five keys and plaintexts: a plain run, a recording, three replays
+    # five keys and plaintexts: a recording, then four replays
     programs = _random_aes(5, rounds, seed=rounds)
     cached, scalar = _cached_and_scalar(simulator, programs)
     assert cached == scalar
-    assert replays == [True, True, True]
+    assert replays == [True] * 4
 
 
 def test_cold_cache_aes_diverges_on_sbox_misses(simulator, replays):
@@ -106,7 +109,7 @@ def test_cold_cache_aes_diverges_on_sbox_misses(simulator, replays):
     programs = _random_aes(22, rounds=1, seed=5, warm_cache=False)
     cached, scalar = _cached_and_scalar(simulator, programs)
     assert cached == scalar
-    assert replays == [False] * 20
+    assert replays == [False] * 21
 
 
 BRANCH = """
@@ -206,7 +209,7 @@ def test_truncated_run_replays_to_the_same_cycle(simulator, replays):
     cached, scalar = _cached_and_scalar(simulator, programs,
                                         max_cycles=400)
     assert cached == scalar
-    assert replays == [True, True]
+    assert replays == [True] * 3
     assert simulator.run_trace(programs[-1], max_cycles=400).num_cycles \
         == 400
 
@@ -214,14 +217,29 @@ def test_truncated_run_replays_to_the_same_cycle(simulator, replays):
 # ---------------------------------------------------------------------------
 # when EMSim replays
 # ---------------------------------------------------------------------------
-def test_disabled_cache_never_records_or_replays(simulator, replays):
+def test_disabled_cache_never_records_or_replays(simulator, replays,
+                                                 monkeypatch):
+    recordings = []
+    monkeypatch.setattr(simulator_module, "record",
+                        lambda *args: recordings.append(1))
     programs = _random_aes(4, rounds=1, seed=2)
     key = code_family_key(programs[0], DEFAULT_CONFIG, salt=SALT)
     with trace_cache_disabled():
         for program in programs:
             simulator.run_trace(program)
-    assert replays == []
+    assert replays == [] and recordings == []
     assert get_trace_cache().family(key) is None
+
+
+def test_separately_assembled_programs_record_on_the_second_miss(
+        simulator, replays, core_runs):
+    # one code, no template: a plain run, a recording, then replays
+    programs = _word_programs(BRANCH, [[3], [5], [7], [9]])
+    cached, scalar = _cached_and_scalar(simulator, programs)
+    assert cached == scalar
+    assert replays == [True, True]
+    # two cached-side core runs, then one per program with the cache off
+    assert len(core_runs) == 2 + len(programs)
 
 
 def test_clear_drops_schedules_and_marks(simulator, replays):
@@ -234,8 +252,8 @@ def test_clear_drops_schedules_and_marks(simulator, replays):
     assert get_trace_cache().family(key) is None
     for program in programs[3:]:
         simulator.run_trace(program)
-    # one replay before the clear, one after it
-    assert replays == [True, True]
+    # a recording and two replays before the clear, and again after it
+    assert replays == [True] * 4
 
 
 def test_replays_and_fallbacks_are_counted(simulator):
@@ -245,8 +263,15 @@ def test_replays_and_fallbacks_are_counted(simulator):
     try:
         for program in programs:
             simulator.run_trace(program)
+        assert registry.counters["trace_cache.sim.recordings"] == 1
         assert registry.counters["trace_cache.sim.replays"] == 1
         assert registry.counters["trace_cache.sim.replay_fallbacks"] == 1
+        registry.reset()
+        for program in _random_aes(5, rounds=1, seed=7):
+            simulator.run_trace(program)
+        assert registry.counters["trace_cache.sim.recordings"] == 1
+        assert registry.counters["trace_cache.sim.replays"] == 4
+        assert "trace_cache.sim.replay_fallbacks" not in registry.counters
     finally:
         disable_metrics()
         registry.reset()
