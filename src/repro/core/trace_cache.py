@@ -27,11 +27,11 @@ there (never a replayed trace).  So a program that is both simulated
 and captured runs the core once, whichever side comes first.
 
 Storage is a bounded in-memory LRU with an optional on-disk layer (one
-file per digest, written atomically).  Activity traces are written as
-compact ``repro-trace/1`` codec bytes; every other artifact kind is
-pickled.  Reads discriminate by the codec magic, and a corrupt or
-truncated file of either flavour is just a miss.  Every lookup feeds
-hit/miss counters into the metrics registry
+file per digest, written atomically).  Every entry, whatever its kind,
+is pickled and zlib-compressed at level 1; an activity trace pickles its
+own columns (:meth:`~repro.uarch.trace.ActivityTrace.__reduce__`).  A
+file that does not decompress and unpickle is just a miss.  Every lookup
+feeds hit/miss counters into the metrics registry
 (:mod:`repro.observability`) so ``--profile`` and run manifests show
 cache effectiveness per category.
 
@@ -56,6 +56,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -66,8 +67,6 @@ import numpy as np
 from ..isa.program import Program, bound_template
 from ..observability.metrics import get_metrics
 from ..uarch.config import CoreConfig
-from ..uarch.trace import ActivityTrace
-from ..uarch.tracecodec import decode_trace, encode_trace, is_encoded_trace
 
 
 TRACE_KEY_VERSION = "repro-trace-key/2"
@@ -77,6 +76,11 @@ Version 2 dropped the loader for pre-columnar trace pickles; bumping the
 tag keeps a disk cache written before that change from serving entries
 this code can no longer rebuild.
 """
+
+
+_DISK_COMPRESSION_LEVEL = 1
+"""zlib level of every disk-layer entry: the fastest, because a run
+compresses an entry on each of its own trace-cache misses."""
 
 
 @lru_cache(maxsize=128)
@@ -232,10 +236,10 @@ class TraceCache:
 
     ``capacity`` bounds the in-memory layer (least recently used entry
     evicted first).  When ``directory`` is set, every stored value is
-    also written to ``<directory>/<digest>.pkl`` with an atomic rename
-    — activity traces as raw ``repro-trace/1`` codec bytes, everything
-    else pickled — and in-memory misses fall through to disk; a corrupt
-    or unreadable file of either format is treated as a miss.  ``enabled=False`` turns every
+    also written to ``<directory>/<digest>.pkl`` with an atomic rename,
+    as a pickle compressed at :data:`_DISK_COMPRESSION_LEVEL`, and
+    in-memory misses fall through to disk; a corrupt or unreadable file
+    is treated as a miss.  ``enabled=False`` turns every
     lookup into a miss without touching storage, which is how the
     ``--no-trace-cache`` flag and :func:`trace_cache_disabled` work.
 
@@ -335,42 +339,30 @@ class TraceCache:
     def _read_disk(self, key: str) -> Optional[Any]:
         """Load a disk entry, returning ``None`` for any failure.
 
-        The first bytes discriminate the format: the ``repro-trace/1``
-        magic means raw codec bytes (the fast path for traces), anything
-        else is a pickle.  A corrupt pickle can raise almost any
-        exception (``UnicodeDecodeError``, ``OverflowError``, ...), so
-        every ``Exception`` from reading or decoding is a miss.
+        A corrupt payload can raise almost any exception from
+        ``zlib.decompress`` or ``pickle.loads`` (``UnicodeDecodeError``,
+        ``OverflowError``, :class:`~repro.robustness.errors.TraceCodecError`,
+        ...), so every ``Exception`` from reading or decoding is a miss.
         """
         try:
             with open(self._path(key), "rb") as handle:
-                payload = handle.read()
-            if is_encoded_trace(payload):
-                return decode_trace(payload)
-            return pickle.loads(payload)
+                return pickle.loads(zlib.decompress(handle.read()))
         except Exception:
             return None
 
     def _write_disk(self, key: str, value: Any) -> None:
         """Atomically write an entry (tmp file + rename); best-effort —
-        a full or read-only cache directory must never fail the run.
-
-        Bare activity traces are serialized as ``repro-trace/1`` codec
-        bytes (several times smaller and faster to load than their
-        pickle); other artifact kinds — measurements, tuples, arrays —
-        go through pickle, inside which any embedded trace still
-        auto-compacts via :meth:`ActivityTrace.__reduce__`.
-        """
+        a full or read-only cache directory must never fail the run."""
+        payload = zlib.compress(
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+            _DISK_COMPRESSION_LEVEL)
         with contextlib.suppress(OSError):
             os.makedirs(self.directory, exist_ok=True)
             handle = tempfile.NamedTemporaryFile(
                 mode="wb", dir=self.directory, suffix=".tmp", delete=False)
             try:
                 with handle:
-                    if isinstance(value, ActivityTrace):
-                        handle.write(encode_trace(value))
-                    else:
-                        pickle.dump(value, handle,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+                    handle.write(payload)
                 os.replace(handle.name, self._path(key))
             except BaseException:
                 with contextlib.suppress(OSError):

@@ -205,12 +205,19 @@ def savat_matrix(signal_source: Callable[[Program],
     ``checkpoint`` names a journal file (``resume=True`` replays
     completed pairs from it).  Table II needs every cell, so a pair
     still missing after supervision raises
-    :class:`~repro.robustness.errors.CampaignError`.
+    :class:`~repro.robustness.errors.CampaignError`.  A kind outside
+    :data:`SAVAT_INSTRUCTIONS` raises
+    :class:`~repro.robustness.errors.ProbeError` before any pair runs,
+    at every worker count.
     """
     if pairs is None:
         pairs = [(kind_a, kind_b) for kind_a in kinds for kind_b in kinds]
     else:
         pairs = list(pairs)
+    for pair in pairs:
+        for kind in pair:
+            if kind not in SAVAT_INSTRUCTIONS:
+                raise ProbeError(f"unknown SAVAT instruction {kind!r}")
     meta = {"campaign": "savat", "repeats": int(repeats),
             "burst": int(burst),
             "samples_per_cycle": int(samples_per_cycle)}

@@ -139,12 +139,14 @@ def retry_backoff(seed: int, index: int, retry_index: int) -> float:
 
     Retry ``retry_index`` (0-based) of item ``index`` waits
     ``BACKOFF_BASE * 2**retry_index`` scaled by a jitter factor in
-    ``[0.5, 1.5)`` drawn from ``spawn_seed(seed, index, RETRY_STREAM)``
-    and capped at :data:`BACKOFF_CAP` — the same recipe
-    :class:`~repro.robustness.retry.RetryPolicy` uses, keyed per item so
-    two quarreling items never synchronize, and a pure function of
-    ``(seed, index, retry_index)`` so the recorded ``waited`` stays
-    reproducible.
+    ``[0.5, 1.5)`` drawn from ``spawn_seed(seed, index, RETRY_STREAM)``,
+    then capped at :data:`BACKOFF_CAP`.  The draw is keyed per item, so
+    two quarreling items never synchronize, and the wait is a pure
+    function of ``(seed, index, retry_index)``, so the recorded
+    ``waited`` stays reproducible.  It is its own recipe, not
+    :class:`~repro.robustness.retry.RetryPolicy`'s, which by default
+    starts from 0.01 s, caps before a ``[0.75, 1.25)`` jitter and keys
+    its RNG on ``(seed, retry_index)`` alone.
     """
     draws = spawn_seed(seed, index, stream=RETRY_STREAM).random(
         retry_index + 1)

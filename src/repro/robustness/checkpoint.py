@@ -228,8 +228,22 @@ class CheckpointJournal:
         return len(self._records)
 
     def lookup(self, key: str) -> Any:
-        """The stored result for ``key`` (bit-exact round trip)."""
-        return pickle.loads(self._records[key])
+        """The stored result for ``key`` (bit-exact round trip).
+
+        A record that passed its checksum but no longer unpickles was
+        written by another version of repro; that raises
+        :class:`~repro.robustness.errors.CheckpointError`, whatever
+        ``pickle.loads`` raised.
+        """
+        payload = self._records[key]
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            raise CheckpointError(
+                f"{self.path}: record for key {key[:16]}… does not "
+                f"unpickle ({type(exc).__name__}: {exc}); it was written "
+                f"by another version of repro — delete the journal to "
+                f"restart from scratch") from exc
 
     def keys(self) -> List[str]:
         """All journaled keys, in insertion (= completion) order."""

@@ -146,10 +146,9 @@ class AssemblerError(ReproError, ValueError):
 
 
 class TraceCodecError(ReproError, ValueError):
-    """Raised when a byte stream is not a valid ``repro-trace/1`` trace.
-
-    Re-exported by :mod:`repro.uarch.tracecodec`, its historical home.
-    """
+    """Raised when a pickled activity trace does not fit this build's
+    latch schema (its latch matrix or occupancy columns have the wrong
+    shape); see :func:`repro.uarch.trace._restore`."""
 
     exit_code = 21
 

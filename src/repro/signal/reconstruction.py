@@ -11,8 +11,7 @@ signals.
 
 Both directions run on plan-cached engines (see docs/architecture.md,
 "Signal fast path").  Synthesis decomposes Eq. 6 into ``samples_per_cycle``
-polyphase sub-kernels and either scatters them time-domain (short kernel
-support) or multiplies cached per-phase spectra (long support).
+polyphase sub-kernels and scatters them in the time domain.
 Deconvolution exploits that the normal-equations Gram ``K^T K + ridge*I``
 is a symmetric banded (near-Toeplitz) matrix: the band is built directly
 from the kernel autocorrelation — no sparse operator is materialized — and
@@ -78,11 +77,6 @@ class PlanCache:
 _SYNTH_PLANS = PlanCache(maxsize=64)
 _DECONV_PLANS = PlanCache(maxsize=128)
 
-#: polyphase sub-kernel count at or above which the planner prefers the
-#: spectral path over the time-domain scatter (short EMSim kernels — a few
-#: cycles of support — scatter faster than any FFT at realistic lengths).
-_SPECTRAL_SUPPORT_THRESHOLD = 16
-
 
 def clear_plan_caches() -> None:
     """Reset every signal-engine plan cache (test isolation hook)."""
@@ -115,35 +109,18 @@ def _polyphase_chunks(kernel: Kernel,
 
 
 class SynthesisPlan:
-    """Prepared synthesis state for one ``(kernel, spc, bucket)`` geometry.
+    """Prepared synthesis state for one ``(kernel, spc)`` geometry: the
+    polyphase chunk matrix and a grow-only scratch buffer."""
 
-    Holds the polyphase chunk matrix for the time-domain scatter and, when
-    the planner selects the spectral path, the cached per-phase kernel
-    spectra at the bucketed FFT length.
-    """
+    __slots__ = ("samples_per_cycle", "chunks", "_scratch")
 
-    __slots__ = ("samples_per_cycle", "chunks", "use_fft", "fft_length",
-                 "spectra", "_scratch")
-
-    def __init__(self, kernel: Kernel, samples_per_cycle: int,
-                 bucket_cycles: int, spectral: bool) -> None:
+    def __init__(self, kernel: Kernel, samples_per_cycle: int) -> None:
         self.samples_per_cycle = int(samples_per_cycle)
         self.chunks = _polyphase_chunks(kernel, samples_per_cycle)
         self._scratch = None
-        self.use_fft = bool(spectral)
-        if spectral:
-            support = self.chunks.shape[0]
-            length = 1
-            while length < bucket_cycles + support:
-                length <<= 1
-            self.fft_length = length
-            self.spectra = np.fft.rfft(self.chunks, n=length, axis=0).T
-        else:
-            self.fft_length = 0
-            self.spectra = None
 
     def _scratch_rows(self, cycles: int) -> np.ndarray:
-        """A reusable ``(cycles, spc)`` work buffer for the scatter path.
+        """A reusable ``(cycles, spc)`` work buffer for the scatter.
 
         The buffer only ever grows; every use fully overwrites it, so
         reuse cannot leak state between traces.
@@ -153,37 +130,22 @@ class SynthesisPlan:
         return self._scratch[:cycles]
 
     def synthesize(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Run Eq. 6 for one amplitude vector on the planned path."""
-        if self.use_fft:
-            return _spectral_synthesize(amplitudes, self)
+        """Run Eq. 6 for one amplitude vector."""
         return _overlap_add_synthesize(amplitudes, self.chunks,
                                        self._scratch_rows(len(amplitudes)))
 
 
-def _length_bucket(num_cycles: int) -> int:
-    """Bucket a trace length so nearby lengths share one spectral plan."""
-    bucket = 64
-    while bucket < num_cycles:
-        bucket <<= 1
-    return bucket
-
-
-def _synthesis_plan(kernel: Kernel, samples_per_cycle: int,
-                    num_cycles: int, spectral: bool) -> SynthesisPlan:
+def _synthesis_plan(kernel: Kernel, samples_per_cycle: int
+                    ) -> SynthesisPlan:
     """Fetch (or build) the synthesis plan for one geometry."""
     registry = get_metrics()
-    if spectral:
-        key = (kernel, samples_per_cycle, _length_bucket(num_cycles), True)
-    else:
-        key = (kernel, samples_per_cycle, 0, False)
+    key = (kernel, samples_per_cycle)
     plan = _SYNTH_PLANS.lookup(key)
     if plan is not None:
         registry.increment("signal.synth.cache.hits")
         return plan  # type: ignore[return-value]
     registry.increment("signal.synth.cache.misses")
-    plan = SynthesisPlan(kernel, samples_per_cycle,
-                         _length_bucket(num_cycles) if spectral else 0,
-                         spectral)
+    plan = SynthesisPlan(kernel, samples_per_cycle)
     if _SYNTH_PLANS.store(key, plan):
         registry.increment("signal.synth.cache.evictions")
     return plan
@@ -214,48 +176,17 @@ def _overlap_add_synthesize(amplitudes: np.ndarray, chunks: np.ndarray,
     return accumulator[:cycles * samples_per_cycle]
 
 
-def _spectral_synthesize(amplitudes: np.ndarray,
-                         plan: SynthesisPlan) -> np.ndarray:
-    """Frequency-domain polyphase synthesis on a plan's cached spectra.
-
-    One forward FFT of the amplitude vector multiplies all per-phase
-    kernel spectra at once; the inverse transform lands each phase's
-    sample stream, interleaved back onto the uniform grid.
-    """
-    cycles = len(amplitudes)
-    spectrum = np.fft.rfft(amplitudes, plan.fft_length)
-    phases = np.fft.irfft(spectrum[None, :] * plan.spectra,
-                          plan.fft_length, axis=1)
-    return phases[:, :cycles].T.ravel()
-
-
-def _synthesize(amplitudes: np.ndarray, kernel: Kernel,
-                samples_per_cycle: int) -> np.ndarray:
-    """Run one amplitude vector through its geometry's planned engine.
-
-    Kernels whose support spans at least
-    :data:`_SPECTRAL_SUPPORT_THRESHOLD` cycles take the spectral path;
-    shorter ones take the time-domain scatter.
-    """
-    support = max(1, -(-len(kernel.sampled(samples_per_cycle))
-                       // samples_per_cycle))
-    plan = _synthesis_plan(kernel, samples_per_cycle, len(amplitudes),
-                           spectral=support >= _SPECTRAL_SUPPORT_THRESHOLD)
-    return plan.synthesize(amplitudes)
-
-
 def reconstruct(amplitudes: np.ndarray, kernel: Kernel,
                 samples_per_cycle: int) -> np.ndarray:
     """Synthesize the waveform for per-cycle amplitudes (Eq. 6).
 
     Returns ``len(amplitudes) * samples_per_cycle`` samples on the uniform
-    grid; kernel energy beyond the last cycle is truncated.  The plan
-    cache picks the engine from the kernel's support: a polyphase
-    overlap-add scatter for short kernels, a cached-spectra FFT path for
-    long ones.  Both agree with a direct convolution to well inside 1e-9.
+    grid; kernel energy beyond the last cycle is truncated.  The
+    geometry's cached plan runs a polyphase overlap-add scatter, which
+    agrees with a direct convolution to well inside 1e-9.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
-    return _synthesize(amplitudes, kernel, samples_per_cycle)
+    return _synthesis_plan(kernel, samples_per_cycle).synthesize(amplitudes)
 
 
 def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
@@ -271,8 +202,8 @@ def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
     with get_tracer().span("signal.batch_reconstruct"):
         for amplitudes in amplitude_sets:
             amplitudes = np.asarray(amplitudes, dtype=float)
-            signals.append(_synthesize(amplitudes, kernel,
-                                       samples_per_cycle))
+            signals.append(_synthesis_plan(
+                kernel, samples_per_cycle).synthesize(amplitudes))
     get_metrics().increment("batch_reconstructions", len(amplitude_sets))
     return signals
 

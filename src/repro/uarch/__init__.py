@@ -21,8 +21,6 @@ from .trace import (ActivityTrace, DYN_FINAL, DYN_HIT, DYN_MISS, DYN_NONE,
                     EM_CLASSES, EM_INDEX, KIND_BUBBLE, KIND_INSTR, KIND_STALL,
                     OCC_BUBBLE, OCC_INSTR, OCC_STALL,
                     RetiredInstruction, StageOccupancy, concat_traces)
-from .tracecodec import (TraceCodecError, decode_trace, encode_trace,
-                         is_encoded_trace)
 
 __all__ = [
     "ActivityTrace",
@@ -65,7 +63,6 @@ __all__ = [
     "StallEvent",
     "TOTAL_BITS",
     "TOTAL_REGISTERS",
-    "TraceCodecError",
     "TwoLevelAdaptive",
     "alu_result",
     "branch_taken",
@@ -74,9 +71,6 @@ __all__ = [
     "concat_traces",
     "control_flow_target",
     "control_word",
-    "decode_trace",
-    "encode_trace",
-    "is_encoded_trace",
     "make_predictor",
     "muldiv_result",
     "run_program",

@@ -50,6 +50,7 @@ import numpy as np
 
 from ..isa.instructions import Instruction
 from ..isa.spec import InstrClass
+from ..robustness.errors import TraceCodecError
 from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
                      StallEvent)
 from .latches import STAGE_REGISTERS, STAGE_SLICES, STAGES, TOTAL_REGISTERS
@@ -236,7 +237,8 @@ class ActivityTrace:
     object API — ``occupancy``, ``stage_kinds``, ``active_mask``,
     ``em_class`` sequences, ``cycles_of``, ``instruction_labels`` and
     the event lists — is served by lazy views that unpack (and cache)
-    on demand.
+    on demand.  A pickle carries these columns and rows as they are
+    (:meth:`__reduce__`), never the views.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -336,48 +338,35 @@ class ActivityTrace:
 
     # -- pickling ---------------------------------------------------------
     def __reduce__(self):
-        """Pickle as ``repro-trace/1`` codec bytes.
+        """Pickle the trace's own columns, rebuilt by :func:`_restore`.
 
-        Worker pools and checkpoints ship traces between processes; the
-        codec payload is both several times smaller than the seed's
-        object-graph pickle and deterministic, so pickled bytes of
-        identically recorded traces compare equal.
+        The parts are the recorded latch rows, each stage's packed
+        occupancy column as a ``uint64`` array, the instruction table
+        and the five event-row lists.  Pickle's memo keeps every
+        retired row pointing at its instruction-table entry, and
+        :class:`~repro.isa.instructions.Instruction` pickles only its
+        declared fields.
         """
-        from .tracecodec import decode_trace, encode_trace
-        return (decode_trace, (encode_trace(self),))
-
-    @classmethod
-    def _from_columns(cls, cycles: int, values: np.ndarray,
-                      codes: Dict[str, Dict[str, np.ndarray]],
-                      instr_table: List[Instruction]) -> "ActivityTrace":
-        """Build a trace directly from decoded codec sections."""
-        trace = cls(capacity=cycles)
-        trace._n = cycles
-        trace._vals[:cycles] = values
-        for stage in STAGES:
-            kind = codes["kind"][stage].astype(np.int64)
-            dyn = codes["dyn"][stage].astype(np.int64)
-            instr = codes["instr"][stage].astype(np.int64)
-            seq = codes["seq"][stage].astype(np.int64)
-            packed = (kind | (dyn << 2) | ((instr + 1) << _INSTR_SHIFT) |
-                      ((seq + 1) << _SEQ_SHIFT))
-            trace._packed[stage][:] = packed.tolist()
-        trace._instr_table = list(instr_table)
-        trace._instr_ids = {id(instr): code + 1 for code, instr
-                            in enumerate(trace._instr_table)}
-        return trace
+        n = self._n
+        return (_restore, (
+            self._vals[:n],
+            tuple(np.fromiter(self._packed[stage], dtype=np.uint64, count=n)
+                  for stage in STAGES),
+            self._instr_table, self._stall_rows, self._cache_rows,
+            self._branch_rows, self._flush_rows, self._retire_rows))
 
     @classmethod
     def _assemble(cls, values: np.ndarray,
                   packed: Dict[str, Sequence[int]],
                   instr_table: List[Instruction],
-                  codes: Dict[str, Dict[str, np.ndarray]]
+                  codes: Optional[Dict[str, Dict[str, np.ndarray]]] = None
                   ) -> "ActivityTrace":
-        """Build a trace from finished parts (schedule replay).
+        """Build a trace from finished parts (schedule replay, unpickling).
 
         ``values`` becomes the latch store as it is; ``packed`` and
-        ``instr_table`` are copied, and copies of the unpacked ``codes``
-        columns (which must match ``packed``) seed the unpack cache.
+        ``instr_table`` are copied.  Copies of the unpacked ``codes``
+        columns (which must match ``packed``), when given, seed the
+        unpack cache; without them it fills on first read.
         """
         trace = cls(capacity=1)
         cycles = values.shape[0]
@@ -388,9 +377,11 @@ class ActivityTrace:
         trace._instr_table = list(instr_table)
         trace._instr_ids = {id(instr): code for code, instr
                             in enumerate(trace._instr_table, start=1)}
-        trace._codes_cache = {"n": cycles, "codes": {
-            column: {stage: array.copy() for stage, array in by_stage.items()}
-            for column, by_stage in codes.items()}}
+        if codes is not None:
+            trace._codes_cache = {"n": cycles, "codes": {
+                column: {stage: array.copy()
+                         for stage, array in by_stage.items()}
+                for column, by_stage in codes.items()}}
         return trace
 
     def _extend_events(self, stalls: Sequence[tuple],
@@ -458,10 +449,6 @@ class ActivityTrace:
         rows.extend(_em_row(instr) for instr in self._instr_table)
         # repro: allow[N203] every entry is an EM_INDEX code (< 16)
         return np.array(rows, dtype=np.uint8)
-
-    def _code_column(self, column: str, stage: str) -> np.ndarray:
-        """One recorded code column (codec serialization accessor)."""
-        return self._unpacked()[column][stage]
 
     # -- shape ------------------------------------------------------------
     @property
@@ -626,6 +613,36 @@ class ActivityTrace:
     def cache_misses(self) -> int:
         """Count of data-cache misses."""
         return sum(not row[3] for row in self._cache_rows)
+
+
+def _restore(values: np.ndarray, packed: Sequence[np.ndarray],
+             instr_table: List[Instruction], stalls: Sequence[tuple],
+             cache_events: Sequence[tuple], branch_events: Sequence[tuple],
+             flushes: Sequence[tuple], retired: Sequence[tuple]
+             ) -> ActivityTrace:
+    """Rebuild a pickled :class:`ActivityTrace` from its parts.
+
+    Raises :class:`TraceCodecError` when the parts do not fit this
+    build's latch schema: the latch matrix must be 2-D with
+    ``TOTAL_REGISTERS`` columns, and there must be one packed column
+    per stage, each as long as the matrix.
+    """
+    if values.ndim != 2 or values.shape[1] != TOTAL_REGISTERS:
+        raise TraceCodecError(
+            f"latch matrix of shape {values.shape} does not fit this "
+            f"build's {TOTAL_REGISTERS}-register schema")
+    cycles = values.shape[0]
+    if len(packed) != len(STAGES) or any(
+            column.shape != (cycles,) for column in packed):
+        raise TraceCodecError(
+            f"occupancy columns do not match the {cycles} latch rows "
+            f"of {len(STAGES)} stages")
+    trace = ActivityTrace._assemble(
+        values, {stage: column.tolist()
+                 for stage, column in zip(STAGES, packed)}, instr_table)
+    trace._extend_events(stalls, cache_events, branch_events, flushes,
+                         retired)
+    return trace
 
 
 def concat_traces(traces: Sequence[ActivityTrace]) -> ActivityTrace:

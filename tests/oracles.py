@@ -32,6 +32,8 @@ asserting that the engine computes the same thing:
   stage design (:func:`seed_stage_design_matrix`, float transition bits
   and their per-register sums), of which the model then keeps its
   selected columns.
+
+:func:`trace_bytes` turns a trace's content into comparable bytes.
 """
 
 import hashlib
@@ -227,6 +229,33 @@ def run_legacy(program, ooo: bool = False, **options):
     core.latches = LegacyHardwareLatches()
     core.trace = LegacyActivityTrace()
     return core.run(), core
+
+
+def trace_bytes(trace) -> bytes:
+    """A columnar trace's content as bytes, for equality checks.
+
+    The cycle count and latch matrix, then each stage's kind, dyn and
+    seq codes and the machine word of its instruction per cycle (-1 for
+    none), then the event rows with every instruction as its machine
+    word.  Two traces with the same content give the same bytes,
+    whatever the order of their instruction tables.
+    """
+    codes = trace._unpacked()
+    words = np.array([-1] + [instr.encode() for instr in trace._instr_table],
+                     dtype=np.int64)
+    parts = [np.int64(trace.num_cycles).tobytes(),
+             np.ascontiguousarray(trace._values_all()).tobytes()]
+    for stage in STAGES:
+        parts += [codes["kind"][stage].tobytes(),
+                  codes["dyn"][stage].tobytes(),
+                  codes["seq"][stage].tobytes(),
+                  words[codes["instr"][stage] + 1].tobytes()]
+    events = (trace._stall_rows, trace._cache_rows, trace._branch_rows,
+              trace._flush_rows,
+              [(seq, pc, instr.encode(), cycle)
+               for seq, pc, instr, cycle in trace._retire_rows])
+    parts.append(repr(events).encode())
+    return b"".join(parts)
 
 
 def assert_traces_identical(legacy, columnar) -> None:

@@ -540,10 +540,29 @@ class TestRepoContracts:
         # the historical homes still export the same classes
         from repro.isa.assembler import AssemblerError as FromIsa
         from repro.leakage.mitigation import MitigationError as FromLeak
-        from repro.uarch.tracecodec import TraceCodecError as FromCodec
         assert FromIsa is AssemblerError
-        assert FromCodec is TraceCodecError
         assert FromLeak is MitigationError
+
+    def test_every_public_export_resolves(self):
+        source = os.path.join(REPO_ROOT, "src")
+        if source not in sys.path:
+            sys.path.insert(0, source)
+        import importlib
+        import pkgutil
+
+        import repro
+        # repro.__main__ runs the CLI on import
+        names = ["repro"] + [
+            info.name for info in pkgutil.walk_packages(repro.__path__,
+                                                        "repro.")
+            if not info.name.endswith(".__main__")]
+        dangling = []
+        for name in names:
+            module = importlib.import_module(name)
+            dangling += [f"{name}.{export}"
+                         for export in getattr(module, "__all__", ())
+                         if not hasattr(module, export)]
+        assert dangling == []
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ from repro.signal import (DEFAULT_KERNEL, batch_estimate_cycle_amplitudes,
 from repro.uarch.latches import STAGES
 from repro.workloads import RandomProgramBuilder
 
+from .oracles import assert_traces_identical
+
 CONTRACT = 1e-9
 """The documented max-abs-diff bound between batched and one-at-a-time
 signal helpers."""
@@ -71,6 +73,8 @@ def test_simulate_many_bit_identical(trained):
             reference = simulator.simulate(program)
             assert np.array_equal(result.amplitudes, reference.amplitudes)
             assert np.array_equal(result.signal, reference.signal)
+            # at workers=2 the trace crossed the pool as a pickle
+            assert_traces_identical(reference.trace, result.trace)
 
 
 def test_simulator_simulate_many_entry_point(trained):

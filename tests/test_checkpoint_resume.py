@@ -6,6 +6,8 @@ end-to-end claim: an interrupted campaign, resumed from its journal,
 produces bit-identical arrays to an uninterrupted run.
 """
 
+import base64
+import hashlib
 import json
 import os
 import subprocess
@@ -182,6 +184,29 @@ class TestSupervisedMapResume:
         assert second == first == [2, 4, 6, 8]
         assert ledger.resumed == [0, 1]
         assert [o.attempts for o in ledger.outcomes] == [0, 0, 1, 1]
+
+    def test_record_that_no_longer_unpickles_raises(self, tmp_path):
+        # a valid-checksum record naming a module this build lacks, as a
+        # journal written by another version of repro can
+        path = str(tmp_path / "j.jsonl")
+        key_for = lambda index, item: content_key("d", index, item)
+        key = key_for(0, 1)
+        payload = b"\x80\x04cno_such_module\nthing\n."
+        with open(path, "w") as handle:
+            handle.write(json.dumps({"schema": JOURNAL_SCHEMA,
+                                     "meta": {}}) + "\n")
+            handle.write(json.dumps({
+                "key": key, "index": 0,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "payload": base64.b64encode(payload).decode("ascii"),
+            }) + "\n")
+        with CheckpointJournal(path) as journal:
+            with pytest.raises(CheckpointError) as raised:
+                supervised_map(double, [1], journal=journal,
+                               key_for=key_for)
+        message = str(raised.value)
+        assert path in message and key[:16] in message
+        assert "another version of repro" in message
 
 
 class TestCampaignResume:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.leakage.savat import (SAVAT_INSTRUCTIONS, format_matrix,
-                                 savat_program, savat_value)
+                                 savat_matrix, savat_program, savat_value)
 from repro.leakage.tvla import (TVLAResult, collect_tvla_traces, tvla,
                                 welch_t_statistic)
+from repro.robustness import ProbeError
 from repro.uarch import GoldenSimulator, run_program
 
 
@@ -131,3 +132,16 @@ def test_format_matrix_layout():
 def test_unknown_savat_instruction_rejected():
     with pytest.raises(ValueError):
         savat_program("FMA", "NOP")
+
+
+def _never_called(program):
+    raise AssertionError("an unknown pair must fail before any capture")
+
+
+@pytest.mark.parametrize("options", [
+    {"workers": 1}, {"workers": 2}, {"workers": 1, "item_timeout": 30}],
+    ids=["in-process", "pool", "supervised"])
+def test_unknown_savat_pair_is_a_probe_error_at_every_worker_count(
+        options):
+    with pytest.raises(ProbeError, match="FOO"):
+        savat_matrix(_never_called, 10, pairs=[("FOO", "NOP")], **options)

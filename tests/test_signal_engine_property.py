@@ -26,8 +26,7 @@ from repro.robustness import CampaignError, ConfigurationError
 from repro.robustness.errors import AcquisitionError
 from repro.robustness.faults import FaultInjector, FaultPlan
 from repro.signal.kernels import DampedSineKernel, ExpKernel
-from repro.signal.reconstruction import (_synthesis_plan,
-                                         batch_estimate_cycle_amplitudes,
+from repro.signal.reconstruction import (batch_estimate_cycle_amplitudes,
                                          batch_reconstruct,
                                          clear_plan_caches,
                                          estimate_cycle_amplitudes,
@@ -59,11 +58,7 @@ _SPC = st.integers(2, 24)
 def test_planned_synthesis_matches_direct_oracle(amplitudes, kernel, spc):
     oracle = direct_reconstruct(amplitudes, kernel, spc)
     planned = reconstruct(amplitudes, kernel, spc)
-    # the spectral plan, whatever the planner would pick for this kernel
-    spectral = _synthesis_plan(kernel, spc, len(amplitudes),
-                               spectral=True).synthesize(amplitudes)
     assert np.max(np.abs(planned - oracle)) <= TOLERANCE
-    assert np.max(np.abs(spectral - oracle)) <= TOLERANCE
 
 
 @given(amplitudes=_AMPLITUDES, kernel=_KERNELS, spc=_SPC)

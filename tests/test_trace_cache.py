@@ -10,9 +10,13 @@ and the ablations never reach that entry.
 """
 
 import pickle
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EMSim
 from repro.core.config import EMSimConfig
@@ -22,16 +26,17 @@ from repro.core.model import EMSimModel
 from repro.core.trace_cache import (TraceCache, code_family_key,
                                     configure_trace_cache, get_trace_cache,
                                     trace_cache_disabled, trace_key)
-from repro.hardware import HardwareDevice
+from repro.hardware import HardwareDevice, Measurement
 from repro.isa import assemble
 from repro.isa.program import bound_template
 from repro.leakage import SimulatorSignalSource, aes_program, savat_matrix
 from repro.observability import disable_metrics, enable_metrics
 from repro.robustness import FaultPlan
+from repro.uarch import run_program
 from repro.uarch.config import CoreConfig
-from repro.uarch.tracecodec import encode_trace, is_encoded_trace
+from repro.workloads import fibonacci
 
-from .oracles import seed_trace_keys
+from .oracles import assert_traces_identical, seed_trace_keys, trace_bytes
 
 ALU = REPRESENTATIVES["alu"]
 LOAD = REPRESENTATIVES["load"]
@@ -247,17 +252,60 @@ def test_corrupt_pickle_on_disk_is_a_miss(tmp_path, payload):
     directory = tmp_path / "cache"
     configure_trace_cache(directory=str(directory))
     device.capture_ideal(program)
-    # the device trace is codec bytes; the measurement is the pickle
+    # one entry holds the device trace, the other the measurement
     [entry] = [path for path in directory.iterdir()
-               if not is_encoded_trace(path.read_bytes())]
-    entry.write_bytes(payload)
+               if isinstance(pickle.loads(zlib.decompress(
+                   path.read_bytes())), Measurement)]
+    # compressed, so the corrupt pickle reaches pickle.loads
+    entry.write_bytes(zlib.compress(payload))
     configure_trace_cache(clear=True)
     capture = device.capture_ideal(program)
     assert np.array_equal(capture.signal, cold.signal)
-    assert encode_trace(capture.trace) == encode_trace(cold.trace)
+    assert trace_bytes(capture.trace) == trace_bytes(cold.trace)
     rewritten = TraceCache(directory=str(directory)).lookup(entry.stem)
     assert rewritten is not None
     assert np.array_equal(rewritten.signal, cold.signal)
+
+
+#: one disk entry for the truncation and corruption properties.
+_TRACE = run_program(fibonacci(6))[0]
+with tempfile.TemporaryDirectory() as _directory:
+    TraceCache(directory=_directory).store("entry", _TRACE)
+    with open(f"{_directory}/entry.pkl", "rb") as _handle:
+        _ENTRY = _handle.read()
+
+
+def _lookup_entry(payload):
+    """What a fresh disk-backed cache serves for an entry of ``payload``."""
+    with tempfile.TemporaryDirectory() as directory:
+        with open(f"{directory}/entry.pkl", "wb") as handle:
+            handle.write(payload)
+        return TraceCache(directory=directory).lookup("entry")
+
+
+def test_disk_entry_round_trips():
+    # the properties below mangle a valid entry, not an unreadable one
+    assert_traces_identical(_TRACE, _lookup_entry(_ENTRY))
+
+
+@given(cut=st.integers(0, len(_ENTRY) - 1))
+@settings(max_examples=60, deadline=None)
+def test_truncated_disk_entry_is_a_miss(cut):
+    assert _lookup_entry(_ENTRY[:cut]) is None
+
+
+@given(position=st.integers(0, len(_ENTRY) - 1),
+       flip=st.integers(1, 255))
+@settings(max_examples=60, deadline=None)
+def test_corrupted_disk_entry_never_loads_a_wrong_trace(position, flip):
+    corrupted = bytearray(_ENTRY)
+    corrupted[position] ^= flip
+    value = _lookup_entry(bytes(corrupted))
+    # a few flips (the zlib header's level bits, deflate code lengths of
+    # unused symbols) leave the stream's content as it was; every other
+    # flip fails decompression or its checksum
+    if value is not None:
+        assert_traces_identical(_TRACE, value)
 
 
 def test_entries_under_unversioned_keys_miss(tmp_path, monkeypatch):
@@ -361,10 +409,10 @@ def test_device_reuses_emsim_scalar_runs_but_not_replays(
     assert all(mine is not theirs
                for mine, theirs in zip(captured[1:], simulated[1:]))
     with trace_cache_disabled():
-        scalar = [encode_trace(device.run_trace(program))
+        scalar = [trace_bytes(device.run_trace(program))
                   for program in programs]
-    assert [encode_trace(trace) for trace in simulated] == scalar
-    assert [encode_trace(trace) for trace in captured] == scalar
+    assert [trace_bytes(trace) for trace in simulated] == scalar
+    assert [trace_bytes(trace) for trace in captured] == scalar
 
 
 def test_emsim_reuses_the_device_trace(simulator, core_runs, registry):
@@ -397,10 +445,10 @@ def test_ablations_never_get_the_device_trace(simulator, registry, flag):
     ablated = simulator.with_switches(**{flag: False})
     traces = [ablated.run_trace(program) for _ in range(2)]
     with trace_cache_disabled():
-        own = encode_trace(ablated.run_trace(program))
+        own = trace_bytes(ablated.run_trace(program))
     assert all(trace is not captured for trace in traces)
-    assert [encode_trace(trace) for trace in traces] == [own, own]
-    assert own != encode_trace(captured)
+    assert [trace_bytes(trace) for trace in traces] == [own, own]
+    assert own != trace_bytes(captured)
     assert "trace_cache.sim.scalar_hits" not in registry.counters
 
 

@@ -1,12 +1,12 @@
-"""Schedule replay equals the scalar core, byte for byte.
+"""Schedule replay equals the scalar core, cycle for cycle.
 
 EMSim's trace-cache runner records the in-order core's schedule once
 per code family and replays it for later misses
 (:mod:`repro.uarch.replay`).  A family of programs bound from one
 template (``Program.with_data``, e.g. every ``aes_program``) records on
 its first miss; any other family runs the plain core on its first miss
-and records on its second.  Every test here compares the
-``repro-trace/1`` bytes of those runs with runs under
+and records on its second.  Every test here compares the content of
+those runs (``trace_bytes`` in ``tests/oracles.py``) with runs under
 :func:`trace_cache_disabled`, which always take the scalar core, and
 checks which later misses replayed and which fell back.
 """
@@ -27,8 +27,9 @@ from repro.leakage import aes_program
 from repro.observability import disable_metrics, enable_metrics
 from repro.uarch import DEFAULT_CONFIG, STAGES, run_program
 from repro.uarch.replay import record, replay
-from repro.uarch.tracecodec import encode_trace
 from repro.workloads import nop_padded
+
+from .oracles import trace_bytes
 
 SALT = "sim:mispredicts=True"
 """The trace-key salt of a full-model simulator."""
@@ -65,12 +66,12 @@ def replays(monkeypatch):
 
 def _cached_and_scalar(simulator, programs, max_cycles=None):
     """Trace bytes of each program with the cache on, then off."""
-    cached = [encode_trace(simulator.run_trace(program,
-                                               max_cycles=max_cycles))
+    cached = [trace_bytes(simulator.run_trace(program,
+                                              max_cycles=max_cycles))
               for program in programs]
     with trace_cache_disabled():
-        scalar = [encode_trace(simulator.run_trace(program,
-                                                   max_cycles=max_cycles))
+        scalar = [trace_bytes(simulator.run_trace(program,
+                                                  max_cycles=max_cycles))
                   for program in programs]
     return cached, scalar
 
@@ -336,4 +337,4 @@ def test_replay_declines_a_different_instruction_sharing():
     assert replay(schedule, distinct) is None
     rebound = shared.with_data({0: [1, 2, 3, 4]})
     scalar, _ = run_program(rebound)
-    assert encode_trace(replay(schedule, rebound)) == encode_trace(scalar)
+    assert trace_bytes(replay(schedule, rebound)) == trace_bytes(scalar)

@@ -85,7 +85,7 @@ class AnalysisConfig:
     fanout_functions: List[str] = field(default_factory=lambda: [
         "parallel_map", "supervised_map"])
     #: project-defined class names allowed to cross the SupervisedPool
-    #: worker boundary (X701); everything else must be codec arrays or
+    #: worker boundary (X701); everything else must be NumPy arrays or
     #: plain JSON-able types.  Each entry is justified in
     #: ``docs/static-analysis.md``.
     ipc_allowlist: List[str] = field(default_factory=lambda: [

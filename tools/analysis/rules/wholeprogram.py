@@ -17,9 +17,9 @@ engine builds over the full lint surface:
   top-level handler does not convert.
 * ``X701`` — IPC hygiene: values returned by ``parallel_map`` /
   ``supervised_map`` workers cross a process boundary; anything that
-  is not a codec-serialized array, a plain JSON-able type, or an
-  explicitly allow-listed class (``ipc-allowlist``) is ad-hoc pickle
-  of a custom object and gets flagged at the worker's return site.
+  is not a NumPy array, a plain JSON-able type, or an explicitly
+  allow-listed class (``ipc-allowlist``) is ad-hoc pickle of a custom
+  object and gets flagged at the worker's return site.
 
 Each pass is a conservative *under*-approximation where the AST runs
 out (computed callables above the dynamic-fanout cap, values bound to
@@ -198,9 +198,9 @@ class IpcHygieneRule(ProgramRule):
                                     f"returns {bare} (defined in "
                                     f"{rmodule}) across the process "
                                     f"boundary; IPC payloads must be "
-                                    f"codec-serialized arrays, plain "
-                                    f"JSON-able types, or a class on "
-                                    f"the audited ipc-allowlist")
+                                    f"NumPy arrays, plain JSON-able "
+                                    f"types, or a class on the audited "
+                                    f"ipc-allowlist")
                     elif rkind == "function":
                         stack.append(((rmodule, rqual), depth + 1))
                 else:
