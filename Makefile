@@ -12,20 +12,23 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # workload's outputs against bench/golden.json, so a change that moves a
 # trained model, a TVLA t statistic or a SAVAT entry fails here.  Last, the
 # paper-shape benches: Fig. 10 (AES TVLA through EMSim's schedule
-# replay, ~7 s), then Figs. 5-7 (stalls, cache misses, mispredictions)
-# and Table II (the SAVAT matrix, measured and simulated) in one pytest
-# call, so they share one ~1.3 s model fit (~3.5 s for the three
-# figures, ~1 s for the table).  Then the robustness recovery bench
-# (~7 s): it trains through reference captures at 0, 5 and 20 %
-# injected faults, so it runs the repetition screen's fold fallback and
-# its ragged-repetition path.  They rewrite the six PAPER_RESULTS files,
-# and the last step fails on any difference from the committed (or
-# staged) ones in a git work tree; elsewhere it is skipped.  So a stall,
-# cache-miss, misprediction, AES TVLA, SAVAT or fault-recovery result
-# that moved fails the check.
+# replay, ~7 s), then Figs. 5-7 (stalls, cache misses, mispredictions),
+# Fig. 9 (the trained model against a copy with a refit intercept and
+# beta, simulating the same programs: the end-to-end gate on the key of
+# EMSim's amplitude memo) and Table II (the SAVAT matrix, measured and
+# simulated) in one pytest call, so they share one ~1.3 s model fit
+# (~3.5 s for Figs. 5-7, ~1 s each for Fig. 9 and the table).  Then the
+# robustness recovery bench (~7 s): it trains through reference
+# captures at 0, 5 and 20 % injected faults, so it runs the repetition
+# screen's fold fallback and its ragged-repetition path.  They rewrite
+# the seven PAPER_RESULTS files, and the last step fails on any
+# difference from the committed (or staged) ones in a git work tree;
+# elsewhere it is skipped.  So a stall, cache-miss, misprediction,
+# probe-distance, AES TVLA, SAVAT or fault-recovery result that moved
+# fails the check.
 PAPER_RESULTS = $(addprefix benchmarks/results/,fig5_stall.txt \
-	fig6_cache.txt fig7_mispredict.txt fig10_tvla.txt tab2_savat.txt \
-	robustness_recovery.txt)
+	fig6_cache.txt fig7_mispredict.txt fig9_distance.txt fig10_tvla.txt \
+	tab2_savat.txt robustness_recovery.txt)
 
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
@@ -33,8 +36,8 @@ check: test lint
 	cd benchmarks && $(PYTHON) -m pytest test_fig10_tvla.py \
 		--benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig5_stall.py \
-		test_fig6_cache.py test_fig7_mispredict.py test_tab2_savat.py \
-		--benchmark-disable -q
+		test_fig6_cache.py test_fig7_mispredict.py test_fig9_distance.py \
+		test_tab2_savat.py --benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_robustness_recovery.py \
 		--benchmark-disable -q
 	if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then \

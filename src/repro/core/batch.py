@@ -79,11 +79,8 @@ def _simulate_item(item):
     """
     _, program = item
     simulator: EMSim = _WORKER_STATE["simulator"]
-    trace = simulator.run_trace(program,
-                                max_cycles=_WORKER_STATE["max_cycles"])
-    amplitudes = simulator.model.predict_cycle_amplitudes(
-        trace, switches=simulator.switches)
-    return trace, amplitudes
+    return simulator.trace_amplitudes(
+        program, max_cycles=_WORKER_STATE["max_cycles"])
 
 
 class BatchSimulator:

@@ -8,6 +8,8 @@ without any measurement equipment.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -75,6 +77,10 @@ class EMSim:
                                            miss_extra_cycles=0))
         return config
 
+    def _sim_salt(self) -> str:
+        """Trace-key salt of EMSim's own trace-cache entries."""
+        return f"sim:mispredicts={self.switches.model_mispredicts}"
+
     def run_trace(self, program: Program,
                   max_cycles: Optional[int] = None) -> ActivityTrace:
         """Run the program on EMSim's internal microarchitecture model.
@@ -97,7 +103,7 @@ class EMSim:
         the shared entry.
         """
         config = self._effective_core_config()
-        salt = f"sim:mispredicts={self.switches.model_mispredicts}"
+        salt = self._sim_salt()
 
         def runner() -> ActivityTrace:
             with get_tracer().span("sim.trace"):
@@ -184,14 +190,51 @@ class EMSim:
         return Pipeline(program, config=config).run(
             max_cycles=max_cycles), False
 
-    def simulate_trace(self, trace: ActivityTrace) -> SimulatedSignal:
-        """Predict the signal for an existing activity trace."""
-        tracer = get_tracer()
-        with tracer.span("sim.predict"):
+    def trace_amplitudes(self, program: Program,
+                         max_cycles: Optional[int] = None
+                         ) -> Tuple[ActivityTrace, np.ndarray]:
+        """``program``'s activity trace and per-cycle amplitudes X[n].
+
+        The trace comes from :meth:`run_trace`.  The amplitudes are
+        memoized in the trace cache (category ``predict``) under the
+        trace's key inputs, salted with a SHA-256 digest of the pickled
+        model and switches.  The digest is taken on every call, so a
+        model edited in place, or a copy whose ``intercept`` or ``beta``
+        was refit (Fig. 9), keys its own entry.  The cache keeps a
+        read-only array and every caller gets its own copy; a disabled
+        cache predicts every time.
+        """
+        trace = self.run_trace(program, max_cycles=max_cycles)
+        digest = hashlib.sha256(pickle.dumps(
+            (self.model, self.switches),
+            protocol=pickle.HIGHEST_PROTOCOL)).hexdigest()
+
+        def runner() -> np.ndarray:
             amplitudes = self.model.predict_cycle_amplitudes(
                 trace, switches=self.switches)
+            amplitudes.flags.writeable = False
+            return amplitudes
+
+        with get_tracer().span("sim.predict"):
+            amplitudes = get_trace_cache().get_or_run(
+                program, self._effective_core_config(), runner,
+                core_kind=self.core_kind, max_cycles=max_cycles,
+                salt=f"{self._sim_salt()}:predict:{digest}",
+                category="predict")
+        return trace, amplitudes.copy()
+
+    def simulate_trace(self, trace: ActivityTrace) -> SimulatedSignal:
+        """Predict the signal for an existing activity trace."""
+        with get_tracer().span("sim.predict"):
+            amplitudes = self.model.predict_cycle_amplitudes(
+                trace, switches=self.switches)
+        return self._signal(trace, amplitudes)
+
+    def _signal(self, trace: ActivityTrace,
+                amplitudes: np.ndarray) -> SimulatedSignal:
+        """Reconstruct the waveform of predicted amplitudes."""
         samples_per_cycle = self.model.config.samples_per_cycle
-        with tracer.span("sim.reconstruct"):
+        with get_tracer().span("sim.reconstruct"):
             signal = reconstruct(amplitudes, self.model.config.kernel,
                                  samples_per_cycle)
         return SimulatedSignal(amplitudes=amplitudes, signal=signal,
@@ -200,9 +243,10 @@ class EMSim:
 
     def simulate(self, program: Program,
                  max_cycles: Optional[int] = None) -> SimulatedSignal:
-        """Full flow: execute the program, predict its EM signal."""
-        return self.simulate_trace(self.run_trace(program,
-                                                  max_cycles=max_cycles))
+        """Full flow: execute the program, predict its EM signal
+        (:meth:`trace_amplitudes`), reconstruct the waveform."""
+        return self._signal(*self.trace_amplitudes(program,
+                                                   max_cycles=max_cycles))
 
     def simulate_many(self, programs: Sequence[Program],
                       max_cycles: Optional[int] = None,

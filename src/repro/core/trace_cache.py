@@ -146,10 +146,18 @@ def _program_digests(program: Program) -> Tuple[bytes, bytes]:
     data = np.empty(len(addresses),
                     dtype=[("address", "<u8"), ("value", "u1")])
     data["address"] = addresses
-    values = np.fromiter(
-        (program.data[address] for address in addresses),
-        dtype=np.int64, count=len(addresses))
-    data["value"] = values & 0xFF
+    try:
+        # repro: allow[N203] bytes() takes only values in 0..255, so
+        # the uint8 view is lossless.
+        data["value"] = np.frombuffer(
+            bytes(map(program.data.__getitem__, addresses)), dtype=np.uint8)
+    except (TypeError, ValueError):
+        # values bytes() declines (3.0, or a byte edited out of range
+        # after construction) key as their integer's low byte
+        values = np.fromiter(
+            (program.data[address] for address in addresses),
+            dtype=np.int64, count=len(addresses))
+        data["value"] = values & 0xFF
     sections.update(data.tobytes())
     digests = (code_digest, sections.digest())
     with contextlib.suppress(AttributeError):

@@ -25,6 +25,10 @@ class DataCache:
 
     def __init__(self, config: Optional[CacheConfig] = None):
         self.config = config or CacheConfig()
+        # the geometry, read on every access (num_sets divides)
+        self._line_bytes = self.config.line_bytes
+        self._num_sets = self.config.num_sets
+        self._ways = self.config.ways
         # Each set is an LRU-ordered list, most recently used last.
         self._sets: Dict[int, List[_Line]] = {}
         self.hits = 0
@@ -33,8 +37,8 @@ class DataCache:
 
     # -- geometry helpers ------------------------------------------------
     def _index_and_tag(self, address: int) -> tuple:
-        line = address // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        block = address // self._line_bytes
+        return block % self._num_sets, block // self._num_sets
 
     # -- operations --------------------------------------------------------
     def access(self, address: int, is_store: bool) -> bool:
@@ -43,17 +47,23 @@ class DataCache:
         Misses allocate (write-allocate policy) and may evict a dirty line,
         which is counted as a writeback.
         """
-        set_index, tag = self._index_and_tag(address)
-        lines = self._sets.setdefault(set_index, [])
+        # _index_and_tag, inlined: every core and replay access runs it
+        block = address // self._line_bytes
+        set_index = block % self._num_sets
+        tag = block // self._num_sets
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = []
         for position, line in enumerate(lines):
             if line.tag == tag:
-                lines.append(lines.pop(position))  # promote to MRU
+                if position != len(lines) - 1:
+                    lines.append(lines.pop(position))  # promote to MRU
                 if is_store:
                     line.dirty = True
                 self.hits += 1
                 return True
         self.misses += 1
-        if len(lines) >= self.config.ways:
+        if len(lines) >= self._ways:
             victim = lines.pop(0)
             if victim.dirty:
                 self.writebacks += 1

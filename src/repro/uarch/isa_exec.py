@@ -3,17 +3,22 @@
 Pure functions implementing the user-level semantics (ALU operations,
 multiply/divide, branch conditions, effective addresses) on unsigned 32-bit
 integers, plus :class:`GoldenSimulator`, a simple sequential interpreter used
-as the reference model when testing the pipelined core.
+as the reference model when testing the pipelined core.  Each mnemonic's
+ALU result and each branch's condition is one entry of a table
+(:data:`ALU_FUNCTIONS`, :data:`BRANCH_CONDITIONS`); both cores, the
+schedule replay and :class:`GoldenSimulator` share them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..isa.encoding import sign_extend, to_unsigned
+from ..isa.encoding import sign_extend
 from ..isa.instructions import Instruction
 from ..isa.program import TEXT_BASE, Program
+from ..isa.spec import OPCODES, InstrClass
 from ..robustness.errors import AssemblerError
 
 MASK32 = 0xFFFFFFFF
@@ -23,105 +28,222 @@ def _signed(value: int) -> int:
     return sign_extend(value, 32)
 
 
+AluFunction = Callable[[int, int, int, int], int]
+"""One mnemonic's ALU semantics: ``(a, b, imm, pc) -> result``."""
+
+
+# -- the ALU table's entries ---------------------------------------------
+# Module-level functions of (a, b, imm, pc), so that whatever holds one
+# (a replay schedule's steps) holds no closure.
+def _add(a: int, b: int, imm: int, pc: int) -> int:
+    return (a + b) & MASK32
+
+
+def _addi(a: int, b: int, imm: int, pc: int) -> int:
+    return (a + imm) & MASK32
+
+
+def _sub(a: int, b: int, imm: int, pc: int) -> int:
+    return (a - b) & MASK32
+
+
+def _and(a: int, b: int, imm: int, pc: int) -> int:
+    return a & b
+
+
+def _andi(a: int, b: int, imm: int, pc: int) -> int:
+    return a & (imm & MASK32)
+
+
+def _or(a: int, b: int, imm: int, pc: int) -> int:
+    return a | b
+
+
+def _ori(a: int, b: int, imm: int, pc: int) -> int:
+    return a | (imm & MASK32)
+
+
+def _xor(a: int, b: int, imm: int, pc: int) -> int:
+    return a ^ b
+
+
+def _xori(a: int, b: int, imm: int, pc: int) -> int:
+    return a ^ (imm & MASK32)
+
+
+def _slt(a: int, b: int, imm: int, pc: int) -> int:
+    return 1 if _signed(a) < _signed(b) else 0
+
+
+def _slti(a: int, b: int, imm: int, pc: int) -> int:
+    return 1 if _signed(a) < imm else 0
+
+
+def _sltu(a: int, b: int, imm: int, pc: int) -> int:
+    return 1 if a < b else 0
+
+
+def _sltiu(a: int, b: int, imm: int, pc: int) -> int:
+    return 1 if a < (imm & MASK32) else 0
+
+
+def _sll(a: int, b: int, imm: int, pc: int) -> int:
+    return (a << (b & 0x1F)) & MASK32
+
+
+def _slli(a: int, b: int, imm: int, pc: int) -> int:
+    return (a << (imm & 0x1F)) & MASK32
+
+
+def _srl(a: int, b: int, imm: int, pc: int) -> int:
+    return a >> (b & 0x1F)
+
+
+def _srli(a: int, b: int, imm: int, pc: int) -> int:
+    return a >> (imm & 0x1F)
+
+
+def _sra(a: int, b: int, imm: int, pc: int) -> int:
+    return (_signed(a) >> (b & 0x1F)) & MASK32
+
+
+def _srai(a: int, b: int, imm: int, pc: int) -> int:
+    return (_signed(a) >> (imm & 0x1F)) & MASK32
+
+
+def _lui(a: int, b: int, imm: int, pc: int) -> int:
+    return (imm << 12) & MASK32
+
+
+def _auipc(a: int, b: int, imm: int, pc: int) -> int:
+    return (pc + (imm << 12)) & MASK32
+
+
+def _link(a: int, b: int, imm: int, pc: int) -> int:
+    """``jal``/``jalr``: the link value."""
+    return (pc + 4) & MASK32
+
+
+def _branch_target(a: int, b: int, imm: int, pc: int) -> int:
+    """A branch's target (its condition is :func:`branch_taken`)."""
+    return (pc + imm) & MASK32
+
+
+def _system(a: int, b: int, imm: int, pc: int) -> int:
+    """``fence``, ``ecall`` and ``ebreak`` compute nothing."""
+    return 0
+
+
+def _mul(a: int, b: int, imm: int, pc: int) -> int:
+    return (_signed(a) * _signed(b)) & MASK32
+
+
+def _mulh(a: int, b: int, imm: int, pc: int) -> int:
+    return ((_signed(a) * _signed(b)) >> 32) & MASK32
+
+
+def _mulhsu(a: int, b: int, imm: int, pc: int) -> int:
+    return ((_signed(a) * b) >> 32) & MASK32
+
+
+def _mulhu(a: int, b: int, imm: int, pc: int) -> int:
+    return ((a * b) >> 32) & MASK32
+
+
+def _div(a: int, b: int, imm: int, pc: int) -> int:
+    if b == 0:
+        return MASK32  # -1
+    sa, sb = _signed(a), _signed(b)
+    if sa == -(1 << 31) and sb == -1:
+        return 1 << 31  # overflow: returns dividend
+    quotient = abs(sa) // abs(sb)
+    return (-quotient if (sa < 0) != (sb < 0) else quotient) & MASK32
+
+
+def _divu(a: int, b: int, imm: int, pc: int) -> int:
+    return MASK32 if b == 0 else (a // b) & MASK32
+
+
+def _rem(a: int, b: int, imm: int, pc: int) -> int:
+    if b == 0:
+        return a
+    sa, sb = _signed(a), _signed(b)
+    if sa == -(1 << 31) and sb == -1:
+        return 0
+    remainder = abs(sa) % abs(sb)
+    return (-remainder if sa < 0 else remainder) & MASK32
+
+
+def _remu(a: int, b: int, imm: int, pc: int) -> int:
+    return a if b == 0 else (a % b) & MASK32
+
+
+_MULDIV_FUNCTIONS: Dict[str, AluFunction] = {
+    "mul": _mul, "mulh": _mulh, "mulhsu": _mulhsu, "mulhu": _mulhu,
+    "div": _div, "divu": _divu, "rem": _rem, "remu": _remu}
+
+ALU_FUNCTIONS: Dict[str, AluFunction] = {
+    "add": _add, "addi": _addi, "sub": _sub,
+    "and": _and, "andi": _andi, "or": _or, "ori": _ori,
+    "xor": _xor, "xori": _xori,
+    "slt": _slt, "slti": _slti, "sltu": _sltu, "sltiu": _sltiu,
+    "sll": _sll, "slli": _slli, "srl": _srl, "srli": _srli,
+    "sra": _sra, "srai": _srai,
+    "lui": _lui, "auipc": _auipc, "jal": _link, "jalr": _link,
+    "fence": _system, "ecall": _system, "ebreak": _system,
+    **_MULDIV_FUNCTIONS,
+    # loads and stores compute their effective address
+    **{name: _addi for name, spec in OPCODES.items()
+       if spec.cls in (InstrClass.LOAD, InstrClass.STORE)},
+    **{name: _branch_target for name, spec in OPCODES.items()
+       if spec.cls is InstrClass.BRANCH}}
+"""Every mnemonic's primary ALU result as a function of
+``(a, b, imm, pc)``: what :func:`alu_result` looks up, and what a
+replay schedule's steps carry (:mod:`repro.uarch.replay`)."""
+
+
 def alu_result(instr: Instruction, a: int, b: int, pc: int) -> int:
     """Compute the primary 32-bit result of an instruction.
 
     ``a``/``b`` are the unsigned register operand values.  For loads/stores
     the result is the effective address; for jumps it is the link value.
+    The semantics are :data:`ALU_FUNCTIONS`' entry for the mnemonic; a
+    mnemonic without one raises :class:`AssemblerError`.
     """
-    name = instr.name
-    imm = instr.imm
-    if name in ("add", "addi"):
-        rhs = b if name == "add" else imm
-        return (a + rhs) & MASK32
-    if name == "sub":
-        return (a - b) & MASK32
-    if name in ("and", "andi"):
-        return a & (b if name == "and" else to_unsigned(imm))
-    if name in ("or", "ori"):
-        return a | (b if name == "or" else to_unsigned(imm))
-    if name in ("xor", "xori"):
-        return a ^ (b if name == "xor" else to_unsigned(imm))
-    if name in ("slt", "slti"):
-        rhs = _signed(b) if name == "slt" else imm
-        return 1 if _signed(a) < rhs else 0
-    if name in ("sltu", "sltiu"):
-        rhs = b if name == "sltu" else to_unsigned(imm)
-        return 1 if a < rhs else 0
-    if name in ("sll", "slli"):
-        shamt = (b if name == "sll" else imm) & 0x1F
-        return (a << shamt) & MASK32
-    if name in ("srl", "srli"):
-        shamt = (b if name == "srl" else imm) & 0x1F
-        return a >> shamt
-    if name in ("sra", "srai"):
-        shamt = (b if name == "sra" else imm) & 0x1F
-        return (_signed(a) >> shamt) & MASK32
-    if name == "lui":
-        return (imm << 12) & MASK32
-    if name == "auipc":
-        return (pc + (imm << 12)) & MASK32
-    if name in ("jal", "jalr"):
-        return (pc + 4) & MASK32
-    if instr.is_load or instr.is_store:
-        return (a + imm) & MASK32
-    if instr.is_muldiv:
-        return muldiv_result(name, a, b)
-    if instr.is_branch:
-        return (pc + imm) & MASK32  # branch target (condition is separate)
-    if name in ("fence", "ecall", "ebreak"):
-        return 0
-    raise AssemblerError(f"no ALU semantics for {name}")
+    function = ALU_FUNCTIONS.get(instr.name)
+    if function is None:
+        raise AssemblerError(f"no ALU semantics for {instr.name}")
+    return function(a, b, instr.imm, pc)
 
 
 def muldiv_result(name: str, a: int, b: int) -> int:
     """RV32M multiply/divide semantics (including divide-by-zero rules)."""
-    sa, sb = _signed(a), _signed(b)
-    if name == "mul":
-        return (sa * sb) & MASK32
-    if name == "mulh":
-        return ((sa * sb) >> 32) & MASK32
-    if name == "mulhsu":
-        return ((sa * b) >> 32) & MASK32
-    if name == "mulhu":
-        return ((a * b) >> 32) & MASK32
-    if name == "div":
-        if b == 0:
-            return MASK32  # -1
-        if sa == -(1 << 31) and sb == -1:
-            return 1 << 31  # overflow: returns dividend
-        quotient = abs(sa) // abs(sb)
-        return (-quotient if (sa < 0) != (sb < 0) else quotient) & MASK32
-    if name == "divu":
-        return MASK32 if b == 0 else (a // b) & MASK32
-    if name == "rem":
-        if b == 0:
-            return a
-        if sa == -(1 << 31) and sb == -1:
-            return 0
-        remainder = abs(sa) % abs(sb)
-        return (-remainder if sa < 0 else remainder) & MASK32
-    if name == "remu":
-        return a if b == 0 else (a % b) & MASK32
-    raise AssemblerError(f"not a muldiv instruction: {name}")
+    function = _MULDIV_FUNCTIONS.get(name)
+    if function is None:
+        raise AssemblerError(f"not a muldiv instruction: {name}")
+    return function(a, b, 0, 0)
+
+
+def _blt(a: int, b: int) -> bool:
+    return _signed(a) < _signed(b)
+
+
+def _bge(a: int, b: int) -> bool:
+    return _signed(a) >= _signed(b)
+
+
+BRANCH_CONDITIONS: Dict[str, Callable[[int, int], bool]] = {
+    "beq": operator.eq, "bne": operator.ne, "blt": _blt, "bge": _bge,
+    "bltu": operator.lt, "bgeu": operator.ge}
+"""Each conditional branch's condition as a function of ``(a, b)``."""
 
 
 def branch_taken(instr: Instruction, a: int, b: int) -> bool:
     """Evaluate a conditional branch on unsigned operand values."""
-    name = instr.name
-    if name == "beq":
-        return a == b
-    if name == "bne":
-        return a != b
-    if name == "blt":
-        return _signed(a) < _signed(b)
-    if name == "bge":
-        return _signed(a) >= _signed(b)
-    if name == "bltu":
-        return a < b
-    if name == "bgeu":
-        return a >= b
-    raise AssemblerError(f"not a branch: {name}")
+    condition = BRANCH_CONDITIONS.get(instr.name)
+    if condition is None:
+        raise AssemblerError(f"not a branch: {instr.name}")
+    return condition(a, b)
 
 
 def load_width(name: str) -> Tuple[int, bool]:
@@ -135,10 +257,15 @@ def store_width(name: str) -> int:
     return {"sb": 1, "sh": 2, "sw": 4}[name]
 
 
+def jalr_target(rs1_val: int, imm: int) -> int:
+    """The target of ``jalr`` with offset ``imm`` from ``rs1_val``."""
+    return (rs1_val + imm) & ~1 & MASK32
+
+
 def control_flow_target(instr: Instruction, pc: int, rs1_val: int) -> int:
     """Compute the taken target of a branch or jump at ``pc``."""
     if instr.name == "jalr":
-        return (rs1_val + instr.imm) & ~1 & MASK32
+        return jalr_target(rs1_val, instr.imm)
     return (pc + instr.imm) & MASK32
 
 

@@ -17,10 +17,10 @@ class MainMemory:
 
     def load(self, address: int, nbytes: int, signed: bool = False) -> int:
         """Read ``nbytes`` little-endian; optionally sign-extend to 32 bits."""
-        value = 0
-        for index in range(nbytes):
-            value |= self._bytes.get((address + index) & MASK32, 0) << \
-                (8 * index)
+        get = self._bytes.get
+        value = get(address & MASK32, 0)
+        for index in range(1, nbytes):
+            value |= get((address + index) & MASK32, 0) << (8 * index)
         if signed:
             return sign_extend(value, 8 * nbytes) & MASK32
         return value

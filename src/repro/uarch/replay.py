@@ -36,6 +36,7 @@ a multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,14 +45,12 @@ from ..isa.instructions import Instruction
 from ..isa.program import TEXT_BASE, Program
 from .cache import DataCache
 from .config import CacheConfig, CoreConfig
-from .isa_exec import (alu_result, branch_taken, control_flow_target,
+from .isa_exec import (ALU_FUNCTIONS, BRANCH_CONDITIONS, jalr_target,
                        load_width, store_width)
 from .latches import REGISTER_INDEX, TOTAL_REGISTERS, bubble_pattern
 from .memory import MainMemory
 from .pipeline import Pipeline
 from .trace import ActivityTrace
-
-MASK32 = 0xFFFFFFFF
 
 DATA_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("D", "rs1_val"), ("D", "rs2_val"),
@@ -177,7 +176,13 @@ class ScheduleRecorder:
     # -- the recorded schedule -------------------------------------------
     def schedule(self, trace: ActivityTrace, program: Program,
                  config: CoreConfig) -> "Schedule":
-        """Freeze the recorded run into a :class:`Schedule`."""
+        """Freeze the recorded run into a :class:`Schedule`.
+
+        Each executed step is precompiled: it carries its mnemonic's
+        :data:`~repro.uarch.isa_exec.ALU_FUNCTIONS` entry (a branch, its
+        :data:`~repro.uarch.isa_exec.BRANCH_CONDITIONS` entry) and its
+        immediate, so replaying it reads no instruction.
+        """
         instructions = program.instructions
         taken = {seq: was_taken for _, _, was_taken, _, _, _, _, seq
                  in trace._branch_rows}
@@ -186,23 +191,24 @@ class ScheduleRecorder:
         hits = {seq: hit for _, _, _, hit, seq in trace._cache_rows}
         steps = []
         for seq, pc, first, second in self._stream:
-            index = (pc - TEXT_BASE) >> 2
-            instr = instructions[index]
-            kind, width, expected = _PLAIN, None, None
+            instr = instructions[(pc - TEXT_BASE) >> 2]
+            name = instr.name
+            kind, function, width, expected = (_PLAIN, ALU_FUNCTIONS[name],
+                                               None, None)
             if instr.is_branch:
-                kind, expected = _BRANCH, taken[seq]
-            elif instr.name == "jalr":
+                kind, function, expected = (_BRANCH, BRANCH_CONDITIONS[name],
+                                            taken[seq])
+            elif name == "jalr":
                 kind, expected = _JALR, targets[seq]
             elif instr.is_load:
-                kind, width, expected = (_LOAD, load_width(instr.name),
-                                         hits.get(seq))
+                kind, width, expected = _LOAD, load_width(name), hits.get(seq)
             elif instr.is_store:
-                kind, width, expected = (_STORE, store_width(instr.name),
+                kind, width, expected = (_STORE, store_width(name),
                                          hits.get(seq))
             elif instr.is_muldiv:
                 kind = _MULDIV
-            steps.append((_slot(seq, 0), pc, index, first, second, kind,
-                          width, expected))
+            steps.append((kind, function, instr.imm, pc, first, second,
+                          _slot(seq, _ALU), width, expected))
         positions: Dict[int, List[int]] = {}
         for index, instr in enumerate(instructions):
             positions.setdefault(id(instr), []).append(index)
@@ -225,6 +231,9 @@ class ScheduleRecorder:
             codes={column: {stage: _frozen(array)
                             for stage, array in by_stage.items()}
                    for column, by_stage in trace._unpacked().items()},
+            instructions=tuple(instructions),
+            table=tuple(trace._instr_table),
+            ids=dict(trace._instr_ids),
             entries=tuple(indices[0] for indices in entries),
             shared=tuple((code, tuple(indices[1:]))
                          for code, indices in enumerate(entries)
@@ -233,9 +242,7 @@ class ScheduleRecorder:
             branch_events=tuple(trace._branch_rows),
             flushes=tuple(trace._flush_rows),
             cache_events=tuple(trace._cache_rows),
-            retired=tuple((seq, pc, (pc - TEXT_BASE) >> 2, cycle)
-                          for seq, pc, _, cycle in trace._retire_rows))
-
+            retired=tuple(trace._retire_rows))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -255,10 +262,11 @@ class Schedule:
 
     cache: CacheConfig
     registers: Tuple[int, ...]
-    # executed instructions in order: (first slot, pc, program index,
-    # rs1 slot, rs2 slot, step kind, access width, recorded outcome: the
-    # branch direction, the jalr target, or the cache hit; None for a
-    # load or store the run ended before it reached Memory)
+    # executed instructions in order: (step kind, ALU function or branch
+    # condition, immediate, pc, rs1 slot, rs2 slot, first slot, access
+    # width, recorded outcome: the branch direction, the jalr target, or
+    # the cache hit; None for a load or store the run ended before it
+    # reached Memory)
     steps: Tuple[tuple, ...]
     slots: int
     values: np.ndarray           # (cycles, TOTAL_REGISTERS) latch values
@@ -266,6 +274,11 @@ class Schedule:
     sources: np.ndarray          # value-table slot of each such cell
     packed: Dict[str, Tuple[int, ...]]
     codes: Dict[str, Dict[str, np.ndarray]]
+    # the recorded program's instructions, and its trace's instruction
+    # table with the table's code of each object's id
+    instructions: Tuple[Instruction, ...]
+    table: Tuple[Instruction, ...]
+    ids: Dict[int, int]
     # program index of each instruction-table entry, and the other
     # indices of entries whose object sits at several addresses
     entries: Tuple[int, ...]
@@ -275,7 +288,7 @@ class Schedule:
     branch_events: Tuple[tuple, ...]
     flushes: Tuple[tuple, ...]
     cache_events: Tuple[tuple, ...]
-    retired: Tuple[Tuple[int, int, int, int], ...]  # seq, pc, index, cycle
+    retired: Tuple[tuple, ...]
 
 
 def record(program: Program, config: CoreConfig,
@@ -311,64 +324,73 @@ def replay(schedule: Schedule, program: Program) -> Optional[ActivityTrace]:
     """The trace the scalar core records for ``program``, or ``None``.
 
     ``program`` must have the code the schedule was recorded from.  The
-    data path runs over the recorded stream; the first branch or
+    data path runs the schedule's precompiled steps; the first branch or
     ``jalr`` outcome or data-cache hit that differs from the schedule
-    returns ``None``.
+    returns ``None``.  A program that holds the recorded program's own
+    :class:`Instruction` objects (every
+    :meth:`~repro.isa.program.Program.with_data` copy of one template)
+    gets the recorded instruction table and retirement rows as they
+    are; any other program's objects take their places.
     """
     instructions = program.instructions
-    table = _instruction_table(schedule, instructions)
-    if table is None:
-        return None
+    if len(instructions) == len(schedule.instructions) and all(
+            map(is_, instructions, schedule.instructions)):
+        table, ids, retired = schedule.table, schedule.ids, schedule.retired
+    else:
+        table = _instruction_table(schedule, instructions)
+        if table is None:
+            return None
+        ids = None
+        retired = [(seq, pc, instructions[(pc - TEXT_BASE) >> 2], cycle)
+                   for seq, pc, _, cycle in schedule.retired]
     values = [0] * schedule.slots
     values[:_REGISTERS] = schedule.registers
     memory = MainMemory(program.data)
+    load, store = memory.load, memory.store
     access = DataCache(schedule.cache).access
-    for (slot, pc, index, first, second, kind, width,
+    for (kind, function, imm, pc, first, second, slot, width,
          expected) in schedule.steps:
-        instr = instructions[index]
         a, b = values[first], values[second]
         if kind == _PLAIN:
-            values[slot + _ALU] = values[slot + _RESULT] = \
-                alu_result(instr, a, b, pc)
-        elif kind == _LOAD or kind == _STORE:
-            address = values[slot + _ALU] = alu_result(instr, a, b, pc)
+            values[slot] = values[slot + _RESULT] = function(a, b, imm, pc)
+        elif kind == _LOAD:
+            address = values[slot] = function(a, b, imm, pc)
             if expected is None:
                 continue
-            if access(address, kind == _STORE) != expected:
+            if access(address, False) != expected:
                 return None
-            if kind == _STORE:
-                memory.store(address, b, width)
-            else:
-                values[slot + _RESULT] = memory.load(address, *width)
-        elif kind == _MULDIV:
-            values[slot + _RESULT] = alu_result(instr, a, b, pc)
-            values[slot + _MULHI] = (a * b) >> 32
+            values[slot + _RESULT] = load(address, *width)
+        elif kind == _STORE:
+            address = values[slot] = function(a, b, imm, pc)
+            if expected is None:
+                continue
+            if access(address, True) != expected:
+                return None
+            store(address, b, width)
         elif kind == _BRANCH:
-            if branch_taken(instr, a, b) != expected:
+            if function(a, b) != expected:
                 return None
+        elif kind == _MULDIV:
+            values[slot + _RESULT] = function(a, b, imm, pc)
+            values[slot + _MULHI] = (a * b) >> 32
         else:
-            if control_flow_target(instr, pc, a) != expected:
+            if jalr_target(a, imm) != expected:
                 return None
-            values[slot + _RESULT] = (pc + 4) & MASK32
+            values[slot + _RESULT] = function(a, b, imm, pc)
 
     latches = np.array(schedule.values)
     latches.reshape(-1)[schedule.cells] = np.array(
         values, dtype=np.uint64)[schedule.sources]
     trace = ActivityTrace._assemble(latches, schedule.packed, table,
-                                    schedule.codes)
+                                    schedule.codes, ids)
     # rows are immutable: a cache access whose address the data did not
     # move is shared with the recording
     cache_rows = []
     for row in schedule.cache_events:
         cycle, recorded, is_store, hit, seq = row
-        address = values[_slot(seq, _ALU)]
+        address = values[_REGISTERS + _FIELDS * seq + _ALU]  # _slot, inlined
         cache_rows.append(row if address == recorded
                           else (cycle, address, is_store, hit, seq))
-    trace._extend_events(
-        schedule.stalls,
-        cache_rows,
-        schedule.branch_events,
-        schedule.flushes,
-        [(seq, pc, instructions[index], cycle)
-         for seq, pc, index, cycle in schedule.retired])
+    trace._extend_events(schedule.stalls, cache_rows,
+                         schedule.branch_events, schedule.flushes, retired)
     return trace

@@ -358,15 +358,18 @@ class ActivityTrace:
     @classmethod
     def _assemble(cls, values: np.ndarray,
                   packed: Dict[str, Sequence[int]],
-                  instr_table: List[Instruction],
-                  codes: Optional[Dict[str, Dict[str, np.ndarray]]] = None
-                  ) -> "ActivityTrace":
+                  instr_table: Sequence[Instruction],
+                  codes: Optional[Dict[str, Dict[str, np.ndarray]]] = None,
+                  ids: Optional[Dict[int, int]] = None) -> "ActivityTrace":
         """Build a trace from finished parts (schedule replay, unpickling).
 
         ``values`` becomes the latch store as it is; ``packed`` and
         ``instr_table`` are copied.  Copies of the unpacked ``codes``
         columns (which must match ``packed``), when given, seed the
-        unpack cache; without them it fills on first read.
+        unpack cache; without them it fills on first read.  ``ids``,
+        when given, is another trace's table code of each object's
+        ``id`` for this very ``instr_table``, and is copied rather than
+        rebuilt.
         """
         trace = cls(capacity=1)
         cycles = values.shape[0]
@@ -375,8 +378,9 @@ class ActivityTrace:
         for stage in STAGES:
             trace._packed[stage].extend(packed[stage])
         trace._instr_table = list(instr_table)
-        trace._instr_ids = {id(instr): code for code, instr
-                            in enumerate(trace._instr_table, start=1)}
+        trace._instr_ids = dict(ids) if ids is not None else {
+            id(instr): code
+            for code, instr in enumerate(trace._instr_table, start=1)}
         if codes is not None:
             trace._codes_cache = {"n": cycles, "codes": {
                 column: {stage: array.copy()

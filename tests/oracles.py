@@ -18,6 +18,8 @@ asserting that the engine computes the same thing:
   distances at every step;
 * :func:`seed_aes_program` — AES-128 generated as assembly text with the
   key schedule and plaintext as ``.byte`` data, assembled per call;
+* :func:`seed_alu_result` and :func:`seed_muldiv_result` — each
+  instruction's ALU result as a chain of mnemonic tests;
 * :func:`seed_offset_bins` — Eq. 1 offset bins with a separate
   ``% num_bins`` wrap;
 * :func:`seed_trace_keys` — the trace cache's keys hashed from each
@@ -50,11 +52,13 @@ from repro.core.factors import ALPHA_MAX, ALPHA_MIN
 from repro.core.regression import LinearModel, fit_linear
 from repro.core.trace_cache import TRACE_KEY_VERSION
 from repro.isa.assembler import assemble
+from repro.isa.encoding import sign_extend, to_unsigned
 from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                STATE_BASE, _RK, _SBOX, _ST,
                                _emit_add_round_key, _emit_cache_warm,
                                _emit_mix_columns, _emit_shift_rows,
                                _emit_sub_bytes, key_schedule)
+from repro.robustness.errors import AssemblerError
 from repro.uarch.events import (BranchEvent, CacheEvent, FlushEvent,
                                 StallEvent)
 from repro.uarch.latches import (STAGE_REGISTERS, STAGES, bubble_pattern,
@@ -325,6 +329,101 @@ def lu_estimate_cycle_amplitudes(signal, kernel, samples_per_cycle,
                                  shape=(len(signal), num_cycles))
     gram = operator.T @ operator + ridge * sparse.identity(num_cycles)
     return np.asarray(spsolve(gram.tocsc(), operator.T @ signal)).ravel()
+
+
+# ---------------------------------------------------------------------------
+# ALU semantics
+# ---------------------------------------------------------------------------
+MASK32 = 0xFFFFFFFF
+
+
+def _signed(value: int) -> int:
+    return sign_extend(value, 32)
+
+
+def seed_alu_result(instr, a: int, b: int, pc: int) -> int:
+    """The seed's primary 32-bit result of an instruction: a chain of
+    mnemonic tests.
+
+    ``a``/``b`` are the unsigned register operand values.  For loads/stores
+    the result is the effective address; for jumps it is the link value.
+    """
+    name = instr.name
+    imm = instr.imm
+    if name in ("add", "addi"):
+        rhs = b if name == "add" else imm
+        return (a + rhs) & MASK32
+    if name == "sub":
+        return (a - b) & MASK32
+    if name in ("and", "andi"):
+        return a & (b if name == "and" else to_unsigned(imm))
+    if name in ("or", "ori"):
+        return a | (b if name == "or" else to_unsigned(imm))
+    if name in ("xor", "xori"):
+        return a ^ (b if name == "xor" else to_unsigned(imm))
+    if name in ("slt", "slti"):
+        rhs = _signed(b) if name == "slt" else imm
+        return 1 if _signed(a) < rhs else 0
+    if name in ("sltu", "sltiu"):
+        rhs = b if name == "sltu" else to_unsigned(imm)
+        return 1 if a < rhs else 0
+    if name in ("sll", "slli"):
+        shamt = (b if name == "sll" else imm) & 0x1F
+        return (a << shamt) & MASK32
+    if name in ("srl", "srli"):
+        shamt = (b if name == "srl" else imm) & 0x1F
+        return a >> shamt
+    if name in ("sra", "srai"):
+        shamt = (b if name == "sra" else imm) & 0x1F
+        return (_signed(a) >> shamt) & MASK32
+    if name == "lui":
+        return (imm << 12) & MASK32
+    if name == "auipc":
+        return (pc + (imm << 12)) & MASK32
+    if name in ("jal", "jalr"):
+        return (pc + 4) & MASK32
+    if instr.is_load or instr.is_store:
+        return (a + imm) & MASK32
+    if instr.is_muldiv:
+        return seed_muldiv_result(name, a, b)
+    if instr.is_branch:
+        return (pc + imm) & MASK32  # branch target (condition is separate)
+    if name in ("fence", "ecall", "ebreak"):
+        return 0
+    raise AssemblerError(f"no ALU semantics for {name}")
+
+
+def seed_muldiv_result(name: str, a: int, b: int) -> int:
+    """The seed's RV32M multiply/divide semantics (including
+    divide-by-zero rules), a chain of mnemonic tests."""
+    sa, sb = _signed(a), _signed(b)
+    if name == "mul":
+        return (sa * sb) & MASK32
+    if name == "mulh":
+        return ((sa * sb) >> 32) & MASK32
+    if name == "mulhsu":
+        return ((sa * b) >> 32) & MASK32
+    if name == "mulhu":
+        return ((a * b) >> 32) & MASK32
+    if name == "div":
+        if b == 0:
+            return MASK32  # -1
+        if sa == -(1 << 31) and sb == -1:
+            return 1 << 31  # overflow: returns dividend
+        quotient = abs(sa) // abs(sb)
+        return (-quotient if (sa < 0) != (sb < 0) else quotient) & MASK32
+    if name == "divu":
+        return MASK32 if b == 0 else (a // b) & MASK32
+    if name == "rem":
+        if b == 0:
+            return a
+        if sa == -(1 << 31) and sb == -1:
+            return 0
+        remainder = abs(sa) % abs(sb)
+        return (-remainder if sa < 0 else remainder) & MASK32
+    if name == "remu":
+        return a if b == 0 else (a % b) & MASK32
+    raise AssemblerError(f"not a muldiv instruction: {name}")
 
 
 # ---------------------------------------------------------------------------

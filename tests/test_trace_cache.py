@@ -97,6 +97,25 @@ def test_trace_key_sees_data_and_config():
     assert code_family_key(first, config, max_cycles=64) != family
 
 
+@pytest.mark.parametrize("value", [3.0, np.int64(3), np.float64(3.0)],
+                         ids=["float", "int64", "float64"])
+def test_data_values_key_as_their_integer_byte(value):
+    # Program accepts a data value bytes() declines (3.0); it keys like 3
+    config = CoreConfig()
+    first = isolation_probe(LOAD)
+    address = max(first.data, default=0) + 1
+
+    def bound(byte):
+        return type(first)(instructions=first.instructions,
+                           data={**first.data, address: byte},
+                           entry=first.entry)
+
+    assert trace_key(bound(value), config) == trace_key(bound(3), config)
+    assert trace_key(bound(value), config) == \
+        seed_trace_keys(bound(value), config)[1]
+    assert trace_key(bound(4), config) != trace_key(bound(3), config)
+
+
 def test_trace_key_is_pinned():
     # a trace_key change orphans every disk-cache entry; bump
     # TRACE_KEY_VERSION deliberately instead
