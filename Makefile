@@ -15,20 +15,24 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # replay, ~7 s), then Figs. 5-7 (stalls, cache misses, mispredictions),
 # Fig. 9 (the trained model against a copy with a refit intercept and
 # beta, simulating the same programs: the end-to-end gate on the key of
-# EMSim's amplitude memo) and Table II (the SAVAT matrix, measured and
-# simulated) in one pytest call, so they share one ~1.3 s model fit
-# (~3.5 s for Figs. 5-7, ~1 s each for Fig. 9 and the table).  Then the
-# robustness recovery bench (~7 s): it trains through reference
-# captures at 0, 5 and 20 % injected faults, so it runs the repetition
-# screen's fold fallback and its ragged-repetition path.  They rewrite
-# the seven PAPER_RESULTS files, and the last step fails on any
-# difference from the committed (or staged) ones in a git work tree;
-# elsewhere it is skipped.  So a stall, cache-miss, misprediction,
-# probe-distance, AES TVLA, SAVAT or fault-recovery result that moved
-# fails the check.
+# EMSim's amplitude memo), Table II (the SAVAT matrix, measured and
+# simulated), the forwarding and predictor ablations (the core with
+# forwarding off and under each of its three predictors), the
+# out-of-order extension and Fig. 11 (the buggy multiplier through the
+# core's ALU-fault hook) in one pytest call, so they share one ~1.3 s
+# model fit (~5 s in all).  Then the robustness recovery bench (~7 s):
+# it trains through reference captures at 0, 5 and 20 % injected
+# faults, so it runs the repetition screen's fold fallback and its
+# ragged-repetition path.  They rewrite the eleven PAPER_RESULTS files,
+# and the last step fails on any difference from the committed (or
+# staged) ones in a git work tree; elsewhere it is skipped.  So a
+# stall, cache-miss, misprediction, probe-distance, AES TVLA, SAVAT,
+# forwarding, predictor, out-of-order, multiplier-defect or
+# fault-recovery result that moved fails the check.
 PAPER_RESULTS = $(addprefix benchmarks/results/,fig5_stall.txt \
 	fig6_cache.txt fig7_mispredict.txt fig9_distance.txt fig10_tvla.txt \
-	tab2_savat.txt robustness_recovery.txt)
+	tab2_savat.txt abl_forwarding.txt abl_predictors.txt ext_ooo.txt \
+	fig11_debugging.txt robustness_recovery.txt)
 
 check: test lint
 	$(PYTHON) -m pytest bench/test_bench.py -q
@@ -37,7 +41,8 @@ check: test lint
 		--benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_fig5_stall.py \
 		test_fig6_cache.py test_fig7_mispredict.py test_fig9_distance.py \
-		test_tab2_savat.py --benchmark-disable -q
+		test_tab2_savat.py test_abl_forwarding.py test_abl_predictors.py \
+		test_ext_ooo.py test_fig11_debugging.py --benchmark-disable -q
 	cd benchmarks && $(PYTHON) -m pytest test_robustness_recovery.py \
 		--benchmark-disable -q
 	if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then \

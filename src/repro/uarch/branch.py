@@ -124,7 +124,7 @@ class BranchTargetBuffer:
     """Direct-mapped, tagged BTB providing predicted targets at fetch."""
 
     def __init__(self, entries: int = 64):
-        if entries & (entries - 1):
+        if entries < 1 or entries & (entries - 1):
             raise ConfigurationError(
                 "BTB entry count must be a power of two")
         self.entries = entries

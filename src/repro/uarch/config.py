@@ -12,10 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..robustness.errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and timing of the data cache."""
+    """Geometry and timing of the data cache.
+
+    Construction raises :class:`~repro.robustness.errors.ConfigurationError`
+    for a geometry with no set (a size, line or way count below 1, or a
+    size that is not a multiple of line × ways), a line size that is not
+    a power of two, or negative extra cycles, which would keep an access
+    in the Memory stage forever.
+    """
 
     size_bytes: int = 32 * 1024
     line_bytes: int = 32
@@ -24,10 +33,17 @@ class CacheConfig:
     miss_extra_cycles: int = 2   # "reading from memory takes extra 2 cycles"
 
     def __post_init__(self) -> None:
+        if min(self.size_bytes, self.line_bytes, self.ways) < 1:
+            raise ConfigurationError(
+                "cache size, line size and ways must be >= 1")
         if self.size_bytes % (self.line_bytes * self.ways):
-            raise ValueError("cache size must be a multiple of line*ways")
+            raise ConfigurationError(
+                "cache size must be a multiple of line*ways")
         if self.line_bytes & (self.line_bytes - 1):
-            raise ValueError("line size must be a power of two")
+            raise ConfigurationError("line size must be a power of two")
+        if self.hit_extra_cycles < 0 or self.miss_extra_cycles < 0:
+            raise ConfigurationError(
+                "cache hit and miss extra cycles must be >= 0")
 
     @property
     def num_sets(self) -> int:
@@ -37,7 +53,13 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class CoreConfig:
-    """Full microarchitectural configuration of the 5-stage core."""
+    """Full microarchitectural configuration of the 5-stage core.
+
+    Construction raises :class:`~repro.robustness.errors.ConfigurationError`
+    for a functional-unit latency below 1, an unknown predictor kind or
+    a BTB with no entry (a count that is not a power of two is rejected
+    when the BTB is built).
+    """
 
     # Functional-unit latencies (total cycles spent in Execute).
     mul_latency: int = 3
@@ -60,9 +82,13 @@ class CoreConfig:
 
     def __post_init__(self) -> None:
         if self.mul_latency < 1 or self.div_latency < 1:
-            raise ValueError("functional-unit latencies must be >= 1")
+            raise ConfigurationError(
+                "functional-unit latencies must be >= 1")
         if self.predictor not in ("not-taken", "two-level", "gshare"):
-            raise ValueError(f"unknown predictor kind: {self.predictor!r}")
+            raise ConfigurationError(
+                f"unknown predictor kind: {self.predictor!r}")
+        if self.btb_entries < 1:
+            raise ConfigurationError("BTB entry count must be >= 1")
 
 
 DEFAULT_CONFIG = CoreConfig()

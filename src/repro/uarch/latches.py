@@ -10,11 +10,13 @@ paper's core: fetch PC/instruction word, decode operand/immediate latches,
 execute ALU input/output and multiply unit registers, memory address/data
 buses, and the writeback port.
 
-The production :class:`HardwareLatches` stores the whole pipeline's latch
-state in one flat ``uint64`` vector, with every per-register index, width
-mask, and bubble pattern precomputed at import time — a latch write is a
-table lookup plus one array store, and the columnar activity trace snapshots
-the entire pipeline with a single row copy.
+:class:`HardwareLatches` stores the whole pipeline's latch state in one
+flat ``uint64`` vector, with every per-register index, width mask, and
+bubble pattern precomputed at import time — a latch write is a table lookup
+plus one array store, and the columnar activity trace snapshots the entire
+pipeline with a single row copy.  The out-of-order core writes through it;
+the in-order :class:`~repro.uarch.pipeline.Pipeline` keeps the same 21
+columns as a list inside its cycle loop.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def _mask(stage: str, name: str) -> int:
 
 # Flat columns of the registers on the per-cycle fast path.  The
 # specialized ``write_*`` methods below store through these constants
-# positionally — no kwargs dict, no name lookup — because the pipeline
-# hits them once per stage per cycle.
+# positionally — no kwargs dict, no name lookup — because the
+# out-of-order core hits them once per stage per cycle.
 _C_PC = _column("F", "pc")
 _C_FETCH_INSTR = _column("F", "fetch_instr")
 _C_PRED_STATE = _column("F", "pred_state")
@@ -176,7 +178,6 @@ _C_ALU_B = _column("E", "alu_b")
 _C_ALU_OUT = _column("E", "alu_out")
 _C_EX_CTRL = _column("E", "ex_ctrl")
 _C_MEM_RDATA = _column("M", "mem_rdata")
-_C_MEM_CTRL = _column("M", "mem_ctrl")
 _C_WB_DATA = _column("W", "wb_data")
 _C_WB_RD = _column("W", "wb_rd")
 _C_WB_CTRL = _column("W", "wb_ctrl")
@@ -185,7 +186,6 @@ _M32 = 0xFFFFFFFF
 _M_PRED_STATE = _mask("F", "pred_state")
 _M_DEC_CTRL = _mask("D", "dec_ctrl")
 _M_EX_CTRL = _mask("E", "ex_ctrl")
-_M_MEM_CTRL = _mask("M", "mem_ctrl")
 _M_WB_RD = _mask("W", "wb_rd")
 _M_WB_CTRL = _mask("W", "wb_ctrl")
 
@@ -193,11 +193,11 @@ _M_WB_CTRL = _mask("W", "wb_ctrl")
 class HardwareLatches:
     """Current value of every tracked latch, with per-stage update guards.
 
-    The pipeline calls :meth:`write` for stages that do real work in a
-    cycle; stalled stages are simply not written, so their latches hold
-    their values and contribute no transitions — exactly the physical
-    behaviour the paper attributes to stalls ("due to this preservation no
-    bit-flips occur in the stalled stages", §IV).
+    The out-of-order core calls :meth:`write` for stages that do real
+    work in a cycle; stalled stages are simply not written, so their
+    latches hold their values and contribute no transitions — exactly
+    the physical behaviour the paper attributes to stalls ("due to this
+    preservation no bit-flips occur in the stalled stages", §IV).
 
     State lives in one flat ``uint64`` vector of :data:`TOTAL_REGISTERS`
     columns (stage order, schema order within a stage); the columnar
@@ -242,13 +242,6 @@ class HardwareLatches:
         flat[_C_DEC_IMM] = imm & _M32
         flat[_C_DEC_CTRL] = ctrl & _M_DEC_CTRL
 
-    def write_execute(self, alu_a: int, alu_b: int, ctrl: int) -> None:
-        """Execute-stage input latches and control word."""
-        flat = self._flat
-        flat[_C_ALU_A] = alu_a & _M32
-        flat[_C_ALU_B] = alu_b & _M32
-        flat[_C_EX_CTRL] = ctrl & _M_EX_CTRL
-
     def write_execute_out(self, alu_a: int, alu_b: int, alu_out: int,
                           ctrl: int) -> None:
         """Execute-stage inputs, single-cycle result, and control word."""
@@ -258,17 +251,9 @@ class HardwareLatches:
         flat[_C_ALU_OUT] = alu_out & _M32
         flat[_C_EX_CTRL] = ctrl & _M_EX_CTRL
 
-    def write_alu_out(self, value: int) -> None:
-        """The ALU output latch alone (late-resolving results)."""
-        self._flat[_C_ALU_OUT] = value & _M32
-
     def write_mem_rdata(self, value: int) -> None:
         """The memory read-data bus alone (load data return)."""
         self._flat[_C_MEM_RDATA] = value & _M32
-
-    def write_mem_ctrl(self, ctrl: int) -> None:
-        """The Memory-stage control word alone (non-memory transit)."""
-        self._flat[_C_MEM_CTRL] = ctrl & _M_MEM_CTRL
 
     def write_writeback(self, data: int, rd: int, ctrl: int) -> None:
         """Writeback-stage latches: result data, destination, control."""

@@ -12,63 +12,194 @@ latches, stalled stages hold them, and flushed stages snap to the NOP bubble
 pattern — producing the per-cycle transition-bit vectors that drive both the
 ground-truth EM emitter and EMSim's regression model.
 
-A core with a ``recorder`` (a :class:`repro.uarch.replay.ScheduleRecorder`)
-also reports, at every data-latch write, which dynamic instruction's
-operand or result the latch now holds; :mod:`repro.uarch.replay` turns that
-into a schedule it can replay for other data images of the same code.
+:meth:`Pipeline.run` is one loop over local state.  Each cycle keeps the
+stage order of a textbook step: the clock-edge hand-off into Decode, then
+Writeback, Memory and Execute, then either the misprediction flush or
+Decode and Fetch.  Each :class:`Instruction` is compiled once into a
+tuple of what the stages read (:func:`compiled`), memoized on the object
+like its encoding.  The 21 latch columns are a list, snapshotted once
+per cycle; the occupancy codes and event rows are built in the columnar
+:class:`~repro.uarch.trace.ActivityTrace`'s own layout and handed to it
+when the call returns.  The core keeps its state between calls, so
+:meth:`Pipeline.step` and a capped run followed by another run give the
+uncapped trace.  The stage-per-method core this loop replaced, which
+records through the trace's per-call protocol, is the differential
+oracle in ``tests/oracles.py``.
+
+A core with a :class:`Provenance` also keeps, for each data-latch column
+in each cycle, which dynamic instruction's operand or result the column
+holds; :mod:`repro.uarch.replay` turns that into a schedule it can
+replay for other data images of the same code.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from array import array
+from typing import List, Optional, Sequence, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.program import Program
+import numpy as np
+
+from ..isa.instructions import NOP, Instruction
+from ..isa.program import TEXT_BASE, Program
 from .branch import BranchTargetBuffer, make_predictor
 from .cache import DataCache
 from .config import CoreConfig, DEFAULT_CONFIG
 from .events import StallCause
-from .isa_exec import (alu_result, branch_taken, control_flow_target,
-                       load_width, store_width)
-from .latches import HardwareLatches, STAGES, control_word
+from .isa_exec import (ALU_FUNCTIONS, BRANCH_CONDITIONS, load_width,
+                       store_width)
+from .latches import (NOP_CONTROL, REGISTER_INDEX, STAGES, TOTAL_REGISTERS,
+                      control_word)
 from .memory import MainMemory
 from .regfile import RegisterFile
-from .trace import (ACTIVE, ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS, STALLED,
-                    STALLED_HIT, STALLED_MISS, ActivityTrace)
+from .trace import (ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS, STALLED,
+                    STALLED_HIT, STALLED_MISS, ActivityTrace, _INSTR_SHIFT,
+                    _PACK_BUBBLE, _SEQ_SHIFT)
 
 MASK32 = 0xFFFFFFFF
 
+# -- compiled instructions --------------------------------------------------
+PLAIN, MULDIV, LOAD, STORE, BRANCH, JALR = range(6)
+"""Step kinds: what Execute and Memory do with an instruction.  ``jal``,
+``ecall``, ``ebreak`` and ``fence`` are plain ALU steps; the schedule
+replay's steps carry the same codes."""
 
-class _Uop:
-    """One in-flight dynamic instruction."""
+# Fields of a compiled instruction (see compiled()).
+(_WORD, _CTRL8, _CTRL12, _IMM32, _REGISTER_B, _KIND, _FUNCTION, _SRC1,
+ _SRC2, _SOURCES, _DEST, _WIDTH, _HALTS, _IMM, _JAL, _MUL) = range(16)
 
-    __slots__ = ("instr", "pc", "seq", "tag", "writes_reg", "pred_taken",
-                 "pred_target", "rs1_val", "rs2_val", "result", "mem_addr",
-                 "store_val", "result_ready", "e_started", "e_remaining",
-                 "m_started", "m_remaining", "mem_hit", "taken", "target")
+_COMPILED = "_pipeline_code"
 
-    def __init__(self, instr: Instruction, pc: int, seq: int,
-                 tag: object) -> None:
-        self.instr = instr
-        self.pc = pc
-        self.seq = seq
-        self.tag = tag               # the trace's occupancy tag
-        self.writes_reg: Optional[int] = instr.destination_register
-        self.pred_taken = False
-        self.pred_target: Optional[int] = None
-        self.rs1_val = 0
-        self.rs2_val = 0
-        self.result = 0              # ALU result / load data / link value
-        self.mem_addr = 0
-        self.store_val = 0
-        self.result_ready = False
-        self.e_started = False
-        self.e_remaining = 0
-        self.m_started = False
-        self.m_remaining = 0
-        self.mem_hit: Optional[bool] = None
-        self.taken = False
-        self.target = 0
+
+def compiled(instr: Instruction) -> tuple:
+    """What the pipeline's stages read of ``instr``, as one tuple.
+
+    In field order: the machine word, the 8- and 12-bit control words,
+    the immediate masked to 32 bits, whether operand B is a register,
+    the step kind, the :data:`~repro.uarch.isa_exec.ALU_FUNCTIONS` entry
+    (a branch: its :data:`~repro.uarch.isa_exec.BRANCH_CONDITIONS`
+    entry), the registers rs1 and rs2 read as (0 when not a source),
+    the unique sources, the destination, the load ``(bytes, signed)``
+    or store byte width, whether it halts fetch, the raw immediate, and
+    whether it is ``jal`` and a multiply.  Computed once and memoized on
+    the object, as :meth:`Instruction.encode` is, so every program that
+    holds the object (every ``Program.with_data`` copy) shares it; an
+    instruction pickles without it.
+    """
+    code = instr.__dict__.get(_COMPILED)
+    if code is not None:
+        return code
+    name = instr.name
+    sources = instr.unique_sources
+    width = None
+    if instr.is_branch:
+        kind, function = BRANCH, BRANCH_CONDITIONS[name]
+    else:
+        function = ALU_FUNCTIONS[name]
+        if name == "jalr":
+            kind = JALR
+        elif instr.is_load:
+            kind, width = LOAD, load_width(name)
+        elif instr.is_store:
+            kind, width = STORE, store_width(name)
+        elif instr.is_muldiv:
+            kind = MULDIV
+        else:
+            kind = PLAIN
+    code = (instr.encode(), control_word(instr, 8), control_word(instr, 12),
+            instr.imm & MASK32, instr.fmt.value in ("R", "S", "B"), kind,
+            function, instr.rs1 if instr.rs1 in sources else 0,
+            instr.rs2 if instr.rs2 in sources else 0, sources,
+            instr.destination_register, width,
+            name in ("ecall", "ebreak"), instr.imm, name == "jal",
+            name.startswith("mul"))
+    object.__setattr__(instr, _COMPILED, code)
+    return code
+
+
+# -- in-flight instructions -------------------------------------------------
+# One in-flight dynamic instruction is a list: the Instruction, its
+# compiled tuple, pc, sequence number, occupancy tag, fetch prediction
+# (taken, target), operand values a and b, result (ALU value, load data
+# or link value), whether the result can be forwarded, Execute and Memory
+# cycles left (None before the stage's first cycle), the effective
+# address, the cache outcome and, in a recording, the value-table slots
+# of operands a and b.
+(_INSTR, _CODE, _PC, _SEQ, _TAG, _PRED_TAKEN, _PRED_TARGET, _A, _B,
+ _RESULT, _READY, _E_LEFT, _M_LEFT, _ADDR, _HIT, _FIRST,
+ _SECOND) = range(17)
+
+
+# -- latch columns ----------------------------------------------------------
+def _columns(stage: str) -> Tuple[int, ...]:
+    """Flat latch-vector columns of ``stage``'s registers, schema order."""
+    return tuple(column for column, _ in REGISTER_INDEX[stage].values())
+
+
+(_PC_LATCH, _FETCH_INSTR, _PRED_STATE) = _columns("F")
+(_DEC_INSTR, _RS1_VAL, _RS2_VAL, _DEC_IMM, _DEC_CTRL) = _columns("D")
+(_ALU_A, _ALU_B, _ALU_OUT, _MULDIV_LO, _MULDIV_HI, _EX_CTRL) = _columns("E")
+(_MEM_ADDR, _MEM_WDATA, _MEM_RDATA, _MEM_CTRL) = _columns("M")
+(_WB_DATA, _WB_RD, _WB_CTRL) = _columns("W")
+
+_NOP_WORD = NOP.encode()
+_PRED_STATE_MASK = REGISTER_INDEX["F"]["pred_state"][1]
+
+# -- data provenance --------------------------------------------------------
+DATA_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("D", "rs1_val"), ("D", "rs2_val"),
+    ("E", "alu_a"), ("E", "alu_b"), ("E", "alu_out"),
+    ("E", "muldiv_lo"), ("E", "muldiv_hi"),
+    ("M", "mem_addr"), ("M", "mem_wdata"), ("M", "mem_rdata"),
+    ("W", "wb_data"))
+"""The latch registers whose values depend on the data image; every
+other register holds the same value in every run of one schedule."""
+
+(_P_RS1, _P_RS2, _P_ALU_A, _P_ALU_B, _P_ALU_OUT, _P_MULDIV_LO,
+ _P_MULDIV_HI, _P_MEM_ADDR, _P_MEM_WDATA, _P_MEM_RDATA,
+ _P_WB_DATA) = range(len(DATA_COLUMNS))
+
+CONSTANT = -1
+"""The slot of a data column whose value is fixed by the schedule."""
+
+REGISTERS = 32
+"""Value-table slots of the initial register file; slot 0 is also the
+constant 0 that x0 and absent operands read."""
+
+ALU, RESULT, MULHI = range(3)
+"""A dynamic instruction's value-table fields: its ALU output (the
+effective address of a load or store), its result (what it writes back
+and forwards: load data for a load) and the high word of a multiply."""
+
+FIELDS = 3
+"""Value-table slots per dynamic instruction."""
+
+
+def value_slot(seq: int, field: int) -> int:
+    """Value-table slot of one field of dynamic instruction ``seq``."""
+    return REGISTERS + FIELDS * seq + field
+
+
+class Provenance:
+    """Which value each data-latch column holds, cycle by cycle.
+
+    A :class:`Pipeline` given one (its ``provenance``) keeps it at every
+    data-latch write of its run.  ``rows`` holds one value-table slot per
+    :data:`DATA_COLUMNS` entry per cycle (:data:`CONSTANT` for a value the
+    schedule fixes), and ``stream`` each executed instruction as ``(seq,
+    pc, slot of operand a, slot of operand b)`` in Execute order.
+    ``registers`` is the register file the run starts from; ``refs`` and
+    ``writers`` are the open cycle's slots and the slot holding each
+    architectural register's value.
+    """
+
+    __slots__ = ("registers", "rows", "stream", "refs", "writers")
+
+    def __init__(self, registers: Sequence[int]) -> None:
+        self.registers = tuple(int(value) for value in registers)
+        self.rows = array("q")
+        self.stream: List[Tuple[int, int, int, int]] = []
+        self.refs = [CONSTANT] * len(DATA_COLUMNS)
+        self.writers = list(range(REGISTERS))
 
 
 class Pipeline:
@@ -88,11 +219,10 @@ class Pipeline:
                                         config.predictor_history_bits,
                                         config.predictor_table_bits)
         self.btb = BranchTargetBuffer(config.btb_entries)
-        self.latches = HardwareLatches()
         self.trace = ActivityTrace()
         self.alu_bug = alu_bug   # optional callable(instr, a, b) -> result
         self.oracle = oracle     # optional OracleOutcomes (perfect fetch)
-        self.recorder = None     # optional ScheduleRecorder (data provenance)
+        self.provenance: Optional[Provenance] = None
 
         self.pc = program.entry
         self.cycle = 0
@@ -100,12 +230,13 @@ class Pipeline:
         self.fetch_halted = False
         self.halted = False
 
-        # stage slots (None = empty / bubble)
-        self.f_uop: Optional[_Uop] = None
-        self.d_uop: Optional[_Uop] = None
-        self.e_uop: Optional[_Uop] = None
-        self.m_uop: Optional[_Uop] = None
-        self.w_uop: Optional[_Uop] = None
+        # stage slots (None = empty / bubble) and the latch columns
+        self.f_uop: Optional[list] = None
+        self.d_uop: Optional[list] = None
+        self.e_uop: Optional[list] = None
+        self.m_uop: Optional[list] = None
+        self.w_uop: Optional[list] = None
+        self._latches = [0] * TOTAL_REGISTERS
 
     # ------------------------------------------------------------------
     # public API
@@ -114,435 +245,469 @@ class Pipeline:
         """Run until the program halts or ``max_cycles`` elapse."""
         limit = max_cycles if max_cycles is not None \
             else self.config.max_cycles
-        while not self.halted and self.cycle < limit:
-            self.step()
+        if not self.halted and self.cycle < limit:
+            self._advance(limit)
         return self.trace
 
-    @property
-    def pipeline_empty(self) -> bool:
-        """True when no in-flight instruction remains."""
-        return not any((self.f_uop, self.d_uop, self.e_uop, self.m_uop,
-                        self.w_uop))
-
-    # ------------------------------------------------------------------
-    # one clock cycle
-    # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the core by one clock cycle.
-
-        Stages record occupancy straight into the trace (unrecorded
-        stages default to bubbles); the cycle ends with one latch
-        snapshot via ``end_cycle``.
-        """
-        # clock-edge handoff: the instruction fetched last cycle enters
-        # Decode if the slot was vacated
-        if self.d_uop is None and self.f_uop is not None:
-            self.d_uop = self.f_uop
-            self.f_uop = None
-
-        self.trace.begin_cycle()
-        self._stage_writeback()
-        mem_free = self._stage_memory()
-        exec_free, flush_redirect = self._stage_execute(mem_free)
-
-        if flush_redirect is not None:
-            self._flush_wrong_path(flush_redirect)
-        else:
-            decode_redirect = self._stage_decode(exec_free)
-            self._stage_fetch(decode_redirect)
-
-        self.trace.end_cycle(self.latches)
-        if self.recorder is not None:
-            self.recorder.end_cycle()
-        self.cycle += 1
-        if self.fetch_halted and self.pipeline_empty:
-            self.halted = True
-
-    def _flush_wrong_path(self, flush_redirect: int) -> None:
-        """Squash the two younger wrong-path instructions — the one in
-        Decode and this cycle's (suppressed) fetch: the paper's 2-cycle
-        misprediction penalty.  The squashed stages stay bubbles in the
-        trace and their latches snap to the bubble pattern."""
-        flushed = 1 + int(self.d_uop is not None) + \
-            int(self.f_uop is not None)
-        self.d_uop = None
-        self.f_uop = None
-        self.latches.write_bubble("D")
-        self.latches.write_bubble("F")
-        if self.recorder is not None:
-            self.recorder.bubble("D")
-        self.pc = flush_redirect
-        self.fetch_halted = False  # wrong path may have run off the end
-        self.trace.flush(self.cycle, flushed, flush_redirect)
+        """Advance the core by one clock cycle."""
+        self._advance(self.cycle + 1)
 
     # ------------------------------------------------------------------
-    # Writeback
+    # the cycle loop
     # ------------------------------------------------------------------
-    def _stage_writeback(self) -> None:
-        uop = self.w_uop
-        if uop is None:
-            self.latches.write_bubble("W")
-            if self.recorder is not None:
-                self.recorder.bubble("W")
-            return
-        rd = uop.writes_reg
-        if rd is not None:
-            self.regfile.write(rd, uop.result)
-        self.latches.write_writeback(uop.result if rd is not None else 0,
-                                     rd or 0, 1 if rd is not None else 0)
-        if self.recorder is not None:
-            self.recorder.writeback(uop.seq, rd)
+    def _advance(self, limit: int) -> None:
+        """Run cycles until ``limit`` have elapsed, stopping after the
+        cycle that halts the core, then hand the new cycles and event
+        rows to the trace."""
+        config = self.config
+        forwarding = config.forwarding
+        mul_latency, div_latency = config.mul_latency, config.div_latency
+        hit_extra = config.cache.hit_extra_cycles
+        miss_extra = hit_extra + config.cache.miss_extra_cycles
+        instructions = self.program.instructions
+        count = len(instructions)
+        regs = self.regfile._values
+        access = self.cache.access
+        load, store = self.memory.load, self.memory.store
+        predictor = self.predictor
+        predict, train = predictor.predict, predictor.update
+        btb_lookup, btb_update = self.btb.lookup, self.btb.update
+        oracle, alu_bug = self.oracle, self.alu_bug
         trace = self.trace
-        trace.record("W", uop.tag, ACTIVE)
-        trace.retire(uop.seq, uop.pc, uop.instr, self.cycle)
-        if uop.instr.name in ("ecall", "ebreak"):
-            self.fetch_halted = True
-        self.w_uop = None
+        ids, table = trace._instr_ids, trace._instr_table
+        lat = self._latches
+        provenance = self.provenance
+        recording = provenance is not None
+        if recording:
+            refs, writers = provenance.refs, provenance.writers
+            stream = provenance.stream
+        raw_hazard, load_use = StallCause.RAW_HAZARD, StallCause.LOAD_USE
+        ex_busy, mem_busy = StallCause.EX_BUSY, StallCause.MEM_BUSY
+        cache_miss = StallCause.CACHE_MISS
 
-    # ------------------------------------------------------------------
-    # Memory
-    # ------------------------------------------------------------------
-    def _stage_memory(self) -> bool:
-        """Process the Memory stage; returns True if the slot is free for
-        the Execute stage to advance into."""
-        uop = self.m_uop
-        if uop is None:
-            self.latches.write_bubble("M")
-            if self.recorder is not None:
-                self.recorder.bubble("M")
-            return True
-        instr = uop.instr
-        if not uop.m_started:
-            uop.m_started = True
-            if instr.is_load or instr.is_store:
-                self._memory_access(uop)
+        pc, cycle, next_seq = self.pc, self.cycle, self.next_seq
+        fetch_halted, halted = self.fetch_halted, self.halted
+        f, d, e, m, w = (self.f_uop, self.d_uop, self.e_uop, self.m_uop,
+                         self.w_uop)
+        # the predictor's state signature, shifted into the pred_state
+        # latch; it changes only when the predictor trains
+        signature = predictor.state_signature() << 1
+
+        values = array("Q")
+        packed: Tuple[List[int], ...] = tuple([] for _ in STAGES)
+        pack_f, pack_d, pack_e, pack_m, pack_w = (column.append
+                                                  for column in packed)
+        stalls: List[tuple] = []
+        cache_rows: List[tuple] = []
+        branch_rows: List[tuple] = []
+        flush_rows: List[tuple] = []
+        retire_rows: List[tuple] = []
+        stall, cache_row = stalls.append, cache_rows.append
+
+        while cycle < limit:
+            # clock edge: the instruction fetched last cycle enters
+            # Decode if the slot was vacated
+            if d is None and f is not None:
+                d = f
+                f = None
+            occ_f = occ_d = occ_e = occ_m = occ_w = _PACK_BUBBLE
+
+            # -- Writeback ---------------------------------------------------
+            if w is None:
+                lat[_WB_DATA] = lat[_WB_RD] = lat[_WB_CTRL] = 0
+                if recording:
+                    refs[_P_WB_DATA] = CONSTANT
             else:
-                self.latches.write_mem_ctrl(control_word(instr, 8))
-                self.trace.record("M", uop.tag, ACTIVE)
-                uop.m_remaining = 0
-        else:
-            uop.m_remaining -= 1
-            trace = self.trace
-            if uop.mem_hit is False:
-                trace.record("M", uop.tag, STALLED_MISS)
-                trace.stall(self.cycle, "M", StallCause.CACHE_MISS, uop.seq)
+                rd = w[_CODE][_DEST]
+                if rd is None:
+                    lat[_WB_DATA] = lat[_WB_RD] = lat[_WB_CTRL] = 0
+                    if recording:
+                        refs[_P_WB_DATA] = CONSTANT
+                else:
+                    value = w[_RESULT] & MASK32
+                    regs[rd] = value
+                    lat[_WB_DATA] = value
+                    lat[_WB_RD] = rd
+                    lat[_WB_CTRL] = 1
+                    if recording:
+                        refs[_P_WB_DATA] = writers[rd] = \
+                            REGISTERS + FIELDS * w[_SEQ] + RESULT
+                occ_w = w[_TAG]                             # ACTIVE
+                retire_rows.append((w[_SEQ], w[_PC], w[_INSTR], cycle))
+                if w[_CODE][_HALTS]:
+                    fetch_halted = True
+                w = None
+
+            # -- Memory ------------------------------------------------------
+            if m is None:
+                lat[_MEM_ADDR] = lat[_MEM_WDATA] = lat[_MEM_CTRL] = 0
+                if recording:
+                    refs[_P_MEM_ADDR] = refs[_P_MEM_WDATA] = CONSTANT
+                mem_free = True
             else:
-                trace.record("M", uop.tag, STALLED_HIT)
-                trace.stall(self.cycle, "M", StallCause.MEM_BUSY, uop.seq)
-            if uop.m_remaining == 0 and instr.is_load:
-                # data-return flip on the read-data bus
-                self.latches.write_mem_rdata(uop.result)
-                uop.result_ready = True
-                if self.recorder is not None:
-                    self.recorder.load_data(uop.seq)
-        if uop.m_remaining == 0:
-            self.m_uop = None
-            self.w_uop = uop
-            return True
-        return False
+                code = m[_CODE]
+                left = m[_M_LEFT]
+                if left is None:
+                    kind = code[_KIND]
+                    if kind == LOAD or kind == STORE:
+                        # first Memory cycle: cache access and data move
+                        address = m[_ADDR]
+                        is_store = kind == STORE
+                        hit = access(address, is_store)
+                        m[_HIT] = hit
+                        left = hit_extra if hit else miss_extra
+                        cache_row((cycle, address, is_store, hit, m[_SEQ]))
+                        lat[_MEM_ADDR] = address & MASK32
+                        lat[_MEM_CTRL] = code[_CTRL8]
+                        if recording:
+                            refs[_P_MEM_ADDR] = \
+                                REGISTERS + FIELDS * m[_SEQ] + ALU
+                        if is_store:
+                            store(address, m[_B], code[_WIDTH])
+                            lat[_MEM_WDATA] = m[_B] & MASK32
+                            if recording:
+                                refs[_P_MEM_WDATA] = m[_SECOND]
+                        else:
+                            nbytes, signed = code[_WIDTH]
+                            value = m[_RESULT] = load(address, nbytes,
+                                                      signed)
+                            if left == 0:
+                                lat[_MEM_RDATA] = value & MASK32
+                                m[_READY] = True
+                                if recording:
+                                    refs[_P_MEM_RDATA] = \
+                                        REGISTERS + FIELDS * m[_SEQ] + RESULT
+                        occ_m = m[_TAG] | (ACTIVE_HIT if hit
+                                           else ACTIVE_MISS)
+                    else:
+                        lat[_MEM_CTRL] = code[_CTRL8]
+                        occ_m = m[_TAG]                     # ACTIVE
+                        left = 0
+                else:
+                    left -= 1
+                    if m[_HIT] is False:
+                        occ_m = m[_TAG] | STALLED_MISS
+                        stall((cycle, "M", cache_miss, m[_SEQ]))
+                    else:
+                        occ_m = m[_TAG] | STALLED_HIT
+                        stall((cycle, "M", mem_busy, m[_SEQ]))
+                    if left == 0 and code[_KIND] == LOAD:
+                        # data-return flip on the read-data bus
+                        lat[_MEM_RDATA] = m[_RESULT] & MASK32
+                        m[_READY] = True
+                        if recording:
+                            refs[_P_MEM_RDATA] = \
+                                REGISTERS + FIELDS * m[_SEQ] + RESULT
+                m[_M_LEFT] = left
+                if left == 0:
+                    w = m
+                    m = None
+                    mem_free = True
+                else:
+                    mem_free = False
 
-    def _memory_access(self, uop: _Uop) -> None:
-        """First Memory cycle of a load/store: cache access + data move."""
-        instr = uop.instr
-        address = uop.mem_addr
-        hit = self.cache.access(address, is_store=instr.is_store)
-        uop.mem_hit = hit
-        cache_cfg = self.config.cache
-        uop.m_remaining = cache_cfg.hit_extra_cycles + \
-            (0 if hit else cache_cfg.miss_extra_cycles)
-        self.trace.cache_access(self.cycle, address, instr.is_store, hit,
-                                uop.seq)
-        rec = self.recorder
-        if instr.is_store:
-            self.memory.store(address, uop.store_val,
-                              store_width(instr.name))
-            self.latches.write("M", mem_addr=address,
-                               mem_wdata=uop.store_val,
-                               mem_ctrl=control_word(instr, 8))
-            if rec is not None:
-                rec.store(uop.seq)
-        else:
-            nbytes, signed = load_width(instr.name)
-            uop.result = self.memory.load(address, nbytes, signed)
-            self.latches.write("M", mem_addr=address,
-                               mem_ctrl=control_word(instr, 8))
-            if rec is not None:
-                rec.load_address(uop.seq)
-            if uop.m_remaining == 0:
-                self.latches.write_mem_rdata(uop.result)
-                uop.result_ready = True
-                if rec is not None:
-                    rec.load_data(uop.seq)
-        self.trace.record("M", uop.tag, ACTIVE_HIT if hit else ACTIVE_MISS)
-
-    # ------------------------------------------------------------------
-    # Execute
-    # ------------------------------------------------------------------
-    def _stage_execute(self, mem_free: bool) -> Tuple[bool, Optional[int]]:
-        """Process Execute; returns (slot free for Decode, flush redirect)."""
-        uop = self.e_uop
-        if uop is None:
-            self.latches.write_bubble("E")
-            if self.recorder is not None:
-                self.recorder.bubble("E")
-            return True, None
-
-        if not uop.e_started:
-            uop.e_started = True
-            redirect = self._execute_first_cycle(uop)
-            if uop.e_remaining == 0 and mem_free:
-                self.e_uop = None
-                self.m_uop = uop
-                return True, redirect
-            if uop.e_remaining == 0 and not mem_free:
-                return False, redirect
-            return False, redirect
-
-        if not mem_free and uop.e_remaining == 0:
-            # finished, waiting for the Memory stage to drain
-            self.trace.record("E", uop.tag, STALLED)
-            self.trace.stall(self.cycle, "E", StallCause.MEM_BUSY, uop.seq)
-            return False, None
-        if uop.e_remaining == 0:
-            # previously finished, was waiting on Memory; transits quietly
-            self.trace.record("E", uop.tag, STALLED)
-        if uop.e_remaining > 0:
-            uop.e_remaining -= 1
-            if uop.e_remaining == 0:
-                # final multiply/divide cycle: result registers switch
-                self.latches.write("E", alu_out=uop.result,
-                                   muldiv_lo=uop.result,
-                                   muldiv_hi=(uop.rs1_val * uop.rs2_val)
-                                   >> 32)
-                uop.result_ready = True
-                if self.recorder is not None:
-                    self.recorder.muldiv_result(uop.seq, high=True)
-                self.trace.record("E", uop.tag, ACTIVE_FINAL)
+            # -- Execute -----------------------------------------------------
+            redirect = None
+            if e is None:
+                lat[_ALU_A] = lat[_ALU_B] = lat[_ALU_OUT] = lat[_EX_CTRL] = 0
+                if recording:
+                    refs[_P_ALU_A] = refs[_P_ALU_B] = refs[_P_ALU_OUT] = \
+                        CONSTANT
+                exec_free = True
             else:
-                self.trace.record("E", uop.tag, STALLED)
-                self.trace.stall(self.cycle, "E", StallCause.EX_BUSY,
-                                 uop.seq)
-        if uop.e_remaining == 0 and mem_free:
-            self.e_uop = None
-            self.m_uop = uop
-            return True, None
-        return False, None
+                left = e[_E_LEFT]
+                if left is None:
+                    # first Execute cycle: compute, resolve control flow
+                    code = e[_CODE]
+                    a, b, epc, seq = e[_A], e[_B], e[_PC], e[_SEQ]
+                    register_b = code[_REGISTER_B]
+                    lat[_ALU_A] = a & MASK32
+                    lat[_ALU_B] = (b & MASK32) if register_b \
+                        else code[_IMM32]
+                    lat[_EX_CTRL] = code[_CTRL8]
+                    if recording:
+                        first, second = e[_FIRST], e[_SECOND]
+                        stream.append((seq, epc, first, second))
+                        refs[_P_ALU_A] = first
+                        refs[_P_ALU_B] = second if register_b else CONSTANT
+                    occ_e = e[_TAG]                         # ACTIVE
+                    kind = code[_KIND]
+                    left = 0
+                    if kind == BRANCH or kind == JALR:
+                        fall_through = (epc + 4) & MASK32
+                        if kind == BRANCH:
+                            taken = code[_FUNCTION](a, b)
+                            target = (epc + code[_IMM]) & MASK32
+                            lat[_ALU_OUT] = target if taken else 0
+                        else:
+                            taken = True
+                            target = (a + code[_IMM]) & ~1 & MASK32
+                            e[_RESULT] = fall_through
+                            lat[_ALU_OUT] = fall_through
+                        e[_READY] = True
+                        if recording:  # fixed by the checked outcome
+                            refs[_P_ALU_OUT] = CONSTANT
+                        # resolve against the fetch prediction
+                        actual = target if taken else fall_through
+                        pred_taken, pred_target = (e[_PRED_TAKEN],
+                                                   e[_PRED_TARGET])
+                        mispredicted = (taken != pred_taken) or (
+                            taken and (pred_target if pred_taken
+                                       else fall_through) != actual)
+                        if kind == BRANCH:
+                            train(epc, taken)
+                            signature = predictor.state_signature() << 1
+                        if taken:
+                            btb_update(epc, target)
+                        branch_rows.append((cycle, epc, taken, actual,
+                                            pred_taken, pred_target,
+                                            mispredicted, seq))
+                        if mispredicted:
+                            redirect = actual
+                    else:
+                        result = None
+                        if alu_bug is not None:
+                            result = alu_bug(e[_INSTR], a, b)
+                            if result is not None:
+                                result &= MASK32
+                        if result is None:
+                            result = code[_FUNCTION](a, b, code[_IMM], epc)
+                        e[_RESULT] = result
+                        if kind == MULDIV:
+                            left = (mul_latency if code[_MUL]
+                                    else div_latency) - 1
+                            if left == 0:
+                                lat[_ALU_OUT] = lat[_MULDIV_LO] = \
+                                    result & MASK32
+                                e[_READY] = True
+                                if recording:
+                                    refs[_P_ALU_OUT] = refs[_P_MULDIV_LO] = \
+                                        REGISTERS + FIELDS * seq + RESULT
+                        else:
+                            lat[_ALU_OUT] = result & MASK32
+                            if recording:
+                                refs[_P_ALU_OUT] = \
+                                    REGISTERS + FIELDS * seq + ALU
+                            if kind == LOAD or kind == STORE:
+                                # only the effective address so far: load
+                                # data is forwardable once Memory has it
+                                e[_ADDR] = result
+                            else:
+                                e[_READY] = True
+                    e[_E_LEFT] = left
+                    exec_free = left == 0 and mem_free
+                elif left == 0:
+                    # finished earlier, waiting for the Memory stage
+                    occ_e = e[_TAG] | STALLED
+                    exec_free = mem_free
+                    if not mem_free:
+                        stall((cycle, "E", mem_busy, e[_SEQ]))
+                else:
+                    left -= 1
+                    e[_E_LEFT] = left
+                    if left == 0:
+                        # final multiply/divide cycle: result registers
+                        # switch
+                        result = e[_RESULT] & MASK32
+                        lat[_ALU_OUT] = lat[_MULDIV_LO] = result
+                        lat[_MULDIV_HI] = ((e[_A] * e[_B]) >> 32) & MASK32
+                        e[_READY] = True
+                        if recording:
+                            refs[_P_ALU_OUT] = refs[_P_MULDIV_LO] = \
+                                REGISTERS + FIELDS * e[_SEQ] + RESULT
+                            refs[_P_MULDIV_HI] = \
+                                REGISTERS + FIELDS * e[_SEQ] + MULHI
+                        occ_e = e[_TAG] | ACTIVE_FINAL
+                        exec_free = mem_free
+                    else:
+                        occ_e = e[_TAG] | STALLED
+                        stall((cycle, "E", ex_busy, e[_SEQ]))
+                        exec_free = False
+                if exec_free:  # Memory is free: advance into it
+                    m = e
+                    e = None
 
-    def _execute_first_cycle(self, uop: _Uop) -> Optional[int]:
-        """First Execute cycle: compute, resolve control flow."""
-        instr = uop.instr
-        rec = self.recorder
-        a, b = uop.rs1_val, uop.rs2_val
-        register_b = instr.fmt.value in ("R", "S", "B")
-        operand_b = b if register_b else (instr.imm & MASK32)
-        self.latches.write_execute(a, operand_b, control_word(instr, 8))
-        if rec is not None:
-            rec.execute(uop.seq, uop.pc, register_b)
-        self.trace.record("E", uop.tag, ACTIVE)
-        redirect: Optional[int] = None
-
-        if instr.is_branch:
-            uop.taken = branch_taken(instr, a, b)
-            uop.target = control_flow_target(instr, uop.pc, a)
-            uop.result_ready = True
-            self.latches.write_alu_out(uop.target if uop.taken else 0)
-            if rec is not None:  # the outcome is checked on replay
-                rec.alu_out(None)
-            redirect = self._resolve_control(uop)
-        elif instr.name == "jalr":
-            uop.taken = True
-            uop.target = control_flow_target(instr, uop.pc, a)
-            uop.result = (uop.pc + 4) & MASK32
-            uop.result_ready = True
-            self.latches.write_alu_out(uop.result)
-            if rec is not None:  # the link value depends on the PC only
-                rec.alu_out(None)
-            redirect = self._resolve_control(uop)
-        elif instr.is_muldiv:
-            uop.result = self._alu(instr, a, b, uop.pc)
-            latency = self.config.mul_latency if instr.name.startswith("mul") \
-                else self.config.div_latency
-            uop.e_remaining = latency - 1
-            if uop.e_remaining == 0:
-                self.latches.write("E", alu_out=uop.result,
-                                   muldiv_lo=uop.result)
-                uop.result_ready = True
-                if rec is not None:
-                    rec.muldiv_result(uop.seq, high=False)
-        else:
-            uop.result = self._alu(instr, a, b, uop.pc)
-            self.latches.write_alu_out(uop.result)
-            if rec is not None:
-                rec.alu_out(uop.seq)
-            if instr.is_load or instr.is_store:
-                # the "result" so far is only the effective address; load
-                # data becomes forwardable when Memory returns it
-                uop.mem_addr = uop.result
-                uop.store_val = b
+            if redirect is not None:
+                # misprediction: squash the instruction in Decode and
+                # this cycle's (suppressed) fetch, the 2-cycle penalty;
+                # both stay bubbles and their latches snap to the bubble
+                # pattern
+                flush_rows.append((cycle, 1 + (d is not None) +
+                                   (f is not None), redirect))
+                d = f = None
+                lat[_DEC_INSTR] = _NOP_WORD
+                lat[_RS1_VAL] = lat[_RS2_VAL] = lat[_DEC_IMM] = 0
+                lat[_DEC_CTRL] = NOP_CONTROL
+                lat[_FETCH_INSTR] = _NOP_WORD
+                lat[_PRED_STATE] = 0
+                if recording:
+                    refs[_P_RS1] = refs[_P_RS2] = CONSTANT
+                pc = redirect
+                fetch_halted = False  # wrong path may have run off the end
             else:
-                uop.result_ready = True
-        return redirect
+                # -- Decode --------------------------------------------------
+                jump = None
+                if d is None:
+                    lat[_DEC_INSTR] = _NOP_WORD
+                    lat[_RS1_VAL] = lat[_RS2_VAL] = lat[_DEC_IMM] = 0
+                    lat[_DEC_CTRL] = NOP_CONTROL
+                    if recording:
+                        refs[_P_RS1] = refs[_P_RS2] = CONSTANT
+                elif not exec_free:
+                    occ_d = d[_TAG] | STALLED
+                    stall((cycle, "D",
+                           ex_busy if e[_E_LEFT] > 0 else mem_busy,
+                           d[_SEQ]))
+                else:
+                    # operands, scanning the in-flight producers
+                    # youngest-first (Execute is empty here, so Memory
+                    # then Writeback) before the register file
+                    code = d[_CODE]
+                    src1, src2 = code[_SRC1], code[_SRC2]
+                    a = b = first = second = 0
+                    for reg in code[_SOURCES]:
+                        value = slot = 0
+                        if reg:
+                            if m is not None and m[_CODE][_DEST] == reg:
+                                holder = m
+                            elif w is not None and w[_CODE][_DEST] == reg:
+                                holder = w
+                            else:
+                                holder = None
+                            if holder is None:
+                                value = regs[reg]
+                                if recording:
+                                    slot = writers[reg]
+                            elif not forwarding:
+                                cause = raw_hazard
+                                break
+                            elif holder[_READY]:
+                                value = holder[_RESULT]
+                                slot = REGISTERS + FIELDS * holder[_SEQ] + \
+                                    RESULT
+                            else:
+                                cause = load_use \
+                                    if holder[_CODE][_KIND] == LOAD \
+                                    else raw_hazard
+                                break
+                        if reg == src1:
+                            a, first = value, slot
+                        if reg == src2:
+                            b, second = value, slot
+                    else:
+                        cause = None
+                    if cause is not None:
+                        occ_d = d[_TAG] | STALLED
+                        stall((cycle, "D", cause, d[_SEQ]))
+                    else:
+                        lat[_DEC_INSTR] = code[_WORD]
+                        lat[_RS1_VAL] = a & MASK32
+                        lat[_RS2_VAL] = b & MASK32
+                        lat[_DEC_IMM] = code[_IMM32]
+                        lat[_DEC_CTRL] = code[_CTRL12]
+                        d[_A] = a
+                        d[_B] = b
+                        if recording:
+                            d[_FIRST] = refs[_P_RS1] = first
+                            d[_SECOND] = refs[_P_RS2] = second
+                        occ_d = d[_TAG]                     # ACTIVE
+                        e = d
+                        d = None
+                        if code[_JAL]:
+                            dpc = e[_PC]
+                            target = (dpc + code[_IMM]) & MASK32
+                            e[_RESULT] = (dpc + 4) & MASK32
+                            e[_READY] = True
+                            btb_update(dpc, target)
+                            if not (e[_PRED_TAKEN]
+                                    and e[_PRED_TARGET] == target):
+                                # redirect fetch, squash 1 instruction
+                                jump = target
 
-    def _alu(self, instr: Instruction, a: int, b: int, pc: int) -> int:
-        """ALU computation, optionally routed through an injected bug."""
-        if self.alu_bug is not None:
-            bugged = self.alu_bug(instr, a, b)
-            if bugged is not None:
-                return bugged & MASK32
-        return alu_result(instr, a, b, pc)
+                # -- Fetch ---------------------------------------------------
+                if jump is not None:
+                    f = None
+                    lat[_FETCH_INSTR] = _NOP_WORD
+                    lat[_PRED_STATE] = 0
+                    pc = jump
+                    fetch_halted = False  # squashed fetch may have halted
+                elif f is not None:
+                    # Decode is still occupied: the fetched one waits
+                    occ_f = f[_TAG] | STALLED
+                    stall((cycle, "F", raw_hazard, f[_SEQ]))
+                else:
+                    offset = pc - TEXT_BASE
+                    if fetch_halted or offset < 0 or offset & 3 or \
+                            offset >> 2 >= count:
+                        fetch_halted = True
+                        lat[_FETCH_INSTR] = _NOP_WORD
+                        lat[_PRED_STATE] = 0
+                    else:
+                        instr = instructions[offset >> 2]
+                        code = instr.__dict__.get(_COMPILED) or \
+                            compiled(instr)
+                        seq = next_seq
+                        next_seq += 1
+                        # the trace's tag (ActivityTrace.tag), inlined
+                        number = ids.get(id(instr))
+                        if number is None:
+                            table.append(instr)
+                            number = ids[id(instr)] = len(table)
+                        tag = (number << _INSTR_SHIFT) | \
+                            ((seq + 1) << _SEQ_SHIFT)
+                        # fetch-time prediction: oracle, else predictor
+                        # and BTB
+                        pred_taken, pred_target = False, None
+                        kind = code[_KIND]
+                        if kind == BRANCH or kind == JALR or code[_JAL]:
+                            outcome = None if oracle is None \
+                                else oracle.pop(pc)
+                            if outcome is not None:
+                                pred_taken, pred_target = outcome
+                            else:
+                                pred_target = btb_lookup(pc)
+                                pred_taken = (predict(pc)
+                                              and pred_target is not None) \
+                                    if kind == BRANCH \
+                                    else pred_target is not None
+                        lat[_PC_LATCH] = pc & MASK32
+                        lat[_FETCH_INSTR] = code[_WORD]
+                        lat[_PRED_STATE] = (pred_taken | signature) & \
+                            _PRED_STATE_MASK
+                        occ_f = tag                         # ACTIVE
+                        f = [instr, code, pc, seq, tag, pred_taken,
+                             pred_target, 0, 0, 0, False, None, None, 0,
+                             None, 0, 0]
+                        pc = pred_target if (pred_taken and
+                                             pred_target is not None) \
+                            else (pc + 4) & MASK32
+                        if code[_HALTS]:
+                            fetch_halted = True
 
-    def _resolve_control(self, uop: _Uop) -> Optional[int]:
-        """Resolve a branch/jalr in Execute; returns a redirect PC if the
-        fetch prediction was wrong (triggering a flush)."""
-        instr = uop.instr
-        actual_target = uop.target if uop.taken else (uop.pc + 4) & MASK32
-        predicted_target = uop.pred_target if uop.pred_taken \
-            else (uop.pc + 4) & MASK32
-        mispredicted = (uop.taken != uop.pred_taken) or \
-            (uop.taken and predicted_target != actual_target)
-        if instr.is_branch:
-            self.predictor.update(uop.pc, uop.taken)
-        if uop.taken:
-            self.btb.update(uop.pc, uop.target)
-        self.trace.branch(self.cycle, uop.pc, uop.taken, actual_target,
-                          uop.pred_taken, uop.pred_target, mispredicted,
-                          uop.seq)
-        return actual_target if mispredicted else None
+            pack_f(occ_f)
+            pack_d(occ_d)
+            pack_e(occ_e)
+            pack_m(occ_m)
+            pack_w(occ_w)
+            values.extend(lat)
+            if recording:
+                provenance.rows.extend(refs)
+            cycle += 1
+            if fetch_halted and f is None and d is None and e is None \
+                    and m is None and w is None:
+                halted = True
+                break
 
-    # ------------------------------------------------------------------
-    # Decode
-    # ------------------------------------------------------------------
-    def _stage_decode(self, exec_free: bool) -> Optional[int]:
-        """Process Decode; returns a fetch redirect PC for unpredicted
-        direct jumps (jal), else None."""
-        uop = self.d_uop
-        if uop is None:
-            self.latches.write_bubble("D")
-            if self.recorder is not None:
-                self.recorder.bubble("D")
-            return None
-        instr = uop.instr
-
-        if not exec_free:
-            cause = StallCause.EX_BUSY if (self.e_uop and
-                                           self.e_uop.e_remaining > 0) \
-                else StallCause.MEM_BUSY
-            self.trace.record("D", uop.tag, STALLED)
-            self.trace.stall(self.cycle, "D", cause, uop.seq)
-            return None
-
-        operands = {}
-        producers = {}
-        for reg in instr.unique_sources:
-            value, ready, cause, producer = self._operand(reg)
-            if not ready:
-                self.trace.record("D", uop.tag, STALLED)
-                self.trace.stall(self.cycle, "D", cause, uop.seq)
-                return None
-            operands[reg] = value
-            producers[reg] = producer
-        uop.rs1_val = operands.get(instr.rs1, 0)
-        uop.rs2_val = operands.get(instr.rs2, 0)
-
-        self.latches.write_decode(instr.encode(), uop.rs1_val,
-                                  uop.rs2_val, instr.imm & MASK32,
-                                  control_word(instr, 12))
-        if self.recorder is not None:
-            self.recorder.decode(uop.seq, instr, producers)
-        self.trace.record("D", uop.tag, ACTIVE)
-        self.d_uop = None
-        self.e_uop = uop
-
-        if instr.name == "jal":
-            uop.taken = True
-            uop.target = (uop.pc + instr.imm) & MASK32
-            uop.result = (uop.pc + 4) & MASK32
-            uop.result_ready = True
-            self.btb.update(uop.pc, uop.target)
-            if not (uop.pred_taken and uop.pred_target == uop.target):
-                return uop.target  # redirect fetch, squash 1 instruction
-        return None
-
-    def _operand(self, reg: int):
-        """Resolve a source register: value, readiness, stall cause and
-        the in-flight uop the value is forwarded from (None when it comes
-        from the register file).
-
-        Scans in-flight producers youngest-first (Execute, Memory,
-        Writeback slots); falls back to the register file.
-        """
-        if reg == 0:
-            return 0, True, None, None
-        for slot, holder in (("E", self.e_uop), ("M", self.m_uop),
-                             ("W", self.w_uop)):
-            if holder is None or holder.writes_reg != reg:
-                continue
-            if not self.config.forwarding:
-                return 0, False, StallCause.RAW_HAZARD, None
-            if holder.result_ready:
-                return holder.result, True, None, holder
-            cause = StallCause.LOAD_USE if holder.instr.is_load \
-                else StallCause.RAW_HAZARD
-            return 0, False, cause, None
-        return self.regfile.read(reg), True, None, None
-
-    # ------------------------------------------------------------------
-    # Fetch
-    # ------------------------------------------------------------------
-    def _stage_fetch(self, decode_redirect: Optional[int]) -> None:
-        if decode_redirect is not None:
-            # jal resolved in Decode: squash the one wrong-path fetch
-            self.f_uop = None
-            self.latches.write_bubble("F")
-            self.pc = decode_redirect
-            self.fetch_halted = False  # squashed fetch may have halted us
-            return
-        if self.f_uop is not None:
-            # Decode is still occupied: the fetched instruction waits
-            self.trace.record("F", self.f_uop.tag, STALLED)
-            self.trace.stall(self.cycle, "F", StallCause.RAW_HAZARD,
-                             self.f_uop.seq)
-            return
-        if self.fetch_halted:
-            self.latches.write_bubble("F")
-            return
-        instr = self.program.instruction_at(self.pc)
-        if instr is None:
-            self.fetch_halted = True
-            self.latches.write_bubble("F")
-            return
-        seq = self.next_seq
-        uop = _Uop(instr, self.pc, seq, self.trace.tag(instr, seq))
-        self.next_seq = seq + 1
-        self._predict(uop)
-        self.latches.write_fetch(self.pc, instr.encode(),
-                                 int(uop.pred_taken) |
-                                 (self.predictor.state_signature() << 1))
-        self.trace.record("F", uop.tag, ACTIVE)
-        self.f_uop = uop
-        self.pc = uop.pred_target if (uop.pred_taken and
-                                      uop.pred_target is not None) \
-            else (self.pc + 4) & MASK32
-        if instr.name in ("ecall", "ebreak"):
-            self.fetch_halted = True
-
-    def _predict(self, uop: _Uop) -> None:
-        """Fetch-time branch/jump prediction via predictor + BTB."""
-        instr = uop.instr
-        if self.oracle is not None and (instr.is_branch or instr.is_jump):
-            outcome = self.oracle.pop(uop.pc)
-            if outcome is not None:
-                uop.pred_taken, uop.pred_target = outcome
-                return
-        if instr.is_branch:
-            target = self.btb.lookup(uop.pc)
-            taken = self.predictor.predict(uop.pc) and target is not None
-            uop.pred_taken = taken
-            uop.pred_target = target
-        elif instr.is_jump:
-            target = self.btb.lookup(uop.pc)
-            uop.pred_taken = target is not None
-            uop.pred_target = target
+        self.pc, self.cycle, self.next_seq = pc, cycle, next_seq
+        self.fetch_halted, self.halted = fetch_halted, halted
+        self.f_uop, self.d_uop, self.e_uop, self.m_uop, self.w_uop = \
+            f, d, e, m, w
+        trace._extend_cycles(
+            np.frombuffer(values, dtype=np.uint64).reshape(
+                -1, TOTAL_REGISTERS), packed)
+        trace._extend_events(stalls, cache_rows, branch_rows, flush_rows,
+                             retire_rows)
 
 
 def run_program(program: Program, config: CoreConfig = DEFAULT_CONFIG,

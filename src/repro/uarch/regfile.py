@@ -9,31 +9,19 @@ class RegisterFile:
     """The 32x32-bit integer register file of the core.
 
     Writes to x0 are ignored, matching the RISC-V architectural contract.
-    Reads/writes are recorded as counts so the EM model can attribute
-    register-file port activity.
     """
 
     def __init__(self) -> None:
         self._values: List[int] = [0] * 32
-        self.reads = 0
-        self.writes = 0
-        self.last_write_value = 0
-
-    def read(self, index: int) -> int:
-        """Read register ``index`` (x0 reads as 0)."""
-        self.reads += 1
-        return self._values[index]
 
     def write(self, index: int, value: int) -> None:
         """Write register ``index``; writes to x0 are dropped."""
         if index == 0:
             return
-        self.writes += 1
-        self.last_write_value = value & 0xFFFFFFFF
         self._values[index] = value & 0xFFFFFFFF
 
     def peek(self, index: int) -> int:
-        """Read without recording activity (debug/test use)."""
+        """Read register ``index`` (x0 reads as 0)."""
         return self._values[index]
 
     def dump(self) -> List[int]:

@@ -21,7 +21,12 @@ and the event lists ``stalls`` / ``cache_events`` / ``branch_events`` /
 ``flushes`` / ``retired``) is preserved, built lazily on first read and
 rebuilt once more cycles or rows arrive.
 
-Recording protocol (what the cores call)::
+The in-order :class:`~repro.uarch.pipeline.Pipeline` builds the same
+codes and rows in its own cycle loop and hands them over when a run
+returns (:meth:`ActivityTrace._extend_cycles`,
+:meth:`ActivityTrace._extend_events`).  The out-of-order core, and the
+seed in-order core that ``tests/oracles.py`` keeps as the compiled
+loop's oracle, record one call at a time through this protocol::
 
     trace.begin_cycle()
     tag = trace.tag(instr, seq)             # once per fetched instruction
@@ -36,8 +41,8 @@ Recording protocol (what the cores call)::
     trace.end_cycle(latches)                # snapshot + advance
 
 Stages never recorded in a cycle default to the pipeline bubble.  The
-tag is opaque to the cores; ``tests/oracles.py`` substitutes a recorder
-whose tags are ``(instr, seq)`` pairs.
+tag is opaque to the recording core; ``tests/oracles.py`` substitutes a
+recorder whose tags are ``(instr, seq)`` pairs.
 """
 
 from __future__ import annotations
@@ -262,7 +267,7 @@ class ActivityTrace:
         self._occ_cache: Dict[str, object] = {}
         self._event_cache: Dict[type, Tuple[int, list]] = {}
 
-    # -- recording (called by the pipeline) -----------------------------
+    # -- recording (called by the out-of-order core) -----------------------
     def begin_cycle(self) -> None:
         """Open the next cycle's row: every stage starts as a bubble."""
         if self._n >= self._capacity:
@@ -328,9 +333,10 @@ class ActivityTrace:
         self._vals[self._n] = latches.flat_values()
         self._n += 1
 
-    def _grow(self) -> None:
-        """Double the latch-value buffer, preserving recorded rows."""
-        capacity = self._capacity * 2
+    def _grow(self, needed: int = 0) -> None:
+        """Double the latch-value buffer (or more, to hold ``needed``
+        rows), preserving recorded rows."""
+        capacity = max(self._capacity * 2, needed)
         vals = np.zeros((capacity, TOTAL_REGISTERS), dtype=np.uint64)
         vals[:self._n] = self._vals[:self._n]
         self._vals = vals
@@ -373,10 +379,7 @@ class ActivityTrace:
         """
         trace = cls(capacity=1)
         cycles = values.shape[0]
-        trace._vals = values
-        trace._n = trace._capacity = cycles
-        for stage in STAGES:
-            trace._packed[stage].extend(packed[stage])
+        trace._extend_cycles(values, [packed[stage] for stage in STAGES])
         trace._instr_table = list(instr_table)
         trace._instr_ids = dict(ids) if ids is not None else {
             id(instr): code
@@ -387,6 +390,27 @@ class ActivityTrace:
                          for stage, array in by_stage.items()}
                 for column, by_stage in codes.items()}}
         return trace
+
+    def _extend_cycles(self, values: np.ndarray,
+                       packed: Sequence[Sequence[int]]) -> None:
+        """Append finished cycles: ``values`` holds their latch rows and
+        ``packed`` each stage's occupancy codes, in :data:`STAGES` order.
+
+        A trace with no cycles yet takes ``values`` as its latch store as
+        it is; otherwise the rows are copied in, growing the store.
+        """
+        n = self._n
+        cycles = values.shape[0]
+        if n == 0:
+            self._vals = values
+            self._capacity = cycles
+        else:
+            if n + cycles > self._capacity:
+                self._grow(n + cycles)
+            self._vals[n:n + cycles] = values
+        for stage, column in zip(STAGES, packed):
+            self._packed[stage].extend(column)
+        self._n = n + cycles
 
     def _extend_events(self, stalls: Sequence[tuple],
                        cache_events: Sequence[tuple],

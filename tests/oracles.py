@@ -4,9 +4,13 @@ Each production engine replaced a straightforward seed implementation;
 the seed versions live here, outside the package, so the tests can keep
 asserting that the engine computes the same thing:
 
+* :class:`SeedPipeline` — the seed in-order core, one method per stage,
+  recording through the trace's per-call protocol (:func:`run_seed`),
+  and :class:`ScheduleRecorder` — the seed's data-latch provenance,
+  kept by hook calls from that core (:func:`seed_record`);
 * :class:`LegacyActivityTrace` / :class:`LegacyHardwareLatches` — the
   seed's object-graph trace recorder and dict-backed latch store, run on
-  either core through :func:`run_legacy`;
+  the seed core or the out-of-order core through :func:`run_legacy`;
 * :func:`direct_reconstruct` — Eq. 6 as one ``np.convolve``, and
   :func:`reconstruct_at` — Eq. 6 at arbitrary times, one kernel
   evaluation per lag;
@@ -40,7 +44,7 @@ asserting that the engine computes the same thing:
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -53,23 +57,37 @@ from repro.core.regression import LinearModel, fit_linear
 from repro.core.trace_cache import TRACE_KEY_VERSION
 from repro.isa.assembler import assemble
 from repro.isa.encoding import sign_extend, to_unsigned
+from repro.isa.instructions import Instruction
+from repro.isa.program import TEXT_BASE, Program
 from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                STATE_BASE, _RK, _SBOX, _ST,
                                _emit_add_round_key, _emit_cache_warm,
                                _emit_mix_columns, _emit_shift_rows,
                                _emit_sub_bytes, key_schedule)
 from repro.robustness.errors import AssemblerError
+from repro.uarch.branch import BranchTargetBuffer, make_predictor
+from repro.uarch.cache import DataCache
+from repro.uarch.config import DEFAULT_CONFIG, CoreConfig
 from repro.uarch.events import (BranchEvent, CacheEvent, FlushEvent,
-                                StallEvent)
-from repro.uarch.latches import (STAGE_REGISTERS, STAGES, bubble_pattern,
-                                 stage_register_offsets)
+                                StallCause, StallEvent)
+from repro.uarch.isa_exec import (ALU_FUNCTIONS, BRANCH_CONDITIONS,
+                                  alu_result, branch_taken,
+                                  control_flow_target, load_width,
+                                  store_width)
+from repro.uarch.latches import (STAGE_REGISTERS, STAGES, TOTAL_REGISTERS,
+                                 HardwareLatches, bubble_pattern,
+                                 control_word, stage_register_offsets)
+from repro.uarch.memory import MainMemory
 from repro.uarch.ooo import OutOfOrderCore
-from repro.uarch.pipeline import Pipeline
+from repro.uarch.pipeline import (BRANCH, DATA_COLUMNS, JALR, LOAD, MULDIV,
+                                  PLAIN, STORE)
+from repro.uarch.regfile import RegisterFile
+from repro.uarch.replay import _FLAT_COLUMNS, Schedule, _frozen
 from repro.uarch.trace import (_BUBBLE_OCC, _KIND_NAMES, ACTIVE,
                                ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS,
                                OCC_INSTR, OCC_STALL, STALLED, STALLED_HIT,
-                               STALLED_MISS, RetiredInstruction,
-                               StageOccupancy)
+                               STALLED_MISS, ActivityTrace,
+                               RetiredInstruction, StageOccupancy)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +243,746 @@ class LegacyActivityTrace:
         return [occ.em_class() for occ in self.occupancy[stage]]
 
 
+# ---------------------------------------------------------------------------
+# the seed in-order core
+# ---------------------------------------------------------------------------
+class SeedHardwareLatches(HardwareLatches):
+    """The production latch store plus the writers only the seed core
+    calls."""
+
+    __slots__ = ()
+
+    def write_execute(self, alu_a, alu_b, ctrl):
+        self.write("E", alu_a=alu_a, alu_b=alu_b, ex_ctrl=ctrl)
+
+    def write_alu_out(self, value):
+        self.write("E", alu_out=value)
+
+    def write_mem_ctrl(self, ctrl):
+        self.write("M", mem_ctrl=ctrl)
+
+
+class SeedRegisterFile(RegisterFile):
+    """The register file plus the seed core's ``read``."""
+
+    def read(self, index):
+        return self._values[index]
+
+
+class _Uop:
+    """One in-flight dynamic instruction."""
+
+    __slots__ = ("instr", "pc", "seq", "tag", "writes_reg", "pred_taken",
+                 "pred_target", "rs1_val", "rs2_val", "result", "mem_addr",
+                 "store_val", "result_ready", "e_started", "e_remaining",
+                 "m_started", "m_remaining", "mem_hit", "taken", "target")
+
+    def __init__(self, instr: Instruction, pc: int, seq: int,
+                 tag: object) -> None:
+        self.instr = instr
+        self.pc = pc
+        self.seq = seq
+        self.tag = tag               # the trace's occupancy tag
+        self.writes_reg: Optional[int] = instr.destination_register
+        self.pred_taken = False
+        self.pred_target: Optional[int] = None
+        self.rs1_val = 0
+        self.rs2_val = 0
+        self.result = 0              # ALU result / load data / link value
+        self.mem_addr = 0
+        self.store_val = 0
+        self.result_ready = False
+        self.e_started = False
+        self.e_remaining = 0
+        self.m_started = False
+        self.m_remaining = 0
+        self.mem_hit: Optional[bool] = None
+        self.taken = False
+        self.target = 0
+
+
+class SeedPipeline:
+    """The seed in-order core: one method per stage, recording through
+    the trace's per-call protocol (and a :class:`ScheduleRecorder`'s
+    hooks); run a :class:`Program`, get an :class:`ActivityTrace` plus
+    final architectural state."""
+
+    def __init__(self, program: Program,
+                 config: CoreConfig = DEFAULT_CONFIG,
+                 alu_bug: Optional[object] = None,
+                 oracle: Optional[object] = None):
+        self.program = program
+        self.config = config
+        self.regfile = SeedRegisterFile()
+        self.memory = MainMemory(program.data)
+        self.cache = DataCache(config.cache)
+        self.predictor = make_predictor(config.predictor,
+                                        config.predictor_history_bits,
+                                        config.predictor_table_bits)
+        self.btb = BranchTargetBuffer(config.btb_entries)
+        self.latches = SeedHardwareLatches()
+        self.trace = ActivityTrace()
+        self.alu_bug = alu_bug   # optional callable(instr, a, b) -> result
+        self.oracle = oracle     # optional OracleOutcomes (perfect fetch)
+        self.recorder = None     # optional ScheduleRecorder
+
+        self.pc = program.entry
+        self.cycle = 0
+        self.next_seq = 0
+        self.fetch_halted = False
+        self.halted = False
+
+        # stage slots (None = empty / bubble)
+        self.f_uop: Optional[_Uop] = None
+        self.d_uop: Optional[_Uop] = None
+        self.e_uop: Optional[_Uop] = None
+        self.m_uop: Optional[_Uop] = None
+        self.w_uop: Optional[_Uop] = None
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    def run(self, max_cycles: Optional[int] = None) -> ActivityTrace:
+        """Run until the program halts or ``max_cycles`` elapse."""
+        limit = max_cycles if max_cycles is not None \
+            else self.config.max_cycles
+        while not self.halted and self.cycle < limit:
+            self.step()
+        return self.trace
+
+    @property
+    def pipeline_empty(self) -> bool:
+        """True when no in-flight instruction remains."""
+        return not any((self.f_uop, self.d_uop, self.e_uop, self.m_uop,
+                        self.w_uop))
+
+    # ------------------------------------------------------------------
+    # one clock cycle
+    # ------------------------------------------------------------------
+    def step(self) -> None:
+        """Advance the core by one clock cycle.
+
+        Stages record occupancy straight into the trace (unrecorded
+        stages default to bubbles); the cycle ends with one latch
+        snapshot via ``end_cycle``.
+        """
+        # clock-edge handoff: the instruction fetched last cycle enters
+        # Decode if the slot was vacated
+        if self.d_uop is None and self.f_uop is not None:
+            self.d_uop = self.f_uop
+            self.f_uop = None
+
+        self.trace.begin_cycle()
+        self._stage_writeback()
+        mem_free = self._stage_memory()
+        exec_free, flush_redirect = self._stage_execute(mem_free)
+
+        if flush_redirect is not None:
+            self._flush_wrong_path(flush_redirect)
+        else:
+            decode_redirect = self._stage_decode(exec_free)
+            self._stage_fetch(decode_redirect)
+
+        self.trace.end_cycle(self.latches)
+        if self.recorder is not None:
+            self.recorder.end_cycle()
+        self.cycle += 1
+        if self.fetch_halted and self.pipeline_empty:
+            self.halted = True
+
+    def _flush_wrong_path(self, flush_redirect: int) -> None:
+        """Squash the two younger wrong-path instructions — the one in
+        Decode and this cycle's (suppressed) fetch: the paper's 2-cycle
+        misprediction penalty.  The squashed stages stay bubbles in the
+        trace and their latches snap to the bubble pattern."""
+        flushed = 1 + int(self.d_uop is not None) + \
+            int(self.f_uop is not None)
+        self.d_uop = None
+        self.f_uop = None
+        self.latches.write_bubble("D")
+        self.latches.write_bubble("F")
+        if self.recorder is not None:
+            self.recorder.bubble("D")
+        self.pc = flush_redirect
+        self.fetch_halted = False  # wrong path may have run off the end
+        self.trace.flush(self.cycle, flushed, flush_redirect)
+
+    # ------------------------------------------------------------------
+    # Writeback
+    # ------------------------------------------------------------------
+    def _stage_writeback(self) -> None:
+        uop = self.w_uop
+        if uop is None:
+            self.latches.write_bubble("W")
+            if self.recorder is not None:
+                self.recorder.bubble("W")
+            return
+        rd = uop.writes_reg
+        if rd is not None:
+            self.regfile.write(rd, uop.result)
+        self.latches.write_writeback(uop.result if rd is not None else 0,
+                                     rd or 0, 1 if rd is not None else 0)
+        if self.recorder is not None:
+            self.recorder.writeback(uop.seq, rd)
+        trace = self.trace
+        trace.record("W", uop.tag, ACTIVE)
+        trace.retire(uop.seq, uop.pc, uop.instr, self.cycle)
+        if uop.instr.name in ("ecall", "ebreak"):
+            self.fetch_halted = True
+        self.w_uop = None
+
+    # ------------------------------------------------------------------
+    # Memory
+    # ------------------------------------------------------------------
+    def _stage_memory(self) -> bool:
+        """Process the Memory stage; returns True if the slot is free for
+        the Execute stage to advance into."""
+        uop = self.m_uop
+        if uop is None:
+            self.latches.write_bubble("M")
+            if self.recorder is not None:
+                self.recorder.bubble("M")
+            return True
+        instr = uop.instr
+        if not uop.m_started:
+            uop.m_started = True
+            if instr.is_load or instr.is_store:
+                self._memory_access(uop)
+            else:
+                self.latches.write_mem_ctrl(control_word(instr, 8))
+                self.trace.record("M", uop.tag, ACTIVE)
+                uop.m_remaining = 0
+        else:
+            uop.m_remaining -= 1
+            trace = self.trace
+            if uop.mem_hit is False:
+                trace.record("M", uop.tag, STALLED_MISS)
+                trace.stall(self.cycle, "M", StallCause.CACHE_MISS, uop.seq)
+            else:
+                trace.record("M", uop.tag, STALLED_HIT)
+                trace.stall(self.cycle, "M", StallCause.MEM_BUSY, uop.seq)
+            if uop.m_remaining == 0 and instr.is_load:
+                # data-return flip on the read-data bus
+                self.latches.write_mem_rdata(uop.result)
+                uop.result_ready = True
+                if self.recorder is not None:
+                    self.recorder.load_data(uop.seq)
+        if uop.m_remaining == 0:
+            self.m_uop = None
+            self.w_uop = uop
+            return True
+        return False
+
+    def _memory_access(self, uop: _Uop) -> None:
+        """First Memory cycle of a load/store: cache access + data move."""
+        instr = uop.instr
+        address = uop.mem_addr
+        hit = self.cache.access(address, is_store=instr.is_store)
+        uop.mem_hit = hit
+        cache_cfg = self.config.cache
+        uop.m_remaining = cache_cfg.hit_extra_cycles + \
+            (0 if hit else cache_cfg.miss_extra_cycles)
+        self.trace.cache_access(self.cycle, address, instr.is_store, hit,
+                                uop.seq)
+        rec = self.recorder
+        if instr.is_store:
+            self.memory.store(address, uop.store_val,
+                              store_width(instr.name))
+            self.latches.write("M", mem_addr=address,
+                               mem_wdata=uop.store_val,
+                               mem_ctrl=control_word(instr, 8))
+            if rec is not None:
+                rec.store(uop.seq)
+        else:
+            nbytes, signed = load_width(instr.name)
+            uop.result = self.memory.load(address, nbytes, signed)
+            self.latches.write("M", mem_addr=address,
+                               mem_ctrl=control_word(instr, 8))
+            if rec is not None:
+                rec.load_address(uop.seq)
+            if uop.m_remaining == 0:
+                self.latches.write_mem_rdata(uop.result)
+                uop.result_ready = True
+                if rec is not None:
+                    rec.load_data(uop.seq)
+        self.trace.record("M", uop.tag, ACTIVE_HIT if hit else ACTIVE_MISS)
+
+    # ------------------------------------------------------------------
+    # Execute
+    # ------------------------------------------------------------------
+    def _stage_execute(self, mem_free: bool) -> Tuple[bool, Optional[int]]:
+        """Process Execute; returns (slot free for Decode, flush redirect)."""
+        uop = self.e_uop
+        if uop is None:
+            self.latches.write_bubble("E")
+            if self.recorder is not None:
+                self.recorder.bubble("E")
+            return True, None
+
+        if not uop.e_started:
+            uop.e_started = True
+            redirect = self._execute_first_cycle(uop)
+            if uop.e_remaining == 0 and mem_free:
+                self.e_uop = None
+                self.m_uop = uop
+                return True, redirect
+            if uop.e_remaining == 0 and not mem_free:
+                return False, redirect
+            return False, redirect
+
+        if not mem_free and uop.e_remaining == 0:
+            # finished, waiting for the Memory stage to drain
+            self.trace.record("E", uop.tag, STALLED)
+            self.trace.stall(self.cycle, "E", StallCause.MEM_BUSY, uop.seq)
+            return False, None
+        if uop.e_remaining == 0:
+            # previously finished, was waiting on Memory; transits quietly
+            self.trace.record("E", uop.tag, STALLED)
+        if uop.e_remaining > 0:
+            uop.e_remaining -= 1
+            if uop.e_remaining == 0:
+                # final multiply/divide cycle: result registers switch
+                self.latches.write("E", alu_out=uop.result,
+                                   muldiv_lo=uop.result,
+                                   muldiv_hi=(uop.rs1_val * uop.rs2_val)
+                                   >> 32)
+                uop.result_ready = True
+                if self.recorder is not None:
+                    self.recorder.muldiv_result(uop.seq, high=True)
+                self.trace.record("E", uop.tag, ACTIVE_FINAL)
+            else:
+                self.trace.record("E", uop.tag, STALLED)
+                self.trace.stall(self.cycle, "E", StallCause.EX_BUSY,
+                                 uop.seq)
+        if uop.e_remaining == 0 and mem_free:
+            self.e_uop = None
+            self.m_uop = uop
+            return True, None
+        return False, None
+
+    def _execute_first_cycle(self, uop: _Uop) -> Optional[int]:
+        """First Execute cycle: compute, resolve control flow."""
+        instr = uop.instr
+        rec = self.recorder
+        a, b = uop.rs1_val, uop.rs2_val
+        register_b = instr.fmt.value in ("R", "S", "B")
+        operand_b = b if register_b else (instr.imm & MASK32)
+        self.latches.write_execute(a, operand_b, control_word(instr, 8))
+        if rec is not None:
+            rec.execute(uop.seq, uop.pc, register_b)
+        self.trace.record("E", uop.tag, ACTIVE)
+        redirect: Optional[int] = None
+
+        if instr.is_branch:
+            uop.taken = branch_taken(instr, a, b)
+            uop.target = control_flow_target(instr, uop.pc, a)
+            uop.result_ready = True
+            self.latches.write_alu_out(uop.target if uop.taken else 0)
+            if rec is not None:  # the outcome is checked on replay
+                rec.alu_out(None)
+            redirect = self._resolve_control(uop)
+        elif instr.name == "jalr":
+            uop.taken = True
+            uop.target = control_flow_target(instr, uop.pc, a)
+            uop.result = (uop.pc + 4) & MASK32
+            uop.result_ready = True
+            self.latches.write_alu_out(uop.result)
+            if rec is not None:  # the link value depends on the PC only
+                rec.alu_out(None)
+            redirect = self._resolve_control(uop)
+        elif instr.is_muldiv:
+            uop.result = self._alu(instr, a, b, uop.pc)
+            latency = self.config.mul_latency if instr.name.startswith("mul") \
+                else self.config.div_latency
+            uop.e_remaining = latency - 1
+            if uop.e_remaining == 0:
+                self.latches.write("E", alu_out=uop.result,
+                                   muldiv_lo=uop.result)
+                uop.result_ready = True
+                if rec is not None:
+                    rec.muldiv_result(uop.seq, high=False)
+        else:
+            uop.result = self._alu(instr, a, b, uop.pc)
+            self.latches.write_alu_out(uop.result)
+            if rec is not None:
+                rec.alu_out(uop.seq)
+            if instr.is_load or instr.is_store:
+                # the "result" so far is only the effective address; load
+                # data becomes forwardable when Memory returns it
+                uop.mem_addr = uop.result
+                uop.store_val = b
+            else:
+                uop.result_ready = True
+        return redirect
+
+    def _alu(self, instr: Instruction, a: int, b: int, pc: int) -> int:
+        """ALU computation, optionally routed through an injected bug."""
+        if self.alu_bug is not None:
+            bugged = self.alu_bug(instr, a, b)
+            if bugged is not None:
+                return bugged & MASK32
+        return alu_result(instr, a, b, pc)
+
+    def _resolve_control(self, uop: _Uop) -> Optional[int]:
+        """Resolve a branch/jalr in Execute; returns a redirect PC if the
+        fetch prediction was wrong (triggering a flush)."""
+        instr = uop.instr
+        actual_target = uop.target if uop.taken else (uop.pc + 4) & MASK32
+        predicted_target = uop.pred_target if uop.pred_taken \
+            else (uop.pc + 4) & MASK32
+        mispredicted = (uop.taken != uop.pred_taken) or \
+            (uop.taken and predicted_target != actual_target)
+        if instr.is_branch:
+            self.predictor.update(uop.pc, uop.taken)
+        if uop.taken:
+            self.btb.update(uop.pc, uop.target)
+        self.trace.branch(self.cycle, uop.pc, uop.taken, actual_target,
+                          uop.pred_taken, uop.pred_target, mispredicted,
+                          uop.seq)
+        return actual_target if mispredicted else None
+
+    # ------------------------------------------------------------------
+    # Decode
+    # ------------------------------------------------------------------
+    def _stage_decode(self, exec_free: bool) -> Optional[int]:
+        """Process Decode; returns a fetch redirect PC for unpredicted
+        direct jumps (jal), else None."""
+        uop = self.d_uop
+        if uop is None:
+            self.latches.write_bubble("D")
+            if self.recorder is not None:
+                self.recorder.bubble("D")
+            return None
+        instr = uop.instr
+
+        if not exec_free:
+            cause = StallCause.EX_BUSY if (self.e_uop and
+                                           self.e_uop.e_remaining > 0) \
+                else StallCause.MEM_BUSY
+            self.trace.record("D", uop.tag, STALLED)
+            self.trace.stall(self.cycle, "D", cause, uop.seq)
+            return None
+
+        operands = {}
+        producers = {}
+        for reg in instr.unique_sources:
+            value, ready, cause, producer = self._operand(reg)
+            if not ready:
+                self.trace.record("D", uop.tag, STALLED)
+                self.trace.stall(self.cycle, "D", cause, uop.seq)
+                return None
+            operands[reg] = value
+            producers[reg] = producer
+        uop.rs1_val = operands.get(instr.rs1, 0)
+        uop.rs2_val = operands.get(instr.rs2, 0)
+
+        self.latches.write_decode(instr.encode(), uop.rs1_val,
+                                  uop.rs2_val, instr.imm & MASK32,
+                                  control_word(instr, 12))
+        if self.recorder is not None:
+            self.recorder.decode(uop.seq, instr, producers)
+        self.trace.record("D", uop.tag, ACTIVE)
+        self.d_uop = None
+        self.e_uop = uop
+
+        if instr.name == "jal":
+            uop.taken = True
+            uop.target = (uop.pc + instr.imm) & MASK32
+            uop.result = (uop.pc + 4) & MASK32
+            uop.result_ready = True
+            self.btb.update(uop.pc, uop.target)
+            if not (uop.pred_taken and uop.pred_target == uop.target):
+                return uop.target  # redirect fetch, squash 1 instruction
+        return None
+
+    def _operand(self, reg: int):
+        """Resolve a source register: value, readiness, stall cause and
+        the in-flight uop the value is forwarded from (None when it comes
+        from the register file).
+
+        Scans in-flight producers youngest-first (Execute, Memory,
+        Writeback slots); falls back to the register file.
+        """
+        if reg == 0:
+            return 0, True, None, None
+        for slot, holder in (("E", self.e_uop), ("M", self.m_uop),
+                             ("W", self.w_uop)):
+            if holder is None or holder.writes_reg != reg:
+                continue
+            if not self.config.forwarding:
+                return 0, False, StallCause.RAW_HAZARD, None
+            if holder.result_ready:
+                return holder.result, True, None, holder
+            cause = StallCause.LOAD_USE if holder.instr.is_load \
+                else StallCause.RAW_HAZARD
+            return 0, False, cause, None
+        return self.regfile.read(reg), True, None, None
+
+    # ------------------------------------------------------------------
+    # Fetch
+    # ------------------------------------------------------------------
+    def _stage_fetch(self, decode_redirect: Optional[int]) -> None:
+        if decode_redirect is not None:
+            # jal resolved in Decode: squash the one wrong-path fetch
+            self.f_uop = None
+            self.latches.write_bubble("F")
+            self.pc = decode_redirect
+            self.fetch_halted = False  # squashed fetch may have halted us
+            return
+        if self.f_uop is not None:
+            # Decode is still occupied: the fetched instruction waits
+            self.trace.record("F", self.f_uop.tag, STALLED)
+            self.trace.stall(self.cycle, "F", StallCause.RAW_HAZARD,
+                             self.f_uop.seq)
+            return
+        if self.fetch_halted:
+            self.latches.write_bubble("F")
+            return
+        instr = self.program.instruction_at(self.pc)
+        if instr is None:
+            self.fetch_halted = True
+            self.latches.write_bubble("F")
+            return
+        seq = self.next_seq
+        uop = _Uop(instr, self.pc, seq, self.trace.tag(instr, seq))
+        self.next_seq = seq + 1
+        self._predict(uop)
+        self.latches.write_fetch(self.pc, instr.encode(),
+                                 int(uop.pred_taken) |
+                                 (self.predictor.state_signature() << 1))
+        self.trace.record("F", uop.tag, ACTIVE)
+        self.f_uop = uop
+        self.pc = uop.pred_target if (uop.pred_taken and
+                                      uop.pred_target is not None) \
+            else (self.pc + 4) & MASK32
+        if instr.name in ("ecall", "ebreak"):
+            self.fetch_halted = True
+
+    def _predict(self, uop: _Uop) -> None:
+        """Fetch-time branch/jump prediction via predictor + BTB."""
+        instr = uop.instr
+        if self.oracle is not None and (instr.is_branch or instr.is_jump):
+            outcome = self.oracle.pop(uop.pc)
+            if outcome is not None:
+                uop.pred_taken, uop.pred_target = outcome
+                return
+        if instr.is_branch:
+            target = self.btb.lookup(uop.pc)
+            taken = self.predictor.predict(uop.pc) and target is not None
+            uop.pred_taken = taken
+            uop.pred_target = target
+        elif instr.is_jump:
+            target = self.btb.lookup(uop.pc)
+            uop.pred_taken = target is not None
+            uop.pred_target = target
+
+
+def run_seed(program, config=DEFAULT_CONFIG, max_cycles=None, alu_bug=None,
+             oracle=None):
+    """Run ``program`` on a fresh seed core; returns ``(trace, core)``."""
+    core = SeedPipeline(program, config=config, alu_bug=alu_bug,
+                        oracle=oracle)
+    return core.run(max_cycles=max_cycles), core
+
+
+# ---------------------------------------------------------------------------
+# the seed schedule recorder
+# ---------------------------------------------------------------------------
+# Data columns a bubble write resets to its (data-independent) pattern.
+_BUBBLE_RESETS = {
+    stage: tuple(index for index, (column_stage, name)
+                 in enumerate(DATA_COLUMNS)
+                 if column_stage == stage and name in bubble_pattern(stage))
+    for stage in ("D", "E", "M", "W")}
+
+(_RS1_VAL, _RS2_VAL, _ALU_A, _ALU_B, _ALU_OUT, _MULDIV_LO, _MULDIV_HI,
+ _MEM_ADDR, _MEM_WDATA, _MEM_RDATA, _WB_DATA) = range(len(DATA_COLUMNS))
+
+_CONSTANT = -1          # the column holds the recorded value
+_REGISTERS = 32         # slots of the initial register file
+_ALU, _RESULT, _MULHI = range(3)
+_FIELDS = 3             # slots per dynamic instruction
+_PLAIN, _MULDIV, _LOAD, _STORE, _BRANCH, _JALR = (PLAIN, MULDIV, LOAD, STORE,
+                                                  BRANCH, JALR)
+
+
+def _slot(seq: int, field: int) -> int:
+    """Value-table slot of one field of dynamic instruction ``seq``."""
+    return _REGISTERS + _FIELDS * seq + field
+
+
+class ScheduleRecorder:
+    """Data-latch provenance of one scalar core run, cycle by cycle.
+
+    The :class:`~repro.uarch.pipeline.Pipeline` calls one method per
+    data-latch write (and per bubble write of a stage with data
+    columns), so the provenance follows the core's own write sites.
+    ``registers`` is the register file the run starts from.
+    """
+
+    def __init__(self, registers: Sequence[int]) -> None:
+        self.registers = tuple(int(value) for value in registers)
+        self._refs: List[int] = [_CONSTANT] * len(DATA_COLUMNS)
+        self._rows: List[int] = []
+        # slot holding each architectural register's current value
+        self._writers: List[int] = list(range(_REGISTERS))
+        self._operands: Dict[int, Tuple[int, int]] = {}
+        self._stream: List[Tuple[int, int, int, int]] = []
+
+    # -- the core's write sites ------------------------------------------
+    def bubble(self, stage: str) -> None:
+        """``stage``'s latches snapped to the bubble pattern."""
+        for column in _BUBBLE_RESETS[stage]:
+            self._refs[column] = _CONSTANT
+
+    def decode(self, seq: int, instr: Instruction,
+               producers: Dict[int, Any]) -> None:
+        """Decode latched the operands; ``producers`` maps each source
+        register to the in-flight uop it was forwarded from (``None``
+        for a register-file read)."""
+        sources = []
+        for reg in (instr.rs1, instr.rs2):
+            if reg == 0 or reg not in producers:
+                sources.append(0)
+            elif producers[reg] is not None:
+                sources.append(_slot(producers[reg].seq, _RESULT))
+            else:
+                sources.append(self._writers[reg])
+        self._operands[seq] = (sources[0], sources[1])
+        self._refs[_RS1_VAL], self._refs[_RS2_VAL] = sources
+
+    def execute(self, seq: int, pc: int, register_b: bool) -> None:
+        """First Execute cycle: ALU inputs latched (operand B is the
+        immediate unless ``register_b``)."""
+        first, second = self._operands[seq]
+        self._stream.append((seq, pc, first, second))
+        self._refs[_ALU_A] = first
+        self._refs[_ALU_B] = second if register_b else _CONSTANT
+
+    def alu_out(self, seq: Optional[int]) -> None:
+        """ALU output latched: ``seq``'s ALU value, or (``None``) a value
+        fixed by the PC and the checked control-flow outcome."""
+        self._refs[_ALU_OUT] = _CONSTANT if seq is None \
+            else _slot(seq, _ALU)
+
+    def muldiv_result(self, seq: int, high: bool) -> None:
+        """Final multiply/divide cycle: result (and high word) latched."""
+        self._refs[_ALU_OUT] = self._refs[_MULDIV_LO] = _slot(seq, _RESULT)
+        if high:
+            self._refs[_MULDIV_HI] = _slot(seq, _MULHI)
+
+    def store(self, seq: int) -> None:
+        """Store address and data on the memory buses."""
+        self._refs[_MEM_ADDR] = _slot(seq, _ALU)
+        self._refs[_MEM_WDATA] = self._operands[seq][1]
+
+    def load_address(self, seq: int) -> None:
+        """Load address on the memory address bus."""
+        self._refs[_MEM_ADDR] = _slot(seq, _ALU)
+
+    def load_data(self, seq: int) -> None:
+        """Load data returned on the read-data bus."""
+        self._refs[_MEM_RDATA] = _slot(seq, _RESULT)
+
+    def writeback(self, seq: int, rd: Optional[int]) -> None:
+        """Writeback latched ``seq``'s result (when it has a destination)
+        and committed it to register ``rd``."""
+        if rd is None:
+            self._refs[_WB_DATA] = _CONSTANT
+            return
+        self._refs[_WB_DATA] = self._writers[rd] = _slot(seq, _RESULT)
+
+    def end_cycle(self) -> None:
+        """Snapshot this cycle's provenance row."""
+        self._rows.extend(self._refs)
+
+    # -- the recorded schedule -------------------------------------------
+    def schedule(self, trace: ActivityTrace, program: Program,
+                 config: CoreConfig) -> "Schedule":
+        """Freeze the recorded run into a :class:`Schedule`.
+
+        Each executed step is precompiled: it carries its mnemonic's
+        :data:`~repro.uarch.isa_exec.ALU_FUNCTIONS` entry (a branch, its
+        :data:`~repro.uarch.isa_exec.BRANCH_CONDITIONS` entry) and its
+        immediate, so replaying it reads no instruction.
+        """
+        instructions = program.instructions
+        taken = {seq: was_taken for _, _, was_taken, _, _, _, _, seq
+                 in trace._branch_rows}
+        targets = {seq: target for _, _, _, target, _, _, _, seq
+                   in trace._branch_rows}
+        hits = {seq: hit for _, _, _, hit, seq in trace._cache_rows}
+        steps = []
+        for seq, pc, first, second in self._stream:
+            instr = instructions[(pc - TEXT_BASE) >> 2]
+            name = instr.name
+            kind, function, width, expected = (_PLAIN, ALU_FUNCTIONS[name],
+                                               None, None)
+            if instr.is_branch:
+                kind, function, expected = (_BRANCH, BRANCH_CONDITIONS[name],
+                                            taken[seq])
+            elif name == "jalr":
+                kind, expected = _JALR, targets[seq]
+            elif instr.is_load:
+                kind, width, expected = _LOAD, load_width(name), hits.get(seq)
+            elif instr.is_store:
+                kind, width, expected = (_STORE, store_width(name),
+                                         hits.get(seq))
+            elif instr.is_muldiv:
+                kind = _MULDIV
+            steps.append((kind, function, instr.imm, pc, first, second,
+                          _slot(seq, _ALU), width, expected))
+        positions: Dict[int, List[int]] = {}
+        for index, instr in enumerate(instructions):
+            positions.setdefault(id(instr), []).append(index)
+        entries = [positions[id(instr)] for instr in trace._instr_table]
+        refs = np.asarray(self._rows, dtype=np.intp).reshape(
+            trace.num_cycles, len(DATA_COLUMNS))
+        live = refs >= 0
+        rows, columns = np.nonzero(live)
+        return Schedule(
+            cache=config.cache,
+            registers=self.registers,
+            steps=tuple(steps),
+            slots=_slot(1 + max((seq for seq, _, _, _ in self._stream),
+                                default=-1), 0),
+            values=_frozen(trace._values_all()),
+            cells=_frozen(rows * TOTAL_REGISTERS + _FLAT_COLUMNS[columns]),
+            sources=_frozen(refs[live]),
+            packed={stage: tuple(column)
+                    for stage, column in trace._packed.items()},
+            codes={column: {stage: _frozen(array)
+                            for stage, array in by_stage.items()}
+                   for column, by_stage in trace._unpacked().items()},
+            instructions=tuple(instructions),
+            table=tuple(trace._instr_table),
+            ids=dict(trace._instr_ids),
+            entries=tuple(indices[0] for indices in entries),
+            shared=tuple((code, tuple(indices[1:]))
+                         for code, indices in enumerate(entries)
+                         if len(indices) > 1),
+            stalls=tuple(trace._stall_rows),
+            branch_events=tuple(trace._branch_rows),
+            flushes=tuple(trace._flush_rows),
+            cache_events=tuple(trace._cache_rows),
+            retired=tuple(trace._retire_rows))
+
+
+def seed_record(program, config, max_cycles=None):
+    """Run ``program`` on the seed core with a :class:`ScheduleRecorder`;
+    returns ``(trace, recorder)``."""
+    core = SeedPipeline(program, config=config)
+    recorder = ScheduleRecorder(core.regfile.dump())
+    core.recorder = recorder
+    return core.run(max_cycles=max_cycles), recorder
+
+
 def run_legacy(program, ooo: bool = False, **options):
-    """Run ``program`` on a fresh core recording through the seed's
-    trace and latches; returns ``(trace, core)``."""
+    """Run ``program`` on a fresh seed core (``ooo``: the out-of-order
+    core) recording through the seed's trace and latches; returns
+    ``(trace, core)``."""
     core = OutOfOrderCore(program, **options) if ooo \
-        else Pipeline(program, **options)
+        else SeedPipeline(program, **options)
     core.latches = LegacyHardwareLatches()
     core.trace = LegacyActivityTrace()
     return core.run(), core

@@ -2,7 +2,10 @@
 
 The columnar :class:`~repro.uarch.trace.ActivityTrace` replaced the
 seed's per-cycle object-graph recording; the seed recorder lives on in
-``tests/oracles.py`` as the reference.  These properties pin
+``tests/oracles.py`` as the reference.  On the in-order side
+:func:`~tests.oracles.run_legacy` drives the seed core
+(:class:`~tests.oracles.SeedPipeline`), so those properties hold the
+compiled core and its trace together to the seed.  These properties pin
 the equivalence over *arbitrary* generated programs — not just the
 canned kernels the unit tests use — on both cores and under ALU fault
 injection, and pin pickling: a trace pickles its own columns, comes
