@@ -81,7 +81,24 @@ def stage_design_matrix(trace: ActivityTrace, stage: str,
     popcounts, bits are shifted and masked out.  ``columns`` selects
     design columns and builds only those: the result equals
     ``stage_design_matrix(trace, stage)[:, columns]`` in values and in
-    memory order.
+    memory order.  This is the one-trace call of
+    :func:`stage_design_matrices`.
+    """
+    return stage_design_matrices((trace,), stage, columns)
+
+
+def stage_design_matrices(traces: Sequence[ActivityTrace], stage: str,
+                          columns: Optional[Sequence[int]] = None
+                          ) -> np.ndarray:
+    """The designs of many traces, stacked row-wise in trace order.
+
+    One XOR/popcount/bit-shift pass over the traces' stacked latch rows;
+    the XOR restarts at each trace's first row (compared with the
+    all-zero reset state), so the result equals ``np.vstack`` of the
+    per-trace :func:`stage_design_matrix` results in values, and is laid
+    out in the same memory order.  Every entry is an exact integer
+    stored as a float, so gathering rows from one batched build hands a
+    fit exactly the rows the per-trace builds would.
     """
     registers, shifts, is_count = _FEATURES[stage]
     if columns is None:
@@ -91,9 +108,16 @@ def stage_design_matrix(trace: ActivityTrace, stage: str,
         registers, shifts, is_count = (registers[columns],
                                        shifts[columns], is_count[columns])
         order = _SELECTION_ORDER
-    values = trace.values_matrix(stage)
-    xor = np.array(values)
-    xor[1:] ^= values[:-1]
+    blocks = [trace.values_matrix(stage) for trace in traces]
+    # one trace XORs straight from its own (read-only) rows: no copy
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    xor = np.empty(values.shape, dtype=values.dtype)
+    np.bitwise_xor(values[1:], values[:-1], out=xor[1:])
+    first = 0
+    for block in blocks:  # each trace's first row: XOR with zero
+        if len(block):
+            xor[first] = block[0]
+        first += len(block)
     design = np.empty((xor.shape[0], registers.size), order=order)
     if is_count.any():
         design[:, is_count] = _popcount(xor[:, registers[is_count]])

@@ -42,7 +42,7 @@ from ..signal.metrics import simulation_accuracy
 from ..signal.reconstruction import estimate_cycle_amplitudes, reconstruct
 from ..uarch.latches import STAGES, STAGE_REGISTERS
 from ..uarch.trace import EM_CLASSES, EM_INDEX, ActivityTrace
-from .activity import stage_design_matrix
+from .activity import stage_design_matrices
 from .config import EMSimConfig
 from .factors import AverageActivity, RegressionActivity
 from .microbench import (REPRESENTATIVES, coverage_groups,
@@ -106,9 +106,12 @@ class TrainingReport:
     joint_fit: Optional[RobustFitInfo] = None
     miso_fit: Optional[RobustFitInfo] = None
     degraded_probes: List[str] = field(default_factory=list)
-    # streaming summary of the deconvolution loop (probe count, mean
-    # per-cycle amplitude level, pooled dispersion) — folded one probe
-    # at a time by the trainer's Welford accumulator
+    # streaming summary of the deconvolution loop, folded one probe at a
+    # time by the trainer's Welford accumulator: ``probes`` counts every
+    # probe deconvolved (each once, the MISO probes included; the
+    # kernel fit's grid scan is not counted), ``mean_level`` and
+    # ``dispersion`` are the mean per-cycle amplitude and the pooled
+    # per-cycle spread over them
     deconvolution: Optional[Dict[str, float]] = None
 
     def summary(self) -> str:
@@ -370,7 +373,6 @@ class Trainer:
         nop_level = self._nop_baseline()
         amplitudes, base_flips = self._baseline_amplitudes(nop_level)
         regression = self._activity_regression(nop_level, amplitudes)
-        self._finish_amplitude_stats()
         model = EMSimModel(
             config=self.config,
             amplitudes=amplitudes,
@@ -380,6 +382,7 @@ class Trainer:
             beta={stage: 1.0 for stage in STAGES},
             trained_on=self.device.name)
         self._fit_miso(model)
+        self._finish_amplitude_stats()
         return model
 
     def fit(self) -> EMSimModel:
@@ -492,44 +495,53 @@ class Trainer:
         selected bits are *re-fit jointly* across stages on a corpus that
         also contains back-to-back identical instructions, so that the
         model learns amplitude collapses when nothing switches.
+
+        Each probe is deconvolved once: pass 1 keeps its amplitudes for
+        the joint fit.  A pass-1 observation is recorded as (its row in
+        the batch of probe traces, its alpha target), and each stage's
+        step-wise design is gathered from one
+        :func:`~repro.core.activity.stage_design_matrices` build over the
+        whole batch.
         """
-        rows: Dict[str, List[np.ndarray]] = {stage: [] for stage in STAGES}
+        rows: Dict[str, List[int]] = {stage: [] for stage in STAGES}
         targets: Dict[str, List[float]] = {stage: [] for stage in STAGES}
-        probe_measurements = []
+        traces: List[ActivityTrace] = []
+        measured: List[np.ndarray] = []
 
         probe_values = self._activity_probe_values()
         probe_programs = [
             isolation_probe(REPRESENTATIVES[cls], rs1_value=rs1,
                             rs2_value=rs2, mem_offset=offset)
             for cls, rs1, rs2, offset in probe_values]
+        batch_row = 0
         for (cls, _, _, _), program, measurement in zip(
                 probe_values, probe_programs,
                 self._measure_many(probe_programs)):
-            probe_measurements.append(measurement)
-            measured = self._amplitudes(measurement)
             trace = measurement.trace
+            probe_amplitudes = self._amplitudes(measurement)
+            traces.append(trace)
+            measured.append(probe_amplitudes)
             seq = probe_instruction_seq(program)
             for stage in STAGES:
                 codes = trace.em_codes(stage)
-                design = None
                 for cycle in self._active_cycles(trace, seq, stage):
                     base = amplitudes.get((EM_CLASSES[codes[cycle]], stage))
                     if base is None:
                         base = amplitudes.get((cls, stage))
                     if base is None or abs(base) < _AMPLITUDE_EPS:
                         continue
-                    alpha = (float(measured[cycle]) - nop_level) / base
-                    if design is None:
-                        design = stage_design_matrix(trace, stage)
-                    rows[stage].append(design[cycle])
+                    alpha = (float(probe_amplitudes[cycle]) - nop_level) / \
+                        base
+                    rows[stage].append(batch_row + cycle)
                     targets[stage].append(alpha)
+            batch_row += trace.num_cycles
 
         # pass 1: step-wise bit selection on the isolated observations
         selected: Dict[str, np.ndarray] = {}
         for stage in STAGES:
             if len(targets[stage]) < 8:
                 continue
-            design = np.vstack(rows[stage])
+            design = stage_design_matrices(traces, stage)[rows[stage]]
             target = np.asarray(targets[stage])
             if self._robust_enabled:
                 # corrupted captures yield wild alpha observations; a MAD
@@ -568,11 +580,13 @@ class Trainer:
                 repeat_programs.append(repeat_probe(
                     name, rs1_value=rs1, rs2_value=rs2, count=3,
                     mem_offset=int(self.rng.integers(0, 400)) * 4))
-        probe_measurements.extend(self._measure_many(repeat_programs))
-        return self._joint_alpha_fit(probe_measurements, nop_level,
+        for measurement in self._measure_many(repeat_programs):
+            traces.append(measurement.trace)
+            measured.append(self._amplitudes(measurement))
+        return self._joint_alpha_fit(traces, measured, nop_level,
                                      amplitudes, selected)
 
-    def _joint_alpha_fit(self, measurements, nop_level, amplitudes,
+    def _joint_alpha_fit(self, traces, measured, nop_level, amplitudes,
                          selected) -> RegressionActivity:
         """Solve for all stages' (delta_s, c_s) in one ridge regression.
 
@@ -595,12 +609,9 @@ class Trainer:
                          for index, stage in enumerate(stage_order)}
         total_columns = position + len(stage_order)
 
-        blocks = [self._joint_rows(
-            measurement, nop_level, amplitudes, selected, stage_order,
+        design, target = self._joint_rows(
+            traces, measured, nop_level, amplitudes, selected, stage_order,
             column_spans, stall_columns, total_columns)
-            for measurement in measurements]
-        design = np.vstack([block for block, _ in blocks])
-        target = np.concatenate([targets for _, targets in blocks])
         # ridge LS without global intercept (delta_s plays that role);
         # under fault injection, Huber IRLS so corrupted cycles cannot
         # drag every stage's (delta_s, c_s)
@@ -616,20 +627,24 @@ class Trainer:
             self._log(f"alpha[{stage}] joint: delta={solution[start]:.3f}")
         return RegressionActivity(models=models)
 
-    def _joint_rows(self, measurement, nop_level, amplitudes, selected,
+    @staticmethod
+    def _joint_rows(traces, measured, nop_level, amplitudes, selected,
                     stage_order, column_spans, stall_columns,
                     total_columns):
-        """Joint-fit rows for one probe's measurement.
+        """Joint-fit rows and targets for a batch of probes.
 
-        Builds the whole (cycles, columns) block per stage with mask
-        writes and one broadcast product: each cycle's baseline level
-        and validity are gathered by EM code from per-class tables.
-        Cycles where no stage carries an informative instruction are
-        dropped.
+        ``traces`` and ``measured`` pair each probe's activity trace with
+        its deconvolved per-cycle amplitudes.  The probes' cycles are
+        stacked in order and the whole (cycles, columns) block is built
+        per stage with mask writes and one broadcast product: each
+        cycle's baseline level and validity are gathered by EM code from
+        per-class tables, and the selected transition features come from
+        one :func:`~repro.core.activity.stage_design_matrices` build.
+        Every entry is a table value or an elementwise product, so the
+        block equals the per-probe blocks stacked.  Cycles where no stage
+        carries an informative instruction are dropped.
         """
-        trace = measurement.trace
-        measured = self._amplitudes(measurement)
-        cycles = trace.num_cycles
+        cycles = sum(trace.num_cycles for trace in traces)
         block = np.zeros((cycles, total_columns))
         informative = np.zeros(cycles, dtype=bool)
         for stage in stage_order:
@@ -642,7 +657,8 @@ class Trainer:
                     continue
                 levels[code] = level
                 usable[code] = True
-            codes = trace.em_codes(stage)
+            codes = np.concatenate([trace.em_codes(stage)
+                                    for trace in traces])
             block[codes == _EM_STALL, stall_columns[stage]] = 1.0
             valid = usable[codes]
             if not valid.any():
@@ -651,13 +667,15 @@ class Trainer:
             start, width = column_spans[stage]
             block[valid, start] = base[valid]
             if width > 1:
-                features = stage_design_matrix(
-                    trace, stage, columns=selected[stage])[valid]
+                features = stage_design_matrices(
+                    traces, stage, columns=selected[stage])[valid]
                 block[np.ix_(valid, np.arange(start + 1, start + width))] \
                     = base[valid, None] * features
             informative |= valid
-        targets = measured[:cycles][informative] - nop_level
-        return block[informative], targets
+        targets = np.concatenate([
+            per_cycle[:trace.num_cycles]
+            for trace, per_cycle in zip(traces, measured)])
+        return block[informative], targets[informative] - nop_level
 
     def _solve_joint(self, design: np.ndarray, target: np.ndarray,
                      total_columns: int) -> np.ndarray:

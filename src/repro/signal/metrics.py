@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..robustness.errors import ConfigurationError
+
 _EPSILON = 1e-12
 
 
@@ -54,24 +56,24 @@ def per_cycle_similarities(simulated: np.ndarray, measured: np.ndarray,
     This is the reproduction's reading of the paper's per-cycle
     cross-correlation accuracy: the paper's degradation figures (2, 3, 5,
     6) all show *amplitude* mismatches, so the metric must penalize them.
+
+    Only whole cycles of the shorter signal are scored (a trailing
+    partial cycle is ignored, and a signal shorter than one cycle gives
+    an empty array); two silent cycles score exactly 1.  All cycles are
+    scored at once: the signals are reshaped to (cycles, samples) and
+    each inner product is one ``einsum``.
     """
     simulated = normalize_energy(simulated)
     measured = normalize_energy(measured)
-    length = min(len(simulated), len(measured))
-    num_cycles = length // samples_per_cycle
-    scores = np.empty(num_cycles)
-    for cycle in range(num_cycles):
-        start = cycle * samples_per_cycle
-        stop = start + samples_per_cycle
-        sim_seg = simulated[start:stop]
-        meas_seg = measured[start:stop]
-        energy = float(np.dot(sim_seg, sim_seg) +
-                       np.dot(meas_seg, meas_seg))
-        if energy < _EPSILON:
-            scores[cycle] = 1.0  # two silent cycles match perfectly
-            continue
-        scores[cycle] = 2.0 * float(np.dot(sim_seg, meas_seg)) / energy
-    return scores
+    num_cycles = min(len(simulated), len(measured)) // samples_per_cycle
+    length = num_cycles * samples_per_cycle
+    sim = simulated[:length].reshape(num_cycles, samples_per_cycle)
+    meas = measured[:length].reshape(num_cycles, samples_per_cycle)
+    energy = np.einsum("cs,cs->c", sim, sim) + \
+        np.einsum("cs,cs->c", meas, meas)
+    silent = energy < _EPSILON
+    return np.divide(2.0 * np.einsum("cs,cs->c", sim, meas), energy,
+                     out=np.ones(num_cycles), where=~silent)
 
 
 def simulation_accuracy(simulated: np.ndarray, measured: np.ndarray,
@@ -80,9 +82,16 @@ def simulation_accuracy(simulated: np.ndarray, measured: np.ndarray,
 
     Negative per-cycle scores (anti-matched waveforms) are clipped at
     zero before averaging so a destructive mismatch cannot offset matched
-    cycles.
+    cycles.  Raises :class:`~repro.robustness.errors.ConfigurationError`
+    when the signals hold less than one whole cycle: an empty mean would
+    be NaN and would poison any average over groups.
     """
     scores = per_cycle_similarities(simulated, measured, samples_per_cycle)
+    if scores.size == 0:
+        raise ConfigurationError(
+            f"accuracy needs at least one whole cycle of "
+            f"{samples_per_cycle} samples; the signals hold "
+            f"{len(simulated)} and {len(measured)}")
     return float(np.clip(scores, 0.0, 1.0).mean())
 
 

@@ -37,7 +37,9 @@ asserting that the engine computes the same thing:
 * :func:`full_design_alpha` — Eq. 8 activity factors from the whole
   stage design (:func:`seed_stage_design_matrix`, float transition bits
   and their per-register sums), of which the model then keeps its
-  selected columns.
+  selected columns;
+* :func:`seed_per_cycle_similarities` — the accuracy metric's per-cycle
+  scores, one ``np.dot`` triple per cycle.
 
 :func:`trace_bytes` turns a trace's content into comparable bytes.
 """
@@ -65,6 +67,7 @@ from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                _emit_mix_columns, _emit_shift_rows,
                                _emit_sub_bytes, key_schedule)
 from repro.robustness.errors import AssemblerError
+from repro.signal.metrics import normalize_energy
 from repro.uarch.branch import BranchTargetBuffer, make_predictor
 from repro.uarch.cache import DataCache
 from repro.uarch.config import DEFAULT_CONFIG, CoreConfig
@@ -1555,3 +1558,28 @@ def full_design_alpha(activity, trace, stage):
         return np.ones(trace.num_cycles)
     return np.clip(model.predict(seed_stage_design_matrix(trace, stage)),
                    ALPHA_MIN, ALPHA_MAX)
+
+
+# ---------------------------------------------------------------------------
+# accuracy metric
+# ---------------------------------------------------------------------------
+def seed_per_cycle_similarities(simulated, measured, samples_per_cycle,
+                                epsilon=1e-12):
+    """Per-cycle ``2 <s, r> / (<s, s> + <r, r>)`` scored cycle by cycle."""
+    simulated = normalize_energy(simulated)
+    measured = normalize_energy(measured)
+    length = min(len(simulated), len(measured))
+    num_cycles = length // samples_per_cycle
+    scores = np.empty(num_cycles)
+    for cycle in range(num_cycles):
+        start = cycle * samples_per_cycle
+        stop = start + samples_per_cycle
+        sim_seg = simulated[start:stop]
+        meas_seg = measured[start:stop]
+        energy = float(np.dot(sim_seg, sim_seg) +
+                       np.dot(meas_seg, meas_seg))
+        if energy < epsilon:
+            scores[cycle] = 1.0  # two silent cycles match perfectly
+            continue
+        scores[cycle] = 2.0 * float(np.dot(sim_seg, meas_seg)) / energy
+    return scores

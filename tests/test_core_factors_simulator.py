@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.activity import (average_alpha, stage_design_matrix,
-                                 stage_feature_names)
+from repro.core.activity import (average_alpha, stage_design_matrices,
+                                 stage_design_matrix, stage_feature_names)
 from repro.core.config import EMSimConfig, ModelSwitches
 from repro.core.factors import (ALPHA_MAX, AverageActivity,
                                 RegressionActivity, UnitActivity)
@@ -180,3 +182,32 @@ def test_design_columns_equal_the_seed_design():
             selected = stage_design_matrix(trace, stage, columns=columns)
             assert np.array_equal(selected, full[:, columns])
             assert selected.strides == full[:, columns].strides
+
+
+@st.composite
+def trace_batches(draw):
+    """1 to 4 random-program traces; a cycle cap of 0 to 3 (or none)
+    gives empty and 1-cycle traces too."""
+    traces = []
+    for _ in range(draw(st.integers(1, 4))):
+        builder = RandomProgramBuilder(seed=draw(st.integers(0, 10 ** 6)))
+        program = builder.program(draw(st.integers(1, 24)))
+        max_cycles = draw(st.one_of(st.none(), st.integers(0, 3)))
+        traces.append(run_program(program, max_cycles=max_cycles)[0])
+    return traces
+
+
+@settings(max_examples=30, deadline=None)
+@given(traces=trace_batches(), stage=st.sampled_from(STAGES),
+       pick=st.randoms(use_true_random=False))
+def test_batched_designs_stack_the_per_trace_seed_designs(traces, stage,
+                                                          pick):
+    full = np.vstack([seed_stage_design_matrix(trace, stage)
+                      for trace in traces])
+    batched = stage_design_matrices(traces, stage)
+    assert np.array_equal(batched, full)
+    assert batched.strides == full.strides
+    columns = sorted(pick.sample(range(full.shape[1]), 12))
+    selected = stage_design_matrices(traces, stage, columns=columns)
+    assert np.array_equal(selected, full[:, columns])
+    assert selected.strides == full[:, columns].strides

@@ -135,6 +135,29 @@ def test_trainer_scope_reference_capture():
     assert accuracy > 0.8
 
 
+def test_report_counts_each_deconvolved_probe_once(monkeypatch):
+    """Every probe the trainer captures is deconvolved once, the MISO
+    probes included, and the report counts exactly those (the same
+    program captured twice counts twice)."""
+    import repro.core.training as training
+
+    deconvolved = []
+    estimate = training.estimate_cycle_amplitudes
+
+    def spy(signal, *args, **kwargs):
+        deconvolved.append(signal)
+        return estimate(signal, *args, **kwargs)
+
+    monkeypatch.setattr(training, "estimate_cycle_amplitudes", spy)
+    trainer = Trainer(device=HardwareDevice(), activity_probes_per_class=4,
+                      miso_groups=1, miso_group_size=32,
+                      fit_kernel_parameters=False, seed=11)
+    trainer.train()
+    # without the kernel fit, every captured probe is deconvolved
+    assert len(deconvolved) == trainer.report.acquisition.probes
+    assert trainer.report.deconvolution["probes"] == len(deconvolved)
+
+
 def test_config_switch_helpers():
     config = EMSimConfig()
     ablated = config.with_switches(model_stalls=False)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import FULL_MODEL, Trainer
+from repro.core.microbench import isolation_probe, repeat_probe
 from repro.hardware import HardwareDevice
 from repro.isa import NOP, OPCODES, Instruction
 from repro.leakage import savat_program
@@ -81,9 +82,8 @@ def test_miso_design_bit_identical(bench):
         _bits(seed_miso_design(model, trace))
 
 
-def test_joint_rows_bit_identical(bench):
-    _, trainer, model, program, _ = bench
-    measurement = trainer._measure(program)
+def _joint_layout(model):
+    """The joint fit's column layout for ``model``'s selected features."""
     selected = {stage: linear.features for stage, linear
                 in model.regression_activity.models.items()}
     stage_order = [stage for stage in STAGES if stage in selected]
@@ -93,11 +93,38 @@ def test_joint_rows_bit_identical(bench):
         position += spans[stage][1]
     stall_columns = {stage: position + index
                      for index, stage in enumerate(stage_order)}
-    layout = (model.nop_level, model.amplitudes, selected, stage_order,
-              spans, stall_columns, position + len(stage_order))
-    block, targets = trainer._joint_rows(measurement, *layout)
+    return (model.nop_level, model.amplitudes, selected, stage_order,
+            spans, stall_columns, position + len(stage_order))
+
+
+def test_joint_rows_bit_identical(bench):
+    _, trainer, model, program, _ = bench
+    measurement = trainer._measure(program)
+    layout = _joint_layout(model)
+    measured = trainer._amplitudes(measurement)
+    block, targets = trainer._joint_rows([measurement.trace], [measured],
+                                         *layout)
     seed_block, seed_targets = seed_joint_rows(
-        trainer._amplitudes(measurement), measurement.trace, *layout)
+        measured, measurement.trace, *layout)
     assert block.shape[0] > 0
     assert _bits(block) == _bits(seed_block)
     assert _bits(targets) == _bits(seed_targets)
+
+
+def test_batched_joint_rows_stack_the_seed_blocks(bench):
+    _, trainer, model, program, _ = bench
+    programs = [program, savat_program("ADD", "MUL", repeats=2),
+                isolation_probe("sw", rs1_value=0x12345678, mem_offset=64),
+                repeat_probe("mul", rs1_value=0xDEADBEEF, count=3)]
+    traces, measured = [], []
+    for measurement in map(trainer._measure, programs):
+        traces.append(measurement.trace)
+        measured.append(trainer._amplitudes(measurement))
+    layout = _joint_layout(model)
+    block, targets = trainer._joint_rows(traces, measured, *layout)
+    seeds = [seed_joint_rows(amplitudes, trace, *layout)
+             for trace, amplitudes in zip(traces, measured)]
+    assert all(seed_block.shape[0] > 0 for seed_block, _ in seeds)
+    assert _bits(block) == _bits(np.vstack([rows for rows, _ in seeds]))
+    assert _bits(targets) == \
+        _bits(np.concatenate([values for _, values in seeds]))

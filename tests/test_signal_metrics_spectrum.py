@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.robustness.errors import AcquisitionError
+from repro.robustness.errors import AcquisitionError, ConfigurationError
 from repro.signal import (DampedSineKernel, cross_correlation,
                           harmonic_energy, normalize_energy, normalized_rmse,
                           per_cycle_similarities, power_spectrum,
                           reconstruct, rms_error, simulation_accuracy,
                           spike_energy)
+
+from .oracles import seed_per_cycle_similarities
 
 SPC = 20
 KERNEL = DampedSineKernel()
@@ -52,6 +54,36 @@ def test_silent_cycles_count_as_match():
     silent = np.zeros(5 * SPC)
     scores = per_cycle_similarities(silent, silent, SPC)
     assert np.all(scores == 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_per_cycle_similarities_match_the_seed_loop(seed):
+    rng = np.random.default_rng(seed)
+    cycles = int(rng.integers(1, 60))
+    amplitudes = rng.uniform(0.2, 2.0, cycles)
+    simulated = reconstruct(amplitudes, KERNEL, SPC)
+    measured = reconstruct(amplitudes * rng.uniform(0.6, 1.4, cycles),
+                           KERNEL, SPC)
+    measured += 0.05 * rng.normal(size=measured.size)
+    silent = rng.random(cycles) < 0.3
+    silent[0] = True
+    for signal in (simulated, measured):
+        signal.reshape(cycles, SPC)[silent] = 0.0
+    # a trailing partial cycle on one side is not scored
+    measured = np.concatenate([measured, rng.normal(size=SPC - 1)])
+    scores = per_cycle_similarities(simulated, measured, SPC)
+    seed_scores = seed_per_cycle_similarities(simulated, measured, SPC)
+    assert scores.shape == seed_scores.shape == (cycles,)
+    assert np.all(scores[silent] == 1.0)
+    np.testing.assert_allclose(scores, seed_scores, rtol=1e-12, atol=0.0)
+
+
+def test_accuracy_needs_one_whole_cycle():
+    short = np.ones(SPC - 1)
+    assert per_cycle_similarities(short, short, SPC).shape == (0,)
+    with pytest.raises(ConfigurationError) as raised:
+        simulation_accuracy(short, np.ones(3 * SPC), SPC)
+    assert raised.value.exit_code == 16
 
 
 def test_anti_phase_clipped_to_zero():
