@@ -10,7 +10,6 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from repro.core import EMSim, train_emsim
@@ -65,12 +64,6 @@ def record(request):
         print(f"\n{header}\n{text.rstrip()}\n")
 
     return _record
-
-
-def run_once(benchmark, function):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(function, rounds=1, iterations=1,
-                              warmup_rounds=0)
 
 
 def bench_quick() -> bool:

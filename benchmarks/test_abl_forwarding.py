@@ -9,31 +9,27 @@ per-stage model tracks either configuration equally well.
 
 from dataclasses import replace
 
-from conftest import run_once
 
 from repro.core import EMSim
 from repro.hardware import HardwareDevice
 from repro.workloads import RandomProgramBuilder
 
 
-def test_abl_forwarding(bench, record, benchmark):
+def test_abl_forwarding(bench, record):
     program = RandomProgramBuilder(seed=88).program(150)
 
-    def experiment():
-        results = {}
-        for forwarding in (True, False):
-            config = replace(bench.device.core_config,
-                             forwarding=forwarding)
-            device = HardwareDevice(core_config=config)
-            simulator = EMSim(bench.model, core_config=config)
-            trace = simulator.run_trace(program)
-            results[forwarding] = dict(
-                accuracy=bench.accuracy(program, device=device,
-                                        simulator=simulator),
-                cycles=trace.num_cycles)
-        return results
+    results = {}
+    for forwarding in (True, False):
+        config = replace(bench.device.core_config,
+                         forwarding=forwarding)
+        device = HardwareDevice(core_config=config)
+        simulator = EMSim(bench.model, core_config=config)
+        trace = simulator.run_trace(program)
+        results[forwarding] = dict(
+            accuracy=bench.accuracy(program, device=device,
+                                    simulator=simulator),
+            cycles=trace.num_cycles)
 
-    results = run_once(benchmark, experiment)
     with_fw = results[True]
     without_fw = results[False]
     spread = abs(with_fw["accuracy"] - without_fw["accuracy"])

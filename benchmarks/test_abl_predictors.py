@@ -9,33 +9,27 @@ of mispredictions themselves, which EMSim models anyway.
 
 from dataclasses import replace
 
-import numpy as np
-from conftest import run_once
-
 from repro.core import EMSim
 from repro.hardware import HardwareDevice
 from repro.workloads import RandomProgramBuilder
 
 
-def test_abl_predictor_choice(bench, record, benchmark):
+def test_abl_predictor_choice(bench, record):
     program = RandomProgramBuilder(seed=77).program(160)
 
-    def experiment():
-        results = {}
-        for predictor in ("not-taken", "two-level", "gshare"):
-            config = replace(bench.device.core_config,
-                             predictor=predictor)
-            device = HardwareDevice(core_config=config)
-            simulator = EMSim(bench.model, core_config=config)
-            trace = simulator.run_trace(program)
-            results[predictor] = dict(
-                accuracy=bench.accuracy(program, device=device,
-                                        simulator=simulator),
-                cycles=trace.num_cycles,
-                mispredicts=trace.mispredictions)
-        return results
+    results = {}
+    for predictor in ("not-taken", "two-level", "gshare"):
+        config = replace(bench.device.core_config,
+                         predictor=predictor)
+        device = HardwareDevice(core_config=config)
+        simulator = EMSim(bench.model, core_config=config)
+        trace = simulator.run_trace(program)
+        results[predictor] = dict(
+            accuracy=bench.accuracy(program, device=device,
+                                    simulator=simulator),
+            cycles=trace.num_cycles,
+            mispredicts=trace.mispredictions)
 
-    results = run_once(benchmark, experiment)
     lines = ["same model (trained with the 2-level predictor core),",
              "simulated on cores with different predictors:"]
     for predictor, info in results.items():

@@ -7,9 +7,6 @@ acquisition rate of the reference-capture chain and measures the match to
 the full-rate reference.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.core import isolation_probe
 from repro.hardware import HardwareDevice
 from repro.signal import ScopeConfig, simulation_accuracy
@@ -17,25 +14,22 @@ from repro.signal import ScopeConfig, simulation_accuracy
 RATES = (40.0, 12.0, 6.0, 4.0, 2.0)   # scope samples per clock cycle
 
 
-def test_abl_sampling_rate(bench, record, benchmark):
+def test_abl_sampling_rate(bench, record):
     probe = isolation_probe("mul", rs1_value=0xDEADBEEF,
                             rs2_value=0x12345678)
 
-    def experiment():
-        ideal = bench.device.capture_ideal(probe)
-        scores = {}
-        for rate in RATES:
-            device = HardwareDevice(
-                scope_config=ScopeConfig(samples_per_cycle=rate,
-                                         noise_rms=0.05),
-                seed=int(1000 * rate))
-            reference = device.capture_reference(probe, repetitions=250)
-            scores[rate] = simulation_accuracy(ideal.signal,
-                                               reference.signal,
-                                               bench.spc)
-        return scores
+    ideal = bench.device.capture_ideal(probe)
+    scores = {}
+    for rate in RATES:
+        device = HardwareDevice(
+            scope_config=ScopeConfig(samples_per_cycle=rate,
+                                     noise_rms=0.05),
+            seed=int(1000 * rate))
+        reference = device.capture_reference(probe, repetitions=250)
+        scores[rate] = simulation_accuracy(ideal.signal,
+                                           reference.signal,
+                                           bench.spc)
 
-    scores = run_once(benchmark, experiment)
     lines = ["reference quality vs scope sampling rate (modulo-folded,",
              "250 repetitions; rates in samples per clock cycle):"]
     for rate, score in scores.items():
@@ -54,26 +48,23 @@ def test_abl_sampling_rate(bench, record, benchmark):
     assert scores[4.0] > 0.9
 
 
-def test_abl_repetitions_tradeoff(bench, record, benchmark):
+def test_abl_repetitions_tradeoff(bench, record):
     """More repetitions substitute for sampling rate (modulo averaging
     interleaves the asynchronous grids)."""
     probe = isolation_probe("add", rs1_value=0x0F0F0F0F)
 
-    def experiment():
-        ideal = bench.device.capture_ideal(probe)
-        scores = {}
-        for repetitions in (20, 80, 320):
-            device = HardwareDevice(
-                scope_config=ScopeConfig(samples_per_cycle=5.0,
-                                         noise_rms=0.1),
-                seed=repetitions)
-            reference = device.capture_reference(probe,
-                                                 repetitions=repetitions)
-            scores[repetitions] = simulation_accuracy(
-                ideal.signal, reference.signal, bench.spc)
-        return scores
+    ideal = bench.device.capture_ideal(probe)
+    scores = {}
+    for repetitions in (20, 80, 320):
+        device = HardwareDevice(
+            scope_config=ScopeConfig(samples_per_cycle=5.0,
+                                     noise_rms=0.1),
+            seed=repetitions)
+        reference = device.capture_reference(probe,
+                                             repetitions=repetitions)
+        scores[repetitions] = simulation_accuracy(
+            ideal.signal, reference.signal, bench.spc)
 
-    scores = run_once(benchmark, experiment)
     lines = ["reference quality vs repetition count (5 S/cycle scope):"]
     for repetitions, score in scores.items():
         lines.append(f"  {repetitions:4d} repetitions: {score:6.1%}")

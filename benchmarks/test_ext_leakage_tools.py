@@ -12,7 +12,6 @@ related work (capacity metrics [40]/[60], Spectral Profiling / EMPROF):
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import isolation_probe, probe_instruction_seq
 from repro.leakage import (InstructionProfiler, capacity_per_cycle,
@@ -23,21 +22,18 @@ SECRET = 0xACE5
 MODULUS = 40961
 
 
-def test_ext_spa_key_recovery(bench, record, benchmark):
-    def experiment():
-        results = {}
-        for constant_time in (False, True):
-            program = modexp_program(7, SECRET, MODULUS,
-                                     constant_time=constant_time)
-            simulated = bench.simulator.simulate(program)
-            spa = recover_exponent(simulated.trace, program)
-            results[constant_time] = dict(
-                recovered=spa.exponent(),
-                separation=duration_separation(spa.durations),
-                cycles=simulated.num_cycles)
-        return results
+def test_ext_spa_key_recovery(bench, record):
+    results = {}
+    for constant_time in (False, True):
+        program = modexp_program(7, SECRET, MODULUS,
+                                 constant_time=constant_time)
+        simulated = bench.simulator.simulate(program)
+        spa = recover_exponent(simulated.trace, program)
+        results[constant_time] = dict(
+            recovered=spa.exponent(),
+            separation=duration_separation(spa.durations),
+            cycles=simulated.num_cycles)
 
-    results = run_once(benchmark, experiment)
     leaky = results[False]
     hardened = results[True]
     lines = [
@@ -55,38 +51,35 @@ def test_ext_spa_key_recovery(bench, record, benchmark):
     assert leaky["separation"] > hardened["separation"] + 3
 
 
-def test_ext_leakage_capacity(bench, record, benchmark):
-    def experiment():
-        from repro.leakage import iteration_starts
-        rng = np.random.default_rng(3)
-        noise = np.random.default_rng(17)
-        capacities = {}
-        for constant_time in (False, True):
-            secrets, traces = [], []
-            loop_start = None
-            for _ in range(50):
-                bit = int(rng.integers(0, 2))
-                exponent = (0x2A << 2) | (bit << 1) | 1
-                program = modexp_program(7, exponent, MODULUS, bits=8,
-                                         constant_time=constant_time)
-                simulated = bench.simulator.simulate(program)
-                if loop_start is None:
-                    loop_start = iteration_starts(simulated.trace,
-                                                  program)[0]
-                # attacker-realistic single-shot traces: add noise and
-                # analyze from the loop onward (the prologue trivially
-                # encodes the key operand in both variants)
-                signal = simulated.signal[loop_start * bench.spc:]
-                traces.append(signal + noise.normal(0.0, 0.3,
-                                                    size=signal.shape))
-                secrets.append(bit)
-            length = min(len(trace) for trace in traces)
-            traces = [trace[:length] for trace in traces]
-            capacities[constant_time] = capacity_per_cycle(
-                secrets, traces, bench.spc)
-        return capacities
+def test_ext_leakage_capacity(bench, record):
+    from repro.leakage import iteration_starts
+    rng = np.random.default_rng(3)
+    noise = np.random.default_rng(17)
+    capacities = {}
+    for constant_time in (False, True):
+        secrets, traces = [], []
+        loop_start = None
+        for _ in range(50):
+            bit = int(rng.integers(0, 2))
+            exponent = (0x2A << 2) | (bit << 1) | 1
+            program = modexp_program(7, exponent, MODULUS, bits=8,
+                                     constant_time=constant_time)
+            simulated = bench.simulator.simulate(program)
+            if loop_start is None:
+                loop_start = iteration_starts(simulated.trace,
+                                              program)[0]
+            # attacker-realistic single-shot traces: add noise and
+            # analyze from the loop onward (the prologue trivially
+            # encodes the key operand in both variants)
+            signal = simulated.signal[loop_start * bench.spc:]
+            traces.append(signal + noise.normal(0.0, 0.3,
+                                                size=signal.shape))
+            secrets.append(bit)
+        length = min(len(trace) for trace in traces)
+        traces = [trace[:length] for trace in traces]
+        capacities[constant_time] = capacity_per_cycle(
+            secrets, traces, bench.spc)
 
-    capacities = run_once(benchmark, experiment)
     leaky = capacities[False]
     hardened = capacities[True]
     leaky_cycles = int((leaky > 0.3).sum())
@@ -112,38 +105,34 @@ def test_ext_leakage_capacity(bench, record, benchmark):
     assert leaky_cycles > 3 * max(1, hardened_cycles)
 
 
-def test_ext_automated_mitigation(bench, record, benchmark):
+def test_ext_automated_mitigation(bench, record):
     """EMSim-verified compiler pass: balance secret-dependent branches."""
     from repro.leakage import balance_branch_timing
     from repro.workloads import modexp_reference
     from repro.uarch import GoldenSimulator
 
-    def experiment():
-        program = modexp_program(7, SECRET, MODULUS)
-        balanced, report = balance_branch_timing(program)
-        golden = GoldenSimulator(balanced)
-        golden.run(max_steps=300_000)
-        assert golden.registers[13] == modexp_reference(7, SECRET,
-                                                        MODULUS)
-        results = {}
-        for label, target in (("naive", program),
-                              ("balanced", balanced)):
-            simulated = bench.simulator.simulate(target)
-            spa = recover_exponent(simulated.trace, target)
-            results[label] = dict(recovered=spa.exponent(),
-                                  separation=duration_separation(
-                                      spa.durations),
-                                  cycles=simulated.num_cycles)
-        results["report"] = report
-        return results
+    program = modexp_program(7, SECRET, MODULUS)
+    balanced, report = balance_branch_timing(program)
+    golden = GoldenSimulator(balanced)
+    golden.run(max_steps=300_000)
+    assert golden.registers[13] == modexp_reference(7, SECRET,
+                                                    MODULUS)
+    results = {}
+    for label, target in (("naive", program),
+                          ("balanced", balanced)):
+        simulated = bench.simulator.simulate(target)
+        spa = recover_exponent(simulated.trace, target)
+        results[label] = dict(recovered=spa.exponent(),
+                              separation=duration_separation(
+                                  spa.durations),
+                              cycles=simulated.num_cycles)
 
-    results = run_once(benchmark, experiment)
     naive = results["naive"]
     balanced = results["balanced"]
     lines = [
         "automated branch-timing balancing, verified through EMSim:",
-        f"  pass transformed {results['report'].transformed} branch, "
-        f"added {results['report'].added_instructions} instructions",
+        f"  pass transformed {report.transformed} branch, "
+        f"added {report.added_instructions} instructions",
         f"  naive:    SPA recovers {naive['recovered']:#06x} "
         f"({'KEY RECOVERED' if naive['recovered'] == SECRET else 'failed'}"
         f", separation {naive['separation']:.0f} cycles, "
@@ -162,42 +151,39 @@ def test_ext_automated_mitigation(bench, record, benchmark):
     assert balanced["separation"] < naive["separation"] - 3
 
 
-def test_ext_instruction_profiling(bench, record, benchmark):
+def test_ext_instruction_profiling(bench, record):
     classes = ("mul", "lw", "sw", "add")
     train_values = [(3, 5), (17, 9), (250, 97), (4444, 321)]
     test_values = [(7, 2), (1000, 13)]
 
-    def experiment():
-        def examples(name, values, source):
-            cases = []
-            for rs1, rs2 in values:
-                probe = isolation_probe(name, rs1_value=rs1,
-                                        rs2_value=rs2)
-                if source == "real":
-                    measurement = bench.device.capture_ideal(probe)
-                    signal, trace = measurement.signal, measurement.trace
-                else:
-                    simulated = bench.simulator.simulate(probe)
-                    signal, trace = simulated.signal, simulated.trace
-                seq = probe_instruction_seq(probe)
-                start = min(trace.cycles_of(seq, "F"))
-                cases.append((signal, start))
-            return cases
+    def examples(name, values, source):
+        cases = []
+        for rs1, rs2 in values:
+            probe = isolation_probe(name, rs1_value=rs1,
+                                    rs2_value=rs2)
+            if source == "real":
+                measurement = bench.device.capture_ideal(probe)
+                signal, trace = measurement.signal, measurement.trace
+            else:
+                simulated = bench.simulator.simulate(probe)
+                signal, trace = simulated.signal, simulated.trace
+            seq = probe_instruction_seq(probe)
+            start = min(trace.cycles_of(seq, "F"))
+            cases.append((signal, start))
+        return cases
 
-        profiler = InstructionProfiler(samples_per_cycle=bench.spc).fit(
-            {name: examples(name, train_values, "real")
-             for name in classes})
-        real_accuracy = profiler.accuracy(
-            {name: examples(name, test_values, "real")
-             for name in classes})
-        # cross-domain: templates trained on the bench recognize EMSim's
-        # simulated signals (the signals carry the same features)
-        sim_accuracy = profiler.accuracy(
-            {name: examples(name, test_values, "sim")
-             for name in classes})
-        return real_accuracy, sim_accuracy
+    profiler = InstructionProfiler(samples_per_cycle=bench.spc).fit(
+        {name: examples(name, train_values, "real")
+         for name in classes})
+    real_accuracy = profiler.accuracy(
+        {name: examples(name, test_values, "real")
+         for name in classes})
+    # cross-domain: templates trained on the bench recognize EMSim's
+    # simulated signals (the signals carry the same features)
+    sim_accuracy = profiler.accuracy(
+        {name: examples(name, test_values, "sim")
+         for name in classes})
 
-    real_accuracy, sim_accuracy = run_once(benchmark, experiment)
     chance = 1.0 / len(classes)
     lines = [
         f"template recognition over {classes} "

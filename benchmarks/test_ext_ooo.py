@@ -8,38 +8,33 @@ coefficients.  This experiment trains EMSim on the OoO device and checks
 the conjecture.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.core import EMSim, Trainer, coverage_groups
 from repro.hardware import HardwareDevice
 
 
-def test_ext_ooo_accuracy(bench, record, benchmark):
+def test_ext_ooo_accuracy(bench, record):
     program = coverage_groups(group_size=192, seed=59, limit_groups=1)[0]
 
-    def experiment():
-        device = HardwareDevice(core_kind="out-of-order")
-        trainer = Trainer(device=device, activity_probes_per_class=16,
-                          miso_groups=2, miso_group_size=128)
-        model = trainer.train()
-        simulator = EMSim(model, core_config=device.core_config,
-                          core_kind="out-of-order")
-        accuracy = bench.accuracy(program, device=device,
-                                  simulator=simulator,
-                                  max_cycles=50_000)
-        # sanity: the OoO device really executes out of order
-        trace, _ = device.run(program, max_cycles=50_000)
-        in_order_trace = bench.simulator.run_trace(program,
-                                                   max_cycles=50_000)
-        return dict(accuracy=accuracy,
-                    inorder_accuracy=bench.accuracy(program),
-                    ooo_cycles=trace.num_cycles,
-                    inorder_cycles=in_order_trace.num_cycles,
-                    miso=model.miso,
-                    inorder_miso=bench.model.miso)
+    device = HardwareDevice(core_kind="out-of-order")
+    trainer = Trainer(device=device, activity_probes_per_class=16,
+                      miso_groups=2, miso_group_size=128)
+    model = trainer.train()
+    simulator = EMSim(model, core_config=device.core_config,
+                      core_kind="out-of-order")
+    accuracy = bench.accuracy(program, device=device,
+                              simulator=simulator,
+                              max_cycles=50_000)
+    # sanity: the OoO device really executes out of order
+    trace, _ = device.run(program, max_cycles=50_000)
+    in_order_trace = bench.simulator.run_trace(program,
+                                               max_cycles=50_000)
+    results = dict(accuracy=accuracy,
+                   inorder_accuracy=bench.accuracy(program),
+                   ooo_cycles=trace.num_cycles,
+                   inorder_cycles=in_order_trace.num_cycles,
+                   miso=model.miso,
+                   inorder_miso=bench.model.miso)
 
-    results = run_once(benchmark, experiment)
     miso = ", ".join(f"{stage}={value:.2f}"
                      for stage, value in sorted(results["miso"].items()))
     inorder_miso = ", ".join(

@@ -6,51 +6,43 @@ simulated assessment "highly matched with the real measurement and
 follows the same pattern (and values)".
 """
 
-import os
-
 import numpy as np
-from conftest import run_once
 
 from repro.leakage import DEFAULT_KEY, aes_program, tvla
 
-FULL = os.environ.get("EMSIM_FULL_FIG10", "0") == "1"
-ROUNDS = 10 if FULL else 2
-NUM_TRACES = 24 if FULL else 16
+ROUNDS = 10
+NUM_TRACES = 24
 NOISE_RMS = 0.08
 
 
-def test_fig10_aes_tvla(bench, record, benchmark):
-    def experiment():
-        spc = bench.spc
-        noise = np.random.default_rng(404)
-
-        def real(plaintext):
-            program = aes_program(DEFAULT_KEY, plaintext, rounds=ROUNDS)
-            return bench.device.capture_single(
-                program, noise_rms=NOISE_RMS).signal
-
-        def simulated(plaintext):
-            program = aes_program(DEFAULT_KEY, plaintext, rounds=ROUNDS)
-            signal = bench.simulator.simulate(program).signal
-            return signal + noise.normal(0, NOISE_RMS,
-                                         size=signal.shape)
-
-        results = {}
-        for label, source in (("real", real), ("sim", simulated)):
-            rng = np.random.default_rng(7)
-            fixed = [source(list(range(16))) for _ in range(NUM_TRACES)]
-            rand = [source(list(rng.integers(0, 256, 16)))
-                    for _ in range(NUM_TRACES)]
-            results[label] = tvla(fixed, rand)
-        real_profile = results["real"].per_cycle_max(spc)
-        sim_profile = results["sim"].per_cycle_max(spc)
-        length = min(len(real_profile), len(sim_profile))
-        correlation = float(np.corrcoef(real_profile[:length],
-                                        sim_profile[:length])[0, 1])
-        return results, correlation
-
-    (results, correlation) = run_once(benchmark, experiment)
+def test_fig10_aes_tvla(bench, record):
     spc = bench.spc
+    noise = np.random.default_rng(404)
+
+    def real(plaintext):
+        program = aes_program(DEFAULT_KEY, plaintext, rounds=ROUNDS)
+        return bench.device.capture_single(
+            program, noise_rms=NOISE_RMS).signal
+
+    def simulated(plaintext):
+        program = aes_program(DEFAULT_KEY, plaintext, rounds=ROUNDS)
+        signal = bench.simulator.simulate(program).signal
+        return signal + noise.normal(0, NOISE_RMS,
+                                     size=signal.shape)
+
+    results = {}
+    for label, source in (("real", real), ("sim", simulated)):
+        rng = np.random.default_rng(7)
+        fixed = [source(list(range(16))) for _ in range(NUM_TRACES)]
+        rand = [source(list(rng.integers(0, 256, 16)))
+                for _ in range(NUM_TRACES)]
+        results[label] = tvla(fixed, rand)
+    real_profile = results["real"].per_cycle_max(spc)
+    sim_profile = results["sim"].per_cycle_max(spc)
+    length = min(len(real_profile), len(sim_profile))
+    correlation = float(np.corrcoef(real_profile[:length],
+                                    sim_profile[:length])[0, 1])
+
     lines = [f"AES-128 ({ROUNDS} rounds, {NUM_TRACES}+{NUM_TRACES} "
              "traces), fixed-vs-random TVLA:"]
     for label, result in results.items():
@@ -67,9 +59,6 @@ def test_fig10_aes_tvla(bench, record, benchmark):
                  ("reproduced" if correlation > 0.5 and
                   results["real"].leaks == results["sim"].leaks
                   else "NOT reproduced"))
-    if not FULL:
-        lines.append("(reduced-round run; EMSIM_FULL_FIG10=1 for "
-                     "10-round AES)")
     record("fig10_tvla", "\n".join(lines))
 
     assert results["real"].leaks and results["sim"].leaks

@@ -6,9 +6,6 @@ significantly lower than EMSim's reference, localizing the defect with
 zero test infrastructure.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.hardware import DE0_CV, DeviceInstance, HardwareDevice
 from repro.leakage import (buggy_multiplier, calibrated_deficit,
                            multiplier_stress_program, unit_relative_check)
@@ -17,30 +14,28 @@ from repro.signal import estimate_cycle_amplitudes
 THRESHOLD = 0.05
 
 
-def test_fig11_buggy_multiplier_detection(bench, record, benchmark):
+def test_fig11_buggy_multiplier_detection(bench, record):
     program = multiplier_stress_program(num_muls=32)
 
-    def experiment():
-        reference = bench.simulator.simulate(program)
+    reference = bench.simulator.simulate(program)
 
-        def check(device):
-            measurement = device.capture_ideal(program)
-            amplitudes = estimate_cycle_amplitudes(
-                measurement.signal, bench.model.config.kernel, bench.spc)
-            return unit_relative_check(reference.amplitudes, amplitudes,
-                                       reference.trace,
-                                       em_class="muldiv_final")
+    def check(device):
+        measurement = device.capture_ideal(program)
+        amplitudes = estimate_cycle_amplitudes(
+            measurement.signal, bench.model.config.kernel, bench.spc)
+        return unit_relative_check(reference.amplitudes, amplitudes,
+                                   reference.trace,
+                                   em_class="muldiv_final")
 
-        calibration = check(bench.device)
-        healthy = check(HardwareDevice(
-            instance=DeviceInstance(board=DE0_CV, instance_id=1)))
-        buggy = check(HardwareDevice(alu_bug=buggy_multiplier))
-        return dict(
-            calibration=calibration,
-            healthy_deficit=calibrated_deficit(healthy, calibration),
-            buggy_deficit=calibrated_deficit(buggy, calibration))
+    calibration = check(bench.device)
+    healthy = check(HardwareDevice(
+        instance=DeviceInstance(board=DE0_CV, instance_id=1)))
+    buggy = check(HardwareDevice(alu_bug=buggy_multiplier))
+    results = dict(
+        calibration=calibration,
+        healthy_deficit=calibrated_deficit(healthy, calibration),
+        buggy_deficit=calibrated_deficit(buggy, calibration))
 
-    results = run_once(benchmark, experiment)
     lines = [
         "32 random-operand MULs, multiplier emission vs EMSim reference",
         "(calibrated on a known-good unit):",

@@ -6,7 +6,6 @@ real signal far better than zero-order hold (Eq. 2) or a plain exponential
 (Eq. 3).
 """
 
-from conftest import run_once
 
 from repro.signal import (DampedSineKernel, ExpKernel, RectKernel,
                           estimate_cycle_amplitudes, reconstruct,
@@ -14,27 +13,24 @@ from repro.signal import (DampedSineKernel, ExpKernel, RectKernel,
 from repro.workloads import checksum
 
 
-def test_fig1_kernel_comparison(bench, record, benchmark):
-    def experiment():
-        measurement = bench.device.capture_ideal(checksum(24))
-        spc = bench.spc
-        fitted = bench.model.config.kernel
-        kernels = {
-            "rect (ZOH, Eq. 2)": RectKernel(),
-            "exponential (Eq. 3)": ExpKernel(theta=fitted.theta),
-            "damped sine (Eq. 5)": DampedSineKernel(t0=fitted.t0,
-                                                    theta=fitted.theta),
-        }
-        scores = {}
-        for name, kernel in kernels.items():
-            amplitudes = estimate_cycle_amplitudes(measurement.signal,
-                                                   kernel, spc)
-            resynthesized = reconstruct(amplitudes, kernel, spc)
-            scores[name] = simulation_accuracy(resynthesized,
-                                               measurement.signal, spc)
-        return scores
+def test_fig1_kernel_comparison(bench, record):
+    measurement = bench.device.capture_ideal(checksum(24))
+    spc = bench.spc
+    fitted = bench.model.config.kernel
+    kernels = {
+        "rect (ZOH, Eq. 2)": RectKernel(),
+        "exponential (Eq. 3)": ExpKernel(theta=fitted.theta),
+        "damped sine (Eq. 5)": DampedSineKernel(t0=fitted.t0,
+                                                theta=fitted.theta),
+    }
+    scores = {}
+    for name, kernel in kernels.items():
+        amplitudes = estimate_cycle_amplitudes(measurement.signal,
+                                               kernel, spc)
+        resynthesized = reconstruct(amplitudes, kernel, spc)
+        scores[name] = simulation_accuracy(resynthesized,
+                                           measurement.signal, spc)
 
-    scores = run_once(benchmark, experiment)
     lines = ["reconstruction fit to the measured signal "
              "(per-cycle similarity):"]
     for name, score in scores.items():

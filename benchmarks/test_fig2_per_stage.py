@@ -8,7 +8,6 @@ cycles in which the instruction is in flight.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import isolation_probe, make_simulator, \
     probe_instruction_seq
@@ -30,29 +29,26 @@ def _transit_window(program, trace):
     return min(cycles), max(cycles) + 1
 
 
-def test_fig2_per_stage_vs_single_source(bench, record, benchmark):
-    def experiment():
-        single_simulator = make_simulator(
-            bench.model, "single-source",
-            core_config=bench.device.core_config)
-        spc = bench.spc
-        rows = {}
-        for name, operands in PROBES.items():
-            probe = isolation_probe(name, **operands)
-            measured = bench.device.capture_ideal(probe)
-            start, stop = _transit_window(probe, measured.trace)
-            window = slice(start * spc, stop * spc)
-            scores = {}
-            for label, simulator in (("per-stage", bench.simulator),
-                                     ("single", single_simulator)):
-                simulated = simulator.simulate(probe)
-                scores[label] = simulation_accuracy(
-                    simulated.signal[window], measured.signal[window],
-                    spc)
-            rows[name] = scores
-        return rows
+def test_fig2_per_stage_vs_single_source(bench, record):
+    single_simulator = make_simulator(
+        bench.model, "single-source",
+        core_config=bench.device.core_config)
+    spc = bench.spc
+    rows = {}
+    for name, operands in PROBES.items():
+        probe = isolation_probe(name, **operands)
+        measured = bench.device.capture_ideal(probe)
+        start, stop = _transit_window(probe, measured.trace)
+        window = slice(start * spc, stop * spc)
+        scores = {}
+        for label, simulator in (("per-stage", bench.simulator),
+                                 ("single", single_simulator)):
+            simulated = simulator.simulate(probe)
+            scores[label] = simulation_accuracy(
+                simulated.signal[window], measured.signal[window],
+                spc)
+        rows[name] = scores
 
-    rows = run_once(benchmark, experiment)
     lines = ["NOP -> inst -> NOP probes, accuracy over the instruction's",
              "pipeline transit (paper Fig. 2):",
              f"  {'inst':<6s} {'per-stage':>10s} {'single-source':>14s}"]

@@ -7,13 +7,12 @@ have the similar impact on the amplitude".
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import isolation_probe, make_simulator
 from repro.signal import simulation_accuracy
 
 
-def test_fig3_regression_vs_averaging(bench, record, benchmark):
+def test_fig3_regression_vs_averaging(bench, record):
     rng = np.random.default_rng(31)
     probes = [isolation_probe("add",
                               rs1_value=int(rng.integers(0, 1 << 32)),
@@ -24,23 +23,21 @@ def test_fig3_regression_vs_averaging(bench, record, benchmark):
                                rs2_value=int(rng.integers(0, 1 << 32)))
                for _ in range(10)]
 
-    def experiment():
-        averaging = make_simulator(bench.model, "avg-alpha",
-                                   core_config=bench.device.core_config)
-        scores = {"regression": [], "averaging": []}
-        for probe in probes:
-            measured = bench.device.capture_ideal(probe)
-            for label, simulator in (("regression", bench.simulator),
-                                     ("averaging", averaging)):
-                simulated = simulator.simulate(probe)
-                length = min(len(measured.signal), len(simulated.signal))
-                scores[label].append(simulation_accuracy(
-                    simulated.signal[:length], measured.signal[:length],
-                    bench.spc))
-        return {label: float(np.mean(values))
-                for label, values in scores.items()}
+    averaging = make_simulator(bench.model, "avg-alpha",
+                               core_config=bench.device.core_config)
+    scores = {"regression": [], "averaging": []}
+    for probe in probes:
+        measured = bench.device.capture_ideal(probe)
+        for label, simulator in (("regression", bench.simulator),
+                                 ("averaging", averaging)):
+            simulated = simulator.simulate(probe)
+            length = min(len(measured.signal), len(simulated.signal))
+            scores[label].append(simulation_accuracy(
+                simulated.signal[:length], measured.signal[:length],
+                bench.spc))
+    scores = {label: float(np.mean(values))
+              for label, values in scores.items()}
 
-    scores = run_once(benchmark, experiment)
     lines = [
         "random-operand probes (ADD, MUL), simulated vs measured:",
         f"  LR activity factor (Eq. 8, Fig. 3 top):    "

@@ -5,92 +5,80 @@ is the fitted linear combination of the per-stage sources (Eq. 9), not the
 plain sum of the isolated signals.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.core import isolation_probe, pair_probe, probe_instruction_seq
 from repro.signal import (estimate_cycle_amplitudes, simulation_accuracy)
 
 
-def test_fig4_miso_combination(bench, record, benchmark):
+def test_fig4_miso_combination(bench, record):
     operands = dict(rs1_value=0x0F0F0F0F, rs2_value=0x12345678)
     pair = pair_probe("add", "sll", **operands)
 
-    def experiment():
-        spc = bench.spc
-        kernel = bench.model.config.kernel
-        # isolated amplitudes of each instruction (Fig. 4 top)
-        isolated = {}
-        for name in ("add", "sll"):
-            probe = isolation_probe(name, **operands)
-            measurement = bench.device.capture_ideal(probe)
-            amplitudes = estimate_cycle_amplitudes(measurement.signal,
-                                                   kernel, spc)
-            seq = probe_instruction_seq(probe)
-            start = min(measurement.trace.cycles_of(seq, "F"))
-            isolated[name] = amplitudes[start:start + 5]
+    spc = bench.spc
+    kernel = bench.model.config.kernel
+    # isolated amplitudes of each instruction (Fig. 4 top)
+    isolated = {}
+    for name in ("add", "sll"):
+        probe = isolation_probe(name, **operands)
+        measurement = bench.device.capture_ideal(probe)
+        amplitudes = estimate_cycle_amplitudes(measurement.signal,
+                                               kernel, spc)
+        seq = probe_instruction_seq(probe)
+        start = min(measurement.trace.cycles_of(seq, "F"))
+        isolated[name] = amplitudes[start:start + 5]
 
-        # combined execution (Fig. 4 bottom)
-        measured = bench.device.capture_ideal(pair)
-        simulated = bench.simulator.simulate(pair)
-        length = min(len(measured.signal), len(simulated.signal))
-        accuracy = simulation_accuracy(simulated.signal[:length],
-                                       measured.signal[:length], spc)
+    # combined execution (Fig. 4 bottom)
+    measured = bench.device.capture_ideal(pair)
+    simulated = bench.simulator.simulate(pair)
+    length = min(len(measured.signal), len(simulated.signal))
+    accuracy = simulation_accuracy(simulated.signal[:length],
+                                  measured.signal[:length], spc)
 
-        # naive alternative: sum of isolated per-cycle amplitudes with
-        # unit coefficients instead of the fitted M
-        naive_model_error = 0.0
-        measured_amplitudes = estimate_cycle_amplitudes(measured.signal,
-                                                        kernel, spc)
-        seq = probe_instruction_seq(pair)
-        overlap = min(measured.trace.cycles_of(seq, "D"))
-        naive = isolated["add"][2] + isolated["sll"][1] - \
-            bench.model.nop_level
-        fitted = float(simulated.amplitudes[overlap + 1])
-        actual = float(measured_amplitudes[overlap + 1])
-        naive_model_error = abs(naive - actual)
-        fitted_error = abs(fitted - actual)
-        return dict(accuracy=accuracy, naive_error=naive_model_error,
-                    fitted_error=fitted_error, actual=actual,
-                    naive=naive, fitted=fitted)
+    # naive alternative: sum of isolated per-cycle amplitudes with
+    # unit coefficients instead of the fitted M
+    naive_model_error = 0.0
+    measured_amplitudes = estimate_cycle_amplitudes(measured.signal,
+                                                    kernel, spc)
+    seq = probe_instruction_seq(pair)
+    overlap = min(measured.trace.cycles_of(seq, "D"))
+    naive = isolated["add"][2] + isolated["sll"][1] - \
+        bench.model.nop_level
+    fitted = float(simulated.amplitudes[overlap + 1])
+    actual = float(measured_amplitudes[overlap + 1])
+    naive_model_error = abs(naive - actual)
+    fitted_error = abs(fitted - actual)
 
-    results = run_once(benchmark, experiment)
     lines = [
         "NOP, ADD, SHIFT, NOP sequence (two stages active per cycle):",
-        f"  EMSim (fitted MISO coefficients M): accuracy "
-        f"{results['accuracy']:6.1%}",
+        f"  EMSim (fitted MISO coefficients M): accuracy {accuracy:6.1%}",
         "",
         "overlap cycle amplitude (ADD in EX while SHIFT in DE):",
-        f"  measured:                      {results['actual']:6.2f}",
-        f"  EMSim fitted combination:      {results['fitted']:6.2f} "
-        f"(error {results['fitted_error']:.2f})",
-        f"  naive sum of isolated signals: {results['naive']:6.2f} "
-        f"(error {results['naive_error']:.2f})",
+        f"  measured:                      {actual:6.2f}",
+        f"  EMSim fitted combination:      {fitted:6.2f} "
+        f"(error {fitted_error:.2f})",
+        f"  naive sum of isolated signals: {naive:6.2f} "
+        f"(error {naive_model_error:.2f})",
         "",
         "paper shape: the combined signal is a *fitted* linear",
         "combination of the individual sources -> " +
-        ("reproduced" if results["fitted_error"] <=
-         results["naive_error"] + 0.05 else "NOT reproduced"),
+        ("reproduced" if fitted_error <= naive_model_error + 0.05
+         else "NOT reproduced"),
     ]
     record("fig4_miso", "\n".join(lines))
-    assert results["accuracy"] > 0.85
-    assert results["fitted_error"] <= results["naive_error"] + 0.05
+    assert accuracy > 0.85
+    assert fitted_error <= naive_model_error + 0.05
 
 
-def test_fig4_pair_accuracy_sweep(bench, record, benchmark):
+def test_fig4_pair_accuracy_sweep(bench, record):
     """Accuracy across several instruction pairings."""
     pairs = [("add", "sll"), ("mul", "add"), ("lw", "add"),
              ("sw", "sll"), ("add", "add")]
 
-    def experiment():
-        scores = {}
-        for first, second in pairs:
-            program = pair_probe(first, second, rs1_value=0x5A5A00FF,
-                                 rs2_value=0x00FF5A5A)
-            scores[f"{first}+{second}"] = bench.accuracy(program)
-        return scores
+    scores = {}
+    for first, second in pairs:
+        program = pair_probe(first, second, rs1_value=0x5A5A00FF,
+                             rs2_value=0x00FF5A5A)
+        scores[f"{first}+{second}"] = bench.accuracy(program)
 
-    scores = run_once(benchmark, experiment)
     lines = ["pairwise overlap accuracy (simulated vs measured):"]
     for pair_name, score in scores.items():
         lines.append(f"  {pair_name:<10s} {score:6.1%}")

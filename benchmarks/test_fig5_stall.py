@@ -9,13 +9,12 @@ deviates wildly.
 from dataclasses import replace
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import EMSim, isolation_probe, probe_instruction_seq
 from repro.signal import per_cycle_similarities, simulation_accuracy
 
 
-def test_fig5_stall_modeling(bench, record, benchmark):
+def test_fig5_stall_modeling(bench, record):
     # the paper: "we intentionally increased the stall cycles in MUL for
     # clarity" — eight execute cycles
     config = replace(bench.device.core_config, mul_latency=8)
@@ -24,35 +23,29 @@ def test_fig5_stall_modeling(bench, record, benchmark):
     probe = isolation_probe("mul", rs1_value=0xDEADBEEF,
                             rs2_value=0x0BADF00D)
 
-    def experiment():
-        measured = device.capture_ideal(probe)
-        spc = bench.spc
-        with_stalls = EMSim(bench.model, core_config=config)
-        without = with_stalls.with_switches(model_stalls=False)
-        results = {}
-        for label, simulator in (("modeled", with_stalls),
-                                 ("ignored", without)):
-            simulated = simulator.simulate(probe)
-            length = min(len(measured.signal), len(simulated.signal))
-            results[label] = dict(
-                accuracy=simulation_accuracy(simulated.signal[:length],
-                                             measured.signal[:length],
-                                             spc),
-                cycles=per_cycle_similarities(simulated.signal[:length],
-                                              measured.signal[:length],
-                                              spc),
-                amplitudes=simulated.amplitudes)
-        # locate the stall cycles
-        seq = probe_instruction_seq(probe)
-        execute_cycles = measured.trace.cycles_of(seq, "E")
-        stall_cycles = [cycle for cycle in execute_cycles
-                        if measured.trace.occupancy["E"][cycle].kind ==
-                        "stall"]
-        results["stall_cycles"] = stall_cycles
-        return results
+    measured = device.capture_ideal(probe)
+    spc = bench.spc
+    with_stalls = EMSim(bench.model, core_config=config)
+    without = with_stalls.with_switches(model_stalls=False)
+    results = {}
+    for label, simulator in (("modeled", with_stalls),
+                             ("ignored", without)):
+        simulated = simulator.simulate(probe)
+        length = min(len(measured.signal), len(simulated.signal))
+        results[label] = dict(
+            accuracy=simulation_accuracy(simulated.signal[:length],
+                                         measured.signal[:length],
+                                         spc),
+            cycles=per_cycle_similarities(simulated.signal[:length],
+                                          measured.signal[:length],
+                                          spc),
+            amplitudes=simulated.amplitudes)
+    # locate the stall cycles
+    seq = probe_instruction_seq(probe)
+    execute_cycles = measured.trace.cycles_of(seq, "E")
+    stalls = [cycle for cycle in execute_cycles
+              if measured.trace.occupancy["E"][cycle].kind == "stall"]
 
-    results = run_once(benchmark, experiment)
-    stalls = results["stall_cycles"]
     modeled_stall = float(np.mean(results["modeled"]["cycles"][stalls]))
     ignored_stall = float(np.mean(results["ignored"]["cycles"][stalls]))
     lines = [

@@ -6,11 +6,8 @@ the simulated timeline is shorter and the signal drifts out of phase from
 the miss onward.
 """
 
-import numpy as np
-from conftest import run_once
-
-from repro.core import double_load_probe, isolation_probe
-from repro.signal import per_cycle_similarities, simulation_accuracy
+from repro.core import double_load_probe
+from repro.signal import simulation_accuracy
 
 
 def _missing_loads_program():
@@ -30,35 +27,32 @@ def _missing_loads_program():
     return wrap_program(code, name="stride_misses")
 
 
-def test_fig6_cache_miss_modeling(bench, record, benchmark):
+def test_fig6_cache_miss_modeling(bench, record):
     miss_probe = _missing_loads_program()
     hit_probe = double_load_probe("lw", offset=256)
 
-    def experiment():
-        spc = bench.spc
-        no_cache = bench.simulator.with_switches(model_cache=False)
-        results = {}
-        for label, probe in (("miss", miss_probe), ("hit", hit_probe)):
-            measured = bench.device.capture_ideal(probe)
-            modeled = bench.simulator.simulate(probe)
-            ignored = no_cache.simulate(probe)
-            length = min(len(measured.signal), len(modeled.signal))
-            length_ignored = min(len(measured.signal),
-                                 len(ignored.signal))
-            results[label] = {
-                "measured_cycles": measured.num_cycles,
-                "modeled_cycles": modeled.num_cycles,
-                "ignored_cycles": ignored.num_cycles,
-                "modeled": simulation_accuracy(
-                    modeled.signal[:length], measured.signal[:length],
-                    spc),
-                "ignored": simulation_accuracy(
-                    ignored.signal[:length_ignored],
-                    measured.signal[:length_ignored], spc),
-            }
-        return results
+    spc = bench.spc
+    no_cache = bench.simulator.with_switches(model_cache=False)
+    results = {}
+    for label, probe in (("miss", miss_probe), ("hit", hit_probe)):
+        measured = bench.device.capture_ideal(probe)
+        modeled = bench.simulator.simulate(probe)
+        ignored = no_cache.simulate(probe)
+        length = min(len(measured.signal), len(modeled.signal))
+        length_ignored = min(len(measured.signal),
+                             len(ignored.signal))
+        results[label] = {
+            "measured_cycles": measured.num_cycles,
+            "modeled_cycles": modeled.num_cycles,
+            "ignored_cycles": ignored.num_cycles,
+            "modeled": simulation_accuracy(
+                modeled.signal[:length], measured.signal[:length],
+                spc),
+            "ignored": simulation_accuracy(
+                ignored.signal[:length_ignored],
+                measured.signal[:length_ignored], spc),
+        }
 
-    results = run_once(benchmark, experiment)
     miss = results["miss"]
     hit = results["hit"]
     lines = [

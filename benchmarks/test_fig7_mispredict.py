@@ -6,9 +6,6 @@ simulated pipeline never flushes, so its timeline and bubble pattern
 deviate from the real signal.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.isa import assemble
 from repro.signal import simulation_accuracy
 
@@ -28,32 +25,30 @@ loop:
 """
 
 
-def test_fig7_misprediction_modeling(bench, record, benchmark):
+def test_fig7_misprediction_modeling(bench, record):
     program = assemble(TAKEN_BRANCH, name="mispredict_demo")
 
-    def experiment():
-        spc = bench.spc
-        measured = bench.device.capture_ideal(program)
-        modeled = bench.simulator.simulate(program)
-        oracle = bench.simulator.with_switches(model_mispredicts=False) \
-            .simulate(program)
-        length = min(len(measured.signal), len(modeled.signal))
-        length_oracle = min(len(measured.signal), len(oracle.signal))
-        return {
-            "measured_cycles": measured.num_cycles,
-            "measured_flushes": len(measured.trace.flushes),
-            "modeled_cycles": modeled.num_cycles,
-            "modeled_flushes": len(modeled.trace.flushes),
-            "oracle_cycles": oracle.num_cycles,
-            "oracle_flushes": len(oracle.trace.flushes),
-            "modeled": simulation_accuracy(modeled.signal[:length],
-                                           measured.signal[:length], spc),
-            "ignored": simulation_accuracy(
-                oracle.signal[:length_oracle],
-                measured.signal[:length_oracle], spc),
-        }
+    spc = bench.spc
+    measured = bench.device.capture_ideal(program)
+    modeled = bench.simulator.simulate(program)
+    oracle = bench.simulator.with_switches(model_mispredicts=False) \
+        .simulate(program)
+    length = min(len(measured.signal), len(modeled.signal))
+    length_oracle = min(len(measured.signal), len(oracle.signal))
+    results = {
+        "measured_cycles": measured.num_cycles,
+        "measured_flushes": len(measured.trace.flushes),
+        "modeled_cycles": modeled.num_cycles,
+        "modeled_flushes": len(modeled.trace.flushes),
+        "oracle_cycles": oracle.num_cycles,
+        "oracle_flushes": len(oracle.trace.flushes),
+        "modeled": simulation_accuracy(modeled.signal[:length],
+                                       measured.signal[:length], spc),
+        "ignored": simulation_accuracy(
+            oracle.signal[:length_oracle],
+            measured.signal[:length_oracle], spc),
+    }
 
-    results = run_once(benchmark, experiment)
     lines = [
         "loop with mispredicted taken branch (paper Fig. 7):",
         f"  real hardware: {results['measured_cycles']} cycles, "

@@ -5,43 +5,31 @@ the representative instructions, randomly grouped into 17 groups of 1024
 combinations (~5120 instructions each), plus another 17 groups drawn from
 the full ISA.  Headline: "EMSim has about 94.1% accuracy in simulating
 side-channel signals across all possible instruction combinations."
-
-Set EMSIM_FULL_FIG8=1 to run all 34 groups; by default a stratified
-subset keeps the benchmark quick while covering both group families.
+Every run scores all 34 groups.
 """
 
-import os
-
 import numpy as np
-from conftest import run_once
 
 from repro.core import coverage_groups
 
-FULL = os.environ.get("EMSIM_FULL_FIG8", "0") == "1"
 GROUP_SIZE = 1024
-LIMIT = None if FULL else 3
 
 
-def test_fig8_coverage_accuracy(bench, record, benchmark):
-    def experiment():
-        scores = {}
-        for use_full_isa in (False, True):
-            groups = coverage_groups(group_size=GROUP_SIZE, seed=7,
-                                     use_full_isa=use_full_isa,
-                                     limit_groups=LIMIT)
-            for group in groups:
-                scores[group.name] = bench.accuracy(
-                    group, max_cycles=60_000)
-        return scores
+def test_fig8_coverage_accuracy(bench, record):
+    scores = {}
+    for use_full_isa in (False, True):
+        groups = coverage_groups(group_size=GROUP_SIZE, seed=7,
+                                 use_full_isa=use_full_isa)
+        for group in groups:
+            scores[group.name] = bench.accuracy(
+                group, max_cycles=60_000)
 
-    scores = run_once(benchmark, experiment)
     values = np.array(list(scores.values()))
     lines = ["accuracy per combination group (simulated vs measured):"]
     for name, value in scores.items():
         lines.append(f"  {name:<16s} {value:6.1%}")
     lines.append("")
-    lines.append(f"groups: {len(scores)}"
-                 f"{'' if FULL else ' (subset; EMSIM_FULL_FIG8=1 for all 34)'}")
+    lines.append(f"groups: {len(scores)}")
     lines.append(f"average accuracy: {values.mean():6.1%}  "
                  f"(paper: ~94.1% across all combinations)")
     lines.append(f"min/max: {values.min():6.1%} / {values.max():6.1%}")

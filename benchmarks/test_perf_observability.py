@@ -22,9 +22,7 @@ import json
 import os
 import time
 
-import pytest
-
-from conftest import bench_quick, run_once, write_bench_report
+from conftest import bench_quick, write_bench_report
 from repro.observability import (finish_run, get_metrics, get_tracer,
                                  render_report, start_run,
                                  validate_manifest)
@@ -89,36 +87,33 @@ def _overhead_at(workers, trace_root):
             "manifest": manifest_path}
 
 
-@pytest.mark.benchmark(group="perf")
-def test_observability_overhead(benchmark, record, tmp_path):
-    def experiment():
-        arms = {str(workers): _overhead_at(workers,
-                                           str(tmp_path / "traces"))
-                for workers in WORKER_COUNTS}
+def test_observability_overhead(record, tmp_path):
+    arms = {str(workers): _overhead_at(workers,
+                                       str(tmp_path / "traces"))
+            for workers in WORKER_COUNTS}
 
-        # each recorded arm must have produced a schema-valid manifest
-        # that renders; an "overhead" number for a recording that wrote
-        # nothing would be meaningless
-        for arm in arms.values():
-            with open(arm["manifest"], encoding="utf-8") as handle:
-                document = json.load(handle)
-            validate_manifest(document)
-            report_text = render_report(document)
-            assert "# Run report: bench-observability" in report_text
-            assert "`bench.item`" in report_text
+    # each recorded arm must have produced a schema-valid manifest
+    # that renders; an "overhead" number for a recording that wrote
+    # nothing would be meaningless
+    for arm in arms.values():
+        with open(arm["manifest"], encoding="utf-8") as handle:
+            document = json.load(handle)
+        validate_manifest(document)
+        report_text = render_report(document)
+        assert "# Run report: bench-observability" in report_text
+        assert "`bench.item`" in report_text
 
-        return write_bench_report(
-            "observability",
-            metadata={
-                "benchmark": "observability_overhead",
-                "items": ITEMS,
-                "rounds": ROUNDS,
-                "workers": list(WORKER_COUNTS),
-                "arms": arms,
-                "manifest_valid": True,
-            })
+    document = write_bench_report(
+        "observability",
+        metadata={
+            "benchmark": "observability_overhead",
+            "items": ITEMS,
+            "rounds": ROUNDS,
+            "workers": list(WORKER_COUNTS),
+            "arms": arms,
+            "manifest_valid": True,
+        })
 
-    document = run_once(benchmark, experiment)
     lines = [f"{ITEMS}-item fault-free campaign, one span + one counter "
              f"per item, min of {ROUNDS} alternating runs per arm"
              + (" (quick mode)" if QUICK else "")]

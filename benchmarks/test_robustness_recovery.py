@@ -8,9 +8,6 @@ accuracy within 10 % of the fault-free fit.  Reports the accuracy and the
 acquisition accounting at 0 % / 5 % / 20 %.
 """
 
-import pytest
-
-from conftest import run_once
 from repro.core import EMSim, Trainer, coverage_groups
 from repro.hardware import HardwareDevice
 from repro.robustness import FaultPlan
@@ -50,17 +47,12 @@ def _held_out_accuracy(device, model):
     return total / len(groups)
 
 
-@pytest.mark.benchmark(group="robustness")
-def test_recovery_vs_fault_rate(benchmark, record):
-    def experiment():
-        rows = []
-        for rate in FAULT_RATES:
-            device, model, report = _train_at(rate)
-            accuracy = _held_out_accuracy(device, model)
-            rows.append((rate, accuracy, report))
-        return rows
-
-    rows = run_once(benchmark, experiment)
+def test_recovery_vs_fault_rate(record):
+    rows = []
+    for rate in FAULT_RATES:
+        device, model, report = _train_at(rate)
+        accuracy = _held_out_accuracy(device, model)
+        rows.append((rate, accuracy, report))
 
     lines = ["held-out accuracy vs injected capture-fault rate",
              "(reference capture, 16 reps, retry+escalate+degrade, "

@@ -21,9 +21,7 @@ import os
 import time
 
 import numpy as np
-import pytest
-
-from conftest import bench_quick, run_once, write_bench_report
+from conftest import bench_quick, write_bench_report
 from repro.observability import disable_metrics, enable_metrics
 from repro.parallel import spawn_seed, supervised_map
 from repro.robustness import CheckpointJournal, content_key
@@ -128,81 +126,78 @@ def _journaled_run(journal_path):
     return results, total, journal.record_seconds
 
 
-@pytest.mark.benchmark(group="robustness")
-def test_supervised_resume(benchmark, record, tmp_path):
-    def experiment():
-        registry = enable_metrics()
-        registry.reset()
-        try:
-            # -- claim 1: survive a 10% crash+hang fault mix ----------
-            faults_dir = str(tmp_path / "faults")
-            os.makedirs(faults_dir)
-            fault_start = time.perf_counter()
-            faulted, ledger = supervised_map(
-                faulty_item, _items(faults_dir), workers=WORKERS,
-                timeout=ITEM_TIMEOUT, max_item_retries=MAX_RETRIES)
-            fault_seconds = time.perf_counter() - fault_start
-            crashes, hangs = _expected_faults()
-            counts = ledger.counts()
-            assert ledger.complete, \
-                f"lost items: {ledger.quarantined}"
-            assert counts["retried"] == crashes + hangs
-            assert counts["ok"] == ITEMS - crashes - hangs
-            assert ledger.pool_rebuilds >= hangs
+def test_supervised_resume(record, tmp_path):
+    registry = enable_metrics()
+    registry.reset()
+    try:
+        # -- claim 1: survive a 10% crash+hang fault mix ----------
+        faults_dir = str(tmp_path / "faults")
+        os.makedirs(faults_dir)
+        fault_start = time.perf_counter()
+        faulted, ledger = supervised_map(
+            faulty_item, _items(faults_dir), workers=WORKERS,
+            timeout=ITEM_TIMEOUT, max_item_retries=MAX_RETRIES)
+        fault_seconds = time.perf_counter() - fault_start
+        crashes, hangs = _expected_faults()
+        counts = ledger.counts()
+        assert ledger.complete, \
+            f"lost items: {ledger.quarantined}"
+        assert counts["retried"] == crashes + hangs
+        assert counts["ok"] == ITEMS - crashes - hangs
+        assert ledger.pool_rebuilds >= hangs
 
-            # -- claim 3: journaling overhead < 5% (fault-free) -------
-            # timed inside one run (append seconds vs campaign
-            # seconds), so multiplicative CPU noise cancels instead of
-            # drowning the ~2% signal in run-to-run jitter
-            reference, journal_seconds, record_seconds = _journaled_run(
-                str(tmp_path / "overhead.jsonl"))
-            overhead = record_seconds / (journal_seconds -
-                                         record_seconds)
+        # -- claim 3: journaling overhead < 5% (fault-free) -------
+        # timed inside one run (append seconds vs campaign
+        # seconds), so multiplicative CPU noise cancels instead of
+        # drowning the ~2% signal in run-to-run jitter
+        reference, journal_seconds, record_seconds = _journaled_run(
+            str(tmp_path / "overhead.jsonl"))
+        overhead = record_seconds / (journal_seconds -
+                                     record_seconds)
 
-            # -- claim 2: interrupt at 50%, resume, compare bits ------
-            resume_path = str(tmp_path / "resume.jsonl")
-            with CheckpointJournal(resume_path, resume=False) as journal:
-                supervised_map(faulty_item, _items(), workers=1,
-                               journal=journal, key_for=_key_for)
-            _truncate_journal(resume_path, keep_records=ITEMS // 2)
-            with CheckpointJournal(resume_path) as journal:
-                resumed, resume_ledger = supervised_map(
-                    faulty_item, _items(), workers=1,
-                    journal=journal, key_for=_key_for)
-            identical = all(
-                np.array_equal(a, b) and a.dtype == b.dtype
-                for a, b in zip(reference, resumed))
-            assert identical
-            assert len(resume_ledger.resumed) == ITEMS // 2
-            for a, b in zip(faulted, reference):
-                assert np.array_equal(a, b)  # faults never change data
-        finally:
-            disable_metrics()
-        return write_bench_report(
-            "resume",
-            metadata={
-                "benchmark": "supervised_resume",
-                "items": ITEMS,
-                "workers": WORKERS,
-                "item_timeout": ITEM_TIMEOUT,
-                "injected_crashes": crashes,
-                "injected_hangs": hangs,
-                "ledger_counts": counts,
-                "pool_rebuilds": ledger.pool_rebuilds,
-                "quarantined": ledger.quarantined,
-                "fault_campaign_seconds": fault_seconds,
-                "journal_campaign_seconds": journal_seconds,
-                "journal_record_seconds": record_seconds,
-                "checkpoint_overhead": overhead,
-                "resumed_items": len(resume_ledger.resumed),
-                "resume_bit_identical": identical,
-                "supervision": {
-                    f"supervise.{name}":
-                        registry.counters.get(f"supervise.{name}", 0)
-                    for name in SUPERVISION_COUNTERS},
-            })
+        # -- claim 2: interrupt at 50%, resume, compare bits ------
+        resume_path = str(tmp_path / "resume.jsonl")
+        with CheckpointJournal(resume_path, resume=False) as journal:
+            supervised_map(faulty_item, _items(), workers=1,
+                           journal=journal, key_for=_key_for)
+        _truncate_journal(resume_path, keep_records=ITEMS // 2)
+        with CheckpointJournal(resume_path) as journal:
+            resumed, resume_ledger = supervised_map(
+                faulty_item, _items(), workers=1,
+                journal=journal, key_for=_key_for)
+        identical = all(
+            np.array_equal(a, b) and a.dtype == b.dtype
+            for a, b in zip(reference, resumed))
+        assert identical
+        assert len(resume_ledger.resumed) == ITEMS // 2
+        for a, b in zip(faulted, reference):
+            assert np.array_equal(a, b)  # faults never change data
+    finally:
+        disable_metrics()
+    document = write_bench_report(
+        "resume",
+        metadata={
+            "benchmark": "supervised_resume",
+            "items": ITEMS,
+            "workers": WORKERS,
+            "item_timeout": ITEM_TIMEOUT,
+            "injected_crashes": crashes,
+            "injected_hangs": hangs,
+            "ledger_counts": counts,
+            "pool_rebuilds": ledger.pool_rebuilds,
+            "quarantined": ledger.quarantined,
+            "fault_campaign_seconds": fault_seconds,
+            "journal_campaign_seconds": journal_seconds,
+            "journal_record_seconds": record_seconds,
+            "checkpoint_overhead": overhead,
+            "resumed_items": len(resume_ledger.resumed),
+            "resume_bit_identical": identical,
+            "supervision": {
+                f"supervise.{name}":
+                    registry.counters.get(f"supervise.{name}", 0)
+                for name in SUPERVISION_COUNTERS},
+        })
 
-    document = run_once(benchmark, experiment)
     lines = [f"{ITEMS} items, {document['injected_crashes']} crashes + "
              f"{document['injected_hangs']} hangs injected"
              + (" (quick mode)" if QUICK else ""),

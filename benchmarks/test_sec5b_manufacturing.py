@@ -6,29 +6,23 @@ trained on instance #1 stays accurate on the others — no per-unit
 retraining needed.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.core import coverage_groups
 from repro.hardware import DE0_CV, DeviceInstance, HardwareDevice
 
 
-def test_sec5b_instance_robustness(bench, record, benchmark):
+def test_sec5b_instance_robustness(bench, record):
     program = coverage_groups(group_size=192, seed=55, limit_groups=1)[0]
 
-    def experiment():
-        results = {}
-        for instance_id in (0, 1, 2):
-            device = HardwareDevice(
-                instance=DeviceInstance(board=DE0_CV,
-                                        instance_id=instance_id))
-            results[instance_id] = dict(
-                accuracy=bench.accuracy(program, device=device),
-                clock_ppm=device.instance.clock_ppm,
-                gain=device.instance.gain_jitter)
-        return results
+    results = {}
+    for instance_id in (0, 1, 2):
+        device = HardwareDevice(
+            instance=DeviceInstance(board=DE0_CV,
+                                    instance_id=instance_id))
+        results[instance_id] = dict(
+            accuracy=bench.accuracy(program, device=device),
+            clock_ppm=device.instance.clock_ppm,
+            gain=device.instance.gain_jitter)
 
-    results = run_once(benchmark, experiment)
     lines = ["model trained on board #0, evaluated on three instances:"]
     for instance_id, info in results.items():
         lines.append(f"  board #{instance_id}: accuracy "
@@ -49,7 +43,7 @@ def test_sec5b_instance_robustness(bench, record, benchmark):
     assert worst_drop < 0.02
 
 
-def test_sec5b_reference_capture_shift(bench, record, benchmark):
+def test_sec5b_reference_capture_shift(bench, record):
     """Through the real acquisition chain, instance clock offsets appear
     as a slight per-cycle stretch — visible but harmless."""
     from repro.core import isolation_probe
@@ -57,15 +51,13 @@ def test_sec5b_reference_capture_shift(bench, record, benchmark):
 
     probe = isolation_probe("add", rs1_value=0x0F0F0F0F)
 
-    def experiment():
-        base = HardwareDevice(instance=DeviceInstance(DE0_CV, 0))
-        other = HardwareDevice(instance=DeviceInstance(DE0_CV, 2))
-        reference_base = base.capture_reference(probe, repetitions=120)
-        reference_other = other.capture_reference(probe, repetitions=120)
-        return simulation_accuracy(reference_base.signal,
-                                   reference_other.signal, bench.spc)
+    base = HardwareDevice(instance=DeviceInstance(DE0_CV, 0))
+    other = HardwareDevice(instance=DeviceInstance(DE0_CV, 2))
+    reference_base = base.capture_reference(probe, repetitions=120)
+    reference_other = other.capture_reference(probe, repetitions=120)
+    similarity = simulation_accuracy(reference_base.signal,
+                                     reference_other.signal, bench.spc)
 
-    similarity = run_once(benchmark, experiment)
     record("sec5b_reference_shift",
            f"modulo-averaged references of instance #0 vs #2: "
            f"{similarity:.1%} per-cycle similarity\n"

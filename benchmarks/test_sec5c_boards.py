@@ -7,45 +7,39 @@ combination coefficients M transfer unchanged, because they are set by the
 (unchanged) logic design and probe geometry.
 """
 
-import numpy as np
-from conftest import run_once
-
 from repro.core import EMSim, Trainer, coverage_groups
 from repro.hardware import ARTY, DE1, HardwareDevice
 
 
-def test_sec5c_board_retraining(bench, record, benchmark):
+def test_sec5c_board_retraining(bench, record):
     program = coverage_groups(group_size=192, seed=56, limit_groups=1)[0]
 
-    def experiment():
-        results = {}
-        for board in (DE1, ARTY):
-            device = HardwareDevice(board=board)
-            stale = bench.accuracy(program, device=device)
+    results = {}
+    for board in (DE1, ARTY):
+        device = HardwareDevice(board=board)
+        stale = bench.accuracy(program, device=device)
 
-            # retrain everything on the new board...
-            trainer = Trainer(device=device,
-                              activity_probes_per_class=12,
-                              miso_groups=1, miso_group_size=128)
-            fresh = trainer.train()
-            full = bench.accuracy(
-                program, device=device,
-                simulator=EMSim(fresh,
-                                core_config=device.core_config))
-            # ...then substitute the DE0-CV-fitted M: §V-C says the
-            # combination coefficients need no retraining
-            transplanted_miso = dict(fresh.miso)
-            fresh.miso = dict(bench.model.miso)
-            transferred = bench.accuracy(
-                program, device=device,
-                simulator=EMSim(fresh,
-                                core_config=device.core_config))
-            fresh.miso = transplanted_miso
-            results[board.name] = dict(stale=stale, full=full,
-                                       transferred=transferred)
-        return results
+        # retrain everything on the new board...
+        trainer = Trainer(device=device,
+                          activity_probes_per_class=12,
+                          miso_groups=1, miso_group_size=128)
+        fresh = trainer.train()
+        full = bench.accuracy(
+            program, device=device,
+            simulator=EMSim(fresh,
+                            core_config=device.core_config))
+        # ...then substitute the DE0-CV-fitted M: §V-C says the
+        # combination coefficients need no retraining
+        transplanted_miso = dict(fresh.miso)
+        fresh.miso = dict(bench.model.miso)
+        transferred = bench.accuracy(
+            program, device=device,
+            simulator=EMSim(fresh,
+                            core_config=device.core_config))
+        fresh.miso = transplanted_miso
+        results[board.name] = dict(stale=stale, full=full,
+                                   transferred=transferred)
 
-    results = run_once(benchmark, experiment)
     lines = ["DE0-CV-trained model on other boards (paper §V-C):",
              f"  {'board':<7s} {'stale':>7s} {'A,c retrained + base M':>24s}"
              f" {'fully retrained':>16s}"]

@@ -15,7 +15,6 @@ paper's design point.
 
 from dataclasses import replace
 
-from conftest import run_once
 
 from repro.core import (all_combinations, cluster_instruction_signatures,
                         double_load_probe, isolation_probe,
@@ -83,46 +82,44 @@ def _transit_signature(device, program, name, occurrence, spc):
     return window[:length] - reference[:length]
 
 
-def test_tab1_isa_clusters(bench, record, benchmark):
+def test_tab1_isa_clusters(bench, record):
     config = replace(bench.device.core_config, div_latency=3)
     device = HardwareDevice(core_config=config)
     spc = bench.spc
 
     import numpy as np
 
-    def experiment():
-        signatures = {}
-        for family, names in PROBED.items():
-            for name in names:
-                parts = []
-                for operands in OPERAND_SETS:
-                    if family == "branch":
-                        # measure the second, predictor-warmed instance
-                        probe = warmed_branch_probe(name, **operands)
-                        extra = 1
-                    else:
-                        probe = isolation_probe(name, **operands)
-                        extra = 0
-                    # skip same-mnemonic instructions in the operand
-                    # setup (e.g. the li-expansion addi/lui)
-                    seq = probe_instruction_seq(probe)
-                    occurrence = extra + sum(
-                        1 for instr in probe.instructions[:seq]
-                        if instr.name == name)
-                    parts.append(_transit_signature(device, probe, name,
-                                                    occurrence, spc))
-                signatures[name] = np.concatenate(parts)
-        # the "Cache" cluster: loads that hit (second access of a pair)
-        for name in ("lw", "lh", "lb"):
+    signatures = {}
+    for family, names in PROBED.items():
+        for name in names:
             parts = []
-            for offset in (0, 64, 224):
-                probe = double_load_probe(name, offset=offset)
+            for operands in OPERAND_SETS:
+                if family == "branch":
+                    # measure the second, predictor-warmed instance
+                    probe = warmed_branch_probe(name, **operands)
+                    extra = 1
+                else:
+                    probe = isolation_probe(name, **operands)
+                    extra = 0
+                # skip same-mnemonic instructions in the operand
+                # setup (e.g. the li-expansion addi/lui)
+                seq = probe_instruction_seq(probe)
+                occurrence = extra + sum(
+                    1 for instr in probe.instructions[:seq]
+                    if instr.name == name)
                 parts.append(_transit_signature(device, probe, name,
-                                                1, spc))  # second load
-            signatures[f"{name}$hit"] = np.concatenate(parts)
-        return cluster_instruction_signatures(signatures, num_clusters=7)
+                                                occurrence, spc))
+            signatures[name] = np.concatenate(parts)
+    # the "Cache" cluster: loads that hit (second access of a pair)
+    for name in ("lw", "lh", "lb"):
+        parts = []
+        for offset in (0, 64, 224):
+            probe = double_load_probe(name, offset=offset)
+            parts.append(_transit_signature(device, probe, name,
+                                            1, spc))  # second load
+        signatures[f"{name}$hit"] = np.concatenate(parts)
+    result = cluster_instruction_signatures(signatures, num_clusters=7)
 
-    result = run_once(benchmark, experiment)
     lines = ["hierarchical clustering of instruction EM signatures:",
              result.table(), "",
              f"clusters found: {result.num_clusters} "

@@ -6,28 +6,24 @@ signals (S) and shows S closely tracks R for every pair.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.leakage import (SAVAT_INSTRUCTIONS, format_matrix, savat_matrix)
 
 
-def test_tab2_savat_matrix(bench, record, benchmark):
-    def experiment():
-        spc = bench.spc
+def test_tab2_savat_matrix(bench, record):
+    spc = bench.spc
 
-        def real_source(program):
-            measurement = bench.device.capture_ideal(program)
-            return measurement.signal, measurement.num_cycles
+    def real_source(program):
+        measurement = bench.device.capture_ideal(program)
+        return measurement.signal, measurement.num_cycles
 
-        def sim_source(program):
-            result = bench.simulator.simulate(program)
-            return result.signal, result.num_cycles
+    def sim_source(program):
+        result = bench.simulator.simulate(program)
+        return result.signal, result.num_cycles
 
-        real = savat_matrix(real_source, spc)
-        sim = savat_matrix(sim_source, spc)
-        return real, sim
+    real = savat_matrix(real_source, spc)
+    sim = savat_matrix(sim_source, spc)
 
-    real, sim = run_once(benchmark, experiment)
     lines = ["SAVAT, real measurements (R):", format_matrix(real), "",
              "SAVAT, EMSim simulation (S):", format_matrix(sim), ""]
 

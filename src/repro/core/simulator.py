@@ -23,14 +23,11 @@ from ..signal.reconstruction import reconstruct
 from ..uarch.config import CoreConfig, DEFAULT_CONFIG
 from ..uarch.oracle import collect_oracle
 from ..uarch.pipeline import Pipeline
-from ..uarch.replay import Schedule, record, replay
+from ..uarch.replay import record, replay
 from ..uarch.trace import ActivityTrace
 from .config import ModelSwitches
 from .model import EMSimModel
 from .trace_cache import code_family_key, get_trace_cache, trace_key
-
-_SEEN_ONCE = "seen-once"
-"""Code-family mark: one miss of the family ran the plain scalar core."""
 
 
 @dataclass
@@ -150,43 +147,35 @@ class EMSim:
                       salt: str) -> Tuple[ActivityTrace, bool]:
         """The in-order core, replaying its schedule across data images.
 
-        Programs with the same code and settings form a code family
-        (:func:`~repro.core.trace_cache.code_family_key`).  One
-        trace-cache miss of the family runs the scalar core with a
-        schedule recorder, and later misses replay that schedule over
-        their own data image (:func:`repro.uarch.replay.replay`), which
-        is bit-identical to the scalar core.  A replay that diverges
-        from the schedule falls back to the scalar core.
-
         A program bound from a template
-        (:meth:`~repro.isa.program.Program.with_data`) announces more
-        data images of its code, so its family records on the first
-        miss.  Any other family's first miss runs the plain scalar core
-        and marks the family seen; its second miss records, so a
-        one-off program never pays for a recording.  The family entries
-        live in the trace cache's memory, so a disabled cache never
-        records or replays.  Returns the trace and whether it was
-        replayed.
+        (:meth:`~repro.isa.program.Program.with_data`, e.g. every
+        :func:`~repro.leakage.aes_program`) announces more data images
+        of its code.  Its code family
+        (:func:`~repro.core.trace_cache.code_family_key`) records the
+        scalar core's schedule on its first trace-cache miss, and later
+        misses replay that schedule over their own data image
+        (:func:`repro.uarch.replay.replay`), which is bit-identical to
+        the scalar core.  A replay that diverges from the schedule falls
+        back to the scalar core.  Any other program runs the plain
+        scalar core.  The family entries live in the trace cache's
+        memory, so a disabled cache never records or replays.  Returns
+        the trace and whether it was replayed.
         """
         cache = get_trace_cache()
-        family = code_family_key(program, config, max_cycles=max_cycles,
-                                 salt=salt)
-        entry = cache.family(family)
-        if isinstance(entry, Schedule):
-            trace = replay(entry, program)
+        if cache.enabled and bound_template(program) is not None:
+            family = code_family_key(program, config,
+                                     max_cycles=max_cycles, salt=salt)
+            schedule = cache.family(family)
+            if schedule is None:
+                trace, schedule = record(program, config, max_cycles)
+                cache.remember_family(family, schedule)
+                get_metrics().increment("trace_cache.sim.recordings")
+                return trace, False
+            trace = replay(schedule, program)
             if trace is not None:
                 get_metrics().increment("trace_cache.sim.replays")
                 return trace, True
             get_metrics().increment("trace_cache.sim.replay_fallbacks")
-        elif entry is _SEEN_ONCE or (
-                entry is None and cache.enabled
-                and bound_template(program) is not None):
-            trace, schedule = record(program, config, max_cycles)
-            cache.remember_family(family, schedule)
-            get_metrics().increment("trace_cache.sim.recordings")
-            return trace, False
-        else:
-            cache.remember_family(family, _SEEN_ONCE)
         return Pipeline(program, config=config).run(
             max_cycles=max_cycles), False
 

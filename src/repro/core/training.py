@@ -385,10 +385,6 @@ class Trainer:
         self._finish_amplitude_stats()
         return model
 
-    def fit(self) -> EMSimModel:
-        """Alias for :meth:`train` (the calibration-loop spelling)."""
-        return self.train()
-
     def _log(self, message: str) -> None:
         if self.verbose:
             print(f"[trainer] {message}")

@@ -90,13 +90,6 @@ class HardwareEmitter:
             total += scaled * np.convolve(impulses, response)[:len(total)]
         return total
 
-    def per_unit_signals(self, trace: ActivityTrace,
-                         samples_per_cycle: int) -> Dict[str, np.ndarray]:
-        """Each unit's individual contribution on the uniform grid."""
-        return {unit.name: self.signal_on_grid(trace, samples_per_cycle,
-                                               unit_names=(unit.name,))
-                for unit in self.units}
-
     def stage_signal_on_grid(self, trace: ActivityTrace, stage: str,
                              samples_per_cycle: int) -> np.ndarray:
         """Combined contribution of all sources in one pipeline stage."""

@@ -15,6 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..isa.instructions import Instruction
+from ..robustness.errors import ConfigurationError
 from ..signal.metrics import per_cycle_similarities
 from ..uarch.trace import EM_INDEX, ActivityTrace
 
@@ -179,10 +180,18 @@ def compare_to_reference(reference_signal: np.ndarray,
     """Flag cycles where the measured signal deviates from the reference.
 
     ``trace`` must be the reference (simulated) execution so deviating
-    cycles can be attributed to the instructions in flight.
+    cycles can be attributed to the instructions in flight.  Raises
+    :class:`~repro.robustness.errors.ConfigurationError` when the
+    signals hold less than one whole cycle, as
+    :func:`~repro.signal.metrics.simulation_accuracy` does.
     """
     scores = per_cycle_similarities(reference_signal, measured_signal,
                                     samples_per_cycle)
+    if scores.size == 0:
+        raise ConfigurationError(
+            f"a reference comparison needs at least one whole cycle of "
+            f"{samples_per_cycle} samples; the signals hold "
+            f"{len(reference_signal)} and {len(measured_signal)}")
     deviations = []
     for cycle, score in enumerate(scores):
         if score >= threshold or cycle >= trace.num_cycles:

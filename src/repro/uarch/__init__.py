@@ -20,7 +20,7 @@ from .regfile import RegisterFile
 from .trace import (ActivityTrace, DYN_FINAL, DYN_HIT, DYN_MISS, DYN_NONE,
                     EM_CLASSES, EM_INDEX, KIND_BUBBLE, KIND_INSTR, KIND_STALL,
                     OCC_BUBBLE, OCC_INSTR, OCC_STALL,
-                    RetiredInstruction, StageOccupancy, concat_traces)
+                    RetiredInstruction, StageOccupancy)
 
 __all__ = [
     "ActivityTrace",
@@ -68,7 +68,6 @@ __all__ = [
     "branch_taken",
     "bubble_pattern",
     "collect_oracle",
-    "concat_traces",
     "control_flow_target",
     "control_word",
     "make_predictor",

@@ -24,7 +24,12 @@ addresses.  The data columns are then filled by one gather from the
 value table.  The result is a columnar
 :class:`~repro.uarch.trace.ActivityTrace` equal to what the scalar core
 records for that program; at the first divergence :func:`replay`
-returns ``None`` and the caller runs the scalar core instead.
+returns ``None`` and the caller runs the scalar core instead.  Only a
+program that holds the recorded program's own
+:class:`~repro.isa.instructions.Instruction` objects (every
+:meth:`~repro.isa.program.Program.with_data` copy of one template)
+replays, so the replay reuses the recording's instruction table and
+retirement rows as they are.
 
 Value-table slots: slots ``0..31`` hold the initial register file (slot 0
 is also the constant 0 that x0 and absent operands read), and dynamic
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -89,10 +94,6 @@ def _schedule(trace: ActivityTrace, program: Program, config: CoreConfig,
             expected = None
         steps.append((kind, code[_FUNCTION], code[_IMM], pc, first, second,
                       value_slot(seq, ALU), code[_WIDTH], expected))
-    positions: Dict[int, List[int]] = {}
-    for index, instr in enumerate(instructions):
-        positions.setdefault(id(instr), []).append(index)
-    entries = [positions[id(instr)] for instr in trace._instr_table]
     refs = np.frombuffer(provenance.rows, dtype=np.int64).reshape(
         trace.num_cycles, len(DATA_COLUMNS))
     live = refs >= 0
@@ -114,10 +115,6 @@ def _schedule(trace: ActivityTrace, program: Program, config: CoreConfig,
         instructions=tuple(instructions),
         table=tuple(trace._instr_table),
         ids=dict(trace._instr_ids),
-        entries=tuple(indices[0] for indices in entries),
-        shared=tuple((code, tuple(indices[1:]))
-                     for code, indices in enumerate(entries)
-                     if len(indices) > 1),
         stalls=tuple(trace._stall_rows),
         branch_events=tuple(trace._branch_rows),
         flushes=tuple(trace._flush_rows),
@@ -159,10 +156,6 @@ class Schedule:
     instructions: Tuple[Instruction, ...]
     table: Tuple[Instruction, ...]
     ids: Dict[int, int]
-    # program index of each instruction-table entry, and the other
-    # indices of entries whose object sits at several addresses
-    entries: Tuple[int, ...]
-    shared: Tuple[Tuple[int, Tuple[int, ...]], ...]
     # event rows, each in its event type's field order
     stalls: Tuple[tuple, ...]
     branch_events: Tuple[tuple, ...]
@@ -181,47 +174,20 @@ def record(program: Program, config: CoreConfig,
     return trace, _schedule(trace, program, config, provenance)
 
 
-def _instruction_table(schedule: Schedule,
-                       instructions: Sequence[Instruction]
-                       ) -> Optional[List[Instruction]]:
-    """The new program's objects for each instruction-table entry.
-
-    ``None`` when the program shares its :class:`Instruction` objects
-    between addresses differently from the recorded one, since the
-    scalar core's table would then differ.
-    """
-    table = [instructions[index] for index in schedule.entries]
-    for code, others in schedule.shared:
-        if any(instructions[index] is not table[code] for index in others):
-            return None
-    if len(set(map(id, table))) != len(table):
-        return None
-    return table
-
-
 def replay(schedule: Schedule, program: Program) -> Optional[ActivityTrace]:
     """The trace the scalar core records for ``program``, or ``None``.
 
-    ``program`` must have the code the schedule was recorded from.  The
-    data path runs the schedule's precompiled steps; the first branch or
-    ``jalr`` outcome or data-cache hit that differs from the schedule
-    returns ``None``.  A program that holds the recorded program's own
-    :class:`Instruction` objects (every
-    :meth:`~repro.isa.program.Program.with_data` copy of one template)
-    gets the recorded instruction table and retirement rows as they
-    are; any other program's objects take their places.
+    ``program`` must hold the recorded program's own :class:`Instruction`
+    objects (every :meth:`~repro.isa.program.Program.with_data` copy of
+    one template); any other program returns ``None``.  The data path
+    runs the schedule's precompiled steps; the first branch or ``jalr``
+    outcome or data-cache hit that differs from the schedule returns
+    ``None``.
     """
     instructions = program.instructions
-    if len(instructions) == len(schedule.instructions) and all(
+    if len(instructions) != len(schedule.instructions) or not all(
             map(is_, instructions, schedule.instructions)):
-        table, ids, retired = schedule.table, schedule.ids, schedule.retired
-    else:
-        table = _instruction_table(schedule, instructions)
-        if table is None:
-            return None
-        ids = None
-        retired = [(seq, pc, instructions[(pc - TEXT_BASE) >> 2], cycle)
-                   for seq, pc, _, cycle in schedule.retired]
+        return None
     values = [0] * schedule.slots
     values[:REGISTERS] = schedule.registers
     memory = MainMemory(program.data)
@@ -260,8 +226,9 @@ def replay(schedule: Schedule, program: Program) -> Optional[ActivityTrace]:
     latches = np.array(schedule.values)
     latches.reshape(-1)[schedule.cells] = np.array(
         values, dtype=np.uint64)[schedule.sources]
-    trace = ActivityTrace._assemble(latches, schedule.packed, table,
-                                    schedule.codes, ids)
+    trace = ActivityTrace._assemble(latches, schedule.packed,
+                                    schedule.table, schedule.codes,
+                                    schedule.ids)
     # rows are immutable: a cache access whose address the data did not
     # move is shared with the recording
     cache_rows = []
@@ -271,5 +238,6 @@ def replay(schedule: Schedule, program: Program) -> Optional[ActivityTrace]:
         cache_rows.append(row if address == recorded
                           else (cycle, address, is_store, hit, seq))
     trace._extend_events(schedule.stalls, cache_rows,
-                         schedule.branch_events, schedule.flushes, retired)
+                         schedule.branch_events, schedule.flushes,
+                         schedule.retired)
     return trace

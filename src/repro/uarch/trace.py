@@ -671,51 +671,3 @@ def _restore(values: np.ndarray, packed: Sequence[np.ndarray],
     trace._extend_events(stalls, cache_events, branch_events, flushes,
                          retired)
     return trace
-
-
-def concat_traces(traces: Sequence[ActivityTrace]) -> ActivityTrace:
-    """Concatenate traces cycle-wise (for stitched training corpora).
-
-    The inputs merge by array copy into one exactly-sized trace; each
-    part's events move by the cycles of the parts before it, so they
-    index the merged rows.
-    """
-    traces = list(traces)
-    total = sum(trace.num_cycles for trace in traces)
-    merged = ActivityTrace(capacity=total)
-    merged._n = total
-    instr_mask = np.uint64(((1 << _INSTR_BITS) - 1) << _INSTR_SHIFT)
-    clear_instr = ~instr_mask
-    offset = 0
-    for trace in traces:
-        n = trace.num_cycles
-        merged._vals[offset:offset + n] = trace._vals[:n]
-        # 1-based instruction-code remap; slot 0 stays "no instruction"
-        remap = np.zeros(len(trace._instr_table) + 1, dtype=np.uint64)
-        for code, instr in enumerate(trace._instr_table, start=1):
-            merged_code = merged._instr_ids.get(id(instr), 0)
-            if merged_code == 0:
-                merged._instr_table.append(instr)
-                merged_code = len(merged._instr_table)
-                merged._instr_ids[id(instr)] = merged_code
-            remap[code] = merged_code
-        for stage in STAGES:
-            packed = np.asarray(trace._packed[stage][:n], dtype=np.uint64)
-            codes = (packed & instr_mask) >> np.uint64(_INSTR_SHIFT)
-            packed = (packed & clear_instr) | (
-                remap[codes] << np.uint64(_INSTR_SHIFT))
-            merged._packed[stage].extend(packed.tolist())
-        merged._extend_events(
-            _shifted(trace._stall_rows, offset),
-            _shifted(trace._cache_rows, offset),
-            _shifted(trace._branch_rows, offset),
-            _shifted(trace._flush_rows, offset),
-            [(seq, pc, instr, cycle + offset)
-             for seq, pc, instr, cycle in trace._retire_rows])
-        offset += n
-    return merged
-
-
-def _shifted(rows: Sequence[tuple], offset: int) -> List[tuple]:
-    """Event rows whose leading ``cycle`` field moved by ``offset``."""
-    return [(row[0] + offset,) + row[1:] for row in rows]

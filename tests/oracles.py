@@ -935,10 +935,6 @@ class ScheduleRecorder:
                 kind = _MULDIV
             steps.append((kind, function, instr.imm, pc, first, second,
                           _slot(seq, _ALU), width, expected))
-        positions: Dict[int, List[int]] = {}
-        for index, instr in enumerate(instructions):
-            positions.setdefault(id(instr), []).append(index)
-        entries = [positions[id(instr)] for instr in trace._instr_table]
         refs = np.asarray(self._rows, dtype=np.intp).reshape(
             trace.num_cycles, len(DATA_COLUMNS))
         live = refs >= 0
@@ -960,10 +956,6 @@ class ScheduleRecorder:
             instructions=tuple(instructions),
             table=tuple(trace._instr_table),
             ids=dict(trace._instr_ids),
-            entries=tuple(indices[0] for indices in entries),
-            shared=tuple((code, tuple(indices[1:]))
-                         for code, indices in enumerate(entries)
-                         if len(indices) > 1),
             stalls=tuple(trace._stall_rows),
             branch_events=tuple(trace._branch_rows),
             flushes=tuple(trace._flush_rows),

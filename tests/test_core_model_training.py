@@ -185,15 +185,3 @@ def test_fast_and_legacy_fits_are_bit_identical():
                                  seed=0).train())
     assert cold == warm
     assert json.loads(json.dumps(cold)) == legacy
-
-
-def test_trainer_fit_is_an_alias_for_train():
-    from repro.core.persistence import model_to_dict
-
-    fitted = model_to_dict(Trainer(device=HardwareDevice(),
-                                   activity_probes_per_class=2,
-                                   seed=0).fit())
-    trained = model_to_dict(Trainer(device=HardwareDevice(),
-                                    activity_probes_per_class=2,
-                                    seed=0).train())
-    assert fitted == trained

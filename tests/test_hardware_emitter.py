@@ -35,9 +35,8 @@ def test_unit_amplitudes_shape_and_positivity(emitter, trace):
 
 def test_signal_is_superposition_of_units(emitter, trace):
     total = emitter.signal_on_grid(trace, 20)
-    summed = np.zeros_like(total)
-    for name, signal in emitter.per_unit_signals(trace, 20).items():
-        summed += signal
+    summed = sum(emitter.signal_on_grid(trace, 20, unit_names=(unit.name,))
+                 for unit in emitter.units)
     assert np.allclose(total, summed, atol=1e-9)
 
 

@@ -1,5 +1,7 @@
 """Tests for the hardware-debugging use case (repro.leakage.debugging)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.leakage.debugging import (buggy_multiplier, calibrated_deficit,
                                      compare_to_reference,
                                      multiplier_stress_program,
                                      unit_relative_check)
+from repro.robustness import ConfigurationError
 from repro.uarch import GoldenSimulator, run_program
 
 
@@ -104,3 +107,14 @@ def test_compare_to_reference_clean_match():
     report = compare_to_reference(signal, signal, trace, 20)
     assert not report.suspicious
     assert report.mean_similarity == pytest.approx(1.0)
+
+
+def test_compare_to_reference_needs_one_whole_cycle():
+    from repro.workloads import fibonacci
+
+    trace, _ = run_program(fibonacci(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError) as raised:
+            compare_to_reference(np.ones(5), np.ones(5), trace, 20)
+    assert raised.value.exit_code == 16

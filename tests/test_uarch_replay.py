@@ -1,14 +1,13 @@
 """Schedule replay equals the scalar core, cycle for cycle.
 
 EMSim's trace-cache runner records the in-order core's schedule once
-per code family and replays it for later misses
-(:mod:`repro.uarch.replay`).  A family of programs bound from one
-template (``Program.with_data``, e.g. every ``aes_program``) records on
-its first miss; any other family runs the plain core on its first miss
-and records on its second.  Every test here compares the content of
-those runs (``trace_bytes`` in ``tests/oracles.py``) with runs under
-:func:`trace_cache_disabled`, which always take the scalar core, and
-checks which later misses replayed and which fell back.
+per code family of programs bound from one template
+(``Program.with_data``, e.g. every ``aes_program``), on the family's
+first miss, and replays it for later misses (:mod:`repro.uarch.replay`).
+Any other program runs the plain core.  Every test here compares the
+content of those runs (``trace_bytes`` in ``tests/oracles.py``) with
+runs under :func:`trace_cache_disabled`, which always take the scalar
+core, and checks which later misses replayed and which fell back.
 """
 
 from itertools import combinations
@@ -93,6 +92,17 @@ def _word_programs(source, words):
             for values in words]
 
 
+def _bound_programs(source, words):
+    """One ``Program.with_data`` copy of an assembled ``source`` per data
+    word list: the template's own :class:`Instruction` objects, each
+    copy's words stored from the template's first data address."""
+    template = _word_programs(source, [[0] * len(words[0])])[0]
+    base = min(template.data)
+    return [template.with_data({base: b"".join(
+        (word & 0xFFFFFFFF).to_bytes(4, "little") for word in values)})
+        for values in words]
+
+
 # ---------------------------------------------------------------------------
 # replay == scalar core
 # ---------------------------------------------------------------------------
@@ -133,11 +143,11 @@ done:
 
 def test_data_dependent_branch_replays_only_the_recorded_path(
         simulator, replays):
-    # recorded on 5 (odd): the even values take the other path
-    programs = _word_programs(BRANCH, [[3], [5], [8], [10], [7], [12], [9]])
+    # recorded on 3 (odd): the even values take the other path
+    programs = _bound_programs(BRANCH, [[3], [5], [8], [10], [7], [12], [9]])
     cached, scalar = _cached_and_scalar(simulator, programs)
     assert cached == scalar
-    assert replays == [False, False, True, False, True]
+    assert replays == [True, False, False, True, False, True]
 
 
 MULDIV = """
@@ -166,10 +176,10 @@ operands: .word {words}
 def test_muldiv_family_replays_multi_cycle_execute(simulator, replays):
     words = [[7, 3, 0], [-5, 2, 0], [-2 ** 31, -1, 0], [123456789, 0, 0],
              [-1, -1, 0], [0xDEADBEEF, 0x12345678, 0]]
-    programs = _word_programs(MULDIV, words)
+    programs = _bound_programs(MULDIV, words)
     cached, scalar = _cached_and_scalar(simulator, programs)
     assert cached == scalar
-    assert replays == [True] * 4
+    assert replays == [True] * 5
     # the replayed muldiv_hi latch follows each program's operands
     high = [simulator.run_trace(program).values_matrix("E")[:, 4]
             for program in programs]
@@ -197,10 +207,10 @@ def test_mispredicted_branch_with_a_fresh_wrong_path_operand(
         simulator, replays):
     # the cold predictor guesses not-taken; the squashed `add` reads t2,
     # written by the instruction just before the branch
-    programs = _word_programs(WRONG_PATH, [[5], [9], [17], [33], [65]])
+    programs = _bound_programs(WRONG_PATH, [[5], [9], [17], [33], [65]])
     cached, scalar = _cached_and_scalar(simulator, programs)
     assert cached == scalar
-    assert replays == [True, True, True]
+    assert replays == [True] * 4
     trace = simulator.run_trace(programs[-1])
     assert trace.mispredictions == 1 and trace.flushes
 
@@ -232,15 +242,24 @@ def test_disabled_cache_never_records_or_replays(simulator, replays,
     assert get_trace_cache().family(key) is None
 
 
-def test_separately_assembled_programs_record_on_the_second_miss(
-        simulator, replays, core_runs):
-    # one code, no template: a plain run, a recording, then replays
+def test_unbound_family_never_records_or_replays(simulator, replays,
+                                                 monkeypatch, core_runs):
+    # one code, separately assembled: every miss runs the plain core
+    recordings = []
+    monkeypatch.setattr(simulator_module, "record",
+                        lambda *args: recordings.append(1))
     programs = _word_programs(BRANCH, [[3], [5], [7], [9]])
+    key = code_family_key(programs[0], DEFAULT_CONFIG, salt=SALT)
     cached, scalar = _cached_and_scalar(simulator, programs)
     assert cached == scalar
-    assert replays == [True, True]
-    # two cached-side core runs, then one per program with the cache off
-    assert len(core_runs) == 2 + len(programs)
+    assert replays == [] and recordings == []
+    assert get_trace_cache().family(key) is None
+    # one core run per program with the cache on, and again with it off
+    assert len(core_runs) == 2 * len(programs)
+    # a schedule recorded from one of them replays none of the others
+    _, schedule = record(programs[0], DEFAULT_CONFIG)
+    assert all(replay(schedule, program) is None
+               for program in programs[1:])
 
 
 def test_clear_drops_schedules_and_marks(simulator, replays):
@@ -258,14 +277,14 @@ def test_clear_drops_schedules_and_marks(simulator, replays):
 
 
 def test_replays_and_fallbacks_are_counted(simulator):
-    programs = _word_programs(BRANCH, [[3], [5], [8], [7]])
+    programs = _bound_programs(BRANCH, [[3], [5], [8], [7]])
     registry = enable_metrics()
     registry.reset()
     try:
         for program in programs:
             simulator.run_trace(program)
         assert registry.counters["trace_cache.sim.recordings"] == 1
-        assert registry.counters["trace_cache.sim.replays"] == 1
+        assert registry.counters["trace_cache.sim.replays"] == 2
         assert registry.counters["trace_cache.sim.replay_fallbacks"] == 1
         registry.reset()
         for program in _random_aes(5, rounds=1, seed=7):
@@ -317,9 +336,10 @@ def test_replays_share_no_mutable_state():
 
 
 def test_replay_references_the_new_programs_instructions():
-    programs = _word_programs(BRANCH, [[3], [5]])
+    programs = _bound_programs(BRANCH, [[3], [5]])
     _, schedule = record(programs[0], DEFAULT_CONFIG)
     trace = replay(schedule, programs[1])
+    assert trace is not None
     owned = {id(instr) for instr in programs[1].instructions}
     assert all(id(instr) in owned for instr in trace._instr_table)
     assert all(id(entry.instr) in owned for entry in trace.retired)
@@ -327,7 +347,7 @@ def test_replay_references_the_new_programs_instructions():
 
 def test_replay_declines_a_different_instruction_sharing():
     # nop_padded repeats one NOP object; a copy with an object per
-    # address has the same code but a longer instruction table
+    # address has the same code but not the recording's objects
     shared = nop_padded([Instruction("lw", rd=5, rs1=0, imm=0),
                          Instruction("add", rd=6, rs1=5, rs2=5)])
     distinct = Program(instructions=[

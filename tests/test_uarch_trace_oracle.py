@@ -8,7 +8,7 @@ from repro.uarch import (OCC_BUBBLE, OCC_INSTR, STAGES, BranchEvent,
                          CacheEvent, FlushEvent, GoldenSimulator,
                          OracleOutcomes, OutOfOrderCore, Pipeline,
                          RetiredInstruction, StallEvent, collect_oracle,
-                         concat_traces, run_program, stage_bit_count)
+                         run_program, stage_bit_count)
 from repro.uarch.trace import StageOccupancy
 from repro.workloads import fibonacci, nop_padded
 
@@ -91,36 +91,6 @@ def test_first_cycle_transitions_vs_reset_state():
     assert trace.flip_counts("F")[0] > 0
     # downstream stages start as bubbles over a zero state: near-silent
     assert trace.flip_counts("W")[0] <= 6
-
-
-def test_concat_traces():
-    first, _ = run_program(fibonacci(3))
-    second, _ = run_program(fibonacci(4))
-    merged = concat_traces([first, second])
-    assert merged.num_cycles == first.num_cycles + second.num_cycles
-    assert merged.instructions_retired == \
-        first.instructions_retired + second.instructions_retired
-    joined = np.concatenate([first.flip_counts("E"),
-                             second.flip_counts("E")])
-    assert np.array_equal(merged.flip_counts("E"), joined)
-
-
-def test_concat_traces_moves_events_to_the_merged_cycles():
-    # both parts stall: a multi-cycle multiply, then a load-use pair
-    first, _ = run_program(nop_padded([Instruction("mul", rd=5, rs1=8,
-                                                   rs2=9)]))
-    second, _ = run_program(nop_padded([Instruction("lw", rd=5, rs1=0),
-                                        Instruction("add", rd=6, rs1=5,
-                                                    rs2=5)]))
-    merged = concat_traces([first, second])
-    for name in EVENT_LISTS:
-        assert [event.cycle for event in getattr(merged, name)] == \
-            [event.cycle for event in getattr(first, name)] + \
-            [event.cycle + first.num_cycles
-             for event in getattr(second, name)]
-    assert first.stalls and second.stalls
-    for event in merged.stalls:
-        assert merged.stall_mask(event.stage)[event.cycle]
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ class AnalysisConfig:
     seed_entry_points: List[str] = field(default_factory=lambda: [
         "EMSim.simulate", "EMSim.simulate_many",
         "BatchSimulator.simulate_many", "supervised_campaign",
-        "measurement_campaign", "Trainer.train", "Trainer.fit"])
+        "measurement_campaign", "Trainer.train"])
     #: exception families the CLI layer's top-level handler converts to
     #: documented exit codes (E601 treats raises of these as covered).
     cli_handled_exceptions: List[str] = field(default_factory=lambda: [
