@@ -59,8 +59,8 @@ bench:
 	cd benchmarks && $(PYTHON) -m pytest $(BENCH_TESTS) -x -q
 
 # Smoke-size runs of the same (about a minute); the pytest benchmarks
-# write BENCH_*.quick.json so the committed full-size artifacts are
-# never clobbered.
+# write BENCH_*.quick.json and <experiment>.quick.txt so the committed
+# full-size artifacts are never clobbered.
 bench-quick:
 	$(PYTHON) -m bench --quick
 	cd benchmarks && REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest \

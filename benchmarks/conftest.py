@@ -53,11 +53,18 @@ def bench():
 
 @pytest.fixture()
 def record(request):
-    """Callable writing an experiment's report to results/ and stdout."""
+    """Callable writing an experiment's report to results/ and stdout.
+
+    Under ``REPRO_BENCH_QUICK=1`` the report lands in
+    ``<experiment>.quick.txt``, as :func:`write_bench_report` does for
+    ``BENCH_*.quick.json``, so a smoke run never rewrites the committed
+    full-size text.
+    """
 
     def _record(experiment: str, text: str) -> None:
         os.makedirs(RESULTS_DIR, exist_ok=True)
-        path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
+        suffix = ".quick.txt" if bench_quick() else ".txt"
+        path = os.path.join(RESULTS_DIR, f"{experiment}{suffix}")
         with open(path, "w") as handle:
             handle.write(text.rstrip() + "\n")
         header = f"===== {experiment} ====="

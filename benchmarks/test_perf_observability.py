@@ -14,8 +14,9 @@ takes the min of its runs, so one scheduler hiccup cannot fake an
 overhead regression.
 
 Emits ``benchmarks/results/BENCH_observability.json`` (schema
-``repro-bench/1``).  ``REPRO_BENCH_QUICK=1`` shrinks the campaign to 64
-items and writes ``BENCH_observability.quick.json`` instead.
+``repro-bench/1``) and ``perf_observability.txt``.  ``REPRO_BENCH_QUICK=1`` shrinks
+the campaign to 64 items and writes ``BENCH_observability.quick.json`` and
+``perf_observability.quick.txt`` instead.
 """
 
 import json

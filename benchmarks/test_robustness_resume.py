@@ -13,8 +13,9 @@ The acceptance claims for the supervised campaign runtime
    campaign.
 
 Emits ``benchmarks/results/BENCH_resume.json`` (schema
-``repro-bench/1``).  ``REPRO_BENCH_QUICK=1`` shrinks the campaign to 64
-items and writes ``BENCH_resume.quick.json`` instead.
+``repro-bench/1``) and ``robustness_resume.txt``.  ``REPRO_BENCH_QUICK=1`` shrinks
+the campaign to 64 items and writes ``BENCH_resume.quick.json`` and
+``robustness_resume.quick.txt`` instead.
 """
 
 import os

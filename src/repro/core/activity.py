@@ -7,6 +7,7 @@ flip-count statistics behind the naive averaging activity factor (Eq. 7).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,11 +50,14 @@ def _feature_tables():
 
 _FEATURES = _feature_tables()
 
-# The memory order NumPy gives ``full[:, columns]``.  A selection is laid
-# out the same way, so ``selection @ coefficients`` runs the same BLAS
-# call, and rounds the same way, as it does on the full design.
+# The memory orders NumPy gives ``full[:, columns]`` and
+# ``full[:, columns][rows]``.  A selection is laid out the same way, so
+# ``selection @ coefficients`` runs the same BLAS call, and rounds the
+# same way, as it does on the full design.
 _SELECTION_ORDER = "F" if np.empty((3, 4))[:, [0, 2]].flags.f_contiguous \
     else "C"
+_ROW_SELECTION_ORDER = "F" if np.empty((4, 5))[:, [0, 2, 3]][[0, 2]] \
+    .flags.f_contiguous else "C"
 
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
@@ -88,7 +92,8 @@ def stage_design_matrix(trace: ActivityTrace, stage: str,
 
 
 def stage_design_matrices(traces: Sequence[ActivityTrace], stage: str,
-                          columns: Optional[Sequence[int]] = None
+                          columns: Optional[Sequence[int]] = None,
+                          rows: Optional[np.ndarray] = None
                           ) -> np.ndarray:
     """The designs of many traces, stacked row-wise in trace order.
 
@@ -99,33 +104,63 @@ def stage_design_matrices(traces: Sequence[ActivityTrace], stage: str,
     out in the same memory order.  Every entry is an exact integer
     stored as a float, so gathering rows from one batched build hands a
     fit exactly the rows the per-trace builds would.
+
+    Only the latch registers that the selected ``columns`` read are
+    XORed.  ``rows`` (indices into the stacked rows, or a boolean mask
+    over them) keeps only those rows: every row is still XORed with its
+    predecessor, but only the kept ones are popcounted and shifted, and
+    the result equals ``full[:, columns][rows]`` in values and memory
+    order.
     """
-    registers, shifts, is_count = _FEATURES[stage]
     if columns is None:
-        order = "C"
+        order, key = "C", None
     else:
-        columns = np.asarray(columns, dtype=np.intp)
-        registers, shifts, is_count = (registers[columns],
-                                       shifts[columns], is_count[columns])
-        order = _SELECTION_ORDER
+        key = np.asarray(columns, dtype=np.intp).tobytes()
+        order = _SELECTION_ORDER if rows is None else _ROW_SELECTION_ORDER
+    read, is_count, count_registers, is_bit, bit_registers, bit_shifts = \
+        _selection(stage, key)
     blocks = [trace.values_matrix(stage) for trace in traces]
     # one trace XORs straight from its own (read-only) rows: no copy
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if read is not None:
+        values = values[:, read]
     xor = np.empty(values.shape, dtype=values.dtype)
     np.bitwise_xor(values[1:], values[:-1], out=xor[1:])
     first = 0
     for block in blocks:  # each trace's first row: XOR with zero
         if len(block):
-            xor[first] = block[0]
+            xor[first] = values[first]
         first += len(block)
-    design = np.empty((xor.shape[0], registers.size), order=order)
-    if is_count.any():
-        design[:, is_count] = _popcount(xor[:, registers[is_count]])
-    is_bit = ~is_count
-    if is_bit.any():
-        design[:, is_bit] = (xor[:, registers[is_bit]] >>
-                             shifts[is_bit]) & np.uint64(1)
+    if rows is not None:
+        xor = xor[rows]
+    design = np.empty((xor.shape[0], is_count.size), order=order)
+    if count_registers.size:
+        design[:, is_count] = _popcount(xor[:, count_registers])
+    if bit_registers.size:
+        design[:, is_bit] = (xor[:, bit_registers] >> bit_shifts) & \
+            np.uint64(1)
     return design
+
+
+@functools.lru_cache(maxsize=256)
+def _selection(stage: str, key: Optional[bytes]) -> tuple:
+    """What a build of ``stage``'s columns ``key`` (their ``intp`` bytes,
+    ``None`` for the whole design) reads: the latch registers it XORs
+    (``None`` when it reads every one), which columns are counts and
+    which are bits, and each one's register among those read and, for
+    bits, its shift.  Memoized: a model builds the same selection for
+    every trace it predicts."""
+    registers, shifts, is_count = _FEATURES[stage]
+    if key is not None:
+        columns = np.frombuffer(key, dtype=np.intp)
+        registers, shifts, is_count = (registers[columns],
+                                       shifts[columns], is_count[columns])
+    read, registers = np.unique(registers, return_inverse=True)
+    if read.size == len(STAGE_REGISTERS[stage]):
+        read = None
+    is_bit = ~is_count
+    return (read, is_count, registers[is_count], is_bit, registers[is_bit],
+            shifts[is_bit])
 
 
 def average_alpha(flips_new: np.ndarray, flips_base: float,

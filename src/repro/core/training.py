@@ -495,9 +495,9 @@ class Trainer:
         Each probe is deconvolved once: pass 1 keeps its amplitudes for
         the joint fit.  A pass-1 observation is recorded as (its row in
         the batch of probe traces, its alpha target), and each stage's
-        step-wise design is gathered from one
+        step-wise design is one
         :func:`~repro.core.activity.stage_design_matrices` build over the
-        whole batch.
+        whole batch that popcounts and shifts only the observation rows.
         """
         rows: Dict[str, List[int]] = {stage: [] for stage in STAGES}
         targets: Dict[str, List[float]] = {stage: [] for stage in STAGES}
@@ -537,7 +537,7 @@ class Trainer:
         for stage in STAGES:
             if len(targets[stage]) < 8:
                 continue
-            design = stage_design_matrices(traces, stage)[rows[stage]]
+            design = stage_design_matrices(traces, stage, rows=rows[stage])
             target = np.asarray(targets[stage])
             if self._robust_enabled:
                 # corrupted captures yield wild alpha observations; a MAD
@@ -634,8 +634,9 @@ class Trainer:
         stacked in order and the whole (cycles, columns) block is built
         per stage with mask writes and one broadcast product: each
         cycle's baseline level and validity are gathered by EM code from
-        per-class tables, and the selected transition features come from
-        one :func:`~repro.core.activity.stage_design_matrices` build.
+        per-class tables, and the selected transition features of the
+        valid cycles come from one
+        :func:`~repro.core.activity.stage_design_matrices` build.
         Every entry is a table value or an elementwise product, so the
         block equals the per-probe blocks stacked.  Cycles where no stage
         carries an informative instruction are dropped.
@@ -664,7 +665,7 @@ class Trainer:
             block[valid, start] = base[valid]
             if width > 1:
                 features = stage_design_matrices(
-                    traces, stage, columns=selected[stage])[valid]
+                    traces, stage, columns=selected[stage], rows=valid)
                 block[np.ix_(valid, np.arange(start + 1, start + width))] \
                     = base[valid, None] * features
             informative |= valid

@@ -19,7 +19,7 @@ from ..isa.program import Program
 from ..robustness.errors import AcquisitionError, ConfigurationError
 from ..robustness.faults import FaultInjector, FaultPlan
 from ..robustness.health import (CaptureQuality, assess_capture,
-                                 screen_repetitions)
+                                 kept_samples, screen_repetitions)
 from ..signal.acquisition import Oscilloscope, ScopeConfig
 from ..signal.modulo import modulo_average
 from ..uarch.config import CoreConfig, DEFAULT_CONFIG
@@ -193,18 +193,21 @@ class HardwareDevice:
         individually (clipping, energy, fold residual) before the fold,
         and the returned measurement carries a
         :class:`~repro.robustness.health.CaptureQuality` for gating.
-        Each capture is binned and folded once: when the screen's
+        Each capture is binned, folded and scored once: when the screen's
         residual stage rejects none of its survivors, its provisional
-        fold is the reference; the offset bins it computed for every
-        delivered repetition feed any later fold and the quality
-        statistics, and the kept sample times are then never
-        concatenated.
+        fold is the reference and its squared residuals feed the quality
+        statistics; the offset bins it computed for every delivered
+        repetition feed any later fold, its railed mask the clipping
+        ratio, and the kept sample times are then never concatenated.
 
         The repetitions are collected in one vectorized pass: every
         trigger and noise draw comes off the device RNG in repetition
         order, then ``y`` is evaluated once on all of their sampling
         grids, so the result is a pure function of the program and the
-        RNG state.
+        RNG state.  Equal-length repetitions stay one (repetitions,
+        samples) matrix from the scope to the quality report; when every
+        repetition is kept, the fold and the statistics read views of
+        it.
 
         Only the deterministic pipeline trace is cache-served here; the
         scope path (noise, faults, screening) always runs live.
@@ -225,44 +228,48 @@ class HardwareDevice:
                                        adc_range=2.5 * span)
         scope = Oscilloscope(scope_config, self.rng,
                              injector=self.fault_injector)
-        times_list, samples_list = scope.capture_repetition_list(
+        times, samples = scope.capture_repetition_list(
             waveform, duration, repetitions)
         stats = scope.last_repetition_stats
-        if not samples_list:
+        if not len(samples):
             raise AcquisitionError(
                 f"capture run lost all {repetitions} repetitions "
                 f"to trigger/brown-out faults")
         screen = screen_repetitions(
-            times_list, samples_list, period=duration, num_bins=num_bins,
+            times, samples, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
             adc_bits=scope_config.adc_bits)
-        kept = np.flatnonzero(screen.keep)
-        if not kept.size:
+        keep = screen.keep
+        if not keep.any():
             raise AcquisitionError(
-                f"all {len(samples_list)} delivered repetitions were "
+                f"all {len(samples)} delivered repetitions were "
                 f"screened out as corrupt")
-        samples = np.concatenate([samples_list[i] for i in kept])
-        # bin and fold once: the screen's bins are the kept samples' bins
-        # whenever its residual stage ran, and its fold is the reference
-        # whenever it covers exactly the kept repetitions
-        bins = times = None
+        # bin, fold and score once: the screen's bins are the kept
+        # samples' bins whenever its residual stage ran, and its fold,
+        # with its squared residuals, is the reference whenever it
+        # covers exactly the kept repetitions
+        bins = kept_times = squared = None
         if screen.bins is not None:
-            bins = np.concatenate([screen.bins[i] for i in kept])
+            bins = kept_samples(screen.bins, keep)
         else:
-            times = np.concatenate([times_list[i] for i in kept])
+            kept_times = kept_samples(times, keep)
+        kept = kept_samples(samples, keep)
         reference = screen.reference
         if reference is None:
             reference, _ = modulo_average(
-                samples, times, period=duration, num_bins=num_bins,
+                kept, kept_times, period=duration, num_bins=num_bins,
                 bins=bins)
+        else:
+            squared = kept_samples(screen.squared_residuals, keep)
         quality = assess_capture(
-            samples, times, period=duration, num_bins=num_bins,
+            kept, kept_times, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
             adc_bits=scope_config.adc_bits,
             lost_repetitions=stats.lost,
             screened_repetitions=screen.rejected,
             total_repetitions=stats.requested,
-            reference=reference, bins=bins)
+            reference=reference, bins=bins, squared_residuals=squared,
+            railed=kept_samples(screen.railed, keep))
         return Measurement(signal=reference, trace=trace,
                            samples_per_cycle=self.samples_per_cycle,
                            program_name=program.name,

@@ -119,10 +119,19 @@ class HardwareEmitter:
         or 1 into the next cycle, so ``e^(lam * f)`` splits into one row
         ``e^(lam * frac(start))`` per repetition, one table
         ``P[k] = e^(lam * frac(k * step))`` shared by all repetitions,
-        and ``e^(-lam * c)``, which the table's carry rows hold.  A sample
-        then costs one row gather and a real dot product of two terms per
-        unit (22 for the boards' 11 units); no sample pays a ``sin`` or
-        ``exp``.
+        and ``e^(-lam * c)``, which the carry table
+        ``T_1[n] = Z[n + 1] * e^(-lam)`` holds (``T_0 = Z``).
+
+        Repetitions whose starts share a cycle read the same table row
+        for sample ``k``, so they are evaluated together: with
+        ``C[r] = e^(lam * frac(start_r))`` and, per carry, ``M_c[k] =
+        T_c[row_k] * P[k]`` (one gather of ``count`` rows per start
+        cycle, never per repetition), ``Im(C M_c^T) = Re C . Im M_c^T +
+        Im C . Re M_c^T`` is one real matrix product of the
+        (repetitions, 2 units) and (samples, 2 units) operands per carry,
+        and each sample takes its own carry's product; the carried one
+        covers only the samples that some repetition of the group
+        carries.  No sample pays a ``sin`` or ``exp``.
         """
         kernels = [unit.kernel for unit in self.units]
         weighted = self.unit_amplitudes(trace) * \
@@ -144,11 +153,8 @@ class HardwareEmitter:
         for lag in lags:
             table[lag:] += padded[:len(padded) - lag] * lag_factor[lag]
         table *= np.exp(1j * np.array([kernel.phase for kernel in kernels]))
-        # row 2n holds Z[n], row 2n + 1 the carried Z[n + 1] * e^(-lam)
-        pairs = np.empty((rows, 2, len(kernels)), dtype=complex)
-        pairs[:, 0] = table[:-1]
-        pairs[:, 1] = table[1:] * np.exp(-lam)
-        pairs = pairs.reshape(2 * rows, len(kernels))
+        # T_0[n] = Z[n] and the carried T_1[n] = Z[n + 1] * e^(-lam)
+        tables = (table[:-1], table[1:] * np.exp(-lam))
         scale = self.clock_scale
 
         def evaluate(starts: np.ndarray, count: int,
@@ -160,19 +166,23 @@ class HardwareEmitter:
             start_cycle = np.floor(starts)
             start_frac = starts - start_cycle
             shared = np.exp(np.multiply.outer(grid_frac, lam))
-            # Im(T * P) = Re(T) Im(P) + Im(T) Re(P): (Im P, Re P) pairs
-            # line up with the (Re, Im) float view of a complex row
-            weights = np.stack([shared.imag, shared.real], axis=-1) \
-                .reshape(count, 2 * len(kernels))
-            base = 2 * (grid_cycle.astype(int) + pad)
+            lead = np.exp(np.multiply.outer(start_frac, lam))
+            # (Re C, Im C) rows meet (Im M, Re M) rows in one real product
+            lead = np.concatenate([lead.real, lead.imag], axis=1)
+            base = grid_cycle.astype(int) + pad
             result = np.empty((len(starts), count))
-            for row, cycle, frac in zip(result, start_cycle.astype(int),
-                                        start_frac):
-                lead = (pairs * np.exp(frac * lam)).view(float)
-                index = np.clip(base + 2 * cycle, 0, 2 * rows - 2)
-                index += grid_frac >= 1.0 - frac
-                np.einsum("ij,ij->i", np.take(lead, index, axis=0),
-                          weights, out=row)
+            for cycle in np.unique(start_cycle):
+                group = start_cycle == cycle
+                index = np.clip(base + int(cycle), 0, rows - 1)
+                values = lead[group] @ _imag_real(tables[0][index] * shared).T
+                # only samples that some repetition carries read T_1
+                late = np.flatnonzero(
+                    grid_frac >= 1.0 - start_frac[group].max())
+                carried = lead[group] @ _imag_real(
+                    tables[1][index[late]] * shared[late]).T
+                carries = grid_frac[late] >= 1.0 - start_frac[group, None]
+                values[:, late] = np.where(carries, carried, values[:, late])
+                result[group] = values
             return result.ravel()
 
         return evaluate
@@ -180,6 +190,11 @@ class HardwareEmitter:
     # former name of the grid evaluator, kept as an alias because the
     # benchmark's layer tracer (bench/tracing.py) wraps both names
     continuous_fast = continuous
+
+
+def _imag_real(values: np.ndarray) -> np.ndarray:
+    """``[Im, Re]`` of a (rows, units) complex array, side by side."""
+    return np.concatenate([values.imag, values.real], axis=1)
 
 
 def stage_couplings(units: Sequence[EmUnit],

@@ -24,13 +24,24 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..signal.acquisition import Rows
 from ..signal.modulo import modulo_average, offset_bins
 from .errors import CaptureQualityError
 
 _EPS = 1e-12
 
 __all__ = ["CaptureQuality", "HealthPolicy", "RepetitionScreen",
-           "assess_capture", "clipping_ratio", "screen_repetitions"]
+           "assess_capture", "clipping_ratio", "kept_samples",
+           "railed_mask", "screen_repetitions"]
+
+
+def railed_mask(samples: np.ndarray, adc_range: float,
+                adc_bits: int) -> np.ndarray:
+    """Which samples sit at (or beyond) the ADC rails, elementwise."""
+    step = adc_range / (2 ** adc_bits)
+    low = -adc_range / 2.0
+    high = adc_range / 2.0 - step
+    return (samples <= low + step / 2) | (samples >= high - step / 2)
 
 
 def clipping_ratio(samples: np.ndarray, adc_range: float,
@@ -39,11 +50,19 @@ def clipping_ratio(samples: np.ndarray, adc_range: float,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         return 0.0
-    step = adc_range / (2 ** adc_bits)
-    low = -adc_range / 2.0
-    high = adc_range / 2.0 - step
-    railed = (samples <= low + step / 2) | (samples >= high - step / 2)
-    return float(np.mean(railed))
+    return float(np.mean(railed_mask(samples, adc_range, adc_bits)))
+
+
+def kept_samples(rows: Rows, keep: np.ndarray) -> np.ndarray:
+    """The kept repetitions' rows, concatenated in order, as one 1-D array.
+
+    Rows of one (repetitions, samples) array come back as a view of it
+    when every repetition is kept, else as one boolean-indexed copy;
+    ragged rows are concatenated.
+    """
+    if isinstance(rows, np.ndarray):
+        return (rows if keep.all() else rows[keep]).ravel()
+    return np.concatenate([rows[index] for index in np.flatnonzero(keep)])
 
 
 @dataclass
@@ -133,23 +152,29 @@ class RepetitionScreen:
 
     ``reference`` is the screen's fold when it is the fold of exactly
     the kept repetitions (stage B ran and rejected none), else ``None``;
-    ``bins`` holds every delivered repetition's offset bins, one entry
-    each (the rows of one array when the repetitions have equal
-    lengths), when stage B ran, else ``None``.  Both let the caller skip
-    folding and binning the kept set again.
+    ``squared_residuals`` then holds every delivered sample's squared
+    residual against it.  ``bins`` holds every delivered repetition's
+    offset bins when stage B ran, else ``None``, and ``railed`` marks
+    every delivered sample at an ADC rail.  Each holds one row per
+    delivered repetition, in the form the screen was given (rows of one
+    array, or a list when the repetitions are ragged), so the caller
+    folds, bins and scores the kept set without recomputing any of them
+    (see :func:`kept_samples`).
     """
 
     keep: np.ndarray                  # boolean mask over delivered reps
     reasons: List[str]                # one line per rejected repetition
     reference: Optional[np.ndarray] = None
-    bins: Optional[np.ndarray] = None
+    bins: Optional[Rows] = None
+    squared_residuals: Optional[Rows] = None
+    railed: Optional[Rows] = None
 
     @property
     def rejected(self) -> int:
         return int((~self.keep).sum())
 
 
-def screen_repetitions(times_list, samples_list, period: float,
+def screen_repetitions(times_list: Rows, samples_list: Rows, period: float,
                        num_bins: int, adc_range: float, adc_bits: int,
                        max_clipping_ratio: float = 0.02,
                        energy_tolerance: float = 0.5,
@@ -166,41 +191,37 @@ def screen_repetitions(times_list, samples_list, period: float,
     the corruption rate stays constant.  Every delivered repetition is
     binned in one call (ragged ones concatenated, then split by length,
     which is exact: binning is elementwise); the provisional fold and
-    the residuals read those bins.  The provisional fold and the offset
-    bins come back on the result for the caller to reuse (see
-    :class:`RepetitionScreen`).
+    the residuals read those bins.  The provisional fold, the bins, the
+    squared residuals and the railed mask come back on the result for
+    the caller to reuse (see :class:`RepetitionScreen`).
+
+    Repetitions given as one (repetitions, samples) array, as
+    :meth:`~repro.signal.acquisition.Oscilloscope.capture_repetition_list`
+    delivers equal-length captures, are screened with row-wise
+    reductions, and the provisional fold reads views of the rows when
+    stage A rejects none.  numpy reduces each row of a 2-D array with
+    the same pairwise summation it applies to the equivalent 1-D array,
+    so every statistic is bit-identical to the per-repetition loop that
+    screens a list.
     """
     count = len(samples_list)
     keep = np.ones(count, dtype=bool)
     reasons: List[str] = []
     if count == 0:
         return RepetitionScreen(keep=keep, reasons=reasons)
-
-    # Equal-length repetitions (the overwhelmingly common case — only
-    # drop faults produce ragged lists) stack into a matrix so both
-    # screening stages run as row-wise reductions.  numpy reduces each
-    # row of a 2-D array with the same pairwise summation it applies to
-    # the equivalent 1-D array, so the stacked statistics are
-    # bit-identical to the per-repetition loop's.
-    lengths = {len(s) for s in samples_list}
-    stacked = np.vstack(samples_list) if len(lengths) == 1 else None
+    matrix = isinstance(samples_list, np.ndarray)
 
     # stage A: per-trace amplitude statistics
-    if stacked is not None:
-        rms = np.sqrt(np.mean(np.square(stacked), axis=1)) + _EPS
+    if matrix:
+        rms = np.sqrt(np.mean(np.square(samples_list), axis=1)) + _EPS
+        railed = railed_mask(samples_list, adc_range, adc_bits)
+        clip_ratios = np.mean(railed, axis=1)
     else:
         rms = np.array([float(np.sqrt(np.mean(np.square(s))) + _EPS)
                         for s in samples_list])
+        railed = [railed_mask(s, adc_range, adc_bits) for s in samples_list]
+        clip_ratios = np.array([float(np.mean(r)) for r in railed])
     median_rms = float(np.median(rms))
-    if stacked is not None:
-        step = adc_range / (2 ** adc_bits)
-        low = -adc_range / 2.0
-        high = adc_range / 2.0 - step
-        railed = (stacked <= low + step / 2) | (stacked >= high - step / 2)
-        clip_ratios = np.mean(railed, axis=1)
-    else:
-        clip_ratios = np.array([clipping_ratio(s, adc_range, adc_bits)
-                                for s in samples_list])
     for index in range(count):
         clip = float(clip_ratios[index])
         if clip > max_clipping_ratio:
@@ -215,31 +236,29 @@ def screen_repetitions(times_list, samples_list, period: float,
 
     # stage B: agreement with the provisional fold of the survivors
     survivors = int(keep.sum())
-    reference = bins = None
+    reference = bins = squared = None
     if survivors >= 3:
-        residuals = np.full(count, np.nan)
         # one binning pass: the fold reads the survivors' bins, in the
         # order concatenation would give
-        if stacked is not None:
-            bins = offset_bins(np.vstack(times_list), period, num_bins)
-            reference, _ = modulo_average(stacked[keep].ravel(), None,
-                                          period=period, num_bins=num_bins,
-                                          bins=bins[keep].ravel())
-            residual = stacked - reference[bins]
-            all_residuals = np.sqrt(np.mean(residual ** 2, axis=1))
-            residuals[keep] = all_residuals[keep]
+        if matrix:
+            bins = offset_bins(times_list, period, num_bins)
         else:
             bins = np.split(
                 offset_bins(np.concatenate(times_list), period, num_bins),
                 np.cumsum([len(s) for s in samples_list])[:-1])
-            survivors_at = np.flatnonzero(keep)
-            reference, _ = modulo_average(
-                np.concatenate([samples_list[i] for i in survivors_at]),
-                None, period=period, num_bins=num_bins,
-                bins=np.concatenate([bins[i] for i in survivors_at]))
-            for index in survivors_at:
-                residual = samples_list[index] - reference[bins[index]]
-                residuals[index] = float(np.sqrt(np.mean(residual ** 2)))
+        reference, _ = modulo_average(kept_samples(samples_list, keep),
+                                      None, period=period,
+                                      num_bins=num_bins,
+                                      bins=kept_samples(bins, keep))
+        if matrix:
+            squared = np.square(samples_list - reference[bins])
+            all_residuals = np.sqrt(np.mean(squared, axis=1))
+        else:
+            squared = [np.square(s - reference[b])
+                       for s, b in zip(samples_list, bins)]
+            all_residuals = np.array([float(np.sqrt(np.mean(s)))
+                                      for s in squared])
+        residuals = np.where(keep, all_residuals, np.nan)
         median_residual = float(np.nanmedian(residuals))
         if median_residual > _EPS:
             for index in range(count):
@@ -255,9 +274,10 @@ def screen_repetitions(times_list, samples_list, period: float,
     # the provisional fold covers exactly the kept set unless stage B
     # rejected one of its survivors
     if keep.sum() < survivors:
-        reference = None
+        reference = squared = None
     return RepetitionScreen(keep=keep, reasons=reasons, reference=reference,
-                            bins=bins)
+                            bins=bins, squared_residuals=squared,
+                            railed=railed)
 
 
 def assess_capture(samples: np.ndarray, times: Optional[np.ndarray],
@@ -267,12 +287,18 @@ def assess_capture(samples: np.ndarray, times: Optional[np.ndarray],
                    screened_repetitions: int = 0,
                    total_repetitions: int = 0,
                    reference: Optional[np.ndarray] = None,
-                   bins: Optional[np.ndarray] = None) -> CaptureQuality:
+                   bins: Optional[np.ndarray] = None,
+                   squared_residuals: Optional[np.ndarray] = None,
+                   railed: Optional[np.ndarray] = None) -> CaptureQuality:
     """Score one raw repetition stream against its folded reference.
 
-    ``reference`` and ``bins`` (each sample's offset bin) may be passed
-    when the caller already has them (avoids folding or binning twice);
-    otherwise they are recomputed here, and only then is ``times`` read.
+    ``reference``, ``bins`` (each sample's offset bin),
+    ``squared_residuals`` (each sample's squared residual against
+    ``reference``, which must then be given too) and ``railed`` (each
+    sample's ADC-rail flag) may be passed when the caller already has
+    them, as :class:`RepetitionScreen` does (avoids folding, binning or
+    scoring twice); otherwise they are recomputed here, and only then
+    is ``times`` read.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -282,20 +308,23 @@ def assess_capture(samples: np.ndarray, times: Optional[np.ndarray],
                               screened_repetitions=screened_repetitions,
                               total_repetitions=total_repetitions,
                               num_samples=0)
-    if bins is None:
-        bins = offset_bins(times, period, num_bins)
-    if reference is None:
-        reference, _ = modulo_average(samples, None, period=period,
-                                      num_bins=num_bins, bins=bins)
-    # residual of every raw sample against its own offset bin's average:
-    # AWGN, bursts, drift, and misalignment all land here
-    residual = samples - reference[bins]
+    if squared_residuals is None:
+        if bins is None:
+            bins = offset_bins(times, period, num_bins)
+        if reference is None:
+            reference, _ = modulo_average(samples, None, period=period,
+                                          num_bins=num_bins, bins=bins)
+        # residual of every raw sample against its own offset bin's
+        # average: AWGN, bursts, drift, and misalignment all land here
+        squared_residuals = np.square(samples - reference[bins])
+    if railed is None:
+        railed = railed_mask(samples, adc_range, adc_bits)
     signal_rms = float(np.sqrt(np.mean(
         (reference - reference.mean()) ** 2)))
-    residual_rms = float(np.sqrt(np.mean(residual ** 2)))
+    residual_rms = float(np.sqrt(np.mean(squared_residuals)))
     snr = (signal_rms + _EPS) / (residual_rms + _EPS)
     return CaptureQuality(
-        clipping_ratio=clipping_ratio(samples, adc_range, adc_bits),
+        clipping_ratio=float(np.mean(railed)),
         snr_db=float(20.0 * np.log10(snr)),
         alignment_residual=residual_rms / (signal_rms + _EPS),
         lost_repetitions=lost_repetitions,

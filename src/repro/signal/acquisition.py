@@ -10,12 +10,16 @@ resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..robustness.errors import AcquisitionError
 from ..robustness.faults import FaultInjector
+
+Rows = Union[np.ndarray, List[np.ndarray]]
+"""Per-repetition traces: the rows of one (repetitions, samples) array,
+or a list of 1-D arrays when their lengths differ."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class Oscilloscope:
     The signal is a grid evaluator ``y(starts, count, step)``: it samples
     ``t = starts[r] + k * step`` (t in device clock cycles) for
     ``k < count`` and returns the repetitions concatenated in order, as
-    :meth:`~repro.hardware.emitter.HardwareEmitter.continuous` does.
+    :meth:`~repro.hardware.emitter.HardwareEmitter.continuous` does.  The
+    returned array is the scope's to keep: the noise is added to it in
+    place.
 
     ``injector`` optionally threads a seeded
     :class:`~repro.robustness.faults.FaultInjector` into the capture
@@ -92,26 +98,34 @@ class Oscilloscope:
                                 continuous: Callable[[np.ndarray, int,
                                                       float], np.ndarray],
                                 duration_cycles: float,
-                                repetitions: int) -> Tuple[list, list]:
+                                repetitions: int) -> Tuple[Rows, Rows]:
         """Capture back-to-back repetitions as *separate* traces.
 
         This is the paper's "executed several times (1000 times in our
-        measurements)" collection loop.  Returns ``(times_list,
-        samples_list)`` of the delivered traces, each already shifted
-        onto the common absolute time axis; repetitions lost to
+        measurements)" collection loop.  Returns ``(times, samples)`` of
+        the delivered traces, one row per repetition, each already
+        shifted onto the common absolute time axis; repetitions lost to
         trigger/brown-out faults are recorded in
         ``last_repetition_stats`` instead of raising, so the caller
-        decides how many losses are tolerable.
+        decides how many losses are tolerable.  When the delivered rows
+        have equal lengths (every capture without dropped samples) both
+        are (repetitions, samples) arrays, whose rows index, iterate and
+        count like list entries; only ragged, corrupted captures come
+        back as lists of 1-D arrays.
 
         The RNG stream is consumed per repetition, in order (trigger
         gating, jitter, noise, corruption draws); then ``y`` is evaluated
         **once**, on every delivered repetition's grid (its jitter, the
-        sample count, one sample period), split, given its noise and
-        corruption, and quantized.
+        sample count, one sample period), as one (repetitions, samples)
+        matrix: each row takes its noise in place, corruption (if any)
+        is applied row by row, and the rows are quantized together.
         """
         config = self.config
         count = int(duration_cycles * config.effective_rate)
-        plans = []          # (repetition, jitter, noise, recipe)
+        delivered = []
+        jitters = []
+        noise = []
+        recipes = []
         lost = 0
         for repetition in range(repetitions):
             if self.injector is not None:
@@ -120,28 +134,29 @@ class Oscilloscope:
                 except AcquisitionError:
                     lost += 1
                     continue
-            jitter = self.rng.uniform(0, config.trigger_jitter_cycles)
-            noise = self.rng.normal(0.0, config.noise_rms, size=count)
-            recipe = self.injector.draw_corruption(count) \
-                if self.injector is not None else None
-            plans.append((repetition, jitter, noise, recipe))
-
-        times_list: list = []
-        samples_list: list = []
-        if plans:
-            values = continuous(np.array([plan[1] for plan in plans]),
-                                count, 1.0 / config.effective_rate)
-            grid = np.arange(count) / config.effective_rate
-            offset = 0
-            for repetition, jitter, noise, recipe in plans:
-                samples = values[offset:offset + count] + noise
-                offset += count
-                times = jitter + grid
-                if recipe is not None:
-                    times, samples = self.injector.apply_corruption(
-                        recipe, times, samples)
-                times_list.append(times + repetition * duration_cycles)
-                samples_list.append(self._quantize(samples))
+            delivered.append(repetition)
+            jitters.append(self.rng.uniform(0, config.trigger_jitter_cycles))
+            noise.append(self.rng.normal(0.0, config.noise_rms, size=count))
+            if self.injector is not None:
+                recipes.append(self.injector.draw_corruption(count))
         self.last_repetition_stats = RepetitionStats(requested=repetitions,
                                                      lost=lost)
-        return times_list, samples_list
+        if not delivered:
+            return np.empty((0, count)), np.empty((0, count))
+        jitters = np.array(jitters)
+        samples = continuous(jitters, count, 1.0 / config.effective_rate) \
+            .reshape(len(jitters), count)
+        for row, row_noise in zip(samples, noise):
+            row += row_noise
+        times = jitters[:, None] + np.arange(count) / config.effective_rate
+        shifts = np.array(delivered, dtype=float) * duration_cycles
+        if recipes:
+            times, samples = zip(*(
+                self.injector.apply_corruption(recipe, row_times, row)
+                for recipe, row_times, row in zip(recipes, times, samples)))
+            if len({len(row) for row in samples}) > 1:
+                return ([row + shift for row, shift in zip(times, shifts)],
+                        [self._quantize(row) for row in samples])
+            times, samples = np.array(times), np.array(samples)
+        times += shifts[:, None]
+        return times, self._quantize(samples)

@@ -30,7 +30,9 @@ asserting that the engine computes the same thing:
   program's own sections, with no memo and no template reuse;
 * :func:`seed_continuous` — the emitter's ``y(t)`` at arbitrary times,
   one ``sin`` and one ``exp`` per sample and unit (:func:`on_grid`
-  gives it, or any one-argument signal, the grid call form);
+  gives it, or any one-argument signal, the grid call form), and
+  :func:`per_repetition_continuous` — the grid evaluator one repetition
+  at a time, a row gather and a dot product per sample;
 * :func:`seed_predict_cycle_amplitudes`, :func:`seed_unit_amplitudes`,
   :func:`seed_miso_design` and :func:`seed_joint_rows` — the per-cycle
   Python loops over EM-class labels and occupancy objects;
@@ -1456,6 +1458,62 @@ def seed_continuous(emitter, trace):
         angle = frac[:, None] * angular[None, :] + shift_table[index]
         decay = np.exp(-frac[:, None] * theta[None, :])
         return (amp_table[index] * np.sin(angle) * decay).sum(axis=1)
+
+    return evaluate
+
+
+def per_repetition_continuous(emitter, trace):
+    """The grid evaluator ``y(starts, count, step)`` one repetition at a
+    time: the complex per-cycle tables of
+    :meth:`~repro.hardware.emitter.HardwareEmitter.continuous`, with
+    ``Z[n]`` and the carried ``Z[n + 1] * e^(-lam)`` interleaved as rows
+    ``2n`` and ``2n + 1``; each repetition scales them by its own
+    ``e^(lam * frac(start))``, gathers one row per sample and takes a
+    real dot product with the shared ``(Im P, Re P)`` weights."""
+    kernels = [unit.kernel for unit in emitter.units]
+    weighted = emitter.unit_amplitudes(trace) * \
+        (emitter.gain * emitter._couplings)[None, :]
+    supports = np.array([int(np.ceil(kernel.support_cycles))
+                         for kernel in kernels])
+    lags = np.arange(supports.max() + 1)
+    lam = np.array([2j * np.pi / kernel.t0 - kernel.theta
+                    for kernel in kernels])
+    lag_factor = np.where(lags[:, None] <= supports[None, :],
+                          np.exp(np.multiply.outer(lags, lam)), 0.0)
+    pad = len(lags)
+    rows = trace.num_cycles + 2 * pad
+    padded = np.zeros((rows + 1, len(kernels)))
+    padded[pad:pad + trace.num_cycles] = weighted
+    table = np.zeros(padded.shape, dtype=complex)
+    for lag in lags:
+        table[lag:] += padded[:len(padded) - lag] * lag_factor[lag]
+    table *= np.exp(1j * np.array([kernel.phase for kernel in kernels]))
+    pairs = np.empty((rows, 2, len(kernels)), dtype=complex)
+    pairs[:, 0] = table[:-1]
+    pairs[:, 1] = table[1:] * np.exp(-lam)
+    pairs = pairs.reshape(2 * rows, len(kernels))
+    scale = emitter.clock_scale
+
+    def evaluate(starts, count, step):
+        starts = np.asarray(starts, dtype=float) / scale
+        grid = np.arange(count) * step / scale
+        grid_cycle = np.floor(grid)
+        grid_frac = grid - grid_cycle
+        start_cycle = np.floor(starts)
+        start_frac = starts - start_cycle
+        shared = np.exp(np.multiply.outer(grid_frac, lam))
+        weights = np.stack([shared.imag, shared.real], axis=-1) \
+            .reshape(count, 2 * len(kernels))
+        base = 2 * (grid_cycle.astype(int) + pad)
+        result = np.empty((len(starts), count))
+        for row, cycle, frac in zip(result, start_cycle.astype(int),
+                                    start_frac):
+            lead = (pairs * np.exp(frac * lam)).view(float)
+            index = np.clip(base + 2 * cycle, 0, 2 * rows - 2)
+            index += grid_frac >= 1.0 - frac
+            np.einsum("ij,ij->i", np.take(lead, index, axis=0), weights,
+                      out=row)
+        return result.ravel()
 
     return evaluate
 

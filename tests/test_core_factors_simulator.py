@@ -211,3 +211,15 @@ def test_batched_designs_stack_the_per_trace_seed_designs(traces, stage,
     selected = stage_design_matrices(traces, stage, columns=columns)
     assert np.array_equal(selected, full[:, columns])
     assert selected.strides == full[:, columns].strides
+    # rows= builds only the kept rows (index arrays and boolean masks
+    # alike), laid out as NumPy lays out full[:, columns][rows]
+    indices = np.array(sorted(pick.sample(range(len(full)),
+                                          min(len(full), 6))), dtype=np.intp)
+    mask = np.zeros(len(full), dtype=bool)
+    mask[indices[::2]] = True
+    for chosen, selection in ((None, full), (columns, full[:, columns])):
+        for rows in (indices, mask):
+            built = stage_design_matrices(traces, stage, columns=chosen,
+                                          rows=rows)
+            assert np.array_equal(built, selection[rows])
+            assert built.strides == selection[rows].strides

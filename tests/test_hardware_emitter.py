@@ -11,7 +11,7 @@ from repro.signal import ScopeConfig
 from repro.uarch import run_program
 from repro.workloads import RandomProgramBuilder, nop_padded
 
-from .oracles import on_grid, seed_continuous
+from .oracles import on_grid, per_repetition_continuous, seed_continuous
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,41 @@ def test_grid_evaluator_matches_seed_oracle(instance_id):
             np.linspace(0.0, duration, bins, endpoint=False))
         worst = max(worst, np.max(np.abs(pilot - expected)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("instance_id", [0, 1, 2])
+def test_grid_products_match_the_per_repetition_evaluator(instance_id):
+    """The two matrix products per start cycle equal the former
+    evaluator, which gathers table rows and takes a dot product one
+    repetition at a time, within 1e-12 relative: on random probes, for
+    starts spread over several cycles (so repetitions fall into several
+    groups, some past the trace's ends), for the auto-range pilot's
+    single zero start, and for repetition and sample counts down to 1."""
+    device = HardwareDevice(instance=DeviceInstance(instance_id=instance_id))
+    emitter = device.emitter
+    if instance_id:
+        assert emitter.clock_scale != 1.0      # off-nominal clock covered
+    builder = RandomProgramBuilder(seed=10 + instance_id)
+    rng = np.random.default_rng(10 + instance_id)
+    for index in range(4):
+        trace = device.run_trace(builder.program(32, name=f"q{index}"))
+        y = emitter.continuous(trace)
+        oracle = per_repetition_continuous(emitter, trace)
+        duration = trace.num_cycles * emitter.clock_scale
+        bins = trace.num_cycles * device.samples_per_cycle
+        calls = [(np.zeros(1), bins, duration / bins)]
+        for repetitions in (1, 2, 7, 50):
+            starts = rng.uniform(-3.0, 4.0, repetitions)
+            assert repetitions < 7 or len(np.unique(np.floor(starts))) > 1
+            for rate in (4.0, ScopeConfig().effective_rate, 40.0):
+                calls.append((starts, int(duration * rate), 1.0 / rate))
+            calls.append((starts, 1, 0.05))
+        for starts, count, step in calls:
+            expected = oracle(starts, count, step)
+            values = y(starts, count, step)
+            assert values.shape == expected.shape == (len(starts) * count,)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(values - expected)) <= 1e-12 * scale
 
 
 def test_probe_position_changes_couplings(trace):

@@ -305,3 +305,76 @@ def test_reference_capture_folds_each_capture_once(monkeypatch, plan, folds,
     for field in dataclasses.fields(measurement.quality):
         assert getattr(measurement.quality, field.name) == \
             getattr(folded.quality, field.name), field.name
+
+
+# ----------------------------------------------------------------------
+# one sample matrix from scope to quality report
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("plan, repetitions", [
+    (None, 24),                                        # stage B reuse
+    (FaultPlan(jitter_spike_prob=0.2, seed=0), 24),    # stage B rejects
+    (FaultPlan(saturation_prob=0.2, seed=2), 24),      # stage A rejects
+    (FaultPlan(trigger_loss_prob=0.3, seed=5), 24),    # lost repetitions
+    (None, 2),                                         # no stage B
+], ids=["clean", "jitter-spikes", "saturation", "trigger-loss", "two"])
+def test_matrix_and_ragged_paths_agree_bit_for_bit(monkeypatch, plan,
+                                                   repetitions):
+    """Equal-length repetitions travel as the rows of one array, ragged
+    ones as lists; fed the same repetitions as lists, the screen keeps
+    the same ones and the capture returns the same reference and quality,
+    and both equal the fold and the quality computed from scratch from
+    the concatenated kept repetitions, so the bins, squared residuals and
+    railed mask the capture reuses are exact."""
+    program = RandomProgramBuilder(seed=2).program(24, name="rows")
+    screens = []
+    calls = []
+
+    def recorded_screen(*args, **kwargs):
+        calls.append((args, kwargs))
+        screens.append(screen_repetitions(*args, **kwargs))
+        return screens[-1]
+
+    def capture():
+        device = HardwareDevice(seed=4, fault_plan=plan)
+        return device.capture_reference(program, repetitions=repetitions)
+
+    monkeypatch.setattr(device_module, "screen_repetitions",
+                        recorded_screen)
+    matrix = capture()
+    capture_rows = Oscilloscope.capture_repetition_list
+
+    def as_lists(self, *args):
+        times, samples = capture_rows(self, *args)
+        assert isinstance(times, np.ndarray)
+        assert isinstance(samples, np.ndarray)
+        return list(times), list(samples)
+
+    monkeypatch.setattr(Oscilloscope, "capture_repetition_list", as_lists)
+    ragged = capture()
+    rows, lists = screens
+    assert isinstance(rows.railed, np.ndarray)
+    assert isinstance(lists.railed, list)
+    assert np.array_equal(rows.keep, lists.keep)
+    assert rows.reasons == lists.reasons
+    assert (rows.bins is None) == (repetitions < 3)
+    assert np.array_equal(matrix.signal, ragged.signal)
+
+    (times, samples), kwargs = calls[-1]
+    kept = np.flatnonzero(lists.keep)
+    scope = {name: kwargs[name]
+             for name in ("period", "num_bins", "adc_range", "adc_bits")}
+    times_kept = np.concatenate([times[index] for index in kept])
+    samples_kept = np.concatenate([samples[index] for index in kept])
+    reference, _ = modulo.modulo_average(
+        samples_kept, times_kept, scope["period"], scope["num_bins"])
+    scratch = assess_capture(
+        samples_kept, times_kept, **scope,
+        lost_repetitions=matrix.quality.lost_repetitions,
+        screened_repetitions=matrix.quality.screened_repetitions,
+        total_repetitions=matrix.quality.total_repetitions)
+    assert np.array_equal(matrix.signal, reference)
+    for field in dataclasses.fields(matrix.quality):
+        assert getattr(matrix.quality, field.name) == \
+            getattr(ragged.quality, field.name) == \
+            getattr(scratch, field.name), field.name
