@@ -24,7 +24,9 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # rewrite their benchmarks/results/*.txt, and the last step fails on any
 # difference from the committed (or staged) files in a git work tree;
 # elsewhere it is skipped.  So a paper-shape result that moved fails the
-# check.
+# check.  Only the paper-shape benches write *.txt there: the two
+# `make bench` measurements keep their wall-clock seconds in their
+# BENCH_*.json, which a fresh run does not reproduce.
 PAPER_RESULTS = $(wildcard benchmarks/results/*.txt)
 
 check: test lint
@@ -59,8 +61,8 @@ bench:
 	cd benchmarks && $(PYTHON) -m pytest $(BENCH_TESTS) -x -q
 
 # Smoke-size runs of the same (about a minute); the pytest benchmarks
-# write BENCH_*.quick.json and <experiment>.quick.txt so the committed
-# full-size artifacts are never clobbered.
+# write BENCH_*.quick.json so the committed full-size artifacts are never
+# clobbered.
 bench-quick:
 	$(PYTHON) -m bench --quick
 	cd benchmarks && REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest \

@@ -14,9 +14,10 @@ takes the min of its runs, so one scheduler hiccup cannot fake an
 overhead regression.
 
 Emits ``benchmarks/results/BENCH_observability.json`` (schema
-``repro-bench/1``) and ``perf_observability.txt``.  ``REPRO_BENCH_QUICK=1`` shrinks
-the campaign to 64 items and writes ``BENCH_observability.quick.json`` and
-``perf_observability.quick.txt`` instead.
+``repro-bench/1``) and prints a summary; its wall-clock seconds stay out
+of the committed ``results/*.txt``, which ``make check`` holds to a
+fresh run.  ``REPRO_BENCH_QUICK=1`` shrinks the campaign to 64 items and
+writes ``BENCH_observability.quick.json`` instead.
 """
 
 import json
@@ -88,7 +89,7 @@ def _overhead_at(workers, trace_root):
             "manifest": manifest_path}
 
 
-def test_observability_overhead(record, tmp_path):
+def test_observability_overhead(tmp_path):
     arms = {str(workers): _overhead_at(workers,
                                        str(tmp_path / "traces"))
             for workers in WORKER_COUNTS}
@@ -125,7 +126,7 @@ def test_observability_overhead(record, tmp_path):
                   f"overhead {arm['recording_overhead']:+6.2%}"]
     lines += [f"ceiling {OVERHEAD_CEILING:.0%} at every worker count",
               f"manifest schema-valid: {document['manifest_valid']}"]
-    record("perf_observability", "\n".join(lines))
+    print("\n".join(lines))
     assert document["manifest_valid"]
     for arm in document["arms"].values():
         assert arm["recording_overhead"] < OVERHEAD_CEILING

@@ -13,9 +13,10 @@ The acceptance claims for the supervised campaign runtime
    campaign.
 
 Emits ``benchmarks/results/BENCH_resume.json`` (schema
-``repro-bench/1``) and ``robustness_resume.txt``.  ``REPRO_BENCH_QUICK=1`` shrinks
-the campaign to 64 items and writes ``BENCH_resume.quick.json`` and
-``robustness_resume.quick.txt`` instead.
+``repro-bench/1``) and prints a summary; its wall-clock seconds stay out
+of the committed ``results/*.txt``, which ``make check`` holds to a
+fresh run.  ``REPRO_BENCH_QUICK=1`` shrinks the campaign to 64 items and
+writes ``BENCH_resume.quick.json`` instead.
 """
 
 import os
@@ -127,7 +128,7 @@ def _journaled_run(journal_path):
     return results, total, journal.record_seconds
 
 
-def test_supervised_resume(record, tmp_path):
+def test_supervised_resume(tmp_path):
     registry = enable_metrics()
     registry.reset()
     try:
@@ -212,7 +213,7 @@ def test_supervised_resume(record, tmp_path):
              f"resume at 50%: {document['resumed_items']} items "
              f"replayed, bit-identical="
              f"{document['resume_bit_identical']}"]
-    record("robustness_resume", "\n".join(lines))
+    print("\n".join(lines))
     assert document["quarantined"] == []
     assert document["resume_bit_identical"]
     assert document["checkpoint_overhead"] < OVERHEAD_CEILING

@@ -2,7 +2,7 @@
 
 from .ablations import ABLATIONS, make_simulator
 from .activity import average_alpha
-from .batch import (BatchSimulator, CampaignProbe, campaign_probe_key,
+from .batch import (CampaignProbe, campaign_probe_key,
                     measurement_campaign, supervised_campaign)
 from .clustering import (ClusterResult, agglomerative_cluster,
                          cluster_instruction_signatures,
@@ -31,7 +31,6 @@ __all__ = [
     "ABLATIONS",
     "ActivityFactorModel",
     "AverageActivity",
-    "BatchSimulator",
     "CLASS_MEMBERS",
     "CacheStats",
     "CampaignProbe",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,8 +19,9 @@ import numpy as np
 from ..isa.program import Program, bound_template
 from ..observability.metrics import get_metrics
 from ..observability.tracer import get_tracer
+from ..parallel import parallel_map
 from ..robustness.errors import ConfigurationError
-from ..signal.reconstruction import reconstruct
+from ..signal.reconstruction import batch_reconstruct, reconstruct
 from ..uarch.config import CoreConfig, DEFAULT_CONFIG
 from ..uarch.oracle import collect_oracle
 from ..uarch.pipeline import Pipeline
@@ -240,18 +242,30 @@ class EMSim:
     def simulate_many(self, programs: Sequence[Program],
                       max_cycles: Optional[int] = None,
                       workers: int = 1) -> List["SimulatedSignal"]:
-        """Simulate many programs through the re-simulation fan-out.
+        """Simulate many programs through one ordered fan-out.
 
-        Convenience wrapper around
-        :class:`~repro.core.batch.BatchSimulator`: traces and per-cycle
-        amplitude predictions run per program (optionally on a worker
-        pool), and the waveform reconstructions share one cached kernel
-        response.  Results are in input order and numerically identical
-        to calling :meth:`simulate` per program.
+        Traces and per-cycle amplitude predictions run per program
+        through :meth:`trace_amplitudes` (on up to ``workers`` processes
+        via :func:`~repro.parallel.parallel_map`), and the waveform
+        reconstructions share one cached kernel response.  Results are
+        in input order and bit-identical to calling :meth:`simulate`
+        per program, at any worker count.
         """
-        from .batch import BatchSimulator
-        return BatchSimulator(self, workers=workers).simulate_many(
-            programs, max_cycles=max_cycles)
+        programs = list(programs)
+        with get_tracer().span("batch.simulate_many",
+                               programs=len(programs), workers=workers):
+            results = parallel_map(
+                partial(self.trace_amplitudes, max_cycles=max_cycles),
+                programs, workers=workers)
+            samples_per_cycle = self.model.config.samples_per_cycle
+            signals = batch_reconstruct(
+                [amplitudes for _, amplitudes in results],
+                self.model.config.kernel, samples_per_cycle)
+        get_metrics().increment("batch.programs", len(programs))
+        return [SimulatedSignal(amplitudes=amplitudes, signal=signal,
+                                trace=trace,
+                                samples_per_cycle=samples_per_cycle)
+                for (trace, amplitudes), signal in zip(results, signals)]
 
     def with_switches(self, **flags: bool) -> "EMSim":
         """A variant simulator with some model switches toggled."""

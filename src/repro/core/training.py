@@ -21,6 +21,7 @@ internal parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,12 +30,10 @@ from ..hardware.device import HardwareDevice, Measurement
 from ..isa.program import Program
 from ..observability import get_tracer, record_campaign
 from ..parallel import resolve_workers, spawn_seed, supervised_map
-from ..robustness.checkpoint import CheckpointJournal
-from ..robustness.errors import (CampaignError, ConvergenceError,
-                                 ProbeError)
-from ..robustness.health import HealthPolicy
+from ..robustness.checkpoint import CheckpointJournal, open_journal
+from ..robustness.errors import ConvergenceError, ProbeError
 from ..robustness.retry import (AcquisitionStats, CaptureSupervisor,
-                                RetryPolicy)
+                                ProbeOutcome)
 from .trace_cache import trace_key
 from ..leakage.streaming import WelfordAccumulator
 from ..signal.kernels import DampedSineKernel
@@ -57,38 +56,26 @@ _AMPLITUDE_EPS = 1e-3
 _EM_NOP = EM_INDEX["nop"]
 _EM_STALL = EM_INDEX["stall"]
 
-# Per-process capture state for the trainer's worker pool, installed by
-# the pool initializer (inherited by memory under the fork start method).
-_POOL_STATE: dict = {}
 
+def _capture_probe(supervisor: CaptureSupervisor, seed: int, method: str,
+                   repetitions: int, item
+                   ) -> Tuple[Measurement, ProbeOutcome]:
+    """Capture one indexed probe through ``supervisor``.
 
-def _pool_measure_init(device, method: str, repetitions: int,
-                       retry: RetryPolicy, health: HealthPolicy,
-                       allow_degradation: bool, seed: int) -> None:
-    """Build one capture supervisor per pool worker."""
-    _POOL_STATE.update(
-        device=device, method=method, repetitions=repetitions, seed=seed,
-        supervisor=CaptureSupervisor(device, retry=retry, health=health,
-                                     allow_degradation=allow_degradation))
-
-
-def _pool_measure(item):
-    """Capture one indexed probe inside a pool worker.
-
-    The worker's device RNG (and fault injector, if any) is reseeded
-    from ``(trainer seed, probe index)``, so every probe's capture is
-    deterministic and independent of worker count and scheduling.
+    The supervisor's device RNG (and fault injector, if any) is
+    reseeded from ``(trainer seed, probe index)``, so every probe's
+    capture is deterministic and independent of worker count and
+    scheduling.
     """
     index, program = item
-    device = _POOL_STATE["device"]
-    device.rng = spawn_seed(_POOL_STATE["seed"], index)
+    device = supervisor.device
+    device.rng = spawn_seed(seed, index)
     injector = getattr(device, "fault_injector", None)
     if injector is not None:
-        injector.reseed(spawn_seed(_POOL_STATE["seed"], index, stream=1))
+        injector.reseed(spawn_seed(seed, index, stream=1))
     with get_tracer().span("train.capture"):
-        return _POOL_STATE["supervisor"].measure(
-            program, method=_POOL_STATE["method"],
-            repetitions=_POOL_STATE["repetitions"])
+        return supervisor.measure(program, method=method,
+                                  repetitions=repetitions)
 
 
 @dataclass
@@ -194,17 +181,16 @@ class Trainer:
     # reseeding, so the model is the same at any worker count (see
     # :meth:`_measure_many`)
     workers: int = 1
-    # resilience knobs: health gate + retry around every capture, and
+    # resilience knobs: the default health gate + retry ladder around
+    # every capture (``strict`` turns off its ideal-grid fallback), and
     # robust (Huber-IRLS) fitting so dirty probes cannot poison Eq. 8.
     # ``robust="auto"`` turns robust fitting on exactly when the device
     # carries an active fault plan, keeping fault-free runs bit-identical
     # to the plain least-squares path.
-    health_policy: Optional[HealthPolicy] = None
-    retry_policy: Optional[RetryPolicy] = None
     strict: bool = False
     robust: object = "auto"
     # campaign supervision: per-probe wall-clock deadline, bounded
-    # retries with seeded backoff, and an optional checkpoint journal
+    # retries, and an optional checkpoint journal
     # that makes an interrupted training run resumable.  A timeout
     # runs batch captures in a worker process even at ``workers=1``
     # (hang/crash detection needs one).
@@ -225,10 +211,7 @@ class Trainer:
         else:
             self._robust_enabled = bool(self.robust)
         self.supervisor = CaptureSupervisor(
-            self.device,
-            retry=self.retry_policy or RetryPolicy(seed=self.seed),
-            health=self.health_policy or HealthPolicy(),
-            allow_degradation=not self.strict,
+            self.device, allow_degradation=not self.strict,
             log=self._log if self.verbose else None)
         self.report = TrainingReport(robust_fitting=self._robust_enabled)
         self.report.acquisition = self.supervisor.stats
@@ -259,11 +242,13 @@ class Trainer:
 
         The probes go through :func:`~repro.parallel.supervised_map`
         (in-process at ``workers=1`` without a timeout, a process pool
-        otherwise): each probe reseeds the capturing device (a
-        worker's copy, or this trainer's own in-process) from
-        ``(trainer seed, probe index)``, so every capture, and hence
-        the model, is deterministic and independent of worker count.  Worker-side acquisition accounting (retries, rejects,
-        degradations) is folded back into this trainer's report.
+        otherwise) with a fresh capture supervisor per batch: each
+        probe reseeds the capturing device (a worker's copy, or this
+        trainer's own in-process) from ``(trainer seed, probe index)``,
+        so every capture, and hence the model, is deterministic and
+        independent of worker count.  Worker-side acquisition
+        accounting (retries, rejects, degradations) is folded back into
+        this trainer's report.
         """
         programs = list(programs)
         batch = self._batch_counter
@@ -279,26 +264,16 @@ class Trainer:
 
         with get_tracer().span("train.measure_many", batch=batch,
                                probes=len(programs)):
+            supervisor = CaptureSupervisor(
+                self.device, allow_degradation=not self.strict)
             results, ledger = supervised_map(
-                _pool_measure, list(enumerate(programs)),
-                workers=self.workers,
-                initializer=_pool_measure_init,
-                initargs=(self.device, self.capture_method,
-                          self.repetitions,
-                          self.retry_policy or RetryPolicy(seed=self.seed),
-                          self.health_policy or HealthPolicy(),
-                          not self.strict, self.seed),
+                partial(_capture_probe, supervisor, self.seed,
+                        self.capture_method, self.repetitions),
+                list(enumerate(programs)), workers=self.workers,
                 timeout=self.item_timeout,
                 max_item_retries=self.max_item_retries,
-                seed=self.seed,
-                journal=self._journal,
-                key_for=key_for if self._journal is not None else None)
-        if not ledger.complete:
-            raise CampaignError(
-                f"probe batch {batch} lost {len(ledger.quarantined)} of "
-                f"{len(programs)} captures ({ledger.summary()}); "
-                f"training needs every probe",
-                quarantined=ledger.quarantined)
+                journal=self._journal, key_for=key_for)
+        ledger.require_complete(f"probe batch {batch}", "captures")
         measurements: List[Measurement] = []
         for measurement, outcome in results:
             self.supervisor.stats.record(outcome)
@@ -348,21 +323,17 @@ class Trainer:
                 "repetitions": int(self.repetitions)}
         with record_campaign("train", dict(
                 meta, workers=resolve_workers(self.workers))) as recording:
+            recording.checkpoint(self.checkpoint)
             with get_tracer().span("train.pipeline",
                                    device=self.device.name):
-                if self.checkpoint is None:
-                    model = self._train_stages()
-                else:
-                    recording.checkpoint(self.checkpoint)
+                with open_journal(self.checkpoint, meta,
+                                  self.resume) as journal:
                     self._batch_counter = 0
-                    with CheckpointJournal(self.checkpoint, meta=meta,
-                                           resume=self.resume) as journal:
-                        with journal.guarded():
-                            self._journal = journal
-                            try:
-                                model = self._train_stages()
-                            finally:
-                                self._journal = None
+                    self._journal = journal
+                    try:
+                        model = self._train_stages()
+                    finally:
+                        self._journal = None
             recording.set("acquisition", self.supervisor.stats.summary())
         return model
 

@@ -17,9 +17,8 @@ from .savat import (SAVAT_INSTRUCTIONS, SavatMeasurement,
 from .spa import (SpaResult, duration_separation, iteration_starts,
                   recover_exponent)
 from .streaming import (StreamingTTest, WelfordAccumulator,
-                        collect_streaming_tvla, streaming_tvla)
-from .tvla import (TVLA_THRESHOLD, TVLAResult, collect_tvla_traces, tvla,
-                   welch_t_statistic)
+                        collect_streaming_tvla)
+from .tvla import TVLA_THRESHOLD, TVLAResult, collect_tvla_traces, tvla
 
 __all__ = [
     "DEFAULT_KEY",
@@ -62,8 +61,6 @@ __all__ = [
     "savat_pair",
     "savat_program",
     "savat_value",
-    "streaming_tvla",
     "tvla",
     "unit_relative_check",
-    "welch_t_statistic",
 ]

@@ -10,6 +10,7 @@ whether A or B executed.  Table II evaluates the pairs over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -18,8 +19,8 @@ from ..isa.instructions import Instruction, NOP
 from ..isa.program import Program
 from ..observability import record_campaign
 from ..parallel import resolve_workers, supervised_map
-from ..robustness.checkpoint import CheckpointJournal, content_key
-from ..robustness.errors import CampaignError, ProbeError
+from ..robustness.checkpoint import content_key, open_journal
+from ..robustness.errors import ProbeError
 from ..signal.spectrum import harmonic_energy
 from ..workloads.generators import wrap_program
 
@@ -109,7 +110,7 @@ class SimulatorSignalSource:
     Wraps any object with a ``simulate(program)`` method returning a
     :class:`~repro.core.simulator.SimulatedSignal`; being a plain
     dataclass (rather than a lambda) it survives the pickling that
-    ``savat_matrix(..., workers=N)`` worker pools may require.
+    ``savat_matrix`` pool workers need under the spawn start method.
     """
 
     simulator: object
@@ -119,26 +120,13 @@ class SimulatorSignalSource:
         return result.signal, result.num_cycles
 
 
-# Per-process signal source for the SAVAT pool, installed by the
-# initializer (inherited by memory under the fork start method).
-_POOL_STATE: dict = {}
-
-
-def _matrix_init(signal_source, samples_per_cycle: int, repeats: int,
-                 burst: int) -> None:
-    """Install per-process SAVAT sweep state."""
-    _POOL_STATE.update(source=signal_source,
-                       samples_per_cycle=samples_per_cycle,
-                       repeats=repeats, burst=burst)
-
-
-def _matrix_pair(pair) -> SavatMeasurement:
-    """Measure one (A, B) pair inside a pool worker."""
+def _matrix_pair(signal_source: Callable[[Program], Tuple[np.ndarray, int]],
+                 samples_per_cycle: int, repeats: int, burst: int,
+                 pair: Tuple[str, str]) -> SavatMeasurement:
+    """Measure one (A, B) pair of a :func:`savat_matrix` sweep."""
     kind_a, kind_b = pair
-    return savat_pair(_POOL_STATE["source"], kind_a, kind_b,
-                      _POOL_STATE["samples_per_cycle"],
-                      repeats=_POOL_STATE["repeats"],
-                      burst=_POOL_STATE["burst"])
+    return savat_pair(signal_source, kind_a, kind_b, samples_per_cycle,
+                      repeats=repeats, burst=burst)
 
 
 def savat_value(signal: np.ndarray, samples_per_cycle: int,
@@ -195,13 +183,13 @@ def savat_matrix(signal_source: Callable[[Program],
 
     With ``workers > 1`` the pairs fan out over a process pool (results
     are deterministic for deterministic sources and come back in the
-    same pair order); ``workers=1`` is the plain nested loop.  An
-    explicit ``pairs`` sequence restricts the sweep to those ordered
-    pairs (the CLI's ``--pairs``) instead of the full ``kinds`` square.
+    same pair order); ``workers=1`` runs them in-process.  An explicit
+    ``pairs`` sequence restricts the sweep to those ordered pairs (the
+    CLI's ``--pairs``) instead of the full ``kinds`` square.
 
-    The fan-out is supervised (see :mod:`repro.parallel`):
-    ``item_timeout`` bounds each pair's wall clock, failures retry up
-    to ``max_item_retries`` times with seeded backoff, and
+    The fan-out is supervised at every worker count (see
+    :mod:`repro.parallel`): ``item_timeout`` bounds each pair's wall
+    clock, failures retry up to ``max_item_retries`` times, and
     ``checkpoint`` names a journal file (``resume=True`` replays
     completed pairs from it).  Table II needs every cell, so a pair
     still missing after supervision raises
@@ -221,47 +209,24 @@ def savat_matrix(signal_source: Callable[[Program],
     meta = {"campaign": "savat", "repeats": int(repeats),
             "burst": int(burst),
             "samples_per_cycle": int(samples_per_cycle)}
-    supervise = item_timeout is not None or checkpoint is not None
+
+    def key_for(index: int, pair: Tuple[str, str]) -> str:
+        return content_key("savat", pair[0], pair[1], repeats, burst,
+                           samples_per_cycle)
+
     with record_campaign("savat", dict(
             meta, pairs=len(pairs),
             workers=resolve_workers(workers))) as recording:
-        if not supervise and resolve_workers(workers) <= 1:
-            measurements = [savat_pair(signal_source, kind_a, kind_b,
-                                       samples_per_cycle, repeats=repeats,
-                                       burst=burst)
-                            for kind_a, kind_b in pairs]
-            recording.set("items", len(pairs))
-            return {(m.kind_a, m.kind_b): m.value for m in measurements}
-
-        def key_for(index: int, pair: Tuple[str, str]) -> str:
-            return content_key("savat", pair[0], pair[1], repeats, burst,
-                               samples_per_cycle)
-
-        def run(journal: "CheckpointJournal | None"
-                ) -> "tuple[list, object]":
-            return supervised_map(
-                _matrix_pair, pairs, workers=workers,
-                initializer=_matrix_init,
-                initargs=(signal_source, samples_per_cycle, repeats,
-                          burst),
-                timeout=item_timeout, max_item_retries=max_item_retries,
-                journal=journal,
-                key_for=key_for if journal is not None else None)
-
-        if checkpoint is not None:
-            with CheckpointJournal(checkpoint, meta=meta,
-                                   resume=resume) as journal:
-                with journal.guarded():
-                    measurements, ledger = run(journal)
-            recording.checkpoint(checkpoint)
-        else:
-            measurements, ledger = run(None)
+        with open_journal(checkpoint, meta, resume) as journal:
+            measurements, ledger = supervised_map(
+                partial(_matrix_pair, signal_source, samples_per_cycle,
+                        repeats, burst),
+                pairs, workers=workers, timeout=item_timeout,
+                max_item_retries=max_item_retries, journal=journal,
+                key_for=key_for)
+        recording.checkpoint(checkpoint)
         recording.ledger(ledger)
-    if not ledger.complete:
-        raise CampaignError(
-            f"SAVAT sweep lost {len(ledger.quarantined)} of "
-            f"{len(pairs)} pairs ({ledger.summary()})",
-            quarantined=ledger.quarantined)
+    ledger.require_complete("SAVAT sweep", "pairs")
     return {(m.kind_a, m.kind_b): m.value for m in measurements}
 
 

@@ -1,35 +1,33 @@
 """Streaming (one-pass) statistics for leakage assessments.
 
 TVLA's Welch t-test only needs three per-sample moments of each trace
-group — count, mean, and the sum of squared deviations — yet the batch
-path materializes a full ``(traces, samples)`` matrix per group before
-reducing it.  At campaign scale (thousands of traces, thousands of
-samples each) those matrices dominate peak memory.
-
-This module folds traces into Welford accumulators as they arrive, so a
+group — count, mean, and the sum of squared deviations.  This module
+folds traces into Welford accumulators as they arrive, so a
 fixed-vs-random assessment runs in O(samples) memory regardless of
-trace count, with t-values matching the batch
-:func:`~repro.leakage.tvla.welch_t_statistic` to well inside 1e-9
-(asserted by the property tests).
+trace count.  It is the one t-test engine: :func:`~repro.leakage.tvla.tvla`
+folds its trace groups through :class:`StreamingTTest`, and
+:func:`collect_streaming_tvla` folds each trace as the campaign
+produces it.
 
-Truncation semantics mirror :func:`~repro.leakage.tvla.tvla`: every
-trace is evaluated over the minimum length seen across *both* groups —
-per-sample moments are prefix-stable, so a shorter late arrival simply
-truncates the accumulated state.
+Every trace is evaluated over the minimum length seen across *both*
+groups — per-sample moments are prefix-stable, so a shorter late
+arrival simply truncates the accumulated state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..observability import record_campaign
-from ..parallel import resolve_workers
+from ..parallel import resolve_workers, supervised_map
 from ..robustness.errors import CampaignError, ConfigurationError
-from .tvla import TVLA_THRESHOLD, TVLAResult, collect_tvla_traces
+from .tvla import (TVLA_THRESHOLD, TVLAResult, collect_tvla_traces, tvla,
+                   tvla_inputs)
 
-__all__ = ["WelfordAccumulator", "StreamingTTest", "streaming_tvla",
+__all__ = ["WelfordAccumulator", "StreamingTTest",
            "collect_streaming_tvla"]
 
 
@@ -77,26 +75,6 @@ class WelfordAccumulator:
         self._mean = self._mean + delta / self.count
         self._m2 = self._m2 + delta * (trace - self._mean)
 
-    def merge(self, other: "WelfordAccumulator") -> None:
-        """Fold another accumulator's state into this one (Chan's
-        parallel combination — what a per-worker sharded assessment
-        reduces with)."""
-        if other._mean is None:
-            return
-        if self._mean is None:
-            self.count = other.count
-            self._mean = other._mean.copy()
-            self._m2 = other._m2.copy()
-            return
-        length = min(len(self._mean), len(other._mean))
-        self.truncate(length)
-        total = self.count + other.count
-        delta = other._mean[:length] - self._mean
-        self._mean = self._mean + delta * (other.count / total)
-        self._m2 = (self._m2 + other._m2[:length] +
-                    delta * delta * (self.count * other.count / total))
-        self.count = total
-
     @property
     def mean(self) -> np.ndarray:
         """Per-sample running mean (empty array before the first add)."""
@@ -117,10 +95,8 @@ class StreamingTTest:
     """Streaming fixed-vs-random Welch t-test (TVLA in O(samples)).
 
     Feed traces with :meth:`add_fixed` / :meth:`add_random` in any
-    order; both accumulators share the minimum-length truncation the
-    batch :func:`~repro.leakage.tvla.tvla` applies up front, so
-    :meth:`result` matches the batch t-values regardless of arrival
-    order.
+    order; both accumulators share one minimum-length truncation, so
+    :meth:`result` does not depend on arrival order.
     """
 
     def __init__(self) -> None:
@@ -151,11 +127,10 @@ class StreamingTTest:
     def t_values(self) -> np.ndarray:
         """Per-sample Welch t-statistics of the accumulated state.
 
-        Matches :func:`~repro.leakage.tvla.welch_t_statistic` on the
-        same (truncated) trace groups: zero-variance sample points
-        yield t = 0, and fewer than two traces in either group is a
+        Zero-variance sample points yield t = 0, and fewer than two
+        traces in either group is a
         :class:`~repro.robustness.errors.ConfigurationError` (a
-        ``ValueError`` by inheritance, like the batch contract).
+        ``ValueError`` by inheritance).
         """
         if self.fixed.count < 2 or self.random.count < 2:
             raise ConfigurationError("each group needs at least two traces")
@@ -169,34 +144,31 @@ class StreamingTTest:
                             difference / denominator, 0.0)
 
     def result(self, threshold: float = TVLA_THRESHOLD) -> TVLAResult:
-        """The accumulated assessment as a standard :class:`TVLAResult`."""
+        """The accumulated assessment as a standard :class:`TVLAResult`.
+
+        A group without traces raises a typed
+        :class:`~repro.robustness.errors.CampaignError` naming it.
+        """
+        for name, group in (("fixed", self.fixed),
+                            ("random", self.random)):
+            if group.count == 0:
+                raise CampaignError(
+                    f"TVLA needs traces in both groups: the {name} "
+                    f"trace group is empty")
         return TVLAResult(t_values=self.t_values(), threshold=threshold)
 
 
-def streaming_tvla(traces_fixed: Iterable[np.ndarray],
-                   traces_random: Iterable[np.ndarray],
-                   threshold: float = TVLA_THRESHOLD) -> TVLAResult:
-    """Fixed-vs-random TVLA folding traces one at a time.
-
-    The O(samples)-memory equivalent of :func:`~repro.leakage.tvla.tvla`:
-    accepts any iterables (generators included — traces are never
-    retained), raises a typed
-    :class:`~repro.robustness.errors.CampaignError` naming the empty
-    group when one contributes no traces, and agrees with the batch
-    t-values to well inside 1e-9.
-    """
-    accumulator = StreamingTTest()
-    for trace in traces_fixed:
+def _fold_trace(trace_source: Callable[[Sequence[int]], np.ndarray],
+                accumulator: StreamingTTest,
+                item: Tuple[bool, Sequence[int]]) -> None:
+    """Run one ``(fixed?, input)`` item and fold its trace, keeping
+    nothing."""
+    fixed, value = item
+    trace = trace_source(value)
+    if fixed:
         accumulator.add_fixed(trace)
-    for trace in traces_random:
+    else:
         accumulator.add_random(trace)
-    for name, group in (("fixed", accumulator.fixed),
-                        ("random", accumulator.random)):
-        if group.count == 0:
-            raise CampaignError(
-                f"TVLA needs traces in both groups: the {name} trace "
-                f"group is empty")
-    return accumulator.result(threshold)
 
 
 def collect_streaming_tvla(
@@ -214,45 +186,40 @@ def collect_streaming_tvla(
     """Collect and assess a fixed-vs-random campaign in one pass.
 
     The streaming companion to
-    :func:`~repro.leakage.tvla.collect_tvla_traces` + ``tvla()``: for a
-    flag-free serial run every captured trace folds straight into the
-    Welford state and is dropped, so the assessment's memory stays
-    O(samples) no matter how many traces the campaign collects.  Random
-    inputs are drawn from ``rng`` in exactly the batch path's order, so
-    the t-values are deterministic and match the batch result to well
-    inside 1e-9.
+    :func:`~repro.leakage.tvla.collect_tvla_traces` + ``tvla()``, with
+    the same inputs (:func:`~repro.leakage.tvla.tvla_inputs`), the same
+    supervision and the same t-values.  In process (one worker, no
+    timeout, no checkpoint) every trace folds into the Welford state as
+    it arrives and is dropped, so the assessment's memory stays
+    O(samples) no matter how many traces the campaign collects.
 
-    Supervised or parallel runs (``workers > 1``, a timeout, or a
-    checkpoint) delegate collection to
-    :func:`~repro.leakage.tvla.collect_tvla_traces` — the supervision
-    ledger and checkpoint journal formats are untouched — and fold the
-    collected groups afterwards.
+    A pool (``workers > 1`` or a timeout) or a checkpoint needs the
+    traces back in this process, so those runs collect through
+    :func:`~repro.leakage.tvla.collect_tvla_traces` — its ledger and
+    journal formats — and fold the groups afterwards.  At every worker
+    count a trace still missing after supervision raises
+    :class:`~repro.robustness.errors.CampaignError`.
     """
-    supervise = (item_timeout is not None or checkpoint is not None or
-                 resolve_workers(workers) > 1)
-    if supervise:
+    if (item_timeout is not None or checkpoint is not None or
+            resolve_workers(workers) > 1):
         fixed, random = collect_tvla_traces(
             trace_source, fixed_input, num_traces, rng,
             input_length=input_length, workers=workers,
             item_timeout=item_timeout,
             max_item_retries=max_item_retries,
             checkpoint=checkpoint, resume=resume)
-        return streaming_tvla(fixed, random, threshold)
-    input_length = input_length or len(fixed_input)
+        return tvla(fixed, random, threshold)
+    inputs = tvla_inputs(fixed_input, num_traces, rng, input_length)
     accumulator = StreamingTTest()
     meta = {"campaign": "tvla", "traces": int(num_traces),
-            "input_length": int(input_length), "streaming": True}
+            "input_length": int(input_length or len(fixed_input)),
+            "streaming": True}
     with record_campaign("tvla", dict(meta, workers=1)) as recording:
-        for _ in range(num_traces):
-            accumulator.add_fixed(trace_source(list(fixed_input)))
-        for _ in range(num_traces):
-            value = list(rng.integers(0, 256, size=input_length))
-            accumulator.add_random(trace_source(value))
-        recording.set("items", 2 * num_traces)
-    for name, group in (("fixed", accumulator.fixed),
-                        ("random", accumulator.random)):
-        if group.count == 0:
-            raise CampaignError(
-                f"TVLA needs traces in both groups: the {name} trace "
-                f"group is empty")
+        _, ledger = supervised_map(
+            partial(_fold_trace, trace_source, accumulator),
+            [(index < num_traces, value)
+             for index, value in enumerate(inputs)],
+            workers=1, timeout=None, max_item_retries=max_item_retries)
+        recording.ledger(ledger)
+    ledger.require_complete("TVLA collection", "traces")
     return accumulator.result(threshold)

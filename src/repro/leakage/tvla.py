@@ -3,65 +3,24 @@
 The standard fixed-vs-random TVLA: collect traces for a fixed input and
 for random inputs, and run Welch's t-test per sample point.  |t| above the
 conventional 4.5 threshold flags a statistically significant dependence of
-the signal on the processed data — a potential side-channel leak.
+the signal on the processed data — a potential side-channel leak.  The
+t-test itself is the one-pass
+:class:`~repro.leakage.streaming.StreamingTTest`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..observability import record_campaign
 from ..parallel import resolve_workers, supervised_map
-from ..robustness.checkpoint import CheckpointJournal, content_key
-from ..robustness.errors import CampaignError, ConfigurationError
+from ..robustness.checkpoint import content_key, open_journal
 
 TVLA_THRESHOLD = 4.5
 """The conventional TVLA significance threshold."""
-
-# Per-process trace source for the collection pool, installed by the
-# initializer (inherited by memory under the fork start method, so even
-# closure-based sources work).
-_POOL_STATE: dict = {}
-
-
-def _collect_init(trace_source) -> None:
-    """Install the trace source in a pool worker."""
-    _POOL_STATE["source"] = trace_source
-
-
-def _collect_trace(value):
-    """Run the installed trace source on one input."""
-    return _POOL_STATE["source"](value)
-
-
-def welch_t_statistic(group_a: np.ndarray,
-                      group_b: np.ndarray) -> np.ndarray:
-    """Per-sample Welch's t-statistic between two trace matrices.
-
-    Inputs are (traces, samples) matrices; returns (samples,) t values.
-    Sample points with zero variance in both groups yield t = 0.
-    Mismatched trace lengths or fewer than two traces in a group raise
-    :class:`~repro.robustness.errors.ConfigurationError` (a
-    ``ValueError`` by inheritance, so existing callers' handlers keep
-    working).
-    """
-    group_a = np.atleast_2d(np.asarray(group_a, dtype=float))
-    group_b = np.atleast_2d(np.asarray(group_b, dtype=float))
-    if group_a.shape[1] != group_b.shape[1]:
-        raise ConfigurationError("trace lengths differ between groups")
-    if group_a.shape[0] < 2 or group_b.shape[0] < 2:
-        raise ConfigurationError("each group needs at least two traces")
-    mean_a, mean_b = group_a.mean(axis=0), group_b.mean(axis=0)
-    var_a = group_a.var(axis=0, ddof=1) / group_a.shape[0]
-    var_b = group_b.var(axis=0, ddof=1) / group_b.shape[0]
-    denominator = np.sqrt(var_a + var_b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_values = np.where(denominator > 0,
-                            (mean_a - mean_b) / denominator, 0.0)
-    return t_values
 
 
 @dataclass
@@ -107,34 +66,45 @@ class TVLAResult:
                 for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-def tvla(traces_fixed: Sequence[np.ndarray],
-         traces_random: Sequence[np.ndarray],
+def tvla(traces_fixed: Iterable[np.ndarray],
+         traces_random: Iterable[np.ndarray],
          threshold: float = TVLA_THRESHOLD) -> TVLAResult:
-    """Fixed-vs-random TVLA over equal-length trace collections.
+    """Fixed-vs-random TVLA over two trace collections.
 
-    An empty trace group raises a typed
+    Folds the traces one at a time through
+    :class:`~repro.leakage.streaming.StreamingTTest`, so any iterables
+    work (generators included) and every trace is cut to the shortest
+    length seen in either group.  An empty trace group raises a typed
     :class:`~repro.robustness.errors.CampaignError` naming the group —
-    the assessment is statistically meaningless without both groups.
-    For O(samples)-memory assessments over large campaigns, see
-    :func:`repro.leakage.streaming.streaming_tvla` (same t-values to
-    well inside 1e-9).
+    the assessment is statistically meaningless without both groups —
+    and a group of one trace a
+    :class:`~repro.robustness.errors.ConfigurationError`.
     """
-    traces_fixed = list(traces_fixed)
-    traces_random = list(traces_random)
-    for name, group in (("fixed", traces_fixed),
-                        ("random", traces_random)):
-        if not group:
-            raise CampaignError(
-                f"TVLA needs traces in both groups: the {name} trace "
-                f"group is empty")
-    length = min(min(len(trace) for trace in traces_fixed),
-                 min(len(trace) for trace in traces_random))
-    fixed = np.vstack([np.asarray(trace[:length], dtype=float)
-                       for trace in traces_fixed])
-    rand = np.vstack([np.asarray(trace[:length], dtype=float)
-                      for trace in traces_random])
-    return TVLAResult(t_values=welch_t_statistic(fixed, rand),
-                      threshold=threshold)
+    # streaming.py builds on this module's TVLAResult, so the t-test
+    # engine is imported at call time
+    from .streaming import StreamingTTest
+    accumulator = StreamingTTest()
+    for trace in traces_fixed:
+        accumulator.add_fixed(trace)
+    for trace in traces_random:
+        accumulator.add_random(trace)
+    return accumulator.result(threshold)
+
+
+def tvla_inputs(fixed_input: Sequence[int], num_traces: int,
+                rng: np.random.Generator,
+                input_length: Optional[int] = None) -> List[List[int]]:
+    """A fixed-vs-random campaign's inputs, fixed group first.
+
+    ``num_traces`` copies of ``fixed_input``, then ``num_traces``
+    random byte vectors of ``input_length`` (default: the fixed
+    input's length) drawn from ``rng`` in order.
+    """
+    input_length = input_length or len(fixed_input)
+    inputs = [list(fixed_input) for _ in range(num_traces)]
+    inputs += [list(rng.integers(0, 256, size=input_length))
+               for _ in range(num_traces)]
+    return inputs
 
 
 def collect_tvla_traces(trace_source: Callable[[Sequence[int]], np.ndarray],
@@ -152,59 +122,37 @@ def collect_tvla_traces(trace_source: Callable[[Sequence[int]], np.ndarray],
 
     ``trace_source`` maps an input byte sequence to one signal trace
     (e.g. an AES run on real hardware or through EMSim).  All random
-    inputs are drawn from ``rng`` up front, in order, then the source
-    runs once per input — with ``workers > 1`` the runs fan out over a
-    process pool (ordered and deterministic for deterministic sources,
-    e.g. EMSim).
+    inputs are drawn from ``rng`` up front (:func:`tvla_inputs`), then
+    the source runs once per input — with ``workers > 1`` the runs fan
+    out over a process pool (ordered and deterministic for
+    deterministic sources, e.g. EMSim).
 
-    The fan-out is supervised (see :mod:`repro.parallel`):
-    ``item_timeout`` bounds each collection's wall clock, failures
-    retry up to ``max_item_retries`` times, and ``checkpoint`` names a
-    journal file (``resume=True`` replays completed traces from it) so
-    an interrupted assessment resumes with bit-identical t-traces.  A
-    trace lost after supervision raises
+    The fan-out is supervised at every worker count (see
+    :mod:`repro.parallel`): ``item_timeout`` bounds each collection's
+    wall clock, failures retry up to ``max_item_retries`` times, and
+    ``checkpoint`` names a journal file (``resume=True`` replays
+    completed traces from it) so an interrupted assessment resumes with
+    bit-identical t-traces.  A trace lost after supervision raises
     :class:`~repro.robustness.errors.CampaignError` — TVLA's group
     statistics need every trace.
     """
     input_length = input_length or len(fixed_input)
-    inputs = [list(fixed_input) for _ in range(num_traces)]
-    inputs += [list(rng.integers(0, 256, size=input_length))
-               for _ in range(num_traces)]
+    inputs = tvla_inputs(fixed_input, num_traces, rng, input_length)
     meta = {"campaign": "tvla", "traces": int(num_traces),
             "input_length": int(input_length)}
-    supervise = item_timeout is not None or checkpoint is not None
+
+    def key_for(index: int, value: "List[int]") -> str:
+        return content_key("tvla", index, bytes(bytearray(
+            byte % 256 for byte in value)))
+
     with record_campaign("tvla", dict(
             meta, workers=resolve_workers(workers))) as recording:
-        if not supervise and resolve_workers(workers) <= 1:
-            traces = [trace_source(value) for value in inputs]
-            recording.set("items", len(inputs))
-            return traces[:num_traces], traces[num_traces:]
-
-        def key_for(index: int, value: "List[int]") -> str:
-            return content_key("tvla", index, bytes(bytearray(
-                byte % 256 for byte in value)))
-
-        def run(journal: Optional[CheckpointJournal]
-                ) -> "tuple[list, object]":
-            return supervised_map(
-                _collect_trace, inputs, workers=workers,
-                initializer=_collect_init, initargs=(trace_source,),
+        with open_journal(checkpoint, meta, resume) as journal:
+            traces, ledger = supervised_map(
+                trace_source, inputs, workers=workers,
                 timeout=item_timeout, max_item_retries=max_item_retries,
-                journal=journal,
-                key_for=key_for if journal is not None else None)
-
-        if checkpoint is not None:
-            with CheckpointJournal(checkpoint, meta=meta,
-                                   resume=resume) as journal:
-                with journal.guarded():
-                    traces, ledger = run(journal)
-            recording.checkpoint(checkpoint)
-        else:
-            traces, ledger = run(None)
+                journal=journal, key_for=key_for)
+        recording.checkpoint(checkpoint)
         recording.ledger(ledger)
-    if not ledger.complete:
-        raise CampaignError(
-            f"TVLA collection lost {len(ledger.quarantined)} of "
-            f"{len(inputs)} traces ({ledger.summary()})",
-            quarantined=ledger.quarantined)
+    ledger.require_complete("TVLA collection", "traces")
     return traces[:num_traces], traces[num_traces:]

@@ -18,28 +18,26 @@ campaign alive when individual items misbehave:
 * **supervised** — :class:`SupervisedPool` submits items individually
   (``apply_async`` plus a deadline ledger) so it can enforce a per-item
   wall-clock timeout, detect crashed workers (dead pool /
-  ``BrokenPipeError``) and rebuild the pool, retry failed items with
-  seeded backoff, and quarantine items that exhaust their retry budget
-  instead of aborting the campaign — returning a typed per-item
-  :class:`ItemOutcome` ledger (``ok | retried | timeout | quarantined``)
-  alongside the results;
+  ``BrokenPipeError``) and rebuild the pool, retry failed items, and
+  quarantine items that exhaust their retry budget instead of aborting
+  the campaign — returning a typed per-item :class:`ItemOutcome` ledger
+  (``ok | retried | timeout | quarantined``) alongside the results;
 * **resumable** — pass a
   :class:`~repro.robustness.checkpoint.CheckpointJournal` plus a
   ``key_for`` callback and every completed item is journaled; a resumed
   run skips journaled items bit-identically;
 * **degradable** — without a timeout, ``workers=1`` (the default
-  everywhere) never touches ``multiprocessing``: it runs the plain
-  in-process loop, bit-identical to not using this module at all, which
-  is also the fallback when a pool cannot be created (restricted
+  everywhere) never touches ``multiprocessing``: the same supervision
+  (retries, quarantine, journal) runs as an in-process loop, which is
+  also the fallback when a pool cannot be created (restricted
   sandboxes).
 
-The worker function and its items must be picklable (top-level
-functions, dataclasses, numpy arrays); every result comes back through
-the pool's own pickle pipe.  Per-worker state that is
-expensive to pickle per item (a
-:class:`~repro.hardware.device.HardwareDevice`, a trained model) goes
-through ``initializer``/``initargs`` and lives in the worker's module
-globals.
+A worker carries its own state: callers bind devices, simulators or
+trace sources into the callable (``functools.partial(worker, device,
+...)``), and every pool process receives that callable once, when it
+starts — by memory under the fork start method, so closures and
+unpicklable sources work; under ``spawn`` it must pickle.  Items and
+results cross the process boundary through the pool's own pickle pipe.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from .observability.tracer import (create_spool, flush_worker_records,
 from .robustness.errors import CampaignError, ConfigurationError
 
 __all__ = ["resolve_workers", "parallel_map", "spawn_seed",
-           "supervised_map", "retry_backoff", "SupervisedPool",
+           "supervised_map", "SupervisedPool",
            "ItemOutcome", "CampaignLedger",
            "OUTCOME_OK", "OUTCOME_RETRIED", "OUTCOME_TIMEOUT",
            "OUTCOME_QUARANTINED"]
@@ -82,17 +80,6 @@ OUTCOME_TIMEOUT = "timeout"
 
 OUTCOME_QUARANTINED = "quarantined"
 """Ledger status: quarantined after exhausting ``max_item_retries``."""
-
-RETRY_STREAM = 0x5EED
-"""The :func:`spawn_seed` stream reserved for retry-backoff jitter
-(far above the small stream numbers campaign items use for their own
-RNG consumers, so backoff draws can never collide with capture noise)."""
-
-BACKOFF_BASE = 0.05
-"""Seconds :func:`retry_backoff` waits before an item's first retry."""
-
-BACKOFF_CAP = 1.0
-"""Upper bound, in seconds, on one retry's backoff."""
 
 POLL_INTERVAL = 0.01
 """Seconds the pool loop sleeps after a pass that reaped nothing."""
@@ -134,27 +121,6 @@ def spawn_seed(base_seed: int, index: int,
     return np.random.default_rng([int(base_seed), int(stream), int(index)])
 
 
-def retry_backoff(seed: int, index: int, retry_index: int) -> float:
-    """Deterministic exponential backoff with seeded jitter (seconds).
-
-    Retry ``retry_index`` (0-based) of item ``index`` waits
-    ``BACKOFF_BASE * 2**retry_index`` scaled by a jitter factor in
-    ``[0.5, 1.5)`` drawn from ``spawn_seed(seed, index, RETRY_STREAM)``,
-    then capped at :data:`BACKOFF_CAP`.  The draw is keyed per item, so
-    two quarreling items never synchronize, and the wait is a pure
-    function of ``(seed, index, retry_index)``, so the recorded
-    ``waited`` stays reproducible.  It is its own recipe, not
-    :class:`~repro.robustness.retry.RetryPolicy`'s, which by default
-    starts from 0.01 s, caps before a ``[0.75, 1.25)`` jitter and keys
-    its RNG on ``(seed, retry_index)`` alone.
-    """
-    draws = spawn_seed(seed, index, stream=RETRY_STREAM).random(
-        retry_index + 1)
-    jitter = 0.5 + float(draws[retry_index])
-    return float(min(BACKOFF_CAP,
-                     BACKOFF_BASE * (2.0 ** retry_index) * jitter))
-
-
 @dataclass
 class ItemOutcome:
     """Per-item supervision record (one ledger row).
@@ -164,10 +130,9 @@ class ItemOutcome:
     counts *charged* attempts only — an item resubmitted because a
     neighbour's deadline rebuilt the pool under it keeps its count.
     That holds even when the item was itself hung at the time, so with
-    overlapping hangs the row depends on the worker count.  ``waited``
-    is the total deterministic backoff attributed to the item (recorded
-    even when the pool does not actually sleep); ``resumed`` marks
-    items served from a checkpoint journal without running at all.
+    overlapping hangs the row depends on the worker count.  ``resumed``
+    marks items served from a checkpoint journal without running at
+    all.
     """
 
     index: int
@@ -178,7 +143,6 @@ class ItemOutcome:
     timeouts: int = 0
     crashes: int = 0
     errors: List[str] = field(default_factory=list)
-    waited: float = 0.0
     resumed: bool = False
 
     def to_dict(self) -> dict:
@@ -186,8 +150,7 @@ class ItemOutcome:
         return {"index": self.index, "status": self.status,
                 "attempts": self.attempts, "retries": self.retries,
                 "timeouts": self.timeouts, "crashes": self.crashes,
-                "errors": list(self.errors), "waited": self.waited,
-                "resumed": self.resumed}
+                "errors": list(self.errors), "resumed": self.resumed}
 
 
 @dataclass
@@ -239,6 +202,19 @@ class CampaignLedger:
             parts.append(f"pool_rebuilds={self.pool_rebuilds}")
         return ", ".join(parts)
 
+    def require_complete(self, campaign: str, unit: str) -> None:
+        """Raise :class:`~repro.robustness.errors.CampaignError` (exit
+        code 18) naming the quarantined indices when any item was lost.
+
+        For consumers that need every item; the message reads
+        "``campaign`` lost n of N ``unit`` (summary)".
+        """
+        if not self.complete:
+            raise CampaignError(
+                f"{campaign} lost {len(self.quarantined)} of "
+                f"{len(self.outcomes)} {unit} ({self.summary()})",
+                quarantined=self.quarantined)
+
 
 # ---------------------------------------------------------------------------
 # worker-side trampoline
@@ -250,10 +226,8 @@ _SUPERVISED_STATE: dict = {}
 
 
 def _supervised_init(queue: object, function: Callable,
-                     initializer: Optional[Callable],
-                     initargs: tuple,
                      spool: Optional[str] = None) -> None:
-    """Install the start-report queue + user initializer in a worker.
+    """Install the start-report queue and the worker callable.
 
     ``spool`` (set when the parent records spans or metrics) is the
     directory this worker appends its span/metric records to; the
@@ -266,8 +240,6 @@ def _supervised_init(queue: object, function: Callable,
     _SUPERVISED_STATE["spool"] = spool
     if spool is not None:
         reset_flush_baseline()
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _supervised_call(index: int, item: object) -> object:
@@ -318,15 +290,14 @@ class SupervisedPool:
        charged.  An item that was itself hung then escapes its own
        charge, so when hangs overlap the ledger depends on how many
        workers ran them;
-    4. **retry or quarantine** — a failed item re-queues with
-       deterministic seeded backoff until ``max_item_retries`` is
-       exhausted, then its slot is ``None`` and its ledger row says
-       ``timeout`` or ``quarantined``.
+    4. **retry or quarantine** — a failed item re-queues until
+       ``max_item_retries`` is exhausted, then its slot is ``None`` and
+       its ledger row says ``timeout`` or ``quarantined``.
 
     Submission failures on a dead pool (``BrokenPipeError`` & friends)
-    also trigger a rebuild.  Without a timeout the fan-out degrades to
-    the legacy in-process loop at one effective worker — bit-identical
-    to the pre-supervision code path.
+    also trigger a rebuild.  Without a timeout the fan-out runs in
+    process at one effective worker, with the same retries, quarantine
+    and journal.
 
     ``timeout`` is the per-item wall-clock deadline in seconds (``None``
     disables deadlines — and with it the pool-even-at-one-worker mode
@@ -334,28 +305,15 @@ class SupervisedPool:
     many *failed* attempts one item may accumulate (crash, timeout, or
     exception all count) before it is quarantined; the first attempt is
     free, so an item sees at most ``max_item_retries + 1`` attempts.
-    ``seed`` keys the backoff jitter (:func:`retry_backoff`).  ``sleep``
-    is the backoff actuator: ``None`` (the default) records the
-    deterministic wait in the ledger without actually sleeping — the
-    simulation bench gains nothing from waiting, exactly like
-    :class:`~repro.robustness.retry.RetryPolicy` — while bench code
-    driving real hardware passes ``time.sleep``.
+    A retry re-runs the item at once.
     """
 
     def __init__(self, workers: object = 1,
-                 initializer: Optional[Callable] = None,
-                 initargs: tuple = (),
                  timeout: Optional[float] = None,
-                 max_item_retries: int = 2,
-                 seed: int = 0,
-                 sleep: Optional[Callable[[float], None]] = None):
+                 max_item_retries: int = 2):
         self.workers = resolve_workers(workers)
-        self.initializer = initializer
-        self.initargs = initargs
         self.timeout = timeout
         self.max_item_retries = max_item_retries
-        self.seed = seed
-        self.sleep = sleep
 
     # ------------------------------------------------------------------
     # public entry point
@@ -444,15 +402,6 @@ class SupervisedPool:
             journal.record(keys[index], index, value)
             metrics.increment("supervise.checkpointed")
 
-    def _note_retry(self, outcome: ItemOutcome,
-                    metrics: object) -> None:
-        wait = retry_backoff(self.seed, outcome.index, outcome.retries)
-        outcome.retries += 1
-        outcome.waited += wait
-        metrics.increment("supervise.retries")
-        if self.sleep is not None:
-            self.sleep(wait)
-
     def _register_failure(self, outcome: ItemOutcome, kind: str,
                           message: str, metrics: object) -> bool:
         """Charge one failed attempt; True when the item may retry."""
@@ -467,7 +416,8 @@ class SupervisedPool:
         else:
             metrics.increment("supervise.failures")
         if outcome.failures <= self.max_item_retries:
-            self._note_retry(outcome, metrics)
+            outcome.retries += 1
+            metrics.increment("supervise.retries")
             return True
         outcome.status = OUTCOME_TIMEOUT if kind == "timeout" \
             else OUTCOME_QUARANTINED
@@ -486,8 +436,6 @@ class SupervisedPool:
                     outcomes: List[ItemOutcome], journal: object,
                     keys: Optional[List[str]], propagate: bool,
                     metrics: object) -> None:
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
         for index in pending:
             outcome = outcomes[index]
             while True:
@@ -527,8 +475,7 @@ class SupervisedPool:
             pool = context.Pool(
                 processes=processes,
                 initializer=_supervised_init,
-                initargs=(queue, function, self.initializer,
-                          self.initargs, spool))
+                initargs=(queue, function, spool))
         except (ImportError, OSError):            # pragma: no cover
             # restricted environments (no /dev/shm, fork disabled):
             # degrade to the in-process loop
@@ -565,8 +512,7 @@ class SupervisedPool:
             pool = context.Pool(
                 processes=processes,
                 initializer=_supervised_init,
-                initargs=(queue, function, self.initializer,
-                          self.initargs, spool))
+                initargs=(queue, function, spool))
 
         def submit(index: int, charge: bool) -> None:
             if charge:
@@ -675,49 +621,40 @@ class SupervisedPool:
 def supervised_map(function: Callable[[_ItemT], _ResultT],
                    items: Sequence[_ItemT],
                    workers: object = 1,
-                   initializer: Optional[Callable] = None,
-                   initargs: tuple = (),
                    timeout: Optional[float] = None,
                    max_item_retries: int = 2,
-                   seed: int = 0,
                    journal: object = None,
-                   key_for: Optional[Callable[[int, _ItemT], str]] = None,
-                   sleep: Optional[Callable[[float], None]] = None
+                   key_for: Optional[Callable[[int, _ItemT], str]] = None
                    ) -> Tuple[List[Optional[_ResultT]], CampaignLedger]:
     """One-call supervised fan-out; returns ``(results, ledger)``.
 
     The campaign entry point: quarantined items leave ``None`` slots
-    and a ledger row explaining why, instead of aborting the run.  See
+    and a ledger row explaining why, instead of aborting the run
+    (:meth:`CampaignLedger.require_complete` turns them into a
+    :class:`~repro.robustness.errors.CampaignError`).  See
     :class:`SupervisedPool` for the supervision mechanics and the
     meaning of each argument.
     """
-    pool = SupervisedPool(
-        workers=workers, initializer=initializer, initargs=initargs,
-        timeout=timeout, max_item_retries=max_item_retries, seed=seed,
-        sleep=sleep)
+    pool = SupervisedPool(workers=workers, timeout=timeout,
+                          max_item_retries=max_item_retries)
     return pool.map(function, items, journal=journal, key_for=key_for)
 
 
 def parallel_map(function: Callable[[_ItemT], _ResultT],
                  items: Sequence[_ItemT],
                  workers: object = 1,
-                 initializer: Optional[Callable] = None,
-                 initargs: tuple = (),
                  timeout: Optional[float] = None,
                  max_item_retries: int = 0) -> List[_ResultT]:
     """Map ``function`` over ``items``, optionally across processes.
 
-    The strict legacy contract on top of :class:`SupervisedPool`:
-    results come back in input order and any item that exhausts its
-    retry budget (0 by default) re-raises — the worker's exception for
-    failures, :class:`~repro.robustness.errors.CampaignError` for
-    timeouts and crashes.  With ``workers <= 1`` (or one item, or no
-    usable ``multiprocessing``) and no ``timeout``, this runs
-    in-process: the ``initializer`` is invoked once and the loop is a
-    plain ``for`` — bit-identical to not using this module at all.
+    The strict contract on top of :class:`SupervisedPool`: results come
+    back in input order and any item that exhausts its retry budget (0
+    by default) re-raises — the worker's exception for failures,
+    :class:`~repro.robustness.errors.CampaignError` for timeouts and
+    crashes.  With ``workers <= 1`` (or one item, or no usable
+    ``multiprocessing``) and no ``timeout``, this runs in-process.
     """
-    pool = SupervisedPool(
-        workers=workers, initializer=initializer, initargs=initargs,
-        timeout=timeout, max_item_retries=max_item_retries)
+    pool = SupervisedPool(workers=workers, timeout=timeout,
+                          max_item_retries=max_item_retries)
     results, _ = pool.map(function, items, propagate=True)
     return results

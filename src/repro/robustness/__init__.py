@@ -10,8 +10,8 @@ package provides the pieces:
 * :mod:`repro.robustness.faults` — seeded composable fault injection for
   the oscilloscope/device path;
 * :mod:`repro.robustness.health` — capture quality metrics + thresholds;
-* :mod:`repro.robustness.retry` — bounded retry, exponential backoff with
-  deterministic jitter, and the degradation ladder;
+* :mod:`repro.robustness.retry` — bounded retry, repetition escalation
+  and the degradation ladder;
 * :mod:`repro.robustness.checkpoint` — the crash-safe campaign journal
   behind ``--checkpoint-dir``/``--resume``.
 

@@ -44,7 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from .errors import CheckpointError
 
 __all__ = ["JOURNAL_SCHEMA", "CheckpointJournal", "content_key",
-           "journal_summary"]
+           "journal_summary", "open_journal"]
 
 JOURNAL_SCHEMA = "repro-checkpoint/1"
 """Schema tag stamped into every journal's header record."""
@@ -309,3 +309,22 @@ class CheckpointJournal:
         finally:
             for signum, handler in previous.items():
                 _signal.signal(signum, handler)
+
+
+@contextmanager
+def open_journal(path: Optional[str], meta: Dict[str, Any],
+                 resume: bool = False
+                 ) -> Iterator[Optional[CheckpointJournal]]:
+    """A campaign's checkpoint journal for its run window, if any.
+
+    Yields ``None`` without a ``path``; otherwise opens the journal
+    (resuming it when ``resume`` is set), flushes it on SIGINT/SIGTERM
+    while the campaign runs (:meth:`CheckpointJournal.guarded`) and
+    closes it on exit.
+    """
+    if path is None:
+        yield None
+        return
+    with CheckpointJournal(path, meta=meta, resume=resume) as journal:
+        with journal.guarded():
+            yield journal

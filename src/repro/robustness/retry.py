@@ -1,19 +1,15 @@
-"""Bounded retry, exponential backoff, and graceful degradation.
+"""Bounded retry and graceful degradation.
 
 The acquisition ladder for one probe measurement:
 
 1. **capture** via the requested method (scope + modulo by default);
 2. **health-gate** the capture (:class:`~repro.robustness.health.HealthPolicy`);
-3. on failure, **retry** with exponential backoff and deterministic
-   jitter, **escalating the repetition count** (more modulo averaging)
-   once quality — not delivery — is the problem;
+3. on failure, **retry** at once, **escalating the repetition count**
+   (more modulo averaging) once quality — not delivery — is the
+   problem;
 4. after the attempt budget, **degrade** to the ideal-grid capture with a
    logged warning (unless ``strict``), so one bad probe never kills a
    thousand-probe training campaign.
-
-Everything is deterministic: backoff jitter comes from a seeded RNG and
-the default ``sleep`` is a no-op (the synthetic bench has no real scope
-to wait for; a hardware port passes ``time.sleep``).
 """
 
 from __future__ import annotations
@@ -32,33 +28,11 @@ __all__ = ["RetryPolicy", "ProbeOutcome", "AcquisitionStats",
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter."""
+    """Attempt budget and repetition escalation for one probe."""
 
     max_attempts: int = 4
-    base_delay: float = 0.01      # seconds before the first retry
-    backoff: float = 2.0          # delay multiplier per retry
-    jitter: float = 0.25          # +/- fractional jitter on each delay
-    max_delay: float = 1.0
     escalation: float = 2.0       # repetition multiplier per quality miss
     max_repetitions: int = 1000   # the paper's collection budget
-    seed: int = 0
-
-    def delay(self, retry_index: int) -> float:
-        """Backoff delay before retry ``retry_index`` (0-based).
-
-        Jitter is drawn from an RNG keyed on ``(seed, retry_index)`` so a
-        given policy always produces the same schedule — reproducible
-        runs, desynchronized benches.
-        """
-        raw = min(self.max_delay,
-                  self.base_delay * self.backoff ** retry_index)
-        wobble = np.random.default_rng(
-            [self.seed, retry_index]).uniform(-1.0, 1.0)
-        return max(0.0, raw * (1.0 + self.jitter * wobble))
-
-    def schedule(self) -> List[float]:
-        """The full deterministic delay schedule (one per retry)."""
-        return [self.delay(i) for i in range(self.max_attempts - 1)]
 
 
 @dataclass
@@ -74,7 +48,6 @@ class ProbeOutcome:
     degraded: bool = False        # fell back to the ideal grid
     final_method: str = ""
     final_repetitions: int = 0
-    waited: float = 0.0           # total scheduled backoff (seconds)
     reasons: List[str] = field(default_factory=list)
 
 
@@ -121,13 +94,11 @@ class CaptureSupervisor:
                  retry: Optional[RetryPolicy] = None,
                  health: Optional[HealthPolicy] = None,
                  allow_degradation: bool = True,
-                 sleep: Optional[Callable[[float], None]] = None,
                  log: Optional[Callable[[str], None]] = None):
         self.device = device
         self.retry = retry or RetryPolicy()
         self.health = health or HealthPolicy()
         self.allow_degradation = allow_degradation
-        self.sleep = sleep
         self.log = log
         self.stats = AcquisitionStats()
 
@@ -154,10 +125,6 @@ class CaptureSupervisor:
         last_error: Optional[Exception] = None
         for attempt in range(self.retry.max_attempts):
             if attempt:
-                delay = self.retry.delay(attempt - 1)
-                outcome.waited += delay
-                if self.sleep is not None:
-                    self.sleep(delay)
                 outcome.retries += 1
                 outcome.attempts += 1
             try:

@@ -41,7 +41,9 @@ asserting that the engine computes the same thing:
   and their per-register sums), of which the model then keeps its
   selected columns;
 * :func:`seed_per_cycle_similarities` — the accuracy metric's per-cycle
-  scores, one ``np.dot`` triple per cycle.
+  scores, one ``np.dot`` triple per cycle;
+* :func:`two_pass_welch_t` — TVLA's Welch t-statistic from the stacked
+  (traces, samples) matrices, means and variances in two passes.
 
 :func:`trace_bytes` turns a trace's content into comparable bytes.
 """
@@ -1034,6 +1036,26 @@ def assert_traces_identical(legacy, columnar) -> None:
             for entry in legacy.retired] == \
         [(entry.seq, entry.pc, entry.instr, entry.cycle)
          for entry in columnar.retired]
+
+
+# ---------------------------------------------------------------------------
+# statistics
+# ---------------------------------------------------------------------------
+def two_pass_welch_t(traces_fixed, traces_random):
+    """Per-sample Welch t between two trace groups, cut to the shortest
+    trace of either; zero-variance points yield t = 0."""
+    length = min(len(trace) for trace in [*traces_fixed, *traces_random])
+    group_a = np.vstack([np.asarray(trace[:length], dtype=float)
+                         for trace in traces_fixed])
+    group_b = np.vstack([np.asarray(trace[:length], dtype=float)
+                         for trace in traces_random])
+    var_a = group_a.var(axis=0, ddof=1) / group_a.shape[0]
+    var_b = group_b.var(axis=0, ddof=1) / group_b.shape[0]
+    denominator = np.sqrt(var_a + var_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denominator > 0,
+                        (group_a.mean(axis=0) - group_b.mean(axis=0)) /
+                        denominator, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The batch layer (``repro.core.batch``, the batched signal helpers, and
 the worker fan-out in training and leakage sweeps) promises:
 
-* re-simulation through :class:`BatchSimulator` is **bit-identical** to
+* re-simulation through ``EMSim.simulate_many`` is **bit-identical** to
   calling ``EMSim.simulate`` per program;
 * measurement campaigns agree between ``workers=1`` and ``workers=N``
   (one engine at every worker count; ``tests/test_invariance.py`` pins
@@ -18,7 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import (BatchSimulator, EMSim, ModelSwitches, Trainer,
+from repro.core import (EMSim, ModelSwitches, Trainer,
                         measurement_campaign, model_to_dict, train_emsim)
 from repro.hardware import HardwareDevice
 from repro.parallel import spawn_seed
@@ -66,8 +66,7 @@ def test_simulate_many_bit_identical(trained):
     _, _, simulator = trained
     programs = _programs(6)
     for workers in (1, 2):
-        batch = BatchSimulator(simulator, workers=workers)
-        results = batch.simulate_many(programs)
+        results = simulator.simulate_many(programs, workers=workers)
         assert len(results) == len(programs)
         for program, result in zip(programs, results):
             reference = simulator.simulate(program)

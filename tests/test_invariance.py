@@ -10,10 +10,15 @@ campaign journal written at one worker count replays every probe at
 another.  The AES TVLA is also bit-identical in every trace-cache state:
 disabled, cold (EMSim records and replays the AES schedule), warm, and
 served from the disk layer.  So are SAVAT values, simulated and
-ideal-captured, whichever side runs a program's core first.
+ideal-captured, whichever side runs a program's core first.  TVLA
+collection and the SAVAT sweep also fail alike at both worker counts: a
+trace source that fails once is retried to the same outputs, and one
+that always fails raises ``CampaignError``.
 """
 
+import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -26,7 +31,8 @@ from repro.hardware import HardwareDevice
 from repro.leakage import (DEFAULT_KEY, SimulatorSignalSource, aes,
                            aes_program, savat_matrix)
 from repro.leakage.streaming import collect_streaming_tvla
-from repro.robustness import FaultPlan
+from repro.leakage.tvla import collect_tvla_traces
+from repro.robustness import CampaignError, FaultPlan
 from repro.robustness.checkpoint import CheckpointJournal
 from repro.workloads import RandomProgramBuilder
 
@@ -223,3 +229,81 @@ def test_savat_identical_in_every_cache_state(aes_simulator, tmp_path):
     assert len(values) == 8
     assert len({array.tobytes() for array in values.values()}) == 1
     assert np.all(values["cold", "SR"][:, 0] > 0)
+
+
+@dataclass
+class FlakySource:
+    """A trace or signal source whose first call fails.
+
+    Pool workers share no memory, so the failing call is the one that
+    creates ``marker`` (atomically); every later call runs ``source``.
+    With ``always`` every call fails.
+    """
+
+    source: Callable
+    marker: str
+    always: bool = False
+
+    def __call__(self, value):
+        if self.always:
+            raise RuntimeError("this source always fails")
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return self.source(value)
+        raise RuntimeError("the first call fails")
+
+
+def _input_trace(value):
+    """A deterministic 32-sample trace of one TVLA input."""
+    return np.sin(np.arange(32) * (1 + sum(value) % 5)) + value[0] / 255
+
+
+def _assert_failures_independent_of_workers(tmp_path, run):
+    """``run(source, workers, extra)`` gives the same outputs at both
+    worker counts with a source that fails once (which it retries),
+    and raises ``CampaignError`` (exit code 18) at both with a source
+    that always fails."""
+    outputs = []
+    for workers, extra in RUNS.items():
+        marker = str(tmp_path / f"failed_w{workers}")
+        outputs.append(run(marker, False, workers, extra))
+        assert os.path.exists(marker)
+    assert outputs[0].shape == outputs[1].shape
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    for workers, extra in RUNS.items():
+        with pytest.raises(CampaignError) as excinfo:
+            run(str(tmp_path / "unused"), True, workers, extra)
+        assert excinfo.value.exit_code == 18
+
+
+def test_tvla_collection_failures_independent_of_worker_count(tmp_path):
+    def run(marker, always, workers, extra):
+        fixed, random = collect_tvla_traces(
+            FlakySource(_input_trace, marker, always), list(range(16)), 3,
+            np.random.default_rng(4), workers=workers, **extra)
+        return np.array(fixed + random)
+
+    _assert_failures_independent_of_workers(tmp_path, run)
+
+
+def test_streaming_tvla_failures_independent_of_worker_count(tmp_path):
+    def run(marker, always, workers, extra):
+        return collect_streaming_tvla(
+            FlakySource(_input_trace, marker, always), list(range(16)), 3,
+            np.random.default_rng(4), workers=workers, **extra).t_values
+
+    _assert_failures_independent_of_workers(tmp_path, run)
+
+
+def test_savat_failures_independent_of_worker_count(tmp_path):
+    device = HardwareDevice(seed=3)
+
+    def run(marker, always, workers, extra):
+        matrix = savat_matrix(
+            FlakySource(IdealCaptureSource(device), marker, always),
+            device.samples_per_cycle, pairs=SAVAT_PAIRS, workers=workers,
+            **extra)
+        return np.array([matrix[pair] for pair in SAVAT_PAIRS])
+
+    _assert_failures_independent_of_workers(tmp_path, run)

@@ -5,8 +5,7 @@ import pytest
 
 from repro.leakage.savat import (SAVAT_INSTRUCTIONS, format_matrix,
                                  savat_matrix, savat_program, savat_value)
-from repro.leakage.tvla import (TVLAResult, collect_tvla_traces, tvla,
-                                welch_t_statistic)
+from repro.leakage.tvla import TVLAResult, collect_tvla_traces, tvla
 from repro.robustness import ProbeError
 from repro.uarch import GoldenSimulator, run_program
 
@@ -16,7 +15,7 @@ from repro.uarch import GoldenSimulator, run_program
 # ----------------------------------------------------------------------
 def test_welch_t_zero_for_identical_groups(rng):
     traces = rng.normal(0, 1, size=(20, 50))
-    t_values = welch_t_statistic(traces, traces)
+    t_values = tvla(traces, traces).t_values
     assert np.allclose(t_values, 0.0)
 
 
@@ -24,7 +23,7 @@ def test_welch_t_detects_mean_shift(rng):
     group_a = rng.normal(0, 1, size=(200, 30))
     group_b = rng.normal(0, 1, size=(200, 30))
     group_b[:, 10] += 2.0
-    t_values = welch_t_statistic(group_a, group_b)
+    t_values = tvla(group_a, group_b).t_values
     assert abs(t_values[10]) > 4.5
     assert np.abs(np.delete(t_values, 10)).max() < 4.5
 
@@ -33,22 +32,22 @@ def test_welch_t_matches_scipy(rng):
     from scipy import stats
     group_a = rng.normal(0, 1, size=(40, 8))
     group_b = rng.normal(0.3, 1.4, size=(55, 8))
-    ours = welch_t_statistic(group_a, group_b)
+    ours = tvla(group_a, group_b).t_values
     theirs = stats.ttest_ind(group_a, group_b, equal_var=False, axis=0)
     assert np.allclose(ours, theirs.statistic, atol=1e-9)
 
 
 def test_welch_t_validation():
     with pytest.raises(ValueError):
-        welch_t_statistic(np.ones((5, 3)), np.ones((5, 4)))
+        tvla(np.ones((5, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError):
-        welch_t_statistic(np.ones((1, 3)), np.ones((5, 3)))
+        tvla(np.ones((1, 3)), np.ones((5, 3)))
 
 
 def test_welch_t_zero_variance_points():
     group_a = np.ones((5, 4))
     group_b = np.ones((5, 4))
-    assert np.allclose(welch_t_statistic(group_a, group_b), 0.0)
+    assert np.allclose(tvla(group_a, group_b).t_values, 0.0)
 
 
 def test_tvla_result_properties(rng):

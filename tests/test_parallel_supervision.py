@@ -17,8 +17,8 @@ from repro.hardware import HardwareDevice
 from repro.parallel import (MAX_WORKERS, CampaignLedger, ItemOutcome,
                             OUTCOME_OK, OUTCOME_QUARANTINED,
                             OUTCOME_RETRIED, OUTCOME_TIMEOUT,
-                            parallel_map, resolve_workers, retry_backoff,
-                            spawn_seed, supervised_map)
+                            parallel_map, resolve_workers, spawn_seed,
+                            supervised_map)
 from repro.robustness import CampaignError, ConfigurationError
 from repro.workloads import RandomProgramBuilder
 
@@ -180,7 +180,7 @@ class TestRetry:
                 max_item_retries=2)
             summaries.append(
                 (results,
-                 [(o.status, o.attempts, o.retries, round(o.waited, 12))
+                 [(o.status, o.attempts, o.retries)
                   for o in ledger.outcomes]))
         assert summaries[0] == summaries[1]
 
@@ -194,26 +194,6 @@ class TestRetry:
         assert all("poisoned" in o.errors[0] for o in ledger.outcomes)
         assert ledger.quarantined == [0, 1, 2, 3]
         assert not ledger.complete
-
-    def test_backoff_deterministic(self):
-        waits = [retry_backoff(7, 3, attempt) for attempt in range(4)]
-        again = [retry_backoff(7, 3, attempt) for attempt in range(4)]
-        assert waits == again
-        assert all(wait > 0 for wait in waits)
-        # a different item draws different jitter
-        assert retry_backoff(7, 4, 0) != waits[0]
-
-    def test_backoff_sleep_injectable(self, tmp_path):
-        slept = []
-        directory = str(tmp_path)
-        results, ledger = supervised_map(
-            marker_flaky, [(3, directory)], workers=1,
-            max_item_retries=1, sleep=slept.append)
-        assert results == [30]
-        assert len(slept) == 1
-        assert slept[0] == ledger.outcomes[0].waited
-        # seed 0, item 0, first retry
-        assert ledger.outcomes[0].waited == retry_backoff(0, 0, 0)
 
 
 class TestCrash:
@@ -315,8 +295,7 @@ class TestLedger:
     def test_outcome_to_dict_round_trips_json(self):
         import json
         outcome = ItemOutcome(index=4, status=OUTCOME_RETRIED,
-                              attempts=2, retries=1,
-                              errors=["x"], waited=0.25)
+                              attempts=2, retries=1, errors=["x"])
         assert json.loads(json.dumps(outcome.to_dict()))["index"] == 4
 
 

@@ -1,4 +1,4 @@
-"""Tests for retry, backoff, degradation, and robust fitting.
+"""Tests for retry, degradation, and robust fitting.
 
 The supervisor tests use a stub device so each ladder rung (retry on
 acquisition failure, escalation on quality rejection, ideal-grid
@@ -17,27 +17,6 @@ from repro.robustness import (AcquisitionError, CaptureQuality,
 from repro.robustness.errors import (ConvergenceError, ModelFormatError,
                                      ProbeError, ReproError, exit_code_for)
 from repro.workloads import RandomProgramBuilder
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-
-def test_backoff_schedule_is_deterministic_and_bounded():
-    policy = RetryPolicy(max_attempts=6, base_delay=0.01, backoff=2.0,
-                         jitter=0.25, max_delay=0.05, seed=3)
-    schedule = policy.schedule()
-    assert schedule == policy.schedule()          # reproducible
-    assert len(schedule) == 5
-    assert all(delay >= 0.0 for delay in schedule)
-    # exponential up to the cap, +/- 25% jitter
-    for index, delay in enumerate(schedule):
-        raw = min(0.05, 0.01 * 2.0 ** index)
-        assert raw * 0.75 <= delay <= raw * 1.25
-    # a different seed gives a different (desynchronized) schedule
-    other = RetryPolicy(max_attempts=6, base_delay=0.01, backoff=2.0,
-                        jitter=0.25, max_delay=0.05, seed=4)
-    assert other.schedule() != schedule
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +65,7 @@ class _StubDevice:
 
 
 def _supervisor(device, **kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, seed=1))
+    kwargs.setdefault("retry", RetryPolicy(max_attempts=3))
     return CaptureSupervisor(device, health=HealthPolicy(), **kwargs)
 
 
@@ -154,17 +133,6 @@ def test_all_failures_exhaust_and_degrade():
                                     repetitions=16)
     assert outcome.degraded
     assert outcome.capture_failures == 3
-
-
-def test_backoff_is_recorded_and_sleep_called():
-    device = _StubDevice(["fail", "fail", "good"])
-    slept = []
-    supervisor = _supervisor(device, sleep=slept.append)
-    _, outcome = supervisor.measure(_Probe(), method="reference",
-                                    repetitions=16)
-    assert len(slept) == 2
-    assert outcome.waited == pytest.approx(sum(slept))
-    assert slept == RetryPolicy(max_attempts=3, seed=1).schedule()
 
 
 def test_stats_summary_mentions_all_counters():

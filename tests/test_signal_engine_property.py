@@ -1,9 +1,9 @@
 """Property-based oracle agreement for the streaming signal engine.
 
 The signal fast path (docs/architecture.md, "Signal fast path") is
-checked against the seed's paths: direct ``np.convolve`` synthesis and
-the sparse-operator deconvolver (both in ``tests/oracles.py``), and the
-batch Welch t-test.  These properties pin the engine to those oracles
+checked against the seed's paths: direct ``np.convolve`` synthesis, the
+sparse-operator deconvolver and the two-pass Welch t-test (all in
+``tests/oracles.py``).  These properties pin the engine to those oracles
 over *generated* inputs — arbitrary amplitude vectors and kernel
 geometries, fault-corrupted captures, shuffled trace arrival orders —
 not just the canned shapes the unit tests use.  Trace-sized results
@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.leakage.streaming import (StreamingTTest, WelfordAccumulator,
-                                     streaming_tvla)
-from repro.leakage.tvla import tvla, welch_t_statistic
+from repro.leakage.streaming import StreamingTTest
+from repro.leakage.tvla import tvla
 from repro.parallel import supervised_map
 from repro.robustness import CampaignError, ConfigurationError
 from repro.robustness.errors import AcquisitionError
@@ -32,7 +31,8 @@ from repro.signal.reconstruction import (batch_estimate_cycle_amplitudes,
                                          estimate_cycle_amplitudes,
                                          reconstruct)
 
-from .oracles import direct_reconstruct, lu_estimate_cycle_amplitudes
+from .oracles import (direct_reconstruct, lu_estimate_cycle_amplitudes,
+                      two_pass_welch_t)
 
 TOLERANCE = 1e-9
 
@@ -197,7 +197,7 @@ def test_shared_transport_handles_structured_results(workers):
 
 
 # ---------------------------------------------------------------------------
-# statistics: streaming Welford vs the batch Welch oracle
+# statistics: the streaming Welford t-test vs the two-pass Welch oracle
 # ---------------------------------------------------------------------------
 _TRACE_GROUPS = st.tuples(
     st.integers(2, 12), st.integers(2, 12), st.integers(4, 64),
@@ -212,10 +212,10 @@ def test_streaming_tvla_matches_batch(shape):
     fixed = [rng.standard_normal(samples) for _ in range(fixed_count)]
     random = [rng.standard_normal(samples) + 0.5
               for _ in range(random_count)]
-    batch = tvla(fixed, random)
-    streamed = streaming_tvla(iter(fixed), iter(random))
-    assert np.max(np.abs(streamed.t_values - batch.t_values)) <= TOLERANCE
-    assert streamed.leaks == batch.leaks
+    batch = two_pass_welch_t(fixed, random)
+    streamed = tvla(iter(fixed), iter(random))
+    assert np.max(np.abs(streamed.t_values - batch)) <= TOLERANCE
+    assert streamed.leaks == bool(np.abs(batch).max() > 4.5)
 
 
 @given(shape=_TRACE_GROUPS, order_seed=st.integers(0, 2**16 - 1))
@@ -225,7 +225,7 @@ def test_streaming_tvla_is_arrival_order_invariant(shape, order_seed):
     rng = np.random.default_rng(seed)
     fixed = [rng.standard_normal(samples) for _ in range(fixed_count)]
     random = [rng.standard_normal(samples) for _ in range(random_count)]
-    reference = streaming_tvla(fixed, random).t_values
+    reference = tvla(fixed, random).t_values
     # interleave the two groups in a shuffled arrival order
     arrivals = [("f", trace) for trace in fixed]
     arrivals += [("r", trace) for trace in random]
@@ -237,28 +237,6 @@ def test_streaming_tvla_is_arrival_order_invariant(shape, order_seed):
         else:
             accumulator.add_random(trace)
     assert np.max(np.abs(accumulator.t_values() - reference)) <= TOLERANCE
-
-
-@given(shape=_TRACE_GROUPS, split=st.integers(1, 11))
-@settings(max_examples=30, deadline=None)
-def test_welford_merge_matches_sequential_accumulation(shape, split):
-    count, _, samples, seed = shape
-    rng = np.random.default_rng(seed)
-    traces = [rng.standard_normal(samples) for _ in range(count)]
-    sequential = WelfordAccumulator()
-    for trace in traces:
-        sequential.add(trace)
-    pivot = min(split, count)
-    left, right = WelfordAccumulator(), WelfordAccumulator()
-    for trace in traces[:pivot]:
-        left.add(trace)
-    for trace in traces[pivot:]:
-        right.add(trace)
-    left.merge(right)
-    assert left.count == sequential.count
-    assert np.max(np.abs(left.mean - sequential.mean)) <= TOLERANCE
-    assert np.max(np.abs(left.variance() -
-                         sequential.variance())) <= TOLERANCE
 
 
 @given(shape=_TRACE_GROUPS, trim=st.integers(1, 16))
@@ -273,26 +251,25 @@ def test_streaming_truncation_matches_batch_min_length(shape, trim):
     random = [rng.standard_normal(samples)
               for _ in range(random_count - 1)]
     random.append(rng.standard_normal(short))
-    batch = tvla(fixed, random)
-    streamed = streaming_tvla(fixed, random)
+    batch = two_pass_welch_t(fixed, random)
+    streamed = tvla(fixed, random)
     assert len(streamed.t_values) == short
-    assert np.max(np.abs(streamed.t_values - batch.t_values)) <= TOLERANCE
+    assert np.max(np.abs(streamed.t_values - batch)) <= TOLERANCE
 
 
 def test_empty_group_raises_typed_campaign_error():
     trace = np.ones(8)
-    for runner in (tvla, streaming_tvla):
-        with pytest.raises(CampaignError, match="fixed trace group"):
-            runner([], [trace, trace])
-        with pytest.raises(CampaignError, match="random trace group"):
-            runner([trace, trace], [])
+    with pytest.raises(CampaignError, match="fixed trace group"):
+        tvla([], [trace, trace])
+    with pytest.raises(CampaignError, match="random trace group"):
+        tvla([trace, trace], [])
 
 
 def test_welch_contract_violations_are_configuration_errors():
     with pytest.raises(ConfigurationError):
-        welch_t_statistic(np.ones((3, 5)), np.ones((3, 6)))
+        tvla([np.ones(5)] * 3, [np.ones(5)])
     with pytest.raises(ConfigurationError):
-        welch_t_statistic(np.ones((1, 5)), np.ones((3, 5)))
+        tvla([np.ones(5)], [np.ones(5)] * 3)
     accumulator = StreamingTTest()
     accumulator.add_fixed(np.ones(5))
     accumulator.add_random(np.ones(5))

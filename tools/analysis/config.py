@@ -49,7 +49,8 @@ class AnalysisConfig:
     #: silently inheriting "no deadline" is how hung workers sink runs.
     campaign_modules: List[str] = field(default_factory=lambda: [
         "src/repro/core/batch.py", "src/repro/core/training.py",
-        "src/repro/leakage/tvla.py", "src/repro/leakage/savat.py"])
+        "src/repro/leakage/tvla.py", "src/repro/leakage/savat.py",
+        "src/repro/leakage/streaming.py"])
     #: process exit codes the repo documents (E304); kept in sync with
     #: the ``ReproError`` table in ``docs/robustness.md``.
     exit_codes: List[int] = field(default_factory=lambda: [
@@ -67,8 +68,7 @@ class AnalysisConfig:
     #: or bare function quals) is flagged — a trace must be a pure
     #: function of (program, config, seed).
     seed_entry_points: List[str] = field(default_factory=lambda: [
-        "EMSim.simulate", "EMSim.simulate_many",
-        "BatchSimulator.simulate_many", "supervised_campaign",
+        "EMSim.simulate", "EMSim.simulate_many", "supervised_campaign",
         "measurement_campaign", "Trainer.train"])
     #: exception families the CLI layer's top-level handler converts to
     #: documented exit codes (E601 treats raises of these as covered).
