@@ -35,8 +35,7 @@ import numpy as np
 from ..hardware.device import HardwareDevice
 from ..isa.program import Program
 from ..observability import get_metrics, get_tracer, record_campaign
-from ..parallel import (CampaignLedger, resolve_workers, spawn_seed,
-                        supervised_map)
+from ..parallel import CampaignLedger, resolve_workers, supervised_map
 from ..robustness.checkpoint import CheckpointJournal, open_journal
 from ..robustness.health import CaptureQuality
 from ..signal.kernels import DEFAULT_KERNEL, Kernel
@@ -69,19 +68,16 @@ def _campaign_item(device: HardwareDevice, seed: int, repetitions: int,
                    samples_per_cycle: int, item) -> CampaignProbe:
     """Capture + deconvolve one indexed probe program.
 
-    The device RNG and (if present) the fault injector are reseeded
-    from ``(campaign seed, probe index)`` before the capture, so the
-    probe's result is a pure function of the campaign seed and its
-    position — independent of worker count, chunking, or who captured
-    the previous probe.
+    The device captures from streams reseeded from ``(campaign seed,
+    probe index)`` (the scope at stream 0, the fault injector at stream
+    1), so the probe's result is a pure function of the campaign seed
+    and its position — independent of worker count, chunking, or who
+    captured the previous probe — and the device gets its own streams
+    back afterwards.
     """
     index, program = item
-    device.rng = spawn_seed(seed, index)
-    injector = getattr(device, "fault_injector", None)
-    if injector is not None:
-        injector.reseed(spawn_seed(seed, index, stream=1))
     tracer = get_tracer()
-    with tracer.span("campaign.capture"):
+    with tracer.span("campaign.capture"), device.reseeded(seed, index):
         measurement = device.capture_reference(
             program, repetitions=repetitions, max_cycles=max_cycles)
     with tracer.span("campaign.deconvolve"):

@@ -29,7 +29,7 @@ import numpy as np
 from ..hardware.device import HardwareDevice, Measurement
 from ..isa.program import Program
 from ..observability import get_tracer, record_campaign
-from ..parallel import resolve_workers, spawn_seed, supervised_map
+from ..parallel import resolve_workers, supervised_map
 from ..robustness.checkpoint import CheckpointJournal, open_journal
 from ..robustness.errors import ConvergenceError, ProbeError
 from ..robustness.retry import (AcquisitionStats, CaptureSupervisor,
@@ -62,18 +62,15 @@ def _capture_probe(supervisor: CaptureSupervisor, seed: int, method: str,
                    ) -> Tuple[Measurement, ProbeOutcome]:
     """Capture one indexed probe through ``supervisor``.
 
-    The supervisor's device RNG (and fault injector, if any) is
-    reseeded from ``(trainer seed, probe index)``, so every probe's
-    capture is deterministic and independent of worker count and
-    scheduling.
+    The supervisor's device captures from streams reseeded from
+    ``(trainer seed, probe index)`` (the scope at stream 0, the fault
+    injector at stream 1), so every probe's capture is deterministic
+    and independent of worker count and scheduling, and the device
+    gets its own streams back afterwards.
     """
     index, program = item
-    device = supervisor.device
-    device.rng = spawn_seed(seed, index)
-    injector = getattr(device, "fault_injector", None)
-    if injector is not None:
-        injector.reseed(spawn_seed(seed, index, stream=1))
-    with get_tracer().span("train.capture"):
+    with get_tracer().span("train.capture"), \
+            supervisor.device.reseeded(seed, index):
         return supervisor.measure(program, method=method,
                                   repetitions=repetitions)
 
@@ -200,7 +197,6 @@ class Trainer:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        self.rng = np.random.default_rng(self.seed)
         if self.config.samples_per_cycle != self.device.samples_per_cycle:
             self.config = replace(
                 self.config,
@@ -210,16 +206,23 @@ class Trainer:
             self._robust_enabled = faulty
         else:
             self._robust_enabled = bool(self.robust)
+        self._journal: Optional[CheckpointJournal] = None
+        self._start_run()
+
+    def _start_run(self) -> None:
+        """Per-run state, fresh for every :meth:`train` call: the probe
+        operand RNG from ``seed``, the batch counter, the capture
+        supervisor and its statistics, the report, and the streaming
+        per-cycle amplitude moments that :meth:`_amplitudes` folds
+        (O(samples) observability over the whole deconvolution loop, no
+        amplitude vector kept)."""
+        self.rng = np.random.default_rng(self.seed)
+        self._batch_counter = 0
         self.supervisor = CaptureSupervisor(
             self.device, allow_degradation=not self.strict,
             log=self._log if self.verbose else None)
         self.report = TrainingReport(robust_fitting=self._robust_enabled)
         self.report.acquisition = self.supervisor.stats
-        self._journal: Optional[CheckpointJournal] = None
-        self._batch_counter = 0
-        # streaming per-cycle amplitude moments folded by _amplitudes:
-        # O(samples) observability over the whole deconvolution loop
-        # without retaining any probe's amplitude vector
         self._amplitude_stats = WelfordAccumulator()
 
     # ------------------------------------------------------------------
@@ -243,9 +246,10 @@ class Trainer:
         The probes go through :func:`~repro.parallel.supervised_map`
         (in-process at ``workers=1`` without a timeout, a process pool
         otherwise) with a fresh capture supervisor per batch: each
-        probe reseeds the capturing device (a worker's copy, or this
-        trainer's own in-process) from ``(trainer seed, probe index)``,
-        so every capture, and hence the model, is deterministic and
+        probe captures from streams reseeded from ``(trainer seed,
+        probe index)`` on the capturing device (a worker's copy, or this
+        trainer's own in-process, which gets its own streams back), so
+        every capture, and hence the model, is deterministic and
         independent of worker count.  Worker-side acquisition
         accounting (retries, rejects, degradations) is folded back into
         this trainer's report.
@@ -312,12 +316,20 @@ class Trainer:
     def train(self) -> EMSimModel:
         """Run the full model-building pipeline.
 
+        Every call starts afresh from ``seed`` (probe operands, report,
+        acquisition statistics), so calling it again on the same trainer
+        returns the same model and report.  With
+        ``capture_method="reference"`` the kernel-fit and NOP-baseline
+        probes are the exception: they capture from the device's own
+        scope stream, which each call advances.
+
         With ``checkpoint`` set, the batch captures journal their
         results as they complete (flushed on SIGINT/SIGTERM too), and a
         rerun with ``resume=True`` replays completed probes from the
         journal — producing bit-identical model coefficients to an
         uninterrupted run.
         """
+        self._start_run()
         meta = {"campaign": "train", "device": self.device.name,
                 "seed": int(self.seed), "capture": self.capture_method,
                 "repetitions": int(self.repetitions)}
@@ -328,7 +340,6 @@ class Trainer:
                                    device=self.device.name):
                 with open_journal(self.checkpoint, meta,
                                   self.resume) as journal:
-                    self._batch_counter = 0
                     self._journal = journal
                     try:
                         model = self._train_stages()

@@ -10,12 +10,14 @@ converges to) or through the full scope + modulo-operation pipeline.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..isa.program import Program
+from ..parallel import spawn_seed
 from ..robustness.errors import AcquisitionError, ConfigurationError
 from ..robustness.faults import FaultInjector, FaultPlan
 from ..robustness.health import (CaptureQuality, assess_capture,
@@ -105,6 +107,31 @@ class HardwareDevice:
     def name(self) -> str:
         """Readable device identity, e.g. ``de0-cv#0``."""
         return f"{self.instance.board.name}#{self.instance.instance_id}"
+
+    @contextmanager
+    def reseeded(self, seed: int, index: int) -> Iterator["HardwareDevice"]:
+        """Capture inside the block from campaign item ``index``'s streams.
+
+        The scope (trigger jitter and noise) draws from
+        ``spawn_seed(seed, index)`` and the fault injector, if any, from
+        ``spawn_seed(seed, index, stream=1)`` (see
+        :meth:`~repro.robustness.faults.FaultInjector.reseeded`), so an
+        item's capture is a pure function of the campaign seed and its
+        position.  When the block ends the device's own streams come
+        back, so an item run in-process leaves the caller's device as it
+        found it, as an item run on a pool worker's copy does.
+        """
+        saved = self.rng
+        self.rng = spawn_seed(seed, index)
+        try:
+            if self.fault_injector is None:
+                yield self
+            else:
+                with self.fault_injector.reseeded(
+                        spawn_seed(seed, index, stream=1)):
+                    yield self
+        finally:
+            self.rng = saved
 
     # ------------------------------------------------------------------
     # execution

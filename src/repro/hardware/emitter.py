@@ -17,6 +17,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..signal.reconstruction import grid_phases
 from ..uarch.latches import STAGES
 from ..uarch.trace import EM_CLASSES, ActivityTrace
 from .probe import CENTER, ProbePosition, coupling
@@ -131,7 +132,15 @@ class HardwareEmitter:
         (repetitions, 2 units) and (samples, 2 units) operands per carry,
         and each sample takes its own carry's product; the carried one
         covers only the samples that some repetition of the group
-        carries.  No sample pays a ``sin`` or ``exp``.
+        carries.
+
+        ``P`` depends only on the units' ``lam``, the step and the clock
+        scale, so it comes from the plan cache
+        (:func:`~repro.signal.reconstruction.grid_phases`): the first
+        capture on a grid pays one complex ``exp`` per sample and unit,
+        and later captures on it (every probe of a campaign on the scope
+        grid) pay none.  Each call pays one ``exp`` per repetition and
+        unit for ``C``.
         """
         kernels = [unit.kernel for unit in self.units]
         weighted = self.unit_amplitudes(trace) * \
@@ -160,28 +169,33 @@ class HardwareEmitter:
         def evaluate(starts: np.ndarray, count: int,
                      step: float) -> np.ndarray:
             starts = np.asarray(starts, dtype=float) / scale
-            grid = np.arange(count) * step / scale
-            grid_cycle = np.floor(grid)
-            grid_frac = grid - grid_cycle
+            grid_cycle, grid_frac, shared = grid_phases(lam, step, scale,
+                                                        count)
             start_cycle = np.floor(starts)
             start_frac = starts - start_cycle
-            shared = np.exp(np.multiply.outer(grid_frac, lam))
             lead = np.exp(np.multiply.outer(start_frac, lam))
             # (Re C, Im C) rows meet (Im M, Re M) rows in one real product
             lead = np.concatenate([lead.real, lead.imag], axis=1)
-            base = grid_cycle.astype(int) + pad
-            result = np.empty((len(starts), count))
-            for cycle in np.unique(start_cycle):
+            base = grid_cycle + pad
+            cycles = np.unique(start_cycle)
+            # one start cycle (every campaign capture): its products are
+            # the result, so no (repetitions, count) copy is made
+            result = np.empty((len(starts), count)) if len(cycles) > 1 \
+                else None
+            for cycle in cycles:
                 group = start_cycle == cycle
                 index = np.clip(base + int(cycle), 0, rows - 1)
-                values = lead[group] @ _imag_real(tables[0][index] * shared).T
+                values = lead[group] @ _imag_real(tables[0][index],
+                                                  shared).T
                 # only samples that some repetition carries read T_1
                 late = np.flatnonzero(
                     grid_frac >= 1.0 - start_frac[group].max())
                 carried = lead[group] @ _imag_real(
-                    tables[1][index[late]] * shared[late]).T
+                    tables[1][index[late]], shared[late]).T
                 carries = grid_frac[late] >= 1.0 - start_frac[group, None]
                 values[:, late] = np.where(carries, carried, values[:, late])
+                if result is None:
+                    return values.ravel()
                 result[group] = values
             return result.ravel()
 
@@ -192,9 +206,11 @@ class HardwareEmitter:
     continuous_fast = continuous
 
 
-def _imag_real(values: np.ndarray) -> np.ndarray:
-    """``[Im, Re]`` of a (rows, units) complex array, side by side."""
-    return np.concatenate([values.imag, values.real], axis=1)
+def _imag_real(rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``[Im, Re]`` of ``rows * phases``, (rows, units) complex arrays,
+    side by side; the product overwrites ``rows``, a gathered copy."""
+    rows *= phases
+    return np.concatenate([rows.imag, rows.real], axis=1)
 
 
 def stage_couplings(units: Sequence[EmUnit],

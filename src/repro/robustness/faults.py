@@ -21,8 +21,9 @@ place of the clean capture.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -140,16 +141,23 @@ class FaultInjector:
         self.counters: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         self._brownout_remaining = 0
 
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Rebase the injector on a fresh RNG stream.
+    @contextmanager
+    def reseeded(self, rng: np.random.Generator
+                 ) -> Iterator["FaultInjector"]:
+        """Draw every fault decision inside the block from ``rng``.
 
-        Used by parallel campaigns to give every probe its own
-        deterministic fault stream (independent of worker scheduling).
-        A fresh stream implies a fresh bench state, so the brown-out
-        countdown is cleared too; the fault counters keep accumulating.
+        Campaigns give every item its own deterministic fault stream
+        this way (independent of worker scheduling).  A fresh stream
+        implies a fresh bench state, so the brown-out countdown starts
+        cleared; when the block ends the injector's own stream and
+        countdown come back.  The fault counters keep accumulating.
         """
-        self.rng = rng
-        self._brownout_remaining = 0
+        saved = self.rng, self._brownout_remaining
+        self.rng, self._brownout_remaining = rng, 0
+        try:
+            yield self
+        finally:
+            self.rng, self._brownout_remaining = saved
 
     # ------------------------------------------------------------------
     # capture-killing faults

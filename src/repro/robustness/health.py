@@ -85,10 +85,13 @@ class CaptureQuality:
 
     @property
     def clean_repetitions(self) -> int:
+        """Repetitions the reference was folded from: the requested ones
+        neither lost nor screened out."""
         return max(0, self.total_repetitions - self.lost_repetitions -
                    self.screened_repetitions)
 
     def summary(self) -> str:
+        """One-line report of the statistics and repetition counts."""
         return (f"clip={self.clipping_ratio:.1%} snr={self.snr_db:.1f}dB "
                 f"align={self.alignment_residual:.3f} "
                 f"clean={self.clean_repetitions}/{self.total_repetitions} "
@@ -171,6 +174,7 @@ class RepetitionScreen:
 
     @property
     def rejected(self) -> int:
+        """How many delivered repetitions the screen rejected."""
         return int((~self.keep).sum())
 
 
@@ -251,7 +255,10 @@ def screen_repetitions(times_list: Rows, samples_list: Rows, period: float,
                                       num_bins=num_bins,
                                       bins=kept_samples(bins, keep))
         if matrix:
-            squared = np.square(samples_list - reference[bins])
+            # (samples - reference[bins])^2, in the gathered array
+            squared = reference[bins]
+            np.subtract(samples_list, squared, out=squared)
+            np.square(squared, out=squared)
             all_residuals = np.sqrt(np.mean(squared, axis=1))
         else:
             squared = [np.square(s - reference[b])

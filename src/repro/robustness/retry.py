@@ -64,6 +64,7 @@ class AcquisitionStats:
     probes_degraded: int = 0
 
     def record(self, outcome: ProbeOutcome) -> None:
+        """Fold one probe's outcome into the run totals."""
         self.probes += 1
         self.captures_attempted += outcome.attempts
         if outcome.retries:
@@ -75,6 +76,7 @@ class AcquisitionStats:
             self.probes_degraded += 1
 
     def summary(self) -> str:
+        """One-line report of the totals (``repro train`` prints it)."""
         return (f"probes={self.probes} captures={self.captures_attempted} "
                 f"retried={self.probes_retried} "
                 f"rejected={self.quality_rejects} "

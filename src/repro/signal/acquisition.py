@@ -84,15 +84,15 @@ class Oscilloscope:
         self.last_repetition_stats = RepetitionStats()
 
     def _quantize(self, samples: np.ndarray) -> np.ndarray:
+        """ADC codes ``round(clip(x) / step) * step``, in place."""
         config = self.config
         step = config.adc_range / (2 ** config.adc_bits)
-        # round(clip(x) / step) * step, in place on the clipped copy
-        codes = np.clip(samples, -config.adc_range / 2,
-                        config.adc_range / 2 - step)
-        codes /= step
-        np.round(codes, out=codes)
-        codes *= step
-        return codes
+        np.clip(samples, -config.adc_range / 2,
+                config.adc_range / 2 - step, out=samples)
+        samples /= step
+        np.round(samples, out=samples)
+        samples *= step
+        return samples
 
     def capture_repetition_list(self,
                                 continuous: Callable[[np.ndarray, int,
@@ -114,17 +114,23 @@ class Oscilloscope:
         back as lists of 1-D arrays.
 
         The RNG stream is consumed per repetition, in order (trigger
-        gating, jitter, noise, corruption draws); then ``y`` is evaluated
-        **once**, on every delivered repetition's grid (its jitter, the
-        sample count, one sample period), as one (repetitions, samples)
-        matrix: each row takes its noise in place, corruption (if any)
-        is applied row by row, and the rows are quantized together.
+        gating, jitter, noise, corruption draws), and every delivered
+        repetition's standard-normal noise is drawn straight into its
+        row of one (repetitions, samples) matrix; then ``y`` is
+        evaluated **once**, on every delivered repetition's grid (its
+        jitter, the sample count, one sample period), as one more such
+        matrix.  The noise is scaled and added to it in one pass each,
+        corruption (if any) is applied row by row, and the rows are
+        quantized together, in place.  ``rng.normal(0, sigma)`` draws
+        ``0.0 + sigma * z`` from the same ``z``, so the samples carry the
+        bits of a per-repetition draw-and-add loop; only a ``-0.0`` value
+        of ``y`` meeting a ``-0.0`` noise value keeps its sign here.
         """
         config = self.config
         count = int(duration_cycles * config.effective_rate)
         delivered = []
         jitters = []
-        noise = []
+        noise = np.empty((repetitions, count))
         recipes = []
         lost = 0
         for repetition in range(repetitions):
@@ -134,9 +140,9 @@ class Oscilloscope:
                 except AcquisitionError:
                     lost += 1
                     continue
-            delivered.append(repetition)
             jitters.append(self.rng.uniform(0, config.trigger_jitter_cycles))
-            noise.append(self.rng.normal(0.0, config.noise_rms, size=count))
+            self.rng.standard_normal(out=noise[len(delivered)])
+            delivered.append(repetition)
             if self.injector is not None:
                 recipes.append(self.injector.draw_corruption(count))
         self.last_repetition_stats = RepetitionStats(requested=repetitions,
@@ -146,9 +152,12 @@ class Oscilloscope:
         jitters = np.array(jitters)
         samples = continuous(jitters, count, 1.0 / config.effective_rate) \
             .reshape(len(jitters), count)
-        for row, row_noise in zip(samples, noise):
-            row += row_noise
-        times = jitters[:, None] + np.arange(count) / config.effective_rate
+        noise = noise[:len(delivered)]
+        noise *= config.noise_rms
+        samples += noise
+        # the noise matrix, added, becomes the times matrix
+        times = np.add(jitters[:, None],
+                       np.arange(count) / config.effective_rate, out=noise)
         shifts = np.array(delivered, dtype=float) * duration_cycles
         if recipes:
             times, samples = zip(*(

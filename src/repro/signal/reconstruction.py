@@ -15,13 +15,15 @@ polyphase sub-kernels and scatters them in the time domain.
 Deconvolution exploits that the normal-equations Gram ``K^T K + ridge*I``
 is a symmetric banded (near-Toeplitz) matrix: the band is built directly
 from the kernel autocorrelation — no sparse operator is materialized — and
-its Cholesky factor is cached per geometry.
+its Cholesky factor is cached per geometry.  A third cache holds the
+phase tables the hardware emitter evaluates scope grids with
+(:func:`grid_phases`), shared by every capture on the same grid.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -43,11 +45,14 @@ class PlanCache:
     of *distinct* geometries in flight, and lookups report hit/miss/evict
     through :class:`~repro.observability.metrics.MetricsRegistry` at the
     call sites (literal names, so the docs/observability.md name table
-    stays checkable by repro-lint A502).
+    stays checkable by repro-lint A502).  ``maxbytes`` also bounds the
+    plans' summed ``nbytes``: the least recently used plans go first,
+    down to none when one plan alone exceeds it.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, maxbytes: Optional[int] = None) -> None:
         self.maxsize = int(maxsize)
+        self.maxbytes = maxbytes
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def lookup(self, key: Hashable) -> Optional[object]:
@@ -57,14 +62,24 @@ class PlanCache:
             self._entries.move_to_end(key)
         return plan
 
-    def store(self, key: Hashable, plan: object) -> bool:
-        """Insert ``plan`` under ``key``; True if an entry was evicted."""
+    def store(self, key: Hashable, plan: object) -> int:
+        """Insert (or replace) ``plan`` under ``key``; returns how many
+        plans were evicted to keep within the bounds."""
         self._entries[key] = plan
         self._entries.move_to_end(key)
-        if len(self._entries) > self.maxsize:
+        evicted = 0
+        while self._entries and (
+                len(self._entries) > self.maxsize or
+                self.maxbytes is not None and self.nbytes > self.maxbytes):
             self._entries.popitem(last=False)
-            return True
-        return False
+            evicted += 1
+        return evicted
+
+    @property
+    def nbytes(self) -> int:
+        """Summed ``nbytes`` of the resident plans (0 for plans without)."""
+        return sum(getattr(plan, "nbytes", 0)
+                   for plan in self._entries.values())
 
     def clear(self) -> None:
         """Drop every cached plan."""
@@ -76,18 +91,21 @@ class PlanCache:
 
 _SYNTH_PLANS = PlanCache(maxsize=64)
 _DECONV_PLANS = PlanCache(maxsize=128)
+_PHASE_TABLES = PlanCache(maxsize=64, maxbytes=32 << 20)
 
 
 def clear_plan_caches() -> None:
     """Reset every signal-engine plan cache (test isolation hook)."""
     _SYNTH_PLANS.clear()
     _DECONV_PLANS.clear()
+    _PHASE_TABLES.clear()
 
 
 def plan_cache_sizes() -> Dict[str, int]:
     """Current entry counts of the signal plan caches (introspection)."""
     return {"synthesis": len(_SYNTH_PLANS),
-            "deconvolution": len(_DECONV_PLANS)}
+            "deconvolution": len(_DECONV_PLANS),
+            "phases": len(_PHASE_TABLES)}
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +164,9 @@ def _synthesis_plan(kernel: Kernel, samples_per_cycle: int
         return plan  # type: ignore[return-value]
     registry.increment("signal.synth.cache.misses")
     plan = SynthesisPlan(kernel, samples_per_cycle)
-    if _SYNTH_PLANS.store(key, plan):
-        registry.increment("signal.synth.cache.evictions")
+    evicted = _SYNTH_PLANS.store(key, plan)
+    if evicted:
+        registry.increment("signal.synth.cache.evictions", evicted)
     return plan
 
 
@@ -206,6 +225,88 @@ def batch_reconstruct(amplitude_sets: Sequence[np.ndarray], kernel: Kernel,
                 kernel, samples_per_cycle).synthesize(amplitudes))
     get_metrics().increment("batch_reconstructions", len(amplitude_sets))
     return signals
+
+
+# ---------------------------------------------------------------------------
+# grid phases (the hardware emitter's scope grids)
+# ---------------------------------------------------------------------------
+class PhaseTable:
+    """Leading rows of one arithmetic time grid's phase factors.
+
+    Row ``k`` describes the time ``k * step / scale`` (a grid ``k *
+    step`` read on a clock ``scale`` times the nominal period): its
+    whole cycle (``cycles``), its fraction (``fractions``) and
+    ``e^(rate * fraction)`` for every rate (``phases``, (rows, rates)).
+    The arrays are read-only: every caller reads views of them.
+    """
+
+    __slots__ = ("cycles", "fractions", "phases")
+
+    def __init__(self, cycles: np.ndarray, fractions: np.ndarray,
+                 phases: np.ndarray) -> None:
+        self.cycles = cycles
+        self.fractions = fractions
+        self.phases = phases
+        for column in (cycles, fractions, phases):
+            column.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the three columns hold."""
+        return self.cycles.nbytes + self.fractions.nbytes + \
+            self.phases.nbytes
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+
+def _grid_rows(rates: np.ndarray, step: float, scale: float, start: int,
+               stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``start .. stop - 1`` of a :class:`PhaseTable`, each computed
+    from its own ``k`` alone (``(k * step) / scale``, its floor, the
+    difference, and one complex ``exp`` per rate)."""
+    grid = np.arange(start, stop) * step / scale
+    cycles = np.floor(grid)
+    fractions = grid - cycles
+    return (cycles.astype(int), fractions,
+            np.exp(np.multiply.outer(fractions, rates)))
+
+
+def grid_phases(rates: np.ndarray, step: float, scale: float,
+                count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cycles, fractions, phases)`` of the grid's first ``count`` rows.
+
+    See :class:`PhaseTable`.  The table depends on nothing but ``rates``,
+    ``step`` and ``scale``, so one cached table serves every capture on
+    the same grid: every probe of a campaign shares one scope-grid
+    table, and every probe of one length (at a nominal clock, every
+    probe) one auto-range pilot table.  A request past a cached table's
+    last row regrows it to at least twice its rows, computing only the
+    new rows, so the views returned are the bits a table built for
+    exactly ``count`` rows would hold.  The cache is bounded by resident
+    bytes (32 MiB; a 10-round AES capture's ~113k-sample grid for 11
+    units takes ~20 MB) and reports ``signal.phase.cache.*`` counters.
+    """
+    registry = get_metrics()
+    rates = np.asarray(rates, dtype=complex)
+    key = (rates.tobytes(), float(step), float(scale))
+    table = _PHASE_TABLES.lookup(key)
+    if isinstance(table, PhaseTable) and len(table) >= count:
+        registry.increment("signal.phase.cache.hits")
+    else:
+        registry.increment("signal.phase.cache.misses")
+        start = len(table) if isinstance(table, PhaseTable) else 0
+        rows = _grid_rows(rates, step, scale, start, max(count, 2 * start))
+        if isinstance(table, PhaseTable):
+            rows = (np.concatenate((table.cycles, rows[0])),
+                    np.concatenate((table.fractions, rows[1])),
+                    np.concatenate((table.phases, rows[2])))
+        table = PhaseTable(*rows)
+        evicted = _PHASE_TABLES.store(key, table)
+        if evicted:
+            registry.increment("signal.phase.cache.evictions", evicted)
+    return table.cycles[:count], table.fractions[:count], \
+        table.phases[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +382,9 @@ def _deconv_plan(kernel: Kernel, samples_per_cycle: int,
         return plan  # type: ignore[return-value]
     registry.increment("signal.deconv.cache.misses")
     plan = DeconvPlan(kernel, samples_per_cycle, num_cycles, ridge)
-    if _DECONV_PLANS.store(key, plan):
-        registry.increment("signal.deconv.cache.evictions")
+    evicted = _DECONV_PLANS.store(key, plan)
+    if evicted:
+        registry.increment("signal.deconv.cache.evictions", evicted)
     return plan
 
 

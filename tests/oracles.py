@@ -24,8 +24,11 @@ asserting that the engine computes the same thing:
   key schedule and plaintext as ``.byte`` data, assembled per call;
 * :func:`seed_alu_result` and :func:`seed_muldiv_result` — each
   instruction's ALU result as a chain of mnemonic tests;
-* :func:`seed_offset_bins` — Eq. 1 offset bins with a separate
-  ``% num_bins`` wrap;
+* :func:`seed_offset_bins` — Eq. 1 offset bins from ``np.mod`` with a
+  separate ``% num_bins`` wrap;
+* :func:`per_repetition_capture` — the scope's capture loop drawing each
+  repetition's noise with ``rng.normal`` and adding it row by row, then
+  quantizing into a fresh array;
 * :func:`seed_trace_keys` — the trace cache's keys hashed from each
   program's own sections, with no memo and no template reuse;
 * :func:`seed_continuous` — the emitter's ``y(t)`` at arbitrary times,
@@ -70,7 +73,8 @@ from repro.leakage.aes import (CT_BASE, RK_BASE, SBOX, SBOX_BASE,
                                _emit_add_round_key, _emit_cache_warm,
                                _emit_mix_columns, _emit_shift_rows,
                                _emit_sub_bytes, key_schedule)
-from repro.robustness.errors import AssemblerError
+from repro.robustness.errors import AcquisitionError, AssemblerError
+from repro.signal.acquisition import RepetitionStats
 from repro.signal.metrics import normalize_energy
 from repro.uarch.branch import BranchTargetBuffer, make_predictor
 from repro.uarch.cache import DataCache
@@ -1206,6 +1210,62 @@ def seed_offset_bins(sample_times, period, num_bins):
     num_bins)``, wrapped by an integer ``% num_bins``."""
     offsets = np.mod(np.asarray(sample_times, dtype=float), period)
     return np.round(offsets / period * num_bins).astype(int) % num_bins
+
+
+def per_repetition_capture(scope, continuous, duration_cycles,
+                           repetitions):
+    """``scope.capture_repetition_list`` as a per-repetition loop: each
+    delivered repetition draws its jitter, then its noise as one
+    ``rng.normal(0, noise_rms, count)`` array, then its corruption;
+    ``y`` runs once on every delivered grid, each row adds its own noise
+    array, and the quantizer clips into a fresh array.  Sets
+    ``scope.last_repetition_stats`` as the scope does."""
+    from repro.signal.acquisition import RepetitionStats
+
+    config, injector, rng = scope.config, scope.injector, scope.rng
+    count = int(duration_cycles * config.effective_rate)
+    delivered, jitters, noise, recipes = [], [], [], []
+    lost = 0
+    for repetition in range(repetitions):
+        if injector is not None:
+            try:
+                injector.begin_capture()
+            except AcquisitionError:
+                lost += 1
+                continue
+        delivered.append(repetition)
+        jitters.append(rng.uniform(0, config.trigger_jitter_cycles))
+        noise.append(rng.normal(0.0, config.noise_rms, size=count))
+        if injector is not None:
+            recipes.append(injector.draw_corruption(count))
+    scope.last_repetition_stats = RepetitionStats(requested=repetitions,
+                                                  lost=lost)
+    if not delivered:
+        return np.empty((0, count)), np.empty((0, count))
+
+    def quantize(samples):
+        step = config.adc_range / (2 ** config.adc_bits)
+        codes = np.clip(samples, -config.adc_range / 2,
+                        config.adc_range / 2 - step)
+        return np.round(codes / step) * step
+
+    jitters = np.array(jitters)
+    samples = continuous(jitters, count, 1.0 / config.effective_rate) \
+        .reshape(len(jitters), count)
+    for row, row_noise in zip(samples, noise):
+        row += row_noise
+    times = jitters[:, None] + np.arange(count) / config.effective_rate
+    shifts = np.array(delivered, dtype=float) * duration_cycles
+    if recipes:
+        times, samples = zip(*(
+            injector.apply_corruption(recipe, row_times, row)
+            for recipe, row_times, row in zip(recipes, times, samples)))
+        if len({len(row) for row in samples}) > 1:
+            return ([row + shift for row, shift in zip(times, shifts)],
+                    [quantize(row) for row in samples])
+        times, samples = np.array(times), np.array(samples)
+    times += shifts[:, None]
+    return times, quantize(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import (ABLATIONS, EMSim, EMSimConfig, Trainer,
-                        coverage_groups, make_simulator, train_emsim)
+                        coverage_groups, make_simulator, model_to_dict,
+                        train_emsim)
 from repro.hardware import HardwareDevice
 from repro.signal import simulation_accuracy
 from repro.workloads import checksum, dot_product, fibonacci
@@ -156,6 +157,25 @@ def test_report_counts_each_deconvolved_probe_once(monkeypatch):
     # without the kernel fit, every captured probe is deconvolved
     assert len(deconvolved) == trainer.report.acquisition.probes
     assert trainer.report.deconvolution["probes"] == len(deconvolved)
+
+
+def test_training_twice_gives_the_same_model_and_report():
+    """Each ``train()`` call starts from the trainer's seed with a fresh
+    report: a second call on the same trainer returns the first call's
+    model and report, and the first call's model is a fresh trainer's."""
+    def trainer():
+        return Trainer(device=HardwareDevice(), activity_probes_per_class=2,
+                       miso_groups=1, miso_group_size=32, seed=11)
+
+    again = trainer()
+    runs = []
+    for _ in range(2):
+        model = model_to_dict(again.train())
+        runs.append((model, again.report.summary(),
+                     again.report.acquisition.probes,
+                     again.report.deconvolution))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == model_to_dict(trainer().train())
 
 
 def test_config_switch_helpers():

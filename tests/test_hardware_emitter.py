@@ -7,7 +7,11 @@ from repro.hardware import (DE0_CV, DeviceInstance, HardwareDevice,
                             HardwareEmitter, ProbePosition)
 from repro.hardware.emitter import stage_couplings
 from repro.isa import Instruction
+from repro.leakage import DEFAULT_KEY, aes_program
+from repro.observability import disable_metrics, enable_metrics
 from repro.signal import ScopeConfig
+from repro.signal import reconstruction
+from repro.signal.reconstruction import clear_plan_caches, plan_cache_sizes
 from repro.uarch import run_program
 from repro.workloads import RandomProgramBuilder, nop_padded
 
@@ -140,6 +144,64 @@ def test_grid_products_match_the_per_repetition_evaluator(instance_id):
             assert values.shape == expected.shape == (len(starts) * count,)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(values - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("instance_id", [0, 1])
+def test_warm_phase_tables_give_cold_bytes(instance_id):
+    """Probes whose sample counts rise, fall and repeat evaluate the scope
+    and auto-range pilot grids to the bytes a cold plan cache gives, at a
+    nominal and an off-nominal clock: a cached phase table is sliced or
+    regrown, never computed differently."""
+    device = HardwareDevice(instance=DeviceInstance(instance_id=instance_id))
+    builder = RandomProgramBuilder(seed=20 + instance_id)
+    traces = sorted((device.run_trace(builder.program(length,
+                                                      name=f"r{length}"))
+                     for length in (8, 24, 48, 96)),
+                    key=lambda trace: trace.num_cycles)
+    assert len({trace.num_cycles for trace in traces}) == len(traces)
+    rng = np.random.default_rng(instance_id)
+    rate = ScopeConfig().effective_rate
+    calls = []
+    for trace in traces + traces[::-1] + traces[1:2]:
+        duration = trace.num_cycles * device.instance.clock_scale
+        bins = trace.num_cycles * device.samples_per_cycle
+        calls.append((trace, rng.uniform(0, 0.4, 5), int(duration * rate),
+                      1.0 / rate))
+        calls.append((trace, np.zeros(1), bins, duration / bins))
+    registry = enable_metrics()
+    registry.reset()
+    try:
+        clear_plan_caches()
+        warm = [device.emitter.continuous(trace)(starts, count, step)
+                for trace, starts, count, step in calls]
+        counters = dict(registry.counters)
+    finally:
+        disable_metrics()
+        registry.reset()
+    assert counters["signal.phase.cache.hits"] > len(traces)
+    cold = []
+    for trace, starts, count, step in calls:
+        clear_plan_caches()
+        cold.append(device.emitter.continuous(trace)(starts, count, step))
+    assert [values.tobytes() for values in warm] == \
+        [values.tobytes() for values in cold]
+
+
+def test_phase_tables_stay_within_their_byte_bound():
+    """A 10-round AES reference capture asks for two ~113k-sample phase
+    tables of 11 units (~20 MB each), the pilot's and the scope's; the
+    cache keeps within its byte bound by evicting the pilot's, and
+    ``clear_plan_caches`` empties it."""
+    clear_plan_caches()
+    cache = reconstruction._PHASE_TABLES
+    device = HardwareDevice()
+    measurement = device.capture_reference(
+        aes_program(DEFAULT_KEY, list(range(16)), rounds=10), repetitions=2)
+    assert measurement.num_cycles > 5000
+    assert plan_cache_sizes()["phases"] == 1
+    assert cache.maxbytes / 2 < cache.nbytes <= cache.maxbytes
+    clear_plan_caches()
+    assert plan_cache_sizes()["phases"] == 0 and cache.nbytes == 0
 
 
 def test_probe_position_changes_couplings(trace):

@@ -10,10 +10,15 @@ campaign journal written at one worker count replays every probe at
 another.  The AES TVLA is also bit-identical in every trace-cache state:
 disabled, cold (EMSim records and replays the AES schedule), warm, and
 served from the disk layer.  So are SAVAT values, simulated and
-ideal-captured, whichever side runs a program's core first.  TVLA
-collection and the SAVAT sweep also fail alike at both worker counts: a
-trace source that fails once is retried to the same outputs, and one
-that always fails raises ``CampaignError``.
+ideal-captured, whichever side runs a program's core first, and
+campaign probes, clean and faulted, in every trace-cache state crossed
+with every state of the emitter's phase tables (cold, or warm from a
+longer or a shorter probe).  A campaign or a reference-capture training
+run also leaves the caller's device as it found it, so a later capture
+on it does not depend on the worker count.  TVLA collection and the
+SAVAT sweep also fail alike at both worker counts: a trace source that
+fails once is retried to the same outputs, and one that always fails
+raises ``CampaignError``.
 """
 
 import os
@@ -34,6 +39,7 @@ from repro.leakage.streaming import collect_streaming_tvla
 from repro.leakage.tvla import collect_tvla_traces
 from repro.robustness import CampaignError, FaultPlan
 from repro.robustness.checkpoint import CheckpointJournal
+from repro.signal.reconstruction import clear_plan_caches
 from repro.workloads import RandomProgramBuilder
 
 POOL_TIMEOUT = 600.0
@@ -79,6 +85,104 @@ def test_reference_trainer_identical_at_one_and_two_workers():
                           seed=11, workers=workers, **extra)
         models.append(model_to_dict(trainer.train()))
     assert models[0] == models[1]
+
+
+def _later_capture(device, program):
+    return device.capture_reference(program, repetitions=8).signal.tobytes()
+
+
+def test_a_campaign_leaves_the_callers_device_as_it_found_it():
+    programs = _programs(3)
+    plan = FaultPlan.preset(0.25, seed=7)
+    untouched = _later_capture(HardwareDevice(seed=3, fault_plan=plan),
+                               programs[0])
+    for workers, extra in RUNS.items():
+        device = HardwareDevice(seed=3, fault_plan=plan)
+        measurement_campaign(device, programs, repetitions=8,
+                             workers=workers, seed=5, **extra)
+        assert _later_capture(device, programs[0]) == untouched
+
+
+def test_a_reference_training_run_leaves_later_captures_alone():
+    """The trainer's batch probes capture from their own streams; only
+    its NOP-baseline probe draws from the device's, at every worker
+    count alike."""
+    program = _programs(1)[0]
+    captures = []
+    for workers, extra in RUNS.items():
+        device = HardwareDevice(seed=3)
+        Trainer(device=device, capture_method="reference", repetitions=12,
+                activity_probes_per_class=2, miso_groups=1,
+                miso_group_size=32, fit_kernel_parameters=False, seed=11,
+                workers=workers, **extra).train()
+        captures.append(_later_capture(device, program))
+    assert captures[0] == captures[1]
+
+
+def _campaign_signature(probes):
+    return [(probe.program_name, probe.signal.tobytes(),
+             probe.amplitudes.tobytes(), repr(probe.quality))
+            for probe in probes]
+
+
+@pytest.mark.parametrize("fault_rate", [0.0, 0.25])
+def test_campaign_probes_identical_in_every_cache_state(fault_rate,
+                                                        tmp_path):
+    """Every trace-cache state (disabled, cold, warm, disk) crossed with
+    every phase-table state (cold, or warm from one capture of a longer
+    or a shorter probe, which the campaign's grids then slice or
+    regrow), at workers 1 and 2."""
+    programs = _programs(4)
+    plan = FaultPlan.preset(fault_rate, seed=7) if fault_rate else None
+
+    def campaign(workers=1, extra=None):
+        return _campaign_signature(measurement_campaign(
+            HardwareDevice(seed=3, fault_plan=plan), programs,
+            repetitions=12, workers=workers, seed=9, **(extra or {})))
+
+    def trace_state(state):
+        if state == "disk":
+            configure_trace_cache(directory=str(tmp_path), clear=True)
+            campaign()
+            configure_trace_cache(clear=True)
+            return
+        configure_trace_cache(directory="", clear=True)
+        if state == "warm":
+            campaign()
+
+    def phase_state(state):
+        clear_plan_caches()
+        if state != "cold":
+            length = 96 if state == "longer" else 6
+            probe = RandomProgramBuilder(seed=length).program(
+                length, name=f"{state}_probe")
+            HardwareDevice(seed=1).capture_reference(probe, repetitions=3)
+
+    signatures = {}
+    try:
+        for workers, extra in RUNS.items():
+            for trace in ("disabled", "cold", "warm", "disk"):
+                for phases in ("cold", "longer", "shorter"):
+                    if trace == "disabled":
+                        configure_trace_cache(directory="", clear=True)
+                        phase_state(phases)
+                        with trace_cache_disabled():
+                            signatures[workers, trace, phases] = campaign(
+                                workers, extra)
+                        continue
+                    trace_state(trace)
+                    phase_state(phases)
+                    disk_hits = get_trace_cache().stats.disk_hits
+                    signatures[workers, trace, phases] = campaign(
+                        workers, extra)
+                    if trace == "disk" and workers == 1:
+                        assert get_trace_cache().stats.disk_hits > disk_hits
+    finally:
+        configure_trace_cache(directory="", enabled=True, clear=True)
+        clear_plan_caches()
+    assert len(signatures) == 24
+    reference = signatures[1, "cold", "cold"]
+    assert all(signature == reference for signature in signatures.values())
 
 
 def test_journal_written_at_one_worker_resumes_at_two(tmp_path):

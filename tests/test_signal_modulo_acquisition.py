@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.robustness import AcquisitionError
+from repro.hardware import DeviceInstance, HardwareDevice
+from repro.robustness import AcquisitionError, FaultPlan
 from repro.signal import (DampedSineKernel, Oscilloscope, ScopeConfig,
                           modular_offsets, modulo_average, reconstruct,
                           simulation_accuracy)
 from repro.signal.modulo import offset_bins
+from repro.workloads import RandomProgramBuilder
 
-from .oracles import on_grid, reconstruct_at, seed_offset_bins
+from .oracles import (on_grid, per_repetition_capture, reconstruct_at,
+                      seed_offset_bins)
 
 KERNEL = DampedSineKernel()
 SPC = 20
@@ -48,6 +51,95 @@ def test_offset_bins_match_the_seed_binning(period, num_bins):
         assert bins.shape == expected.shape
         assert np.array_equal(bins, expected)
     assert np.all(offset_bins(tiny, period, num_bins) == 0)
+
+
+def _assert_seed_bins(times, period, num_bins):
+    expected = seed_offset_bins(times, period, num_bins)
+    bins = offset_bins(times, period, num_bins)
+    assert bins.dtype == expected.dtype
+    assert bins.shape == expected.shape
+    assert np.array_equal(bins, expected)
+
+
+@given(cycles=st.integers(1, 300), clock_scale=st.floats(0.97, 1.03),
+       samples_per_cycle=st.integers(2, 40),
+       rate_offset=st.sampled_from([0.0, 1.37e-3, -2.1e-4, 0.013]),
+       bins_per_cycle=st.integers(1, 40), repetitions=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=150, deadline=None)
+def test_offset_bins_match_the_seed_on_scope_captures(
+        cycles, clock_scale, samples_per_cycle, rate_offset, bins_per_cycle,
+        repetitions, seed):
+    """Times built as the scope builds them: a jittered row per delivered
+    repetition, shifted by its repetition index times the period, with
+    repetitions lost at random and some rows' tails walked by a clock
+    spike."""
+    rng = np.random.default_rng(seed)
+    period = cycles * clock_scale
+    rate = samples_per_cycle * (1.0 + rate_offset)
+    count = max(1, int(period * rate))
+    delivered = np.flatnonzero(rng.random(repetitions) >= 0.2)
+    if not delivered.size:
+        delivered = np.array([repetitions - 1])
+    times = rng.uniform(0, 0.4, (len(delivered), 1)) + np.arange(count) / rate
+    for row in times[rng.random(len(times)) < 0.2]:
+        row[rng.integers(0, count):] += rng.uniform(-0.8, 0.8)
+    times += (delivered * period)[:, None]
+    _assert_seed_bins(times, period, cycles * bins_per_cycle)
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-300, 1e300, -1e300, 1.7976931348623157e308, 2.0 ** 53,
+                2.0 ** 53 + 2.0)
+
+
+@st.composite
+def _edge_matrices(draw):
+    """A period and a (rows, columns) time matrix around its multiples.
+
+    Each row centres on its own multiple ``q * period`` (``q`` from below
+    zero up to where the grid spacing exceeds the period); its entries are
+    multiples near ``q``, their ``nextafter`` neighbours a few steps either
+    way, fractions of a period past them, or one of the edge values: ±0,
+    subnormal, huge and beyond-``2**53`` magnitudes.  Periods span tiny
+    to huge, past the range the row subtraction takes.
+    """
+    period = draw(st.one_of(
+        st.sampled_from([1.0, 0.1, 3.0, 96.7, 113.25, 2.0 ** -40,
+                         1e-300, 1e300]),
+        st.floats(1e-6, 1e6)))
+    rows = draw(st.integers(1, 5))
+    columns = draw(st.integers(1, 10))
+    matrix = np.empty((rows, columns))
+    for row in range(rows):
+        base = draw(st.one_of(st.integers(-3, 6), st.integers(-10, 10 ** 6),
+                              st.integers(2 ** 50, 2 ** 60)))
+        kinds = ["multiple", "fraction"] + ["edge"] * draw(st.integers(0, 1))
+        for column in range(columns):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "edge":
+                matrix[row, column] = draw(st.sampled_from(_EDGE_VALUES))
+                continue
+            with np.errstate(over="ignore"):
+                value = (base + draw(st.integers(-1, 2))) * period
+                if kind == "fraction":
+                    value += draw(st.floats(0.0, 1.0)) * period
+            direction = draw(st.sampled_from([-np.inf, np.inf]))
+            for _ in range(draw(st.integers(0, 3))):
+                value = np.nextafter(value, direction)
+            matrix[row, column] = value
+    # the seed's bins are defined for finite times only
+    assume(np.isfinite(matrix).all())
+    return period, matrix
+
+
+@given(_edge_matrices(), st.integers(1, 4096))
+@settings(max_examples=300, deadline=None)
+def test_offset_bins_match_the_seed_on_edge_times(edge, num_bins):
+    period, times = edge
+    with np.errstate(all="ignore"):
+        _assert_seed_bins(times, period, num_bins)
+        _assert_seed_bins(times.ravel(), period, num_bins)
 
 
 def test_modulo_average_folds_periodic_signal():
@@ -126,3 +218,38 @@ def test_modulo_offsets_within_period(period, bins):
     offsets = modular_offsets(times, period)
     assert np.all(offsets >= 0)
     assert np.all(offsets < period)
+
+
+@pytest.mark.parametrize("fault_rate", [0.0, 0.25])
+@pytest.mark.parametrize("instance_id", [0, 1])
+def test_capture_matches_the_per_repetition_loop(fault_rate, instance_id):
+    """The noise-matrix capture equals the per-repetition draw-and-add
+    loop bit for bit on the emitter's grids: the same times, samples and
+    repetition accounting, and the same RNG states afterwards, for
+    clean and faulted captures (lost, railed and ragged repetitions
+    included) at a nominal and an off-nominal clock."""
+    plan = FaultPlan.preset(fault_rate, seed=5) if fault_rate else None
+    device = HardwareDevice(instance=DeviceInstance(instance_id=instance_id),
+                            fault_plan=plan)
+    builder = RandomProgramBuilder(seed=instance_id)
+    for index in range(4):
+        trace = device.run_trace(builder.program(24, name=f"p{index}"))
+        duration = trace.num_cycles * device.instance.clock_scale
+        captures = []
+        for capture in (Oscilloscope.capture_repetition_list,
+                        per_repetition_capture):
+            with device.reseeded(7, index):
+                scope = Oscilloscope(device.scope_config, device.rng,
+                                     device.fault_injector)
+                times, samples = capture(
+                    scope, device.emitter.continuous(trace), duration, 30)
+                faults = device.fault_injector
+                captures.append((
+                    [np.asarray(row).tobytes() for row in times],
+                    [np.asarray(row).tobytes() for row in samples],
+                    type(times), scope.last_repetition_stats,
+                    device.rng.bit_generator.state,
+                    faults and faults.rng.bit_generator.state))
+        assert captures[0] == captures[1]
+    if plan is not None:
+        assert device.fault_injector.counters["drop"] > 0
