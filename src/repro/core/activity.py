@@ -59,21 +59,6 @@ _SELECTION_ORDER = "F" if np.empty((3, 4))[:, [0, 2]].flags.f_contiguous \
 _ROW_SELECTION_ORDER = "F" if np.empty((4, 5))[:, [0, 2, 3]][[0, 2]] \
     .flags.f_contiguous else "C"
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of every element of a ``uint64`` array (SWAR: NumPy
-    before 2.0 has no ``bitwise_count``)."""
-    words = words - ((words >> np.uint64(1)) & _M1)
-    words = (words & _M2) + ((words >> np.uint64(2)) & _M2)
-    words = (words + (words >> np.uint64(4))) & _M4
-    return (words * _H01) >> np.uint64(56)
-
-
 def stage_design_matrix(trace: ActivityTrace, stage: str,
                         columns: Optional[Sequence[int]] = None
                         ) -> np.ndarray:
@@ -81,11 +66,11 @@ def stage_design_matrix(trace: ActivityTrace, stage: str,
 
     Column layout matches :func:`stage_feature_names`: per-register flip
     counts, then every transition bit, from the XOR of adjacent latch
-    rows (cycle 0 against the all-zero reset state); counts are integer
-    popcounts, bits are shifted and masked out.  ``columns`` selects
-    design columns and builds only those: the result equals
-    ``stage_design_matrix(trace, stage)[:, columns]`` in values and in
-    memory order.  This is the one-trace call of
+    rows (cycle 0 against the all-zero reset state); counts are
+    ``np.bitwise_count`` popcounts, bits are shifted and masked out.
+    ``columns`` selects design columns and builds only those: the
+    result equals ``stage_design_matrix(trace, stage)[:, columns]`` in
+    values and in memory order.  This is the one-trace call of
     :func:`stage_design_matrices`.
     """
     return stage_design_matrices((trace,), stage, columns)
@@ -97,13 +82,15 @@ def stage_design_matrices(traces: Sequence[ActivityTrace], stage: str,
                           ) -> np.ndarray:
     """The designs of many traces, stacked row-wise in trace order.
 
-    One XOR/popcount/bit-shift pass over the traces' stacked latch rows;
-    the XOR restarts at each trace's first row (compared with the
-    all-zero reset state), so the result equals ``np.vstack`` of the
-    per-trace :func:`stage_design_matrix` results in values, and is laid
-    out in the same memory order.  Every entry is an exact integer
-    stored as a float, so gathering rows from one batched build hands a
-    fit exactly the rows the per-trace builds would.
+    One pass over the traces' stacked latch rows: an XOR, a hardware
+    popcount (``np.bitwise_count``) per count column and a shift and
+    mask per bit column.  The XOR restarts at each trace's first row
+    (compared with the all-zero reset state), so the result equals
+    ``np.vstack`` of the per-trace :func:`stage_design_matrix` results
+    in values, and is laid out in the same memory order.  Every entry
+    is an exact integer stored as a float, so gathering rows from one
+    batched build hands a fit exactly the rows the per-trace builds
+    would.
 
     Only the latch registers that the selected ``columns`` read are
     XORed.  ``rows`` (indices into the stacked rows, or a boolean mask
@@ -135,7 +122,7 @@ def stage_design_matrices(traces: Sequence[ActivityTrace], stage: str,
         xor = xor[rows]
     design = np.empty((xor.shape[0], is_count.size), order=order)
     if count_registers.size:
-        design[:, is_count] = _popcount(xor[:, count_registers])
+        design[:, is_count] = np.bitwise_count(xor[:, count_registers])
     if bit_registers.size:
         design[:, is_bit] = (xor[:, bit_registers] >> bit_shifts) & \
             np.uint64(1)

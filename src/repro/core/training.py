@@ -56,6 +56,11 @@ _AMPLITUDE_EPS = 1e-3
 _EM_NOP = EM_INDEX["nop"]
 _EM_STALL = EM_INDEX["stall"]
 
+# Stream indices of the single probes (see Trainer._measure); a batch's
+# probes take theirs from their position in the batch.
+_KERNEL_PROBE = 0
+_NOP_PROBE = 1
+
 
 def _capture_probe(supervisor: CaptureSupervisor, seed: int, method: str,
                    repetitions: int, item
@@ -228,13 +233,14 @@ class Trainer:
     # ------------------------------------------------------------------
     # measurement helpers
     # ------------------------------------------------------------------
-    def _measure(self, program: Program) -> Measurement:
-        """One gated capture through the supervisor, off the device's
-        own RNG stream (single probes outside a batch)."""
-        with get_tracer().span("train.capture"):
-            measurement, outcome = self.supervisor.measure(
-                program, method=self.capture_method,
-                repetitions=self.repetitions)
+    def _measure(self, program: Program, index: int) -> Measurement:
+        """One gated capture of single probe ``index`` (a probe outside
+        a batch) through the supervisor, from the streams reseeded from
+        ``(trainer seed, index)`` as a batch probe's (see
+        :func:`_capture_probe`)."""
+        measurement, outcome = _capture_probe(
+            self.supervisor, self.seed, self.capture_method,
+            self.repetitions, (index, program))
         if outcome.degraded:
             self.report.degraded_probes.append(outcome.program)
         return measurement
@@ -318,10 +324,9 @@ class Trainer:
 
         Every call starts afresh from ``seed`` (probe operands, report,
         acquisition statistics), so calling it again on the same trainer
-        returns the same model and report.  With
-        ``capture_method="reference"`` the kernel-fit and NOP-baseline
-        probes are the exception: they capture from the device's own
-        scope stream, which each call advances.
+        returns the same model and report: every probe, the kernel-fit
+        and NOP-baseline probes included, captures from streams reseeded
+        from ``(seed, probe index)``, never from the device's own.
 
         With ``checkpoint`` set, the batch captures journal their
         results as they complete (flushed on SIGINT/SIGTERM too), and a
@@ -386,7 +391,7 @@ class Trainer:
         """Stage 1: estimate kernel shape from a mixed probe signal."""
         probe = isolation_probe("add", rs1_value=0x5A5A5A5A,
                                 rs2_value=0x33CC33CC)
-        measurement = self._measure(probe)
+        measurement = self._measure(probe, _KERNEL_PROBE)
         kernel = fit_kernel(measurement.signal,
                             self.config.samples_per_cycle)
         self.config = replace(self.config, kernel=kernel)
@@ -395,7 +400,7 @@ class Trainer:
     def _nop_baseline(self) -> float:
         """Stage 2: steady-state all-NOP amplitude level."""
         probe = isolation_probe("add", rs1_value=0, rs2_value=0)
-        measurement = self._measure(probe)
+        measurement = self._measure(probe, _NOP_PROBE)
         amplitudes = self._amplitudes(measurement)
         trace = measurement.trace
         # steady NOP cycles: every stage flows a NOP while fetch is still
@@ -794,14 +799,16 @@ def fit_beta(model: EMSimModel, device: HardwareDevice,
     substitute A -> A*beta, and solve the same linear model for beta.
     That model has a free intercept, so the fit returns
     ``(intercept, beta)``: set both on the model to predict with the
-    solution the betas belong to (does not mutate ``model``).
+    solution the betas belong to (does not mutate ``model``).  Program
+    ``i`` captures as a trainer's single probe ``i`` does (see
+    :meth:`Trainer._measure`).
     """
     designs, targets = [], []
     trainer = Trainer(device=device, config=model.config,
                       capture_method=capture_method,
                       fit_kernel_parameters=False)
-    for program in programs:
-        measurement = trainer._measure(program)
+    for index, program in enumerate(programs):
+        measurement = trainer._measure(program, index)
         measured = trainer._amplitudes(measurement)
         trace = measurement.trace
         base = trainer.miso_design(model, trace)

@@ -237,9 +237,15 @@ class HardwareDevice:
         it.
 
         Only the deterministic pipeline trace is cache-served here; the
-        scope path (noise, faults, screening) always runs live.
+        scope path (noise, faults, screening) always runs live.  A run
+        of no cycles has nothing to fold and raises
+        :class:`~repro.robustness.errors.AcquisitionError`.
         """
         trace = self.run_trace(program, max_cycles=max_cycles)
+        if not trace.num_cycles:
+            raise AcquisitionError(
+                f"{program.name!r} ran no cycles: a scope capture needs at "
+                f"least one cycle to trigger on and fold")
         waveform = self.emitter.continuous(trace)
         duration = trace.num_cycles * self.instance.clock_scale
         scope_config = self.scope_config

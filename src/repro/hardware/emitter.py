@@ -41,6 +41,19 @@ class HardwareEmitter:
         self._static_activity = np.array(
             [[unit.static_activity(name) for name in EM_CLASSES]
              for unit in self.units])
+        # per stage with sources: its units' static-activity rows, and
+        # each unit's column, the stage bits it taps (a slice when they
+        # are one run) and their weights
+        self._stage_units = []
+        for stage in STAGES:
+            columns = [column for column, unit in enumerate(self.units)
+                       if unit.stage == stage]
+            if columns:
+                self._stage_units.append((
+                    stage, self._static_activity[columns],
+                    [(column, _taps(self.units[column].bit_indices),
+                      self.units[column].bit_weights)
+                     for column in columns]))
 
     # ------------------------------------------------------------------
     # per-cycle unit amplitudes
@@ -50,18 +63,21 @@ class HardwareEmitter:
 
         A unit's amplitude is its static activity, gathered from its
         per-class table by the stage's EM codes, plus its flip-weighted
-        latch transitions.
+        latch transitions.  Stage by stage: one gather serves the static
+        activity of all of a stage's units, and each unit's flips are
+        one matrix-vector product of its tapped transition bits.  That
+        operand stays a ``uint8`` gather (or slice), which NumPy casts
+        to a C-ordered ``float64`` copy: the product's rounding depends
+        on that layout, and batching units into one product rounds
+        differently.
         """
-        cycles = trace.num_cycles
-        transitions = {stage: trace.transition_matrix(stage)
-                       for stage in STAGES}
-        codes = {stage: trace.em_codes(stage) for stage in STAGES}
-        amplitudes = np.zeros((cycles, len(self.units)))
-        for column, unit in enumerate(self.units):
-            static = self._static_activity[column][codes[unit.stage]]
-            flips = transitions[unit.stage][:, unit.bit_indices] @ \
-                unit.bit_weights
-            amplitudes[:, column] = static + flips
+        amplitudes = np.zeros((trace.num_cycles, len(self.units)))
+        for stage, table, taps in self._stage_units:
+            transitions = trace.transition_matrix(stage)
+            static = table[:, trace.em_codes(stage)]
+            for row, (column, bits, weights) in enumerate(taps):
+                amplitudes[:, column] = static[row] + \
+                    transitions[:, bits] @ weights
         return amplitudes
 
     # ------------------------------------------------------------------
@@ -74,14 +90,18 @@ class HardwareEmitter:
         """Noiseless emission on the uniform per-cycle sample grid.
 
         ``unit_names`` restricts synthesis to a subset of sources (used by
-        diagnostics that look at one stage in isolation).
+        diagnostics that look at one stage in isolation).  A trace of no
+        cycles gives an empty signal, as EMSim's simulation of it does.
         """
-        amplitudes = self.unit_amplitudes(trace)
         total = np.zeros(trace.num_cycles * samples_per_cycle)
+        if not len(total):
+            return total
+        amplitudes = self.unit_amplitudes(trace)
+        # every unit rewrites the same sample slots, so one buffer serves
+        impulses = np.zeros_like(total)
         for column, unit in enumerate(self.units):
             if unit_names is not None and unit.name not in unit_names:
                 continue
-            impulses = np.zeros_like(total)
             impulses[::samples_per_cycle] = amplitudes[:, column]
             response = unit.kernel.sampled(samples_per_cycle)
             scaled = self.gain * self._couplings[column]
@@ -204,6 +224,15 @@ class HardwareEmitter:
     # former name of the grid evaluator, kept as an alias because the
     # benchmark's layer tracer (bench/tracing.py) wraps both names
     continuous_fast = continuous
+
+
+def _taps(indices: np.ndarray):
+    """``indices`` into a stage's bits as a slice when they are one
+    ascending run, else as they are."""
+    start = int(indices[0])
+    if np.array_equal(indices, np.arange(start, start + len(indices))):
+        return slice(start, start + len(indices))
+    return indices
 
 
 def _imag_real(rows: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -53,10 +53,11 @@ class AlwaysNotTaken(DirectionPredictor):
     """Static predictor: every conditional branch predicted not taken."""
 
     def predict(self, pc: int) -> bool:
+        """Not taken, whatever the branch."""
         return False
 
     def update(self, pc: int, taken: bool) -> None:
-        pass
+        """Nothing to train: the prediction never changes."""
 
 
 class TwoLevelAdaptive(DirectionPredictor):
@@ -75,11 +76,15 @@ class TwoLevelAdaptive(DirectionPredictor):
             ((1 << self.table_bits) - 1)
 
     def predict(self, pc: int) -> bool:
+        """The counter that ``pc``'s own history selects; not taken
+        before that counter has been trained."""
         history = self._histories.get(pc, 0)
         counter = self._pht.get(self._pht_index(pc, history))
         return counter.taken if counter else False
 
     def update(self, pc: int, taken: bool) -> None:
+        """Train the selected counter, then shift the outcome into
+        ``pc``'s history."""
         history = self._histories.get(pc, 0)
         index = self._pht_index(pc, history)
         counter = self._pht.setdefault(index, _SaturatingCounter())
@@ -89,6 +94,7 @@ class TwoLevelAdaptive(DirectionPredictor):
         self._last_outcome = int(taken)
 
     def state_signature(self) -> int:
+        """The last resolved outcome (1 taken, 0 not taken)."""
         return self._last_outcome
 
 
@@ -106,10 +112,14 @@ class GShare(DirectionPredictor):
             ((1 << self.table_bits) - 1)
 
     def predict(self, pc: int) -> bool:
+        """The counter that ``pc`` XOR the global history selects; not
+        taken before that counter has been trained."""
         counter = self._pht.get(self._index(pc))
         return counter.taken if counter else False
 
     def update(self, pc: int, taken: bool) -> None:
+        """Train the selected counter, then shift the outcome into the
+        global history."""
         counter = self._pht.setdefault(self._index(pc), _SaturatingCounter())
         counter.update(taken)
         mask = (1 << self.history_bits) - 1
@@ -117,6 +127,7 @@ class GShare(DirectionPredictor):
             & mask
 
     def state_signature(self) -> int:
+        """The two most recent outcomes of the global history."""
         return self._global_history & 0x3
 
 

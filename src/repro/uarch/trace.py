@@ -161,6 +161,8 @@ _NO_INSTR_ROW: Tuple[int, ...] = (0,) * len(_DYN_NAMES)
 
 _EM_ROWS: Dict[Tuple[InstrClass, bool], Tuple[int, ...]] = {}
 
+_EM_ROW = "_em_row"
+
 
 def _em_row(instr: Instruction) -> Tuple[int, ...]:
     """EM-class codes of ``instr`` as an active occupant, per dyn tag.
@@ -168,10 +170,17 @@ def _em_row(instr: Instruction) -> Tuple[int, ...]:
     :meth:`StageOccupancy.em_class` reads only ``instr.cls`` and
     ``instr.is_nop``, so the row is computed once per such signature
     through the reference logic and shared by every instruction that
-    has it.  Combinations the cores never record (e.g. an ALU op tagged
-    ``final``) fall outside :data:`EM_CLASSES`; their slots are never
-    indexed, so they hold the filler code 0.
+    has it.  It is also memoized on the object, as
+    :func:`~repro.uarch.pipeline.compiled` memoizes its tuple, so
+    building a trace's lookup table reads one attribute per entry; an
+    instruction pickles without it.  Combinations the cores never
+    record (e.g. an ALU op tagged ``final``) fall outside
+    :data:`EM_CLASSES`; their slots are never indexed, so they hold the
+    filler code 0.
     """
+    row = instr.__dict__.get(_EM_ROW)
+    if row is not None:
+        return row
     signature = (instr.cls, instr.is_nop)
     row = _EM_ROWS.get(signature)
     if row is None:
@@ -180,6 +189,7 @@ def _em_row(instr: Instruction) -> Tuple[int, ...]:
                                         dyn).em_class(), 0)
             for dyn in _DYN_NAMES)
         _EM_ROWS[signature] = row
+    object.__setattr__(instr, _EM_ROW, row)
     return row
 
 
@@ -193,27 +203,31 @@ class RetiredInstruction:
     cycle: int
 
 
-def _build_bit_tables():
-    """Per-stage (register column, shift) tables for transition vectors.
+def _build_bit_columns() -> Dict[str, np.ndarray]:
+    """Per-stage unpacked-bit column of every transition bit.
 
     For each stage the transition matrix lists every latch bit in schema
-    order, LSB first within a register.  These flat index tables turn
-    the seed's per-register Python loop into one fancy-index broadcast.
+    order, LSB first within a register.  Unpacking the stage's XOR words
+    as little-endian bytes, LSB first, puts bit ``b`` of the stage's
+    register ``r`` at column ``64 * r + b``; one gather of these columns
+    is the transition matrix.
     """
-    columns: Dict[str, np.ndarray] = {}
-    shifts: Dict[str, np.ndarray] = {}
-    for stage in STAGES:
-        column_ids: List[int] = []
-        bit_shifts: List[int] = []
-        for column, (_, width) in enumerate(STAGE_REGISTERS[stage]):
-            column_ids.extend([column] * width)
-            bit_shifts.extend(range(width))
-        columns[stage] = np.asarray(column_ids, dtype=np.intp)
-        shifts[stage] = np.asarray(bit_shifts, dtype=np.uint64)
-    return columns, shifts
+    return {stage: np.asarray([64 * column + bit
+                               for column, (_, width)
+                               in enumerate(STAGE_REGISTERS[stage])
+                               for bit in range(width)], dtype=np.intp)
+            for stage in STAGES}
 
 
-_BIT_COLUMNS, _BIT_SHIFTS = _build_bit_tables()
+_BIT_COLUMNS = _build_bit_columns()
+
+# Each stage's latch words as byte columns of the little-endian XOR
+# matrix (8 bytes per register).
+_STAGE_BYTES: Dict[str, slice] = {
+    stage: slice(8 * columns.start, 8 * columns.stop)
+    for stage, columns in STAGE_SLICES.items()}
+
+_LITTLE_U64 = np.dtype("<u8")
 
 _INITIAL_CAPACITY = 512
 
@@ -262,7 +276,7 @@ class ActivityTrace:
         self._retire_rows: List[tuple] = []
         self._instr_table: List[Instruction] = []
         self._instr_ids: Dict[int, int] = {}
-        self._transition_cache: Dict[str, np.ndarray] = {}
+        self._transition_cache: Dict[str, object] = {}
         self._codes_cache: Dict[str, object] = {}
         self._occ_cache: Dict[str, object] = {}
         self._event_cache: Dict[type, Tuple[int, list]] = {}
@@ -432,37 +446,34 @@ class ActivityTrace:
         """Unpack the code columns to per-stage arrays, cached per n.
 
         Returns ``{column: {stage: array}}`` for columns ``kind`` /
-        ``instr`` / ``seq`` / ``dyn`` / ``em`` — the ``em`` column is
-        derived vectorized from a per-instruction lookup table built
-        with the reference :meth:`StageOccupancy.em_class` logic.
+        ``instr`` / ``seq`` / ``dyn`` / ``em``.  All five stages' packed
+        columns decode together, as one (stages, cycles) matrix, and
+        each stage's array is its row.  The ``em`` column is gathered
+        from a per-instruction lookup table built with the reference
+        :meth:`StageOccupancy.em_class` logic (see :func:`_em_row`).
         """
         cache = self._codes_cache
         if cache.get("n") == self._n:
             return cache["codes"]  # type: ignore[return-value]
-        em_lookup = self._em_lookup()
-        codes: Dict[str, Dict[str, np.ndarray]] = {
-            column: {} for column in ("kind", "instr", "seq", "dyn", "em")}
-        for stage in STAGES:
-            packed = np.asarray(self._packed[stage], dtype=np.uint64)
-            # repro: allow[N203] masked to two bits, uint8 is lossless
-            kind = (packed & np.uint64(3)).astype(np.uint8)
-            # repro: allow[N203] masked to two bits, uint8 is lossless
-            dyn = ((packed >> np.uint64(2)) & np.uint64(3)).astype(np.uint8)
-            # repro: allow[N203] instr indices are bounded by the 24-bit
-            # pack width, so int32 is lossless.
-            instr = ((packed >> np.uint64(_INSTR_SHIFT)) &
-                     np.uint64((1 << _INSTR_BITS) - 1)
-                     ).astype(np.int32) - 1
-            # repro: allow[N203] seq fits the 31-bit pack field
-            seq = (packed >> np.uint64(_SEQ_SHIFT)).astype(np.int32) - 1
-            codes["kind"][stage] = kind
-            codes["instr"][stage] = instr
-            codes["seq"][stage] = seq
-            codes["dyn"][stage] = dyn
-            codes["em"][stage] = np.where(
-                kind == KIND_BUBBLE, _EM_NOP_U8,
-                np.where(kind == KIND_STALL, _EM_STALL_U8,
-                         em_lookup[instr + 1, dyn]))
+        packed = np.array([self._packed[stage] for stage in STAGES],
+                          dtype=np.uint64)
+        # repro: allow[N203] the low byte holds kind (bits 0-1) and dyn
+        # (bits 2-3); the higher fields it drops are read from packed.
+        low = packed.astype(np.uint8)
+        kind = low & 3
+        dyn = (low >> 2) & 3
+        # repro: allow[N203] instr indices are bounded by the 24-bit
+        # pack width, so int32 is lossless.
+        instr = ((packed >> np.uint64(_INSTR_SHIFT)) &
+                 np.uint64((1 << _INSTR_BITS) - 1)).astype(np.int32) - 1
+        # repro: allow[N203] seq fits the 31-bit pack field
+        seq = (packed >> np.uint64(_SEQ_SHIFT)).astype(np.int32) - 1
+        em = np.where(kind == KIND_BUBBLE, _EM_NOP_U8,
+                      np.where(kind == KIND_STALL, _EM_STALL_U8,
+                               self._em_lookup()[instr + 1, dyn]))
+        codes = {column: dict(zip(STAGES, rows)) for column, rows in (
+            ("kind", kind), ("instr", instr), ("seq", seq), ("dyn", dyn),
+            ("em", em))}
         self._codes_cache = {"n": self._n, "codes": codes}
         return codes
 
@@ -474,7 +485,7 @@ class ActivityTrace:
         each dynamic tag (see :func:`_em_row`).
         """
         rows = [_NO_INSTR_ROW]
-        rows.extend(_em_row(instr) for instr in self._instr_table)
+        rows.extend(map(_em_row, self._instr_table))
         # repro: allow[N203] every entry is an EM_INDEX code (< 16)
         return np.array(rows, dtype=np.uint8)
 
@@ -496,24 +507,35 @@ class ActivityTrace:
         """(cycles, bits) 0/1 matrix of latch bit-flips for ``stage``.
 
         Row ``n`` holds the flips between cycle ``n-1`` and cycle ``n``
-        (cycle 0 is compared with the all-zero reset state).  Computed as
-        one shift-table broadcast over the XOR of adjacent latch rows;
-        cached after the first computation.
+        (cycle 0 is compared with the all-zero reset state).  The first
+        read builds every stage's matrix (:meth:`_transitions`), and
+        the five are cached until more cycles arrive.
         """
         cache = self._transition_cache
-        if stage in cache and cache[stage].shape[0] == self._n:
-            return cache[stage]
-        values = self.values_matrix(stage)
-        xor = np.ascontiguousarray(values)
-        if xor is values:
-            xor = values.copy()
-        xor[1:] ^= values[:-1]
-        # repro: allow[N203] each element is masked to a single bit
-        # (0 or 1) before the cast, so uint8 is lossless here.
-        bits = ((xor[:, _BIT_COLUMNS[stage]] >> _BIT_SHIFTS[stage]) &
-                np.uint64(1)).astype(np.uint8)
-        cache[stage] = bits
-        return bits
+        if cache.get("n") != self._n:
+            cache = self._transition_cache = {"n": self._n,
+                                              "bits": self._transitions()}
+        return cache["bits"][stage]  # type: ignore[index]
+
+    def _transitions(self) -> Dict[str, np.ndarray]:
+        """Every stage's transition matrix from one XOR of the trace.
+
+        Adjacent rows of the whole latch store are XORed once (the first
+        row against zero).  Each stage's XOR words are then unpacked,
+        little-endian and LSB first, into one byte per bit, and one
+        column gather (:data:`_BIT_COLUMNS`) keeps the schema's bits in
+        order.  The gather lays the result out in Fortran order, as the
+        shift-and-mask build it replaced did.
+        """
+        values = self._values_all()
+        xor = np.empty(values.shape, dtype=_LITTLE_U64)
+        np.bitwise_xor(values[1:], values[:-1], out=xor[1:])
+        xor[:1] = values[:1]
+        octets = xor.view(np.uint8)
+        return {stage: np.unpackbits(octets[:, _STAGE_BYTES[stage]],
+                                     axis=1, bitorder="little"
+                                     )[:, _BIT_COLUMNS[stage]]
+                for stage in STAGES}
 
     def flip_counts(self, stage: str) -> np.ndarray:
         """(cycles,) total latch bit-flips per cycle for ``stage``."""

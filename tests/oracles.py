@@ -46,7 +46,17 @@ asserting that the engine computes the same thing:
 * :func:`seed_per_cycle_similarities` — the accuracy metric's per-cycle
   scores, one ``np.dot`` triple per cycle;
 * :func:`two_pass_welch_t` — TVLA's Welch t-statistic from the stacked
-  (traces, samples) matrices, means and variances in two passes.
+  (traces, samples) matrices, means and variances in two passes;
+* :func:`seed_transition_matrix` — one stage's transition bits from its
+  own XOR, shifted and masked out per bit, and :func:`seed_unpacked` —
+  the code columns decoded one stage at a time, with each instruction's
+  EM row classified afresh;
+* :func:`swar_popcount` — set bits counted by SWAR arithmetic (NumPy
+  before 2.0 has no ``bitwise_count``), and
+  :func:`seed_stage_design_matrices` — stacked designs gathered from
+  whole seed designs;
+* :func:`seed_signal_on_grid` — the ideal capture from the seed's
+  per-unit amplitudes with a fresh impulse buffer per unit.
 
 :func:`trace_bytes` turns a trace's content into comparable bytes.
 """
@@ -85,20 +95,23 @@ from repro.uarch.isa_exec import (ALU_FUNCTIONS, BRANCH_CONDITIONS,
                                   alu_result, branch_taken,
                                   control_flow_target, load_width,
                                   store_width)
-from repro.uarch.latches import (STAGE_REGISTERS, STAGES, TOTAL_REGISTERS,
-                                 HardwareLatches, bubble_pattern,
-                                 control_word, stage_register_offsets)
+from repro.uarch.latches import (STAGE_REGISTERS, STAGE_SLICES, STAGES,
+                                 TOTAL_REGISTERS, HardwareLatches,
+                                 bubble_pattern, control_word,
+                                 stage_register_offsets)
 from repro.uarch.memory import MainMemory
 from repro.uarch.ooo import OutOfOrderCore
 from repro.uarch.pipeline import (BRANCH, DATA_COLUMNS, JALR, LOAD, MULDIV,
                                   PLAIN, STORE)
 from repro.uarch.regfile import RegisterFile
 from repro.uarch.replay import _FLAT_COLUMNS, Schedule, _frozen
-from repro.uarch.trace import (_BUBBLE_OCC, _KIND_NAMES, ACTIVE,
+from repro.uarch.trace import (_BUBBLE_OCC, _DYN_NAMES, _KIND_NAMES,
+                               _INSTR_BITS, _INSTR_SHIFT, _SEQ_SHIFT, ACTIVE,
                                ACTIVE_FINAL, ACTIVE_HIT, ACTIVE_MISS,
-                               OCC_INSTR, OCC_STALL, STALLED, STALLED_HIT,
-                               STALLED_MISS, ActivityTrace,
-                               RetiredInstruction, StageOccupancy)
+                               EM_INDEX, KIND_BUBBLE, KIND_STALL, OCC_INSTR,
+                               OCC_STALL, STALLED, STALLED_HIT, STALLED_MISS,
+                               ActivityTrace, RetiredInstruction,
+                               StageOccupancy)
 
 
 # ---------------------------------------------------------------------------
@@ -1467,7 +1480,9 @@ def seed_predict_cycle_amplitudes(model, trace, switches=None):
 
 
 def seed_unit_amplitudes(emitter, trace):
-    """Per-unit amplitudes with one ``static_activity`` call per cycle."""
+    """Per-unit amplitudes with one ``static_activity`` call per cycle,
+    unit by unit, each unit's flips from its stage's
+    :func:`seed_transition_matrix`."""
     cycles = trace.num_cycles
     amplitudes = np.zeros((cycles, len(emitter.units)))
     for column, unit in enumerate(emitter.units):
@@ -1475,10 +1490,24 @@ def seed_unit_amplitudes(emitter, trace):
             (unit.static_activity(label)
              for label in trace.em_classes(unit.stage)),
             dtype=float, count=cycles)
-        flips = trace.transition_matrix(unit.stage)[:, unit.bit_indices] \
-            @ unit.bit_weights
+        flips = seed_transition_matrix(trace, unit.stage)[
+            :, unit.bit_indices] @ unit.bit_weights
         amplitudes[:, column] = static + flips
     return amplitudes
+
+
+def seed_signal_on_grid(emitter, trace, samples_per_cycle):
+    """The ideal capture: every unit's :func:`seed_unit_amplitudes` as
+    impulses in a fresh buffer, convolved with its sampled kernel."""
+    amplitudes = seed_unit_amplitudes(emitter, trace)
+    total = np.zeros(trace.num_cycles * samples_per_cycle)
+    for column, unit in enumerate(emitter.units):
+        impulses = np.zeros_like(total)
+        impulses[::samples_per_cycle] = amplitudes[:, column]
+        response = unit.kernel.sampled(samples_per_cycle)
+        scaled = emitter.gain * emitter._couplings[column]
+        total += scaled * np.convolve(impulses, response)[:len(total)]
+    return total
 
 
 def seed_continuous(emitter, trace):
@@ -1668,12 +1697,92 @@ def seed_joint_rows(measured, trace, nop_level, amplitudes, selected,
 
 
 # ---------------------------------------------------------------------------
+# trace views
+# ---------------------------------------------------------------------------
+def _bit_tables(stage):
+    """(register column, shift) of every transition bit of ``stage``."""
+    columns, shifts = [], []
+    for column, (_, width) in enumerate(STAGE_REGISTERS[stage]):
+        columns.extend([column] * width)
+        shifts.extend(range(width))
+    return np.asarray(columns, dtype=np.intp), np.asarray(shifts,
+                                                          dtype=np.uint64)
+
+
+def seed_transition_matrix(trace, stage):
+    """(cycles, bits) flips of one stage: XOR its own latch rows, then
+    shift and mask every bit out of its register."""
+    values = trace._vals[:trace.num_cycles, STAGE_SLICES[stage]]
+    xor = np.ascontiguousarray(values)
+    if xor is values:
+        xor = values.copy()
+    xor[1:] ^= values[:-1]
+    columns, shifts = _bit_tables(stage)
+    return ((xor[:, columns] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def seed_unpacked(trace):
+    """``{column: {stage: array}}`` decoded stage by stage, with the EM
+    row of every instruction-table entry classified by
+    :meth:`StageOccupancy.em_class`."""
+    rows = [(0,) * len(_DYN_NAMES)]
+    rows.extend(tuple(EM_INDEX.get(StageOccupancy(OCC_INSTR, instr, None,
+                                                  dyn).em_class(), 0)
+                      for dyn in _DYN_NAMES)
+                for instr in trace._instr_table)
+    em_lookup = np.array(rows, dtype=np.uint8)
+    codes = {column: {} for column in ("kind", "instr", "seq", "dyn", "em")}
+    for stage in STAGES:
+        packed = np.asarray(trace._packed[stage], dtype=np.uint64)
+        kind = (packed & np.uint64(3)).astype(np.uint8)
+        dyn = ((packed >> np.uint64(2)) & np.uint64(3)).astype(np.uint8)
+        instr = ((packed >> np.uint64(_INSTR_SHIFT)) &
+                 np.uint64((1 << _INSTR_BITS) - 1)).astype(np.int32) - 1
+        seq = (packed >> np.uint64(_SEQ_SHIFT)).astype(np.int32) - 1
+        codes["kind"][stage] = kind
+        codes["instr"][stage] = instr
+        codes["seq"][stage] = seq
+        codes["dyn"][stage] = dyn
+        codes["em"][stage] = np.where(
+            kind == KIND_BUBBLE, np.uint8(EM_INDEX["nop"]),
+            np.where(kind == KIND_STALL, np.uint8(EM_INDEX["stall"]),
+                     em_lookup[instr + 1, dyn]))
+    return codes
+
+
+def swar_popcount(words):
+    """Set bits of every element of a ``uint64`` array, by SWAR."""
+    m1 = np.uint64(0x5555555555555555)
+    m2 = np.uint64(0x3333333333333333)
+    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    h01 = np.uint64(0x0101010101010101)
+    words = words - ((words >> np.uint64(1)) & m1)
+    words = (words & m2) + ((words >> np.uint64(2)) & m2)
+    words = (words + (words >> np.uint64(4))) & m4
+    return (words * h01) >> np.uint64(56)
+
+
+def seed_stage_design_matrices(traces, stage, columns=None, rows=None):
+    """The stacked designs of ``traces`` as gathers of their whole
+    :func:`seed_stage_design_matrix` designs, ``full[:, columns][rows]``,
+    which the production build promises to equal in values and memory
+    order."""
+    design = np.vstack([seed_stage_design_matrix(trace, stage)
+                        for trace in traces])
+    if columns is not None:
+        design = design[:, columns]
+    if rows is not None:
+        design = design[rows]
+    return design
+
+
+# ---------------------------------------------------------------------------
 # activity factors
 # ---------------------------------------------------------------------------
 def seed_stage_design_matrix(trace, stage):
     """The whole stage design: per-register sums of the float transition
-    bits, then the bits themselves."""
-    bits = trace.transition_matrix(stage).astype(float)
+    bits (:func:`seed_transition_matrix`), then the bits themselves."""
+    bits = seed_transition_matrix(trace, stage).astype(float)
     offsets = stage_register_offsets(stage)
     counts = np.stack(
         [bits[:, start:start + width].sum(axis=1)

@@ -73,7 +73,8 @@ def test_fit_beta_intercept_belongs_to_its_betas():
     intercept, beta = fit_beta(model, moved, programs)
     trainer = Trainer(device=moved, config=model.config,
                       capture_method="ideal", fit_kernel_parameters=False)
-    measurements = [trainer._measure(program) for program in programs]
+    measurements = [trainer._measure(program, index)
+                    for index, program in enumerate(programs)]
 
     def squared_error(candidate):
         adjusted = copy.copy(model)

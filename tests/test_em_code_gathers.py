@@ -99,7 +99,7 @@ def _joint_layout(model):
 
 def test_joint_rows_bit_identical(bench):
     _, trainer, model, program, _ = bench
-    measurement = trainer._measure(program)
+    measurement = trainer._measure(program, 0)
     layout = _joint_layout(model)
     measured = trainer._amplitudes(measurement)
     block, targets = trainer._joint_rows([measurement.trace], [measured],
@@ -117,7 +117,7 @@ def test_batched_joint_rows_stack_the_seed_blocks(bench):
                 isolation_probe("sw", rs1_value=0x12345678, mem_offset=64),
                 repeat_probe("mul", rs1_value=0xDEADBEEF, count=3)]
     traces, measured = [], []
-    for measurement in map(trainer._measure, programs):
+    for measurement in map(trainer._measure, programs, range(len(programs))):
         traces.append(measurement.trace)
         measured.append(trainer._amplitudes(measurement))
     layout = _joint_layout(model)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import EMSim, EMSimConfig, EMSimModel
 from repro.hardware import (ARTY, BOARDS, DE0_CV, DE1, DeviceInstance,
                             HardwareDevice, ProbePosition, UNIT_NAMES,
                             coupling, stage_couplings)
 from repro.hardware.probe import CENTER
 from repro.isa import Instruction
+from repro.robustness import AcquisitionError
 from repro.signal import simulation_accuracy
 from repro.workloads import dot_product, nop_padded
 
@@ -102,6 +104,31 @@ def test_capture_single_is_noisy(device):
     residual = single.signal - ideal.signal
     assert 0.05 < residual.std() < 0.2
     assert single.method == "single"
+
+
+def test_zero_cycle_ideal_capture_is_empty(device):
+    measurement = device.capture_ideal(dot_product(4), max_cycles=0)
+    assert measurement.num_cycles == 0
+    assert measurement.signal.shape == (0,)
+
+
+def test_zero_cycle_single_capture_is_empty(device):
+    measurement = device.capture_single(dot_product(4), max_cycles=0)
+    assert measurement.signal.shape == (0,)
+
+
+def test_zero_cycle_reference_capture_raises_acquisition_error(device):
+    with pytest.raises(AcquisitionError, match="no cycles") as raised:
+        device.capture_reference(dot_product(4), repetitions=4,
+                                 max_cycles=0)
+    assert raised.value.exit_code == 11
+
+
+def test_zero_cycle_simulation_is_empty_like_the_ideal_capture(device):
+    simulator = EMSim(EMSimModel(config=EMSimConfig()),
+                      core_config=device.core_config)
+    simulated = simulator.simulate(dot_product(4), max_cycles=0)
+    assert simulated.signal.shape == (0,)
 
 
 def test_unknown_capture_method_rejected(device):

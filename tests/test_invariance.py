@@ -15,10 +15,11 @@ campaign probes, clean and faulted, in every trace-cache state crossed
 with every state of the emitter's phase tables (cold, or warm from a
 longer or a shorter probe).  A campaign or a reference-capture training
 run also leaves the caller's device as it found it, so a later capture
-on it does not depend on the worker count.  TVLA collection and the
-SAVAT sweep also fail alike at both worker counts: a trace source that
-fails once is retried to the same outputs, and one that always fails
-raises ``CampaignError``.
+on it does not depend on the worker count, and a trainer trained twice
+returns the same model.  TVLA collection and the SAVAT sweep also fail
+alike at both worker counts: a trace source that fails once is retried
+to the same outputs, and one that always fails raises
+``CampaignError``.
 """
 
 import os
@@ -104,19 +105,33 @@ def test_a_campaign_leaves_the_callers_device_as_it_found_it():
 
 
 def test_a_reference_training_run_leaves_later_captures_alone():
-    """The trainer's batch probes capture from their own streams; only
-    its NOP-baseline probe draws from the device's, at every worker
-    count alike."""
+    """Every trainer probe, the kernel-fit and NOP-baseline ones
+    included, captures from its own streams, so the device's stream is
+    where it started, at every worker count alike."""
     program = _programs(1)[0]
-    captures = []
+    untouched = _later_capture(HardwareDevice(seed=3), program)
     for workers, extra in RUNS.items():
         device = HardwareDevice(seed=3)
         Trainer(device=device, capture_method="reference", repetitions=12,
                 activity_probes_per_class=2, miso_groups=1,
-                miso_group_size=32, fit_kernel_parameters=False, seed=11,
-                workers=workers, **extra).train()
-        captures.append(_later_capture(device, program))
-    assert captures[0] == captures[1]
+                miso_group_size=32, seed=11, workers=workers,
+                **extra).train()
+        assert _later_capture(device, program) == untouched
+
+
+@pytest.mark.parametrize("workers", sorted(RUNS))
+def test_a_reference_trainer_trained_twice_repeats_its_model(workers):
+    trainer = Trainer(device=HardwareDevice(seed=3),
+                      capture_method="reference", repetitions=12,
+                      activity_probes_per_class=2, miso_groups=1,
+                      miso_group_size=32, seed=11, workers=workers,
+                      **RUNS[workers])
+    models = []
+    for _ in range(2):
+        model = model_to_dict(trainer.train())
+        model.pop("checksum")
+        models.append(model)
+    assert models[0] == models[1]
 
 
 def _campaign_signature(probes):

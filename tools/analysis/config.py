@@ -44,7 +44,7 @@ class AnalysisConfig:
     #: packages/modules whose public API must be fully documented (A401).
     docstring_packages: List[str] = field(default_factory=lambda: [
         "src/repro/core", "src/repro/signal", "src/repro/hardware",
-        "src/repro/robustness"])
+        "src/repro/robustness", "src/repro/uarch"])
     #: campaign-shaped modules where every supervised fan-out call must
     #: pass an explicit ``timeout=`` (E305) — an hours-long campaign
     #: silently inheriting "no deadline" is how hung workers sink runs.

@@ -2,9 +2,10 @@
 coverage for the gated public API.
 
 ``A401`` gates docstrings on the public surface of the configured
-``docstring_packages`` (``src/repro/core``, ``src/repro/signal``, and
-the capture path's ``src/repro/hardware`` and ``src/repro/robustness``),
-with one report and one suppression syntax alongside every other rule.
+``docstring_packages`` (``src/repro/core``, ``src/repro/signal``, the
+capture path's ``src/repro/hardware`` and ``src/repro/robustness``, and
+the cores' ``src/repro/uarch``), with one report and one suppression
+syntax alongside every other rule.
 ``A404`` adds the annotation-coverage companion for the model-building
 core.
 """
